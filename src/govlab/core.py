@@ -222,6 +222,8 @@ class _Identifier(str):
     __slots__ = ()
 
     def __new__(cls, value: str):
+        if type(value) is cls:  # validated when it was built
+            return value
         if not isinstance(value, str) or not _ID_RE.match(value):
             raise GovlabError(
                 f"{cls.__name__} must match [A-Za-z0-9_-]{{1,64}}: {value!r}"
@@ -363,36 +365,41 @@ class TallyResult:
         )
 
 
+# Already canonical, matched by exact type; ledger payloads hold little else.
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def _canonical_value(value: Any) -> Any:
-    if isinstance(value, bool) or value is None:
+    if type(value) in _PLAIN:
         return value
-    if isinstance(value, float):
-        raise CanonicalJsonError(
-            "float is not canonical; use str, int, Decimal, or a fixed-point type"
-        )
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, _Fixed):
-        return str(value)
-    if isinstance(value, Decimal):
-        return fmt_units(parse_units(value))
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
             if not isinstance(k, str):
                 raise CanonicalJsonError(f"object keys must be strings: {k!r}")
-            out[k] = _canonical_value(v)
+            out[k] = v if type(v) in _PLAIN else _canonical_value(v)
         return out
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
+    if isinstance(value, float):
+        raise CanonicalJsonError(
+            "float is not canonical; use str, int, Decimal, or a fixed-point type"
+        )
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, _Fixed):
+        return str(value)
+    if isinstance(value, Decimal):
+        return fmt_units(parse_units(value))
     raise CanonicalJsonError(f"type {type(value).__name__!r} is not canonical JSON")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def canonical_json(value: Any) -> str:
     """Serialize to canonical JSON: sorted keys, compact, ASCII, no floats."""
-    return json.dumps(_canonical_value(value), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(_canonical_value(value))
 
 
 def canonical_json_bytes(value: Any) -> bytes:

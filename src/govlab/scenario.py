@@ -213,6 +213,7 @@ def parse_scenario(obj: Any) -> Scenario:
         )
 
     _check_schedule(agents, proposals, errors)
+    _check_wallet_ids(agents, errors)
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -443,6 +444,21 @@ def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], erro
                     f"proposals {p1.id!r} and {p2.id!r} have overlapping voting windows; "
                     "agents cannot lock their balance in both"
                 )
+
+
+def _check_wallet_ids(agents: list[AgentSpec], errors: list[str]) -> None:
+    # Attacker `a` with n wallets owns a_w<k>, k padded to len(str(n - 1)) digits
+    # (simulation.agent_wallets); attackers never collide, so only an id can shadow one.
+    attackers = {a.id: a.n_wallets for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
+    for agent in agents:
+        if agent.kind is AgentKind.SYBIL_ATTACKER:
+            continue
+        owner, _, k = agent.id.rpartition("_w")
+        n = attackers.get(owner)
+        if n and k.isascii() and k.isdigit() and len(k) == len(str(n - 1)) and int(k) < n:
+            errors.append(
+                f"agent {agent.id!r}: wallet id {agent.id!r} is also a wallet of agent {owner!r}"
+            )
 
 
 def loads_scenario(text: str) -> Scenario:

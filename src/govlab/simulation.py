@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import (
     GovlabError,
@@ -206,11 +206,19 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     )
 
 
+class VoteIndex(NamedTuple):
+    """Each counted vote's power at finalize; per agent (wallets, token units, power units)."""
+
+    powers: list[VotingPower]
+    by_agent: dict[str, list[int]]
+
+
 @dataclass(frozen=True, slots=True)
 class RunResult:
     scenario: Scenario
     setup: SimulationSetup
     engine: GovernanceEngine
+    votes: dict[str, VoteIndex]  # by proposal id
     report: dict[str, Any]
     report_json: str
     head_hash: str
@@ -244,8 +252,54 @@ def _vote_tokens(vote: VoteRecord | ConvictionState) -> TokenAmount:
     return vote.tokens if isinstance(vote, ConvictionState) else vote.committed
 
 
+def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine) -> None:
+    """Apply the scenario's events to the engine in tick order.
+
+    The scenario compiles to tick -> (submits, casts, finalizes), casts agent-major,
+    and only those ticks are visited.  Every voting-window start has an entry, so
+    its phase event keeps its tick.
+    """
+    schedule: dict[int, tuple[list, list, list]] = {}
+    for spec in scenario.proposals:
+        schedule.setdefault(spec.discussion_window.start, ([], [], []))[0].append(spec)
+        schedule.setdefault(spec.voting_window.start, ([], [], []))
+        schedule.setdefault(spec.voting_window.end, ([], [], []))[2].append(spec)
+    for agent in scenario.agents:
+        if agent.votes():
+            for spec in scenario.proposals:
+                cast_at = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
+                schedule.setdefault(cast_at, ([], [], []))[1].append((agent, spec))
+
+    for now in sorted(t for t in schedule if t <= scenario.ticks):
+        submits, casts, finalizes = schedule[now]
+        for spec in submits:
+            engine.submit(_engine_proposal(scenario, spec), now)
+        engine.advance_to(now)
+        for agent, spec in casts:
+            option = agent.preference[0]
+            for wallet in setup.wallets_by_agent[agent.id]:
+                engine.cast(spec.id, wallet, option, setup.balances[wallet], now)
+        for spec in finalizes:
+            engine.finalize(spec.id, now)
+
+
+def _index_votes(
+    scenario: Scenario, owner: dict[WalletId, str], engine: GovernanceEngine, spec: ProposalSpec
+) -> VoteIndex:
+    powers: list[VotingPower] = []
+    by_agent: dict[str, list[int]] = {}
+    for vote in engine.counted_votes[spec.id]:
+        power = _vote_power(vote, scenario, spec.voting_window.end)
+        powers.append(power)
+        row = by_agent.setdefault(owner[vote.wallet], [0, 0, 0])
+        row[0] += 1
+        row[1] += _vote_tokens(vote).units
+        row[2] += power.units
+    return VoteIndex(powers, by_agent)
+
+
 def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
-    """Execute a scenario tick by tick and assemble the metrics report."""
+    """Execute a scenario's events in tick order (idle ticks cost nothing) and report."""
     setup = build_setup(scenario, seed_override=seed_override)
     genesis_context: dict[str, Any] = {
         "scenario": scenario.name,
@@ -265,30 +319,16 @@ def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
         genesis_context=genesis_context,
     )
 
-    voters = [a for a in scenario.agents if a.votes()]
-    for now in range(scenario.ticks + 1):
-        for spec in scenario.proposals:
-            if spec.discussion_window.start == now:
-                engine.submit(_engine_proposal(scenario, spec), now)
-        engine.advance_to(now)
-        for agent in voters:
-            for spec in scenario.proposals:
-                cast_at = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
-                if cast_at != now:
-                    continue
-                option = agent.preference[0]
-                for wallet in setup.wallets_by_agent[agent.id]:
-                    engine.cast(spec.id, wallet, option, setup.balances[wallet], now)
-        for spec in scenario.proposals:
-            if spec.voting_window.end == now:
-                engine.finalize(spec.id, now)
-
-    report = _build_report(scenario, setup, engine)
+    _play_schedule(scenario, setup, engine)
+    owner = {w: aid for aid, wallets in setup.wallets_by_agent.items() for w in wallets}
+    votes = {spec.id: _index_votes(scenario, owner, engine, spec) for spec in scenario.proposals}
+    report = _build_report(scenario, setup, engine, votes)
     report_json = canonical_json(report) + "\n"
     return RunResult(
         scenario=scenario,
         setup=setup,
         engine=engine,
+        votes=votes,
         report=report,
         report_json=report_json,
         head_hash=engine.ledger.head_hash(),
@@ -296,12 +336,10 @@ def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
 
 
 def _proposal_metrics(
-    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, spec: ProposalSpec
+    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, votes: VoteIndex
 ) -> dict[str, Any]:
     result = engine.results[spec.id]
-    counted = engine.counted_votes[spec.id]
-    finalize_tick = spec.voting_window.end
-    powers = [_vote_power(v, scenario, finalize_tick) for v in counted]
+    powers = votes.powers
     total_power_units = sum(p.units for p in powers)
 
     supply_units = scenario.supply.units
@@ -310,19 +348,17 @@ def _proposal_metrics(
         if supply_units > 0
         else Decimal("0.000000000")
     )
-    wallet_fraction = ratio_half_even(len(counted), setup.wallet_universe_size) if setup.wallet_universe_size else Decimal("0.000000000")
+    wallet_fraction = ratio_half_even(len(powers), engine.wallet_universe_size) if engine.wallet_universe_size else Decimal("0.000000000")
 
     amplification: dict[str, Any] = {}
     for agent in scenario.agents:
         if agent.kind is not AgentKind.SYBIL_ATTACKER:
             continue
-        wallets = set(setup.wallets_by_agent[agent.id])
-        mine = [(v, p) for v, p in zip(counted, powers) if v.wallet in wallets]
-        if not mine:
+        mine = votes.by_agent.get(agent.id)
+        if mine is None:
             amplification[agent.id] = None
             continue
-        counted_units = sum(_vote_tokens(v).units for v, _ in mine)
-        realized_units = sum(p.units for _, p in mine)
+        _, counted_units, realized_units = mine
         cast_tick = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
         honest_vote: VoteRecord | ConvictionState
         if scenario.mechanism is Mechanism.CONVICTION:
@@ -340,7 +376,7 @@ def _proposal_metrics(
                 committed=TokenAmount.from_units(counted_units),
                 cast_at=cast_tick,
             )
-        honest_units = _vote_power(honest_vote, scenario, finalize_tick).units
+        honest_units = _vote_power(honest_vote, scenario, spec.voting_window.end).units
         amplification[agent.id] = (
             str(ratio_half_even(realized_units, honest_units)) if honest_units else None
         )
@@ -355,7 +391,7 @@ def _proposal_metrics(
             "token_supply_fraction": str(token_fraction),
             "wallet_count_fraction": str(wallet_fraction),
         },
-        "voters": len(counted),
+        "voters": len(powers),
         "power_gini": str(gini(powers)) if total_power_units else None,
         "min_controlling_set": min_controlling_set(powers) if total_power_units else None,
         "total_power": str(VotingPower.from_units(total_power_units)),
@@ -364,7 +400,7 @@ def _proposal_metrics(
 
 
 def _build_report(
-    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine
+    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, votes: dict[str, VoteIndex]
 ) -> dict[str, Any]:
     identity_obj = None
     if scenario.identity is not None:
@@ -382,7 +418,7 @@ def _build_report(
         "wallet_universe_size": setup.wallet_universe_size,
         "identity": identity_obj,
         "proposals": [
-            _proposal_metrics(scenario, setup, engine, spec) for spec in scenario.proposals
+            _proposal_metrics(scenario, engine, spec, votes[spec.id]) for spec in scenario.proposals
         ],
         "arrow_probes": _probe_report(scenario, setup),
         "ledger_head": engine.ledger.head_hash(),
@@ -410,24 +446,18 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] 
 
 def report_csv(result: RunResult) -> str:
     """Per-agent realized power, one row per (proposal, agent)."""
-    scenario, setup, engine = result.scenario, result.setup, result.engine
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
-    for spec in scenario.proposals:
-        counted = engine.counted_votes[spec.id]
-        finalize_tick = spec.voting_window.end
-        powers = [_vote_power(v, scenario, finalize_tick) for v in counted]
-        for agent in scenario.agents:
-            wallets = set(setup.wallets_by_agent[agent.id])
-            mine = [(v, p) for v, p in zip(counted, powers) if v.wallet in wallets]
-            tokens = sum(_vote_tokens(v).units for v, _ in mine)
-            realized = sum(p.units for _, p in mine)
+    for spec in result.scenario.proposals:
+        by_agent = result.votes[spec.id].by_agent
+        for agent in result.scenario.agents:
+            wallets, tokens, realized = by_agent.get(agent.id, (0, 0, 0))
             writer.writerow(
                 [
                     spec.id,
                     agent.id,
-                    len(mine),
+                    wallets,
                     str(TokenAmount.from_units(tokens)),
                     str(VotingPower.from_units(realized)),
                 ]

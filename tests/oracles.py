@@ -8,6 +8,8 @@ agreement between the two is evidence and not tautology.
 
 from __future__ import annotations
 
+import json
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -77,6 +79,47 @@ def controlling_set_exhaustive(units: list[int]) -> int:
         if 2 * acc > total:
             best = min(best, mask.bit_count())
     return best
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON from its definition: sorted keys, compact separators, ASCII
+# escapes, decimal quantities as strings with exactly nine fractional digits.
+# Fixed-point values are recognised by their integer `units`, not by class.
+
+
+def canonical_json_ref(value) -> str:
+    return json.dumps(_canonical_ref(value), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _nine_digits(units: int) -> str:
+    if not 0 <= units <= 2**63 - 1:
+        raise ValueError(f"fixed-point units out of range: {units}")
+    return f"{units // NANO}.{units % NANO:09d}"
+
+
+def _canonical_ref(value):
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        raise ValueError("float")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, Decimal):
+        scaled = Fraction(value) * NANO
+        if scaled.denominator != 1:
+            raise ValueError(f"more than nine fractional digits: {value}")
+        return _nine_digits(scaled.numerator)
+    if isinstance(getattr(value, "units", None), int):
+        return _nine_digits(value.units)
+    if isinstance(value, (list, tuple)):
+        return [_canonical_ref(v) for v in value]
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise ValueError("non-string key")
+        return {str(k): _canonical_ref(v) for k, v in value.items()}
+    raise ValueError(f"unsupported type {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from govlab.core import (
     round_half_even_units,
 )
 
+from oracles import canonical_json_ref
+
 units_st = st.integers(min_value=0, max_value=MAX_UNITS)
 
 
@@ -209,6 +211,18 @@ class TestIdentifiers:
     def test_byte_exact_no_normalization(self):
         assert WalletId("Alice") != WalletId("alice")
 
+    def test_same_type_passes_through_unchanged(self):
+        wallet = WalletId("a")
+        assert WalletId(wallet) is wallet
+
+    def test_other_identifier_type_is_converted_and_validated(self):
+        proposal = ProposalId(WalletId("a"))
+        assert type(proposal) is ProposalId and proposal == "a"
+        # An identifier built around validation still fails the other type's check.
+        forged = str.__new__(WalletId, "bad space")
+        with pytest.raises(GovlabError, match="must match"):
+            ProposalId(forged)
+
 
 class TestVoteRecord:
     def _record(self, **overrides):
@@ -305,3 +319,52 @@ class TestCanonicalJson:
         assert json.loads(text) == json.loads(canonical_json(loads_canonical(text)))
         assert canonical_json(loads_canonical(text)) == text
         assert is_canonical_json(text)
+
+
+_id_st = st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True)
+_encodable_st = st.recursive(
+    st.one_of(
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=8),
+        _id_st.map(WalletId),
+        units_st.map(TokenAmount.from_units),
+        units_st.map(VotingPower.from_units),
+        units_st.map(lambda u: Decimal(u).scaleb(-9)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), _id_st.map(WalletId)), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestCanonicalJsonOracle:
+    @given(_encodable_st)
+    def test_matches_reference_encoder(self, value):
+        assert canonical_json(value) == canonical_json_ref(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.5,
+            {"a": [1, {"b": (2, 0.25)}]},
+            [[[{"deep": [float("inf")]}]]],
+        ],
+    )
+    def test_floats_rejected_at_any_depth(self, value):
+        with pytest.raises(CanonicalJsonError, match="float"):
+            canonical_json(value)
+
+    @pytest.mark.parametrize("value", [{1: "x"}, {"a": [{None: 1}]}, {"a": {(1, 2): 3}}])
+    def test_non_string_keys_rejected(self, value):
+        with pytest.raises(CanonicalJsonError, match="keys must be strings"):
+            canonical_json(value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", {"a": [object()]}, (Fraction(1, 3),)])
+    def test_unknown_types_rejected(self, value):
+        with pytest.raises(CanonicalJsonError, match="not canonical JSON"):
+            canonical_json(value)

@@ -168,6 +168,23 @@ class TestErrorCollection:
         (error,) = _errors_of(obj)
         assert "cannot fund" in error
 
+    def test_agent_id_shadowing_an_attack_wallet(self):
+        obj = _valid()
+        obj["supply"] = "2000"
+        obj["agents"].append(
+            {"id": "a", "kind": "sybil_attacker", "balance": "10", "preference": "approve", "n_wallets": 2}
+        )
+        obj["agents"] += [
+            {"id": f"v{i}", "kind": "honest", "balance": "1", "preference": "reject"} for i in range(3)
+        ]
+        # Neither the wrong width nor an index past n_wallets names an attack wallet.
+        for harmless in ("a_w2", "a_w00", "a_wx"):
+            obj["agents"].append({"id": harmless, "kind": "honest", "balance": "5", "preference": "approve"})
+        parse_scenario(obj)
+        obj["agents"].append({"id": "a_w1", "kind": "honest", "balance": "5", "preference": "approve"})
+        (error,) = _errors_of(obj)
+        assert error == "agent 'a_w1': wallet id 'a_w1' is also a wallet of agent 'a'"
+
     def test_agent_id_charset_and_length(self):
         obj = _valid()
         obj["agents"][0]["id"] = "a" * 49

@@ -1,6 +1,8 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
+import dataclasses
 import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -399,3 +401,57 @@ class TestOtherPresets:
         wide["supply"] = "500"
         result = run(parse_scenario(wide))
         assert result.report["arrow_probes"] is None
+
+
+def _horizon_scenario(mechanism, ticks):
+    return {
+        "schema_version": 1,
+        "name": "long-horizon",
+        "ticks": ticks,
+        "supply": "100",
+        "mechanism": mechanism,
+        "conviction": {"decay_rate": "0.5"},
+        "proposals": [
+            {
+                "id": "p1",
+                "options": ["yes", "no"],
+                "discussion_window": [0, 2],
+                "voting_window": [2, ticks],
+            }
+        ],
+        "agents": [
+            {"id": "early", "kind": "honest", "balance": "5", "preference": "yes", "cast_at": 3},
+            {"id": "late", "kind": "honest", "balance": "3", "preference": "no", "cast_at": ticks // 2},
+        ],
+    }
+
+
+class TestEventSchedule:
+    @pytest.mark.parametrize("mechanism", ["token", "conviction"])
+    def test_idle_ticks_are_free(self, mechanism):
+        scenario = parse_scenario(_horizon_scenario(mechanism, 10**12))
+        started = time.perf_counter()
+        result = run(scenario)
+        assert time.perf_counter() - started < 1.0
+        events = [loads_canonical(e.payload) for e in result.ledger]
+        assert [(e["event"], e.get("tick")) for e in events] == [
+            ("genesis", None),
+            ("submit", 0),
+            ("phase", 2),  # the window opens at a tick with nothing else to do
+            ("cast", 3),
+            ("cast", 5 * 10**11),
+            ("finalize", 10**12),
+        ]
+        (metrics,) = result.report["proposals"]
+        assert metrics["outcome"] == {"type": "winner", "option": "yes"}
+        assert metrics["total_power"] == "8.000000000"
+
+    def test_cast_beyond_the_horizon_casts_nothing(self):
+        scenario = parse_scenario(_horizon_scenario("token", 20))
+        late = dataclasses.replace(scenario.agents[1], cast_at=25)
+        result = run(scenario.with_overrides(agents=(scenario.agents[0], late)))
+        events = [loads_canonical(e.payload) for e in result.ledger]
+        assert [e["wallet"] for e in events if e["event"] == "cast"] == ["early"]
+        (metrics,) = result.report["proposals"]
+        assert metrics["voters"] == 1
+        assert "p1,late,0,0.000000000,0.000000000" in report_csv(result).splitlines()

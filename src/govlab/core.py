@@ -24,7 +24,7 @@ NANO = 10**NANO_DIGITS
 MAX_UNITS = 2**63 - 1
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
-_DECIMAL_RE = re.compile(r"^\d+(\.\d{1,9})?$")
+_DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$")
 
 
 class GovlabError(Exception):
@@ -63,9 +63,14 @@ def parse_units(value: str | int | Decimal) -> int:
     elif isinstance(value, Decimal):
         units = _units_from_decimal(value)
     elif isinstance(value, str):
-        if not _DECIMAL_RE.match(value):
+        match = _DECIMAL_RE.match(value)
+        if not match:
             raise FixedPointError(f"malformed decimal string: {value!r}")
-        units = _units_from_decimal(Decimal(value))
+        whole, frac = match.groups()
+        # int() refuses very long digit strings; past 20 digits only zero padding is in range.
+        if len(whole) > 20 and any(map(int, whole[:-20])):
+            raise FixedPointOverflow(f"quantity exceeds fixed-point range: {value}")
+        units = int(whole[-20:]) * NANO + int((frac or "").ljust(NANO_DIGITS, "0"))
     else:
         raise FixedPointError(f"refusing non-decimal type {type(value).__name__!r}")
     if units < 0:
@@ -410,10 +415,16 @@ def _reject_float(text: str) -> Any:
     raise CanonicalJsonError(f"float literal {text!r} is not canonical JSON")
 
 
+# Built once: json.loads(text, parse_float=...) would build a decoder per call.
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
 def loads_canonical(text: str) -> Any:
-    """Parse JSON produced by canonical_json; float literals are rejected."""
+    """Parse JSON produced by canonical_json; float literals (NaN too) are rejected."""
+    if not isinstance(text, str):
+        raise CanonicalJsonError(f"canonical JSON is text, not {type(text).__name__}")
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise CanonicalJsonError(f"malformed JSON: {exc}") from exc
 

@@ -388,9 +388,10 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
     """Rebuild an engine by replaying a recorded event ledger.
 
     The genesis event seeds balances; submit/phase/cast/finalize events are
-    re-applied in order, re-running the deterministic tally logic.  The
-    returned engine's terminal proposal phases must match the recorded run
-    (event-sourcing determinism); a mismatch raises GovernanceError.
+    re-applied in order, re-running the deterministic tally logic.  Every
+    event the engine re-derives must equal the recorded payload byte for
+    byte, and every recorded event must be re-derived; the first difference
+    raises GovernanceError naming its index.
     """
     from .core import loads_canonical
 
@@ -416,6 +417,8 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
         vote_filter=vf,
         record_genesis=False,
     )
+    derived = engine.ledger  # holds every event but genesis: event k is derived[k - 1]
+    checked = 0
     for event in events[1:]:
         kind = event["event"]
         if kind == "submit":
@@ -447,15 +450,14 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
             )
         elif kind == "finalize":
             engine.finalize(ProposalId(event["proposal"]), now=event["tick"])
-            recorded = event["phase"]
-            replayed = engine.proposals[ProposalId(event["proposal"])].phase.value
-            if recorded != replayed:
-                raise GovernanceError(
-                    f"replay diverged on {event['proposal']!r}: "
-                    f"recorded {recorded}, replayed {replayed}"
-                )
         elif kind == "executed":
             engine.mark_executed(ProposalId(event["proposal"]), now=event["tick"])
         else:
             raise GovernanceError(f"unknown event kind {kind!r}")
+        while checked < len(derived):
+            checked += 1
+            if checked >= len(entries) or derived[checked - 1].payload != entries[checked].payload:
+                raise GovernanceError(f"replay diverged at event {checked}: payload differs from the record")
+    if checked != len(entries) - 1:
+        raise GovernanceError(f"replay diverged at event {checked + 1}: recorded but not re-derived")
     return engine

@@ -7,12 +7,18 @@ in-place edit breaks every recomputation from the edited entry onward, so
 verify_chain pinpoints the first bad index.  Truncating the tail is NOT
 detectable from the file alone; publish the head hash out of band (the CLI
 prints it after every run) to pin the expected length.
+
+Per-event cost: append encodes the payload once (canonical JSON) and hashes
+it once; dump_ndjson only escapes the four fields into a line; load_ndjson
+decodes each line once, and replay decodes each payload once more.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterable
 
 from .core import (
@@ -24,7 +30,7 @@ from .core import (
 )
 
 GENESIS_PREV_HASH = "0" * 64
-_HEX64 = frozenset("0123456789abcdef")
+_HEX64 = re.compile("[0-9a-f]{64}")
 
 
 class LedgerError(GovlabError):
@@ -46,7 +52,7 @@ class LedgerEntry:
 
 
 def _check_hash_field(value: Any, label: str) -> str:
-    if not isinstance(value, str) or len(value) != 64 or not set(value) <= _HEX64:
+    if not isinstance(value, str) or not _HEX64.fullmatch(value):
         raise LedgerError(f"{label} must be 64 lowercase hex chars: {value!r}")
     return value
 
@@ -115,16 +121,15 @@ def dump_ndjson(entries: Iterable[LedgerEntry]) -> str:
     """Render entries as newline-delimited JSON, one entry per line.
 
     The payload is embedded as a JSON string so the exact hash preimage
-    survives the round-trip byte for byte.
+    survives the round-trip byte for byte.  Each line is the canonical JSON of
+    the entry's four fields, written directly: keys in sorted order, strings
+    escaped exactly as canonical_json escapes them.
     """
-    lines = []
-    for e in entries:
-        lines.append(
-            canonical_json(
-                {"index": e.index, "prev_hash": e.prev_hash, "payload": e.payload, "hash": e.hash}
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join([
+        f'{{"hash":{_quote(e.hash)},"index":{e.index},"payload":{_quote(e.payload)},'
+        f'"prev_hash":{_quote(e.prev_hash)}}}\n'
+        for e in entries
+    ])
 
 
 def load_ndjson(text: str) -> list[LedgerEntry]:
@@ -161,5 +166,10 @@ def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
 
 
 def read_ndjson(path) -> list[LedgerEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_ndjson(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+    return load_ndjson(text)

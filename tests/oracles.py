@@ -9,6 +9,7 @@ agreement between the two is evidence and not tautology.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -120,6 +121,28 @@ def _canonical_ref(value):
             raise ValueError("non-string key")
         return {str(k): _canonical_ref(v) for k, v in value.items()}
     raise ValueError(f"unsupported type {type(value).__name__}")
+
+
+_DECIMAL_TEXT = re.compile(r"^\d+(\.\d{1,9})?$")
+
+
+def parse_units_ref(text: str) -> int | None:
+    """10^-9 units of a decimal string in the fixed-point grammar, else None.
+
+    Exact Decimal/Fraction arithmetic, no range check: the caller compares
+    the result with the fixed-point maximum itself.
+    """
+    if not _DECIMAL_TEXT.match(text):
+        return None
+    scaled = Fraction(Decimal(text)) * NANO
+    assert scaled.denominator == 1
+    return scaled.numerator
+
+
+def ndjson_line_ref(index: int, prev_hash: str, payload: str, hash_: str) -> str:
+    """One persisted ledger line: the canonical JSON of the entry's four fields."""
+    entry = {"index": index, "prev_hash": prev_hash, "payload": payload, "hash": hash_}
+    return json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,15 @@ class TestVerifyCommand:
         code = main(["verify", "--ledger", str(tmp_path / "nope.ndjson")])
         assert code == EXIT_RUNTIME
 
+    def test_non_utf8_file_is_a_runtime_error_naming_the_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe x\n")
+        code = main(["verify", "--ledger", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 at byte offset 0\n"
+
 
 class TestCompareCommand:
     def test_table_and_merged_report(self, scenario_path, tmp_path, capsys):

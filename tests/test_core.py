@@ -35,7 +35,7 @@ from govlab.core import (
     round_half_even_units,
 )
 
-from oracles import canonical_json_ref
+from oracles import canonical_json_ref, parse_units_ref
 
 units_st = st.integers(min_value=0, max_value=MAX_UNITS)
 
@@ -78,6 +78,38 @@ class TestParseUnits:
         assert parse_units(Decimal(MAX_UNITS).scaleb(-9)) == MAX_UNITS
         with pytest.raises(FixedPointOverflow):
             parse_units(Decimal(MAX_UNITS + 1).scaleb(-9))
+
+    def _check_against_decimal(self, text):
+        want = parse_units_ref(text)
+        if want is None:
+            with pytest.raises(FixedPointError, match="malformed decimal string"):
+                parse_units(text)
+        elif want > MAX_UNITS:
+            with pytest.raises(FixedPointOverflow):
+                parse_units(text)
+        else:
+            assert parse_units(text) == want
+
+    def test_edge_strings_agree_with_decimal(self):
+        edges = [
+            "1.123456789", "1.1234567890", "007.50", "000", "1.5\n", "1.5\n\n", "\u0661\u0662.\u0665",
+            "\u0967.5", "", ".", "1.", ".5", " 1", "1 ", "1.5 ",
+            fmt_units(MAX_UNITS), fmt_units(MAX_UNITS)[:-1] + "8", str(MAX_UNITS // NANO + 1),
+            "0" * 5000 + "1.5", "\u0660" * 5000 + "1", "1" + "0" * 5000, "9" * 40,
+        ]
+        for text in edges:
+            self._check_against_decimal(text)
+        assert parse_units(fmt_units(MAX_UNITS)) == MAX_UNITS
+        assert parse_units("\u0661\u0662.\u0665") == 12_500_000_000
+        assert parse_units("0" * 5000 + "1.5") == 1_500_000_000
+
+    @given(
+        st.from_regex(r"[0-9]{1,24}(\.[0-9]{0,11})?\n?", fullmatch=True)
+        | st.from_regex(r"\d{1,24}(\.\d{0,11})?\n?", fullmatch=True)
+        | st.text(st.sampled_from("0123456789.\n -+e\u0663\u0966"), max_size=14)
+    )
+    def test_strings_agree_with_decimal(self, text):
+        self._check_against_decimal(text)
 
     @given(units_st)
     def test_fmt_parse_round_trip(self, units):
@@ -287,6 +319,14 @@ class TestCanonicalJson:
     def test_floats_rejected_on_read(self):
         with pytest.raises(CanonicalJsonError, match="float"):
             loads_canonical('{"x":0.1}')
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["\ufeff{}", b"{}", '{"x":1e3}', '{"x":NaN}', "-Infinity", '{"x":[1,', '{"x"', ""],
+    )
+    def test_loads_rejects_non_canonical_input(self, bad):
+        with pytest.raises(CanonicalJsonError):
+            loads_canonical(bad)
 
     def test_non_ascii_escaped(self):
         text = canonical_json({"k": "café"})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import ProposalId, TokenAmount, WalletId, loads_canonical
+from govlab.core import ProposalId, TokenAmount, WalletId, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
     GovernanceError,
@@ -22,7 +22,10 @@ from govlab.governance import (
     ZeroCommitment,
     replay,
 )
+from govlab.ledger import Ledger, verify_chain
 from govlab.mechanisms import ConvictionParams, Mechanism, QuorumBasis, QuorumConfig
+from govlab.scenario import load_preset, preset_names
+from govlab.simulation import run
 
 
 def _engine(balances=None, supply=1000):
@@ -398,6 +401,37 @@ class TestReplay:
                 entries.append(SimpleNamespace(payload=entry.payload))
         with pytest.raises(GovernanceError, match="replay diverged"):
             replay(entries)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_replay_re_derives_every_preset_event_byte_for_byte(self, name):
+        recorded = run(load_preset(name)).ledger.entries
+        replayed = replay(recorded)
+        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded[1:]]
+
+    def test_replay_detects_a_forged_tally(self):
+        """A finalize event with a changed per-option power, re-chained, passes
+        verify_chain but not replay."""
+        recorded = run(load_preset("sybil_attack_quadratic")).ledger.entries
+        forged_ledger = Ledger()
+        forged_at = None
+        for k, entry in enumerate(recorded):
+            payload = loads_canonical(entry.payload)
+            if forged_at is None and payload["event"] == "finalize":
+                option, power = next(iter(payload["tally"]["per_option_power"].items()))
+                payload["tally"]["per_option_power"][option] = fmt_units(parse_units(power) + 1)
+                forged_at = k
+            forged_ledger.append(payload)
+        assert forged_at is not None
+        assert verify_chain(forged_ledger.entries) is None
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {forged_at}:"):
+            replay(forged_ledger.entries)
+
+    def test_replay_detects_an_event_it_does_not_re_derive(self):
+        entries = list(self._recorded_run().ledger.entries)
+        late = {"event": "phase", "from": "discussion", "proposal": "p2", "tick": 30, "to": "voting"}
+        extra = SimpleNamespace(payload=json.dumps(late, separators=(",", ":")))
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {len(entries)}: recorded but not"):
+            replay(entries + [extra])
 
     @given(
         st.lists(

@@ -24,7 +24,7 @@ from govlab.ledger import (
     write_ndjson,
 )
 
-from oracles import sha256_pure
+from oracles import ndjson_line_ref, sha256_pure
 
 
 def _payloads(n):
@@ -271,6 +271,20 @@ class TestNdjsonRoundTrip:
             with pytest.raises(LedgerError, match="non-negative int"):
                 load_ndjson(canonical_json(obj) + "\n")
 
+    def test_hash_fields_must_be_exactly_64_lowercase_hex(self):
+        ledger = _chain(1)
+        good = ledger[0].hash
+        for bad in (good.upper(), good[:-1], good + "0", good[:-1] + "\n", good[:-1] + "g", 7):
+            obj = {"index": 0, "prev_hash": ledger[0].prev_hash, "payload": ledger[0].payload, "hash": bad}
+            with pytest.raises(LedgerError, match="64 lowercase hex"):
+                load_ndjson(canonical_json(obj) + "\n")
+
+    def test_non_utf8_file_names_the_byte_offset(self, tmp_path):
+        path = tmp_path / "ledger.ndjson"
+        path.write_bytes(dump_ndjson(_chain(1).entries).encode("ascii") + b"\xff\n")
+        with pytest.raises(LedgerError, match=f"byte offset {path.stat().st_size - 2}"):
+            read_ndjson(path)
+
     @given(st.lists(payload_text, max_size=8))
     @settings(max_examples=40)
     def test_round_trip_then_verify_property(self, payloads):
@@ -280,3 +294,42 @@ class TestNdjsonRoundTrip:
         loaded = load_ndjson(dump_ndjson(ledger.entries))
         assert loaded == list(ledger.entries)
         assert verify_chain(loaded) is None
+
+
+any_text = st.text(st.characters(blacklist_categories=()), max_size=12)
+tricky = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "\u2028", "\ud800", "😀", "</"])
+
+
+class TestDumpMatchesCanonicalLines:
+    """dump_ndjson writes lines directly; they must equal the canonical JSON of each entry."""
+
+    @given(
+        st.lists(
+            st.builds(
+                LedgerEntry,
+                index=st.integers(min_value=-(10**20), max_value=10**20),
+                prev_hash=any_text,
+                payload=st.lists(any_text | tricky, max_size=6).map("".join),
+                hash=any_text,
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200)
+    def test_any_entry_renders_like_the_reference(self, entries):
+        expected = "".join(ndjson_line_ref(e.index, e.prev_hash, e.payload, e.hash) for e in entries)
+        assert dump_ndjson(entries) == expected
+        old_form = "".join(
+            canonical_json({"index": e.index, "prev_hash": e.prev_hash, "payload": e.payload, "hash": e.hash}) + "\n"
+            for e in entries
+        )
+        assert dump_ndjson(entries) == old_form
+
+    def test_non_ascii_payloads_round_trip(self):
+        payload = '{"note":"caf\u00e9 \\"q\\" \\\\ \x01 \u2028 \U0001f600"}'
+        entries = [LedgerEntry(0, GENESIS_PREV_HASH, payload, entry_hash(0, GENESIS_PREV_HASH, payload))]
+        text = dump_ndjson(entries)
+        assert text.isascii()
+        assert text == ndjson_line_ref(0, GENESIS_PREV_HASH, payload, entries[0].hash)
+        assert load_ndjson(text) == entries
+        assert verify_chain(load_ndjson(text)) is None

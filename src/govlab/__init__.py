@@ -31,20 +31,18 @@ from .identity import (
     VerificationOutcome,
     VotePolicy,
     filter_and_collapse,
-    simulate_provider,
 )
 from .ledger import Ledger, LedgerEntry, verify_chain
 from .mechanisms import (
     ConvictionParams,
-    ConvictionState,
     Mechanism,
     QuorumBasis,
     QuorumConfig,
     conviction_power,
     power_quadratic,
     power_token,
-    switch_vote,
     tally,
+    vote_power,
 )
 from .probes import IiaWitness, InstanceTooLarge, dictator_probe, iia_probe
 from .scenario import (
@@ -58,7 +56,7 @@ from .scenario import (
     preset_names,
 )
 from .simulation import RunResult, compare_mechanisms, gini, min_controlling_set, run
-from .sybil import SplitStrategy, SybilReport, best_split, split_uniform, sybil_gain
+from .sybil import SybilReport, best_split, split_uniform, sybil_gain
 
 __version__ = "0.1.0"
 
@@ -66,7 +64,6 @@ __all__ = [
     "AgentKind",
     "AgentSpec",
     "ConvictionParams",
-    "ConvictionState",
     "FilterReport",
     "GovernanceEngine",
     "GovlabError",
@@ -90,7 +87,6 @@ __all__ = [
     "Scenario",
     "ScenarioValidationError",
     "SimulatedProvider",
-    "SplitStrategy",
     "SybilReport",
     "TallyOutcome",
     "TallyResult",
@@ -119,10 +115,9 @@ __all__ = [
     "preset_names",
     "replay",
     "run",
-    "simulate_provider",
     "split_uniform",
-    "switch_vote",
     "sybil_gain",
     "tally",
     "verify_chain",
+    "vote_power",
 ]

@@ -256,7 +256,12 @@ def _check_option(option: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class VoteRecord:
-    """One wallet's live vote on one proposal."""
+    """One wallet's live vote on one proposal.
+
+    cast_at is the tick since which the wallet has held this option: a
+    same-option recast keeps it and a switch resets it.  Only conviction
+    power reads it, as the start of accrual.
+    """
 
     wallet: WalletId
     proposal: ProposalId
@@ -274,25 +279,6 @@ class VoteRecord:
             raise GovlabError("committed tokens must be positive")
         if not isinstance(self.cast_at, int) or isinstance(self.cast_at, bool) or self.cast_at < 0:
             raise GovlabError("cast_at must be a non-negative tick")
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "wallet": str(self.wallet),
-            "proposal": str(self.proposal),
-            "option": self.option,
-            "committed": str(self.committed),
-            "cast_at": self.cast_at,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "VoteRecord":
-        return cls(
-            wallet=WalletId(obj["wallet"]),
-            proposal=ProposalId(obj["proposal"]),
-            option=obj["option"],
-            committed=TokenAmount.parse(obj["committed"]),
-            cast_at=obj["cast_at"],
-        )
 
 
 class OutcomeKind:
@@ -332,25 +318,19 @@ class TallyOutcome:
             return {"type": self.kind, "options": list(self.options)}
         return {"type": self.kind}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "TallyOutcome":
-        kind = obj["type"]
-        if kind == OutcomeKind.WINNER:
-            return cls.winner(obj["option"])
-        if kind == OutcomeKind.TIE:
-            return cls.tie(obj["options"])
-        if kind == OutcomeKind.QUORUM_FAILED:
-            return cls.quorum_failed()
-        raise GovlabError(f"unknown outcome type: {kind!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class TallyResult:
-    """Per-option powers, tokens that participated, and the outcome."""
+    """Per-option powers, tokens that participated, the outcome, and each vote's power.
+
+    vote_powers is in the order of the tallied votes; it is not part of the
+    JSON form, which the ledger's finalize event records.
+    """
 
     per_option_power: dict[str, VotingPower]
     participating_tokens: TokenAmount
     outcome: TallyOutcome
+    vote_powers: tuple[VotingPower, ...]
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -358,16 +338,6 @@ class TallyResult:
             "participating_tokens": str(self.participating_tokens),
             "outcome": self.outcome.to_json_obj(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "TallyResult":
-        return cls(
-            per_option_power={
-                o: VotingPower.parse(p) for o, p in obj["per_option_power"].items()
-            },
-            participating_tokens=TokenAmount.parse(obj["participating_tokens"]),
-            outcome=TallyOutcome.from_json_obj(obj["outcome"]),
-        )
 
 
 # Already canonical, matched by exact type; ledger payloads hold little else.
@@ -405,10 +375,6 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 def canonical_json(value: Any) -> str:
     """Serialize to canonical JSON: sorted keys, compact, ASCII, no floats."""
     return _ENCODER.encode(_canonical_value(value))
-
-
-def canonical_json_bytes(value: Any) -> bytes:
-    return canonical_json(value).encode("ascii")
 
 
 def _reject_float(text: str) -> Any:

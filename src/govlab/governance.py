@@ -28,13 +28,7 @@ from .core import (
     _check_option,
 )
 from .ledger import Ledger
-from .mechanisms import (
-    ConvictionParams,
-    ConvictionState,
-    Mechanism,
-    QuorumConfig,
-    tally,
-)
+from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
 
 
 class GovernanceError(GovlabError):
@@ -131,7 +125,7 @@ class Proposal:
         return self.options[0]
 
 
-VoteFilter = Callable[[Sequence[VoteRecord | ConvictionState]], Any]
+VoteFilter = Callable[[Sequence[VoteRecord]], Any]
 
 
 class GovernanceEngine:
@@ -164,10 +158,10 @@ class GovernanceEngine:
         self.ledger = ledger if ledger is not None else Ledger()
         self.vote_filter = vote_filter
         self.proposals: dict[ProposalId, Proposal] = {}
-        self._votes: dict[ProposalId, dict[WalletId, VoteRecord | ConvictionState]] = {}
+        self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
         self._locks: dict[WalletId, dict[ProposalId, int]] = {}
         self.results: dict[ProposalId, TallyResult] = {}
-        self.counted_votes: dict[ProposalId, tuple] = {}
+        self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
         self._now = 0
         if record_genesis:
             payload: dict[str, Any] = {
@@ -275,23 +269,12 @@ class GovernanceEngine:
             )
 
         book = self._votes[proposal.id]
-        if proposal.mechanism is Mechanism.CONVICTION:
-            prior = book.get(wallet)
-            if prior is not None and prior.option == option:
-                held_since = prior.held_since  # same option: accrual continues
-            else:
-                held_since = now  # fresh vote or option switch: accrual restarts
-            book[wallet] = ConvictionState(
-                wallet=wallet, option=option, tokens=committed, held_since=held_since
-            )
-        else:
-            book[wallet] = VoteRecord(
-                wallet=wallet,
-                proposal=proposal.id,
-                option=option,
-                committed=committed,
-                cast_at=now,
-            )
+        prior = book.get(wallet)
+        # Same option: the hold (conviction's accrual) continues; a fresh vote or a switch restarts it.
+        cast_at = prior.cast_at if prior is not None and prior.option == option else now
+        book[wallet] = VoteRecord(
+            wallet=wallet, proposal=proposal.id, option=option, committed=committed, cast_at=cast_at
+        )
         self._locks.setdefault(wallet, {})[proposal.id] = committed.units
         self.ledger.append(
             {
@@ -303,9 +286,6 @@ class GovernanceEngine:
                 "tick": now,
             }
         )
-
-    def live_votes(self, proposal_id: ProposalId) -> tuple:
-        return tuple(self._votes[self._get(proposal_id).id].values())
 
     def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
         """Tally after the voting window closes; locks release; phase goes terminal."""
@@ -320,7 +300,7 @@ class GovernanceEngine:
                 f"voting window is open until tick {proposal.voting_window.end}"
             )
 
-        votes: Sequence[VoteRecord | ConvictionState] = list(self._votes[proposal.id].values())
+        votes: Sequence[VoteRecord] = list(self._votes[proposal.id].values())
         filter_report = None
         if self.vote_filter is not None:
             filter_report = self.vote_filter(votes)

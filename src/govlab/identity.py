@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .core import (
     GovlabError,
@@ -25,12 +25,9 @@ from .core import (
     TokenAmount,
     VoteRecord,
     WalletId,
-    canonical_json,
-    loads_canonical,
     parse_units,
     fmt_units,
 )
-from .mechanisms import ConvictionState
 from .rng import Xoshiro256StarStar
 
 
@@ -103,9 +100,6 @@ class IdentityRegistry:
     def wallets_of(self, identity: IdentityId) -> tuple[WalletId, ...]:
         return tuple(self._wallets_by_identity.get(IdentityId(identity), ()))
 
-    def identities(self) -> tuple[IdentityId, ...]:
-        return tuple(self._wallets_by_identity)
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "mode": self.mode.value,
@@ -114,9 +108,6 @@ class IdentityRegistry:
                 for i, ws in sorted(self._wallets_by_identity.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, Any]) -> "IdentityRegistry":
@@ -132,10 +123,6 @@ class IdentityRegistry:
                     )
         return registry
 
-    @classmethod
-    def from_json(cls, text: str) -> "IdentityRegistry":
-        return cls.from_json_obj(loads_canonical(text))
-
 
 @dataclass(frozen=True, slots=True)
 class FilterReport:
@@ -146,33 +133,23 @@ class FilterReport:
     equivocating_identities: tuple[IdentityId, ...] = ()
 
 
-def _merge_group(group: list, mode: RegistryMode):
+def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:
     if len(group) == 1:
         return group[0]
     if mode is not RegistryMode.COLLAPSE_PER_IDENTITY:
         raise IdentityError("multiple wallets per identity outside collapse mode")
-    wallet = min(v.wallet for v in group)
-    if isinstance(group[0], ConvictionState):
-        total = sum(v.tokens.units for v in group)
-        # Latest held_since wins: merged conviction cannot predate any member.
-        return ConvictionState(
-            wallet=wallet,
-            option=group[0].option,
-            tokens=TokenAmount.from_units(total),
-            held_since=max(v.held_since for v in group),
-        )
-    total = sum(v.committed.units for v in group)
     return VoteRecord(
-        wallet=wallet,
+        wallet=min(v.wallet for v in group),
         proposal=group[0].proposal,
         option=group[0].option,
-        committed=TokenAmount.from_units(total),
-        cast_at=min(v.cast_at for v in group),
+        committed=TokenAmount.from_units(sum(v.committed.units for v in group)),
+        # Latest cast wins: merged conviction cannot accrue from before any member's vote.
+        cast_at=max(v.cast_at for v in group),
     )
 
 
 def filter_and_collapse(
-    votes: Sequence[VoteRecord | ConvictionState],
+    votes: Sequence[VoteRecord],
     registry: IdentityRegistry | None,
     policy: "str | VotePolicy",
 ) -> FilterReport:
@@ -267,9 +244,3 @@ class SimulatedProvider:
         if not claim.fraudulent:
             return True
         return self._rng.next_float() < self._rate
-
-
-def simulate_provider(claims: Iterable[IdentityClaim], params: ProviderParams) -> list[bool]:
-    """Review a claim sequence with a fresh provider; same inputs, same verdicts."""
-    provider = SimulatedProvider(params)
-    return [provider.review(claim) for claim in claims]

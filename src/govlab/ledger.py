@@ -135,7 +135,9 @@ def dump_ndjson(entries: Iterable[LedgerEntry]) -> str:
 def load_ndjson(text: str) -> list[LedgerEntry]:
     """Parse a persisted ledger; raises LedgerError on malformed lines."""
     entries: list[LedgerEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines() would also break inside a payload
+    # at U+2028, U+0085 and other separators.  A "\r" before it is JSON whitespace.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -147,13 +149,22 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
         index = obj["index"]
         if not isinstance(index, int) or isinstance(index, bool) or index < 0:
             raise LedgerError(f"line {lineno}: index must be a non-negative int")
-        if not isinstance(obj["payload"], str):
+        payload = obj["payload"]
+        if not isinstance(payload, str):
             raise LedgerError(f"line {lineno}: payload must be a string")
+        # A \ud800-style escape decodes to a lone surrogate, which has no UTF-8 bytes to hash.
+        if not payload.isascii():
+            try:
+                payload.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise LedgerError(
+                    f"line {lineno}: payload holds a lone surrogate at offset {exc.start}"
+                ) from exc
         entries.append(
             LedgerEntry(
                 index=index,
                 prev_hash=_check_hash_field(obj["prev_hash"], "prev_hash"),
-                payload=obj["payload"],
+                payload=payload,
                 hash=_check_hash_field(obj["hash"], "hash"),
             )
         )

@@ -3,8 +3,11 @@
 Power functions:
   token / quorum  power = tokens committed (identity map)
   quadratic       power = sqrt(tokens), half-even at 9 fractional digits
-  conviction      power = tokens * (1 - e^(-decay_rate * (now - held_since))),
+  conviction      power = tokens * (1 - e^(-decay_rate * (now - cast_at))),
                   half-even at 9 fractional digits
+
+vote_power is the one place that picks a power function by mechanism; the
+tally, the report's Sybil baseline and the Sybil tools all go through it.
 
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the
@@ -32,7 +35,6 @@ from .core import (
     VoteRecord,
     VotingPower,
     WalletId,
-    _check_option,
     fmt_units,
     parse_units,
     power_sum,
@@ -112,26 +114,6 @@ class ConvictionParams:
         return cls(decay_rate=Decimal(obj["decay_rate"]))
 
 
-@dataclass(frozen=True, slots=True)
-class ConvictionState:
-    """A wallet's standing conviction commitment: tokens held on an option since a tick."""
-
-    wallet: WalletId
-    option: str
-    tokens: TokenAmount
-    held_since: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "wallet", WalletId(self.wallet))
-        _check_option(self.option)
-        if not isinstance(self.tokens, TokenAmount):
-            raise MechanismError("tokens must be a TokenAmount")
-        if self.tokens.is_zero():
-            raise MechanismError("conviction requires a positive token commitment")
-        if not isinstance(self.held_since, int) or isinstance(self.held_since, bool) or self.held_since < 0:
-            raise MechanismError("held_since must be a non-negative tick")
-
-
 def power_token(committed: TokenAmount) -> VotingPower:
     """One token, one vote: power equals the committed amount exactly."""
     if committed.is_zero():
@@ -139,19 +121,22 @@ def power_token(committed: TokenAmount) -> VotingPower:
     return VotingPower.from_units(committed.units)
 
 
-def power_quadratic(committed: TokenAmount) -> VotingPower:
-    """power = sqrt(tokens), rounded half-even at nine fractional digits.
+def quadratic_units(units: int) -> int:
+    """Quadratic power in 10^-9 units of a commitment of `units` 10^-9 tokens.
 
-    With U the commitment in 10^-9 units, the result in units is the
-    half-even rounding of sqrt(U * 10^9); the comparison against the true
-    midpoint is exact in integers (a non-square has an irrational root, so a
-    tie can only occur at a perfect square, where the root is exact).
+    The result is the half-even rounding of sqrt(units * 10^9).  With
+    s = isqrt(n), the root exceeds the midpoint s + 1/2 exactly when
+    n - s^2 > s, so the decision is exact in integers; a tie would need
+    n = s^2 + s + 1/4, which no integer n is.
     """
-    n = committed.units * NANO
+    n = units * NANO
     s = isqrt(n)
-    if s * s != n and n - s * s > s:
-        s += 1
-    return VotingPower.from_units(s)
+    return s + 1 if n - s * s > s else s
+
+
+def power_quadratic(committed: TokenAmount) -> VotingPower:
+    """power = sqrt(tokens), rounded half-even at nine fractional digits."""
+    return VotingPower.from_units(quadratic_units(committed.units))
 
 
 @lru_cache(maxsize=4096)
@@ -162,31 +147,41 @@ def _decay_factor(decay_rate: Decimal, dt: int) -> Decimal:
         return 1 - (-decay_rate * dt).exp()
 
 
-def conviction_power(state: ConvictionState, now: int, params: ConvictionParams) -> VotingPower:
-    """Conviction accrued by `now`: tokens * (1 - e^(-decay_rate * dt))."""
-    if not isinstance(now, int) or isinstance(now, bool):
-        raise MechanismError("now must be an integer tick")
-    if now < state.held_since:
-        raise MechanismError(
-            f"now={now} precedes held_since={state.held_since}"
-        )
-    dt = now - state.held_since
+def conviction_power(committed: TokenAmount, dt: int, params: ConvictionParams) -> VotingPower:
+    """Conviction accrued after holding for dt ticks: tokens * (1 - e^(-decay_rate * dt))."""
+    if not isinstance(dt, int) or isinstance(dt, bool):
+        raise MechanismError("dt must be an integer tick count")
+    if dt < 0:
+        raise MechanismError(f"dt={dt}: a vote cannot accrue before it is cast")
     if dt == 0:
         return VotingPower.zero()
     with localcontext() as ctx:
         ctx.prec = 50
-        raw = state.tokens.as_decimal() * _decay_factor(params.decay_rate, dt)
+        raw = committed.as_decimal() * _decay_factor(params.decay_rate, dt)
     return VotingPower.from_units(round_half_even_units(raw))
 
 
-def switch_vote(state: ConvictionState, new_option: str, now: int) -> ConvictionState:
-    """Move a conviction commitment to a different option; accrual restarts at now."""
-    _check_option(new_option)
-    if new_option == state.option:
-        raise MechanismError("switch_vote to the same option is a caller bug")
-    if now < state.held_since:
-        raise MechanismError(f"now={now} precedes held_since={state.held_since}")
-    return ConvictionState(wallet=state.wallet, option=new_option, tokens=state.tokens, held_since=now)
+def vote_power(
+    mechanism: Mechanism,
+    committed: TokenAmount,
+    dt: int,
+    conviction: ConvictionParams | None,
+) -> VotingPower:
+    """Power of one vote committing `committed`, held for dt ticks.
+
+    Token and quorum voting use the token map, quadratic the square root,
+    and conviction (which alone reads dt) the accrual curve.  `mechanism`
+    must already be a Mechanism (see Mechanism.parse), not its string value.
+    """
+    if mechanism is Mechanism.QUADRATIC:
+        return power_quadratic(committed)
+    if mechanism is Mechanism.CONVICTION:
+        if conviction is None:
+            raise MechanismError("conviction mechanism requires ConvictionParams")
+        return conviction_power(committed, dt, conviction)
+    if mechanism is Mechanism.TOKEN or mechanism is Mechanism.QUORUM:
+        return power_token(committed)
+    raise MechanismError(f"vote_power needs a Mechanism, not {mechanism!r}")
 
 
 def _quorum_met(
@@ -204,7 +199,7 @@ def _quorum_met(
 
 
 def tally(
-    votes: Sequence[VoteRecord | ConvictionState],
+    votes: Sequence[VoteRecord],
     mechanism: "str | Mechanism",
     *,
     supply: TokenAmount,
@@ -214,12 +209,13 @@ def tally(
     conviction: ConvictionParams | None = None,
     options: Sequence[str] | None = None,
 ) -> TallyResult:
-    """Aggregate live votes under a mechanism, gate on quorum, pick the outcome.
+    """Aggregate one proposal's live votes, gate on quorum, pick the outcome.
 
     The winner is the unique option with strictly maximal power; equal
     maximal powers yield a tie.  When `options` is given, every listed
     option appears in per_option_power (zero-vote options at zero power) and
-    votes must stay inside that list.
+    votes must stay inside that list.  A conviction vote accrues from its
+    cast_at to `now`.
     """
     mechanism = Mechanism.parse(mechanism)
     if not isinstance(wallet_universe_size, int) or wallet_universe_size < 0:
@@ -238,27 +234,17 @@ def tally(
         raise MechanismError("options must be distinct")
 
     wallets: set[WalletId] = set()
-    proposals: set[str] = set()
+    proposal = votes[0].proposal if votes else None
     committed_units = 0
     per_option_units: dict[str, int] = {o: 0 for o in option_order}
+    powers: list[VotingPower] = []
 
     for vote in votes:
-        if mechanism is Mechanism.CONVICTION:
-            if not isinstance(vote, ConvictionState):
-                raise MechanismError("conviction tally expects ConvictionState votes")
-            tokens = vote.tokens
-            power = conviction_power(vote, now, conviction)
-        else:
-            if not isinstance(vote, VoteRecord):
-                raise MechanismError(f"{mechanism.value} tally expects VoteRecord votes")
-            proposals.add(vote.proposal)
-            if len(proposals) > 1:
-                raise MechanismError("votes reference more than one proposal")
-            tokens = vote.committed
-            if mechanism is Mechanism.QUADRATIC:
-                power = power_quadratic(tokens)
-            else:
-                power = power_token(tokens)
+        if vote.proposal != proposal:
+            raise MechanismError("votes reference more than one proposal")
+        dt = 0 if now is None else now - vote.cast_at
+        power = vote_power(mechanism, vote.committed, dt, conviction)
+        powers.append(power)
         if vote.wallet in wallets:
             raise MechanismError(f"wallet {vote.wallet!r} appears more than once")
         wallets.add(vote.wallet)
@@ -269,7 +255,7 @@ def tally(
         if vote.option not in per_option_units:
             option_order.append(vote.option)
             per_option_units[vote.option] = 0
-        committed_units += tokens.units
+        committed_units += vote.committed.units
         per_option_units[vote.option] += power.units
 
     if committed_units > supply.units:
@@ -297,4 +283,5 @@ def tally(
         per_option_power=per_option_power,
         participating_tokens=participating,
         outcome=outcome,
+        vote_powers=tuple(powers),
     )

@@ -14,7 +14,7 @@ from itertools import permutations, product
 from typing import Any
 
 from .core import GovlabError, TallyResult, VoteRecord
-from .mechanisms import ConvictionState, Mechanism, tally
+from .mechanisms import tally
 from .scenario import AgentKind, AgentSpec, Scenario
 from .simulation import SimulationSetup, build_setup
 
@@ -39,29 +39,17 @@ def _profile_tally(
     """Tally one preference profile: every voter commits its full balance."""
     spec = scenario.proposals[0]
     start, end = spec.voting_window.start, spec.voting_window.end
-    votes: list[VoteRecord | ConvictionState] = []
-    for agent in _probe_voters(scenario):
-        option = choices[agent.id]
-        for wallet in setup.wallets_by_agent[agent.id]:
-            if scenario.mechanism is Mechanism.CONVICTION:
-                votes.append(
-                    ConvictionState(
-                        wallet=wallet,
-                        option=option,
-                        tokens=setup.balances[wallet],
-                        held_since=start,
-                    )
-                )
-            else:
-                votes.append(
-                    VoteRecord(
-                        wallet=wallet,
-                        proposal=spec.id,
-                        option=option,
-                        committed=setup.balances[wallet],
-                        cast_at=start,
-                    )
-                )
+    votes = [
+        VoteRecord(
+            wallet=wallet,
+            proposal=spec.id,
+            option=choices[agent.id],
+            committed=setup.balances[wallet],
+            cast_at=start,
+        )
+        for agent in _probe_voters(scenario)
+        for wallet in setup.wallets_by_agent[agent.id]
+    ]
     vote_filter = setup.vote_filter()
     if vote_filter is not None:
         votes = list(vote_filter(votes).votes)

@@ -91,12 +91,6 @@ class Scenario:
     conviction: ConvictionParams | None = None
     identity: IdentityConfig | None = None
 
-    def agent(self, agent_id: str) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise GovlabError(f"unknown agent {agent_id!r}")
-
     def with_overrides(self, **changes: Any) -> "Scenario":
         from dataclasses import replace
 

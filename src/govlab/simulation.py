@@ -15,12 +15,11 @@ import csv
 import io
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     GovlabError,
     TokenAmount,
-    VoteRecord,
     VotingPower,
     WalletId,
     canonical_json,
@@ -39,14 +38,7 @@ from .identity import (
     filter_and_collapse,
 )
 from .ledger import Ledger
-from .mechanisms import (
-    ConvictionState,
-    Mechanism,
-    MechanismError,
-    conviction_power,
-    power_quadratic,
-    power_token,
-)
+from .mechanisms import Mechanism, MechanismError, vote_power
 from .scenario import (
     AgentKind,
     AgentSpec,
@@ -206,19 +198,12 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     )
 
 
-class VoteIndex(NamedTuple):
-    """Each counted vote's power at finalize; per agent (wallets, token units, power units)."""
-
-    powers: list[VotingPower]
-    by_agent: dict[str, list[int]]
-
-
 @dataclass(frozen=True, slots=True)
 class RunResult:
     scenario: Scenario
     setup: SimulationSetup
     engine: GovernanceEngine
-    votes: dict[str, VoteIndex]  # by proposal id
+    by_agent: dict[str, dict[str, list[int]]]  # proposal id -> _index_votes rows
     report: dict[str, Any]
     report_json: str
     head_hash: str
@@ -238,18 +223,6 @@ def _engine_proposal(scenario: Scenario, spec: ProposalSpec) -> Proposal:
         quorum=scenario.quorum,
         conviction=scenario.conviction,
     )
-
-
-def _vote_power(vote: VoteRecord | ConvictionState, scenario: Scenario, at: int) -> VotingPower:
-    if scenario.mechanism is Mechanism.CONVICTION:
-        return conviction_power(vote, at, scenario.conviction)
-    if scenario.mechanism is Mechanism.QUADRATIC:
-        return power_quadratic(vote.committed)
-    return power_token(vote.committed)
-
-
-def _vote_tokens(vote: VoteRecord | ConvictionState) -> TokenAmount:
-    return vote.tokens if isinstance(vote, ConvictionState) else vote.committed
 
 
 def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine) -> None:
@@ -284,18 +257,17 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
 
 
 def _index_votes(
-    scenario: Scenario, owner: dict[WalletId, str], engine: GovernanceEngine, spec: ProposalSpec
-) -> VoteIndex:
-    powers: list[VotingPower] = []
+    owner: dict[WalletId, str], engine: GovernanceEngine, spec: ProposalSpec
+) -> dict[str, list[int]]:
+    """Per agent: [wallets, token units, power units] counted, with the powers the tally computed."""
     by_agent: dict[str, list[int]] = {}
-    for vote in engine.counted_votes[spec.id]:
-        power = _vote_power(vote, scenario, spec.voting_window.end)
-        powers.append(power)
+    powers = engine.results[spec.id].vote_powers
+    for vote, power in zip(engine.counted_votes[spec.id], powers, strict=True):
         row = by_agent.setdefault(owner[vote.wallet], [0, 0, 0])
         row[0] += 1
-        row[1] += _vote_tokens(vote).units
+        row[1] += vote.committed.units
         row[2] += power.units
-    return VoteIndex(powers, by_agent)
+    return by_agent
 
 
 def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
@@ -321,14 +293,14 @@ def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
 
     _play_schedule(scenario, setup, engine)
     owner = {w: aid for aid, wallets in setup.wallets_by_agent.items() for w in wallets}
-    votes = {spec.id: _index_votes(scenario, owner, engine, spec) for spec in scenario.proposals}
-    report = _build_report(scenario, setup, engine, votes)
+    by_agent = {spec.id: _index_votes(owner, engine, spec) for spec in scenario.proposals}
+    report = _build_report(scenario, setup, engine, by_agent)
     report_json = canonical_json(report) + "\n"
     return RunResult(
         scenario=scenario,
         setup=setup,
         engine=engine,
-        votes=votes,
+        by_agent=by_agent,
         report=report,
         report_json=report_json,
         head_hash=engine.ledger.head_hash(),
@@ -336,10 +308,10 @@ def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
 
 
 def _proposal_metrics(
-    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, votes: VoteIndex
+    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, by_agent: dict[str, list[int]]
 ) -> dict[str, Any]:
     result = engine.results[spec.id]
-    powers = votes.powers
+    powers = result.vote_powers
     total_power_units = sum(p.units for p in powers)
 
     supply_units = scenario.supply.units
@@ -354,29 +326,19 @@ def _proposal_metrics(
     for agent in scenario.agents:
         if agent.kind is not AgentKind.SYBIL_ATTACKER:
             continue
-        mine = votes.by_agent.get(agent.id)
+        mine = by_agent.get(agent.id)
         if mine is None:
             amplification[agent.id] = None
             continue
         _, counted_units, realized_units = mine
+        # Baseline: the counted tokens as one wallet, held over the same ticks.
         cast_tick = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
-        honest_vote: VoteRecord | ConvictionState
-        if scenario.mechanism is Mechanism.CONVICTION:
-            honest_vote = ConvictionState(
-                wallet=WalletId(agent.id),
-                option=agent.preference[0],
-                tokens=TokenAmount.from_units(counted_units),
-                held_since=cast_tick,
-            )
-        else:
-            honest_vote = VoteRecord(
-                wallet=WalletId(agent.id),
-                proposal=spec.id,
-                option=agent.preference[0],
-                committed=TokenAmount.from_units(counted_units),
-                cast_at=cast_tick,
-            )
-        honest_units = _vote_power(honest_vote, scenario, spec.voting_window.end).units
+        honest_units = vote_power(
+            scenario.mechanism,
+            TokenAmount.from_units(counted_units),
+            spec.voting_window.end - cast_tick,
+            scenario.conviction,
+        ).units
         amplification[agent.id] = (
             str(ratio_half_even(realized_units, honest_units)) if honest_units else None
         )
@@ -400,7 +362,10 @@ def _proposal_metrics(
 
 
 def _build_report(
-    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, votes: dict[str, VoteIndex]
+    scenario: Scenario,
+    setup: SimulationSetup,
+    engine: GovernanceEngine,
+    by_agent: dict[str, dict[str, list[int]]],
 ) -> dict[str, Any]:
     identity_obj = None
     if scenario.identity is not None:
@@ -418,7 +383,7 @@ def _build_report(
         "wallet_universe_size": setup.wallet_universe_size,
         "identity": identity_obj,
         "proposals": [
-            _proposal_metrics(scenario, engine, spec, votes[spec.id]) for spec in scenario.proposals
+            _proposal_metrics(scenario, engine, spec, by_agent[spec.id]) for spec in scenario.proposals
         ],
         "arrow_probes": _probe_report(scenario, setup),
         "ledger_head": engine.ledger.head_hash(),
@@ -450,7 +415,7 @@ def report_csv(result: RunResult) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
     for spec in result.scenario.proposals:
-        by_agent = result.votes[spec.id].by_agent
+        by_agent = result.by_agent[spec.id]
         for agent in result.scenario.agents:
             wallets, tokens, realized = by_agent.get(agent.id, (0, 0, 0))
             writer.writerow(

@@ -12,32 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from math import isqrt
 
-from .core import NANO, GovlabError, TokenAmount, VotingPower, ratio_half_even
-from .mechanisms import (
-    ConvictionParams,
-    ConvictionState,
-    Mechanism,
-    conviction_power,
-    power_quadratic,
-    power_token,
-)
+from .core import GovlabError, TokenAmount, VotingPower, ratio_half_even
+from .mechanisms import ConvictionParams, Mechanism, quadratic_units, vote_power
 
 
 class SplitError(GovlabError):
     """Infeasible wallet split."""
-
-
-@dataclass(frozen=True, slots=True)
-class SplitStrategy:
-    """Uniform split of one balance across n_wallets wallets."""
-
-    total: TokenAmount
-    n_wallets: int
-
-    def balances(self) -> list[TokenAmount]:
-        return split_uniform(self.total, self.n_wallets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,22 +44,6 @@ def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
     return balances
 
 
-def _power_of(
-    amount: TokenAmount,
-    mechanism: Mechanism,
-    conviction: ConvictionParams | None,
-    held_for: int,
-) -> VotingPower:
-    if mechanism is Mechanism.QUADRATIC:
-        return power_quadratic(amount)
-    if mechanism is Mechanism.CONVICTION:
-        if conviction is None:
-            raise SplitError("conviction mechanism requires ConvictionParams")
-        state = ConvictionState(wallet="sybil-probe", option="probe", tokens=amount, held_since=0)
-        return conviction_power(state, held_for, conviction)
-    return power_token(amount)
-
-
 def sybil_gain(
     total: TokenAmount,
     n: int,
@@ -89,7 +54,7 @@ def sybil_gain(
 ) -> SybilReport:
     """Honest power of one wallet vs. attack power of a uniform n-way split.
 
-    All split wallets share the honest wallet's held_since, so under
+    All split wallets share the honest wallet's cast_at, so under
     conviction every balance accrues for the same held_for ticks.
     """
     mechanism = Mechanism.parse(mechanism)
@@ -103,14 +68,13 @@ def sybil_gain(
         raise SplitError(
             f"cannot split {total} into {n} wallets of at least one 1e-9 unit each"
         )
-    honest = _power_of(total, mechanism, conviction, held_for)
+    honest = vote_power(mechanism, total, held_for, conviction)
     q, r = divmod(total.units, n)
     # A uniform split has only two distinct balances (q+r once, q repeated),
     # so the exact per-wallet power sum needs just two evaluations.
-    first = _power_of(TokenAmount.from_units(q + r), mechanism, conviction, held_for)
-    rest = _power_of(TokenAmount.from_units(q), mechanism, conviction, held_for) if n > 1 else None
-    attack_units = first.units + (rest.units * (n - 1) if rest is not None else 0)
-    attack = VotingPower.from_units(attack_units)
+    first = vote_power(mechanism, TokenAmount.from_units(q + r), held_for, conviction)
+    rest = vote_power(mechanism, TokenAmount.from_units(q), held_for, conviction)
+    attack = VotingPower.from_units(first.units + rest.units * (n - 1))
     amplification = None if honest.is_zero() else ratio_half_even(attack.units, honest.units)
     return SybilReport(honest_power=honest, attack_power=attack, amplification=amplification)
 
@@ -140,36 +104,21 @@ def best_split(
     if mechanism is Mechanism.QUADRATIC:
         # Tight integer loop: the generic path allocates two value objects per
         # n, which matters when the scan covers millions of wallet counts.
-        last_q = -1
-        rest_units = 0
+        last_q = rest_units = -1
         for n in range(1, feasible_max + 1):
             q, r = divmod(total_units, n)
-            m = (q + r) * NANO
-            s = isqrt(m)
-            if s * s != m and m - s * s > s:
-                s += 1
-            if n > 1:
-                if q != last_q:
-                    m2 = q * NANO
-                    s2 = isqrt(m2)
-                    if s2 * s2 != m2 and m2 - s2 * s2 > s2:
-                        s2 += 1
-                    last_q, rest_units = q, s2
-                attack_units = s + (n - 1) * rest_units
-            else:
-                attack_units = s
+            if q != last_q:
+                last_q, rest_units = q, quadratic_units(q)
+            attack_units = quadratic_units(q + r) + (n - 1) * rest_units
             if attack_units > best_units:
                 best_units = attack_units
                 best_n = n
     else:
         for n in range(1, feasible_max + 1):
             q, r = divmod(total_units, n)
-            first = _power_of(TokenAmount.from_units(q + r), mechanism, conviction, held_for)
-            if n > 1:
-                rest = _power_of(TokenAmount.from_units(q), mechanism, conviction, held_for)
-                attack_units = first.units + rest.units * (n - 1)
-            else:
-                attack_units = first.units
+            first = vote_power(mechanism, TokenAmount.from_units(q + r), held_for, conviction)
+            rest = vote_power(mechanism, TokenAmount.from_units(q), held_for, conviction)
+            attack_units = first.units + rest.units * (n - 1)
             if attack_units > best_units:
                 best_units = attack_units
                 best_n = n

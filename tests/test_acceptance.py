@@ -30,13 +30,11 @@ from govlab.identity import (
 from govlab.ledger import verify_chain
 from govlab.mechanisms import (
     ConvictionParams,
-    ConvictionState,
     Mechanism,
     QuorumBasis,
     QuorumConfig,
     conviction_power,
     power_quadratic,
-    switch_vote,
 )
 from govlab.core import VoteRecord
 from govlab.probes import dictator_probe, iia_probe
@@ -140,27 +138,43 @@ def test_criterion_05_conviction_curve_oracle_monotonicity_and_reset():
         tokens = TokenAmount.from_units(rng.randint(1, 10**14))
         alpha = Decimal(rng.randint(1, 5000)).scaleb(-3)
         dt = rng.randint(0, 50)
-        state = ConvictionState(
-            wallet=WalletId("w1"), option="a", tokens=tokens, held_since=0
+        state = VoteRecord(
+            wallet=WalletId("w1"), proposal="p1", option="a", committed=tokens, cast_at=0
         )
-        ours = conviction_power(state, dt, ConvictionParams(decay_rate=alpha))
+        ours = conviction_power(state.committed, dt, ConvictionParams(decay_rate=alpha))
         expected = conviction_units(tokens.units, str(alpha), dt)
         assert abs(ours.units - expected) <= 1  # 1e-9 after rounding
 
-    state = ConvictionState(
-        wallet=WalletId("w1"), option="a", tokens=TokenAmount.parse(100), held_since=0
+    state = VoteRecord(
+        wallet=WalletId("w1"), proposal="p1", option="a", committed=TokenAmount.parse(100), cast_at=0
     )
     params = ConvictionParams(decay_rate=Decimal("0.05"))
     for _ in range(1000):
         dt1, dt2 = sorted((rng.randint(0, 400), rng.randint(0, 400)))
-        p1 = conviction_power(state, dt1, params)
-        p2 = conviction_power(state, dt2, params)
+        p1 = conviction_power(state.committed, dt1, params)
+        p2 = conviction_power(state.committed, dt2, params)
         assert p1 <= p2
 
-    accrued = conviction_power(state, 30, params)
+    accrued = conviction_power(state.committed, 30, params)
     assert accrued.units > 0
-    switched = switch_vote(state, "b", 30)
-    assert conviction_power(switched, 30, params) == VotingPower.zero()
+    engine = GovernanceEngine(balances={state.wallet: state.committed}, supply=state.committed)
+    engine.submit(
+        Proposal(
+            id=ProposalId("p1"),
+            options=("a", "b"),
+            discussion_window=Window(0, 1),
+            voting_window=Window(1, 31),
+            mechanism=Mechanism.CONVICTION,
+            conviction=params,
+        ),
+        0,
+    )
+    engine.cast("p1", state.wallet, "a", state.committed, 1)
+    engine.cast("p1", state.wallet, "b", state.committed, 30)
+    engine.finalize("p1", 31)
+    (switched,) = engine.counted_votes[ProposalId("p1")]
+    assert switched.cast_at == 30
+    assert conviction_power(switched.committed, 30 - switched.cast_at, params) == VotingPower.zero()
     _ok("criterion 5, conviction curve (oracle, monotonicity, exact reset)")
 
 

@@ -189,6 +189,19 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: not UTF-8 at byte offset 0\n"
 
+    def test_lone_surrogate_payload_is_a_runtime_error_naming_the_line(
+        self, scenario_path, tmp_path, capsys
+    ):
+        ledger = self._written_ledger(scenario_path, tmp_path, capsys)
+        bad = json.dumps({"hash": "0" * 64, "index": 99, "payload": "\ud800", "prev_hash": "0" * 64})
+        lines = ledger.read_text().splitlines()
+        ledger.write_text("\n".join([lines[0], bad, *lines[1:]]) + "\n")
+        code = main(["verify", "--ledger", str(ledger)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert captured.err == "error: line 2: payload holds a lone surrogate at offset 0\n"
+
 
 class TestCompareCommand:
     def test_table_and_merged_report(self, scenario_path, tmp_path, capsys):

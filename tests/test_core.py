@@ -276,32 +276,29 @@ class TestVoteRecord:
         with pytest.raises(GovlabError, match="cast_at"):
             self._record(cast_at=-1)
 
-    def test_json_round_trip_byte_exact(self):
-        record = self._record()
-        text = canonical_json(record.to_json_obj())
-        back = VoteRecord.from_json_obj(loads_canonical(text))
-        assert back == record
-        assert canonical_json(back.to_json_obj()) == text
-
 
 class TestOutcomes:
     def test_winner_tie_quorum_round_trip(self):
-        for outcome in (
-            TallyOutcome.winner("a"),
-            TallyOutcome.tie(["a", "b"]),
-            TallyOutcome.quorum_failed(),
+        for outcome, obj in (
+            (TallyOutcome.winner("a"), {"type": "winner", "option": "a"}),
+            (TallyOutcome.tie(["b", "a"]), {"type": "tie", "options": ["a", "b"]}),
+            (TallyOutcome.quorum_failed(), {"type": "quorum_failed"}),
         ):
-            text = canonical_json(outcome.to_json_obj())
-            assert TallyOutcome.from_json_obj(loads_canonical(text)) == outcome
+            assert loads_canonical(canonical_json(outcome.to_json_obj())) == obj
 
     def test_tally_result_round_trip(self):
+        """The JSON form, which the finalize event records, leaves the per-vote powers out."""
         result = TallyResult(
             per_option_power={"a": VotingPower.parse(3), "b": VotingPower.parse(1)},
             participating_tokens=TokenAmount.parse(10),
             outcome=TallyOutcome.winner("a"),
+            vote_powers=(VotingPower.parse(2), VotingPower.parse(1), VotingPower.parse(1)),
         )
-        text = canonical_json(result.to_json_obj())
-        assert canonical_json(TallyResult.from_json_obj(loads_canonical(text)).to_json_obj()) == text
+        assert loads_canonical(canonical_json(result.to_json_obj())) == {
+            "per_option_power": {"a": "3.000000000", "b": "1.000000000"},
+            "participating_tokens": "10.000000000",
+            "outcome": {"type": "winner", "option": "a"},
+        }
 
 
 class TestCanonicalJson:

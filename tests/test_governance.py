@@ -22,8 +22,15 @@ from govlab.governance import (
     ZeroCommitment,
     replay,
 )
+from govlab.identity import IdentityRegistry, RegistryMode, VotePolicy, filter_and_collapse
 from govlab.ledger import Ledger, verify_chain
-from govlab.mechanisms import ConvictionParams, Mechanism, QuorumBasis, QuorumConfig
+from govlab.mechanisms import (
+    ConvictionParams,
+    Mechanism,
+    QuorumBasis,
+    QuorumConfig,
+    conviction_power,
+)
 from govlab.scenario import load_preset, preset_names
 from govlab.simulation import run
 
@@ -201,10 +208,32 @@ class TestVoteBook:
         engine.submit(_proposal(), 0)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(60), 5)
         engine.cast("p1", WalletId("alice"), "reject", TokenAmount.parse(40), 6)
-        votes = engine.live_votes("p1")
+        engine.finalize("p1", 10)
+        votes = engine.counted_votes[ProposalId("p1")]
         assert len(votes) == 1
         assert votes[0].option == "reject"
         assert votes[0].committed == TokenAmount.parse(40)
+
+    def test_cast_at_rule_is_the_same_for_every_mechanism(self):
+        """A same-option recast keeps cast_at and a switch resets it, whatever the mechanism."""
+        for mechanism in Mechanism:
+            engine = _engine()
+            engine.submit(
+                _proposal(
+                    mechanism=mechanism,
+                    quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
+                    conviction=ConvictionParams(decay_rate=Decimal("0.1")),
+                ),
+                0,
+            )
+            engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(60), 5)
+            engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(10), 5)
+            engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(70), 6)
+            engine.cast("p1", WalletId("bob"), "reject", TokenAmount.parse(10), 7)
+            engine.finalize("p1", 10)
+            alice, bob = engine.counted_votes[ProposalId("p1")]
+            assert (alice.cast_at, alice.committed) == (5, TokenAmount.parse(70)), mechanism
+            assert (bob.cast_at, bob.option) == (7, "reject"), mechanism
 
     def test_zero_commitment_rejected_at_cast(self):
         engine = _engine()
@@ -288,12 +317,14 @@ class TestTokenLocks:
 
 
 class TestConvictionGovernance:
+    alpha = ConvictionParams(decay_rate=Decimal("0.1"))
+
     def _engine(self):
         engine = _engine()
         engine.submit(
             _proposal(
                 mechanism=Mechanism.CONVICTION,
-                conviction=ConvictionParams(decay_rate=Decimal("0.1")),
+                conviction=self.alpha,
                 voting=(5, 30),
             ),
             0,
@@ -304,15 +335,40 @@ class TestConvictionGovernance:
         engine = self._engine()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 15)
-        (vote,) = engine.live_votes("p1")
-        assert vote.held_since == 5
+        (power,) = engine.finalize("p1", 30).vote_powers
+        (vote,) = engine.counted_votes[ProposalId("p1")]
+        assert vote.cast_at == 5
+        assert power == conviction_power(TokenAmount.parse(100), 25, self.alpha)
 
     def test_switching_options_resets_accrual(self):
         engine = self._engine()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("alice"), "reject", TokenAmount.parse(100), 15)
-        (vote,) = engine.live_votes("p1")
-        assert vote.held_since == 15
+        (power,) = engine.finalize("p1", 30).vote_powers
+        (vote,) = engine.counted_votes[ProposalId("p1")]
+        assert vote.cast_at == 15
+        assert power == conviction_power(TokenAmount.parse(100), 15, self.alpha)
+
+    def test_collapse_merge_takes_the_latest_cast_at(self):
+        registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
+        registry.bind("alice", WalletId("bob"))
+        registry.bind("alice", WalletId("alice"))
+        engine = GovernanceEngine(
+            balances={WalletId("alice"): TokenAmount.parse(100), WalletId("bob"): TokenAmount.parse(50)},
+            supply=TokenAmount.parse(1000),
+            vote_filter=lambda votes: filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED),
+        )
+        engine.submit(
+            _proposal(mechanism=Mechanism.CONVICTION, conviction=self.alpha, voting=(5, 30)), 0
+        )
+        engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(50), 5)
+        engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 12)
+        (power,) = engine.finalize("p1", 30).vote_powers
+        (merged,) = engine.counted_votes[ProposalId("p1")]
+        assert merged.wallet == WalletId("alice")
+        assert merged.committed == TokenAmount.parse(150)
+        assert merged.cast_at == 12
+        assert power == conviction_power(TokenAmount.parse(150), 18, self.alpha)
 
     def test_finalize_tallies_conviction_at_window_end(self):
         engine = self._engine()

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import IdentityId, TokenAmount, VoteRecord, VotingPower, WalletId
+from govlab.core import (
+    IdentityId,
+    TokenAmount,
+    VoteRecord,
+    VotingPower,
+    WalletId,
+    canonical_json,
+    loads_canonical,
+)
 from govlab.identity import (
     IdentityClaim,
     IdentityError,
@@ -17,9 +25,8 @@ from govlab.identity import (
     SimulatedProvider,
     VotePolicy,
     filter_and_collapse,
-    simulate_provider,
 )
-from govlab.mechanisms import ConvictionState, power_quadratic, tally
+from govlab.mechanisms import ConvictionParams, conviction_power, power_quadratic, tally
 from govlab.sybil import split_uniform
 
 
@@ -31,6 +38,12 @@ def _vote(wallet, option, committed, cast_at=0):
         committed=TokenAmount.parse(committed),
         cast_at=cast_at,
     )
+
+
+def _verdicts(claims, params):
+    """Review a claim sequence with a fresh provider."""
+    provider = SimulatedProvider(params)
+    return [provider.review(claim) for claim in claims]
 
 
 class TestRegistryBinding:
@@ -73,7 +86,9 @@ class TestRegistryBinding:
         registry.bind(IdentityId("alice"), WalletId("w1"))
         registry.bind(IdentityId("alice"), WalletId("w2"))
         registry.bind(IdentityId("bob"), WalletId("w3"))
-        restored = IdentityRegistry.from_json(registry.to_json())
+        text = canonical_json(registry.to_json_obj())
+        restored = IdentityRegistry.from_json_obj(loads_canonical(text))
+        assert canonical_json(restored.to_json_obj()) == text
         assert restored.mode is registry.mode
         assert restored.wallets_of(IdentityId("alice")) == registry.wallets_of(IdentityId("alice"))
         assert restored.identity_of(WalletId("w3")) == IdentityId("bob")
@@ -93,7 +108,8 @@ class TestRegistryBinding:
         for ident, wallet in ops:
             registry.bind(IdentityId(f"id{ident}"), WalletId(f"w{wallet}"))
         seen_wallets = []
-        for identity in registry.identities():
+        for binding in registry.to_json_obj()["bindings"]:
+            identity = IdentityId(binding["identity"])
             wallets = registry.wallets_of(identity)
             if mode is RegistryMode.STRICT_ONE_WALLET:
                 assert len(wallets) == 1
@@ -145,30 +161,33 @@ class TestFilterAndCollapse:
         total = sum(power_quadratic(v.committed).units for v in report.votes)
         assert VotingPower.from_units(total) == VotingPower.parse(20)
 
-    def test_merged_record_uses_lexmin_wallet_and_earliest_cast(self):
+    def test_merged_record_uses_lexmin_wallet_and_latest_cast(self):
         registry = self._registry(bindings=[("alice", "w2"), ("alice", "w1")])
         votes = [_vote("w2", "a", 5, cast_at=3), _vote("w1", "a", 7, cast_at=9)]
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
         merged = report.votes[0]
         assert merged.wallet == WalletId("w1")
-        assert merged.cast_at == 3
+        assert merged.cast_at == 9
         assert merged.committed == TokenAmount.parse(12)
 
     def test_merged_conviction_uses_latest_held_since(self):
         """Merged conviction must not accrue from before every member's vote."""
         registry = self._registry(bindings=[("alice", "w1"), ("alice", "w2")])
-        votes = [
-            ConvictionState(
-                wallet=WalletId("w1"), option="a", tokens=TokenAmount.parse(5), held_since=2
-            ),
-            ConvictionState(
-                wallet=WalletId("w2"), option="a", tokens=TokenAmount.parse(5), held_since=8
-            ),
-        ]
+        votes = [_vote("w1", "a", 5, cast_at=2), _vote("w2", "a", 5, cast_at=8)]
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        merged = report.votes[0]
-        assert merged.tokens == TokenAmount.parse(10)
-        assert merged.held_since == 8
+        (merged,) = report.votes
+        assert merged.committed == TokenAmount.parse(10)
+        assert merged.cast_at == 8
+        params = ConvictionParams(decay_rate=Decimal("0.1"))
+        result = tally(
+            report.votes,
+            "conviction",
+            supply=TokenAmount.parse(10),
+            wallet_universe_size=2,
+            now=10,
+            conviction=params,
+        )
+        assert result.vote_powers == (conviction_power(TokenAmount.parse(10), 2, params),)
 
     def test_equivocating_identity_loses_every_vote(self):
         registry = self._registry(
@@ -273,11 +292,11 @@ class TestSimulatedProvider:
             for k in range(50)
         ]
         genuine = IdentityClaim(identity=IdentityId("real"), wallet=WalletId("wr"))
-        plain = simulate_provider(fraud, params)
+        plain = _verdicts(fraud, params)
         interleaved_claims = []
         for claim in fraud:
             interleaved_claims.extend([genuine, claim, genuine])
-        interleaved = simulate_provider(interleaved_claims, params)
+        interleaved = _verdicts(interleaved_claims, params)
         assert [v for i, v in enumerate(interleaved) if i % 3 == 1] == plain
 
     def test_rate_zero_rejects_and_rate_one_accepts_all_fraud(self):
@@ -285,8 +304,8 @@ class TestSimulatedProvider:
             IdentityClaim(identity=IdentityId(f"f{k}"), wallet=WalletId(f"w{k}"), fraudulent=True)
             for k in range(30)
         ]
-        never = simulate_provider(fraud, ProviderParams(false_accept_rate=Decimal(0), seed=5))
-        always = simulate_provider(fraud, ProviderParams(false_accept_rate=Decimal(1), seed=5))
+        never = _verdicts(fraud, ProviderParams(false_accept_rate=Decimal(0), seed=5))
+        always = _verdicts(fraud, ProviderParams(false_accept_rate=Decimal(1), seed=5))
         assert not any(never)
         assert all(always)
 
@@ -304,7 +323,7 @@ class TestSimulatedProvider:
             for k in range(10000)
         ]
         params = ProviderParams(false_accept_rate=Decimal("0.1"), seed=20260825)
-        accepted = sum(simulate_provider(claims, params))
+        accepted = sum(_verdicts(claims, params))
         assert 910 <= accepted <= 1090  # 1000 +/- 3 * 30
         assert accepted == 967
 
@@ -314,4 +333,4 @@ class TestSimulatedProvider:
             for k in range(200)
         ]
         params = ProviderParams(false_accept_rate=Decimal("0.3"), seed=7)
-        assert simulate_provider(claims, params) == simulate_provider(claims, params)
+        assert _verdicts(claims, params) == _verdicts(claims, params)

@@ -5,6 +5,7 @@ hashlib regression or a silent preimage change cannot slip past unnoticed.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,27 @@ class TestNdjsonRoundTrip:
         path.write_bytes(dump_ndjson(_chain(1).entries).encode("ascii") + b"\xff\n")
         with pytest.raises(LedgerError, match=f"byte offset {path.stat().st_size - 2}"):
             read_ndjson(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"])
+    def test_only_newline_ends_a_line(self, separator):
+        """Characters str.splitlines() breaks at stay inside a payload's line."""
+        payloads = [f'{{"note":"a{separator}b"}}', '{"note":"next"}']
+        lines, prev = [], GENESIS_PREV_HASH
+        for index, payload in enumerate(payloads):
+            digest = entry_hash(index, prev, payload)
+            obj = {"hash": digest, "index": index, "payload": payload, "prev_hash": prev}
+            lines.append(json.dumps(obj, ensure_ascii=False))
+            prev = digest
+        entries = load_ndjson("\r\n".join(lines) + "\r\n")
+        assert [e.payload for e in entries] == payloads
+        assert verify_chain(entries) is None
+
+    def test_lone_surrogate_payload_names_its_line(self):
+        text = dump_ndjson(_chain(1).entries) + json.dumps(
+            {"hash": "0" * 64, "index": 1, "payload": "x\ud800", "prev_hash": "0" * 64}
+        )
+        with pytest.raises(LedgerError, match="line 2: payload holds a lone surrogate at offset 1"):
+            load_ndjson(text)
 
     @given(st.lists(payload_text, max_size=8))
     @settings(max_examples=40)

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from govlab.core import (
     NANO,
+    ProposalId,
     TokenAmount,
     VoteRecord,
     VotingPower,
     WalletId,
 )
+from govlab.governance import GovernanceEngine, Proposal, Window
 from govlab.mechanisms import (
     ConvictionParams,
-    ConvictionState,
     Mechanism,
     MechanismError,
     QuorumBasis,
@@ -23,8 +24,8 @@ from govlab.mechanisms import (
     conviction_power,
     power_quadratic,
     power_token,
-    switch_vote,
     tally,
+    vote_power,
 )
 
 from oracles import conviction_units, sqrt_units
@@ -104,25 +105,27 @@ class TestPowerQuadratic:
 
 class TestConvictionPower:
     alpha = ConvictionParams(decay_rate=Decimal("0.1"))
-
-    def _state(self, tokens=100, held_since=0, option="a"):
-        return ConvictionState(
-            wallet=WalletId("w1"),
-            option=option,
-            tokens=TokenAmount.parse(tokens),
-            held_since=held_since,
-        )
+    hundred = TokenAmount.parse(100)
 
     def test_hundred_tokens_after_ten_ticks(self):
         """100 * (1 - e^-1) rounded half-even at nine digits."""
-        assert str(conviction_power(self._state(), 10, self.alpha)) == "63.212055883"
+        assert str(conviction_power(self.hundred, 10, self.alpha)) == "63.212055883"
 
     def test_zero_elapsed_time_is_zero_power(self):
-        assert conviction_power(self._state(), 0, self.alpha) == VotingPower.zero()
+        assert conviction_power(self.hundred, 0, self.alpha) == VotingPower.zero()
 
     def test_clock_before_vote_rejected(self):
-        with pytest.raises(MechanismError, match="precedes held_since"):
-            conviction_power(self._state(held_since=5), 4, self.alpha)
+        with pytest.raises(MechanismError, match="before it is cast"):
+            conviction_power(self.hundred, -1, self.alpha)
+        with pytest.raises(MechanismError, match="before it is cast"):
+            tally(
+                [_vote("w1", "a", 100, cast_at=5)],
+                "conviction",
+                supply=self.hundred,
+                wallet_universe_size=1,
+                now=4,
+                conviction=self.alpha,
+            )
 
     def test_zero_decay_rate_rejected(self):
         with pytest.raises(MechanismError, match="positive"):
@@ -142,10 +145,7 @@ class TestConvictionPower:
     @settings(max_examples=150, deadline=None)
     def test_matches_high_precision_oracle(self, units, rate, dt):
         params = ConvictionParams(decay_rate=rate)
-        state = ConvictionState(
-            wallet=WalletId("w"), option="o", tokens=TokenAmount.from_units(units), held_since=0
-        )
-        got = conviction_power(state, dt, params).units
+        got = conviction_power(TokenAmount.from_units(units), dt, params).units
         want = conviction_units(units, str(rate), dt)
         assert abs(got - want) <= 1
 
@@ -162,11 +162,8 @@ class TestConvictionPower:
         least one whole token keeps the gap above that, so strictness holds.
         """
         params = ConvictionParams(decay_rate=Decimal("0.1"))
-        state = ConvictionState(
-            wallet=WalletId("w"), option="o", tokens=TokenAmount.from_units(units), held_since=0
-        )
         dt = min(dt_a + dt_b, 200)
-        power = conviction_power(state, dt, params)
+        power = conviction_power(TokenAmount.from_units(units), dt, params)
         assert power.units < units
 
     @given(
@@ -178,52 +175,69 @@ class TestConvictionPower:
     def test_monotone_nondecreasing_in_elapsed_time(self, units, dt1, dt2):
         lo, hi = sorted((dt1, dt2))
         params = ConvictionParams(decay_rate=Decimal("0.05"))
-        state = ConvictionState(
-            wallet=WalletId("w"), option="o", tokens=TokenAmount.from_units(units), held_since=0
-        )
-        assert conviction_power(state, lo, params) <= conviction_power(state, hi, params)
+        tokens = TokenAmount.from_units(units)
+        assert conviction_power(tokens, lo, params) <= conviction_power(tokens, hi, params)
 
     def test_saturates_at_stake_for_huge_elapsed_time(self):
-        assert str(conviction_power(self._state(), 10000, self.alpha)) == "100.000000000"
+        assert str(conviction_power(self.hundred, 10000, self.alpha)) == "100.000000000"
 
 
 class TestSwitchVote:
+    """A wallet switches options by casting again on its proposal's engine."""
+
     alpha = ConvictionParams(decay_rate=Decimal("0.1"))
 
-    def test_switch_resets_accrual_to_zero(self):
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(100), held_since=0
+    def _counted(self, casts, finalize_at):
+        """Cast (option, tick) pairs with one 100-token wallet; return the counted vote and its power."""
+        engine = GovernanceEngine(
+            balances={WalletId("w"): TokenAmount.parse(100)}, supply=TokenAmount.parse(100)
         )
-        switched = switch_vote(state, "b", 50)
-        assert switched.held_since == 50
-        assert switched.option == "b"
-        assert switched.tokens == state.tokens
-        assert conviction_power(switched, 50, self.alpha) == VotingPower.zero()
+        engine.submit(
+            Proposal(
+                id=ProposalId("p1"),
+                options=("a", "b"),
+                discussion_window=Window(0, 1),
+                voting_window=Window(1, finalize_at),
+                mechanism=Mechanism.CONVICTION,
+                conviction=self.alpha,
+            ),
+            0,
+        )
+        for option, tick in casts:
+            engine.cast("p1", WalletId("w"), option, TokenAmount.parse(100), tick)
+        (power,) = engine.finalize("p1", finalize_at).vote_powers
+        (vote,) = engine.counted_votes[ProposalId("p1")]
+        return vote, power
+
+    def _power_at(self, vote, now):
+        (power,) = tally(
+            [vote],
+            "conviction",
+            supply=vote.committed,
+            wallet_universe_size=1,
+            now=now,
+            conviction=self.alpha,
+        ).vote_powers
+        return power
+
+    def test_switch_resets_accrual_to_zero(self):
+        vote, _ = self._counted([("a", 1), ("b", 50)], 51)
+        assert vote.cast_at == 50
+        assert vote.option == "b"
+        assert vote.committed == TokenAmount.parse(100)
+        assert self._power_at(vote, 50) == VotingPower.zero()
 
     def test_conviction_ten_ticks_after_switch(self):
         """Post-switch accrual is indistinguishable from a fresh vote."""
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(100), held_since=0
-        )
-        switched = switch_vote(state, "b", 50)
-        assert str(conviction_power(switched, 60, self.alpha)) == "63.212055883"
-
-    def test_same_option_is_a_caller_bug(self):
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(100), held_since=0
-        )
-        with pytest.raises(MechanismError, match="same option"):
-            switch_vote(state, "a", 10)
+        _, power = self._counted([("a", 1), ("b", 50)], 60)
+        assert str(power) == "63.212055883"
 
     def test_reset_is_memoryless(self):
         """Switching back to the original option does not restore its history."""
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(100), held_since=0
-        )
-        back = switch_vote(switch_vote(state, "b", 50), "a", 60)
-        assert back.option == "a"
-        assert back.held_since == 60
-        assert conviction_power(back, 60, self.alpha) == VotingPower.zero()
+        vote, _ = self._counted([("a", 1), ("b", 50), ("a", 60)], 61)
+        assert vote.option == "a"
+        assert vote.cast_at == 60
+        assert self._power_at(vote, 60) == VotingPower.zero()
 
 
 class TestQuorumConfig:
@@ -360,8 +374,17 @@ class TestTally:
 
     def test_votes_must_share_a_proposal(self):
         votes = [_vote("w1", "a", 1, proposal="p1"), _vote("w2", "a", 1, proposal="p2")]
-        with pytest.raises(MechanismError, match="more than one proposal"):
-            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2)
+        for mechanism in Mechanism:
+            with pytest.raises(MechanismError, match="more than one proposal"):
+                tally(
+                    votes,
+                    mechanism,
+                    supply=TokenAmount.parse(10),
+                    wallet_universe_size=2,
+                    quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
+                    now=5,
+                    conviction=ConvictionParams(decay_rate=Decimal("0.1")),
+                )
 
     def test_commitments_cannot_exceed_supply(self):
         votes = [_vote("w1", "a", 7), _vote("w2", "a", 7)]
@@ -383,10 +406,14 @@ class TestTally:
         with pytest.raises(MechanismError, match="unknown mechanism"):
             tally([], "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1)
 
+    def test_vote_power_takes_a_parsed_mechanism(self):
+        """A raw string must not fall through to the token map."""
+        assert vote_power(Mechanism.QUADRATIC, TokenAmount.parse(100), 0, None) == VotingPower.parse(10)
+        with pytest.raises(MechanismError, match="needs a Mechanism"):
+            vote_power("quadratic", TokenAmount.parse(100), 0, None)
+
     def test_conviction_tally_needs_params_and_clock(self):
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(5), held_since=0
-        )
+        state = _vote("w", "a", 5)
         with pytest.raises(MechanismError, match="requires ConvictionParams"):
             tally([state], "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1)
         with pytest.raises(MechanismError, match="requires the current tick"):
@@ -400,12 +427,8 @@ class TestTally:
 
     def test_conviction_tally_accrues_per_vote(self):
         params = ConvictionParams(decay_rate=Decimal("0.1"))
-        early = ConvictionState(
-            wallet=WalletId("early"), option="a", tokens=TokenAmount.parse(100), held_since=0
-        )
-        late = ConvictionState(
-            wallet=WalletId("late"), option="b", tokens=TokenAmount.parse(100), held_since=9
-        )
+        early = _vote("early", "a", 100, cast_at=0)
+        late = _vote("late", "b", 100, cast_at=9)
         result = tally(
             [early, late],
             "conviction",
@@ -418,21 +441,45 @@ class TestTally:
         assert result.per_option_power["b"].units == conviction_units(100 * NANO, "0.1", 1)
         assert result.outcome.option == "a"
 
-    def test_wrong_record_type_rejected(self):
-        state = ConvictionState(
-            wallet=WalletId("w"), option="a", tokens=TokenAmount.parse(5), held_since=0
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(min_value=1, max_value=10**12),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=10,
+        ),
+        st.sampled_from(list(Mechanism)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_vote_powers_match_the_oracles(self, ballots, mechanism):
+        """Per-vote powers follow the oracles and add up to per_option_power."""
+        now, alpha = 40, "0.1"
+        votes = [
+            _vote(f"w{i}", option, TokenAmount.from_units(u).as_decimal(), cast_at=cast_at)
+            for i, (option, u, cast_at) in enumerate(ballots)
+        ]
+        result = tally(
+            votes,
+            mechanism,
+            supply=TokenAmount.from_units(sum(u for _, u, _ in ballots)),
+            wallet_universe_size=len(votes),
+            quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
+            now=now,
+            conviction=ConvictionParams(decay_rate=Decimal(alpha)),
         )
-        with pytest.raises(MechanismError, match="expects VoteRecord"):
-            tally([state], "token", supply=TokenAmount.parse(10), wallet_universe_size=1)
-        with pytest.raises(MechanismError, match="expects ConvictionState"):
-            tally(
-                [_vote("w1", "a", 1)],
-                "conviction",
-                supply=TokenAmount.parse(10),
-                wallet_universe_size=1,
-                now=5,
-                conviction=ConvictionParams(decay_rate=Decimal("0.1")),
-            )
+        assert len(result.vote_powers) == len(votes)
+        per_option: dict[str, int] = {}
+        for (option, u, cast_at), power in zip(ballots, result.vote_powers):
+            if mechanism is Mechanism.QUADRATIC:
+                assert power.units == sqrt_units(u)
+            elif mechanism is Mechanism.CONVICTION:
+                assert abs(power.units - conviction_units(u, alpha, now - cast_at)) <= 1
+            else:
+                assert power.units == u
+            per_option[option] = per_option.get(option, 0) + power.units
+        assert per_option == {o: p.units for o, p in result.per_option_power.items()}
 
     @given(
         st.lists(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from govlab.core import NANO, TokenAmount, VotingPower, parse_units
 from govlab.mechanisms import ConvictionParams, power_quadratic
-from govlab.sybil import SplitError, SplitStrategy, best_split, split_uniform, sybil_gain
+from govlab.sybil import SplitError, best_split, split_uniform, sybil_gain
 
 from oracles import sqrt_units
 
@@ -57,10 +57,6 @@ class TestSplitUniform:
         assert sum(b.units for b in balances) == units
         assert balances[0].units == max(b.units for b in balances)
         assert len({b.units for b in balances[1:]}) <= 1
-
-    def test_strategy_wrapper(self):
-        strategy = SplitStrategy(total=TokenAmount.parse(10), n_wallets=3)
-        assert strategy.balances() == split_uniform(TokenAmount.parse(10), 3)
 
 
 class TestSybilGain:

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import GovlabError, canonical_json
-from .ledger import read_ndjson, verify_chain, write_ndjson
+from .ledger import _replace_file, read_ndjson, verify_chain, write_ndjson
 from .scenario import ScenarioValidationError, load_scenario
 from .simulation import compare_mechanisms, render_table, report_csv, run
 
@@ -84,13 +84,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             _error(line)
         return EXIT_VALIDATION
     result = run(scenario, seed_override=args.seed)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(result.report_json)
+    # Each output is replaced whole.  The CSV goes first, so an error while
+    # building it leaves every output as it was.
+    if args.csv is not None:
+        _replace_file(args.csv, report_csv(result), "utf-8")
+    _replace_file(args.out, result.report_json, "ascii")
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
     write_ndjson(result.ledger, ledger_path)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report_csv(result))
     _info(f"wrote report to {args.out} and ledger to {ledger_path}")
     print(result.head_hash)
     return EXIT_OK
@@ -105,8 +105,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for line in exc.errors:
             _error(line)
         return EXIT_VALIDATION
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(canonical_json(merged) + "\n")
+    _replace_file(args.out, canonical_json(merged) + "\n", "ascii")
     _info(f"wrote merged report to {args.out}")
     sys.stdout.write(render_table(rows))
     return EXIT_OK

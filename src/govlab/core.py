@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterable
 
 NANO_DIGITS = 9
@@ -23,7 +24,7 @@ NANO = 10**NANO_DIGITS
 # reproducible bit-for-bit across language runtimes.
 MAX_UNITS = 2**63 - 1
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$")
 
 
@@ -229,7 +230,7 @@ class _Identifier(str):
     def __new__(cls, value: str):
         if type(value) is cls:  # validated when it was built
             return value
-        if not isinstance(value, str) or not _ID_RE.match(value):
+        if not isinstance(value, str) or not _ID_RE.fullmatch(value):
             raise GovlabError(
                 f"{cls.__name__} must match [A-Za-z0-9_-]{{1,64}}: {value!r}"
             )
@@ -375,6 +376,26 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 def canonical_json(value: Any) -> str:
     """Serialize to canonical JSON: sorted keys, compact, ASCII, no floats."""
     return _ENCODER.encode(_canonical_value(value))
+
+
+class _CanonicalText(str):
+    """Canonical JSON text written from a template here; Ledger.append takes it unchecked."""
+
+    __slots__ = ()
+
+
+def _cast_json(
+    proposal: ProposalId, wallet: WalletId, option: str, committed: TokenAmount, tick: int
+) -> _CanonicalText:
+    """canonical_json of a cast event, written from a fixed template.
+
+    Keys are in sorted order and every string is escaped as canonical_json
+    escapes it, so the text equals canonical_json of the event's dict.
+    """
+    return _CanonicalText(
+        f'{{"committed":{_quote(str(committed))},"event":"cast","option":{_quote(option)},'
+        f'"proposal":{_quote(proposal)},"tick":{tick},"wallet":{_quote(wallet)}}}'
+    )
 
 
 def _reject_float(text: str) -> Any:

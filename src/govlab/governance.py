@@ -25,6 +25,7 @@ from .core import (
     TokenAmount,
     VoteRecord,
     WalletId,
+    _cast_json,
     _check_option,
 )
 from .ledger import Ledger
@@ -231,8 +232,8 @@ class GovernanceEngine:
         self.advance_to(now)
 
     def locked_units(self, wallet: WalletId, exclude: ProposalId | None = None) -> int:
-        locks = self._locks.get(wallet, {})
-        return sum(units for pid, units in locks.items() if pid != exclude)
+        locks = self._locks.get(wallet)
+        return sum(locks.values()) - locks.get(exclude, 0) if locks else 0
 
     def cast(
         self,
@@ -276,16 +277,7 @@ class GovernanceEngine:
             wallet=wallet, proposal=proposal.id, option=option, committed=committed, cast_at=cast_at
         )
         self._locks.setdefault(wallet, {})[proposal.id] = committed.units
-        self.ledger.append(
-            {
-                "event": "cast",
-                "proposal": str(proposal.id),
-                "wallet": str(wallet),
-                "option": option,
-                "committed": str(committed),
-                "tick": now,
-            }
-        )
+        self.ledger.append(_cast_json(proposal.id, wallet, option, committed, now))
 
     def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
         """Tally after the voting window closes; locks release; phase goes terminal."""

@@ -8,14 +8,18 @@ verify_chain pinpoints the first bad index.  Truncating the tail is NOT
 detectable from the file alone; publish the head hash out of band (the CLI
 prints it after every run) to pin the expected length.
 
-Per-event cost: append encodes the payload once (canonical JSON) and hashes
-it once; dump_ndjson only escapes the four fields into a line; load_ndjson
-decodes each line once, and replay decodes each payload once more.
+Per-event cost: append encodes the payload once and hashes it once.  Cast
+events arrive as text from core's cast template, which append stores without
+a re-check; other events are encoded by canonical_json, and a plain str is
+checked by a decode and re-encode.  dump_ndjson only escapes the four fields
+into a line; load_ndjson decodes each line once, and replay decodes each
+payload once more.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -24,6 +28,7 @@ from typing import Any, Iterable
 from .core import (
     CanonicalJsonError,
     GovlabError,
+    _CanonicalText,
     canonical_json,
     is_canonical_json,
     loads_canonical,
@@ -82,7 +87,9 @@ class Ledger:
 
     def append(self, payload: Any) -> LedgerEntry:
         """Append an event; payload may be a JSON-able object or canonical text."""
-        if isinstance(payload, str):
+        if type(payload) is _CanonicalText:  # canonical when it was built
+            text = str(payload)  # stored compact, as a plain str
+        elif isinstance(payload, str):
             if not is_canonical_json(payload):
                 raise LedgerError("payload text is not canonical JSON")
             text = payload
@@ -171,9 +178,23 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
     return entries
 
 
+def _replace_file(path, text: str, encoding: str) -> None:
+    """Write text to path whole or not at all: a temporary file beside it, then os.replace."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding=encoding, newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_ndjson(entries))
+    _replace_file(path, dump_ndjson(entries), "ascii")
 
 
 def read_ndjson(path) -> list[LedgerEntry]:

@@ -9,13 +9,14 @@ number literals are parsed as exact decimals, never binary floats.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import FixedPointError, GovlabError, TokenAmount, fmt_units, parse_units
+from .core import FixedPointError, GovlabError, ProposalId, TokenAmount, fmt_units, parse_units
 from .governance import Window, WindowError
 from .mechanisms import ConvictionParams, Mechanism, MechanismError, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -72,7 +73,7 @@ class AgentSpec:
 
 @dataclass(frozen=True, slots=True)
 class ProposalSpec:
-    id: str
+    id: ProposalId
     options: tuple[str, ...]
     discussion_window: Window
     voting_window: Window
@@ -96,6 +97,9 @@ class Scenario:
 
         return replace(self, **changes)
 
+
+# Attack wallets get an index suffix; agent ids keep headroom inside the 64-char cap.
+_AGENT_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,48}")
 
 _ID_FIELDS = {"schema_version", "name", "seed", "ticks", "supply", "mechanism",
               "quorum", "conviction", "identity", "agents", "proposals"}
@@ -275,9 +279,10 @@ def _parse_proposals(value: Any, ticks: int, errors: list[str]) -> list[Proposal
         if not isinstance(p, dict):
             errors.append(f"{label}: expected an object, got {p!r}")
             continue
-        pid = p.get("id")
-        if not isinstance(pid, str) or not pid:
-            errors.append(f"{label}: id must be a nonempty string")
+        try:
+            pid = ProposalId(p.get("id"))
+        except GovlabError:
+            errors.append(f"{label}: id must be 1-64 chars from [A-Za-z0-9_-]")
             continue
         label = f"proposal {pid!r}"
         if pid in seen_ids:
@@ -331,8 +336,7 @@ def _parse_agents(value: Any, proposals: list[ProposalSpec], errors: list[str]) 
             errors.append(f"{label}: duplicate id")
             continue
         seen_ids.add(aid)
-        # Attack wallets get an index suffix; keep headroom inside the 64-char cap.
-        if len(aid) > 48 or not all(c.isalnum() or c in "_-" for c in aid):
+        if not _AGENT_ID_RE.fullmatch(aid):
             errors.append(f"{label}: id must be <= 48 chars from [A-Za-z0-9_-]")
             continue
         kind_raw = a.get("kind")

@@ -25,7 +25,7 @@ from .core import (
     canonical_json,
     ratio_half_even,
 )
-from .governance import GovernanceEngine, Proposal, Window
+from .governance import GovernanceEngine, Proposal
 from .identity import (
     IdentityClaim,
     IdentityId,

@@ -10,8 +10,6 @@ import random
 from decimal import Decimal
 from itertools import product
 
-import pytest
-
 from govlab.core import (
     NANO,
     IdentityId,

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from govlab.cli import EXIT_LEDGER_BROKEN, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from govlab.core import loads_canonical
+from govlab.core import GovlabError, loads_canonical
 from govlab.ledger import read_ndjson, verify_chain
 from govlab.scenario import load_preset
 from govlab.simulation import run
@@ -119,6 +119,45 @@ class TestRunCommand:
         assert "seed" in captured.err
         assert "mechanism" in captured.err
         assert not (tmp_path / "r.json").exists()
+
+    def test_ids_the_engine_would_reject_are_validation_errors(self, scenario_path, tmp_path, capsys):
+        obj = json.loads(scenario_path.read_text())
+        obj["proposals"][0]["id"] = "bad id!"
+        obj["agents"][0]["id"] = "caf\u00e9"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "proposal #0: id must be" in err
+        assert "agent 'caf\u00e9': id must be" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_failed_run_leaves_existing_outputs_untouched(self, scenario_path, tmp_path, capsys, monkeypatch):
+        def broken_csv(result):
+            raise GovlabError("csv failed")
+
+        monkeypatch.setattr("govlab.cli.report_csv", broken_csv)
+        out, ledger, csv_path = tmp_path / "r.json", tmp_path / "r.jsonl", tmp_path / "agents.csv"
+        for path in (out, ledger, csv_path):
+            path.write_bytes(b"old bytes\n")
+        code = main(
+            ["run", "--scenario", str(scenario_path), "--out", str(out), "--ledger", str(ledger), "--csv", str(csv_path)]
+        )
+        assert code == EXIT_RUNTIME
+        assert "csv failed" in capsys.readouterr().err
+        for path in (out, ledger, csv_path):
+            assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
+
+    def test_outputs_are_replaced_without_leftovers(self, scenario_path, tmp_path, capsys):
+        out, csv_path = tmp_path / "r.json", tmp_path / "agents.csv"
+        csv_path.write_bytes(b"old bytes\n")
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
+        assert csv_path.read_text().startswith("proposal,agent,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "agents.csv", "r.json", "r.json.ledger.jsonl", "scenario.json"
+        ]
 
     def test_missing_scenario_file_is_a_runtime_error(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])

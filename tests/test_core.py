@@ -1,12 +1,11 @@
 """Fixed-point values, identifiers, vote records, and canonical JSON."""
 
 import json
-import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from govlab.core import (
@@ -24,6 +23,7 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
+    _cast_json,
     canonical_json,
     div_units_half_even,
     fmt_units,
@@ -236,7 +236,7 @@ class TestIdentifiers:
 
     def test_rejects_empty_long_and_exotic(self):
         for cls in (WalletId, IdentityId, ProposalId):
-            for bad in ["", "x" * 65, "space here", "café"]:
+            for bad in ["", "x" * 65, "space here", "café", "trailing\n"]:
                 with pytest.raises(GovlabError, match="must match"):
                     cls(bad)
 
@@ -405,3 +405,44 @@ class TestCanonicalJsonOracle:
     def test_unknown_types_rejected(self, value):
         with pytest.raises(CanonicalJsonError, match="not canonical JSON"):
             canonical_json(value)
+
+
+_label_st = st.lists(
+    st.text(st.characters(blacklist_categories=()), max_size=6)
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\ud800", "\udfff", "😀"]),
+    min_size=1,
+    max_size=5,
+).map("".join).filter(bool)
+
+
+class TestCastTemplate:
+    """The cast event is written from a template; canonical_json of its dict form is the oracle."""
+
+    @given(
+        proposal=st.from_regex(r"[A-Za-z0-9_-]{1,64}", fullmatch=True).map(ProposalId),
+        wallet=st.from_regex(r"[A-Za-z0-9_-]{1,64}", fullmatch=True).map(WalletId),
+        option=_label_st,
+        committed=st.integers(min_value=1, max_value=MAX_UNITS).map(TokenAmount.from_units),
+        tick=st.integers(min_value=0, max_value=10**12),
+    )
+    @settings(max_examples=300)
+    def test_matches_canonical_json(self, proposal, wallet, option, committed, tick):
+        expected = canonical_json(
+            {
+                "event": "cast",
+                "proposal": proposal,
+                "wallet": wallet,
+                "option": option,
+                "committed": committed,
+                "tick": tick,
+            }
+        )
+        assert _cast_json(proposal, wallet, option, committed, tick) == expected
+
+    def test_hostile_label_is_escaped(self):
+        text = _cast_json(ProposalId("p"), WalletId("w"), 'a"\\\x01\u2028\ud800é', TokenAmount.parse(1), 3)
+        assert text == (
+            '{"committed":"1.000000000","event":"cast","option":"a\\"\\\\\\u0001\\u2028\\ud800\\u00e9",'
+            '"proposal":"p","tick":3,"wallet":"w"}'
+        )
+        assert is_canonical_json(text)

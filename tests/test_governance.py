@@ -31,7 +31,7 @@ from govlab.mechanisms import (
     QuorumConfig,
     conviction_power,
 )
-from govlab.scenario import load_preset, preset_names
+from govlab.scenario import load_preset, parse_scenario, preset_names
 from govlab.simulation import run
 
 
@@ -514,6 +514,30 @@ class TestReplay:
         assert replayed.proposals[ProposalId("p1")].phase is engine.proposals[ProposalId("p1")].phase
         assert replayed.proposals[ProposalId("p1")].phase in TERMINAL_PHASES
         assert len(replayed.ledger.head_hash()) == 64
+
+    def test_replay_re_derives_a_run_with_hostile_labels(self):
+        labels = ['say "yes"', "back\\slash", "\x00\x1f\n", "line\u2028sep", "\ud800lone", "caf\u00e9 \U0001f600"]
+        scenario = parse_scenario(
+            {
+                "schema_version": 1,
+                "name": "hostile-labels",
+                "ticks": 10,
+                "supply": "100",
+                "mechanism": "quadratic",
+                "proposals": [
+                    {"id": "p1", "options": labels, "discussion_window": [0, 2], "voting_window": [2, 9]}
+                ],
+                "agents": [
+                    {"id": f"a{k}", "kind": "honest", "balance": "10", "preference": [label], "cast_at": 2 + k}
+                    for k, label in enumerate(labels)
+                ],
+            }
+        )
+        recorded = run(scenario).ledger.entries
+        casts = [loads_canonical(e.payload) for e in recorded if '"event":"cast"' in e.payload]
+        assert [c["option"] for c in casts] == labels
+        replayed = replay(recorded)
+        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded[1:]]
 
 
 class TestPhaseEdgeSet:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import canonical_json
+from govlab.core import ProposalId, TokenAmount, WalletId, _cast_json, canonical_json
 from govlab.ledger import (
     GENESIS_PREV_HASH,
     Ledger,
@@ -95,6 +95,12 @@ class TestAppend:
         ledger = Ledger()
         with pytest.raises(LedgerError, match="not canonical JSON"):
             ledger.append('{"a": 1}')  # spaces are not canonical
+
+    def test_template_text_is_stored_as_a_plain_str(self):
+        text = _cast_json(ProposalId("p1"), WalletId("w"), "yes", TokenAmount.parse(2), 7)
+        entry = Ledger().append(text)
+        assert type(entry.payload) is str
+        assert entry.payload == text
 
     def test_append_rejects_floats(self):
         ledger = Ledger()

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from govlab.core import ProposalId
 from govlab.scenario import (
     AgentKind,
     IdentityStrategy,
@@ -65,6 +66,7 @@ class TestParsing:
         assert scenario.supply.units == 1000 * 10**9
         assert _agent(scenario, "grace").kind is AgentKind.HONEST
         assert scenario.proposals[0].voting_window.end == 15
+        assert type(scenario.proposals[0].id) is ProposalId  # validated once, here
 
     def test_number_literals_never_become_floats(self):
         """JSON number balances must arrive as exact decimals, not binary floats."""
@@ -186,14 +188,19 @@ class TestErrorCollection:
         assert error == "agent 'a_w1': wallet id 'a_w1' is also a wallet of agent 'a'"
 
     def test_agent_id_charset_and_length(self):
-        obj = _valid()
-        obj["agents"][0]["id"] = "a" * 49
-        (error,) = _errors_of(obj)
-        assert "<= 48 chars" in error
-        obj = _valid()
-        obj["agents"][0]["id"] = "bad space"
-        (error,) = _errors_of(obj)
-        assert "[A-Za-z0-9_-]" in error
+        # str.isalnum() accepts non-ASCII letters and digits; a `$` anchor accepts a trailing newline.
+        for bad in ("a" * 49, "bad space", "café", "x\u0663", "ok\n"):
+            obj = _valid()
+            obj["agents"][0]["id"] = bad
+            (error,) = _errors_of(obj)
+            assert error == f"agent {bad!r}: id must be <= 48 chars from [A-Za-z0-9_-]"
+
+    def test_proposal_id_outside_the_identifier_alphabet(self):
+        for bad in ("bad id!", "", "p" * 65, "p\n", 7):
+            obj = _valid()
+            obj["proposals"][0]["id"] = bad
+            (error,) = _errors_of(obj)
+            assert error == "proposal #0: id must be 1-64 chars from [A-Za-z0-9_-]"
 
     def test_duplicate_agent_ids(self):
         obj = _valid()

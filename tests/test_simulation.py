@@ -1,7 +1,6 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
 import dataclasses
-import json
 import time
 from decimal import Decimal
 

@@ -2,7 +2,6 @@
 
 from decimal import Decimal
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

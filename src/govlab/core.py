@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 NANO_DIGITS = 9
 NANO = 10**NANO_DIGITS
@@ -86,7 +86,9 @@ def _units_from_decimal(d: Decimal) -> int:
         scaled = d.scaleb(NANO_DIGITS)
     except InvalidOperation as exc:  # NaN / infinity
         raise FixedPointError(f"malformed decimal: {d}") from exc
-    if scaled != scaled.to_integral_value():
+    except Overflow as exc:  # an exponent past the decimal context's range
+        raise FixedPointOverflow(f"quantity exceeds fixed-point range: {d}") from exc
+    if scaled != scaled.to_integral_value() or (d and not scaled):  # a tiny d underflows to 0
         raise FixedPointError(f"more than {NANO_DIGITS} fractional digits: {d}")
     return int(scaled)
 
@@ -282,6 +284,17 @@ class VoteRecord:
             raise GovlabError("cast_at must be a non-negative tick")
 
 
+def _checked_vote(wallet, proposal, option, committed, cast_at) -> VoteRecord:
+    """A VoteRecord built without __post_init__, from fields of the right types the caller has checked."""
+    vote = object.__new__(VoteRecord)
+    object.__setattr__(vote, "wallet", wallet)
+    object.__setattr__(vote, "proposal", proposal)
+    object.__setattr__(vote, "option", option)
+    object.__setattr__(vote, "committed", committed)
+    object.__setattr__(vote, "cast_at", cast_at)
+    return vote
+
+
 class OutcomeKind:
     WINNER = "winner"
     TIE = "tie"
@@ -378,24 +391,14 @@ def canonical_json(value: Any) -> str:
     return _ENCODER.encode(_canonical_value(value))
 
 
-class _CanonicalText(str):
-    """Canonical JSON text written from a template here; Ledger.append takes it unchecked."""
-
-    __slots__ = ()
-
-
-def _cast_json(
-    proposal: ProposalId, wallet: WalletId, option: str, committed: TokenAmount, tick: int
-) -> _CanonicalText:
-    """canonical_json of a cast event, written from a fixed template.
-
-    Keys are in sorted order and every string is escaped as canonical_json
-    escapes it, so the text equals canonical_json of the event's dict.
+def _cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int, WalletId], str]:
+    """Cast events on one proposal, option and tick: line(units, wallet) is canonical_json of the
+    event's dict.  Only the option needs escaping; ids and the amount's digits never do.
     """
-    return _CanonicalText(
-        f'{{"committed":{_quote(str(committed))},"event":"cast","option":{_quote(option)},'
-        f'"proposal":{_quote(proposal)},"tick":{tick},"wallet":{_quote(wallet)}}}'
-    )
+    option = _quote(option).replace("%", "%%")
+    fixed = f'"event":"cast","option":{option},"proposal":"{proposal}","tick":{tick}'
+    template = f'{{"committed":"%d.%09d",{fixed},"wallet":"%s"}}'
+    return lambda units, wallet: template % (units // NANO, units % NANO, wallet)
 
 
 def _reject_float(text: str) -> Any:

@@ -6,6 +6,11 @@ cannot commit the same tokens to two concurrent proposals.  Every state
 change appends exactly one event to the hash-chained ledger, and replaying
 that event log through a fresh engine reproduces identical terminal states.
 
+Casts come in batches on one proposal at one tick, checked once per batch and
+once per option; each ballot is checked, recorded and appended before the next
+is drawn.  A failing ballot changes nothing, so a batch that stops at ballot k
+leaves the ledger, vote book and locks exactly as k single casts would.
+
 Outcome mapping at finalize: the proposal's first option is the designated
 "approve" option; the proposal passes only when that option is the unique
 winner.  Ties (including the no-votes case) reject; the status quo wins.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     GovlabError,
@@ -25,8 +30,10 @@ from .core import (
     TokenAmount,
     VoteRecord,
     WalletId,
-    _cast_json,
+    _cast_template,
     _check_option,
+    _checked_vote,
+    loads_canonical,
 )
 from .ledger import Ledger
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
@@ -231,53 +238,53 @@ class GovernanceEngine:
         self.ledger.append(payload)
         self.advance_to(now)
 
-    def locked_units(self, wallet: WalletId, exclude: ProposalId | None = None) -> int:
-        locks = self._locks.get(wallet)
-        return sum(locks.values()) - locks.get(exclude, 0) if locks else 0
-
     def cast(
-        self,
-        proposal_id: ProposalId,
-        wallet: WalletId,
-        option: str,
-        committed: TokenAmount,
-        now: int,
+        self, proposal_id: ProposalId, wallet: WalletId, option: str, committed: TokenAmount, now: int
     ) -> None:
         """Record or replace a wallet's vote; commits lock tokens until finalize."""
+        self.cast_batch(proposal_id, ((wallet, option, committed),), now)
+
+    def cast_batch(self, proposal_id: ProposalId, ballots: Iterable[tuple], now: int) -> None:
+        """Cast each (wallet, option, committed) ballot in order; the per-batch checks run even for none."""
         self.advance_to(now)
         proposal = self._get(proposal_id)
-        wallet = WalletId(wallet)
         if proposal.phase is not Phase.VOTING:
             raise PhaseError(f"proposal {proposal.id!r} is not in its voting phase")
-        if not proposal.voting_window.contains(now):
-            raise OutOfWindow(
-                f"tick {now} is outside voting window "
-                f"[{proposal.voting_window.start}, {proposal.voting_window.end})"
-            )
-        if committed.is_zero():
-            raise ZeroCommitment(f"wallet {wallet!r} committed zero tokens")
-        if option not in proposal.options:
-            raise GovernanceError(
-                f"option {option!r} is not on proposal {proposal.id!r}"
-            )
-        balance = self.balances.get(wallet)
-        if balance is None:
-            raise GovernanceError(f"unknown wallet {wallet!r}")
-        available = balance.units - self.locked_units(wallet, exclude=proposal.id)
-        if committed.units > available:
-            raise InsufficientUnlockedTokens(
-                f"wallet {wallet!r} has {available} unlocked units, needs {committed.units}"
-            )
+        window = proposal.voting_window
+        if not window.contains(now):
+            raise OutOfWindow(f"tick {now} is outside voting window [{window.start}, {window.end})")
+        self.ledger._append_canonical(self._cast_events(proposal, ballots, now))
 
-        book = self._votes[proposal.id]
-        prior = book.get(wallet)
-        # Same option: the hold (conviction's accrual) continues; a fresh vote or a switch restarts it.
-        cast_at = prior.cast_at if prior is not None and prior.option == option else now
-        book[wallet] = VoteRecord(
-            wallet=wallet, proposal=proposal.id, option=option, committed=committed, cast_at=cast_at
-        )
-        self._locks.setdefault(wallet, {})[proposal.id] = committed.units
-        self.ledger.append(_cast_json(proposal.id, wallet, option, committed, now))
+    def _cast_events(self, proposal: Proposal, ballots: Iterable, now: int):
+        """Check and record each ballot, yielding its cast event's text."""
+        pid, balances, all_locks = proposal.id, self.balances, self._locks
+        book = self._votes[pid]
+        lines: dict[str, Callable] = {}  # option -> _cast_template, built on its first ballot
+        for wallet, option, committed in ballots:
+            if type(wallet) is not WalletId:
+                wallet = WalletId(wallet)
+            if type(committed) is not TokenAmount:
+                raise GovernanceError(f"wallet {wallet!r} committed {committed!r}, not a TokenAmount")
+            if not (units := committed.units):
+                raise ZeroCommitment(f"wallet {wallet!r} committed zero tokens")
+            line = lines.get(option) if type(option) is str else None
+            if line is None:
+                if option not in proposal.options:
+                    raise GovernanceError(f"option {option!r} is not on proposal {pid!r}")
+                line = lines[option] = _cast_template(pid, option, now)
+            balance = balances.get(wallet)
+            if balance is None:
+                raise GovernanceError(f"unknown wallet {wallet!r}")
+            locks = all_locks.setdefault(wallet, {})
+            available = balance.units - sum(locks.values()) + locks.get(pid, 0)
+            if units > available:
+                raise InsufficientUnlockedTokens(f"wallet {wallet!r} has {available} unlocked units, needs {units}")
+            prior = book.get(wallet)
+            # Same option: the hold (conviction's accrual) continues; a fresh vote or a switch restarts it.
+            cast_at = prior.cast_at if prior is not None and prior.option == option else now
+            book[wallet] = _checked_vote(wallet, pid, option, committed, cast_at)
+            locks[pid] = units
+            yield line(units, wallet)
 
     def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
         """Tally after the voting window closes; locks release; phase goes terminal."""
@@ -356,80 +363,100 @@ class GovernanceEngine:
         return proposal
 
 
+def _field(event: dict, k: int, key: str, *kinds: type) -> Any:
+    """event[key] when its JSON type is one of kinds; otherwise a GovernanceError naming event k."""
+    value = event.get(key) if type(event) is dict else None
+    if type(value) not in kinds:
+        raise GovernanceError(f"event {k}: field {key!r} is missing or has the wrong JSON type")
+    return value
+
+
+def _submitted(event: dict, k: int) -> Proposal:
+    windows = [_field(event, k, key, list) for key in ("discussion_window", "voting_window")]
+    if any(len(w) != 2 for w in windows):
+        raise GovernanceError(f"event {k}: field 'discussion_window' or 'voting_window' is not [start, end]")
+    quorum = _field(event, k, "quorum", dict, type(None))
+    conviction = _field(event, k, "conviction", dict, type(None))
+    return Proposal(
+        id=ProposalId(_field(event, k, "proposal", str)),
+        options=tuple(_field(event, k, "options", list)),
+        discussion_window=Window(*windows[0]),
+        voting_window=Window(*windows[1]),
+        mechanism=Mechanism.parse(_field(event, k, "mechanism", str)),
+        quorum=QuorumConfig.from_json_obj(quorum) if quorum else None,
+        conviction=ConvictionParams.from_json_obj(conviction) if conviction else None,
+    )
+
+
+def _ballots(events: list, start: int, end: int):
+    for k in range(start, end):
+        committed = TokenAmount.parse(_field(events[k], k, "committed", str))
+        yield _field(events[k], k, "wallet", str), _field(events[k], k, "option", str), committed
+
+
 def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> GovernanceEngine:
     """Rebuild an engine by replaying a recorded event ledger.
 
-    The genesis event seeds balances; submit/phase/cast/finalize events are
-    re-applied in order, re-running the deterministic tally logic.  Every
-    event the engine re-derives must equal the recorded payload byte for
-    byte, and every recorded event must be re-derived; the first difference
-    raises GovernanceError naming its index.
+    The genesis event seeds balances; later events are re-applied in order, each
+    run of casts on one proposal at one tick as one cast_batch.  Every event the
+    engine re-derives must equal the recorded payload byte for byte, and every
+    recorded event must be re-derived; the first difference, or a field replay
+    reads that is missing or mistyped, raises GovernanceError naming its index.
     """
-    from .core import loads_canonical
-
     if not entries:
         raise GovernanceError("cannot replay an empty ledger")
     events = [loads_canonical(e.payload) for e in entries]
-    if events[0].get("event") != "genesis":
-        raise GovernanceError("ledger does not start with a genesis event")
     genesis = events[0]
+    if type(genesis) is not dict or genesis.get("event") != "genesis":
+        raise GovernanceError("ledger does not start with a genesis event")
 
     vf = vote_filter
-    if vf is None and genesis.get("identity"):
+    if vf is None and (identity := _field(genesis, 0, "identity", dict, type(None))):
         from .identity import IdentityRegistry, VotePolicy, filter_and_collapse
 
-        registry = IdentityRegistry.from_json_obj(genesis["identity"]["registry"])
-        policy = VotePolicy(genesis["identity"]["policy"])
+        registry = IdentityRegistry.from_json_obj(identity["registry"])
+        policy = VotePolicy(identity["policy"])
         vf = lambda votes: filter_and_collapse(votes, registry, policy)  # noqa: E731
 
     engine = GovernanceEngine(
-        balances={WalletId(w): TokenAmount.parse(b) for w, b in genesis["balances"].items()},
-        supply=TokenAmount.parse(genesis["supply"]),
-        wallet_universe_size=genesis["wallet_universe_size"],
+        balances={WalletId(w): TokenAmount.parse(b) for w, b in _field(genesis, 0, "balances", dict).items()},
+        supply=TokenAmount.parse(_field(genesis, 0, "supply", str)),
+        wallet_universe_size=_field(genesis, 0, "wallet_universe_size", int),
         vote_filter=vf,
         record_genesis=False,
     )
     derived = engine.ledger  # holds every event but genesis: event k is derived[k - 1]
     checked = 0
-    for event in events[1:]:
-        kind = event["event"]
-        if kind == "submit":
-            engine.submit(
-                Proposal(
-                    id=ProposalId(event["proposal"]),
-                    options=tuple(event["options"]),
-                    discussion_window=Window(*event["discussion_window"]),
-                    voting_window=Window(*event["voting_window"]),
-                    mechanism=Mechanism.parse(event["mechanism"]),
-                    quorum=QuorumConfig.from_json_obj(event["quorum"]) if event["quorum"] else None,
-                    conviction=(
-                        ConvictionParams.from_json_obj(event["conviction"])
-                        if event["conviction"]
-                        else None
-                    ),
-                ),
-                now=event["tick"],
-            )
-        elif kind == "phase":
-            engine.advance_to(event["tick"])
-        elif kind == "cast":
-            engine.cast(
-                ProposalId(event["proposal"]),
-                WalletId(event["wallet"]),
-                event["option"],
-                TokenAmount.parse(event["committed"]),
-                now=event["tick"],
-            )
-        elif kind == "finalize":
-            engine.finalize(ProposalId(event["proposal"]), now=event["tick"])
-        elif kind == "executed":
-            engine.mark_executed(ProposalId(event["proposal"]), now=event["tick"])
-        else:
-            raise GovernanceError(f"unknown event kind {kind!r}")
-        while checked < len(derived):
-            checked += 1
-            if checked >= len(entries) or derived[checked - 1].payload != entries[checked].payload:
-                raise GovernanceError(f"replay diverged at event {checked}: payload differs from the record")
+    k, n = 1, len(events)
+    while k < n:
+        event, start = events[k], k
+        k += 1
+        kind = _field(event, start, "event", str)
+        if kind not in ("submit", "phase", "cast", "finalize", "executed"):
+            raise GovernanceError(f"event {start}: unknown event kind {kind!r}")
+        tick = _field(event, start, "tick", int)
+        pid = _field(event, start, "proposal", str)
+        try:
+            if kind == "submit":
+                engine.submit(_submitted(event, start), now=tick)
+            elif kind == "phase":
+                engine.advance_to(tick)
+            elif kind == "cast":
+                while k < n and type(e := events[k]) is dict and (
+                    e.get("event") == "cast" and e.get("proposal") == pid and e.get("tick") == tick
+                ):
+                    k += 1
+                engine.cast_batch(pid, _ballots(events, start, k), tick)
+            elif kind == "finalize":
+                engine.finalize(pid, now=tick)
+            else:
+                engine.mark_executed(pid, now=tick)
+        finally:
+            # Runs when an operation fails too: an earlier divergence is the first fault.
+            while checked < len(derived):
+                checked += 1
+                if checked >= len(entries) or derived[checked - 1].payload != entries[checked].payload:
+                    raise GovernanceError(f"replay diverged at event {checked}: payload differs from the record")
     if checked != len(entries) - 1:
         raise GovernanceError(f"replay diverged at event {checked + 1}: recorded but not re-derived")
     return engine

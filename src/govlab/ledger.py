@@ -8,12 +8,12 @@ verify_chain pinpoints the first bad index.  Truncating the tail is NOT
 detectable from the file alone; publish the head hash out of band (the CLI
 prints it after every run) to pin the expected length.
 
-Per-event cost: append encodes the payload once and hashes it once.  Cast
-events arrive as text from core's cast template, which append stores without
-a re-check; other events are encoded by canonical_json, and a plain str is
-checked by a decode and re-encode.  dump_ndjson only escapes the four fields
-into a line; load_ndjson decodes each line once, and replay decodes each
-payload once more.
+Per-event cost: each payload is encoded once and hashed once.  A batch of cast
+events arrives as a stream of template texts that _append_canonical hashes and
+stores one at a time, unchecked and never listed; append encodes other events
+by canonical_json (a plain str is checked by a decode and re-encode) and hands
+the text to that method.  dump_ndjson only escapes the four fields into a line;
+load_ndjson decodes each line once, and replay decodes each payload once more.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Any, Iterable
 from .core import (
     CanonicalJsonError,
     GovlabError,
-    _CanonicalText,
     canonical_json,
     is_canonical_json,
     loads_canonical,
@@ -87,9 +86,7 @@ class Ledger:
 
     def append(self, payload: Any) -> LedgerEntry:
         """Append an event; payload may be a JSON-able object or canonical text."""
-        if type(payload) is _CanonicalText:  # canonical when it was built
-            text = str(payload)  # stored compact, as a plain str
-        elif isinstance(payload, str):
+        if isinstance(payload, str):
             if not is_canonical_json(payload):
                 raise LedgerError("payload text is not canonical JSON")
             text = payload
@@ -98,11 +95,16 @@ class Ledger:
                 text = canonical_json(payload)
             except CanonicalJsonError as exc:
                 raise LedgerError(f"payload is not canonical JSON: {exc}") from exc
-        index = len(self._entries)
+        self._append_canonical((text,))
+        return self._entries[-1]
+
+    def _append_canonical(self, texts: Iterable[str]) -> None:
+        """Append one entry per canonical JSON text, each stored before the next is drawn."""
+        entries = self._entries
         prev = self.head_hash()
-        entry = LedgerEntry(index=index, prev_hash=prev, payload=text, hash=entry_hash(index, prev, text))
-        self._entries.append(entry)
-        return entry
+        for index, text in enumerate(texts, len(entries)):
+            entries.append(LedgerEntry(index, prev, text, entry_hash(index, prev, text)))
+            prev = entries[-1].hash
 
 
 def verify_chain(entries: Iterable[LedgerEntry]) -> int | None:

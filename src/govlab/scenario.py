@@ -205,7 +205,7 @@ def parse_scenario(obj: Any) -> Scenario:
         errors.append("mechanism 'conviction' requires conviction params")
 
     total_units = sum(a.balance.units for a in agents)
-    if total_units > supply.units:
+    if supply_dec is not None and total_units > supply.units:
         errors.append(
             f"agent balances total {fmt_units(total_units)} exceeds supply {supply}"
         )
@@ -293,8 +293,8 @@ def _parse_proposals(value: Any, ticks: int, errors: list[str]) -> list[Proposal
         if (
             not isinstance(options, list)
             or len(options) < 2
-            or len(set(options)) != len(options)
             or any(not isinstance(o, str) or not o for o in options)
+            or len(set(options)) != len(options)
         ):
             errors.append(f"{label}: options must be two or more distinct nonempty labels")
             continue

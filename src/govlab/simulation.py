@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from decimal import Decimal
 from typing import Any, Callable, Sequence
 
@@ -230,8 +232,10 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
 
     The scenario compiles to tick -> (submits, casts, finalizes), casts agent-major,
     and only those ticks are visited.  Every voting-window start has an entry, so
-    its phase event keeps its tick.
+    its phase event keeps its tick.  A tick's consecutive casts on one proposal
+    are one cast_batch, its ballots generated as the engine draws them.
     """
+    balances, wallets_by_agent = setup.balances, setup.wallets_by_agent
     schedule: dict[int, tuple[list, list, list]] = {}
     for spec in scenario.proposals:
         schedule.setdefault(spec.discussion_window.start, ([], [], []))[0].append(spec)
@@ -248,10 +252,9 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
         for spec in submits:
             engine.submit(_engine_proposal(scenario, spec), now)
         engine.advance_to(now)
-        for agent, spec in casts:
-            option = agent.preference[0]
-            for wallet in setup.wallets_by_agent[agent.id]:
-                engine.cast(spec.id, wallet, option, setup.balances[wallet], now)
+        for spec, group in groupby(casts, key=itemgetter(1)):
+            ballots = ((w, a.preference[0], balances[w]) for a, _ in group for w in wallets_by_agent[a.id])
+            engine.cast_batch(spec.id, ballots, now)
         for spec in finalizes:
             engine.finalize(spec.id, now)
 

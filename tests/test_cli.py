@@ -120,6 +120,25 @@ class TestRunCommand:
         assert "mechanism" in captured.err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace('"options": ["option_a", "option_b"]', '"options": [{}, {}]'), "options must be"),
+            (lambda text: text.replace('"supply": "22100.000000000"', '"supply": 1e999999'), "supply: quantity exceeds"),
+        ],
+        ids=["unhashable-options", "huge-supply-number"],
+    )
+    def test_hostile_values_are_one_validation_error(self, scenario_path, tmp_path, capsys, edit, message):
+        text = scenario_path.read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")])
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == EXIT_VALIDATION
+        assert len(err_lines) == 1 and message in err_lines[0]
+        assert not (tmp_path / "r.json").exists()
+
     def test_ids_the_engine_would_reject_are_validation_errors(self, scenario_path, tmp_path, capsys):
         obj = json.loads(scenario_path.read_text())
         obj["proposals"][0]["id"] = "bad id!"

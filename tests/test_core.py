@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from govlab.core import (
@@ -23,7 +23,7 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
-    _cast_json,
+    _cast_template,
     canonical_json,
     div_units_half_even,
     fmt_units,
@@ -78,6 +78,14 @@ class TestParseUnits:
         assert parse_units(Decimal(MAX_UNITS).scaleb(-9)) == MAX_UNITS
         with pytest.raises(FixedPointOverflow):
             parse_units(Decimal(MAX_UNITS + 1).scaleb(-9))
+
+    def test_exponents_past_the_decimal_context_are_rejected(self):
+        """JSON number literals such as 1e999999 reach parse_units as Decimals."""
+        with pytest.raises(FixedPointOverflow):
+            parse_units(Decimal("1e999999"))
+        with pytest.raises(FixedPointError, match="fractional digits"):
+            parse_units(Decimal("1e-99999999"))  # underflows to zero unless caught
+        assert parse_units(Decimal("0e-99999999")) == 0
 
     def _check_against_decimal(self, text):
         want = parse_units_ref(text)
@@ -276,6 +284,23 @@ class TestVoteRecord:
         with pytest.raises(GovlabError, match="cast_at"):
             self._record(cast_at=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("wallet", "no spaces", "WalletId must match"),
+            ("proposal", "", "ProposalId must match"),
+            ("option", "", "option label"),
+            ("option", 3, "option label"),
+            ("committed", VotingPower.parse(10), "TokenAmount"),
+            ("cast_at", True, "cast_at"),
+            ("cast_at", "3", "cast_at"),
+        ],
+        ids=["wallet", "proposal", "empty-option", "non-str-option", "committed-type", "bool-tick", "str-tick"],
+    )
+    def test_each_field_is_checked(self, field, value, message):
+        with pytest.raises(GovlabError, match=message):
+            self._record(**{field: value})
+
 
 class TestOutcomes:
     def test_winner_tie_quorum_round_trip(self):
@@ -415,6 +440,11 @@ _label_st = st.lists(
 ).map("".join).filter(bool)
 
 
+def _cast_json(proposal, wallet, option, committed, tick):
+    """One cast event's text, as GovernanceEngine.cast_batch writes it."""
+    return _cast_template(proposal, option, tick)(committed.units, wallet)
+
+
 class TestCastTemplate:
     """The cast event is written from a template; canonical_json of its dict form is the oracle."""
 
@@ -424,6 +454,9 @@ class TestCastTemplate:
         option=_label_st,
         committed=st.integers(min_value=1, max_value=MAX_UNITS).map(TokenAmount.from_units),
         tick=st.integers(min_value=0, max_value=10**12),
+    )
+    @example(  # the template is %-formatted, so a label's own % signs must survive it
+        proposal=ProposalId("p"), wallet=WalletId("w"), option="100% %d %s", committed=TokenAmount.parse("0.5"), tick=0
     )
     @settings(max_examples=300)
     def test_matches_canonical_json(self, proposal, wallet, option, committed, tick):

@@ -43,6 +43,11 @@ def _engine(balances=None, supply=1000):
     )
 
 
+def _locked_units(engine, wallet):
+    """Units of `wallet` locked across live proposals, read from the engine's lock table."""
+    return sum(engine._locks.get(WalletId(wallet), {}).values())
+
+
 def _proposal(pid="p1", options=("approve", "reject"), discussion=(0, 5), voting=(5, 10), **kw):
     return Proposal(
         id=ProposalId(pid),
@@ -278,7 +283,7 @@ class TestTokenLocks:
         engine = self._two_live_proposals()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(80), 5)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 6)
-        assert engine.locked_units(WalletId("alice")) == 100 * 10**9
+        assert _locked_units(engine, "alice") == 100 * 10**9
 
     def test_finalize_releases_locks(self):
         engine = _engine()
@@ -286,7 +291,7 @@ class TestTokenLocks:
         engine.submit(_proposal(pid="p2", discussion=(0, 5), voting=(5, 20)), 0)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.finalize("p1", 10)
-        assert engine.locked_units(WalletId("alice")) == 0
+        assert _locked_units(engine, "alice") == 0
         engine.cast("p2", WalletId("alice"), "approve", TokenAmount.parse(100), 10)
 
     def test_balances_bound_the_supply(self):
@@ -313,7 +318,113 @@ class TestTokenLocks:
             except InsufficientUnlockedTokens:
                 pass
             for w, balance in balances.items():
-                assert engine.locked_units(WalletId(w)) <= balance
+                assert _locked_units(engine, w) <= balance
+
+
+class TestCastBatch:
+    """A batch equals a loop of single casts, up to and including the ballot that fails."""
+
+    BALANCES = {"alice": 100, "bob": 50, "carol": 25, "dave": 10}
+
+    def _engines(self, n=2):
+        engines = []
+        for _ in range(n):
+            engine = _engine(balances=self.BALANCES)
+            engine.submit(_proposal(pid="p1", voting=(5, 20)), 0)
+            engine.submit(_proposal(pid="p2", voting=(5, 20)), 0)
+            engine.cast("p2", WalletId("bob"), "reject", TokenAmount.parse(30), 5)  # a lock on another proposal
+            engines.append(engine)
+        return engines
+
+    @staticmethod
+    def _ballot(wallet, option, tokens):
+        return WalletId(wallet), option, TokenAmount.from_units(tokens * 10**9 // 4)
+
+    def _compare(self, ballots, tick=6):
+        """Cast as one batch, as single casts, and as single casts of only the ballots before the first failure."""
+        batched, single, prefix = self._engines(3)
+        errors = []
+        try:
+            batched.cast_batch("p1", iter(ballots), tick)
+            errors.append(None)
+        except GovernanceError as exc:
+            errors.append(type(exc))
+        done = 0
+        try:
+            for wallet, option, committed in ballots:
+                single.cast("p1", wallet, option, committed, tick)
+                done += 1
+            errors.append(None)
+        except GovernanceError as exc:
+            errors.append(type(exc))
+        for wallet, option, committed in ballots[:done]:
+            prefix.cast("p1", wallet, option, committed, tick)
+        assert errors[0] is errors[1]
+        for other in (single, prefix):
+            assert batched.ledger.entries == other.ledger.entries
+            assert batched._votes == other._votes
+            for wallet in self.BALANCES:
+                assert _locked_units(batched, wallet) == _locked_units(other, wallet)
+        for engine in (batched, single):
+            engine.finalize("p1", 20)
+        assert batched.counted_votes == single.counted_votes
+        assert batched.ledger.entries == single.ledger.entries
+        return errors[0], batched
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["alice", "bob", "carol", "dave", "mallory"]),
+                st.sampled_from(["approve", "reject", "abstain"]),
+                st.integers(min_value=0, max_value=420),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150)
+    def test_any_batch_matches_single_casts(self, ballots):
+        self._compare([self._ballot(*b) for b in ballots])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (("carol", "approve", 0), ZeroCommitment),
+            (("mallory", "approve", 4), GovernanceError),
+            (("bob", "approve", 84), InsufficientUnlockedTokens),  # 21 tokens; 30 of bob's 50 are locked on p2
+            (("carol", "abstain", 4), GovernanceError),
+            (("alice", "reject", 40), None),  # a repeated wallet recasts, as a single cast would
+        ],
+    )
+    def test_a_ballot_failing_mid_batch_leaves_the_ballots_before_it(self, bad, error):
+        ballots = [self._ballot("alice", "approve", 400), self._ballot("dave", "reject", 40), self._ballot(*bad)]
+        ballots.append(self._ballot("carol", "approve", 100))
+        raised, batched = self._compare(ballots)
+        assert raised is error
+        casts = [loads_canonical(e.payload) for e in batched.ledger if '"event":"cast"' in e.payload]
+        expected = ["alice", "dave"] if error else ["alice", "dave", "alice", "carol"]
+        assert [c["wallet"] for c in casts if c["proposal"] == "p1"] == expected
+
+    def test_ballots_after_a_failure_are_never_drawn(self):
+        engine = self._engines(1)[0]
+        drawn = []
+
+        def ballots():
+            for ballot in [self._ballot("alice", "approve", 4), self._ballot("carol", "approve", 0)]:
+                drawn.append(ballot[0])
+                yield ballot
+            drawn.append("past the failure")
+
+        with pytest.raises(ZeroCommitment):
+            engine.cast_batch("p1", ballots(), 6)
+        assert drawn == ["alice", "carol"]
+
+    def test_batch_checks_run_even_for_an_empty_batch(self):
+        engine = self._engines(1)[0]
+        with pytest.raises(GovernanceError, match="unknown proposal"):
+            engine.cast_batch("p9", [], 6)
+        with pytest.raises(OutOfWindow):
+            engine.cast_batch("p1", [], 20)
+        assert engine.ledger[-1].payload.startswith('{"committed"')  # nothing appended for the empty batches
 
 
 class TestConvictionGovernance:
@@ -538,6 +649,87 @@ class TestReplay:
         assert [c["option"] for c in casts] == labels
         replayed = replay(recorded)
         assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded[1:]]
+
+    @staticmethod
+    def _rechained(payloads):
+        ledger = Ledger()
+        for payload in payloads:
+            ledger.append(payload)
+        assert verify_chain(ledger.entries) is None
+        return ledger.entries
+
+    def _one_tick_casts(self):
+        engine = _engine()
+        engine.submit(_proposal(), 0)
+        engine.cast_batch(
+            "p1",
+            [
+                (WalletId("alice"), "approve", TokenAmount.parse(100)),
+                (WalletId("bob"), "reject", TokenAmount.parse(50)),
+                (WalletId("carol"), "reject", TokenAmount.parse(25)),
+            ],
+            5,
+        )
+        engine.finalize("p1", 10)
+        return [loads_canonical(e.payload) for e in engine.ledger]
+
+    def test_replay_re_derives_a_batch_as_one_group(self):
+        events = self._one_tick_casts()
+        assert [e["event"] for e in events].count("cast") == 3
+        replayed = replay(self._rechained(events))
+        assert replayed.proposals[ProposalId("p1")].phase is Phase.PASSED
+
+    def test_divergence_before_a_failing_cast_in_one_group_is_reported_first(self):
+        events = self._one_tick_casts()
+        k = next(i for i, e in enumerate(events) if e.get("wallet") == "alice")
+        assert events[k + 1]["wallet"] == "bob"
+        events[k]["committed"] = "1.5"  # parses as 1.500000000: a non-canonical record
+        events[k + 1]["committed"] = "60.000000000"  # bob holds 50: this cast fails
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
+            replay(self._rechained(events))
+
+    def test_a_failing_cast_mid_group_raises_its_own_error(self):
+        events = self._one_tick_casts()
+        k = next(i for i, e in enumerate(events) if e.get("wallet") == "bob")
+        events[k]["committed"] = "60.000000000"
+        with pytest.raises(InsufficientUnlockedTokens):
+            replay(self._rechained(events))
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("cast", "tick", None),
+            ("cast", "tick", True),
+            ("cast", "wallet", 7),
+            ("cast", "option", None),
+            ("cast", "committed", 5),
+            ("cast", "proposal", None),
+            ("submit", "voting_window", [5]),
+            ("submit", "options", "approve"),
+            ("submit", "quorum", []),
+            ("phase", "tick", "5"),
+            ("finalize", "proposal", None),
+            ("executed", "tick", None),
+            ("genesis", "balances", []),
+            ("genesis", "wallet_universe_size", None),
+            ("submit", "event", None),
+        ],
+    )
+    def test_a_missing_or_mistyped_field_names_its_event(self, kind, field, value):
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        k = next(i for i, e in enumerate(events) if e["event"] == kind)
+        if value is None:
+            del events[k][field]
+        else:
+            events[k][field] = value
+        with pytest.raises(GovernanceError, match=f"event {k}: field .*{field!r}"):
+            replay(self._rechained(events))
+
+    def test_a_non_object_event_names_its_index(self):
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        events[3] = ["cast"]
+        with pytest.raises(GovernanceError, match="event 3: field 'event'"):
+            replay(self._rechained(events))
 
 
 class TestPhaseEdgeSet:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import ProposalId, TokenAmount, WalletId, _cast_json, canonical_json
+from govlab.core import ProposalId, WalletId, _cast_template, canonical_json
 from govlab.ledger import (
     GENESIS_PREV_HASH,
     Ledger,
@@ -97,10 +97,23 @@ class TestAppend:
             ledger.append('{"a": 1}')  # spaces are not canonical
 
     def test_template_text_is_stored_as_a_plain_str(self):
-        text = _cast_json(ProposalId("p1"), WalletId("w"), "yes", TokenAmount.parse(2), 7)
-        entry = Ledger().append(text)
-        assert type(entry.payload) is str
-        assert entry.payload == text
+        line = _cast_template(ProposalId("p1"), "yes", 7)
+        texts = [line(2 * 10**9, WalletId(w)) for w in ("w", "v")]
+        ledger = Ledger()
+        ledger._append_canonical(iter(texts))
+        assert [type(e.payload) for e in ledger] == [str, str]
+        assert [e.payload for e in ledger] == texts
+        assert verify_chain(ledger.entries) is None
+
+    def test_a_stream_appends_like_single_appends_up_to_its_failure(self):
+        def texts():
+            yield from _payloads(3)
+            raise LedgerError("stop")
+
+        ledger = Ledger()
+        with pytest.raises(LedgerError, match="stop"):
+            ledger._append_canonical(texts())
+        assert ledger.entries == _chain(3).entries
 
     def test_append_rejects_floats(self):
         ledger = Ledger()

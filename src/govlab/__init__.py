@@ -6,6 +6,8 @@ lifecycle engine writing a hash-chained audit ledger; and a scenario-driven
 simulation harness whose runs are reproducible byte for byte.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     GovlabError,
     IdentityId,
@@ -60,64 +62,5 @@ from .sybil import SybilReport, best_split, split_uniform, sybil_gain
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentKind",
-    "AgentSpec",
-    "ConvictionParams",
-    "FilterReport",
-    "GovernanceEngine",
-    "GovlabError",
-    "IdentityClaim",
-    "IdentityId",
-    "IdentityRegistry",
-    "IiaWitness",
-    "InstanceTooLarge",
-    "Ledger",
-    "LedgerEntry",
-    "Mechanism",
-    "Phase",
-    "Proposal",
-    "ProposalId",
-    "ProviderParams",
-    "QuorumBasis",
-    "QuorumConfig",
-    "RegistryMode",
-    "RejectionReason",
-    "RunResult",
-    "Scenario",
-    "ScenarioValidationError",
-    "SimulatedProvider",
-    "SybilReport",
-    "TallyOutcome",
-    "TallyResult",
-    "TokenAmount",
-    "VerificationOutcome",
-    "VoteRecord",
-    "VotePolicy",
-    "VotingPower",
-    "WalletId",
-    "Window",
-    "best_split",
-    "canonical_json",
-    "compare_mechanisms",
-    "conviction_power",
-    "dictator_probe",
-    "filter_and_collapse",
-    "gini",
-    "iia_probe",
-    "load_preset",
-    "load_scenario",
-    "loads_scenario",
-    "min_controlling_set",
-    "power_quadratic",
-    "power_sum",
-    "power_token",
-    "preset_names",
-    "replay",
-    "run",
-    "split_uniform",
-    "sybil_gain",
-    "tally",
-    "verify_chain",
-    "vote_power",
-]
+# Every public name imported above; the submodules (govlab.core, ...) are not listed.
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

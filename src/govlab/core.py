@@ -15,8 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 NANO_DIGITS = 9
 NANO = 10**NANO_DIGITS
@@ -42,6 +41,10 @@ class FixedPointOverflow(FixedPointError):
 
 class CanonicalJsonError(GovlabError):
     """Value cannot be rendered as (or is not) canonical JSON."""
+
+
+class GovernanceError(GovlabError):
+    """Base for lifecycle violations, and for a ledger event that replay cannot read."""
 
 
 def fmt_units(units: int) -> str:
@@ -391,19 +394,13 @@ def canonical_json(value: Any) -> str:
     return _ENCODER.encode(_canonical_value(value))
 
 
-def _cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int, WalletId], str]:
-    """Cast events on one proposal, option and tick: line(units, wallet) is canonical_json of the
-    event's dict.  Only the option needs escaping; ids and the amount's digits never do.
-    """
-    option = _quote(option).replace("%", "%%")
-    fixed = f'"event":"cast","option":{option},"proposal":"{proposal}","tick":{tick}'
-    template = f'{{"committed":"%d.%09d",{fixed},"wallet":"%s"}}'
-    return lambda units, wallet: template % (units // NANO, units % NANO, wallet)
-
-
 def _reject_float(text: str) -> Any:
     raise CanonicalJsonError(f"float literal {text!r} is not canonical JSON")
 
+
+# What json raises on bad text: JSONDecodeError (a ValueError), the ValueError of an
+# integer literal past int()'s digit limit, and RecursionError from deep nesting.
+JSON_FAULTS = (ValueError, RecursionError)
 
 # Built once: json.loads(text, parse_float=...) would build a decoder per call.
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
@@ -415,13 +412,6 @@ def loads_canonical(text: str) -> Any:
         raise CanonicalJsonError(f"canonical JSON is text, not {type(text).__name__}")
     try:
         return _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
+    except JSON_FAULTS as exc:
         raise CanonicalJsonError(f"malformed JSON: {exc}") from exc
 
-
-def is_canonical_json(text: str) -> bool:
-    """True iff text is byte-identical to its canonical re-serialization."""
-    try:
-        return canonical_json(loads_canonical(text)) == text
-    except GovlabError:
-        return False

@@ -1,0 +1,189 @@
+"""Ledger events: one encoder per event kind and one decoder for them all.
+
+This is the only module that knows the event format.  An event is a JSON
+object whose "event" field names its kind; _KINDS below lists every other
+field and its JSON type.  The genesis context (scenario, mechanism, identity)
+and finalize's filter lists (dropped_unverified, equivocating_identities) may
+be absent; every other field is required and no other field is allowed.
+
+Canonical form.  A payload, the bytes the ledger hashes, is written as:
+  - no whitespace: "," between members and elements, ":" after a key;
+  - object keys sorted by code point;
+  - strings in ASCII, as json.encoder.encode_basestring_ascii escapes them:
+    '"' and '\\' by a backslash, \\b \\f \\n \\r \\t as such, every other character
+    outside 0x20-0x7e as \\uXXXX in lowercase hex (a UTF-16 surrogate pair for
+    one past U+FFFF);
+  - integers in decimal, "-" for a negative sign, no leading zeros;
+  - amounts and powers as strings: the whole part in decimal without leading
+    zeros, ".", then exactly nine fractional digits.  A submit event's quorum
+    threshold and decay rate are str() of a Decimal with nine fractional
+    digits, which is that form except below 10^-6 ("5.00E-7", "0E-9");
+  - true, false and null as literals; no floats, NaN or Infinity.
+RFC 8785 (the JSON Canonicalization Scheme) differs in three places: it writes
+non-ASCII and DEL (0x7f) raw in UTF-8, it sorts keys by UTF-16 code unit, which
+orders characters past U+FFFF differently, and its numbers are IEEE doubles.
+
+Every kind but cast is encoded by canonical_json.  A cast, the one event a
+run has thousands of, fills a template built once per proposal, option and
+tick, whose bytes equal canonical_json of the event's dict.
+
+decode checks the key set and the JSON type of every field, nested ones
+included.  A missing or mistyped field raises GovernanceError("event k:
+field ..."); an unknown field means the record is not what the engine
+writes, so it raises "replay diverged at event k".  Values are left to
+replay, which re-derives every event and compares the bytes.
+"""
+
+from __future__ import annotations
+
+import re
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable
+
+from .core import NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, loads_canonical
+from .identity import RegistryMode, VotePolicy
+from .mechanisms import QuorumBasis
+
+GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
+
+
+def genesis(supply: TokenAmount, balances: dict, wallet_universe_size: int, context: dict | None) -> str:
+    if context and (unknown := context.keys() - GENESIS_CONTEXT):
+        raise GovernanceError(f"genesis context has unknown keys {sorted(unknown)}")
+    return canonical_json({
+        "event": "genesis",
+        "supply": str(supply),
+        "balances": {str(w): str(b) for w, b in sorted(balances.items())},
+        "wallet_universe_size": wallet_universe_size,
+        **(context or {}),
+    })
+
+
+def submit(proposal, tick: int) -> str:
+    return canonical_json({
+        "event": "submit",
+        "proposal": str(proposal.id),
+        "options": list(proposal.options),
+        "discussion_window": [proposal.discussion_window.start, proposal.discussion_window.end],
+        "voting_window": [proposal.voting_window.start, proposal.voting_window.end],
+        "mechanism": proposal.mechanism.value,
+        "quorum": proposal.quorum.to_json_obj() if proposal.quorum else None,
+        "conviction": proposal.conviction.to_json_obj() if proposal.conviction else None,
+        "tick": tick,
+    })
+
+
+def phase(proposal: ProposalId, tick: int) -> str:
+    """The one phase change the engine records: discussion to voting."""
+    event = {"event": "phase", "proposal": str(proposal), "from": "discussion", "to": "voting", "tick": tick}
+    return canonical_json(event)
+
+
+def cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int, str], str]:
+    """line(units, wallet) is a cast's text; only the option needs escaping, never ids or digits."""
+    option = _quote(option).replace("%", "%%")
+    fixed = f'"event":"cast","option":{option},"proposal":"{proposal}","tick":{tick}'
+    template = f'{{"committed":"%d.%09d",{fixed},"wallet":"%s"}}'
+    return lambda units, wallet: template % (units // NANO, units % NANO, wallet)
+
+
+def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick: int, report=None) -> str:
+    """report is the vote filter's FilterReport, or None when the engine has no filter."""
+    tally = result.to_json_obj()
+    event = {"event": "finalize", "proposal": str(proposal), "phase": outcome_phase, "tally": tally, "tick": tick}
+    if report is not None:
+        event["dropped_unverified"] = [str(w) for w in report.dropped_unverified]
+        event["equivocating_identities"] = [str(i) for i in report.equivocating_identities]
+    return canonical_json(event)
+
+
+def executed(proposal: ProposalId, tick: int) -> str:
+    return canonical_json({"event": "executed", "proposal": str(proposal), "tick": tick})
+
+
+# A field's spec: a JSON type; a frozenset of the strings allowed; a pattern the
+# string matches; [spec] for an array of any length, [spec, spec] for a pair;
+# {key: spec} for an object with those keys, {str: spec} for any keys; and
+# (None, spec) for null or spec.
+_FRACTION = re.compile(r"[0-9]+\.[0-9]{9}|[0-9](\.[0-9]{1,2})?E-[789]")  # a str(Decimal) that Decimal() reads
+_IDENTITY = {
+    "policy": frozenset(p.value for p in VotePolicy),
+    "registry": {"mode": frozenset(m.value for m in RegistryMode), "bindings": [{"identity": str, "wallets": [str]}]},
+}
+_KINDS: dict[str, dict] = {
+    "genesis": {
+        "event": str, "supply": str, "balances": {str: str}, "wallet_universe_size": int,
+        "scenario": str, "mechanism": str, "identity": (None, _IDENTITY),
+    },
+    "submit": {
+        "event": str, "proposal": str, "options": [str], "discussion_window": [int, int], "voting_window": [int, int],
+        "mechanism": str, "tick": int,
+        "quorum": (None, {"basis": frozenset(b.value for b in QuorumBasis), "threshold": _FRACTION}),
+        "conviction": (None, {"decay_rate": _FRACTION}),
+    },
+    "phase": {"event": str, "proposal": str, "from": str, "to": str, "tick": int},
+    "cast": {"event": str, "proposal": str, "option": str, "wallet": str, "committed": str, "tick": int},
+    "finalize": {
+        "event": str, "proposal": str, "phase": str, "tick": int,
+        "tally": {"per_option_power": {str: str}, "participating_tokens": str, "outcome": dict},
+        "dropped_unverified": [str], "equivocating_identities": [str],
+    },
+    "executed": {"event": str, "proposal": str, "tick": int},
+}
+_OPTIONAL = {"genesis": GENESIS_CONTEXT, "finalize": frozenset({"dropped_unverified", "equivocating_identities"})}
+_CAST_KEYS = _KINDS["cast"].keys()
+_MISSING = object()
+
+
+def decode(k: int, text: str) -> dict[str, Any]:
+    """Event k of a ledger: its payload text parsed and checked against its kind's fields."""
+    event = loads_canonical(text)
+    kind = event.get("event") if type(event) is dict else None
+    # A cast takes one key-set compare and five type checks, no walk of the table.
+    if kind == "cast" and event.keys() == _CAST_KEYS and type(event["tick"]) is int and (
+        type(event["proposal"]) is type(event["option"]) is type(event["wallet"]) is type(event["committed"]) is str
+    ):
+        return event
+    if type(kind) is not str:
+        raise GovernanceError(f"event {k}: field 'event' is missing or has the wrong JSON type")
+    if kind not in _KINDS:
+        raise GovernanceError(f"event {k}: unknown event kind {kind!r}")
+    _check(event, _KINDS[kind], k, "", _OPTIONAL.get(kind, ()))
+    return event
+
+
+def _check(value: Any, spec: Any, k: int, path: str, optional=()) -> None:
+    """Raise GovernanceError naming event k and the field at path unless value matches spec."""
+    if type(spec) is tuple:
+        if value is None:
+            return
+        spec = spec[1]
+    kind = type(spec)
+    if kind is type:
+        ok = type(value) is spec
+    elif kind is frozenset:
+        ok = type(value) is str and value in spec
+    elif kind is re.Pattern:
+        ok = type(value) is str and spec.fullmatch(value) is not None
+    else:  # an object, or an array: [spec] of any length, [spec, spec] of two
+        ok = type(value) is kind and (kind is dict or len(spec) in (1, len(value)))
+    if not ok:
+        raise GovernanceError(f"event {k}: field {path!r} is missing or has the wrong JSON type")
+    # Genesis has a balance and a bound wallet per wallet: plain items are scanned without a call each.
+    if kind is list:
+        if len(spec) == 1 and type(spec[0]) is type and all(type(item) is spec[0] for item in value):
+            return
+        for i, item in enumerate(value):
+            _check(item, spec[min(i, len(spec) - 1)], k, f"{path}.{i}")
+    elif kind is dict and str in spec:
+        if type(spec[str]) is type and all(type(item) is spec[str] for item in value.values()):
+            return
+        for key, item in value.items():
+            _check(item, spec[str], k, f"{path}.{key}")
+    elif kind is dict:
+        prefix = f"{path}." if path else ""
+        for key, item_spec in spec.items():
+            if key not in optional or key in value:
+                _check(value.get(key, _MISSING), item_spec, k, prefix + key)
+        if unknown := sorted(value.keys() - spec.keys()):
+            raise GovernanceError(f"replay diverged at event {k}: field {prefix + unknown[0]!r} is not an event field")

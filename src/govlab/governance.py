@@ -3,8 +3,9 @@
 The engine owns wallet balances, per-proposal vote books, and token locks;
 committed tokens stay locked for the proposal's voting window, so a wallet
 cannot commit the same tokens to two concurrent proposals.  Every state
-change appends exactly one event to the hash-chained ledger, and replaying
-that event log through a fresh engine reproduces identical terminal states.
+change appends exactly one event, encoded by govlab.events, to the
+hash-chained ledger, and replaying that event log through a fresh engine
+re-derives every event, genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
 once per option; each ballot is checked, recorded and appended before the next
@@ -19,28 +20,25 @@ winner.  Ties (including the no-votes case) reject; the status quo wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
+from . import events
 from .core import (
-    GovlabError,
+    GovernanceError,
     OutcomeKind,
     ProposalId,
     TallyResult,
     TokenAmount,
     VoteRecord,
     WalletId,
-    _cast_template,
     _check_option,
     _checked_vote,
-    loads_canonical,
 )
+from .identity import IdentityRegistry, VotePolicy, filter_and_collapse
 from .ledger import Ledger
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
-
-
-class GovernanceError(GovlabError):
-    """Base for lifecycle violations."""
 
 
 class PhaseError(GovernanceError):
@@ -141,7 +139,8 @@ class GovernanceEngine:
 
     vote_filter, when given, is applied to the live vote set at finalize
     (identity.filter_and_collapse is the intended plug-in); it must return
-    an object with a .votes attribute.
+    an object with a .votes attribute.  genesis_context is recorded in the
+    genesis event; its keys must be among events.GENESIS_CONTEXT.
     """
 
     def __init__(
@@ -150,10 +149,8 @@ class GovernanceEngine:
         balances: dict[WalletId, TokenAmount],
         supply: TokenAmount,
         wallet_universe_size: int | None = None,
-        ledger: Ledger | None = None,
         vote_filter: VoteFilter | None = None,
         genesis_context: dict[str, Any] | None = None,
-        record_genesis: bool = True,
     ):
         self.balances = {WalletId(w): b for w, b in balances.items()}
         held = sum(b.units for b in self.balances.values())
@@ -163,7 +160,7 @@ class GovernanceEngine:
         self.wallet_universe_size = (
             wallet_universe_size if wallet_universe_size is not None else len(self.balances)
         )
-        self.ledger = ledger if ledger is not None else Ledger()
+        self.ledger = Ledger()
         self.vote_filter = vote_filter
         self.proposals: dict[ProposalId, Proposal] = {}
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
@@ -171,16 +168,7 @@ class GovernanceEngine:
         self.results: dict[ProposalId, TallyResult] = {}
         self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
         self._now = 0
-        if record_genesis:
-            payload: dict[str, Any] = {
-                "event": "genesis",
-                "supply": str(self.supply),
-                "balances": {str(w): str(b) for w, b in sorted(self.balances.items())},
-                "wallet_universe_size": self.wallet_universe_size,
-            }
-            if genesis_context:
-                payload.update(genesis_context)
-            self.ledger.append(payload)
+        self.ledger.append(events.genesis(self.supply, self.balances, self.wallet_universe_size, genesis_context))
 
     # -- clock ------------------------------------------------------------
 
@@ -197,15 +185,7 @@ class GovernanceEngine:
         for proposal in self.proposals.values():
             if proposal.phase is Phase.DISCUSSION and now >= proposal.voting_window.start:
                 proposal.phase = Phase.VOTING
-                self.ledger.append(
-                    {
-                        "event": "phase",
-                        "proposal": str(proposal.id),
-                        "from": Phase.DISCUSSION.value,
-                        "to": Phase.VOTING.value,
-                        "tick": now,
-                    }
-                )
+                self.ledger.append(events.phase(proposal.id, now))
 
     # -- operations -------------------------------------------------------
 
@@ -224,18 +204,7 @@ class GovernanceEngine:
         proposal.phase = Phase.DISCUSSION
         self.proposals[proposal.id] = proposal
         self._votes[proposal.id] = {}
-        payload: dict[str, Any] = {
-            "event": "submit",
-            "proposal": str(proposal.id),
-            "options": list(proposal.options),
-            "discussion_window": [proposal.discussion_window.start, proposal.discussion_window.end],
-            "voting_window": [proposal.voting_window.start, proposal.voting_window.end],
-            "mechanism": proposal.mechanism.value,
-            "quorum": proposal.quorum.to_json_obj() if proposal.quorum else None,
-            "conviction": proposal.conviction.to_json_obj() if proposal.conviction else None,
-            "tick": now,
-        }
-        self.ledger.append(payload)
+        self.ledger.append(events.submit(proposal, now))
         self.advance_to(now)
 
     def cast(
@@ -259,7 +228,7 @@ class GovernanceEngine:
         """Check and record each ballot, yielding its cast event's text."""
         pid, balances, all_locks = proposal.id, self.balances, self._locks
         book = self._votes[pid]
-        lines: dict[str, Callable] = {}  # option -> _cast_template, built on its first ballot
+        lines: dict[str, Callable] = {}  # option -> events.cast_template, built on its first ballot
         for wallet, option, committed in ballots:
             if type(wallet) is not WalletId:
                 wallet = WalletId(wallet)
@@ -271,7 +240,7 @@ class GovernanceEngine:
             if line is None:
                 if option not in proposal.options:
                     raise GovernanceError(f"option {option!r} is not on proposal {pid!r}")
-                line = lines[option] = _cast_template(pid, option, now)
+                line = lines[option] = events.cast_template(pid, option, now)
             balance = balances.get(wallet)
             if balance is None:
                 raise GovernanceError(f"unknown wallet {wallet!r}")
@@ -330,19 +299,7 @@ class GovernanceEngine:
 
         self.results[proposal.id] = result
         self.counted_votes[proposal.id] = tuple(votes)
-        payload: dict[str, Any] = {
-            "event": "finalize",
-            "proposal": str(proposal.id),
-            "phase": proposal.phase.value,
-            "tally": result.to_json_obj(),
-            "tick": now,
-        }
-        if filter_report is not None:
-            payload["dropped_unverified"] = [str(w) for w in filter_report.dropped_unverified]
-            payload["equivocating_identities"] = [
-                str(i) for i in filter_report.equivocating_identities
-            ]
-        self.ledger.append(payload)
+        self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, filter_report))
         return result
 
     def mark_executed(self, proposal_id: ProposalId, now: int) -> None:
@@ -352,9 +309,7 @@ class GovernanceEngine:
         if proposal.phase is not Phase.PASSED:
             raise PhaseError(f"proposal {proposal.id!r} has not passed")
         proposal.phase = Phase.EXECUTED
-        self.ledger.append(
-            {"event": "executed", "proposal": str(proposal.id), "tick": now}
-        )
+        self.ledger.append(events.executed(proposal.id, now))
 
     def _get(self, proposal_id: ProposalId) -> Proposal:
         proposal = self.proposals.get(ProposalId(proposal_id))
@@ -363,100 +318,82 @@ class GovernanceEngine:
         return proposal
 
 
-def _field(event: dict, k: int, key: str, *kinds: type) -> Any:
-    """event[key] when its JSON type is one of kinds; otherwise a GovernanceError naming event k."""
-    value = event.get(key) if type(event) is dict else None
-    if type(value) not in kinds:
-        raise GovernanceError(f"event {k}: field {key!r} is missing or has the wrong JSON type")
-    return value
-
-
-def _submitted(event: dict, k: int) -> Proposal:
-    windows = [_field(event, k, key, list) for key in ("discussion_window", "voting_window")]
-    if any(len(w) != 2 for w in windows):
-        raise GovernanceError(f"event {k}: field 'discussion_window' or 'voting_window' is not [start, end]")
-    quorum = _field(event, k, "quorum", dict, type(None))
-    conviction = _field(event, k, "conviction", dict, type(None))
-    return Proposal(
-        id=ProposalId(_field(event, k, "proposal", str)),
-        options=tuple(_field(event, k, "options", list)),
-        discussion_window=Window(*windows[0]),
-        voting_window=Window(*windows[1]),
-        mechanism=Mechanism.parse(_field(event, k, "mechanism", str)),
-        quorum=QuorumConfig.from_json_obj(quorum) if quorum else None,
-        conviction=ConvictionParams.from_json_obj(conviction) if conviction else None,
-    )
-
-
-def _ballots(events: list, start: int, end: int):
-    for k in range(start, end):
-        committed = TokenAmount.parse(_field(events[k], k, "committed", str))
-        yield _field(events[k], k, "wallet", str), _field(events[k], k, "option", str), committed
 
 
 def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> GovernanceEngine:
     """Rebuild an engine by replaying a recorded event ledger.
 
-    The genesis event seeds balances; later events are re-applied in order, each
-    run of casts on one proposal at one tick as one cast_batch.  Every event the
-    engine re-derives must equal the recorded payload byte for byte, and every
-    recorded event must be re-derived; the first difference, or a field replay
-    reads that is missing or mistyped, raises GovernanceError naming its index.
+    Every payload is first decoded and checked by events.decode.  The genesis
+    event then seeds a fresh engine, which re-derives genesis itself, and later
+    events are re-applied in order, each run of casts on one proposal at one
+    tick as one cast_batch.  Every event the engine derives must equal the
+    recorded payload byte for byte, and every recorded event must be derived;
+    the first difference raises GovernanceError naming its index.
     """
     if not entries:
         raise GovernanceError("cannot replay an empty ledger")
-    events = [loads_canonical(e.payload) for e in entries]
-    genesis = events[0]
-    if type(genesis) is not dict or genesis.get("event") != "genesis":
+    recorded = [events.decode(k, e.payload) for k, e in enumerate(entries)]
+    genesis = recorded[0]
+    if genesis["event"] != "genesis":
         raise GovernanceError("ledger does not start with a genesis event")
 
-    vf = vote_filter
-    if vf is None and (identity := _field(genesis, 0, "identity", dict, type(None))):
-        from .identity import IdentityRegistry, VotePolicy, filter_and_collapse
-
-        registry = IdentityRegistry.from_json_obj(identity["registry"])
-        policy = VotePolicy(identity["policy"])
-        vf = lambda votes: filter_and_collapse(votes, registry, policy)  # noqa: E731
+    context = {key: genesis[key] for key in events.GENESIS_CONTEXT if key in genesis}
+    if identity := genesis.get("identity"):
+        registry = IdentityRegistry(identity["registry"]["mode"])
+        for binding in identity["registry"]["bindings"]:
+            for wallet in binding["wallets"]:
+                # A refused binding is left out, so the re-derived genesis differs from the record.
+                registry.bind(binding["identity"], wallet)
+        context["identity"] = {"policy": identity["policy"], "registry": registry.to_json_obj()}
+        if vote_filter is None:
+            policy = VotePolicy(identity["policy"])
+            vote_filter = lambda votes: filter_and_collapse(votes, registry, policy)  # noqa: E731
 
     engine = GovernanceEngine(
-        balances={WalletId(w): TokenAmount.parse(b) for w, b in _field(genesis, 0, "balances", dict).items()},
-        supply=TokenAmount.parse(_field(genesis, 0, "supply", str)),
-        wallet_universe_size=_field(genesis, 0, "wallet_universe_size", int),
-        vote_filter=vf,
-        record_genesis=False,
+        balances={WalletId(w): TokenAmount.parse(b) for w, b in genesis["balances"].items()},
+        supply=TokenAmount.parse(genesis["supply"]),
+        wallet_universe_size=genesis["wallet_universe_size"],
+        vote_filter=vote_filter,
+        genesis_context=context,
     )
-    derived = engine.ledger  # holds every event but genesis: event k is derived[k - 1]
-    checked = 0
-    k, n = 1, len(events)
-    while k < n:
-        event, start = events[k], k
-        k += 1
-        kind = _field(event, start, "event", str)
-        if kind not in ("submit", "phase", "cast", "finalize", "executed"):
-            raise GovernanceError(f"event {start}: unknown event kind {kind!r}")
-        tick = _field(event, start, "tick", int)
-        pid = _field(event, start, "proposal", str)
-        try:
+    derived = engine.ledger
+    try:
+        k, n = 1, len(recorded)
+        while k < n:
+            event, start = recorded[k], k
+            k += 1
+            if (kind := event["event"]) == "genesis":
+                raise GovernanceError(f"event {start}: a genesis event after the first")
+            pid, tick = event["proposal"], event["tick"]
             if kind == "submit":
-                engine.submit(_submitted(event, start), now=tick)
+                quorum, conviction = event["quorum"], event["conviction"]
+                proposal = Proposal(
+                    id=pid,
+                    options=event["options"],
+                    discussion_window=Window(*event["discussion_window"]),
+                    voting_window=Window(*event["voting_window"]),
+                    mechanism=event["mechanism"],
+                    quorum=QuorumConfig(quorum["basis"], Decimal(quorum["threshold"])) if quorum else None,
+                    conviction=ConvictionParams(Decimal(conviction["decay_rate"])) if conviction else None,
+                )
+                engine.submit(proposal, now=tick)
             elif kind == "phase":
                 engine.advance_to(tick)
             elif kind == "cast":
-                while k < n and type(e := events[k]) is dict and (
-                    e.get("event") == "cast" and e.get("proposal") == pid and e.get("tick") == tick
-                ):
+                while k < n and (e := recorded[k])["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
                     k += 1
-                engine.cast_batch(pid, _ballots(events, start, k), tick)
+                ballots = ((e["wallet"], e["option"], TokenAmount.parse(e["committed"])) for e in recorded[start:k])
+                engine.cast_batch(pid, ballots, tick)
             elif kind == "finalize":
                 engine.finalize(pid, now=tick)
             else:
                 engine.mark_executed(pid, now=tick)
-        finally:
-            # Runs when an operation fails too: an earlier divergence is the first fault.
-            while checked < len(derived):
-                checked += 1
-                if checked >= len(entries) or derived[checked - 1].payload != entries[checked].payload:
-                    raise GovernanceError(f"replay diverged at event {checked}: payload differs from the record")
-    if checked != len(entries) - 1:
-        raise GovernanceError(f"replay diverged at event {checked + 1}: recorded but not re-derived")
+    finally:
+        # Runs when an operation fails too: an earlier divergence is the first fault.
+        for k, entry in enumerate(derived):
+            if k >= len(entries) or entry.payload != entries[k].payload:
+                raise GovernanceError(f"replay diverged at event {k}: payload differs from the record")
+    if len(derived) != len(entries):
+        raise GovernanceError(f"replay diverged at event {len(derived)}: recorded but not re-derived")
     return engine
+

@@ -109,20 +109,6 @@ class IdentityRegistry:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "IdentityRegistry":
-        registry = cls(RegistryMode(obj["mode"]))
-        for binding in obj["bindings"]:
-            identity = IdentityId(binding["identity"])
-            for wallet in binding["wallets"]:
-                outcome = registry.bind(identity, WalletId(wallet))
-                if not outcome.accepted:
-                    raise IdentityError(
-                        f"binding {binding['identity']!r}/{wallet!r} violates "
-                        f"{registry.mode.value}: {outcome.reason.value}"
-                    )
-        return registry
-
 
 @dataclass(frozen=True, slots=True)
 class FilterReport:

@@ -89,10 +89,6 @@ class QuorumConfig:
     def to_json_obj(self) -> dict:
         return {"basis": self.basis.value, "threshold": str(self.threshold)}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "QuorumConfig":
-        return cls(basis=QuorumBasis(obj["basis"]), threshold=Decimal(obj["threshold"]))
-
 
 @dataclass(frozen=True, slots=True)
 class ConvictionParams:
@@ -108,10 +104,6 @@ class ConvictionParams:
 
     def to_json_obj(self) -> dict:
         return {"decay_rate": str(self.decay_rate)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ConvictionParams":
-        return cls(decay_rate=Decimal(obj["decay_rate"]))
 
 
 def power_token(committed: TokenAmount) -> VotingPower:

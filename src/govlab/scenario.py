@@ -16,7 +16,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import FixedPointError, GovlabError, ProposalId, TokenAmount, fmt_units, parse_units
+from .core import JSON_FAULTS, FixedPointError, GovlabError, ProposalId, TokenAmount, fmt_units, parse_units
 from .governance import Window, WindowError
 from .mechanisms import ConvictionParams, Mechanism, MechanismError, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -463,7 +463,7 @@ def loads_scenario(text: str) -> Scenario:
     """Parse scenario JSON text (number literals become exact decimals)."""
     try:
         obj = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+    except JSON_FAULTS as exc:
         raise ScenarioValidationError([f"malformed JSON: {exc}"]) from exc
     return parse_scenario(obj)
 

@@ -276,22 +276,15 @@ def _index_votes(
 def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
     """Execute a scenario's events in tick order (idle ticks cost nothing) and report."""
     setup = build_setup(scenario, seed_override=seed_override)
-    genesis_context: dict[str, Any] = {
-        "scenario": scenario.name,
-        "mechanism": scenario.mechanism.value,
-        "identity": None,
+    identity = None if setup.registry is None else {
+        "policy": setup.policy.value, "registry": setup.registry.to_json_obj()
     }
-    if setup.registry is not None:
-        genesis_context["identity"] = {
-            "policy": setup.policy.value,
-            "registry": setup.registry.to_json_obj(),
-        }
     engine = GovernanceEngine(
         balances=setup.balances,
         supply=scenario.supply,
         wallet_universe_size=setup.wallet_universe_size,
         vote_filter=setup.vote_filter(),
-        genesis_context=genesis_context,
+        genesis_context={"scenario": scenario.name, "mechanism": scenario.mechanism.value, "identity": identity},
     )
 
     _play_schedule(scenario, setup, engine)
@@ -349,9 +342,7 @@ def _proposal_metrics(
     return {
         "id": spec.id,
         "phase": engine.proposals[spec.id].phase.value,
-        "outcome": result.outcome.to_json_obj(),
-        "per_option_power": {o: str(p) for o, p in result.per_option_power.items()},
-        "participating_tokens": str(result.participating_tokens),
+        **result.to_json_obj(),  # outcome, per_option_power and participating_tokens, as finalize records them
         "participation": {
             "token_supply_fraction": str(token_fraction),
             "wallet_count_fraction": str(wallet_fraction),

@@ -125,8 +125,10 @@ class TestRunCommand:
         [
             (lambda text: text.replace('"options": ["option_a", "option_b"]', '"options": [{}, {}]'), "options must be"),
             (lambda text: text.replace('"supply": "22100.000000000"', '"supply": 1e999999'), "supply: quantity exceeds"),
+            (lambda text: "[" * 100_000, "malformed JSON: maximum recursion depth"),
+            (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
         ],
-        ids=["unhashable-options", "huge-supply-number"],
+        ids=["unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer"],
     )
     def test_hostile_values_are_one_validation_error(self, scenario_path, tmp_path, capsys, edit, message):
         text = scenario_path.read_text()
@@ -233,6 +235,24 @@ class TestVerifyCommand:
         code = main(["verify", "--ledger", str(garbage)])
         assert code == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[" * 100_000, "line 1: malformed JSON: maximum recursion depth"),
+            ('{"hash":"' + "0" * 64 + '","index":' + "9" * 5000 + ',"payload":"{}","prev_hash":"' + "0" * 64 + '"}',
+             "line 1: malformed JSON: Exceeds the limit"),
+        ],
+        ids=["deep-nesting", "huge-index-integer"],
+    )
+    def test_hostile_json_is_one_runtime_error(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        code = main(["verify", "--ledger", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {message}")
 
     def test_missing_file_is_a_runtime_error(self, tmp_path, capsys):
         code = main(["verify", "--ledger", str(tmp_path / "nope.ndjson")])

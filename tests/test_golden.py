@@ -3,7 +3,8 @@
 For each preset and for the seed-1 scenario of each benchmark workload the
 test pins the full SHA-256 of four artifacts: the ledger head hash, the
 report JSON, the per-agent CSV and the NDJSON ledger dump.  A change that
-moves any of them must say so and bump the report schema version.
+moves any of them must say so and bump the report schema version.  Replaying
+each ledger must reproduce its head.
 
 The benchmark scenarios are generated by `benchmarks/workloads.py`, loaded
 by file path and used read-only.
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from govlab.governance import replay
 from govlab.ledger import dump_ndjson
 from govlab.scenario import load_preset, loads_scenario, preset_names
 from govlab.simulation import report_csv, run
@@ -79,6 +81,7 @@ def _sha256(text: str) -> str:
 
 def _fingerprint(scenario) -> tuple[str, str, str, str]:
     result = run(scenario)
+    assert replay(result.ledger.entries).ledger.head_hash() == result.head_hash
     return (
         result.head_hash,
         _sha256(result.report_json),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import ProposalId, TokenAmount, WalletId, fmt_units, loads_canonical, parse_units
+from govlab.core import IdentityId, ProposalId, TokenAmount, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
     GovernanceError,
@@ -525,8 +525,29 @@ class TestEventAccounting:
 
 class TestReplay:
     def _recorded_run(self):
-        engine = _engine()
-        engine.submit(_proposal(pid="p1"), 0)
+        """Two proposals under an identity filter; p1 has a quorum gate and conviction params."""
+        registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
+        for wallet in ("alice", "bob", "carol"):
+            registry.bind(IdentityId(f"id-{wallet}"), WalletId(wallet))
+        engine = GovernanceEngine(
+            balances={WalletId(w): TokenAmount.parse(b) for w, b in {"alice": 100, "bob": 50, "carol": 25}.items()},
+            supply=TokenAmount.parse(1000),
+            vote_filter=lambda votes: filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED),
+            genesis_context={
+                "scenario": "replay",
+                "mechanism": "conviction",
+                "identity": {"policy": "drop_unverified", "registry": registry.to_json_obj()},
+            },
+        )
+        engine.submit(
+            _proposal(
+                pid="p1",
+                mechanism=Mechanism.CONVICTION,
+                conviction=ConvictionParams(Decimal("0.5")),
+                quorum=QuorumConfig(QuorumBasis.TOKEN_SUPPLY_FRACTION, Decimal("0.1")),
+            ),
+            0,
+        )
         engine.submit(_proposal(pid="p2", discussion=(0, 12), voting=(12, 20)), 1)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("bob"), "reject", TokenAmount.parse(50), 6)
@@ -571,9 +592,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("name", preset_names())
     def test_replay_re_derives_every_preset_event_byte_for_byte(self, name):
-        recorded = run(load_preset(name)).ledger.entries
+        result = run(load_preset(name))
+        recorded = result.ledger.entries
         replayed = replay(recorded)
-        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded[1:]]
+        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded]
+        assert replayed.ledger.head_hash() == result.head_hash
 
     def test_replay_detects_a_forged_tally(self):
         """A finalize event with a changed per-option power, re-chained, passes
@@ -587,7 +610,7 @@ class TestReplay:
                 option, power = next(iter(payload["tally"]["per_option_power"].items()))
                 payload["tally"]["per_option_power"][option] = fmt_units(parse_units(power) + 1)
                 forged_at = k
-            forged_ledger.append(payload)
+            forged_ledger.append(canonical_json(payload))
         assert forged_at is not None
         assert verify_chain(forged_ledger.entries) is None
         with pytest.raises(GovernanceError, match=f"replay diverged at event {forged_at}:"):
@@ -648,13 +671,23 @@ class TestReplay:
         casts = [loads_canonical(e.payload) for e in recorded if '"event":"cast"' in e.payload]
         assert [c["option"] for c in casts] == labels
         replayed = replay(recorded)
-        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded[1:]]
+        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded]
+
+    def test_replay_reads_back_an_exponent_form_threshold_and_decay_rate(self):
+        """Below 10^-6 a submit event holds str() of a Decimal: 0E-9, 5.00E-7."""
+        engine = _engine()
+        quorum = QuorumConfig(QuorumBasis.TOKEN_SUPPLY_FRACTION, Decimal(0))
+        engine.submit(_proposal(mechanism=Mechanism.CONVICTION, conviction=ConvictionParams(Decimal("0.0000005")), quorum=quorum), 0)
+        engine.finalize("p1", 10)
+        assert '"decay_rate":"5.00E-7"' in engine.ledger[1].payload and '"threshold":"0E-9"' in engine.ledger[1].payload
+        assert replay(engine.ledger.entries).ledger.head_hash() == engine.ledger.head_hash()
 
     @staticmethod
     def _rechained(payloads):
+        """A valid chain over the events: dicts are encoded canonically, text is kept as is."""
         ledger = Ledger()
         for payload in payloads:
-            ledger.append(payload)
+            ledger.append(payload if isinstance(payload, str) else canonical_json(payload))
         assert verify_chain(ledger.entries) is None
         return ledger.entries
 
@@ -713,17 +746,61 @@ class TestReplay:
             ("genesis", "balances", []),
             ("genesis", "wallet_universe_size", None),
             ("submit", "event", None),
+            ("submit", "quorum.threshold", None),
+            ("submit", "conviction.decay_rate", None),
+            ("genesis", "identity.registry.bindings", None),
+            ("genesis", "identity.policy", 7),
+            ("genesis", "identity.registry.bindings.0.wallets", "alice"),
+            ("genesis", "scenario", 7),
         ],
     )
     def test_a_missing_or_mistyped_field_names_its_event(self, kind, field, value):
+        """field is a dotted path; a None value deletes the field."""
         events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
         k = next(i for i, e in enumerate(events) if e["event"] == kind)
+        *parents, key = field.split(".")
+        target = events[k]
+        for part in parents:
+            target = target[int(part) if part.isdigit() else part]
         if value is None:
-            del events[k][field]
+            del target[key]
         else:
-            events[k][field] = value
+            target[key] = value
         with pytest.raises(GovernanceError, match=f"event {k}: field .*{field!r}"):
             replay(self._rechained(events))
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda g: g.update(balances={w: b.split(".")[0] for w, b in g["balances"].items()}),
+            lambda g: g.update(note="an extra key"),
+            lambda g: g["identity"]["registry"]["bindings"][1]["wallets"].append("alice"),
+        ],
+        ids=["integer-balances", "extra-key", "refused-binding"],
+    )
+    def test_a_forged_genesis_diverges_at_event_0(self, forge):
+        """Replay re-derives genesis: a record the engine would not write diverges."""
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        forge(events[0])
+        with pytest.raises(GovernanceError, match="replay diverged at event 0:"):
+            replay(self._rechained(events))
+
+    @pytest.mark.parametrize(
+        "dumps",
+        [
+            lambda event: json.dumps(event, sort_keys=True),
+            lambda event: json.dumps(dict(reversed(list(event.items()))), separators=(",", ":")),
+        ],
+        ids=["spaced", "reordered"],
+    )
+    def test_a_non_canonical_event_diverges(self, dumps):
+        """An event re-chained with the same fields in other bytes is not what the engine writes."""
+        texts = [e.payload for e in self._recorded_run().ledger]
+        k = next(i for i, text in enumerate(texts) if '"event":"cast"' in text)
+        texts[k] = dumps(loads_canonical(texts[k]))
+        assert loads_canonical(texts[k]) == loads_canonical(self._recorded_run().ledger[k].payload)
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
+            replay(self._rechained(texts))
 
     def test_a_non_object_event_names_its_index(self):
         events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]

@@ -87,7 +87,11 @@ class TestRegistryBinding:
         registry.bind(IdentityId("alice"), WalletId("w2"))
         registry.bind(IdentityId("bob"), WalletId("w3"))
         text = canonical_json(registry.to_json_obj())
-        restored = IdentityRegistry.from_json_obj(loads_canonical(text))
+        obj = loads_canonical(text)
+        restored = IdentityRegistry(obj["mode"])
+        for binding in obj["bindings"]:
+            for wallet in binding["wallets"]:
+                assert restored.bind(binding["identity"], wallet).accepted
         assert canonical_json(restored.to_json_obj()) == text
         assert restored.mode is registry.mode
         assert restored.wallets_of(IdentityId("alice")) == registry.wallets_of(IdentityId("alice"))

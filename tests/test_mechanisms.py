@@ -13,6 +13,8 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
+    canonical_json,
+    loads_canonical,
 )
 from govlab.governance import GovernanceEngine, Proposal, Window
 from govlab.mechanisms import (
@@ -247,7 +249,7 @@ class TestQuorumConfig:
 
     def test_json_round_trip(self):
         config = QuorumConfig(basis="wallet_count_fraction", threshold=Decimal("0.25"))
-        assert QuorumConfig.from_json_obj(config.to_json_obj()) == config
+        assert QuorumConfig(**loads_canonical(canonical_json(config.to_json_obj()))) == config
 
 
 class TestQuorumGate:

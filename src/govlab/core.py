@@ -25,6 +25,8 @@ MAX_UNITS = 2**63 - 1
 
 _ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$")
+# The form fmt_units writes; every amount in a ledger has it.
+_NINE_DIGITS = re.compile(r"(0|[1-9][0-9]{0,9})\.([0-9]{9})")
 
 
 class GovlabError(Exception):
@@ -60,6 +62,11 @@ def parse_units(value: str | int | Decimal) -> int:
     Accepts str, int, or Decimal.  Floats are rejected: binary floats carry
     representation error that would leak into hashes and reports.
     """
+    if type(value) is str and (match := _NINE_DIGITS.fullmatch(value)):
+        units = int(match[1]) * NANO + int(match[2])
+        if units > MAX_UNITS:
+            raise FixedPointOverflow(f"quantity exceeds fixed-point range: {value}")
+        return units
     if isinstance(value, bool) or isinstance(value, float):
         raise FixedPointError(f"refusing non-decimal type {type(value).__name__!r}")
     if isinstance(value, int):
@@ -147,7 +154,9 @@ class _Fixed:
 
     @classmethod
     def parse(cls, value: str | int | Decimal):
-        return cls(parse_units(value))
+        fixed = object.__new__(cls)  # parse_units returns an in-range int, so __init__'s checks are skipped
+        object.__setattr__(fixed, "_units", parse_units(value))
+        return fixed
 
     @classmethod
     def zero(cls):
@@ -372,7 +381,7 @@ def _canonical_value(value: Any) -> Any:
             out[k] = v if type(v) in _PLAIN else _canonical_value(v)
         return out
     if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
+        return [v if type(v) in _PLAIN else _canonical_value(v) for v in value]
     if isinstance(value, float):
         raise CanonicalJsonError(
             "float is not canonical; use str, int, Decimal, or a fixed-point type"
@@ -404,12 +413,21 @@ JSON_FAULTS = (ValueError, RecursionError)
 
 # Built once: json.loads(text, parse_float=...) would build a decoder per call.
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+_SCAN_MISSES = (StopIteration, *JSON_FAULTS)
 
 
 def loads_canonical(text: str) -> Any:
     """Parse JSON produced by canonical_json; float literals (NaN too) are rejected."""
     if not isinstance(text, str):
         raise CanonicalJsonError(f"canonical JSON is text, not {type(text).__name__}")
+    # A value that starts at offset 0 and ends at the end of the text is what decode
+    # returns, without its whitespace skips; any other text gets decode's answer or error.
+    try:
+        value, end = _DECODER.scan_once(text, 0)
+        if end == len(text):
+            return value
+    except _SCAN_MISSES:
+        pass
     try:
         return _DECODER.decode(text)
     except JSON_FAULTS as exc:

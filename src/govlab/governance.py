@@ -234,7 +234,7 @@ class GovernanceEngine:
                 wallet = WalletId(wallet)
             if type(committed) is not TokenAmount:
                 raise GovernanceError(f"wallet {wallet!r} committed {committed!r}, not a TokenAmount")
-            if not (units := committed.units):
+            if not (units := committed._units):
                 raise ZeroCommitment(f"wallet {wallet!r} committed zero tokens")
             line = lines.get(option) if type(option) is str else None
             if line is None:
@@ -244,8 +244,10 @@ class GovernanceEngine:
             balance = balances.get(wallet)
             if balance is None:
                 raise GovernanceError(f"unknown wallet {wallet!r}")
-            locks = all_locks.setdefault(wallet, {})
-            available = balance.units - sum(locks.values()) + locks.get(pid, 0)
+            locks = all_locks.get(wallet)
+            if locks is None:
+                locks = all_locks[wallet] = {}
+            available = balance._units - sum(locks.values()) + locks.get(pid, 0)
             if units > available:
                 raise InsufficientUnlockedTokens(f"wallet {wallet!r} has {available} unlocked units, needs {units}")
             prior = book.get(wallet)
@@ -357,6 +359,8 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
         genesis_context=context,
     )
     derived = engine.ledger
+    # A recorded wallet in genesis becomes its WalletId, validated once; any other is checked as it is cast.
+    wallets = {w: w for w in engine.balances}
     try:
         k, n = 1, len(recorded)
         while k < n:
@@ -382,7 +386,10 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
             elif kind == "cast":
                 while k < n and (e := recorded[k])["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
                     k += 1
-                ballots = ((e["wallet"], e["option"], TokenAmount.parse(e["committed"])) for e in recorded[start:k])
+                ballots = (
+                    (wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"]))
+                    for e in recorded[start:k]
+                )
                 engine.cast_batch(pid, ballots, tick)
             elif kind == "finalize":
                 engine.finalize(pid, now=tick)

@@ -57,12 +57,11 @@ class VerificationOutcome:
     reason: RejectionReason | None = None
 
     @classmethod
-    def ok(cls) -> "VerificationOutcome":
-        return cls(accepted=True)
-
-    @classmethod
     def rejected(cls, reason: RejectionReason) -> "VerificationOutcome":
         return cls(accepted=False, reason=reason)
+
+
+_ACCEPTED = VerificationOutcome(accepted=True)  # immutable, so every accepted bind shares it
 
 
 class IdentityRegistry:
@@ -85,14 +84,14 @@ class IdentityRegistry:
         bound_to = self._identity_by_wallet.get(wallet)
         if bound_to is not None:
             if bound_to == identity:
-                return VerificationOutcome.ok()
+                return _ACCEPTED
             return VerificationOutcome.rejected(RejectionReason.WALLET_ALREADY_BOUND)
         existing = self._wallets_by_identity.get(identity, [])
         if self.mode is RegistryMode.STRICT_ONE_WALLET and existing:
             return VerificationOutcome.rejected(RejectionReason.DUPLICATE_IDENTITY)
         self._wallets_by_identity.setdefault(identity, []).append(wallet)
         self._identity_by_wallet[wallet] = identity
-        return VerificationOutcome.ok()
+        return _ACCEPTED
 
     def identity_of(self, wallet: WalletId) -> IdentityId | None:
         return self._identity_by_wallet.get(wallet)

@@ -13,8 +13,10 @@ only writer of event text) and hashed once.  append stores one text; a batch of
 cast events arrives as a stream of texts that _append_canonical hashes and
 stores one at a time, never listed.  Neither re-checks the text: replay
 re-derives every event and compares the bytes.  dump_ndjson only escapes the
-four fields into a line; load_ndjson decodes each line once, and replay decodes
-each payload once more.
+four fields into a line.  load_ndjson decodes each line once and checks its four
+fields by exact type; replay decodes each payload once more.  Both decode by
+loads_canonical, whose one scan of a text that holds just a value is what
+json's decode returns; any other text takes decode, so its errors do not change.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import CanonicalJsonError, GovlabError, loads_canonical
 
 GENESIS_PREV_HASH = "0" * 64
 _HEX64 = re.compile("[0-9a-f]{64}")
+_ENTRY_KEYS = frozenset({"index", "prev_hash", "payload", "hash"})
 
 
 class LedgerError(GovlabError):
@@ -38,8 +41,7 @@ class LedgerError(GovlabError):
 
 def entry_hash(index: int, prev_hash: str, payload: str) -> str:
     """SHA-256 over index (decimal string) || prev_hash (hex) || payload bytes."""
-    preimage = str(index).encode("ascii") + prev_hash.encode("ascii") + payload.encode("utf-8")
-    return hashlib.sha256(preimage).hexdigest()
+    return hashlib.sha256(f"{index}{prev_hash}{payload}".encode()).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,19 +135,18 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
     # Lines end at "\n" only: str.splitlines() would also break inside a payload
     # at U+2028, U+0085 and other separators.  A "\r" before it is JSON whitespace.
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             obj = loads_canonical(line)
         except CanonicalJsonError as exc:
             raise LedgerError(f"line {lineno}: {exc}") from exc
-        if not isinstance(obj, dict) or set(obj) != {"index", "prev_hash", "payload", "hash"}:
+        if type(obj) is not dict or obj.keys() != _ENTRY_KEYS:
             raise LedgerError(f"line {lineno}: not a ledger entry")
-        index = obj["index"]
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        index, prev_hash, payload, digest = obj["index"], obj["prev_hash"], obj["payload"], obj["hash"]
+        if type(index) is not int or index < 0:
             raise LedgerError(f"line {lineno}: index must be a non-negative int")
-        payload = obj["payload"]
-        if not isinstance(payload, str):
+        if type(payload) is not str:
             raise LedgerError(f"line {lineno}: payload must be a string")
         # A \ud800-style escape decodes to a lone surrogate, which has no UTF-8 bytes to hash.
         if not payload.isascii():
@@ -155,14 +156,12 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
                 raise LedgerError(
                     f"line {lineno}: payload holds a lone surrogate at offset {exc.start}"
                 ) from exc
-        entries.append(
-            LedgerEntry(
-                index=index,
-                prev_hash=_check_hash_field(obj["prev_hash"], "prev_hash"),
-                payload=payload,
-                hash=_check_hash_field(obj["hash"], "hash"),
-            )
-        )
+        # Checked inline; the call builds the error.
+        if type(prev_hash) is not str or not _HEX64.fullmatch(prev_hash):
+            _check_hash_field(prev_hash, "prev_hash")
+        if type(digest) is not str or not _HEX64.fullmatch(digest):
+            _check_hash_field(digest, "hash")
+        entries.append(LedgerEntry(index, prev_hash, payload, digest))
     return entries
 
 

@@ -127,8 +127,9 @@ class TestRunCommand:
             (lambda text: text.replace('"supply": "22100.000000000"', '"supply": 1e999999'), "supply: quantity exceeds"),
             (lambda text: "[" * 100_000, "malformed JSON: maximum recursion depth"),
             (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
+            (lambda text: text.replace('"n_wallets": 100', '"n_wallets": 10000000'), "wallets in total"),
         ],
-        ids=["unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer"],
+        ids=["unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer", "ten-million-wallets"],
     )
     def test_hostile_values_are_one_validation_error(self, scenario_path, tmp_path, capsys, edit, message):
         text = scenario_path.read_text()

@@ -119,6 +119,39 @@ class TestParseUnits:
     def test_strings_agree_with_decimal(self, text):
         self._check_against_decimal(text)
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("0.000000000", 0),
+            ("9223372036.854775807", MAX_UNITS),
+            ("9223372036.854775808", FixedPointOverflow),
+            ("9999999999.999999999", FixedPointOverflow),
+            ("007.000000000", 7 * NANO),
+            ("10000000000.000000000", FixedPointOverflow),
+            ("00000000001.000000000", NANO),
+            ("1.5", 1_500_000_000),
+            ("1", NANO),
+        ],
+    )
+    def test_the_nine_digit_form_agrees_with_the_general_path(self, text, want):
+        """A str subclass is not matched by the exact-type fast form, so it takes the general path."""
+
+        class GeneralPath(str):
+            pass
+
+        def outcome(value):
+            try:
+                return parse_units(value)
+            except FixedPointError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(text) == outcome(GeneralPath(text))
+        if isinstance(want, int):
+            assert parse_units(text) == want
+        else:
+            with pytest.raises(want, match=f"quantity exceeds fixed-point range: {text}$"):
+                parse_units(text)
+
     @given(units_st)
     def test_fmt_parse_round_trip(self, units):
         text = fmt_units(units)

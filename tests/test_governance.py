@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import IdentityId, ProposalId, TokenAmount, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
+from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
     GovernanceError,
@@ -801,6 +801,23 @@ class TestReplay:
         assert loads_canonical(texts[k]) == loads_canonical(self._recorded_run().ledger[k].payload)
         with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
             replay(self._rechained(texts))
+
+    @pytest.mark.parametrize(
+        "wallet, error, message",
+        [
+            ("dave", GovernanceError, "unknown wallet 'dave'"),
+            ("bad id!", GovlabError, "WalletId must match [A-Za-z0-9_-]{1,64}: 'bad id!'"),
+        ],
+        ids=["absent-from-genesis", "malformed"],
+    )
+    def test_a_cast_wallet_outside_genesis_is_checked_as_it_is_cast(self, wallet, error, message):
+        """Replay swaps a recorded wallet for its genesis WalletId; any other wallet meets the cast's own checks."""
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        k = next(i for i, e in enumerate(events) if e["event"] == "cast")
+        events[k]["wallet"] = wallet
+        with pytest.raises(GovlabError) as raised:
+            replay(self._rechained(events))
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_a_non_object_event_names_its_index(self):
         events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]

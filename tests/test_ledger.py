@@ -5,13 +5,24 @@ hashlib regression or a silent preimage change cannot slip past unnoticed.
 """
 
 import dataclasses
+import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import ProposalId, WalletId, canonical_json
+from govlab.core import (
+    JSON_FAULTS,
+    CanonicalJsonError,
+    GovlabError,
+    ProposalId,
+    WalletId,
+    _reject_float,
+    canonical_json,
+    loads_canonical,
+)
 from govlab.events import cast_template
 from govlab.ledger import (
     GENESIS_PREV_HASH,
@@ -25,6 +36,9 @@ from govlab.ledger import (
     verify_chain,
     write_ndjson,
 )
+
+from govlab.scenario import load_preset
+from govlab.simulation import run
 
 from oracles import ndjson_line_ref, sha256_pure
 
@@ -328,6 +342,111 @@ class TestNdjsonRoundTrip:
         loaded = load_ndjson(dump_ndjson(ledger.entries))
         assert loaded == list(ledger.entries)
         assert verify_chain(loaded) is None
+
+
+# The reference: json's decode wrapped as loads_canonical wraps it, and a loader on top of it
+# with the plain isinstance and set checks.
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
+def _decode_ref(text):
+    try:
+        return _DECODER.decode(text)
+    except JSON_FAULTS as exc:
+        raise CanonicalJsonError(f"malformed JSON: {exc}") from exc
+
+
+def _load_ndjson_ref(text):
+    entries = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = _decode_ref(line)
+        except CanonicalJsonError as exc:
+            raise LedgerError(f"line {lineno}: {exc}") from exc
+        if not isinstance(obj, dict) or set(obj) != {"index", "prev_hash", "payload", "hash"}:
+            raise LedgerError(f"line {lineno}: not a ledger entry")
+        index, payload = obj["index"], obj["payload"]
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise LedgerError(f"line {lineno}: index must be a non-negative int")
+        if not isinstance(payload, str):
+            raise LedgerError(f"line {lineno}: payload must be a string")
+        if not payload.isascii():
+            try:
+                payload.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise LedgerError(f"line {lineno}: payload holds a lone surrogate at offset {exc.start}") from exc
+        for label in ("prev_hash", "hash"):
+            if not isinstance(obj[label], str) or not re.fullmatch("[0-9a-f]{64}", obj[label]):
+                raise LedgerError(f"{label} must be 64 lowercase hex chars: {obj[label]!r}")
+        entries.append(LedgerEntry(index, obj["prev_hash"], payload, obj["hash"]))
+    return entries
+
+
+def _outcome(fn, text):
+    """The value's repr (so 1 and True differ), or the error's class and message."""
+    try:
+        return repr(fn(text))
+    except GovlabError as exc:
+        return type(exc), str(exc)
+
+
+@functools.cache
+def _pinned_lines():
+    return dump_ndjson(run(load_preset("sybil_attack_quadratic")).ledger).split("\n")
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with one edit a hostile or careless writer could make."""
+    kind = draw(st.sampled_from(["none", "lead", "trail", "cr", "garbage", "reorder", "duplicate", "float", "deep", "bigint"]))
+    space = st.text(st.sampled_from(" \t\r\n\x0b\x0c\xa0\u2028"), min_size=1, max_size=3)
+    obj = json.loads(text)
+    if kind == "lead":
+        return draw(space) + text
+    if kind == "trail":
+        return text + draw(space)
+    if kind == "cr":
+        return text + "\r"
+    if kind == "garbage":
+        return text + draw(st.sampled_from(["x", "}", "]", "{}", "0", ",", '"', "\\"]) | st.text(min_size=1, max_size=4))
+    if kind == "reorder":
+        return json.dumps(dict(draw(st.permutations(list(obj.items())))), separators=(",", ":"))
+    if kind == "duplicate":
+        key, value = draw(st.sampled_from(sorted(obj))), draw(st.sampled_from(["0", '"x"', "null", "[]", "1.5"]))
+        return f"{{{json.dumps(key)}:{value},{text[1:]}" if draw(st.booleans()) else f"{text[:-1]},{json.dumps(key)}:{value}}}"
+    if kind == "float":
+        literal = draw(st.sampled_from(["1.5", "0e0", "1E400", "-0.0", "NaN", "Infinity", "-Infinity"]))
+    elif kind == "bigint":
+        literal = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(["9" * 4300, "9" * 4301, "1" + "0" * 4999]))
+    if kind in ("float", "bigint"):  # the literal replaces an integer value, or leads an array around the text
+        spots = [m.start(1) for m in re.finditer(r':(-?[0-9]+)[,}]', text)]
+        if not spots:
+            return f"[{literal},{text}]"
+        at = draw(st.sampled_from(spots))
+        return text[:at] + literal + re.sub(r"^-?[0-9]+", "", text[at:])
+    if kind == "deep":
+        depth = draw(st.sampled_from([2, 1000, 100_000]))
+        return "[" * depth + text + "]" * draw(st.sampled_from([depth, depth - 1]))
+    return text
+
+
+class TestScanMatchesTheDecoder:
+    """loads_canonical scans for one value first; every text must get the decoder's value or error."""
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_lines_and_payloads_decode_as_before(self, data):
+        lines = _pinned_lines()
+        k = data.draw(st.integers(min_value=0, max_value=len(lines) - 2))
+        payload = json.loads(lines[k])["payload"]
+        mutated = data.draw(_mutated(payload))
+        assert _outcome(loads_canonical, mutated) == _outcome(_decode_ref, mutated)
+        line = data.draw(_mutated(lines[k]))
+        assert _outcome(loads_canonical, line) == _outcome(_decode_ref, line)
+        text = "\n".join([*lines[:k], line, *lines[k + 1 :]])
+        assert _outcome(load_ndjson, text) == _outcome(_load_ndjson_ref, text)
 
 
 any_text = st.text(st.characters(blacklist_categories=()), max_size=12)

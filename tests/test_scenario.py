@@ -2,12 +2,14 @@
 
 import copy
 import json
+import time
 from decimal import Decimal
 
 import pytest
 
 from govlab.core import ProposalId
 from govlab.scenario import (
+    MAX_WALLETS,
     AgentKind,
     IdentityStrategy,
     Scenario,
@@ -251,6 +253,51 @@ class TestErrorCollection:
         obj["ticks"] = 20
         errors = _errors_of(obj)
         assert any("overlapping voting windows" in e for e in errors)
+
+    def test_overlaps_are_found_in_one_sweep_and_reported_once_per_proposal(self):
+        obj = _valid()
+        window = {"options": ["approve", "reject"], "discussion_window": [0, 5], "voting_window": [5, 15]}
+        obj["proposals"] = [{"id": f"p{i}", **window} for i in range(4000)]
+        start = time.perf_counter()
+        errors = _errors_of(obj)
+        assert time.perf_counter() - start < 1.0
+        assert len(errors) == 3999
+        assert len({e.split("'")[3] for e in errors}) == 3999  # the second id names the overlapping proposal
+        assert errors[0] == (
+            "proposals 'p0' and 'p1' have overlapping voting windows; agents cannot lock their balance in both"
+        )
+
+    def test_overlaps_are_reported_in_order_of_voting_start(self):
+        obj = _valid()
+        obj["ticks"] = 40
+        for pid, voting in (("late", [20, 30]), ("middle", [10, 25])):
+            obj["proposals"].append(
+                {"id": pid, "options": ["approve", "reject"], "discussion_window": [0, 5], "voting_window": voting}
+            )
+        assert _errors_of(obj) == [
+            "proposals 'p1' and 'middle' have overlapping voting windows; agents cannot lock their balance in both",
+            "proposals 'middle' and 'late' have overlapping voting windows; agents cannot lock their balance in both",
+        ]
+
+    def test_overlaps_without_voters_are_allowed(self):
+        obj = _valid()
+        obj["agents"] = [{"id": "idle", "kind": "abstainer", "balance": "10"}]
+        obj["proposals"] = [{**obj["proposals"][0], "id": f"p{i}"} for i in range(4000)]
+        start = time.perf_counter()
+        assert len(parse_scenario(obj).proposals) == 4000
+        assert time.perf_counter() - start < 1.0
+
+    def test_total_wallets_are_capped_before_any_wallet_exists(self):
+        obj = _valid()
+        obj["supply"] = "2000"
+        attacker = {"id": "mallory", "kind": "sybil_attacker", "balance": "1000", "preference": ["approve"]}
+        obj["agents"].append({**attacker, "n_wallets": MAX_WALLETS - 2})
+        assert sum(a.n_wallets for a in parse_scenario(obj).agents) == MAX_WALLETS
+        obj["agents"][-1]["n_wallets"] = 10_000_000
+        start = time.perf_counter()
+        errors = _errors_of(obj)
+        assert time.perf_counter() - start < 0.1
+        assert errors == [f"agents hold 10000002 wallets in total, more than the cap of {MAX_WALLETS}"]
 
     def test_quorum_mechanism_requires_config(self):
         obj = _valid()

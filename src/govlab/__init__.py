@@ -24,9 +24,8 @@ from .core import (
 from .governance import GovernanceEngine, Phase, Proposal, Window, replay
 from .identity import (
     FilterReport,
-    IdentityClaim,
+    IdentityFilter,
     IdentityRegistry,
-    ProviderParams,
     RegistryMode,
     RejectionReason,
     SimulatedProvider,

@@ -77,13 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioValidationError as exc:
-        for line in exc.errors:
-            _error(line)
-        return EXIT_VALIDATION
-    result = run(scenario, seed_override=args.seed)
+    result = run(load_scenario(args.scenario), seed_override=args.seed)
     # Each output is replaced whole.  The CSV goes first, so an error while
     # building it leaves every output as it was.
     if args.csv is not None:
@@ -98,13 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    try:
-        scenario = load_scenario(args.scenario)
-        merged, rows = compare_mechanisms(scenario, mechanisms, seed_override=args.seed)
-    except ScenarioValidationError as exc:
-        for line in exc.errors:
-            _error(line)
-        return EXIT_VALIDATION
+    merged, rows = compare_mechanisms(load_scenario(args.scenario), mechanisms, seed_override=args.seed)
     _replace_file(args.out, canonical_json(merged) + "\n", "ascii")
     _info(f"wrote merged report to {args.out}")
     sys.stdout.write(render_table(rows))

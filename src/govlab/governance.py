@@ -36,7 +36,7 @@ from .core import (
     _check_option,
     _checked_vote,
 )
-from .identity import IdentityRegistry, VotePolicy, filter_and_collapse
+from .identity import IdentityFilter, IdentityRegistry
 from .ledger import Ledger
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
 
@@ -131,16 +131,15 @@ class Proposal:
         return self.options[0]
 
 
-VoteFilter = Callable[[Sequence[VoteRecord]], Any]
-
-
 class GovernanceEngine:
     """Drives proposals through their lifecycle and writes the event ledger.
 
-    vote_filter, when given, is applied to the live vote set at finalize
-    (identity.filter_and_collapse is the intended plug-in); it must return
-    an object with a .votes attribute.  genesis_context is recorded in the
-    genesis event; its keys must be among events.GENESIS_CONTEXT.
+    genesis_context is recorded in the genesis event; its keys must be among
+    events.GENESIS_CONTEXT.  Its "identity" is an identity.IdentityFilter or
+    None.  The filter is the engine's one identity layer: finalize applies it
+    to the live vote set, and genesis records its to_json_obj(), so a replay
+    rebuilds exactly the filter that was applied.  With no "identity" key (or
+    None) every live vote is tallied.
     """
 
     def __init__(
@@ -149,7 +148,6 @@ class GovernanceEngine:
         balances: dict[WalletId, TokenAmount],
         supply: TokenAmount,
         wallet_universe_size: int | None = None,
-        vote_filter: VoteFilter | None = None,
         genesis_context: dict[str, Any] | None = None,
     ):
         self.balances = {WalletId(w): b for w, b in balances.items()}
@@ -161,14 +159,19 @@ class GovernanceEngine:
             wallet_universe_size if wallet_universe_size is not None else len(self.balances)
         )
         self.ledger = Ledger()
-        self.vote_filter = vote_filter
+        context = dict(genesis_context or {})
+        self.identity = context.get("identity")
+        if self.identity is not None:
+            if not isinstance(self.identity, IdentityFilter):
+                raise GovernanceError(f"genesis identity must be an IdentityFilter or None, not {self.identity!r}")
+            context["identity"] = self.identity.to_json_obj()
         self.proposals: dict[ProposalId, Proposal] = {}
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
         self._locks: dict[WalletId, dict[ProposalId, int]] = {}
         self.results: dict[ProposalId, TallyResult] = {}
         self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
         self._now = 0
-        self.ledger.append(events.genesis(self.supply, self.balances, self.wallet_universe_size, genesis_context))
+        self.ledger.append(events.genesis(self.supply, self.balances, self.wallet_universe_size, context))
 
     # -- clock ------------------------------------------------------------
 
@@ -272,8 +275,8 @@ class GovernanceEngine:
 
         votes: Sequence[VoteRecord] = list(self._votes[proposal.id].values())
         filter_report = None
-        if self.vote_filter is not None:
-            filter_report = self.vote_filter(votes)
+        if self.identity is not None:
+            filter_report = self.identity.apply(votes)
             votes = list(filter_report.votes)
 
         result = tally(
@@ -322,13 +325,15 @@ class GovernanceEngine:
 
 
 
-def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> GovernanceEngine:
+def replay(entries: Sequence) -> GovernanceEngine:
     """Rebuild an engine by replaying a recorded event ledger.
 
     Every payload is first decoded and checked by events.decode.  The genesis
-    event then seeds a fresh engine, which re-derives genesis itself, and later
-    events are re-applied in order, each run of casts on one proposal at one
-    tick as one cast_batch.  Every event the engine derives must equal the
+    event then seeds a fresh engine, which re-derives genesis itself: its
+    identity record, when present, is rebuilt into the IdentityFilter that
+    finalize applies, so the ledger alone says which filter counted the votes.
+    Later events are re-applied in order, each run of casts on one proposal at
+    one tick as one cast_batch.  Every event the engine derives must equal the
     recorded payload byte for byte, and every recorded event must be derived;
     the first difference raises GovernanceError naming its index.
     """
@@ -346,16 +351,12 @@ def replay(entries: Sequence, vote_filter: VoteFilter | None = None) -> Governan
             for wallet in binding["wallets"]:
                 # A refused binding is left out, so the re-derived genesis differs from the record.
                 registry.bind(binding["identity"], wallet)
-        context["identity"] = {"policy": identity["policy"], "registry": registry.to_json_obj()}
-        if vote_filter is None:
-            policy = VotePolicy(identity["policy"])
-            vote_filter = lambda votes: filter_and_collapse(votes, registry, policy)  # noqa: E731
+        context["identity"] = IdentityFilter(registry, identity["policy"])
 
     engine = GovernanceEngine(
         balances={WalletId(w): TokenAmount.parse(b) for w, b in genesis["balances"].items()},
         supply=TokenAmount.parse(genesis["supply"]),
         wallet_universe_size=genesis["wallet_universe_size"],
-        vote_filter=vote_filter,
         genesis_context=context,
     )
     derived = engine.ledger

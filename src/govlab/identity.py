@@ -10,6 +10,10 @@ neutralizes quadratic-voting Sybil amplification.
 
 An identity whose wallets vote for different options is equivocating: all
 of its votes are excluded and reported.
+
+An IdentityFilter pairs a registry with a vote policy.  It is the whole
+identity layer of a GovernanceEngine: the engine applies it at finalize and
+records it in the genesis event, from which replay rebuilds it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .core import (
     TokenAmount,
     VoteRecord,
     WalletId,
-    parse_units,
-    fmt_units,
 )
 from .rng import Xoshiro256StarStar
 
@@ -56,10 +58,6 @@ class VerificationOutcome:
     accepted: bool
     reason: RejectionReason | None = None
 
-    @classmethod
-    def rejected(cls, reason: RejectionReason) -> "VerificationOutcome":
-        return cls(accepted=False, reason=reason)
-
 
 _ACCEPTED = VerificationOutcome(accepted=True)  # immutable, so every accepted bind shares it
 
@@ -85,19 +83,16 @@ class IdentityRegistry:
         if bound_to is not None:
             if bound_to == identity:
                 return _ACCEPTED
-            return VerificationOutcome.rejected(RejectionReason.WALLET_ALREADY_BOUND)
+            return VerificationOutcome(False, RejectionReason.WALLET_ALREADY_BOUND)
         existing = self._wallets_by_identity.get(identity, [])
         if self.mode is RegistryMode.STRICT_ONE_WALLET and existing:
-            return VerificationOutcome.rejected(RejectionReason.DUPLICATE_IDENTITY)
+            return VerificationOutcome(False, RejectionReason.DUPLICATE_IDENTITY)
         self._wallets_by_identity.setdefault(identity, []).append(wallet)
         self._identity_by_wallet[wallet] = identity
         return _ACCEPTED
 
     def identity_of(self, wallet: WalletId) -> IdentityId | None:
         return self._identity_by_wallet.get(wallet)
-
-    def wallets_of(self, identity: IdentityId) -> tuple[WalletId, ...]:
-        return tuple(self._wallets_by_identity.get(IdentityId(identity), ()))
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -187,29 +182,19 @@ def filter_and_collapse(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityClaim:
-    """A claim that wallet belongs to identity; fraudulent claims are Sybil fakes."""
+class IdentityFilter:
+    """A registry and a vote policy: the identity layer one engine applies and records."""
 
-    identity: IdentityId
-    wallet: WalletId
-    fraudulent: bool = False
+    def __init__(self, registry: IdentityRegistry, policy: "str | VotePolicy"):
+        self.registry = registry
+        self.policy = VotePolicy(policy)
 
+    def apply(self, votes: Sequence[VoteRecord]) -> FilterReport:
+        return filter_and_collapse(votes, self.registry, self.policy)
 
-@dataclass(frozen=True, slots=True)
-class ProviderParams:
-    false_accept_rate: Decimal
-    seed: int
-
-    def __post_init__(self):
-        units = parse_units(self.false_accept_rate)
-        if units > 10**9:
-            raise IdentityError(
-                f"false_accept_rate must be in [0, 1]: {self.false_accept_rate}"
-            )
-        object.__setattr__(self, "false_accept_rate", Decimal(fmt_units(units)))
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise IdentityError(f"provider seed must be a u64: {self.seed!r}")
+    def to_json_obj(self) -> dict[str, Any]:
+        """The genesis event's identity record."""
+        return {"policy": self.policy.value, "registry": self.registry.to_json_obj()}
 
 
 class SimulatedProvider:
@@ -217,15 +202,14 @@ class SimulatedProvider:
 
     Genuine claims are always accepted and consume no randomness.  A
     fraudulent claim consumes one draw and is falsely accepted when the
-    draw lands below false_accept_rate.
+    draw lands below false_accept_rate, which the scenario checks is in [0, 1].
     """
 
-    def __init__(self, params: ProviderParams):
-        self.params = params
-        self._rng = Xoshiro256StarStar.from_seed(params.seed)
-        self._rate = float(params.false_accept_rate)
+    def __init__(self, false_accept_rate: Decimal, seed: int):
+        self._rng = Xoshiro256StarStar.from_seed(seed)
+        self._rate = float(false_accept_rate)
 
-    def review(self, claim: IdentityClaim) -> bool:
-        if not claim.fraudulent:
+    def review(self, fraudulent: bool) -> bool:
+        if not fraudulent:
             return True
         return self._rng.next_float() < self._rate

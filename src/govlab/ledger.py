@@ -26,7 +26,7 @@ import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable
+from typing import Iterable
 
 from .core import CanonicalJsonError, GovlabError, loads_canonical
 
@@ -50,12 +50,6 @@ class LedgerEntry:
     prev_hash: str
     payload: str  # canonical JSON text; the exact bytes are the hash preimage
     hash: str
-
-
-def _check_hash_field(value: Any, label: str) -> str:
-    if not isinstance(value, str) or not _HEX64.fullmatch(value):
-        raise LedgerError(f"{label} must be 64 lowercase hex chars: {value!r}")
-    return value
 
 
 class Ledger:
@@ -156,11 +150,10 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
                 raise LedgerError(
                     f"line {lineno}: payload holds a lone surrogate at offset {exc.start}"
                 ) from exc
-        # Checked inline; the call builds the error.
         if type(prev_hash) is not str or not _HEX64.fullmatch(prev_hash):
-            _check_hash_field(prev_hash, "prev_hash")
+            raise LedgerError(f"line {lineno}: prev_hash must be 64 lowercase hex chars: {prev_hash!r}")
         if type(digest) is not str or not _HEX64.fullmatch(digest):
-            _check_hash_field(digest, "hash")
+            raise LedgerError(f"line {lineno}: hash must be 64 lowercase hex chars: {digest!r}")
         entries.append(LedgerEntry(index, prev_hash, payload, digest))
     return entries
 

@@ -50,9 +50,8 @@ def _profile_tally(
         for agent in _probe_voters(scenario)
         for wallet in setup.wallets_by_agent[agent.id]
     ]
-    vote_filter = setup.vote_filter()
-    if vote_filter is not None:
-        votes = list(vote_filter(votes).votes)
+    if setup.identity is not None:
+        votes = list(setup.identity.apply(votes).votes)
     return tally(
         votes,
         scenario.mechanism,

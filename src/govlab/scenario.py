@@ -25,6 +25,9 @@ SCHEMA_VERSION = 1
 # A run costs about 50 us and 1.5 KiB per wallet (one attacker with 10^5 wallets took
 # 5.1 s and 175 MiB peak RSS), so this cap bounds the wallets one scenario file can ask for.
 MAX_WALLETS = 100_000
+# Each voting wallet casts once per proposal, at about 17 us and 0.6 KiB per cast
+# (2.5 * 10^5 casts took 4.2-4.3 s and 200-220 MiB peak RSS), so this cap bounds the casts.
+MAX_CASTS = 250_000
 
 
 class ScenarioValidationError(GovlabError):
@@ -200,6 +203,8 @@ def parse_scenario(obj: Any) -> Scenario:
 
     identity = _parse_identity(obj.get("identity"), errors)
     proposals = _parse_proposals(obj.get("proposals"), ticks, errors)
+    if cast_error := _cast_budget_error(obj.get("agents"), len(proposals)):
+        raise ScenarioValidationError([*errors, cast_error])
     agents = _parse_agents(obj.get("agents"), proposals, errors)
 
     if mechanism is Mechanism.QUORUM and quorum is None:
@@ -233,6 +238,28 @@ def parse_scenario(obj: Any) -> Scenario:
         conviction=conviction,
         identity=identity,
     )
+
+
+def _cast_budget_error(agents: Any, n_proposals: int) -> str | None:
+    """The cast cap's error, counted from the raw agent list before any agent is checked.
+
+    Each voting agent casts once per proposal from each of its wallets.  An
+    attacker counts at most MAX_WALLETS wallets here: more is the wallet cap's
+    error, or its own agent's, which _parse_agents reports.
+    """
+    if not isinstance(agents, list):
+        return None
+    wallets = 0
+    for a in agents:
+        if isinstance(a, dict) and a.get("kind") != AgentKind.ABSTAINER.value:
+            n = a.get("n_wallets") if a.get("kind") == AgentKind.SYBIL_ATTACKER.value else 1
+            wallets += min(n, MAX_WALLETS) if type(n) is int and n > 1 else 1
+    if wallets * n_proposals > MAX_CASTS:
+        return (
+            f"agents ask for {wallets * n_proposals} cast events ({wallets} voting wallets x "
+            f"{n_proposals} proposals), more than the cap of {MAX_CASTS}"
+        )
+    return None
 
 
 def _parse_identity(value: Any, errors: list[str]) -> IdentityConfig | None:

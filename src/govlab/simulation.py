@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from decimal import Decimal
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .core import (
     GovlabError,
@@ -28,17 +28,7 @@ from .core import (
     ratio_half_even,
 )
 from .governance import GovernanceEngine, Proposal
-from .identity import (
-    IdentityClaim,
-    IdentityId,
-    IdentityRegistry,
-    ProviderParams,
-    RejectionReason,
-    SimulatedProvider,
-    VerificationOutcome,
-    VotePolicy,
-    filter_and_collapse,
-)
+from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
 from .ledger import Ledger
 from .mechanisms import Mechanism, MechanismError, vote_power
 from .scenario import (
@@ -120,14 +110,8 @@ class SimulationSetup:
     wallets_by_agent: dict[str, tuple[WalletId, ...]]
     balances: dict[WalletId, TokenAmount]
     wallet_universe_size: int
-    registry: IdentityRegistry | None
-    policy: VotePolicy | None
+    identity: IdentityFilter | None
     binding_stats: BindingStats | None
-
-    def vote_filter(self) -> Callable | None:
-        if self.registry is None:
-            return None
-        return lambda votes: filter_and_collapse(votes, self.registry, self.policy)
 
 
 def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
@@ -144,28 +128,15 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
         else:
             balances[wallets[0]] = agent.balance
 
-    registry = None
-    policy = None
+    identity = None
     stats = None
     if scenario.identity is not None:
         cfg = scenario.identity
         provider_seed = cfg.provider.seed if cfg.provider.seed is not None else effective_seed
-        provider = SimulatedProvider(
-            ProviderParams(false_accept_rate=cfg.provider.false_accept_rate, seed=provider_seed)
-        )
+        provider = SimulatedProvider(cfg.provider.false_accept_rate, provider_seed)
         registry = IdentityRegistry(cfg.mode)
-        policy = cfg.policy
         accepted = 0
         by_reason: dict[str, int] = {}
-
-        def record(outcome: VerificationOutcome) -> None:
-            nonlocal accepted
-            if outcome.accepted:
-                accepted += 1
-            else:
-                reason = outcome.reason.value
-                by_reason[reason] = by_reason.get(reason, 0) + 1
-
         for agent in scenario.agents:
             wallets = wallets_by_agent[agent.id]
             fake = (
@@ -174,28 +145,24 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
             )
             width = len(str(len(wallets) - 1)) if len(wallets) > 1 else 1
             for k, wallet in enumerate(wallets):
-                if fake:
-                    claim = IdentityClaim(
-                        identity=IdentityId(f"{agent.id}_fake{k:0{width}d}"),
-                        wallet=wallet,
-                        fraudulent=True,
-                    )
+                # A genuine claim binds the agent's own identity; each fake claims a fresh one.
+                if not provider.review(fake):
+                    reason = RejectionReason.PROVIDER_REJECTED
                 else:
-                    claim = IdentityClaim(identity=IdentityId(agent.id), wallet=wallet)
-                if not provider.review(claim):
-                    record(VerificationOutcome.rejected(RejectionReason.PROVIDER_REJECTED))
-                    continue
-                record(registry.bind(claim.identity, claim.wallet))
-        stats = BindingStats(
-            accepted=accepted, rejected=sum(by_reason.values()), by_reason=by_reason
-        )
+                    outcome = registry.bind(f"{agent.id}_fake{k:0{width}d}" if fake else agent.id, wallet)
+                    if outcome.accepted:
+                        accepted += 1
+                        continue
+                    reason = outcome.reason
+                by_reason[reason.value] = by_reason.get(reason.value, 0) + 1
+        identity = IdentityFilter(registry, cfg.policy)
+        stats = BindingStats(accepted=accepted, rejected=sum(by_reason.values()), by_reason=by_reason)
 
     return SimulationSetup(
         wallets_by_agent=wallets_by_agent,
         balances=balances,
         wallet_universe_size=len(balances),
-        registry=registry,
-        policy=policy,
+        identity=identity,
         binding_stats=stats,
     )
 
@@ -276,15 +243,11 @@ def _index_votes(
 def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
     """Execute a scenario's events in tick order (idle ticks cost nothing) and report."""
     setup = build_setup(scenario, seed_override=seed_override)
-    identity = None if setup.registry is None else {
-        "policy": setup.policy.value, "registry": setup.registry.to_json_obj()
-    }
     engine = GovernanceEngine(
         balances=setup.balances,
         supply=scenario.supply,
         wallet_universe_size=setup.wallet_universe_size,
-        vote_filter=setup.vote_filter(),
-        genesis_context={"scenario": scenario.name, "mechanism": scenario.mechanism.value, "identity": identity},
+        genesis_context={"scenario": scenario.name, "mechanism": scenario.mechanism.value, "identity": setup.identity},
     )
 
     _play_schedule(scenario, setup, engine)

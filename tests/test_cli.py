@@ -32,6 +32,19 @@ def no_color(monkeypatch):
     monkeypatch.setenv("GOVLAB_NO_COLOR", "1")
 
 
+def _over_cast_budget(text):
+    """The preset at the wallet cap, voting in three proposals: 300,000 casts, over their cap."""
+    obj = json.loads(text)
+    obj["agents"][1]["n_wallets"] = 99_999
+    for agent in obj["agents"]:
+        del agent["cast_at"]
+    obj["proposals"] = [
+        {**obj["proposals"][0], "id": f"p{k}", "discussion_window": [6 * k, 6 * k + 1], "voting_window": [6 * k + 1, 6 * k + 6]}
+        for k in range(3)
+    ]
+    return json.dumps(obj)
+
+
 class TestRunCommand:
     def test_success_prints_only_the_head_hash(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -128,8 +141,12 @@ class TestRunCommand:
             (lambda text: "[" * 100_000, "malformed JSON: maximum recursion depth"),
             (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
             (lambda text: text.replace('"n_wallets": 100', '"n_wallets": 10000000'), "wallets in total"),
+            (lambda text: _over_cast_budget(text), "cast events"),
         ],
-        ids=["unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer", "ten-million-wallets"],
+        ids=[
+            "unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer", "ten-million-wallets",
+            "over-cast-budget",
+        ],
     )
     def test_hostile_values_are_one_validation_error(self, scenario_path, tmp_path, capsys, edit, message):
         text = scenario_path.read_text()
@@ -282,6 +299,20 @@ class TestVerifyCommand:
         assert captured.err == "error: line 2: payload holds a lone surrogate at offset 0\n"
 
 
+    def test_malformed_hash_is_a_runtime_error_naming_the_line(self, scenario_path, tmp_path, capsys):
+        ledger = self._written_ledger(scenario_path, tmp_path, capsys)
+        lines = ledger.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["hash"] = entry["hash"].upper()
+        lines[2] = json.dumps(entry)
+        ledger.write_text("\n".join(lines) + "\n")
+        code = main(["verify", "--ledger", str(ledger)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert captured.err == f"error: line 3: hash must be 64 lowercase hex chars: {entry['hash']!r}\n"
+
+
 class TestCompareCommand:
     def test_table_and_merged_report(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "merged.json"
@@ -332,6 +363,18 @@ class TestCompareCommand:
         assert code == EXIT_VALIDATION
         assert "unknown mechanism" in captured.err
         assert captured.out == ""
+
+    def test_invalid_scenario_file_is_a_validation_error(self, scenario_path, tmp_path, capsys):
+        scenario_path.write_text(scenario_path.read_text().replace('"seed": 42', '"seed": -1').replace('"ticks": 20', '"ticks": -2'))
+        out = tmp_path / "m.json"
+        code = main(["compare", "--scenario", str(scenario_path), "--mechanisms", "token,quadratic", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert errors[:2] == ["error: seed must be a u64, got -1", "error: ticks must be a non-negative integer horizon, got -2"]
+        assert all(line.startswith("error: ") for line in errors)
+        assert not out.exists()
 
     def test_columns_align(self, scenario_path, tmp_path, capsys):
         main(

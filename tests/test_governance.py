@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
+from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, VotingPower, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
     GovernanceError,
@@ -22,7 +22,7 @@ from govlab.governance import (
     ZeroCommitment,
     replay,
 )
-from govlab.identity import IdentityRegistry, RegistryMode, VotePolicy, filter_and_collapse
+from govlab.identity import IdentityFilter, IdentityRegistry, RegistryMode, VotePolicy
 from govlab.ledger import Ledger, verify_chain
 from govlab.mechanisms import (
     ConvictionParams,
@@ -467,7 +467,7 @@ class TestConvictionGovernance:
         engine = GovernanceEngine(
             balances={WalletId("alice"): TokenAmount.parse(100), WalletId("bob"): TokenAmount.parse(50)},
             supply=TokenAmount.parse(1000),
-            vote_filter=lambda votes: filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED),
+            genesis_context={"identity": IdentityFilter(registry, VotePolicy.DROP_UNVERIFIED)},
         )
         engine.submit(
             _proposal(mechanism=Mechanism.CONVICTION, conviction=self.alpha, voting=(5, 30)), 0
@@ -532,11 +532,10 @@ class TestReplay:
         engine = GovernanceEngine(
             balances={WalletId(w): TokenAmount.parse(b) for w, b in {"alice": 100, "bob": 50, "carol": 25}.items()},
             supply=TokenAmount.parse(1000),
-            vote_filter=lambda votes: filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED),
             genesis_context={
                 "scenario": "replay",
                 "mechanism": "conviction",
-                "identity": {"policy": "drop_unverified", "registry": registry.to_json_obj()},
+                "identity": IdentityFilter(registry, VotePolicy.DROP_UNVERIFIED),
             },
         )
         engine.submit(
@@ -563,6 +562,45 @@ class TestReplay:
         for pid, proposal in recorded.proposals.items():
             assert replayed.proposals[pid].phase is proposal.phase
         assert replayed.results[ProposalId("p1")] == recorded.results[ProposalId("p1")]
+
+    def test_the_filter_an_engine_applies_is_the_one_its_genesis_records(self):
+        """An IdentityFilter and no scenario or mechanism labels: the collapsing finalize replays clean."""
+        registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
+        for identity, wallet in (("id-a", "alice"), ("id-a", "bob"), ("id-c", "carol")):
+            assert registry.bind(identity, WalletId(wallet)).accepted
+        engine = GovernanceEngine(
+            balances={WalletId(w): TokenAmount.parse(b) for w, b in {"alice": 100, "bob": 44, "carol": 25}.items()},
+            supply=TokenAmount.parse(1000),
+            genesis_context={"identity": IdentityFilter(registry, "drop_unverified")},
+        )
+        engine.submit(_proposal(mechanism=Mechanism.QUADRATIC), 0)
+        engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
+        engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(44), 5)
+        engine.cast("p1", WalletId("carol"), "reject", TokenAmount.parse(25), 5)
+        result = engine.finalize("p1", 10)
+        assert [v.committed for v in engine.counted_votes[ProposalId("p1")]] == [TokenAmount.parse(144), TokenAmount.parse(25)]
+        assert result.per_option_power["approve"] == VotingPower.parse(12)
+        genesis = loads_canonical(engine.ledger[0].payload)
+        assert genesis["identity"] == {"policy": "drop_unverified", "registry": registry.to_json_obj()}
+        assert "scenario" not in genesis and "mechanism" not in genesis
+        assert loads_canonical(engine.ledger[6].payload)["event"] == "finalize"
+        replayed = replay(engine.ledger.entries)
+        assert [e.payload for e in replayed.ledger] == [e.payload for e in engine.ledger]
+        assert replayed.identity.to_json_obj() == engine.identity.to_json_obj()
+
+    def test_genesis_identity_is_absent_null_or_the_filter_record(self):
+        balances = {WalletId("alice"): TokenAmount.parse(1)}
+        def genesis(**context):
+            engine = GovernanceEngine(balances=balances, supply=TokenAmount.parse(1), genesis_context=context or None)
+            return loads_canonical(engine.ledger[0].payload)
+        assert "identity" not in genesis()
+        assert genesis(identity=None)["identity"] is None
+        registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
+        record = {"policy": "admit_unverified", "registry": registry.to_json_obj()}
+        assert genesis(identity=IdentityFilter(registry, VotePolicy.ADMIT_UNVERIFIED))["identity"] == record
+        # A record alone is not a filter: the engine would apply nothing and replay would diverge.
+        with pytest.raises(GovernanceError, match="IdentityFilter"):
+            genesis(identity=record)
 
     def test_replay_rejects_an_empty_ledger(self):
         with pytest.raises(GovernanceError, match="empty ledger"):

@@ -1,11 +1,15 @@
-"""Source hygiene that no installed linter checks: every imported name is used."""
+"""Source hygiene that no installed linter checks: every imported name is used,
+and every name the package defines has a caller outside the tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "govlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "govlab"
 # __init__ imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -35,3 +39,35 @@ def test_every_imported_name_is_used(path):
     used = _used_names(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each bare name or attribute name is read under tree."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+    return refs
+
+
+def test_every_defined_name_has_a_caller_outside_the_tests():
+    """A function, class or method (dunders aside) is referenced in the package
+    outside its own definition, or in benchmarks/*.py or the README."""
+    trees = {p.name: ast.parse(p.read_text("utf-8")) for p in sorted(SRC.glob("*.py"))}
+    package = sum((_references(tree) for tree in trees.values()), Counter())
+    outside = "\n".join(p.read_text("utf-8") for p in sorted((ROOT / "benchmarks").glob("*.py")))
+    outside += (ROOT / "README.md").read_text("utf-8")
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if package[name] > _references(node)[name] or re.search(rf"\b{re.escape(name)}\b", outside):
+                continue
+            dead.append(f"{module}:{node.lineno} {name}")
+    assert not dead, f"defined but referenced only by tests: {', '.join(dead)}"

@@ -1,6 +1,8 @@
 """Identity registry, vote collapsing, and the simulated verification provider."""
 
+import json
 from decimal import Decimal
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +18,15 @@ from govlab.core import (
     loads_canonical,
 )
 from govlab.identity import (
-    IdentityClaim,
     IdentityError,
     IdentityRegistry,
-    ProviderParams,
     RegistryMode,
     RejectionReason,
     SimulatedProvider,
     VotePolicy,
     filter_and_collapse,
 )
+from govlab.scenario import ScenarioValidationError, parse_scenario
 from govlab.mechanisms import ConvictionParams, conviction_power, power_quadratic, tally
 from govlab.sybil import split_uniform
 
@@ -40,10 +41,16 @@ def _vote(wallet, option, committed, cast_at=0):
     )
 
 
-def _verdicts(claims, params):
-    """Review a claim sequence with a fresh provider."""
-    provider = SimulatedProvider(params)
-    return [provider.review(claim) for claim in claims]
+def _verdicts(claims, rate, seed):
+    """Review a sequence of fraudulent flags with a fresh provider."""
+    provider = SimulatedProvider(Decimal(rate), seed)
+    return [provider.review(fraudulent) for fraudulent in claims]
+
+
+def _wallets_of(registry, identity):
+    """The wallets bound to identity, as the registry's JSON form lists them."""
+    bindings = {b["identity"]: b["wallets"] for b in registry.to_json_obj()["bindings"]}
+    return tuple(WalletId(w) for w in bindings.get(identity, ()))
 
 
 class TestRegistryBinding:
@@ -58,7 +65,7 @@ class TestRegistryBinding:
         registry.bind(IdentityId("alice"), WalletId("w1"))
         again = registry.bind(IdentityId("alice"), WalletId("w1"))
         assert again.accepted
-        assert registry.wallets_of(IdentityId("alice")) == (WalletId("w1"),)
+        assert _wallets_of(registry, "alice") == (WalletId("w1"),)
 
     def test_strict_mode_rejects_a_second_wallet(self):
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
@@ -71,7 +78,7 @@ class TestRegistryBinding:
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
         for k in range(5):
             assert registry.bind(IdentityId("alice"), WalletId(f"w{k}")).accepted
-        assert len(registry.wallets_of(IdentityId("alice"))) == 5
+        assert len(_wallets_of(registry, "alice")) == 5
 
     def test_a_wallet_cannot_serve_two_identities(self):
         for mode in RegistryMode:
@@ -94,7 +101,6 @@ class TestRegistryBinding:
                 assert restored.bind(binding["identity"], wallet).accepted
         assert canonical_json(restored.to_json_obj()) == text
         assert restored.mode is registry.mode
-        assert restored.wallets_of(IdentityId("alice")) == registry.wallets_of(IdentityId("alice"))
         assert restored.identity_of(WalletId("w3")) == IdentityId("bob")
 
     @given(
@@ -114,7 +120,7 @@ class TestRegistryBinding:
         seen_wallets = []
         for binding in registry.to_json_obj()["bindings"]:
             identity = IdentityId(binding["identity"])
-            wallets = registry.wallets_of(identity)
+            wallets = _wallets_of(registry, identity)
             if mode is RegistryMode.STRICT_ONE_WALLET:
                 assert len(wallets) == 1
             seen_wallets.extend(wallets)
@@ -284,57 +290,36 @@ class TestCollapseUnderTally:
 
 class TestSimulatedProvider:
     def test_genuine_claims_always_accepted(self):
-        provider = SimulatedProvider(ProviderParams(false_accept_rate=Decimal("0"), seed=1))
-        claim = IdentityClaim(identity=IdentityId("alice"), wallet=WalletId("w1"))
-        assert all(provider.review(claim) for _ in range(100))
+        provider = SimulatedProvider(Decimal("0"), 1)
+        assert all(provider.review(False) for _ in range(100))
 
     def test_genuine_claims_consume_no_randomness(self):
         """Verdicts on fraudulent claims are unaffected by interleaved genuine ones."""
-        params = ProviderParams(false_accept_rate=Decimal("0.5"), seed=99)
-        fraud = [
-            IdentityClaim(identity=IdentityId(f"f{k}"), wallet=WalletId(f"wf{k}"), fraudulent=True)
-            for k in range(50)
-        ]
-        genuine = IdentityClaim(identity=IdentityId("real"), wallet=WalletId("wr"))
-        plain = _verdicts(fraud, params)
-        interleaved_claims = []
-        for claim in fraud:
-            interleaved_claims.extend([genuine, claim, genuine])
-        interleaved = _verdicts(interleaved_claims, params)
+        plain = _verdicts([True] * 50, "0.5", 99)
+        interleaved = _verdicts([False, True, False] * 50, "0.5", 99)
         assert [v for i, v in enumerate(interleaved) if i % 3 == 1] == plain
 
     def test_rate_zero_rejects_and_rate_one_accepts_all_fraud(self):
-        fraud = [
-            IdentityClaim(identity=IdentityId(f"f{k}"), wallet=WalletId(f"w{k}"), fraudulent=True)
-            for k in range(30)
-        ]
-        never = _verdicts(fraud, ProviderParams(false_accept_rate=Decimal(0), seed=5))
-        always = _verdicts(fraud, ProviderParams(false_accept_rate=Decimal(1), seed=5))
-        assert not any(never)
-        assert all(always)
+        assert not any(_verdicts([True] * 30, 0, 5))
+        assert all(_verdicts([True] * 30, 1, 5))
 
     def test_rate_outside_unit_interval_rejected(self):
-        with pytest.raises(IdentityError, match=r"\[0, 1\]"):
-            ProviderParams(false_accept_rate=Decimal("1.5"), seed=0)
+        """The provider's rate comes from a scenario, whose validation bounds it."""
+        preset = json.loads(resources.files("govlab.presets").joinpath("sybil_attack_quadratic.json").read_text())
+        preset["identity"] = {
+            "mode": "collapse_per_identity",
+            "policy": "drop_unverified",
+            "provider": {"false_accept_rate": "1.5"},
+        }
+        with pytest.raises(ScenarioValidationError, match=r"false_accept_rate must be in \[0, 1\]"):
+            parse_scenario(preset)
 
     def test_false_accepts_match_binomial_expectation(self):
         """10,000 fraudulent claims at rate 0.1: within 3 sigma of 1,000, and the
         fixed seed pins the exact count."""
-        claims = [
-            IdentityClaim(
-                identity=IdentityId(f"id{k:05d}"), wallet=WalletId(f"w{k:05d}"), fraudulent=True
-            )
-            for k in range(10000)
-        ]
-        params = ProviderParams(false_accept_rate=Decimal("0.1"), seed=20260825)
-        accepted = sum(_verdicts(claims, params))
+        accepted = sum(_verdicts([True] * 10000, "0.1", 20260825))
         assert 910 <= accepted <= 1090  # 1000 +/- 3 * 30
         assert accepted == 967
 
     def test_same_seed_same_verdicts(self):
-        claims = [
-            IdentityClaim(identity=IdentityId(f"id{k}"), wallet=WalletId(f"w{k}"), fraudulent=True)
-            for k in range(200)
-        ]
-        params = ProviderParams(false_accept_rate=Decimal("0.3"), seed=7)
-        assert _verdicts(claims, params) == _verdicts(claims, params)
+        assert _verdicts([True] * 200, "0.3", 7) == _verdicts([True] * 200, "0.3", 7)

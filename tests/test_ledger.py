@@ -379,7 +379,7 @@ def _load_ndjson_ref(text):
                 raise LedgerError(f"line {lineno}: payload holds a lone surrogate at offset {exc.start}") from exc
         for label in ("prev_hash", "hash"):
             if not isinstance(obj[label], str) or not re.fullmatch("[0-9a-f]{64}", obj[label]):
-                raise LedgerError(f"{label} must be 64 lowercase hex chars: {obj[label]!r}")
+                raise LedgerError(f"line {lineno}: {label} must be 64 lowercase hex chars: {obj[label]!r}")
         entries.append(LedgerEntry(index, obj["prev_hash"], payload, obj["hash"]))
     return entries
 

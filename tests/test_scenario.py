@@ -9,6 +9,7 @@ import pytest
 
 from govlab.core import ProposalId
 from govlab.scenario import (
+    MAX_CASTS,
     MAX_WALLETS,
     AgentKind,
     IdentityStrategy,
@@ -298,6 +299,25 @@ class TestErrorCollection:
         errors = _errors_of(obj)
         assert time.perf_counter() - start < 0.1
         assert errors == [f"agents hold 10000002 wallets in total, more than the cap of {MAX_WALLETS}"]
+
+    def test_total_casts_are_capped_before_agents_are_checked(self):
+        """Voting wallets x proposals is capped, and a file over it gets that one error."""
+        obj = _valid()
+        obj["supply"] = "2000"
+        obj["proposals"] = [
+            {**obj["proposals"][0], "id": f"p{k}", "discussion_window": [4 * k, 4 * k + 1], "voting_window": [4 * k + 1, 4 * k + 4]}
+            for k in range(5)
+        ]
+        attacker = {"id": "mallory", "kind": "sybil_attacker", "balance": "1000", "preference": ["approve"]}
+        obj["agents"].append({**attacker, "n_wallets": MAX_CASTS // 5 - 2})
+        at_cap = parse_scenario(obj)
+        assert sum(a.n_wallets for a in at_cap.agents) * len(at_cap.proposals) == MAX_CASTS
+        obj["agents"][-1]["n_wallets"] += 1
+        obj["agents"][0]["preference"] = ["maybe"]  # an agent error, never reached
+        assert _errors_of(obj) == [
+            f"agents ask for {MAX_CASTS + 5} cast events (50001 voting wallets x 5 proposals), "
+            f"more than the cap of {MAX_CASTS}"
+        ]
 
     def test_quorum_mechanism_requires_config(self):
         obj = _valid()

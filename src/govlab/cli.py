@@ -37,10 +37,14 @@ def _error(message: str) -> None:
 
 
 def _parse_seed(value: str) -> int:
-    seed = int(value)
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a u64")
-    return seed
+    # Any other error type would make argparse name this function in its message.
+    try:
+        seed = int(value)
+        if 0 <= seed < 2**64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("seed must be a u64")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow
 from typing import Any, Iterable
 
@@ -269,8 +268,49 @@ def _check_option(option: str) -> str:
     return option
 
 
-@dataclass(frozen=True, slots=True)
-class VoteRecord:
+# How a record's __init__ fills its slots, past the __setattr__ that refuses every write.
+_set = object.__setattr__
+
+
+class _Record:
+    """Value semantics for a record class from its __slots__, which name the
+    constructor's parameters in order.
+
+    Two records are equal when they are of the same class and their field
+    tuples are equal, and the hash is the field tuple's.  The repr is
+    Name(field=value, ...).  A field cannot be assigned or deleted; _replace
+    builds a changed copy through the constructor, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any = None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes: Any):
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return type(self)(**fields)
+
+
+class VoteRecord(_Record):
     """One wallet's live vote on one proposal.
 
     cast_at is the tick since which the wallet has held this option: a
@@ -278,32 +318,30 @@ class VoteRecord:
     power reads it, as the start of accrual.
     """
 
-    wallet: WalletId
-    proposal: ProposalId
-    option: str
-    committed: TokenAmount
-    cast_at: int
+    __slots__ = ("wallet", "proposal", "option", "committed", "cast_at")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wallet", WalletId(self.wallet))
-        object.__setattr__(self, "proposal", ProposalId(self.proposal))
-        _check_option(self.option)
-        if not isinstance(self.committed, TokenAmount):
+    def __init__(self, wallet: WalletId, proposal: ProposalId, option: str, committed: TokenAmount, cast_at: int):
+        _set(self, "wallet", WalletId(wallet))
+        _set(self, "proposal", ProposalId(proposal))
+        _set(self, "option", _check_option(option))
+        if not isinstance(committed, TokenAmount):
             raise GovlabError("committed must be a TokenAmount")
-        if self.committed.is_zero():
+        if committed.is_zero():
             raise GovlabError("committed tokens must be positive")
-        if not isinstance(self.cast_at, int) or isinstance(self.cast_at, bool) or self.cast_at < 0:
+        if not isinstance(cast_at, int) or isinstance(cast_at, bool) or cast_at < 0:
             raise GovlabError("cast_at must be a non-negative tick")
+        _set(self, "committed", committed)
+        _set(self, "cast_at", cast_at)
 
 
 def _checked_vote(wallet, proposal, option, committed, cast_at) -> VoteRecord:
-    """A VoteRecord built without __post_init__, from fields of the right types the caller has checked."""
+    """A VoteRecord built without __init__'s checks, from fields of the right types the caller has checked."""
     vote = object.__new__(VoteRecord)
-    object.__setattr__(vote, "wallet", wallet)
-    object.__setattr__(vote, "proposal", proposal)
-    object.__setattr__(vote, "option", option)
-    object.__setattr__(vote, "committed", committed)
-    object.__setattr__(vote, "cast_at", cast_at)
+    _set(vote, "wallet", wallet)
+    _set(vote, "proposal", proposal)
+    _set(vote, "option", option)
+    _set(vote, "committed", committed)
+    _set(vote, "cast_at", cast_at)
     return vote
 
 
@@ -313,13 +351,15 @@ class OutcomeKind:
     QUORUM_FAILED = "quorum_failed"
 
 
-@dataclass(frozen=True, slots=True)
-class TallyOutcome:
+class TallyOutcome(_Record):
     """Winner(option), Tie(options), or QuorumFailed."""
 
-    kind: str
-    option: str | None = None
-    options: tuple[str, ...] = ()
+    __slots__ = ("kind", "option", "options")
+
+    def __init__(self, kind: str, option: str | None = None, options: tuple[str, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "option", option)
+        _set(self, "options", options)
 
     @classmethod
     def winner(cls, option: str) -> "TallyOutcome":
@@ -345,18 +385,26 @@ class TallyOutcome:
         return {"type": self.kind}
 
 
-@dataclass(frozen=True, slots=True)
-class TallyResult:
+class TallyResult(_Record):
     """Per-option powers, tokens that participated, the outcome, and each vote's power.
 
     vote_powers is in the order of the tallied votes; it is not part of the
     JSON form, which the ledger's finalize event records.
     """
 
-    per_option_power: dict[str, VotingPower]
-    participating_tokens: TokenAmount
-    outcome: TallyOutcome
-    vote_powers: tuple[VotingPower, ...]
+    __slots__ = ("per_option_power", "participating_tokens", "outcome", "vote_powers")
+
+    def __init__(
+        self,
+        per_option_power: dict[str, VotingPower],
+        participating_tokens: TokenAmount,
+        outcome: TallyOutcome,
+        vote_powers: tuple[VotingPower, ...],
+    ):
+        _set(self, "per_option_power", per_option_power)
+        _set(self, "participating_tokens", participating_tokens)
+        _set(self, "outcome", outcome)
+        _set(self, "vote_powers", vote_powers)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

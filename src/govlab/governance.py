@@ -19,7 +19,6 @@ winner.  Ties (including the no-votes case) reject; the status quo wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
@@ -35,6 +34,8 @@ from .core import (
     WalletId,
     _check_option,
     _checked_vote,
+    _Record,
+    _set,
 )
 from .identity import IdentityFilter, IdentityRegistry
 from .ledger import Ledger
@@ -74,47 +75,60 @@ class Phase(str, Enum):
 TERMINAL_PHASES = frozenset({Phase.PASSED, Phase.REJECTED, Phase.QUORUM_FAILED, Phase.EXECUTED})
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
+class Window(_Record):
     """Half-open tick range [start, end)."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        for v in (self.start, self.end):
+    def __init__(self, start: int, end: int):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        for v in (start, end):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise WindowError(f"window bounds must be non-negative ticks: {self}")
-        if self.start >= self.end:
-            raise WindowError(f"window must be nonempty: [{self.start}, {self.end})")
+        if start >= end:
+            raise WindowError(f"window must be nonempty: [{start}, {end})")
 
     def contains(self, tick: int) -> bool:
         return self.start <= tick < self.end
 
 
-@dataclass(slots=True)
-class Proposal:
-    """Governance proposal; phase is managed by the engine after submission."""
+class Proposal(_Record):
+    """Governance proposal; phase is managed by the engine after submission.
 
-    id: ProposalId
-    options: tuple[str, ...]
-    discussion_window: Window
-    voting_window: Window
-    mechanism: Mechanism
-    quorum: QuorumConfig | None = None
-    conviction: ConvictionParams | None = None
-    phase: Phase = Phase.DRAFT
+    Unlike the other records it is mutable, and so not hashable.
+    """
 
-    def __post_init__(self):
-        self.id = ProposalId(self.id)
-        self.options = tuple(self.options)
+    __slots__ = ("id", "options", "discussion_window", "voting_window", "mechanism", "quorum", "conviction", "phase")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        id: ProposalId,
+        options: tuple[str, ...],
+        discussion_window: Window,
+        voting_window: Window,
+        mechanism: Mechanism,
+        quorum: QuorumConfig | None = None,
+        conviction: ConvictionParams | None = None,
+        phase: Phase = Phase.DRAFT,
+    ):
+        self.id = ProposalId(id)
+        self.options = tuple(options)
+        self.discussion_window = discussion_window
+        self.voting_window = voting_window
+        self.quorum = quorum
+        self.conviction = conviction
+        self.phase = phase
         if len(self.options) < 2:
             raise GovernanceError(f"proposal {self.id!r} needs at least two options")
         if len(set(self.options)) != len(self.options):
             raise GovernanceError(f"proposal {self.id!r} has duplicate options")
         for o in self.options:
             _check_option(o)
-        self.mechanism = Mechanism.parse(self.mechanism)
+        self.mechanism = Mechanism.parse(mechanism)
         if self.discussion_window.end > self.voting_window.start:
             raise WindowError(
                 f"proposal {self.id!r}: discussion window must close before voting opens"

@@ -18,7 +18,6 @@ records it in the genesis event, from which replay rebuilds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from typing import Any, Sequence
@@ -29,6 +28,8 @@ from .core import (
     TokenAmount,
     VoteRecord,
     WalletId,
+    _Record,
+    _set,
 )
 from .rng import Xoshiro256StarStar
 
@@ -53,10 +54,12 @@ class RejectionReason(str, Enum):
     PROVIDER_REJECTED = "ProviderRejected"
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationOutcome:
-    accepted: bool
-    reason: RejectionReason | None = None
+class VerificationOutcome(_Record):
+    __slots__ = ("accepted", "reason")
+
+    def __init__(self, accepted: bool, reason: RejectionReason | None = None):
+        _set(self, "accepted", accepted)
+        _set(self, "reason", reason)
 
 
 _ACCEPTED = VerificationOutcome(accepted=True)  # immutable, so every accepted bind shares it
@@ -104,13 +107,20 @@ class IdentityRegistry:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class FilterReport:
+class FilterReport(_Record):
     """Votes that survived the identity filter, plus what was excluded and why."""
 
-    votes: tuple
-    dropped_unverified: tuple[WalletId, ...] = ()
-    equivocating_identities: tuple[IdentityId, ...] = ()
+    __slots__ = ("votes", "dropped_unverified", "equivocating_identities")
+
+    def __init__(
+        self,
+        votes: tuple,
+        dropped_unverified: tuple[WalletId, ...] = (),
+        equivocating_identities: tuple[IdentityId, ...] = (),
+    ):
+        _set(self, "votes", votes)
+        _set(self, "dropped_unverified", dropped_unverified)
+        _set(self, "equivocating_identities", equivocating_identities)
 
 
 def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
-from .core import CanonicalJsonError, GovlabError, loads_canonical
+from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical
 
 GENESIS_PREV_HASH = "0" * 64
 _HEX64 = re.compile("[0-9a-f]{64}")
@@ -44,12 +43,14 @@ def entry_hash(index: int, prev_hash: str, payload: str) -> str:
     return hashlib.sha256(f"{index}{prev_hash}{payload}".encode()).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    index: int
-    prev_hash: str
-    payload: str  # canonical JSON text; the exact bytes are the hash preimage
-    hash: str
+class LedgerEntry(_Record):
+    __slots__ = ("index", "prev_hash", "payload", "hash")
+
+    def __init__(self, index: int, prev_hash: str, payload: str, hash: str):
+        _set(self, "index", index)
+        _set(self, "prev_hash", prev_hash)
+        _set(self, "payload", payload)  # canonical JSON text; the exact bytes are the hash preimage
+        _set(self, "hash", hash)
 
 
 class Ledger:

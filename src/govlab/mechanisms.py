@@ -19,7 +19,6 @@ tally meeting the threshold exactly passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
@@ -35,6 +34,8 @@ from .core import (
     VoteRecord,
     VotingPower,
     WalletId,
+    _Record,
+    _set,
     fmt_units,
     parse_units,
     power_sum,
@@ -68,19 +69,17 @@ class QuorumBasis(str, Enum):
     WALLET_COUNT_FRACTION = "wallet_count_fraction"
 
 
-@dataclass(frozen=True, slots=True)
-class QuorumConfig:
+class QuorumConfig(_Record):
     """Minimum-participation gate: basis plus a threshold fraction in [0, 1]."""
 
-    basis: QuorumBasis
-    threshold: Decimal
+    __slots__ = ("basis", "threshold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", QuorumBasis(self.basis))
-        units = parse_units(self.threshold)
+    def __init__(self, basis: QuorumBasis, threshold: Decimal):
+        _set(self, "basis", QuorumBasis(basis))
+        units = parse_units(threshold)
         if units > NANO:
-            raise MechanismError(f"quorum threshold must be in [0, 1]: {self.threshold}")
-        object.__setattr__(self, "threshold", Decimal(fmt_units(units)))
+            raise MechanismError(f"quorum threshold must be in [0, 1]: {threshold}")
+        _set(self, "threshold", Decimal(fmt_units(units)))
 
     @property
     def threshold_units(self) -> int:
@@ -90,17 +89,16 @@ class QuorumConfig:
         return {"basis": self.basis.value, "threshold": str(self.threshold)}
 
 
-@dataclass(frozen=True, slots=True)
-class ConvictionParams:
+class ConvictionParams(_Record):
     """decay_rate is the alpha in 1 - e^(-alpha * dt); must be positive."""
 
-    decay_rate: Decimal
+    __slots__ = ("decay_rate",)
 
-    def __post_init__(self):
-        units = parse_units(self.decay_rate)
+    def __init__(self, decay_rate: Decimal):
+        units = parse_units(decay_rate)
         if units == 0:
             raise MechanismError("decay_rate must be positive")
-        object.__setattr__(self, "decay_rate", Decimal(fmt_units(units)))
+        _set(self, "decay_rate", Decimal(fmt_units(units)))
 
     def to_json_obj(self) -> dict:
         return {"decay_rate": str(self.decay_rate)}

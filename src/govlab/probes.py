@@ -9,11 +9,10 @@ between the remaining options (an independence violation witness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Any
 
-from .core import GovlabError, TallyResult, VoteRecord
+from .core import GovlabError, TallyResult, VoteRecord, _Record, _set
 from .mechanisms import tally
 from .scenario import AgentKind, AgentSpec, Scenario
 from .simulation import SimulationSetup, build_setup
@@ -98,14 +97,22 @@ def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) 
     return tuple(a.id for a in voters if a.id in candidates)
 
 
-@dataclass(frozen=True, slots=True)
-class IiaWitness:
+class IiaWitness(_Record):
     """A profile where deleting a losing option changes the winner."""
 
-    profile: tuple[tuple[str, tuple[str, ...]], ...]  # (agent id, ranking)
-    removed_option: str
-    winner_before: str
-    winner_after: str
+    __slots__ = ("profile", "removed_option", "winner_before", "winner_after")
+
+    def __init__(
+        self,
+        profile: tuple[tuple[str, tuple[str, ...]], ...],
+        removed_option: str,
+        winner_before: str,
+        winner_after: str,
+    ):
+        _set(self, "profile", profile)  # (agent id, ranking)
+        _set(self, "removed_option", removed_option)
+        _set(self, "winner_before", winner_before)
+        _set(self, "winner_after", winner_after)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

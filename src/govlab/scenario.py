@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import JSON_FAULTS, FixedPointError, GovlabError, ProposalId, TokenAmount, fmt_units, parse_units
+from .core import JSON_FAULTS, FixedPointError, GovlabError, ProposalId, TokenAmount, _Record, _set, fmt_units, parse_units
 from .governance import Window, WindowError
 from .mechanisms import ConvictionParams, Mechanism, MechanismError, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -50,58 +49,98 @@ class IdentityStrategy(str, Enum):
     FAKE_IDENTITIES = "fake_identities"  # one fraudulent identity per wallet
 
 
-@dataclass(frozen=True, slots=True)
-class ProviderConfig:
-    false_accept_rate: Decimal = Decimal("0")
-    seed: int | None = None  # defaults to the scenario seed
+# The strings each enum-valued field accepts.  A value is checked to be a str first:
+# a JSON object or array is unhashable, so a set lookup would raise TypeError.
+_QUORUM_BASES = frozenset(b.value for b in QuorumBasis)
+_REGISTRY_MODES = frozenset(m.value for m in RegistryMode)
+_VOTE_POLICIES = frozenset(p.value for p in VotePolicy)
+_AGENT_KINDS = frozenset(k.value for k in AgentKind)
+_IDENTITY_STRATEGIES = frozenset(s.value for s in IdentityStrategy)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityConfig:
-    mode: RegistryMode
-    policy: VotePolicy
-    provider: ProviderConfig = ProviderConfig()
+class ProviderConfig(_Record):
+    __slots__ = ("false_accept_rate", "seed")
+
+    def __init__(self, false_accept_rate: Decimal = Decimal("0"), seed: int | None = None):
+        _set(self, "false_accept_rate", false_accept_rate)
+        _set(self, "seed", seed)  # defaults to the scenario seed
 
 
-@dataclass(frozen=True, slots=True)
-class AgentSpec:
-    id: str
-    kind: AgentKind
-    balance: TokenAmount
-    preference: tuple[str, ...]
-    cast_at: int | None = None  # defaults to each proposal's voting-window start
-    n_wallets: int = 1
-    identity_strategy: IdentityStrategy = IdentityStrategy.ONE_IDENTITY
+class IdentityConfig(_Record):
+    __slots__ = ("mode", "policy", "provider")
+
+    def __init__(self, mode: RegistryMode, policy: VotePolicy, provider: ProviderConfig = ProviderConfig()):
+        _set(self, "mode", mode)
+        _set(self, "policy", policy)
+        _set(self, "provider", provider)
+
+
+class AgentSpec(_Record):
+    __slots__ = ("id", "kind", "balance", "preference", "cast_at", "n_wallets", "identity_strategy")
+
+    def __init__(
+        self,
+        id: str,
+        kind: AgentKind,
+        balance: TokenAmount,
+        preference: tuple[str, ...],
+        cast_at: int | None = None,
+        n_wallets: int = 1,
+        identity_strategy: IdentityStrategy = IdentityStrategy.ONE_IDENTITY,
+    ):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "balance", balance)
+        _set(self, "preference", preference)
+        _set(self, "cast_at", cast_at)  # defaults to each proposal's voting-window start
+        _set(self, "n_wallets", n_wallets)
+        _set(self, "identity_strategy", identity_strategy)
 
     def votes(self) -> bool:
         return self.kind is not AgentKind.ABSTAINER
 
 
-@dataclass(frozen=True, slots=True)
-class ProposalSpec:
-    id: ProposalId
-    options: tuple[str, ...]
-    discussion_window: Window
-    voting_window: Window
+class ProposalSpec(_Record):
+    __slots__ = ("id", "options", "discussion_window", "voting_window")
+
+    def __init__(self, id: ProposalId, options: tuple[str, ...], discussion_window: Window, voting_window: Window):
+        _set(self, "id", id)
+        _set(self, "options", options)
+        _set(self, "discussion_window", discussion_window)
+        _set(self, "voting_window", voting_window)
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
-    name: str
-    seed: int
-    ticks: int
-    supply: TokenAmount
-    mechanism: Mechanism
-    agents: tuple[AgentSpec, ...]
-    proposals: tuple[ProposalSpec, ...]
-    quorum: QuorumConfig | None = None
-    conviction: ConvictionParams | None = None
-    identity: IdentityConfig | None = None
+class Scenario(_Record):
+    __slots__ = (
+        "name", "seed", "ticks", "supply", "mechanism", "agents", "proposals", "quorum", "conviction", "identity",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        seed: int,
+        ticks: int,
+        supply: TokenAmount,
+        mechanism: Mechanism,
+        agents: tuple[AgentSpec, ...],
+        proposals: tuple[ProposalSpec, ...],
+        quorum: QuorumConfig | None = None,
+        conviction: ConvictionParams | None = None,
+        identity: IdentityConfig | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "seed", seed)
+        _set(self, "ticks", ticks)
+        _set(self, "supply", supply)
+        _set(self, "mechanism", mechanism)
+        _set(self, "agents", agents)
+        _set(self, "proposals", proposals)
+        _set(self, "quorum", quorum)
+        _set(self, "conviction", conviction)
+        _set(self, "identity", identity)
 
     def with_overrides(self, **changes: Any) -> "Scenario":
-        from dataclasses import replace
-
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
 # Attack wallets get an index suffix; agent ids keep headroom inside the 64-char cap.
@@ -180,7 +219,7 @@ def parse_scenario(obj: Any) -> Scenario:
         else:
             threshold = _parse_decimal(q.get("threshold"), "quorum.threshold", errors)
             basis = q.get("basis")
-            if basis not in {b.value for b in QuorumBasis}:
+            if type(basis) is not str or basis not in _QUORUM_BASES:
                 errors.append(f"quorum.basis must be a participation basis, got {basis!r}")
             elif threshold is not None:
                 try:
@@ -269,11 +308,11 @@ def _parse_identity(value: Any, errors: list[str]) -> IdentityConfig | None:
         errors.append(f"identity must be an object, got {value!r}")
         return None
     mode = value.get("mode")
-    if mode not in {m.value for m in RegistryMode}:
+    if type(mode) is not str or mode not in _REGISTRY_MODES:
         errors.append(f"identity.mode must be a registry mode, got {mode!r}")
         return None
     policy = value.get("policy")
-    if policy not in {p.value for p in VotePolicy}:
+    if type(policy) is not str or policy not in _VOTE_POLICIES:
         errors.append(f"identity.policy must be a vote policy, got {policy!r}")
         return None
     provider = ProviderConfig()
@@ -373,7 +412,7 @@ def _parse_agents(value: Any, proposals: list[ProposalSpec], errors: list[str]) 
             errors.append(f"{label}: id must be <= 48 chars from [A-Za-z0-9_-]")
             continue
         kind_raw = a.get("kind")
-        if kind_raw not in {k.value for k in AgentKind}:
+        if type(kind_raw) is not str or kind_raw not in _AGENT_KINDS:
             errors.append(f"{label}: kind must be an agent kind, got {kind_raw!r}")
             continue
         kind = AgentKind(kind_raw)
@@ -410,7 +449,7 @@ def _parse_agents(value: Any, proposals: list[ProposalSpec], errors: list[str]) 
             if not isinstance(n_wallets, int) or isinstance(n_wallets, bool) or n_wallets < 2:
                 errors.append(f"{label}: sybil attackers need n_wallets >= 2")
                 continue
-            if strategy_raw not in {s.value for s in IdentityStrategy}:
+            if type(strategy_raw) is not str or strategy_raw not in _IDENTITY_STRATEGIES:
                 errors.append(
                     f"{label}: identity_strategy must be an identity strategy, got {strategy_raw!r}"
                 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from decimal import Decimal
@@ -24,6 +23,8 @@ from .core import (
     TokenAmount,
     VotingPower,
     WalletId,
+    _Record,
+    _set,
     canonical_json,
     ratio_half_even,
 )
@@ -89,11 +90,13 @@ def agent_wallets(agent: AgentSpec) -> tuple[WalletId, ...]:
     return (WalletId(agent.id),)
 
 
-@dataclass(frozen=True, slots=True)
-class BindingStats:
-    accepted: int
-    rejected: int
-    by_reason: dict[str, int]
+class BindingStats(_Record):
+    __slots__ = ("accepted", "rejected", "by_reason")
+
+    def __init__(self, accepted: int, rejected: int, by_reason: dict[str, int]):
+        _set(self, "accepted", accepted)
+        _set(self, "rejected", rejected)
+        _set(self, "by_reason", by_reason)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -103,15 +106,24 @@ class BindingStats:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationSetup:
+class SimulationSetup(_Record):
     """Wallet layout, funded balances, and the identity layer for one run."""
 
-    wallets_by_agent: dict[str, tuple[WalletId, ...]]
-    balances: dict[WalletId, TokenAmount]
-    wallet_universe_size: int
-    identity: IdentityFilter | None
-    binding_stats: BindingStats | None
+    __slots__ = ("wallets_by_agent", "balances", "wallet_universe_size", "identity", "binding_stats")
+
+    def __init__(
+        self,
+        wallets_by_agent: dict[str, tuple[WalletId, ...]],
+        balances: dict[WalletId, TokenAmount],
+        wallet_universe_size: int,
+        identity: IdentityFilter | None,
+        binding_stats: BindingStats | None,
+    ):
+        _set(self, "wallets_by_agent", wallets_by_agent)
+        _set(self, "balances", balances)
+        _set(self, "wallet_universe_size", wallet_universe_size)
+        _set(self, "identity", identity)
+        _set(self, "binding_stats", binding_stats)
 
 
 def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
@@ -167,15 +179,26 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     )
 
 
-@dataclass(frozen=True, slots=True)
-class RunResult:
-    scenario: Scenario
-    setup: SimulationSetup
-    engine: GovernanceEngine
-    by_agent: dict[str, dict[str, list[int]]]  # proposal id -> _index_votes rows
-    report: dict[str, Any]
-    report_json: str
-    head_hash: str
+class RunResult(_Record):
+    __slots__ = ("scenario", "setup", "engine", "by_agent", "report", "report_json", "head_hash")
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        setup: SimulationSetup,
+        engine: GovernanceEngine,
+        by_agent: dict[str, dict[str, list[int]]],
+        report: dict[str, Any],
+        report_json: str,
+        head_hash: str,
+    ):
+        _set(self, "scenario", scenario)
+        _set(self, "setup", setup)
+        _set(self, "engine", engine)
+        _set(self, "by_agent", by_agent)  # proposal id -> _index_votes rows
+        _set(self, "report", report)
+        _set(self, "report_json", report_json)
+        _set(self, "head_hash", head_hash)
 
     @property
     def ledger(self) -> Ledger:

@@ -10,10 +10,9 @@ the honest power is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import GovlabError, TokenAmount, VotingPower, ratio_half_even
+from .core import GovlabError, TokenAmount, VotingPower, _Record, _set, ratio_half_even
 from .mechanisms import ConvictionParams, Mechanism, quadratic_units, vote_power
 
 
@@ -21,11 +20,13 @@ class SplitError(GovlabError):
     """Infeasible wallet split."""
 
 
-@dataclass(frozen=True, slots=True)
-class SybilReport:
-    honest_power: VotingPower
-    attack_power: VotingPower
-    amplification: Decimal | None  # None when honest power is zero (undefined)
+class SybilReport(_Record):
+    __slots__ = ("honest_power", "attack_power", "amplification")
+
+    def __init__(self, honest_power: VotingPower, attack_power: VotingPower, amplification: Decimal | None):
+        _set(self, "honest_power", honest_power)
+        _set(self, "attack_power", attack_power)
+        _set(self, "amplification", amplification)  # None when honest power is zero (undefined)
 
 
 def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:

@@ -5,7 +5,6 @@ a failure is reproducible.  Reference values come from independent oracles in
 tests/oracles.py, never from the code under test.
 """
 
-import dataclasses
 import random
 from decimal import Decimal
 from itertools import product
@@ -249,7 +248,7 @@ def test_criterion_07_ledger_tamper_suite_on_a_500_event_run():
         mutated = bytearray(raw)
         mutated[pos] ^= 0x01
         tampered = list(entries)
-        tampered[k] = dataclasses.replace(target, payload=mutated.decode("ascii"))
+        tampered[k] = target._replace(payload=mutated.decode("ascii"))
         assert verify_chain(tampered) == k
 
     replayed = replay(entries)

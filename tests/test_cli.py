@@ -142,10 +142,31 @@ class TestRunCommand:
             (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
             (lambda text: text.replace('"n_wallets": 100', '"n_wallets": 10000000'), "wallets in total"),
             (lambda text: _over_cast_budget(text), "cast events"),
+            (
+                lambda text: text.replace('"quorum": null', '"quorum": {"basis": {"a": 1}, "threshold": "0.5"}'),
+                "quorum.basis must be a participation basis, got {'a': 1}",
+            ),
+            (
+                lambda text: text.replace('"identity": null', '"identity": {"mode": ["x"], "policy": "drop_unverified"}'),
+                "identity.mode must be a registry mode, got ['x']",
+            ),
+            (
+                lambda text: text.replace('"identity": null', '"identity": {"mode": "strict_one_wallet", "policy": {}}'),
+                "identity.policy must be a vote policy, got {}",
+            ),
+            (
+                lambda text: text.replace('"kind": "honest"', '"kind": {"a": 1}'),
+                "agent 'grace': kind must be an agent kind, got {'a': 1}",
+            ),
+            (
+                lambda text: text.replace('"identity_strategy": "one_identity"', '"identity_strategy": []'),
+                "agent 'whale': identity_strategy must be an identity strategy, got []",
+            ),
         ],
         ids=[
             "unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer", "ten-million-wallets",
-            "over-cast-budget",
+            "over-cast-budget", "unhashable-quorum-basis", "unhashable-identity-mode", "unhashable-identity-policy",
+            "unhashable-agent-kind", "unhashable-identity-strategy",
         ],
     )
     def test_hostile_values_are_one_validation_error(self, scenario_path, tmp_path, capsys, edit, message):
@@ -203,9 +224,15 @@ class TestRunCommand:
         assert code == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
 
-    def test_seed_override_accepts_u64_only(self, scenario_path, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "r.json"), "--seed", "-1"])
+    def test_seed_override_accepts_u64_only(self, scenario_path, tmp_path, capsys):
+        for seed in ("-1", "abc", "1.5", "", str(2**64)):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "r.json"), "--seed", seed])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2  # argparse's usage error
+            assert err.startswith("usage: govlab run"), seed
+            assert err.endswith("govlab run: error: argument --seed: seed must be a u64\n"), seed
+            assert not (tmp_path / "r.json").exists()
 
     def test_rerun_is_byte_identical(self, scenario_path, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

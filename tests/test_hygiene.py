@@ -1,8 +1,11 @@
 """Source hygiene that no installed linter checks: every imported name is used,
-and every name the package defines has a caller outside the tests."""
+every name the package defines has a caller outside the tests, and importing
+the CLI loads no code-generation module."""
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -71,3 +74,20 @@ def test_every_defined_name_has_a_caller_outside_the_tests():
                 continue
             dead.append(f"{module}:{node.lineno} {name}")
     assert not dead, f"defined but referenced only by tests: {', '.join(dead)}"
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    """`import govlab.cli` is what every command pays before it starts.  dataclasses
+    (about 1 ms per decorated class) and the inspect, ast and dis modules it pulls
+    in would add tens of milliseconds, so the records are plain __slots__ classes."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import govlab.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "govlab.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})

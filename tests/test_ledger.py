@@ -4,7 +4,6 @@ The digest oracle here is the from-scratch SHA-256 in tests/oracles.py, so a
 hashlib regression or a silent preimage change cannot slip past unnoticed.
 """
 
-import dataclasses
 import functools
 import json
 import re
@@ -129,7 +128,7 @@ class TestAppend:
 
     def test_entries_are_immutable(self):
         ledger = _chain(1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^LedgerEntry is immutable$"):
             ledger[0].payload = "{}"
 
 
@@ -149,32 +148,30 @@ class TestVerifyChain:
     def test_payload_mutation_is_localized(self, victim):
         entries = list(_chain(5).entries)
         entry = entries[victim]
-        entries[victim] = dataclasses.replace(
-            entry, payload=entry.payload.replace('"cast"', '"CAST"')
-        )
+        entries[victim] = entry._replace(payload=entry.payload.replace('"cast"', '"CAST"'))
         assert verify_chain(entries) == victim
 
     def test_single_bit_flip_in_payload_detected(self):
         entries = list(_chain(3).entries)
         raw = bytearray(entries[1].payload.encode())
         raw[0] ^= 0x01
-        entries[1] = dataclasses.replace(entries[1], payload=raw.decode())
+        entries[1] = entries[1]._replace(payload=raw.decode())
         assert verify_chain(entries) == 1
 
     def test_hash_mutation_detected_at_its_own_index(self):
         entries = list(_chain(4).entries)
         bad = ("0" if entries[2].hash[0] != "0" else "1") + entries[2].hash[1:]
-        entries[2] = dataclasses.replace(entries[2], hash=bad)
+        entries[2] = entries[2]._replace(hash=bad)
         assert verify_chain(entries) == 2
 
     def test_prev_hash_mutation_detected(self):
         entries = list(_chain(4).entries)
-        entries[3] = dataclasses.replace(entries[3], prev_hash="f" * 64)
+        entries[3] = entries[3]._replace(prev_hash="f" * 64)
         assert verify_chain(entries) == 3
 
     def test_index_mutation_detected(self):
         entries = list(_chain(4).entries)
-        entries[1] = dataclasses.replace(entries[1], index=5)
+        entries[1] = entries[1]._replace(index=5)
         assert verify_chain(entries) == 1
 
     def test_reordering_detected(self):
@@ -211,7 +208,7 @@ class TestVerifyChain:
         mutated = raw.decode("utf-8", errors="replace")
         if mutated == entries[victim].payload:  # flip landed outside ascii content
             return
-        entries[victim] = dataclasses.replace(entries[victim], payload=mutated)
+        entries[victim] = entries[victim]._replace(payload=mutated)
         assert verify_chain(entries) == victim
 
 

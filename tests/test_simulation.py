@@ -1,6 +1,5 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
-import dataclasses
 import time
 from decimal import Decimal
 
@@ -447,7 +446,7 @@ class TestEventSchedule:
 
     def test_cast_beyond_the_horizon_casts_nothing(self):
         scenario = parse_scenario(_horizon_scenario("token", 20))
-        late = dataclasses.replace(scenario.agents[1], cast_at=25)
+        late = scenario.agents[1]._replace(cast_at=25)
         result = run(scenario.with_overrides(agents=(scenario.agents[0], late)))
         events = [loads_canonical(e.payload) for e in result.ledger]
         assert [e["wallet"] for e in events if e["event"] == "cast"] == ["early"]

@@ -1,23 +1,26 @@
 """Scenario files: the JSON schema driving a simulation run (schema_version 1).
 
-Validation is collect-everything: a bad file reports every violation it
-contains, each naming the offending agent, proposal, or field.  Decimal
-quantities may be written as strings ("10.500000000") or JSON numbers;
-number literals are parsed as exact decimals, never binary floats.
+One table per JSON object lists its fields, each with its parser and, when
+the field is optional, its default.  _walk checks an object's keys against its
+table, so an unknown key at any depth is an error that names its path, and
+parses each field, reporting every bad one.  The rules that relate fields run
+after the walk, on the objects whose fields all parsed.  Decimal quantities may
+be written as strings ("10.500000000") or JSON numbers; number literals are
+parsed as exact decimals, never binary floats.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import JSON_FAULTS, FixedPointError, GovlabError, ProposalId, TokenAmount, _Record, _set, fmt_units, parse_units
-from .governance import Window, WindowError
-from .mechanisms import ConvictionParams, Mechanism, MechanismError, QuorumConfig, QuorumBasis
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, _Record, _set, fmt_units, parse_units
+from .governance import Window
+from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
@@ -27,13 +30,19 @@ MAX_WALLETS = 100_000
 # Each voting wallet casts once per proposal, at about 17 us and 0.6 KiB per cast
 # (2.5 * 10^5 casts took 4.2-4.3 s and 200-220 MiB peak RSS), so this cap bounds the casts.
 MAX_CASTS = 250_000
+# One file can hold an error per agent, option and proposal; past this many the rest are
+# counted, not listed, so `govlab run` prints at most about half a megabyte of errors.
+MAX_ERRORS = 5_000
 
 
 class ScenarioValidationError(GovlabError):
-    """Carries the full list of violations found in a scenario."""
+    """Carries the violations found in a scenario: the first MAX_ERRORS of
+    them, then one line counting the rest."""
 
     def __init__(self, errors: list[str]):
-        self.errors = list(errors)
+        self.errors = errors[:MAX_ERRORS]
+        if len(errors) > MAX_ERRORS:
+            self.errors.append(f"... and {len(errors) - MAX_ERRORS} more")
         super().__init__("; ".join(self.errors))
 
 
@@ -47,15 +56,6 @@ class AgentKind(str, Enum):
 class IdentityStrategy(str, Enum):
     ONE_IDENTITY = "one_identity"  # bind every attack wallet to one identity
     FAKE_IDENTITIES = "fake_identities"  # one fraudulent identity per wallet
-
-
-# The strings each enum-valued field accepts.  A value is checked to be a str first:
-# a JSON object or array is unhashable, so a set lookup would raise TypeError.
-_QUORUM_BASES = frozenset(b.value for b in QuorumBasis)
-_REGISTRY_MODES = frozenset(m.value for m in RegistryMode)
-_VOTE_POLICIES = frozenset(p.value for p in VotePolicy)
-_AGENT_KINDS = frozenset(k.value for k in AgentKind)
-_IDENTITY_STRATEGIES = frozenset(s.value for s in IdentityStrategy)
 
 
 class ProviderConfig(_Record):
@@ -143,140 +143,275 @@ class Scenario(_Record):
         return self._replace(**changes)
 
 
+class _Invalid(Exception):
+    """A field's value is wrong; the message is the text that follows the field's path."""
+
+
+def _must(what: str, value: Any) -> _Invalid:
+    return _Invalid(f" must be {what}, got {value!r}")
+
+
+# Leaf parsers take a field's JSON value and return what its record holds.  They raise
+# _Invalid, or the GovlabError of a check that parse_units or a record makes itself.
+
+def _int(what: str, lo: int, hi: int | None = None):
+    def parse(value: Any) -> int:
+        # Exact JSON integers only: true equals 1, and 1.0 arrives as Decimal("1.0").
+        if type(value) is int and lo <= value and (hi is None or value <= hi):
+            return value
+        raise _must(what, value)
+    return parse
+
+
+def _units(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, (str, int, Decimal)):
+        raise _Invalid(f": expected a decimal string or integer, got {value!r}")
+    return parse_units(value)
+
+
+def _tokens(value: Any) -> TokenAmount:
+    return TokenAmount(_units(value))
+
+
+def _decimal(value: Any) -> Decimal:
+    return Decimal(fmt_units(_units(value)))
+
+
+def _fraction(value: Any) -> Decimal:
+    if (units := _units(value)) > NANO:
+        raise _must("in [0, 1]", value)
+    return Decimal(fmt_units(units))
+
+
+def _enum(cls: type[Enum], what: str):
+    members = {m.value: m for m in cls}
+
+    def parse(value: Any) -> Enum:
+        # Only a str is looked up: a JSON object or array is unhashable.
+        if type(value) is str and value in members:
+            return members[value]
+        raise _must(what, value)
+    return parse
+
+
+def _id(pattern: re.Pattern, what: str, make: type = str):
+    def parse(value: Any) -> str:
+        if isinstance(value, str) and pattern.fullmatch(value):
+            return make(value)
+        raise _Invalid(f" must be {what}")
+    return parse
+
+
+def _window(value: Any) -> Window:
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        return Window(*value)
+    raise _Invalid(f": expected [start, end] integer ticks, got {value!r}")
+
+
+def _labels(what: str, least: int):
+    def parse(value: Any) -> tuple[str, ...]:
+        labels = [value] if isinstance(value, str) else value  # a bare label is a list of one
+        if (
+            type(labels) is list
+            and len(labels) >= least
+            and all(isinstance(label, str) and label for label in labels)
+            and len(set(labels)) == len(labels)
+        ):
+            return tuple(labels)
+        raise _must(what, value)
+    return parse
+
+
+_FAILED = object()  # what a nested object whose errors are already reported parses to
+
+
+class _Object:
+    """A field holding a JSON object: the table of its fields and the record they build."""
+
+    def __init__(self, record: type, table: dict):
+        self.record = record
+        self.table = table
+
+    def read(self, value: Any, path: str, errors: list[str]) -> Any:
+        if not isinstance(value, dict):
+            raise _must("an object", value)
+        before = len(errors)
+        fields = _walk(value, self.table, path, ".", errors)
+        return self.record(**fields) if len(errors) == before else _FAILED
+
+
+class _Records(_Object):
+    """A field holding a nonempty list of objects with distinct ids.  Errors name
+    an item by its id when named(id) holds, else by its index."""
+
+    def __init__(self, record: type, table: dict, noun: str, named):
+        super().__init__(record, table)
+        self.noun = noun
+        self.named = named
+
+    def read(self, value: Any, path: str, errors: list[str]) -> list:
+        if type(value) is not list or not value:
+            raise _Invalid(" must be a nonempty list")
+        records, seen = [], set()
+        for i, item in enumerate(value):
+            if not isinstance(item, dict):
+                errors.append(f"{self.noun} #{i}: expected an object, got {item!r}")
+                continue
+            where = f"{self.noun} {item.get('id')!r}" if self.named(item.get("id")) else f"{self.noun} #{i}"
+            before = len(errors)
+            fields = _walk(item, self.table, where, ": ", errors)
+            if len(errors) > before:
+                continue
+            if fields["id"] in seen:
+                errors.append(f"{where}: duplicate id")
+                continue
+            seen.add(fields["id"])
+            records.append(self.record(**fields))
+        return records
+
+
+_REQUIRED = object()
+
+
+def _req(parse) -> tuple:
+    return parse, _REQUIRED, False
+
+
+def _opt(parse, default: Any) -> tuple:
+    """An optional field; null is not its default but a value, which parse checks."""
+    return parse, default, False
+
+
+def _null(parse, default: Any = None) -> tuple:
+    """An optional field that null also sets to its default."""
+    return parse, default, True
+
+
+def _walk(obj: dict, table: dict, where: str, sep: str, errors: list[str]) -> dict:
+    """Parse obj's fields by table, appending one error per unknown key or bad field.
+
+    where names obj in errors ("" at the top level), and a field's path is
+    where + sep + key.  Returns the fields that parsed, by name.
+    """
+    if not obj.keys() <= table.keys():
+        for key in sorted(obj.keys() - table.keys()):
+            errors.append(f"{where}: unknown field {key!r}" if where else f"unknown top-level field {key!r}")
+    fields = {}
+    for key, (parse, default, nullable) in table.items():
+        value = obj.get(key)
+        if (value is None and nullable) or (default is not _REQUIRED and key not in obj):
+            fields[key] = default
+            continue
+        try:
+            if isinstance(parse, _Object):
+                value = parse.read(value, f"{where}{sep}{key}", errors)
+            else:
+                value = parse(value)
+        except _Invalid as exc:
+            errors.append(f"{where}{sep}{key}{exc}")
+        except GovlabError as exc:
+            errors.append(f"{where}{sep}{key}: {exc}")
+        else:
+            if value is not _FAILED:
+                fields[key] = value
+    return fields
+
+
+_U64 = _int("a u64", 0, 2**64 - 1)
 # Attack wallets get an index suffix; agent ids keep headroom inside the 64-char cap.
 _AGENT_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,48}")
 
-_ID_FIELDS = {"schema_version", "name", "seed", "ticks", "supply", "mechanism",
-              "quorum", "conviction", "identity", "agents", "proposals"}
-
-
-def _parse_decimal(value: Any, label: str, errors: list[str]) -> Decimal | None:
-    try:
-        if isinstance(value, (str, int, Decimal)) and not isinstance(value, bool):
-            return Decimal(fmt_units(parse_units(value)))
-    except (FixedPointError, InvalidOperation) as exc:
-        errors.append(f"{label}: {exc}")
-        return None
-    errors.append(f"{label}: expected a decimal string or integer, got {value!r}")
-    return None
-
-
-def _parse_window(value: Any, label: str, errors: list[str]) -> Window | None:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(not isinstance(v, int) or isinstance(v, bool) for v in value)
-    ):
-        errors.append(f"{label}: expected [start, end] integer ticks, got {value!r}")
-        return None
-    try:
-        return Window(value[0], value[1])
-    except WindowError as exc:
-        errors.append(f"{label}: {exc}")
-        return None
+_PROPOSAL = {
+    "id": _req(_id(_ID_RE, "1-64 chars from [A-Za-z0-9_-]", ProposalId)),
+    "options": _req(_labels("two or more distinct nonempty labels", 2)),
+    "discussion_window": _req(_window),
+    "voting_window": _req(_window),
+}
+_AGENT = {
+    "id": _req(_id(_AGENT_ID_RE, "<= 48 chars from [A-Za-z0-9_-]")),
+    "kind": _req(_enum(AgentKind, "an agent kind")),
+    "balance": _req(_tokens),
+    "preference": _null(_labels("an option label or a distinct ranking", 1), ()),
+    "cast_at": _null(_int("a non-negative tick", 0)),
+    "n_wallets": _opt(_int("a positive integer", 1), 1),
+    "identity_strategy": _opt(_enum(IdentityStrategy, "an identity strategy"), IdentityStrategy.ONE_IDENTITY),
+}
+_SCENARIO = {
+    "schema_version": _req(_int(str(SCHEMA_VERSION), SCHEMA_VERSION, SCHEMA_VERSION)),
+    "name": _req(_id(re.compile(".+", re.DOTALL), "a nonempty string")),
+    "seed": _opt(_U64, 0),
+    "ticks": _req(_int("a non-negative integer horizon", 0)),
+    "supply": _req(_tokens),
+    "mechanism": _req(_enum(Mechanism, "token, quorum, quadratic or conviction")),
+    "quorum": _null(_Object(QuorumConfig, {
+        "basis": _req(_enum(QuorumBasis, "a participation basis")),
+        "threshold": _req(_fraction),
+    })),
+    "conviction": _null(_Object(ConvictionParams, {"decay_rate": _req(_decimal)})),
+    "identity": _null(_Object(IdentityConfig, {
+        "mode": _req(_enum(RegistryMode, "a registry mode")),
+        "policy": _req(_enum(VotePolicy, "a vote policy")),
+        "provider": _null(_Object(ProviderConfig, {
+            "false_accept_rate": _opt(_fraction, Decimal(0)),
+            "seed": _null(_U64),
+        }), ProviderConfig()),
+    })),
+    "proposals": _req(_Records(ProposalSpec, _PROPOSAL, "proposal", lambda i: isinstance(i, str) and _ID_RE.fullmatch(i))),
+    # An agent is named by any nonempty string id, so the error for a bad id shows it.
+    "agents": _req(_Records(AgentSpec, _AGENT, "agent", lambda i: isinstance(i, str) and i != "")),
+}
 
 
 def parse_scenario(obj: Any) -> Scenario:
     """Build a Scenario from parsed JSON, collecting every violation."""
-    errors: list[str] = []
     if not isinstance(obj, dict):
         raise ScenarioValidationError(["scenario must be a JSON object"])
-    unknown = set(obj) - _ID_FIELDS
-    for key in sorted(unknown):
-        errors.append(f"unknown top-level field {key!r}")
+    errors: list[str] = []
+    fields = _walk(obj, _SCENARIO, "", "", errors)
+    # The rules on top-level fields run only when all of them parsed.
+    complete = len(fields) == len(_SCENARIO)
 
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version must be {SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"name must be a nonempty string, got {name!r}")
-        name = "invalid"
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        errors.append(f"seed must be a u64, got {seed!r}")
-        seed = 0
-    ticks = obj.get("ticks")
-    if not isinstance(ticks, int) or isinstance(ticks, bool) or ticks < 0:
-        errors.append(f"ticks must be a non-negative integer horizon, got {ticks!r}")
-        ticks = 0
-
-    supply_dec = _parse_decimal(obj.get("supply"), "supply", errors)
-    supply = TokenAmount.parse(supply_dec) if supply_dec is not None else TokenAmount.zero()
-
-    mechanism = None
-    try:
-        mechanism = Mechanism.parse(obj.get("mechanism"))
-    except MechanismError as exc:
-        errors.append(str(exc))
-
-    quorum = None
-    if obj.get("quorum") is not None:
-        q = obj["quorum"]
-        if not isinstance(q, dict):
-            errors.append(f"quorum must be an object, got {q!r}")
+    proposals = []
+    for p in fields.get("proposals", ()):
+        if p.discussion_window.end > p.voting_window.start:
+            errors.append(f"proposal {p.id!r}: discussion window must close before voting opens")
+        elif complete and p.voting_window.end > fields["ticks"]:
+            errors.append(
+                f"proposal {p.id!r}: voting window ends at tick {p.voting_window.end} beyond horizon {fields['ticks']}"
+            )
         else:
-            threshold = _parse_decimal(q.get("threshold"), "quorum.threshold", errors)
-            basis = q.get("basis")
-            if type(basis) is not str or basis not in _QUORUM_BASES:
-                errors.append(f"quorum.basis must be a participation basis, got {basis!r}")
-            elif threshold is not None:
-                try:
-                    quorum = QuorumConfig(basis=QuorumBasis(basis), threshold=threshold)
-                except MechanismError as exc:
-                    errors.append(f"quorum: {exc}")
-
-    conviction = None
-    if obj.get("conviction") is not None:
-        c = obj["conviction"]
-        if not isinstance(c, dict):
-            errors.append(f"conviction must be an object, got {c!r}")
-        else:
-            rate = _parse_decimal(c.get("decay_rate"), "conviction.decay_rate", errors)
-            if rate is not None:
-                try:
-                    conviction = ConvictionParams(decay_rate=rate)
-                except MechanismError as exc:
-                    errors.append(f"conviction: {exc}")
-
-    identity = _parse_identity(obj.get("identity"), errors)
-    proposals = _parse_proposals(obj.get("proposals"), ticks, errors)
+            proposals.append(p)
     if cast_error := _cast_budget_error(obj.get("agents"), len(proposals)):
         raise ScenarioValidationError([*errors, cast_error])
-    agents = _parse_agents(obj.get("agents"), proposals, errors)
 
-    if mechanism is Mechanism.QUORUM and quorum is None:
-        errors.append("mechanism 'quorum' requires a quorum config")
-    if mechanism is Mechanism.CONVICTION and conviction is None:
-        errors.append("mechanism 'conviction' requires conviction params")
-
-    total_units = sum(a.balance.units for a in agents)
-    if supply_dec is not None and total_units > supply.units:
-        errors.append(
-            f"agent balances total {fmt_units(total_units)} exceeds supply {supply}"
-        )
-
+    agents = []
+    for a in fields.get("agents", ()):
+        if error := _agent_error(a):
+            errors.append(f"agent {a.id!r}: {error}")
+        else:
+            agents.append(a)
     wallets = sum(a.n_wallets for a in agents)
     if wallets > MAX_WALLETS:
         errors.append(f"agents hold {wallets} wallets in total, more than the cap of {MAX_WALLETS}")
+    for a in agents:
+        if a.votes():
+            _check_ballots(a, proposals, errors)
+
+    if complete:
+        if fields["mechanism"] is Mechanism.QUORUM and fields["quorum"] is None:
+            errors.append("mechanism 'quorum' requires a quorum config")
+        if fields["mechanism"] is Mechanism.CONVICTION and fields["conviction"] is None:
+            errors.append("mechanism 'conviction' requires conviction params")
+        total_units = sum(a.balance.units for a in agents)
+        if total_units > fields["supply"].units:
+            errors.append(f"agent balances total {fmt_units(total_units)} exceeds supply {fields['supply']}")
     _check_schedule(agents, proposals, errors)
     _check_wallet_ids(agents, errors)
 
     if errors:
         raise ScenarioValidationError(errors)
-    return Scenario(
-        name=name,
-        seed=seed,
-        ticks=ticks,
-        supply=supply,
-        mechanism=mechanism,
-        agents=tuple(agents),
-        proposals=tuple(proposals),
-        quorum=quorum,
-        conviction=conviction,
-        identity=identity,
-    )
+    del fields["schema_version"]
+    return Scenario(**{**fields, "agents": tuple(agents), "proposals": tuple(proposals)})
 
 
 def _cast_budget_error(agents: Any, n_proposals: int) -> str | None:
@@ -284,7 +419,7 @@ def _cast_budget_error(agents: Any, n_proposals: int) -> str | None:
 
     Each voting agent casts once per proposal from each of its wallets.  An
     attacker counts at most MAX_WALLETS wallets here: more is the wallet cap's
-    error, or its own agent's, which _parse_agents reports.
+    error, or its own agent's.
     """
     if not isinstance(agents, list):
         return None
@@ -301,202 +436,32 @@ def _cast_budget_error(agents: Any, n_proposals: int) -> str | None:
     return None
 
 
-def _parse_identity(value: Any, errors: list[str]) -> IdentityConfig | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        errors.append(f"identity must be an object, got {value!r}")
-        return None
-    mode = value.get("mode")
-    if type(mode) is not str or mode not in _REGISTRY_MODES:
-        errors.append(f"identity.mode must be a registry mode, got {mode!r}")
-        return None
-    policy = value.get("policy")
-    if type(policy) is not str or policy not in _VOTE_POLICIES:
-        errors.append(f"identity.policy must be a vote policy, got {policy!r}")
-        return None
-    provider = ProviderConfig()
-    if value.get("provider") is not None:
-        p = value["provider"]
-        if not isinstance(p, dict):
-            errors.append(f"identity.provider must be an object, got {p!r}")
-        else:
-            rate = _parse_decimal(
-                p.get("false_accept_rate", 0), "identity.provider.false_accept_rate", errors
-            )
-            seed = p.get("seed")
-            if seed is not None and (
-                not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64
-            ):
-                errors.append(f"identity.provider.seed must be a u64, got {seed!r}")
-                seed = None
-            if rate is not None:
-                if rate > 1:
-                    errors.append(
-                        f"identity.provider.false_accept_rate must be in [0, 1], got {rate}"
-                    )
-                else:
-                    provider = ProviderConfig(false_accept_rate=rate, seed=seed)
-    return IdentityConfig(mode=RegistryMode(mode), policy=VotePolicy(policy), provider=provider)
+def _agent_error(a: AgentSpec) -> str | None:
+    """The first rule that the agent's fields break together, or None."""
+    if a.kind is AgentKind.SYBIL_ATTACKER:
+        if a.n_wallets < 2:
+            return "sybil attackers need n_wallets >= 2"
+        if a.balance.units < a.n_wallets:
+            return f"balance {a.balance} cannot fund {a.n_wallets} wallets"
+    elif a.n_wallets != 1:
+        return "only sybil attackers may hold multiple wallets"
+    if a.votes() and a.balance.is_zero():
+        return "voting agents need a positive balance"
+    if a.votes() and not a.preference:
+        return "voting agents need a preference"
+    return None
 
 
-def _parse_proposals(value: Any, ticks: int, errors: list[str]) -> list[ProposalSpec]:
-    if not isinstance(value, list) or not value:
-        errors.append("proposals must be a nonempty list")
-        return []
-    proposals: list[ProposalSpec] = []
-    seen_ids: set[str] = set()
-    for i, p in enumerate(value):
-        label = f"proposal #{i}"
-        if not isinstance(p, dict):
-            errors.append(f"{label}: expected an object, got {p!r}")
-            continue
-        try:
-            pid = ProposalId(p.get("id"))
-        except GovlabError:
-            errors.append(f"{label}: id must be 1-64 chars from [A-Za-z0-9_-]")
-            continue
-        label = f"proposal {pid!r}"
-        if pid in seen_ids:
-            errors.append(f"{label}: duplicate id")
-            continue
-        seen_ids.add(pid)
-        options = p.get("options")
-        if (
-            not isinstance(options, list)
-            or len(options) < 2
-            or any(not isinstance(o, str) or not o for o in options)
-            or len(set(options)) != len(options)
-        ):
-            errors.append(f"{label}: options must be two or more distinct nonempty labels")
-            continue
-        dw = _parse_window(p.get("discussion_window"), f"{label}: discussion_window", errors)
-        vw = _parse_window(p.get("voting_window"), f"{label}: voting_window", errors)
-        if dw is None or vw is None:
-            continue
-        if dw.end > vw.start:
-            errors.append(f"{label}: discussion window must close before voting opens")
-            continue
-        if vw.end > ticks:
-            errors.append(
-                f"{label}: voting window ends at tick {vw.end} beyond horizon {ticks}"
-            )
-            continue
-        proposals.append(
-            ProposalSpec(id=pid, options=tuple(options), discussion_window=dw, voting_window=vw)
-        )
-    return proposals
-
-
-def _parse_agents(value: Any, proposals: list[ProposalSpec], errors: list[str]) -> list[AgentSpec]:
-    if not isinstance(value, list) or not value:
-        errors.append("agents must be a nonempty list")
-        return []
-    agents: list[AgentSpec] = []
-    seen_ids: set[str] = set()
-    for i, a in enumerate(value):
-        label = f"agent #{i}"
-        if not isinstance(a, dict):
-            errors.append(f"{label}: expected an object, got {a!r}")
-            continue
-        aid = a.get("id")
-        if not isinstance(aid, str) or not aid:
-            errors.append(f"{label}: id must be a nonempty string")
-            continue
-        label = f"agent {aid!r}"
-        if aid in seen_ids:
-            errors.append(f"{label}: duplicate id")
-            continue
-        seen_ids.add(aid)
-        if not _AGENT_ID_RE.fullmatch(aid):
-            errors.append(f"{label}: id must be <= 48 chars from [A-Za-z0-9_-]")
-            continue
-        kind_raw = a.get("kind")
-        if type(kind_raw) is not str or kind_raw not in _AGENT_KINDS:
-            errors.append(f"{label}: kind must be an agent kind, got {kind_raw!r}")
-            continue
-        kind = AgentKind(kind_raw)
-        balance_dec = _parse_decimal(a.get("balance"), f"{label}: balance", errors)
-        if balance_dec is None:
-            continue
-        balance = TokenAmount.parse(balance_dec)
-
-        preference_raw = a.get("preference")
-        if isinstance(preference_raw, str):
-            preference: tuple[str, ...] = (preference_raw,)
-        elif isinstance(preference_raw, list) and preference_raw and all(
-            isinstance(o, str) and o for o in preference_raw
-        ) and len(set(preference_raw)) == len(preference_raw):
-            preference = tuple(preference_raw)
-        elif kind is AgentKind.ABSTAINER and preference_raw is None:
-            preference = ()
-        else:
-            errors.append(
-                f"{label}: preference must be an option label or a distinct ranking"
-            )
-            continue
-
-        cast_at = a.get("cast_at")
-        if cast_at is not None and (
-            not isinstance(cast_at, int) or isinstance(cast_at, bool) or cast_at < 0
-        ):
-            errors.append(f"{label}: cast_at must be a non-negative tick")
-            continue
-
-        n_wallets = a.get("n_wallets", 1)
-        strategy_raw = a.get("identity_strategy", IdentityStrategy.ONE_IDENTITY.value)
-        if kind is AgentKind.SYBIL_ATTACKER:
-            if not isinstance(n_wallets, int) or isinstance(n_wallets, bool) or n_wallets < 2:
-                errors.append(f"{label}: sybil attackers need n_wallets >= 2")
-                continue
-            if type(strategy_raw) is not str or strategy_raw not in _IDENTITY_STRATEGIES:
-                errors.append(
-                    f"{label}: identity_strategy must be an identity strategy, got {strategy_raw!r}"
-                )
-                continue
-            if balance.units < n_wallets:
-                errors.append(
-                    f"{label}: balance {balance} cannot fund {n_wallets} wallets"
-                )
-                continue
-        elif "n_wallets" in a and n_wallets != 1:
-            errors.append(f"{label}: only sybil attackers may hold multiple wallets")
-            continue
-
-        if kind is not AgentKind.ABSTAINER:
-            if balance.is_zero():
-                errors.append(f"{label}: voting agents need a positive balance")
-                continue
-            if not preference:
-                errors.append(f"{label}: voting agents need a preference")
-                continue
-            for option in preference:
-                for p in proposals:
-                    if option not in p.options:
-                        errors.append(
-                            f"{label}: preference {option!r} not among options of proposal {p.id!r}"
-                        )
-            for p in proposals:
-                effective = cast_at if cast_at is not None else p.voting_window.start
-                if not p.voting_window.contains(effective):
-                    errors.append(
-                        f"{label}: cast tick {effective} outside voting window of proposal {p.id!r}"
-                    )
-
-        agents.append(
-            AgentSpec(
-                id=aid,
-                kind=kind,
-                balance=balance,
-                preference=preference,
-                cast_at=cast_at,
-                n_wallets=n_wallets if kind is AgentKind.SYBIL_ATTACKER else 1,
-                identity_strategy=IdentityStrategy(strategy_raw)
-                if kind is AgentKind.SYBIL_ATTACKER
-                else IdentityStrategy.ONE_IDENTITY,
-            )
-        )
-    return agents
+def _check_ballots(a: AgentSpec, proposals: list[ProposalSpec], errors: list[str]) -> None:
+    # A voting agent ranks options that every proposal offers, and casts inside every voting window.
+    for option in a.preference:
+        for p in proposals:
+            if option not in p.options:
+                errors.append(f"agent {a.id!r}: preference {option!r} not among options of proposal {p.id!r}")
+    for p in proposals:
+        tick = a.cast_at if a.cast_at is not None else p.voting_window.start
+        if not p.voting_window.contains(tick):
+            errors.append(f"agent {a.id!r}: cast tick {tick} outside voting window of proposal {p.id!r}")
 
 
 def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], errors: list[str]) -> None:

@@ -10,7 +10,7 @@ import pytest
 from govlab.cli import EXIT_LEDGER_BROKEN, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from govlab.core import GovlabError, loads_canonical
 from govlab.ledger import read_ndjson, verify_chain
-from govlab.scenario import load_preset
+from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, loads_scenario
 from govlab.simulation import run
 
 HEX = set("0123456789abcdef")
@@ -179,6 +179,29 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert len(err_lines) == 1 and message in err_lines[0]
         assert not (tmp_path / "r.json").exists()
+
+    def test_error_list_is_capped_with_an_exact_count_of_the_rest(self, tmp_path, capsys):
+        """2,500 honest agents rank an option that none of 100 proposals offers: 250,000 errors."""
+        proposals = [
+            {"id": f"p{k}", "options": ["yes", "no"], "discussion_window": [2 * k, 2 * k + 1], "voting_window": [2 * k + 1, 2 * k + 2]}
+            for k in range(100)
+        ]
+        agents = [{"id": f"v{i}", "kind": "honest", "balance": "1", "preference": ["zz"]} for i in range(2500)]
+        text = json.dumps(
+            {"schema_version": 1, "name": "n", "ticks": 200, "supply": "2500", "mechanism": "token", "proposals": proposals, "agents": agents}
+        )
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            loads_scenario(text)
+        errors = excinfo.value.errors
+        assert len(errors) == MAX_ERRORS + 1
+        assert errors[0] == "agent 'v0': preference 'zz' not among options of proposal 'p0'"
+        assert errors[-1] == f"... and {250_000 - MAX_ERRORS} more"
+        assert str(excinfo.value) == "; ".join(errors)
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
 
     def test_ids_the_engine_would_reject_are_validation_errors(self, scenario_path, tmp_path, capsys):
         obj = json.loads(scenario_path.read_text())

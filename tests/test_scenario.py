@@ -2,8 +2,11 @@
 
 import copy
 import json
+import re
 import time
 from decimal import Decimal
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +57,18 @@ def _errors_of(obj):
     with pytest.raises(ScenarioValidationError) as excinfo:
         parse_scenario(obj)
     return excinfo.value.errors
+
+
+def _errors_with(obj, target, key, literal):
+    """The errors of obj's JSON text after target(obj)[key] is set to a raw JSON literal."""
+    target(obj)[key] = "<literal>"
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        loads_scenario(json.dumps(obj).replace('"<literal>"', literal))
+    return excinfo.value.errors
+
+
+def _preset_json(name):
+    return json.loads(resources.files("govlab.presets").joinpath(f"{name}.json").read_text("utf-8"))
 
 
 def _agent(scenario, agent_id):
@@ -369,6 +384,61 @@ class TestErrorCollection:
         with pytest.raises(ScenarioValidationError, match="must be a JSON object"):
             parse_scenario([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "target, key, literal, error",
+        [
+            (lambda o: o, "schema_version", "true", "schema_version must be 1, got True"),
+            (lambda o: o, "schema_version", "1.0", "schema_version must be 1, got Decimal('1.0')"),
+            (lambda o: o["agents"][0], "n_wallets", "true", "agent 'grace': n_wallets must be a positive integer, got True"),
+            (
+                lambda o: o["agents"][0], "n_wallets", "1.0",
+                "agent 'grace': n_wallets must be a positive integer, got Decimal('1.0')",
+            ),
+        ],
+        ids=["schema-version-true", "schema-version-1.0", "n-wallets-true", "n-wallets-1.0"],
+    )
+    def test_integer_fields_take_exact_json_integers(self, target, key, literal, error):
+        assert _errors_with(_valid(), target, key, literal) == [error]
+
+    def test_every_bad_field_of_a_nested_object_is_reported(self):
+        obj = _valid()
+        obj["identity"] = {"mode": "paranoid", "policy": "shrug"}
+        obj["quorum"] = {"basis": "turnout", "threshold": "2"}
+        assert _errors_of(obj) == [
+            "quorum.basis must be a participation basis, got 'turnout'",
+            "quorum.threshold must be in [0, 1], got '2'",
+            "identity.mode must be a registry mode, got 'paranoid'",
+            "identity.policy must be a vote policy, got 'shrug'",
+        ]
+
+    def test_identity_strategy_is_checked_on_every_agent_kind(self):
+        obj = _valid()
+        obj["agents"][0]["identity_strategy"] = "fake_identities"
+        parse_scenario(obj)
+        obj["agents"][0]["identity_strategy"] = "junk"
+        assert _errors_of(obj) == ["agent 'grace': identity_strategy must be an identity strategy, got 'junk'"]
+
+    @pytest.mark.parametrize(
+        "preset, target, key, literal, error",
+        [
+            ("nonprofit_grant_vote", lambda o: o["agents"][0], "castAt", "3", "agent 'board_chair': unknown field 'castAt'"),
+            (
+                "nonprofit_grant_vote", lambda o: o["proposals"][0], "voting_windw", "[3, 12]",
+                "proposal 'grant-2026-q3': unknown field 'voting_windw'",
+            ),
+            ("nonprofit_grant_vote", lambda o: o["quorum"], "extra", "1", "quorum: unknown field 'extra'"),
+            ("participatory_budget", lambda o: o["conviction"], "decay", '"0.5"', "conviction: unknown field 'decay'"),
+            ("nonprofit_grant_vote", lambda o: o["identity"], "polcy", '"admit_unverified"', "identity: unknown field 'polcy'"),
+            (
+                "nonprofit_grant_vote", lambda o: o["identity"]["provider"], "false_accept_rat", '"0.9"',
+                "identity.provider: unknown field 'false_accept_rat'",
+            ),
+        ],
+        ids=["agent", "proposal", "quorum", "conviction", "identity", "identity-provider"],
+    )
+    def test_a_misspelt_nested_key_is_one_error_naming_its_path(self, preset, target, key, literal, error):
+        assert _errors_with(_preset_json(preset), target, key, literal) == [error]
+
 
 class TestPresets:
     def test_expected_presets_ship(self):
@@ -390,6 +460,13 @@ class TestPresets:
         assert scenario.name
         assert scenario.proposals
         assert scenario.agents
+
+    def test_readme_scenario_example_parses_clean(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme[readme.index("## Scenario schema"):]
+        example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        scenario = loads_scenario(example)
+        assert _agent(scenario, "mallory").n_wallets == 100
 
     def test_unknown_preset(self):
         with pytest.raises(Exception, match="unknown preset"):

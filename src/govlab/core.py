@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import MAX_PREC, Context, Decimal, Overflow
 from typing import Any, Iterable
 
 NANO_DIGITS = 9
@@ -71,7 +71,7 @@ def parse_units(value: str | int | Decimal) -> int:
     if isinstance(value, int):
         units = value * NANO
     elif isinstance(value, Decimal):
-        units = _units_from_decimal(value)
+        return _units_from_decimal(value)
     elif isinstance(value, str):
         match = _DECIMAL_RE.match(value)
         if not match:
@@ -90,15 +90,25 @@ def parse_units(value: str | int | Decimal) -> int:
     return units
 
 
+# scaleb rounds to its context's precision (28 digits by default), which would
+# drop a 29th significant digit; this context keeps every digit.
+_EXACT = Context(prec=MAX_PREC)
+
+
 def _units_from_decimal(d: Decimal) -> int:
+    if not d.is_finite():
+        raise FixedPointError(f"malformed decimal: {d}")
     try:
-        scaled = d.scaleb(NANO_DIGITS)
-    except InvalidOperation as exc:  # NaN / infinity
-        raise FixedPointError(f"malformed decimal: {d}") from exc
+        scaled = d.scaleb(NANO_DIGITS, _EXACT)
     except Overflow as exc:  # an exponent past the decimal context's range
         raise FixedPointOverflow(f"quantity exceeds fixed-point range: {d}") from exc
     if scaled != scaled.to_integral_value() or (d and not scaled):  # a tiny d underflows to 0
         raise FixedPointError(f"more than {NANO_DIGITS} fractional digits: {d}")
+    # Checked before int(), which takes seconds on a Decimal such as 1e999990.
+    if scaled < 0:
+        raise FixedPointError(f"negative quantity: {d}")
+    if scaled > MAX_UNITS:
+        raise FixedPointOverflow(f"quantity exceeds fixed-point range: {d}")
     return int(scaled)
 
 
@@ -273,8 +283,12 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Value semantics for a record class from its __slots__, which name the
-    constructor's parameters in order.
+    """A record class whose __slots__ name its constructor's parameters in order.
+
+    The constructor binds positional arguments to the slots in order, then
+    keywords by slot name, then the class's _defaults; an argument too many,
+    a duplicate, a missing one or an unknown one is a TypeError naming the
+    class.  A record that checks or converts a field writes its own __init__.
 
     Two records are equal when they are of the same class and their field
     tuples are equal, and the hash is the field tuple's.  The repr is
@@ -283,6 +297,26 @@ class _Record:
     """
 
     __slots__ = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got multiple values for {name!r}")
+            _set(self, name, value)
+        defaults = self._defaults
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in defaults:
+                _set(self, name, defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected argument {next(iter(kwargs))!r}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -355,11 +389,7 @@ class TallyOutcome(_Record):
     """Winner(option), Tie(options), or QuorumFailed."""
 
     __slots__ = ("kind", "option", "options")
-
-    def __init__(self, kind: str, option: str | None = None, options: tuple[str, ...] = ()):
-        _set(self, "kind", kind)
-        _set(self, "option", option)
-        _set(self, "options", options)
+    _defaults = {"option": None, "options": ()}
 
     @classmethod
     def winner(cls, option: str) -> "TallyOutcome":
@@ -393,18 +423,6 @@ class TallyResult(_Record):
     """
 
     __slots__ = ("per_option_power", "participating_tokens", "outcome", "vote_powers")
-
-    def __init__(
-        self,
-        per_option_power: dict[str, VotingPower],
-        participating_tokens: TokenAmount,
-        outcome: TallyOutcome,
-        vote_powers: tuple[VotingPower, ...],
-    ):
-        _set(self, "per_option_power", per_option_power)
-        _set(self, "participating_tokens", participating_tokens)
-        _set(self, "outcome", outcome)
-        _set(self, "vote_powers", vote_powers)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

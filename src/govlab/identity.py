@@ -29,7 +29,6 @@ from .core import (
     VoteRecord,
     WalletId,
     _Record,
-    _set,
 )
 from .rng import Xoshiro256StarStar
 
@@ -56,10 +55,7 @@ class RejectionReason(str, Enum):
 
 class VerificationOutcome(_Record):
     __slots__ = ("accepted", "reason")
-
-    def __init__(self, accepted: bool, reason: RejectionReason | None = None):
-        _set(self, "accepted", accepted)
-        _set(self, "reason", reason)
+    _defaults = {"reason": None}
 
 
 _ACCEPTED = VerificationOutcome(accepted=True)  # immutable, so every accepted bind shares it
@@ -111,16 +107,7 @@ class FilterReport(_Record):
     """Votes that survived the identity filter, plus what was excluded and why."""
 
     __slots__ = ("votes", "dropped_unverified", "equivocating_identities")
-
-    def __init__(
-        self,
-        votes: tuple,
-        dropped_unverified: tuple[WalletId, ...] = (),
-        equivocating_identities: tuple[IdentityId, ...] = (),
-    ):
-        _set(self, "votes", votes)
-        _set(self, "dropped_unverified", dropped_unverified)
-        _set(self, "equivocating_identities", equivocating_identities)
+    _defaults = {"dropped_unverified": (), "equivocating_identities": ()}
 
 
 def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:

@@ -46,6 +46,7 @@ def entry_hash(index: int, prev_hash: str, payload: str) -> str:
 class LedgerEntry(_Record):
     __slots__ = ("index", "prev_hash", "payload", "hash")
 
+    # Own constructor: ~50,000 per sybil_identity round (run, load, replay); 0.8 us vs 1.8 us for _Record's.
     def __init__(self, index: int, prev_hash: str, payload: str, hash: str):
         _set(self, "index", index)
         _set(self, "prev_hash", prev_hash)
@@ -67,10 +68,6 @@ class Ledger:
 
     def __getitem__(self, index: int) -> LedgerEntry:
         return self._entries[index]
-
-    @property
-    def entries(self) -> tuple[LedgerEntry, ...]:
-        return tuple(self._entries)
 
     def head_hash(self) -> str:
         """Digest of the newest entry; all zeros for an empty chain."""

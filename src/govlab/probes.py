@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Any
 
-from .core import GovlabError, TallyResult, VoteRecord, _Record, _set
+from .core import GovlabError, TallyResult, VoteRecord, _Record
 from .mechanisms import tally
 from .scenario import AgentKind, AgentSpec, Scenario
 from .simulation import SimulationSetup, build_setup
@@ -100,19 +100,7 @@ def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) 
 class IiaWitness(_Record):
     """A profile where deleting a losing option changes the winner."""
 
-    __slots__ = ("profile", "removed_option", "winner_before", "winner_after")
-
-    def __init__(
-        self,
-        profile: tuple[tuple[str, tuple[str, ...]], ...],
-        removed_option: str,
-        winner_before: str,
-        winner_after: str,
-    ):
-        _set(self, "profile", profile)  # (agent id, ranking)
-        _set(self, "removed_option", removed_option)
-        _set(self, "winner_before", winner_before)
-        _set(self, "winner_after", winner_after)
+    __slots__ = ("profile", "removed_option", "winner_before", "winner_after")  # profile: (agent id, ranking) pairs
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, _Record, _set, fmt_units, parse_units
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, _Record, fmt_units, parse_units
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -60,41 +60,18 @@ class IdentityStrategy(str, Enum):
 
 class ProviderConfig(_Record):
     __slots__ = ("false_accept_rate", "seed")
-
-    def __init__(self, false_accept_rate: Decimal = Decimal("0"), seed: int | None = None):
-        _set(self, "false_accept_rate", false_accept_rate)
-        _set(self, "seed", seed)  # defaults to the scenario seed
+    _defaults = {"false_accept_rate": Decimal("0"), "seed": None}  # a None seed is the scenario seed
 
 
 class IdentityConfig(_Record):
     __slots__ = ("mode", "policy", "provider")
-
-    def __init__(self, mode: RegistryMode, policy: VotePolicy, provider: ProviderConfig = ProviderConfig()):
-        _set(self, "mode", mode)
-        _set(self, "policy", policy)
-        _set(self, "provider", provider)
+    _defaults = {"provider": ProviderConfig()}
 
 
 class AgentSpec(_Record):
     __slots__ = ("id", "kind", "balance", "preference", "cast_at", "n_wallets", "identity_strategy")
-
-    def __init__(
-        self,
-        id: str,
-        kind: AgentKind,
-        balance: TokenAmount,
-        preference: tuple[str, ...],
-        cast_at: int | None = None,
-        n_wallets: int = 1,
-        identity_strategy: IdentityStrategy = IdentityStrategy.ONE_IDENTITY,
-    ):
-        _set(self, "id", id)
-        _set(self, "kind", kind)
-        _set(self, "balance", balance)
-        _set(self, "preference", preference)
-        _set(self, "cast_at", cast_at)  # defaults to each proposal's voting-window start
-        _set(self, "n_wallets", n_wallets)
-        _set(self, "identity_strategy", identity_strategy)
+    # A None cast_at is each proposal's voting-window start.
+    _defaults = {"cast_at": None, "n_wallets": 1, "identity_strategy": IdentityStrategy.ONE_IDENTITY}
 
     def votes(self) -> bool:
         return self.kind is not AgentKind.ABSTAINER
@@ -103,41 +80,13 @@ class AgentSpec(_Record):
 class ProposalSpec(_Record):
     __slots__ = ("id", "options", "discussion_window", "voting_window")
 
-    def __init__(self, id: ProposalId, options: tuple[str, ...], discussion_window: Window, voting_window: Window):
-        _set(self, "id", id)
-        _set(self, "options", options)
-        _set(self, "discussion_window", discussion_window)
-        _set(self, "voting_window", voting_window)
-
 
 class Scenario(_Record):
     __slots__ = (
         "name", "seed", "ticks", "supply", "mechanism", "agents", "proposals", "quorum", "conviction", "identity",
     )
 
-    def __init__(
-        self,
-        name: str,
-        seed: int,
-        ticks: int,
-        supply: TokenAmount,
-        mechanism: Mechanism,
-        agents: tuple[AgentSpec, ...],
-        proposals: tuple[ProposalSpec, ...],
-        quorum: QuorumConfig | None = None,
-        conviction: ConvictionParams | None = None,
-        identity: IdentityConfig | None = None,
-    ):
-        _set(self, "name", name)
-        _set(self, "seed", seed)
-        _set(self, "ticks", ticks)
-        _set(self, "supply", supply)
-        _set(self, "mechanism", mechanism)
-        _set(self, "agents", agents)
-        _set(self, "proposals", proposals)
-        _set(self, "quorum", quorum)
-        _set(self, "conviction", conviction)
-        _set(self, "identity", identity)
+    _defaults = {"quorum": None, "conviction": None, "identity": None}
 
     def with_overrides(self, **changes: Any) -> "Scenario":
         return self._replace(**changes)

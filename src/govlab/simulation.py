@@ -24,7 +24,6 @@ from .core import (
     VotingPower,
     WalletId,
     _Record,
-    _set,
     canonical_json,
     ratio_half_even,
 )
@@ -32,6 +31,7 @@ from .governance import GovernanceEngine, Proposal
 from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
 from .ledger import Ledger
 from .mechanisms import Mechanism, MechanismError, vote_power
+from .rng import MASK64
 from .scenario import (
     AgentKind,
     AgentSpec,
@@ -93,11 +93,6 @@ def agent_wallets(agent: AgentSpec) -> tuple[WalletId, ...]:
 class BindingStats(_Record):
     __slots__ = ("accepted", "rejected", "by_reason")
 
-    def __init__(self, accepted: int, rejected: int, by_reason: dict[str, int]):
-        _set(self, "accepted", accepted)
-        _set(self, "rejected", rejected)
-        _set(self, "by_reason", by_reason)
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "bindings_accepted": self.accepted,
@@ -111,23 +106,11 @@ class SimulationSetup(_Record):
 
     __slots__ = ("wallets_by_agent", "balances", "wallet_universe_size", "identity", "binding_stats")
 
-    def __init__(
-        self,
-        wallets_by_agent: dict[str, tuple[WalletId, ...]],
-        balances: dict[WalletId, TokenAmount],
-        wallet_universe_size: int,
-        identity: IdentityFilter | None,
-        binding_stats: BindingStats | None,
-    ):
-        _set(self, "wallets_by_agent", wallets_by_agent)
-        _set(self, "balances", balances)
-        _set(self, "wallet_universe_size", wallet_universe_size)
-        _set(self, "identity", identity)
-        _set(self, "binding_stats", binding_stats)
-
 
 def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
     """Fund wallets and, when configured, run identity verification."""
+    if seed_override is not None and (type(seed_override) is not int or not 0 <= seed_override <= MASK64):
+        raise SimulationError(f"seed_override must be a u64, got {seed_override!r}")
     effective_seed = scenario.seed if seed_override is None else seed_override
     wallets_by_agent: dict[str, tuple[WalletId, ...]] = {}
     balances: dict[WalletId, TokenAmount] = {}
@@ -180,25 +163,8 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
 
 
 class RunResult(_Record):
+    # by_agent maps a proposal id to its _index_votes rows.
     __slots__ = ("scenario", "setup", "engine", "by_agent", "report", "report_json", "head_hash")
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        setup: SimulationSetup,
-        engine: GovernanceEngine,
-        by_agent: dict[str, dict[str, list[int]]],
-        report: dict[str, Any],
-        report_json: str,
-        head_hash: str,
-    ):
-        _set(self, "scenario", scenario)
-        _set(self, "setup", setup)
-        _set(self, "engine", engine)
-        _set(self, "by_agent", by_agent)  # proposal id -> _index_votes rows
-        _set(self, "report", report)
-        _set(self, "report_json", report_json)
-        _set(self, "head_hash", head_hash)
 
     @property
     def ledger(self) -> Ledger:
@@ -372,21 +338,18 @@ def _build_report(
 
 
 def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] | None:
-    from .probes import dictator_probe, iia_probe
+    from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, dictator_probe, iia_probe
 
     voters = [a for a in scenario.agents if a.votes()]
     options = scenario.proposals[0].options
-    if len(voters) > 4 or len(options) > 3:
+    if len(voters) > MAX_PROBE_AGENTS or len(options) > MAX_PROBE_OPTIONS:
         return None
-    probes: dict[str, Any] = {
-        "dictator_probe": {"flagged": list(dictator_probe(scenario, setup=setup))}
+    flagged = dictator_probe(scenario, setup=setup)
+    witness = iia_probe(scenario, setup=setup)  # None with two options
+    return {
+        "dictator_probe": {"flagged": list(flagged)},
+        "iia_probe": {"witness": witness.to_json_obj() if witness else None},
     }
-    if len(options) == 3:
-        witness = iia_probe(scenario, setup=setup)
-        probes["iia_probe"] = {"witness": witness.to_json_obj() if witness else None}
-    else:
-        probes["iia_probe"] = {"witness": None}
-    return probes
 
 
 def report_csv(result: RunResult) -> str:

@@ -10,9 +10,7 @@ the honest power is zero.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
-from .core import GovlabError, TokenAmount, VotingPower, _Record, _set, ratio_half_even
+from .core import GovlabError, TokenAmount, VotingPower, _Record, ratio_half_even
 from .mechanisms import ConvictionParams, Mechanism, quadratic_units, vote_power
 
 
@@ -21,16 +19,11 @@ class SplitError(GovlabError):
 
 
 class SybilReport(_Record):
-    __slots__ = ("honest_power", "attack_power", "amplification")
-
-    def __init__(self, honest_power: VotingPower, attack_power: VotingPower, amplification: Decimal | None):
-        _set(self, "honest_power", honest_power)
-        _set(self, "attack_power", attack_power)
-        _set(self, "amplification", amplification)  # None when honest power is zero (undefined)
+    __slots__ = ("honest_power", "attack_power", "amplification")  # amplification is None when honest power is zero
 
 
-def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
-    """Split into n balances of floor(total/n) each, remainder to the first wallet."""
+def _uniform_shares(total: TokenAmount, n: int) -> tuple[int, int]:
+    """(q, r) in units for a feasible n-way split: q per wallet, and r more to the first."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SplitError(f"wallet count must be a positive int: {n!r}")
     if total.is_zero():
@@ -39,7 +32,12 @@ def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
         raise SplitError(
             f"cannot split {total} into {n} wallets of at least one 1e-9 unit each"
         )
-    q, r = divmod(total.units, n)
+    return divmod(total.units, n)
+
+
+def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
+    """Split into n balances of floor(total/n) each, remainder to the first wallet."""
+    q, r = _uniform_shares(total, n)
     balances = [TokenAmount.from_units(q) for _ in range(n - 1)]
     balances.insert(0, TokenAmount.from_units(q + r))
     return balances
@@ -61,16 +59,8 @@ def sybil_gain(
     mechanism = Mechanism.parse(mechanism)
     if mechanism is Mechanism.CONVICTION and held_for < 0:
         raise SplitError("held_for must be a non-negative tick span")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SplitError(f"wallet count must be a positive int: {n!r}")
-    if total.is_zero():
-        raise SplitError("cannot split a zero balance")
-    if total.units < n:
-        raise SplitError(
-            f"cannot split {total} into {n} wallets of at least one 1e-9 unit each"
-        )
+    q, r = _uniform_shares(total, n)
     honest = vote_power(mechanism, total, held_for, conviction)
-    q, r = divmod(total.units, n)
     # A uniform split has only two distinct balances (q+r once, q repeated),
     # so the exact per-wallet power sum needs just two evaluations.
     first = vote_power(mechanism, TokenAmount.from_units(q + r), held_for, conviction)

@@ -236,7 +236,7 @@ def test_criterion_07_ledger_tamper_suite_on_a_500_event_run():
         engine.cast("p1", wallet, "a" if i % 3 else "b", balance, 5)
     engine.finalize("p1", 10)
 
-    entries = list(engine.ledger.entries)
+    entries = list(engine.ledger)
     assert len(entries) == 500  # genesis + submit + phase + 496 casts + finalize
     assert verify_chain(entries) is None  # untouched log verifies Ok
 

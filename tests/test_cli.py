@@ -138,6 +138,7 @@ class TestRunCommand:
         [
             (lambda text: text.replace('"options": ["option_a", "option_b"]', '"options": [{}, {}]'), "options must be"),
             (lambda text: text.replace('"supply": "22100.000000000"', '"supply": 1e999999'), "supply: quantity exceeds"),
+            (lambda text: text.replace('"supply": "22100.000000000"', '"supply": 1e999990'), "supply: quantity exceeds"),
             (lambda text: "[" * 100_000, "malformed JSON: maximum recursion depth"),
             (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
             (lambda text: text.replace('"n_wallets": 100', '"n_wallets": 10000000'), "wallets in total"),
@@ -164,7 +165,7 @@ class TestRunCommand:
             ),
         ],
         ids=[
-            "unhashable-options", "huge-supply-number", "deep-nesting", "huge-ticks-integer", "ten-million-wallets",
+            "unhashable-options", "huge-supply-number", "huge-supply-in-context", "deep-nesting", "huge-ticks-integer", "ten-million-wallets",
             "over-cast-budget", "unhashable-quorum-basis", "unhashable-identity-mode", "unhashable-identity-policy",
             "unhashable-agent-kind", "unhashable-identity-strategy",
         ],

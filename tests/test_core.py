@@ -1,6 +1,7 @@
 """Fixed-point values, identifiers, vote records, and canonical JSON."""
 
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
+    _Record,
     canonical_json,
     div_units_half_even,
     fmt_units,
@@ -86,6 +88,28 @@ class TestParseUnits:
         with pytest.raises(FixedPointError, match="fractional digits"):
             parse_units(Decimal("1e-99999999"))  # underflows to zero unless caught
         assert parse_units(Decimal("0e-99999999")) == 0
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_decimals_are_malformed(self, text):
+        with pytest.raises(FixedPointError, match=f"^malformed decimal: {text}$"):
+            parse_units(Decimal(text))
+
+    def test_no_significant_digit_is_rounded_away(self):
+        """The default decimal context keeps 28 digits; a 29th must not vanish."""
+        with pytest.raises(FixedPointError, match="fractional digits"):
+            parse_units(Decimal("1.00000000000000000000000000001"))
+        assert parse_units(Decimal("1." + "0" * 40)) == NANO
+        with pytest.raises(FixedPointError, match="fractional digits"):
+            parse_units(Decimal("1e-1999999999999999990"))  # underflows to 0 in any context
+
+    def test_huge_exponents_inside_the_decimal_context_fail_fast(self):
+        """int(Decimal("1e999990")) alone takes tens of seconds."""
+        start = time.perf_counter()
+        with pytest.raises(FixedPointOverflow):
+            parse_units(Decimal("1e999990"))
+        with pytest.raises(FixedPointError, match="negative quantity"):
+            parse_units(Decimal("-1e999990"))
+        assert time.perf_counter() - start < 1.0
 
     def _check_against_decimal(self, text):
         want = parse_units_ref(text)
@@ -357,6 +381,41 @@ class TestOutcomes:
             "participating_tokens": "10.000000000",
             "outcome": {"type": "winner", "option": "a"},
         }
+
+
+class _Pair(_Record):
+    __slots__ = ("left", "right", "note")
+    _defaults = {"note": None}
+
+
+class TestRecordConstructor:
+    """_Record binds positional arguments to __slots__ in order, then keywords, then _defaults."""
+
+    def test_positional_and_keyword_arguments_are_equivalent(self):
+        pair = _Pair(1, 2, "n")
+        assert pair == _Pair(1, right=2, note="n") == _Pair(note="n", right=2, left=1)
+        assert (pair.left, pair.right, pair.note) == (1, 2, "n")
+        assert repr(pair) == "_Pair(left=1, right=2, note='n')"
+        assert pair._replace(right=3) == _Pair(1, 3, "n")
+
+    def test_defaults_fill_omitted_fields(self):
+        assert _Pair(1, 2).note is None
+        assert _Pair(1, 2) == _Pair(left=1, right=2, note=None)
+        assert TallyOutcome("tie") == TallyOutcome(kind="tie", option=None, options=())
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1, 2, 3, 4), {}, r"^_Pair\(\) takes 3 arguments, got 4$"),
+            ((1, 2), {"left": 1}, r"^_Pair\(\) got multiple values for 'left'$"),
+            ((1,), {"note": 3}, r"^_Pair\(\) missing argument 'right'$"),
+            ((1, 2), {"nite": 3}, r"^_Pair\(\) got an unexpected argument 'nite'$"),
+        ],
+        ids=["too-many", "duplicate", "missing", "unexpected"],
+    )
+    def test_bad_arguments_are_a_type_error_naming_class_and_argument(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            _Pair(*args, **kwargs)
 
 
 class TestCanonicalJson:

@@ -81,7 +81,7 @@ def _sha256(text: str) -> str:
 
 def _fingerprint(scenario) -> tuple[str, str, str, str]:
     result = run(scenario)
-    assert replay(result.ledger.entries).ledger.head_hash() == result.head_hash
+    assert replay(tuple(result.ledger)).ledger.head_hash() == result.head_hash
     return (
         result.head_hash,
         _sha256(result.report_json),

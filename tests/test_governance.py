@@ -361,14 +361,14 @@ class TestCastBatch:
             prefix.cast("p1", wallet, option, committed, tick)
         assert errors[0] is errors[1]
         for other in (single, prefix):
-            assert batched.ledger.entries == other.ledger.entries
+            assert tuple(batched.ledger) == tuple(other.ledger)
             assert batched._votes == other._votes
             for wallet in self.BALANCES:
                 assert _locked_units(batched, wallet) == _locked_units(other, wallet)
         for engine in (batched, single):
             engine.finalize("p1", 20)
         assert batched.counted_votes == single.counted_votes
-        assert batched.ledger.entries == single.ledger.entries
+        assert tuple(batched.ledger) == tuple(single.ledger)
         return errors[0], batched
 
     @given(
@@ -558,7 +558,7 @@ class TestReplay:
 
     def test_replay_reproduces_terminal_phases(self):
         recorded = self._recorded_run()
-        replayed = replay(recorded.ledger.entries)
+        replayed = replay(tuple(recorded.ledger))
         for pid, proposal in recorded.proposals.items():
             assert replayed.proposals[pid].phase is proposal.phase
         assert replayed.results[ProposalId("p1")] == recorded.results[ProposalId("p1")]
@@ -584,7 +584,7 @@ class TestReplay:
         assert genesis["identity"] == {"policy": "drop_unverified", "registry": registry.to_json_obj()}
         assert "scenario" not in genesis and "mechanism" not in genesis
         assert loads_canonical(engine.ledger[6].payload)["event"] == "finalize"
-        replayed = replay(engine.ledger.entries)
+        replayed = replay(tuple(engine.ledger))
         assert [e.payload for e in replayed.ledger] == [e.payload for e in engine.ledger]
         assert replayed.identity.to_json_obj() == engine.identity.to_json_obj()
 
@@ -609,13 +609,13 @@ class TestReplay:
     def test_replay_requires_a_genesis_event(self):
         recorded = self._recorded_run()
         with pytest.raises(GovernanceError, match="genesis"):
-            replay(recorded.ledger.entries[1:])
+            replay(tuple(recorded.ledger)[1:])
 
     def test_replay_detects_a_forged_outcome(self):
         """Flipping the recorded finalize phase makes the replay diverge."""
         recorded = self._recorded_run()
         entries = []
-        for entry in recorded.ledger.entries:
+        for entry in recorded.ledger:
             payload = loads_canonical(entry.payload)
             if payload.get("event") == "finalize" and payload["proposal"] == "p1":
                 forged = entry.payload.replace('"phase":"passed"', '"phase":"rejected"')
@@ -631,7 +631,7 @@ class TestReplay:
     @pytest.mark.parametrize("name", preset_names())
     def test_replay_re_derives_every_preset_event_byte_for_byte(self, name):
         result = run(load_preset(name))
-        recorded = result.ledger.entries
+        recorded = tuple(result.ledger)
         replayed = replay(recorded)
         assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded]
         assert replayed.ledger.head_hash() == result.head_hash
@@ -639,7 +639,7 @@ class TestReplay:
     def test_replay_detects_a_forged_tally(self):
         """A finalize event with a changed per-option power, re-chained, passes
         verify_chain but not replay."""
-        recorded = run(load_preset("sybil_attack_quadratic")).ledger.entries
+        recorded = tuple(run(load_preset("sybil_attack_quadratic")).ledger)
         forged_ledger = Ledger()
         forged_at = None
         for k, entry in enumerate(recorded):
@@ -650,12 +650,12 @@ class TestReplay:
                 forged_at = k
             forged_ledger.append(canonical_json(payload))
         assert forged_at is not None
-        assert verify_chain(forged_ledger.entries) is None
+        assert verify_chain(tuple(forged_ledger)) is None
         with pytest.raises(GovernanceError, match=f"replay diverged at event {forged_at}:"):
-            replay(forged_ledger.entries)
+            replay(tuple(forged_ledger))
 
     def test_replay_detects_an_event_it_does_not_re_derive(self):
-        entries = list(self._recorded_run().ledger.entries)
+        entries = list(self._recorded_run().ledger)
         late = {"event": "phase", "from": "discussion", "proposal": "p2", "tick": 30, "to": "voting"}
         extra = SimpleNamespace(payload=json.dumps(late, separators=(",", ":")))
         with pytest.raises(GovernanceError, match=f"replay diverged at event {len(entries)}: recorded but not"):
@@ -682,7 +682,7 @@ class TestReplay:
             except InsufficientUnlockedTokens:
                 pass
         engine.finalize("p1", 10)
-        replayed = replay(engine.ledger.entries)
+        replayed = replay(tuple(engine.ledger))
         assert replayed.proposals[ProposalId("p1")].phase is engine.proposals[ProposalId("p1")].phase
         assert replayed.proposals[ProposalId("p1")].phase in TERMINAL_PHASES
         assert len(replayed.ledger.head_hash()) == 64
@@ -705,7 +705,7 @@ class TestReplay:
                 ],
             }
         )
-        recorded = run(scenario).ledger.entries
+        recorded = tuple(run(scenario).ledger)
         casts = [loads_canonical(e.payload) for e in recorded if '"event":"cast"' in e.payload]
         assert [c["option"] for c in casts] == labels
         replayed = replay(recorded)
@@ -718,7 +718,7 @@ class TestReplay:
         engine.submit(_proposal(mechanism=Mechanism.CONVICTION, conviction=ConvictionParams(Decimal("0.0000005")), quorum=quorum), 0)
         engine.finalize("p1", 10)
         assert '"decay_rate":"5.00E-7"' in engine.ledger[1].payload and '"threshold":"0E-9"' in engine.ledger[1].payload
-        assert replay(engine.ledger.entries).ledger.head_hash() == engine.ledger.head_hash()
+        assert replay(tuple(engine.ledger)).ledger.head_hash() == engine.ledger.head_hash()
 
     @staticmethod
     def _rechained(payloads):
@@ -726,8 +726,8 @@ class TestReplay:
         ledger = Ledger()
         for payload in payloads:
             ledger.append(payload if isinstance(payload, str) else canonical_json(payload))
-        assert verify_chain(ledger.entries) is None
-        return ledger.entries
+        assert verify_chain(tuple(ledger)) is None
+        return tuple(ledger)
 
     def _one_tick_casts(self):
         engine = _engine()

@@ -44,35 +44,52 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each bare name or attribute name is read under tree."""
-    refs = Counter()
+def _references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each bare name, and each attribute name, is read under tree."""
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-    return refs
+            attributes[node.attr] += 1
+    return names, attributes
 
 
 def test_every_defined_name_has_a_caller_outside_the_tests():
-    """A function, class or method (dunders aside) is referenced in the package
-    outside its own definition, or in benchmarks/*.py or the README."""
+    """A function or class (dunders aside) is referenced in the package outside
+    its own definition, or in benchmarks/*.py or the README.  A method or
+    property counts as used only through an attribute reference (.name), since
+    a local variable of the same name is no call of it."""
     trees = {p.name: ast.parse(p.read_text("utf-8")) for p in sorted(SRC.glob("*.py"))}
-    package = sum((_references(tree) for tree in trees.values()), Counter())
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = _references(tree)
+        names += tree_names
+        attributes += tree_attributes
     outside = "\n".join(p.read_text("utf-8") for p in sorted((ROOT / "benchmarks").glob("*.py")))
     outside += (ROOT / "README.md").read_text("utf-8")
     dead = []
     for module, tree in trees.items():
+        methods = {
+            id(member)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for member in node.body if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if package[name] > _references(node)[name] or re.search(rf"\b{re.escape(name)}\b", outside):
-                continue
-            dead.append(f"{module}:{node.lineno} {name}")
+            own_names, own_attributes = _references(node)
+            if id(node) in methods:
+                used = attributes[name] > own_attributes[name]
+                pattern = rf"\.{re.escape(name)}\b"
+            else:
+                used = names[name] + attributes[name] > own_names[name] + own_attributes[name]
+                pattern = rf"\b{re.escape(name)}\b"
+            if not (used or re.search(pattern, outside)):
+                dead.append(f"{module}:{node.lineno} {name}")
     assert not dead, f"defined but referenced only by tests: {', '.join(dead)}"
 
 

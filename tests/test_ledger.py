@@ -114,7 +114,7 @@ class TestAppend:
         ledger._append_canonical(iter(texts))
         assert [type(e.payload) for e in ledger] == [str, str]
         assert [e.payload for e in ledger] == texts
-        assert verify_chain(ledger.entries) is None
+        assert verify_chain(tuple(ledger)) is None
 
     def test_a_stream_appends_like_single_appends_up_to_its_failure(self):
         def texts():
@@ -124,7 +124,7 @@ class TestAppend:
         ledger = Ledger()
         with pytest.raises(LedgerError, match="stop"):
             ledger._append_canonical(texts())
-        assert ledger.entries == _chain(3).entries
+        assert tuple(ledger) == tuple(_chain(3))
 
     def test_entries_are_immutable(self):
         ledger = _chain(1)
@@ -142,46 +142,46 @@ class TestVerifyChain:
         ledger = Ledger()
         for text in payloads:
             ledger.append(text)
-        assert verify_chain(ledger.entries) is None
+        assert verify_chain(tuple(ledger)) is None
 
     @pytest.mark.parametrize("victim", [0, 2, 4])
     def test_payload_mutation_is_localized(self, victim):
-        entries = list(_chain(5).entries)
+        entries = list(_chain(5))
         entry = entries[victim]
         entries[victim] = entry._replace(payload=entry.payload.replace('"cast"', '"CAST"'))
         assert verify_chain(entries) == victim
 
     def test_single_bit_flip_in_payload_detected(self):
-        entries = list(_chain(3).entries)
+        entries = list(_chain(3))
         raw = bytearray(entries[1].payload.encode())
         raw[0] ^= 0x01
         entries[1] = entries[1]._replace(payload=raw.decode())
         assert verify_chain(entries) == 1
 
     def test_hash_mutation_detected_at_its_own_index(self):
-        entries = list(_chain(4).entries)
+        entries = list(_chain(4))
         bad = ("0" if entries[2].hash[0] != "0" else "1") + entries[2].hash[1:]
         entries[2] = entries[2]._replace(hash=bad)
         assert verify_chain(entries) == 2
 
     def test_prev_hash_mutation_detected(self):
-        entries = list(_chain(4).entries)
+        entries = list(_chain(4))
         entries[3] = entries[3]._replace(prev_hash="f" * 64)
         assert verify_chain(entries) == 3
 
     def test_index_mutation_detected(self):
-        entries = list(_chain(4).entries)
+        entries = list(_chain(4))
         entries[1] = entries[1]._replace(index=5)
         assert verify_chain(entries) == 1
 
     def test_reordering_detected(self):
-        entries = list(_chain(4).entries)
+        entries = list(_chain(4))
         entries[1], entries[2] = entries[2], entries[1]
         assert verify_chain(entries) == 1
 
     def test_recomputing_hashes_after_an_edit_still_breaks_the_link(self):
         """An attacker who re-hashes an edited entry still breaks the next link."""
-        entries = list(_chain(4).entries)
+        entries = list(_chain(4))
         forged_payload = canonical_json({"event": "cast", "seq": 999})
         forged = LedgerEntry(
             index=1,
@@ -195,14 +195,14 @@ class TestVerifyChain:
     def test_truncation_is_not_detectable_without_the_head_hash(self):
         """Dropping the tail leaves a valid prefix; the published head is the defense."""
         full = _chain(5)
-        truncated = full.entries[:3]
+        truncated = tuple(full)[:3]
         assert verify_chain(truncated) is None
         assert truncated[-1].hash != full.head_hash()
 
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=7))
     @settings(max_examples=60)
     def test_byte_flip_anywhere_is_caught_at_or_before_the_entry(self, victim, byte_pos):
-        entries = list(_chain(5).entries)
+        entries = list(_chain(5))
         raw = bytearray(entries[victim].payload.encode())
         raw[byte_pos % len(raw)] ^= 0x01
         mutated = raw.decode("utf-8", errors="replace")
@@ -216,14 +216,14 @@ class TestNdjsonRoundTrip:
     def test_round_trip_is_byte_exact(self, tmp_path):
         ledger = _chain(4)
         path = tmp_path / "ledger.ndjson"
-        write_ndjson(ledger.entries, path)
+        write_ndjson(tuple(ledger), path)
         loaded = read_ndjson(path)
-        assert loaded == list(ledger.entries)
-        assert dump_ndjson(loaded) == dump_ndjson(ledger.entries)
+        assert loaded == list(ledger)
+        assert dump_ndjson(loaded) == dump_ndjson(tuple(ledger))
         assert verify_chain(loaded) is None
 
     def test_one_line_per_entry(self):
-        text = dump_ndjson(_chain(3).entries)
+        text = dump_ndjson(tuple(_chain(3)))
         lines = text.splitlines()
         assert len(lines) == 3
         assert text.endswith("\n")
@@ -231,19 +231,19 @@ class TestNdjsonRoundTrip:
     def test_payload_survives_as_embedded_string(self):
         ledger = Ledger()
         ledger.append(canonical_json({"note": "tie on é"}))
-        (loaded,) = load_ndjson(dump_ndjson(ledger.entries))
+        (loaded,) = load_ndjson(dump_ndjson(tuple(ledger)))
         assert loaded.payload == ledger[0].payload
         assert verify_chain([loaded]) is None
 
     def test_blank_lines_are_skipped(self):
-        text = dump_ndjson(_chain(2).entries)
+        text = dump_ndjson(tuple(_chain(2)))
         padded = "\n" + text.replace("\n", "\n\n", 1)
-        assert load_ndjson(padded) == list(_chain(2).entries)
+        assert load_ndjson(padded) == list(_chain(2))
 
     def test_tampered_file_still_loads_and_verify_localizes(self, tmp_path):
         ledger = _chain(4)
         path = tmp_path / "ledger.ndjson"
-        write_ndjson(ledger.entries, path)
+        write_ndjson(tuple(ledger), path)
         text = path.read_text()
         lines = text.splitlines()
         lines[2] = lines[2].replace('\\"seq\\":2', '\\"seq\\":7')
@@ -305,7 +305,7 @@ class TestNdjsonRoundTrip:
 
     def test_non_utf8_file_names_the_byte_offset(self, tmp_path):
         path = tmp_path / "ledger.ndjson"
-        path.write_bytes(dump_ndjson(_chain(1).entries).encode("ascii") + b"\xff\n")
+        path.write_bytes(dump_ndjson(tuple(_chain(1))).encode("ascii") + b"\xff\n")
         with pytest.raises(LedgerError, match=f"byte offset {path.stat().st_size - 2}"):
             read_ndjson(path)
 
@@ -324,7 +324,7 @@ class TestNdjsonRoundTrip:
         assert verify_chain(entries) is None
 
     def test_lone_surrogate_payload_names_its_line(self):
-        text = dump_ndjson(_chain(1).entries) + json.dumps(
+        text = dump_ndjson(tuple(_chain(1))) + json.dumps(
             {"hash": "0" * 64, "index": 1, "payload": "x\ud800", "prev_hash": "0" * 64}
         )
         with pytest.raises(LedgerError, match="line 2: payload holds a lone surrogate at offset 1"):
@@ -336,8 +336,8 @@ class TestNdjsonRoundTrip:
         ledger = Ledger()
         for text in payloads:
             ledger.append(text)
-        loaded = load_ndjson(dump_ndjson(ledger.entries))
-        assert loaded == list(ledger.entries)
+        loaded = load_ndjson(dump_ndjson(tuple(ledger)))
+        assert loaded == list(ledger)
         assert verify_chain(loaded) is None
 
 

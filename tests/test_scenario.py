@@ -100,6 +100,17 @@ class TestParsing:
         scenario = parse_scenario(obj)
         assert _agent(scenario, "grace").balance.units == 599_999_999_999
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_a_non_finite_decimal_is_one_validation_error(self, value):
+        obj = _valid()
+        obj["supply"] = Decimal(value)
+        assert _errors_of(obj) == [f"supply: malformed decimal: {value}"]
+
+    def test_a_29th_significant_digit_is_an_error_not_rounded_away(self):
+        literal = "1000.00000000000000000000000001"
+        errors = _errors_with(_valid(), lambda obj: obj, "supply", literal)
+        assert errors == [f"supply: more than 9 fractional digits: {literal}"]
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(ScenarioValidationError, match="malformed JSON"):
             loads_scenario("{not json")

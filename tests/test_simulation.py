@@ -132,6 +132,32 @@ def sybil_result():
     return run(load_preset("sybil_attack_quadratic"))
 
 
+class TestSeedOverride:
+    """seed_override is checked once, in build_setup, whether or not the scenario draws randomness."""
+
+    @staticmethod
+    def _scenario(identity):
+        scenario = load_preset("sybil_attack_quadratic")
+        if not identity:
+            return scenario
+        return parse_scenario(
+            {**_raw(scenario), "identity": {"mode": "strict_one_wallet", "policy": "drop_unverified"}}
+        )
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["no-identity", "identity"])
+    @pytest.mark.parametrize("seed", [2**64, -1, True, "7"], ids=["2**64", "-1", "bool", "str"])
+    def test_a_seed_that_is_not_a_u64_is_a_simulation_error(self, identity, seed):
+        scenario = self._scenario(identity)
+        with pytest.raises(SimulationError, match="seed_override must be a u64"):
+            run(scenario, seed_override=seed)
+        with pytest.raises(SimulationError, match="seed_override must be a u64"):
+            compare_mechanisms(scenario, ["token", "quadratic"], seed_override=seed)
+
+    def test_the_u64_bounds_are_accepted(self):
+        scenario = self._scenario(identity=True)
+        assert run(scenario, seed_override=0).head_hash == run(scenario, seed_override=2**64 - 1).head_hash
+
+
 class TestSybilPresetRun:
     def test_splitting_flips_the_outcome(self, sybil_result):
         (metrics,) = sybil_result.report["proposals"]

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import GovlabError, canonical_json
-from .ledger import _replace_file, read_ndjson, verify_chain, write_ndjson
+from .ledger import _replace_files, dump_ndjson, read_ndjson, verify_chain
 from .scenario import ScenarioValidationError, load_scenario
 from .simulation import compare_mechanisms, render_table, report_csv, run
 
@@ -82,13 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     result = run(load_scenario(args.scenario), seed_override=args.seed)
-    # Each output is replaced whole.  The CSV goes first, so an error while
-    # building it leaves every output as it was.
-    if args.csv is not None:
-        _replace_file(args.csv, report_csv(result), "utf-8")
-    _replace_file(args.out, result.report_json, "ascii")
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
-    write_ndjson(result.ledger, ledger_path)
+
+    def outputs():
+        # All are staged before any is replaced; each is built once the one before it is written.
+        if args.csv is not None:
+            yield args.csv, report_csv(result), "utf-8"
+        yield args.out, result.report_json, "ascii"
+        yield ledger_path, dump_ndjson(result.ledger), "ascii"
+
+    _replace_files(outputs())
     _info(f"wrote report to {args.out} and ledger to {ledger_path}")
     print(result.head_hash)
     return EXIT_OK
@@ -97,7 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     merged, rows = compare_mechanisms(load_scenario(args.scenario), mechanisms, seed_override=args.seed)
-    _replace_file(args.out, canonical_json(merged) + "\n", "ascii")
+    _replace_files([(args.out, canonical_json(merged) + "\n", "ascii")])
     _info(f"wrote merged report to {args.out}")
     sys.stdout.write(render_table(rows))
     return EXIT_OK

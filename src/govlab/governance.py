@@ -37,7 +37,7 @@ from .core import (
     _Record,
     _set,
 )
-from .identity import IdentityFilter, IdentityRegistry
+from .identity import FilterReport, IdentityFilter, IdentityRegistry
 from .ledger import Ledger
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
 
@@ -287,22 +287,8 @@ class GovernanceEngine:
                 f"voting window is open until tick {proposal.voting_window.end}"
             )
 
-        votes: Sequence[VoteRecord] = list(self._votes[proposal.id].values())
-        filter_report = None
-        if self.identity is not None:
-            filter_report = self.identity.apply(votes)
-            votes = list(filter_report.votes)
-
-        result = tally(
-            votes,
-            proposal.mechanism,
-            supply=self.supply,
-            wallet_universe_size=self.wallet_universe_size,
-            quorum=proposal.quorum,
-            now=now,
-            conviction=proposal.conviction,
-            options=proposal.options,
-        )
+        votes = list(self._votes[proposal.id].values())
+        votes, result, report = count_votes(proposal, votes, self.identity, self.supply, self.wallet_universe_size, now)
         outcome = result.outcome
         if outcome.kind == OutcomeKind.QUORUM_FAILED:
             proposal.phase = Phase.QUORUM_FAILED
@@ -318,7 +304,7 @@ class GovernanceEngine:
 
         self.results[proposal.id] = result
         self.counted_votes[proposal.id] = tuple(votes)
-        self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, filter_report))
+        self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, report))
         return result
 
     def mark_executed(self, proposal_id: ProposalId, now: int) -> None:
@@ -337,6 +323,22 @@ class GovernanceEngine:
         return proposal
 
 
+def count_votes(
+    proposal: Proposal, votes: Sequence[VoteRecord], identity: IdentityFilter | None,
+    supply: TokenAmount, wallet_universe_size: int, now: int,
+) -> tuple[Sequence[VoteRecord], TallyResult, FilterReport | None]:
+    """Count a proposal's live votes at tick now: the identity filter, if any, then the tally
+    under the proposal's mechanism, quorum, conviction and options.  Returns the counted
+    votes, the tally and the filter's report."""
+    report = None
+    if identity is not None:
+        report = identity.apply(votes)
+        votes = report.votes
+    result = tally(
+        votes, proposal.mechanism, supply=supply, wallet_universe_size=wallet_universe_size,
+        quorum=proposal.quorum, now=now, conviction=proposal.conviction, options=proposal.options,
+    )
+    return votes, result, report
 
 
 def replay(entries: Sequence) -> GovernanceEngine:

@@ -25,7 +25,7 @@ import hashlib
 import os
 import re
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Any, Iterable
 
 from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical
 
@@ -156,23 +156,32 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
     return entries
 
 
-def _replace_file(path, text: str, encoding: str) -> None:
-    """Write text to path whole or not at all: a temporary file beside it, then os.replace."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+def _replace_files(outputs: Iterable[tuple[Any, str, str]]) -> None:
+    """Write each (path, text, encoding) output to a temporary file beside its path, then
+    os.replace them in order, so an error while building or writing any of them leaves
+    every path as it was.  outputs may be a generator: each text is dropped once written."""
+    staged = []
     try:
-        with open(tmp, "w", encoding=encoding, newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text, encoding in outputs:
+            # The count keeps two outputs to one path apart.
+            tmp = f"{os.fspath(path)}.{os.getpid()}.{len(staged)}.tmp"
+            staged.append((tmp, path))
+            with open(tmp, "w", encoding=encoding, newline="") as fh:
+                fh.write(text)
+            del text
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        for tmp, _ in staged:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
         raise
 
 
 def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
-    _replace_file(path, dump_ndjson(entries), "ascii")
+    _replace_files([(path, dump_ndjson(entries), "ascii")])
 
 
 def read_ndjson(path) -> list[LedgerEntry]:

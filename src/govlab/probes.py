@@ -13,9 +13,9 @@ from itertools import permutations, product
 from typing import Any
 
 from .core import GovlabError, TallyResult, VoteRecord, _Record
-from .mechanisms import tally
-from .scenario import AgentKind, AgentSpec, Scenario
-from .simulation import SimulationSetup, build_setup
+from .governance import Proposal, count_votes
+from .scenario import AgentSpec, Scenario
+from .simulation import SimulationSetup, _engine_proposal, build_setup
 
 MAX_PROBE_AGENTS = 4
 MAX_PROBE_OPTIONS = 3
@@ -25,56 +25,29 @@ class InstanceTooLarge(GovlabError):
     """Enumeration bound exceeded; probes are exhaustive by design."""
 
 
-def _probe_voters(scenario: Scenario) -> list[AgentSpec]:
-    return [a for a in scenario.agents if a.kind is not AgentKind.ABSTAINER]
-
-
 def _profile_tally(
-    scenario: Scenario,
-    setup: SimulationSetup,
-    options: tuple[str, ...],
-    choices: dict[str, str],
+    scenario: Scenario, setup: SimulationSetup, proposal: Proposal, choices: dict[str, str]
 ) -> TallyResult:
-    """Tally one preference profile: every voter commits its full balance."""
-    spec = scenario.proposals[0]
-    start, end = spec.voting_window.start, spec.voting_window.end
+    """Count one preference profile as finalize would: every voter commits its full
+    balance at the voting-window start, and the count is at the window's end."""
+    window = proposal.voting_window
     votes = [
-        VoteRecord(
-            wallet=wallet,
-            proposal=spec.id,
-            option=choices[agent.id],
-            committed=setup.balances[wallet],
-            cast_at=start,
-        )
-        for agent in _probe_voters(scenario)
+        VoteRecord(wallet, proposal.id, choices[agent.id], setup.balances[wallet], window.start)
+        for agent in scenario.agents if agent.votes()
         for wallet in setup.wallets_by_agent[agent.id]
     ]
-    if setup.identity is not None:
-        votes = list(setup.identity.apply(votes).votes)
-    return tally(
-        votes,
-        scenario.mechanism,
-        supply=scenario.supply,
-        wallet_universe_size=setup.wallet_universe_size,
-        quorum=scenario.quorum,
-        now=end,
-        conviction=scenario.conviction,
-        options=options,
-    )
+    return count_votes(proposal, votes, setup.identity, scenario.supply, setup.wallet_universe_size, window.end)[1]
 
 
-def _check_bounds(scenario: Scenario) -> tuple[list[AgentSpec], tuple[str, ...]]:
-    voters = _probe_voters(scenario)
+def _check_bounds(scenario: Scenario) -> tuple[list[AgentSpec], Proposal]:
+    """The voting agents and the first proposal as the engine runs it, within the enumeration bounds."""
+    voters = [a for a in scenario.agents if a.votes()]
     options = scenario.proposals[0].options
     if len(voters) > MAX_PROBE_AGENTS:
-        raise InstanceTooLarge(
-            f"{len(voters)} voting agents exceed the enumeration bound of {MAX_PROBE_AGENTS}"
-        )
+        raise InstanceTooLarge(f"{len(voters)} voting agents exceed the enumeration bound of {MAX_PROBE_AGENTS}")
     if len(options) > MAX_PROBE_OPTIONS:
-        raise InstanceTooLarge(
-            f"{len(options)} options exceed the enumeration bound of {MAX_PROBE_OPTIONS}"
-        )
-    return voters, options
+        raise InstanceTooLarge(f"{len(options)} options exceed the enumeration bound of {MAX_PROBE_OPTIONS}")
+    return voters, _engine_proposal(scenario, scenario.proposals[0])
 
 
 def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) -> tuple[str, ...]:
@@ -83,15 +56,15 @@ def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) 
     Enumerates (#options)^(#voters) profiles; a tie or quorum failure in any
     profile clears every agent whose choice failed to win it.
     """
-    voters, options = _check_bounds(scenario)
+    voters, proposal = _check_bounds(scenario)
     if setup is None:
         setup = build_setup(scenario)
     candidates = {a.id for a in voters}
-    for profile in product(options, repeat=len(voters)):
+    for profile in product(proposal.options, repeat=len(voters)):
         if not candidates:
             break
         choices = {agent.id: option for agent, option in zip(voters, profile)}
-        outcome = _profile_tally(scenario, setup, options, choices).outcome
+        outcome = _profile_tally(scenario, setup, proposal, choices).outcome
         winner = outcome.option if outcome.is_winner() else None
         candidates = {a for a in candidates if choices[a] == winner}
     return tuple(a.id for a in voters if a.id in candidates)
@@ -119,27 +92,29 @@ def iia_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) -> Ii
     to the next surviving preference.  A changed (unique) winner is returned
     as the witness.  Two-option instances trivially have none.
     """
-    voters, options = _check_bounds(scenario)
+    voters, proposal = _check_bounds(scenario)
+    options = proposal.options
     if len(options) < 3:
         return None
     if setup is None:
         setup = build_setup(scenario)
+    # The proposal with each option deleted.
+    without = {removed: proposal._replace(options=tuple(o for o in options if o != removed)) for removed in options}
     rankings = list(permutations(options))
     for profile in product(rankings, repeat=len(voters)):
         choices = {agent.id: ranking[0] for agent, ranking in zip(voters, profile)}
-        outcome = _profile_tally(scenario, setup, options, choices).outcome
+        outcome = _profile_tally(scenario, setup, proposal, choices).outcome
         if not outcome.is_winner():
             continue
         before = outcome.option
         for removed in options:
             if removed == before:
                 continue
-            survivors = tuple(o for o in options if o != removed)
             fallback = {
                 agent.id: next(o for o in ranking if o != removed)
                 for agent, ranking in zip(voters, profile)
             }
-            after_outcome = _profile_tally(scenario, setup, survivors, fallback).outcome
+            after_outcome = _profile_tally(scenario, setup, without[removed], fallback).outcome
             if after_outcome.is_winner() and after_outcome.option != before:
                 return IiaWitness(
                     profile=tuple(

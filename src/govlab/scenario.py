@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, _Record, fmt_units, parse_units
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -68,13 +68,43 @@ class IdentityConfig(_Record):
     _defaults = {"provider": ProviderConfig()}
 
 
+# The suffixes of an attacker's wallet ids and of its fake identities.
+_WALLET, _FAKE = "_w", "_fake"
+
+
 class AgentSpec(_Record):
     __slots__ = ("id", "kind", "balance", "preference", "cast_at", "n_wallets", "identity_strategy")
-    # A None cast_at is each proposal's voting-window start.
     _defaults = {"cast_at": None, "n_wallets": 1, "identity_strategy": IdentityStrategy.ONE_IDENTITY}
 
     def votes(self) -> bool:
         return self.kind is not AgentKind.ABSTAINER
+
+    def cast_tick(self, proposal: ProposalSpec) -> int:
+        """The tick the agent casts at: cast_at, or else the proposal's voting-window start."""
+        return self.cast_at if self.cast_at is not None else proposal.voting_window.start
+
+    def fakes_identities(self) -> bool:
+        """Whether each wallet claims a fresh fraudulent identity instead of the agent's own id."""
+        return self.kind is AgentKind.SYBIL_ATTACKER and self.identity_strategy is IdentityStrategy.FAKE_IDENTITIES
+
+    def _digits(self) -> int:
+        # An attacker numbers its n wallets k = 0..n-1, zero-padded to the digits of n - 1.
+        return len(str(self.n_wallets - 1))
+
+    def wallets(self) -> tuple[WalletId, ...]:
+        """The agent's wallet ids: its own id, or an attacker's <id>_w<k>."""
+        if self.kind is not AgentKind.SYBIL_ATTACKER:
+            return (WalletId(self.id),)
+        prefix, width = self.id + _WALLET, self._digits()
+        return tuple(WalletId(f"{prefix}{k:0{width}d}") for k in range(self.n_wallets))
+
+    def claimed_identity(self, k: int) -> str:
+        """The identity wallet k claims: the agent's own id, or <id>_fake<k> when it fakes identities."""
+        return f"{self.id}{_FAKE}{k:0{self._digits()}d}" if self.fakes_identities() else self.id
+
+    def numbered(self, k: str) -> bool:
+        """Whether k is a wallet number as wallets() and claimed_identity() spell it."""
+        return len(k) == self._digits() and k.isascii() and k.isdigit() and int(k) < self.n_wallets
 
 
 class ProposalSpec(_Record):
@@ -267,7 +297,8 @@ def _walk(obj: dict, table: dict, where: str, sep: str, errors: list[str]) -> di
 
 
 _U64 = _int("a u64", 0, 2**64 - 1)
-# Attack wallets get an index suffix; agent ids keep headroom inside the 64-char cap.
+# Attack wallet ids and fake identities append a suffix and a number to the agent id:
+# 48 chars, "_fake" and at most 5 digits (MAX_WALLETS - 1) stay within the 64-char id cap.
 _AGENT_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,48}")
 
 _PROPOSAL = {
@@ -347,15 +378,13 @@ def parse_scenario(obj: Any) -> Scenario:
             _check_ballots(a, proposals, errors)
 
     if complete:
-        if fields["mechanism"] is Mechanism.QUORUM and fields["quorum"] is None:
-            errors.append("mechanism 'quorum' requires a quorum config")
-        if fields["mechanism"] is Mechanism.CONVICTION and fields["conviction"] is None:
-            errors.append("mechanism 'conviction' requires conviction params")
+        if error := config_error(fields["mechanism"], fields["quorum"], fields["conviction"]):
+            errors.append(error)
         total_units = sum(a.balance.units for a in agents)
         if total_units > fields["supply"].units:
             errors.append(f"agent balances total {fmt_units(total_units)} exceeds supply {fields['supply']}")
     _check_schedule(agents, proposals, errors)
-    _check_wallet_ids(agents, errors)
+    _check_names(agents, fields.get("identity") is not None, errors)
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -408,7 +437,7 @@ def _check_ballots(a: AgentSpec, proposals: list[ProposalSpec], errors: list[str
             if option not in p.options:
                 errors.append(f"agent {a.id!r}: preference {option!r} not among options of proposal {p.id!r}")
     for p in proposals:
-        tick = a.cast_at if a.cast_at is not None else p.voting_window.start
+        tick = a.cast_tick(p)
         if not p.voting_window.contains(tick):
             errors.append(f"agent {a.id!r}: cast tick {tick} outside voting window of proposal {p.id!r}")
 
@@ -431,19 +460,34 @@ def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], erro
             latest = p
 
 
-def _check_wallet_ids(agents: list[AgentSpec], errors: list[str]) -> None:
-    # Attacker `a` with n wallets owns a_w<k>, k padded to len(str(n - 1)) digits
-    # (simulation.agent_wallets); attackers never collide, so only an id can shadow one.
-    attackers = {a.id: a.n_wallets for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
+def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: ConvictionParams | None) -> str | None:
+    """The error when the mechanism lacks its config: quorum needs a quorum config, conviction its params."""
+    if mechanism is Mechanism.QUORUM and quorum is None:
+        return "mechanism 'quorum' requires a quorum config"
+    if mechanism is Mechanism.CONVICTION and conviction is None:
+        return "mechanism 'conviction' requires conviction params"
+    return None
+
+
+def _check_names(agents: list[AgentSpec], identities: bool, errors: list[str]) -> None:
+    # Attacker `a` owns the wallets a_w<k> and, when it fakes identities, claims a_fake<k>
+    # (AgentSpec.wallets and AgentSpec.claimed_identity).  Names built on different attackers' ids
+    # never collide, so only an agent's own id can shadow one: as a wallet id, unless it is
+    # an attacker's, and as a claimed identity when the scenario binds identities.
+    attackers = {a.id: a for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
+    fakers = {a.id: a for a in attackers.values() if a.fakes_identities()} if identities else {}
     for agent in agents:
-        if agent.kind is AgentKind.SYBIL_ATTACKER:
-            continue
-        owner, _, k = agent.id.rpartition("_w")
-        n = attackers.get(owner)
-        if n and k.isascii() and k.isdigit() and len(k) == len(str(n - 1)) and int(k) < n:
-            errors.append(
-                f"agent {agent.id!r}: wallet id {agent.id!r} is also a wallet of agent {owner!r}"
-            )
+        if agent.kind is not AgentKind.SYBIL_ATTACKER and (owner := _owner(attackers, agent.id, _WALLET)):
+            errors.append(f"agent {agent.id!r}: wallet id {agent.id!r} is also a wallet of agent {owner!r}")
+        if not agent.fakes_identities() and (owner := _owner(fakers, agent.id, _FAKE)):
+            errors.append(f"agent {agent.id!r}: identity {agent.id!r} is also a fake identity of agent {owner!r}")
+
+
+def _owner(attackers: dict[str, AgentSpec], name: str, suffix: str) -> str | None:
+    """The attacker whose <id><suffix><k> name is name, or None."""
+    owner, _, k = name.rpartition(suffix)
+    attacker = attackers.get(owner)
+    return owner if attacker is not None and attacker.numbered(k) else None
 
 
 def loads_scenario(text: str) -> Scenario:

@@ -32,14 +32,7 @@ from .identity import IdentityFilter, IdentityRegistry, RejectionReason, Simulat
 from .ledger import Ledger
 from .mechanisms import Mechanism, MechanismError, vote_power
 from .rng import MASK64
-from .scenario import (
-    AgentKind,
-    AgentSpec,
-    IdentityStrategy,
-    ProposalSpec,
-    Scenario,
-    ScenarioValidationError,
-)
+from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError, config_error
 from .sybil import split_uniform
 
 REPORT_SCHEMA_VERSION = 1
@@ -82,14 +75,6 @@ def min_controlling_set(powers: Sequence[VotingPower]) -> int:
     raise AssertionError("unreachable: the full set always exceeds half")
 
 
-def agent_wallets(agent: AgentSpec) -> tuple[WalletId, ...]:
-    """Deterministic wallet ids for an agent; attackers get index suffixes."""
-    if agent.kind is AgentKind.SYBIL_ATTACKER:
-        width = len(str(agent.n_wallets - 1))
-        return tuple(WalletId(f"{agent.id}_w{k:0{width}d}") for k in range(agent.n_wallets))
-    return (WalletId(agent.id),)
-
-
 class BindingStats(_Record):
     __slots__ = ("accepted", "rejected", "by_reason")
 
@@ -115,7 +100,7 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     wallets_by_agent: dict[str, tuple[WalletId, ...]] = {}
     balances: dict[WalletId, TokenAmount] = {}
     for agent in scenario.agents:
-        wallets = agent_wallets(agent)
+        wallets = agent.wallets()
         wallets_by_agent[agent.id] = wallets
         if agent.kind is AgentKind.SYBIL_ATTACKER:
             for wallet, amount in zip(wallets, split_uniform(agent.balance, agent.n_wallets)):
@@ -133,18 +118,12 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
         accepted = 0
         by_reason: dict[str, int] = {}
         for agent in scenario.agents:
-            wallets = wallets_by_agent[agent.id]
-            fake = (
-                agent.kind is AgentKind.SYBIL_ATTACKER
-                and agent.identity_strategy is IdentityStrategy.FAKE_IDENTITIES
-            )
-            width = len(str(len(wallets) - 1)) if len(wallets) > 1 else 1
-            for k, wallet in enumerate(wallets):
-                # A genuine claim binds the agent's own identity; each fake claims a fresh one.
+            fake = agent.fakes_identities()
+            for k, wallet in enumerate(wallets_by_agent[agent.id]):
                 if not provider.review(fake):
                     reason = RejectionReason.PROVIDER_REJECTED
                 else:
-                    outcome = registry.bind(f"{agent.id}_fake{k:0{width}d}" if fake else agent.id, wallet)
+                    outcome = registry.bind(agent.claimed_identity(k), wallet)
                     if outcome.accepted:
                         accepted += 1
                         continue
@@ -200,8 +179,7 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
     for agent in scenario.agents:
         if agent.votes():
             for spec in scenario.proposals:
-                cast_at = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
-                schedule.setdefault(cast_at, ([], [], []))[1].append((agent, spec))
+                schedule.setdefault(agent.cast_tick(spec), ([], [], []))[1].append((agent, spec))
 
     for now in sorted(t for t in schedule if t <= scenario.ticks):
         submits, casts, finalizes = schedule[now]
@@ -280,11 +258,10 @@ def _proposal_metrics(
             continue
         _, counted_units, realized_units = mine
         # Baseline: the counted tokens as one wallet, held over the same ticks.
-        cast_tick = agent.cast_at if agent.cast_at is not None else spec.voting_window.start
         honest_units = vote_power(
             scenario.mechanism,
             TokenAmount.from_units(counted_units),
-            spec.voting_window.end - cast_tick,
+            spec.voting_window.end - agent.cast_tick(spec),
             scenario.conviction,
         ).units
         amplification[agent.id] = (
@@ -338,13 +315,12 @@ def _build_report(
 
 
 def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] | None:
-    from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, dictator_probe, iia_probe
+    from .probes import InstanceTooLarge, dictator_probe, iia_probe
 
-    voters = [a for a in scenario.agents if a.votes()]
-    options = scenario.proposals[0].options
-    if len(voters) > MAX_PROBE_AGENTS or len(options) > MAX_PROBE_OPTIONS:
+    try:
+        flagged = dictator_probe(scenario, setup=setup)
+    except InstanceTooLarge:
         return None
-    flagged = dictator_probe(scenario, setup=setup)
     witness = iia_probe(scenario, setup=setup)  # None with two options
     return {
         "dictator_probe": {"flagged": list(flagged)},
@@ -397,11 +373,7 @@ def compare_mechanisms(
         raise ScenarioValidationError(["no mechanisms to compare"])
     if len(set(parsed)) != len(parsed):
         raise ScenarioValidationError(["mechanisms to compare must be distinct"])
-    for m in parsed:
-        if m is Mechanism.QUORUM and scenario.quorum is None:
-            errors.append(f"mechanism {m.value!r} requires a quorum config in the scenario")
-        if m is Mechanism.CONVICTION and scenario.conviction is None:
-            errors.append(f"mechanism {m.value!r} requires conviction params in the scenario")
+    errors = [e for m in parsed if (e := config_error(m, scenario.quorum, scenario.conviction))]
     if errors:
         raise ScenarioValidationError(errors)
 

@@ -234,6 +234,18 @@ class TestRunCommand:
             assert path.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
 
+        # The ledger is the last output; its directory is missing, so none is replaced.
+        monkeypatch.undo()
+        code = main(
+            ["run", "--scenario", str(scenario_path), "--out", str(out), "--ledger", str(tmp_path / "nodir" / "l.jsonl"),
+             "--csv", str(csv_path)]
+        )
+        assert code == EXIT_RUNTIME
+        assert "nodir" in capsys.readouterr().err
+        for path in (out, ledger, csv_path):
+            assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
+
     def test_outputs_are_replaced_without_leftovers(self, scenario_path, tmp_path, capsys):
         out, csv_path = tmp_path / "r.json", tmp_path / "agents.csv"
         csv_path.write_bytes(b"old bytes\n")
@@ -414,6 +426,22 @@ class TestCompareCommand:
         assert code == EXIT_VALIDATION
         assert "unknown mechanism" in captured.err
         assert captured.out == ""
+
+    def test_mechanisms_missing_their_config_are_validation_errors(self, tmp_path, capsys):
+        import importlib.resources as resources
+
+        path = tmp_path / "scenario.json"
+        path.write_text(resources.files("govlab.presets").joinpath("plurality_iia_probe.json").read_text())
+        out = tmp_path / "m.json"
+        code = main(["compare", "--scenario", str(path), "--mechanisms", "token,quorum,conviction", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: mechanism 'quorum' requires a quorum config",
+            "error: mechanism 'conviction' requires conviction params",
+        ]
+        assert not out.exists()
 
     def test_invalid_scenario_file_is_a_validation_error(self, scenario_path, tmp_path, capsys):
         scenario_path.write_text(scenario_path.read_text().replace('"seed": 42', '"seed": -1').replace('"ticks": 20', '"ticks": -2'))

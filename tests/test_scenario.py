@@ -216,6 +216,41 @@ class TestErrorCollection:
         (error,) = _errors_of(obj)
         assert error == "agent 'a_w1': wallet id 'a_w1' is also a wallet of agent 'a'"
 
+    def test_agent_id_shadowing_a_fake_identity(self):
+        # Under strict_one_wallet the registry would refuse the honest agent's binding as a
+        # duplicate of the attacker's first fake identity and silently drop its vote.
+        obj = _valid()
+        obj["identity"] = {
+            "mode": "strict_one_wallet",
+            "policy": "drop_unverified",
+            "provider": {"false_accept_rate": "1"},
+        }
+        obj["agents"] = [
+            {"id": "att", "kind": "sybil_attacker", "balance": "10", "preference": "approve",
+             "n_wallets": 2, "identity_strategy": "fake_identities"},
+            {"id": "att_fake0", "kind": "honest", "balance": "5", "preference": "reject"},
+        ]
+        (error,) = _errors_of(obj)
+        assert error == "agent 'att_fake0': identity 'att_fake0' is also a fake identity of agent 'att'"
+        # An attacker that claims its own id is checked too; one that fakes identities is not.
+        obj["agents"][1] = {"id": "att_fake1", "kind": "sybil_attacker", "balance": "5", "preference": "reject", "n_wallets": 2}
+        (error,) = _errors_of(obj)
+        assert error == "agent 'att_fake1': identity 'att_fake1' is also a fake identity of agent 'att'"
+        obj["agents"][1]["identity_strategy"] = "fake_identities"
+        parse_scenario(obj)
+        # Neither the wrong width nor an index past n_wallets names a fake identity.
+        obj["agents"][1:] = [
+            {"id": harmless, "kind": "honest", "balance": "1", "preference": "reject"}
+            for harmless in ("att_fake2", "att_fake00", "att_fakex", "att_fake")
+        ]
+        parse_scenario(obj)
+        # Without an identity block no identity is claimed, and with one_identity att claims only its own.
+        obj["agents"][1]["id"] = "att_fake0"
+        assert _errors_of(obj)
+        parse_scenario({**obj, "identity": None})
+        obj["agents"][0]["identity_strategy"] = "one_identity"
+        parse_scenario(obj)
+
     def test_agent_id_charset_and_length(self):
         # str.isalnum() accepts non-ASCII letters and digits; a `$` anchor accepts a trailing newline.
         for bad in ("a" * 49, "bad space", "café", "x\u0663", "ok\n"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab.core import VotingPower, loads_canonical
-from govlab.scenario import load_preset, parse_scenario
+from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
 from govlab.simulation import (
     SimulationError,
     compare_mechanisms,
@@ -375,6 +375,14 @@ class TestCompareMechanisms:
             compare_mechanisms(scenario, ["quorum", "conviction"])
         assert "quorum" in str(excinfo.value)
         assert "conviction" in str(excinfo.value)
+
+    def test_missing_configs_give_the_scenario_messages(self):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            compare_mechanisms(load_preset("plurality_iia_probe"), ["token", "quorum", "conviction"])
+        assert excinfo.value.errors == [
+            "mechanism 'quorum' requires a quorum config",
+            "mechanism 'conviction' requires conviction params",
+        ]
 
 
 class TestOtherPresets:

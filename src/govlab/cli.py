@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import GovlabError, canonical_json
-from .ledger import _replace_files, dump_ndjson, read_ndjson, verify_chain
+from .ledger import StagedFiles, ndjson_line, read_ndjson, verify_chain
 from .scenario import ScenarioValidationError, load_scenario
 from .simulation import compare_mechanisms, render_table, report_csv, run
 
@@ -81,17 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    result = run(load_scenario(args.scenario), seed_override=args.seed)
+    scenario = load_scenario(args.scenario)
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
-
-    def outputs():
-        # All are staged before any is replaced; each is built once the one before it is written.
-        if args.csv is not None:
-            yield args.csv, report_csv(result), "utf-8"
-        yield args.out, result.report_json, "ascii"
-        yield ledger_path, dump_ndjson(result.ledger), "ascii"
-
-    _replace_files(outputs())
+    with StagedFiles() as staged:
+        # Opened in the order they are replaced (CSV, report, ledger); the ledger's lines
+        # stream into its file as the run appends them, and the other two follow the run.
+        csv_file = staged.open(args.csv, "utf-8") if args.csv is not None else None
+        report_file = staged.open(args.out, "ascii")
+        write_line = staged.open(ledger_path, "ascii").write
+        result = run(scenario, seed_override=args.seed, ledger_sink=lambda entry: write_line(ndjson_line(entry)))
+        if csv_file is not None:
+            csv_file.write(report_csv(result))
+        report_file.write(result.report_json)
+        staged.commit()
     _info(f"wrote report to {args.out} and ledger to {ledger_path}")
     print(result.head_hash)
     return EXIT_OK
@@ -100,7 +102,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     merged, rows = compare_mechanisms(load_scenario(args.scenario), mechanisms, seed_override=args.seed)
-    _replace_files([(args.out, canonical_json(merged) + "\n", "ascii")])
+    with StagedFiles() as staged:
+        staged.open(args.out, "ascii").write(canonical_json(merged) + "\n")
+        staged.commit()
     _info(f"wrote merged report to {args.out}")
     sys.stdout.write(render_table(rows))
     return EXIT_OK

@@ -38,7 +38,7 @@ from .core import (
     _set,
 )
 from .identity import FilterReport, IdentityFilter, IdentityRegistry
-from .ledger import Ledger
+from .ledger import Ledger, LedgerEntry
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
 
 
@@ -153,7 +153,8 @@ class GovernanceEngine:
     None.  The filter is the engine's one identity layer: finalize applies it
     to the live vote set, and genesis records its to_json_obj(), so a replay
     rebuilds exactly the filter that was applied.  With no "identity" key (or
-    None) every live vote is tallied.
+    None) every live vote is tallied.  ledger_sink, if given, receives each
+    ledger entry as it is appended, and the ledger keeps none (see ledger.Ledger).
     """
 
     def __init__(
@@ -163,6 +164,7 @@ class GovernanceEngine:
         supply: TokenAmount,
         wallet_universe_size: int | None = None,
         genesis_context: dict[str, Any] | None = None,
+        ledger_sink: Callable[[LedgerEntry], object] | None = None,
     ):
         self.balances = {WalletId(w): b for w, b in balances.items()}
         held = sum(b.units for b in self.balances.values())
@@ -172,7 +174,7 @@ class GovernanceEngine:
         self.wallet_universe_size = (
             wallet_universe_size if wallet_universe_size is not None else len(self.balances)
         )
-        self.ledger = Ledger()
+        self.ledger = Ledger(ledger_sink)
         context = dict(genesis_context or {})
         self.identity = context.get("identity")
         if self.identity is not None:

@@ -9,10 +9,13 @@ detectable from the file alone; publish the head hash out of band (the CLI
 prints it after every run) to pin the expected length.
 
 Per-event cost: each payload is encoded once (by govlab.events, which is the
-only writer of event text) and hashed once.  append stores one text; a batch of
-cast events arrives as a stream of texts that _append_canonical hashes and
-stores one at a time, never listed.  Neither re-checks the text: replay
-re-derives every event and compares the bytes.  dump_ndjson only escapes the
+only writer of event text) and hashed once.  append hands one entry to the
+ledger's sink; a batch of cast events arrives as a stream of texts that
+_append_canonical hashes and hands over one at a time, never listed.  Neither
+re-checks the text: replay re-derives every event and compares the bytes.  The
+default sink keeps each entry in memory; `govlab run`'s sink writes its
+ndjson_line into the staged ledger file at once and keeps nothing, so the
+ledger's memory does not grow with its events.  ndjson_line only escapes the
 four fields into a line.  load_ndjson decodes each line once and checks its four
 fields by exact type; replay decodes each payload once more.  Both decode by
 loads_canonical, whose one scan of a text that holds just a value is what
@@ -21,11 +24,13 @@ json's decode returns; any other text takes decode, so its errors do not change.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import os
 import re
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical
 
@@ -55,36 +60,58 @@ class LedgerEntry(_Record):
 
 
 class Ledger:
-    """Append-only in-memory chain; single writer."""
+    """Append-only hash chain; single writer.
 
-    def __init__(self):
-        self._entries: list[LedgerEntry] = []
+    Each entry goes to the sink as it is hashed, and the ledger itself keeps only
+    its head and its count.  With no sink the entries are kept in a list, which
+    iterating and indexing the ledger read; `govlab run` passes a sink that writes
+    each entry's line to the staged ledger file.
+    """
+
+    def __init__(self, sink: Callable[[LedgerEntry], object] | None = None):
+        self._entries: list[LedgerEntry] | None = None
+        if sink is None:
+            self._entries = []
+            sink = self._entries.append
+        self._sink = sink
+        self._count = 0
+        self._head = GENESIS_PREV_HASH
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._kept())
 
     def __getitem__(self, index: int) -> LedgerEntry:
-        return self._entries[index]
+        return self._kept()[index]
+
+    def _kept(self) -> list[LedgerEntry]:
+        if self._entries is None:
+            raise LedgerError("this ledger streams its entries to a sink and keeps none")
+        return self._entries
 
     def head_hash(self) -> str:
         """Digest of the newest entry; all zeros for an empty chain."""
-        return self._entries[-1].hash if self._entries else GENESIS_PREV_HASH
+        return self._head
 
     def append(self, text: str) -> LedgerEntry:
         """Append one event's canonical text and return its entry."""
-        self._append_canonical((text,))
-        return self._entries[-1]
+        return self._append_canonical((text,))
 
-    def _append_canonical(self, texts: Iterable[str]) -> None:
-        """Append one entry per canonical JSON text, each stored before the next is drawn."""
-        entries = self._entries
-        prev = self.head_hash()
-        for index, text in enumerate(texts, len(entries)):
-            entries.append(LedgerEntry(index, prev, text, entry_hash(index, prev, text)))
-            prev = entries[-1].hash
+    def _append_canonical(self, texts: Iterable[str]) -> LedgerEntry | None:
+        """Append one entry per canonical JSON text, each handed to the sink before the next
+        is drawn, and return the last.  If drawing a text or the sink raises, the entries
+        before it stay appended and that one is not."""
+        sink, index, prev, entry = self._sink, self._count, self._head, None
+        try:
+            for text in texts:
+                entry = LedgerEntry(index, prev, text, entry_hash(index, prev, text))
+                sink(entry)
+                index, prev = index + 1, entry.hash
+        finally:
+            self._count, self._head = index, prev
+        return entry
 
 
 def verify_chain(entries: Iterable[LedgerEntry]) -> int | None:
@@ -106,19 +133,20 @@ def verify_chain(entries: Iterable[LedgerEntry]) -> int | None:
     return None
 
 
-def dump_ndjson(entries: Iterable[LedgerEntry]) -> str:
-    """Render entries as newline-delimited JSON, one entry per line.
+def ndjson_line(entry: LedgerEntry) -> str:
+    """Render one entry as its NDJSON line: the canonical JSON of its four fields,
+    written directly (keys in sorted order, strings escaped exactly as canonical_json
+    escapes them).  The payload is embedded as a JSON string so the exact hash
+    preimage survives the round-trip byte for byte."""
+    return (
+        f'{{"hash":{_quote(entry.hash)},"index":{entry.index},"payload":{_quote(entry.payload)},'
+        f'"prev_hash":{_quote(entry.prev_hash)}}}\n'
+    )
 
-    The payload is embedded as a JSON string so the exact hash preimage
-    survives the round-trip byte for byte.  Each line is the canonical JSON of
-    the entry's four fields, written directly: keys in sorted order, strings
-    escaped exactly as canonical_json escapes them.
-    """
-    return "".join([
-        f'{{"hash":{_quote(e.hash)},"index":{e.index},"payload":{_quote(e.payload)},'
-        f'"prev_hash":{_quote(e.prev_hash)}}}\n'
-        for e in entries
-    ])
+
+def dump_ndjson(entries: Iterable[LedgerEntry]) -> str:
+    """Render entries as newline-delimited JSON, one ndjson_line per entry."""
+    return "".join(map(ndjson_line, entries))
 
 
 def load_ndjson(text: str) -> list[LedgerEntry]:
@@ -156,32 +184,52 @@ def load_ndjson(text: str) -> list[LedgerEntry]:
     return entries
 
 
-def _replace_files(outputs: Iterable[tuple[Any, str, str]]) -> None:
-    """Write each (path, text, encoding) output to a temporary file beside its path, then
-    os.replace them in order, so an error while building or writing any of them leaves
-    every path as it was.  outputs may be a generator: each text is dropped once written."""
-    staged = []
-    try:
-        for path, text, encoding in outputs:
-            # The count keeps two outputs to one path apart.
-            tmp = f"{os.fspath(path)}.{os.getpid()}.{len(staged)}.tmp"
-            staged.append((tmp, path))
-            with open(tmp, "w", encoding=encoding, newline="") as fh:
-                fh.write(text)
-            del text
-        for tmp, path in staged:
+class StagedFiles:
+    """Outputs written to temporary files beside their paths and moved into place together.
+
+    open() checks the path and opens its temporary file; commit() closes every file and
+    os.replaces each into place in the order they were opened.  Leaving the block closes
+    every file and removes each temporary one, so an error before commit leaves every path
+    as it was and no temporary file behind.
+    """
+
+    def __init__(self):
+        self._staged: list[tuple[Any, str, str]] = []  # (file, temporary path, path)
+
+    def __enter__(self) -> StagedFiles:
+        return self
+
+    def open(self, path, encoding: str):
+        path = os.fspath(path)
+        # os.replace would refuse only at commit, after the outputs before it were replaced.
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        # The count keeps two outputs to one path apart.
+        tmp = f"{path}.{os.getpid()}.{len(self._staged)}.tmp"
+        fh = open(tmp, "w", encoding=encoding, newline="")
+        self._staged.append((fh, tmp, path))
+        return fh
+
+    def commit(self) -> None:
+        for fh, _, _ in self._staged:
+            fh.close()
+        for _, tmp, path in self._staged:
             os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            try:
+        self._staged = []
+
+    def __exit__(self, *exc_info) -> None:
+        for fh, tmp, _ in self._staged:
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
                 os.remove(tmp)
-            except OSError:
-                pass
-        raise
 
 
 def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
-    _replace_files([(path, dump_ndjson(entries), "ascii")])
+    """Write entries to path line by line, through a temporary file moved into place."""
+    with StagedFiles() as staged:
+        staged.open(path, "ascii").writelines(map(ndjson_line, entries))
+        staged.commit()
 
 
 def read_ndjson(path) -> list[LedgerEntry]:

@@ -16,7 +16,7 @@ import io
 from itertools import groupby
 from operator import itemgetter
 from decimal import Decimal
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     GovlabError,
@@ -29,7 +29,7 @@ from .core import (
 )
 from .governance import GovernanceEngine, Proposal
 from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
-from .ledger import Ledger
+from .ledger import Ledger, LedgerEntry
 from .mechanisms import Mechanism, MechanismError, vote_power
 from .rng import MASK64
 from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError, config_error
@@ -207,14 +207,20 @@ def _index_votes(
     return by_agent
 
 
-def run(scenario: Scenario, *, seed_override: int | None = None) -> RunResult:
-    """Execute a scenario's events in tick order (idle ticks cost nothing) and report."""
+def run(
+    scenario: Scenario, *, seed_override: int | None = None, ledger_sink: Callable[[LedgerEntry], object] | None = None
+) -> RunResult:
+    """Execute a scenario's events in tick order (idle ticks cost nothing) and report.
+
+    With a ledger_sink, each ledger entry goes to it as it is appended and the result's
+    ledger keeps none; without one, the ledger keeps them all."""
     setup = build_setup(scenario, seed_override=seed_override)
     engine = GovernanceEngine(
         balances=setup.balances,
         supply=scenario.supply,
         wallet_universe_size=setup.wallet_universe_size,
         genesis_context={"scenario": scenario.name, "mechanism": scenario.mechanism.value, "identity": setup.identity},
+        ledger_sink=ledger_sink,
     )
 
     _play_schedule(scenario, setup, engine)

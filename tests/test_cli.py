@@ -1,16 +1,19 @@
 """CLI behavior: exit codes, stdout/stderr separation, and file outputs."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from govlab.cli import EXIT_LEDGER_BROKEN, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from govlab.core import GovlabError, loads_canonical
+from govlab.governance import GovernanceEngine
 from govlab.ledger import read_ndjson, verify_chain
-from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, loads_scenario
+from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, load_scenario, loads_scenario
 from govlab.simulation import run
 
 HEX = set("0123456789abcdef")
@@ -217,34 +220,80 @@ class TestRunCommand:
         assert "agent 'caf\u00e9': id must be" in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_failed_run_leaves_existing_outputs_untouched(self, scenario_path, tmp_path, capsys, monkeypatch):
-        def broken_csv(result):
-            raise GovlabError("csv failed")
-
-        monkeypatch.setattr("govlab.cli.report_csv", broken_csv)
+    @pytest.mark.parametrize(
+        "failure", ["csv", "finalize", "interrupt", "missing-ledger-dir", "out-is-a-directory"]
+    )
+    def test_failed_run_leaves_existing_outputs_untouched(self, scenario_path, tmp_path, capsys, monkeypatch, failure):
         out, ledger, csv_path = tmp_path / "r.json", tmp_path / "r.jsonl", tmp_path / "agents.csv"
         for path in (out, ledger, csv_path):
             path.write_bytes(b"old bytes\n")
-        code = main(
-            ["run", "--scenario", str(scenario_path), "--out", str(out), "--ledger", str(ledger), "--csv", str(csv_path)]
-        )
-        assert code == EXIT_RUNTIME
-        assert "csv failed" in capsys.readouterr().err
-        for path in (out, ledger, csv_path):
-            assert path.read_bytes() == b"old bytes\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
+        names = ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
+        staged_at_finalize = []
 
-        # The ledger is the last output; its directory is missing, so none is replaced.
-        monkeypatch.undo()
-        code = main(
-            ["run", "--scenario", str(scenario_path), "--out", str(out), "--ledger", str(tmp_path / "nodir" / "l.jsonl"),
-             "--csv", str(csv_path)]
-        )
-        assert code == EXIT_RUNTIME
-        assert "nodir" in capsys.readouterr().err
+        def failing_finalize(exc):
+            def finalize(engine, proposal_id, now):
+                # Genesis, submit, phase and the casts have gone to the staged ledger file.
+                staged_at_finalize.append((len(engine.ledger), sorted(p.suffix for p in tmp_path.iterdir())))
+                raise exc
+            return finalize
+
+        def broken_csv(result):
+            raise GovlabError("csv failed")
+
+        argv_out, argv_ledger, message = out, ledger, f"{failure} failed"
+        if failure == "csv":
+            monkeypatch.setattr("govlab.cli.report_csv", broken_csv)
+        elif failure == "finalize":
+            monkeypatch.setattr(GovernanceEngine, "finalize", failing_finalize(GovlabError("finalize failed")))
+        elif failure == "interrupt":
+            monkeypatch.setattr(GovernanceEngine, "finalize", failing_finalize(KeyboardInterrupt()))
+        elif failure == "missing-ledger-dir":
+            # The ledger is the last output; its directory is missing, so none is replaced.
+            argv_ledger, message = tmp_path / "nodir" / "l.jsonl", "nodir"
+        else:
+            # Refused while staging: os.replace would fail only at commit, after replacing the CSV.
+            argv_out, message = tmp_path / "outdir", "Is a directory"
+            argv_out.mkdir()
+            names.append("outdir")
+        argv = ["run", "--scenario", str(scenario_path), "--out", str(argv_out), "--ledger", str(argv_ledger),
+                "--csv", str(csv_path)]
+        if failure == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == EXIT_RUNTIME
+            err_lines = capsys.readouterr().err.splitlines()
+            assert len(err_lines) == 1 and err_lines[0].startswith("error: ") and message in err_lines[0]
+        if failure in ("finalize", "interrupt"):
+            ((streamed, suffixes),) = staged_at_finalize
+            assert streamed > 3 and suffixes.count(".tmp") == 3
         for path in (out, ledger, csv_path):
             assert path.read_bytes() == b"old bytes\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    @pytest.mark.slow
+    def test_cli_run_peaks_below_the_library_run(self, scenario_path, tmp_path, capsys):
+        """The ledger streams into its file, so `govlab run` holds neither the entries that
+        run() keeps nor the ledger text: its peak stays below run()'s own."""
+        obj = json.loads(scenario_path.read_text())
+        obj["agents"][1]["n_wallets"] = 12_000  # one proposal: 12,000 attacker casts
+        scenario_path.write_text(json.dumps(obj))
+        scenario = load_scenario(scenario_path)
+
+        def peak(fn):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        library = peak(lambda: run(scenario))
+        cli = peak(lambda: main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "r.json"),
+                                 "--csv", str(tmp_path / "agents.csv")]))
+        assert len(read_ndjson(tmp_path / "r.json.ledger.jsonl")) > 12_000
+        assert cli < library
 
     def test_outputs_are_replaced_without_leftovers(self, scenario_path, tmp_path, capsys):
         out, csv_path = tmp_path / "r.json", tmp_path / "agents.csv"

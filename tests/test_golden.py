@@ -4,7 +4,10 @@ For each preset and for the seed-1 scenario of each benchmark workload the
 test pins the full SHA-256 of four artifacts: the ledger head hash, the
 report JSON, the per-agent CSV and the NDJSON ledger dump.  A change that
 moves any of them must say so and bump the report schema version.  Replaying
-each ledger must reproduce its head.
+each ledger must reproduce its head.  Each scenario runs twice: through the
+library (`run`, `report_csv`, `dump_ndjson`) and through `govlab run`, whose
+ledger file is written line by line as the run appends, and both must give
+the pinned bytes.
 
 The benchmark scenarios are generated by `benchmarks/workloads.py`, loaded
 by file path and used read-only.
@@ -12,15 +15,19 @@ by file path and used read-only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from govlab.cli import main
 from govlab.governance import replay
-from govlab.ledger import dump_ndjson
-from govlab.scenario import load_preset, loads_scenario, preset_names
+from govlab.ledger import dump_ndjson, read_ndjson
+from govlab.scenario import loads_scenario, preset_names
 from govlab.simulation import report_csv, run
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -75,19 +82,29 @@ WORKLOADS = {
 }
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
 
 
-def _fingerprint(scenario) -> tuple[str, str, str, str]:
-    result = run(scenario)
-    assert replay(tuple(result.ledger)).ledger.head_hash() == result.head_hash
-    return (
-        result.head_hash,
-        _sha256(result.report_json),
-        _sha256(report_csv(result)),
-        _sha256(dump_ndjson(result.ledger)),
-    )
+def _fingerprint(text: str, via: str, tmp_path) -> tuple[str, str, str, str]:
+    if via == "library":
+        result = run(loads_scenario(text))
+        assert replay(tuple(result.ledger)).ledger.head_hash() == result.head_hash
+        return (
+            result.head_hash,
+            _sha256(result.report_json),
+            _sha256(report_csv(result)),
+            _sha256(dump_ndjson(result.ledger)),
+        )
+    scenario, report, ledger, csv = (tmp_path / name for name in ("s.json", "r.json", "l.jsonl", "a.csv"))
+    scenario.write_text(text, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["run", "--scenario", str(scenario), "--out", str(report), "--ledger", str(ledger), "--csv", str(csv)])
+    assert code == 0
+    head = stdout.getvalue().strip()
+    assert replay(read_ndjson(ledger)).ledger.head_hash() == head
+    return head, _sha256(report.read_bytes()), _sha256(csv.read_bytes()), _sha256(ledger.read_bytes())
 
 
 def _workloads_module():
@@ -101,13 +118,16 @@ def test_every_preset_is_pinned():
     assert sorted(PRESETS) == preset_names()
 
 
+@pytest.mark.parametrize("via", ["library", "cli"])
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_preset_bytes_are_pinned(name):
-    assert _fingerprint(load_preset(name)) == PRESETS[name]
+def test_preset_bytes_are_pinned(name, via, tmp_path):
+    text = resources.files("govlab.presets").joinpath(f"{name}.json").read_text("utf-8")
+    assert _fingerprint(text, via, tmp_path) == PRESETS[name]
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("via", ["library", "cli"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_benchmark_scenario_bytes_are_pinned(name):
+def test_benchmark_scenario_bytes_are_pinned(name, via, tmp_path):
     text = _workloads_module().scenario_text(name, 1)
-    assert _fingerprint(loads_scenario(text)) == WORKLOADS[name]
+    assert _fingerprint(text, via, tmp_path) == WORKLOADS[name]

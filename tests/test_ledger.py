@@ -31,6 +31,7 @@ from govlab.ledger import (
     dump_ndjson,
     entry_hash,
     load_ndjson,
+    ndjson_line,
     read_ndjson,
     verify_chain,
     write_ndjson,
@@ -121,10 +122,26 @@ class TestAppend:
             yield from _payloads(3)
             raise LedgerError("stop")
 
-        ledger = Ledger()
-        with pytest.raises(LedgerError, match="stop"):
-            ledger._append_canonical(texts())
-        assert tuple(ledger) == tuple(_chain(3))
+        ledger, received = Ledger(), []
+        streaming = Ledger(received.append)
+        for target in (ledger, streaming):
+            with pytest.raises(LedgerError, match="stop"):
+                target._append_canonical(texts())
+        assert tuple(ledger) == tuple(received) == tuple(_chain(3))
+        assert len(streaming) == 3 and streaming.head_hash() == _chain(3).head_hash()
+
+    def test_a_sink_receives_each_entry_and_the_ledger_keeps_none(self):
+        received = []
+        ledger = Ledger(received.append)
+        for text in _payloads(4):
+            entry = ledger.append(text)
+            assert entry is received[-1]
+        assert received == list(_chain(4))
+        assert len(ledger) == 4 and ledger.head_hash() == received[-1].hash
+        with pytest.raises(LedgerError, match="keeps none"):
+            ledger[0]
+        with pytest.raises(LedgerError, match="keeps none"):
+            list(ledger)
 
     def test_entries_are_immutable(self):
         ledger = _chain(1)
@@ -221,6 +238,21 @@ class TestNdjsonRoundTrip:
         assert loaded == list(ledger)
         assert dump_ndjson(loaded) == dump_ndjson(tuple(ledger))
         assert verify_chain(loaded) is None
+
+    def test_streamed_lines_are_the_dump(self, tmp_path):
+        path = tmp_path / "ledger.ndjson"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            streaming = Ledger(lambda entry: fh.write(ndjson_line(entry)))
+            for text in _payloads(4):
+                streaming.append(text)
+        assert path.read_text("ascii") == dump_ndjson(_chain(4))
+
+    def test_write_ndjson_refuses_a_directory_and_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "ledger.ndjson"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_ndjson(tuple(_chain(2)), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.ndjson"]
 
     def test_one_line_per_entry(self):
         text = dump_ndjson(tuple(_chain(3)))
@@ -451,7 +483,8 @@ tricky = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "\u2028
 
 
 class TestDumpMatchesCanonicalLines:
-    """dump_ndjson writes lines directly; they must equal the canonical JSON of each entry."""
+    """ndjson_line writes each line directly, and dump_ndjson, write_ndjson and `govlab run`'s
+    ledger sink all render through it; each line must equal the canonical JSON of its entry."""
 
     @given(
         st.lists(
@@ -467,8 +500,9 @@ class TestDumpMatchesCanonicalLines:
     )
     @settings(max_examples=200)
     def test_any_entry_renders_like_the_reference(self, entries):
-        expected = "".join(ndjson_line_ref(e.index, e.prev_hash, e.payload, e.hash) for e in entries)
-        assert dump_ndjson(entries) == expected
+        expected = [ndjson_line_ref(e.index, e.prev_hash, e.payload, e.hash) for e in entries]
+        assert [ndjson_line(e) for e in entries] == expected
+        assert dump_ndjson(entries) == "".join(expected)
         old_form = "".join(
             canonical_json({"index": e.index, "prev_hash": e.prev_hash, "payload": e.payload, "hash": e.hash}) + "\n"
             for e in entries

@@ -2,11 +2,11 @@
 
 Token amounts and voting powers are fixed-precision decimals with exactly
 nine fractional digits, stored internally as integer counts of 10^-9 units.
-Sums and differences are exact; rounding (half-even) happens only where an
-irrational function (square root, exponential) enters, never in plain
-arithmetic.  Serialization is canonical JSON: sorted keys, compact
-separators, ASCII only, decimal quantities rendered as strings with exactly
-nine fractional digits.
+Arithmetic works on those unit counts, so sums are exact; rounding
+(half-even) happens only where an irrational function (square root,
+exponential) enters, never in plain arithmetic.  Serialization is canonical
+JSON: sorted keys, compact separators, ASCII only; a decimal quantity is
+written as its str(), with exactly nine fractional digits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from decimal import MAX_PREC, Context, Decimal, Overflow
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 NANO_DIGITS = 9
 NANO = 10**NANO_DIGITS
@@ -188,18 +188,6 @@ class _Fixed:
             )
         return other._units
 
-    def __add__(self, other):
-        total = self._units + self._check_same(other)
-        if total > MAX_UNITS:
-            raise FixedPointOverflow("sum exceeds fixed-point range")
-        return type(self)(total)
-
-    def __sub__(self, other):
-        delta = self._units - self._check_same(other)
-        if delta < 0:
-            raise FixedPointError("subtraction below zero")
-        return type(self)(delta)
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other._units == self._units
 
@@ -270,6 +258,16 @@ class IdentityId(_Identifier):
 
 class ProposalId(_Identifier):
     pass
+
+
+def read_utf8(path, fault: Callable[[str], GovlabError]) -> str:
+    """The text of the file at path; a byte sequence that is not UTF-8 raises fault(message)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise fault(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
 
 
 def _check_option(option: str) -> str:
@@ -449,15 +447,9 @@ def _canonical_value(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [v if type(v) in _PLAIN else _canonical_value(v) for v in value]
     if isinstance(value, float):
-        raise CanonicalJsonError(
-            "float is not canonical; use str, int, Decimal, or a fixed-point type"
-        )
+        raise CanonicalJsonError("float is not canonical; write a decimal quantity as its str()")
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, _Fixed):
-        return str(value)
-    if isinstance(value, Decimal):
-        return fmt_units(parse_units(value))
     raise CanonicalJsonError(f"type {type(value).__name__!r} is not canonical JSON")
 
 

@@ -47,14 +47,15 @@ from .mechanisms import QuorumBasis
 GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
 
 
-def genesis(supply: TokenAmount, balances: dict, wallet_universe_size: int, context: dict | None) -> str:
+def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
+    """The genesis event; its wallet universe is the number of funded wallets."""
     if context and (unknown := context.keys() - GENESIS_CONTEXT):
         raise GovernanceError(f"genesis context has unknown keys {sorted(unknown)}")
     return canonical_json({
         "event": "genesis",
         "supply": str(supply),
         "balances": {str(w): str(b) for w, b in sorted(balances.items())},
-        "wallet_universe_size": wallet_universe_size,
+        "wallet_universe_size": len(balances),
         **(context or {}),
     })
 

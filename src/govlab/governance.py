@@ -153,8 +153,10 @@ class GovernanceEngine:
     None.  The filter is the engine's one identity layer: finalize applies it
     to the live vote set, and genesis records its to_json_obj(), so a replay
     rebuilds exactly the filter that was applied.  With no "identity" key (or
-    None) every live vote is tallied.  ledger_sink, if given, receives each
-    ledger entry as it is appended, and the ledger keeps none (see ledger.Ledger).
+    None) every live vote is tallied.  The wallet universe, which genesis records
+    and a wallet-count quorum divides by, is the number of funded wallets in
+    balances.  ledger_sink, if given, receives each ledger entry as it is
+    appended, and the ledger keeps none (see ledger.Ledger).
     """
 
     def __init__(
@@ -162,7 +164,6 @@ class GovernanceEngine:
         *,
         balances: dict[WalletId, TokenAmount],
         supply: TokenAmount,
-        wallet_universe_size: int | None = None,
         genesis_context: dict[str, Any] | None = None,
         ledger_sink: Callable[[LedgerEntry], object] | None = None,
     ):
@@ -171,9 +172,6 @@ class GovernanceEngine:
         if held > supply.units:
             raise GovernanceError("wallet balances exceed token supply")
         self.supply = supply
-        self.wallet_universe_size = (
-            wallet_universe_size if wallet_universe_size is not None else len(self.balances)
-        )
         self.ledger = Ledger(ledger_sink)
         context = dict(genesis_context or {})
         self.identity = context.get("identity")
@@ -187,7 +185,7 @@ class GovernanceEngine:
         self.results: dict[ProposalId, TallyResult] = {}
         self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
         self._now = 0
-        self.ledger.append(events.genesis(self.supply, self.balances, self.wallet_universe_size, context))
+        self.ledger.append(events.genesis(self.supply, self.balances, context))
 
     # -- clock ------------------------------------------------------------
 
@@ -290,7 +288,7 @@ class GovernanceEngine:
             )
 
         votes = list(self._votes[proposal.id].values())
-        votes, result, report = count_votes(proposal, votes, self.identity, self.supply, self.wallet_universe_size, now)
+        votes, result, report = count_votes(proposal, votes, self.identity, self.supply, len(self.balances), now)
         outcome = result.outcome
         if outcome.kind == OutcomeKind.QUORUM_FAILED:
             proposal.phase = Phase.QUORUM_FAILED
@@ -351,9 +349,11 @@ def replay(entries: Sequence) -> GovernanceEngine:
     identity record, when present, is rebuilt into the IdentityFilter that
     finalize applies, so the ledger alone says which filter counted the votes.
     Later events are re-applied in order, each run of casts on one proposal at
-    one tick as one cast_batch.  Every event the engine derives must equal the
-    recorded payload byte for byte, and every recorded event must be derived;
-    the first difference raises GovernanceError naming its index.
+    one tick as one cast_batch.  Every event the engine derives is compared
+    with the recorded payload as it is derived, so the first difference raises
+    GovernanceError naming its index before anything after it runs; a recorded
+    event left over at the end raises too.  The returned engine's ledger keeps
+    no entries: compare its head_hash() with the record's.
     """
     if not entries:
         raise GovernanceError("cannot replay an empty ledger")
@@ -371,55 +371,52 @@ def replay(entries: Sequence) -> GovernanceEngine:
                 registry.bind(binding["identity"], wallet)
         context["identity"] = IdentityFilter(registry, identity["policy"])
 
+    def check(entry: LedgerEntry) -> None:
+        if entry.index >= len(entries) or entry.payload != entries[entry.index].payload:
+            raise GovernanceError(f"replay diverged at event {entry.index}: payload differs from the record")
+
+    # The wallet universe is re-derived from the balances, so genesis is compared like every other event.
     engine = GovernanceEngine(
         balances={WalletId(w): TokenAmount.parse(b) for w, b in genesis["balances"].items()},
         supply=TokenAmount.parse(genesis["supply"]),
-        wallet_universe_size=genesis["wallet_universe_size"],
         genesis_context=context,
+        ledger_sink=check,
     )
-    derived = engine.ledger
     # A recorded wallet in genesis becomes its WalletId, validated once; any other is checked as it is cast.
     wallets = {w: w for w in engine.balances}
-    try:
-        k, n = 1, len(recorded)
-        while k < n:
-            event, start = recorded[k], k
-            k += 1
-            if (kind := event["event"]) == "genesis":
-                raise GovernanceError(f"event {start}: a genesis event after the first")
-            pid, tick = event["proposal"], event["tick"]
-            if kind == "submit":
-                quorum, conviction = event["quorum"], event["conviction"]
-                proposal = Proposal(
-                    id=pid,
-                    options=event["options"],
-                    discussion_window=Window(*event["discussion_window"]),
-                    voting_window=Window(*event["voting_window"]),
-                    mechanism=event["mechanism"],
-                    quorum=QuorumConfig(quorum["basis"], Decimal(quorum["threshold"])) if quorum else None,
-                    conviction=ConvictionParams(Decimal(conviction["decay_rate"])) if conviction else None,
-                )
-                engine.submit(proposal, now=tick)
-            elif kind == "phase":
-                engine.advance_to(tick)
-            elif kind == "cast":
-                while k < n and (e := recorded[k])["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
-                    k += 1
-                ballots = (
-                    (wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"]))
-                    for e in recorded[start:k]
-                )
-                engine.cast_batch(pid, ballots, tick)
-            elif kind == "finalize":
-                engine.finalize(pid, now=tick)
-            else:
-                engine.mark_executed(pid, now=tick)
-    finally:
-        # Runs when an operation fails too: an earlier divergence is the first fault.
-        for k, entry in enumerate(derived):
-            if k >= len(entries) or entry.payload != entries[k].payload:
-                raise GovernanceError(f"replay diverged at event {k}: payload differs from the record")
-    if len(derived) != len(entries):
-        raise GovernanceError(f"replay diverged at event {len(derived)}: recorded but not re-derived")
+    k, n = 1, len(recorded)
+    while k < n:
+        event, start = recorded[k], k
+        k += 1
+        if (kind := event["event"]) == "genesis":
+            raise GovernanceError(f"event {start}: a genesis event after the first")
+        pid, tick = event["proposal"], event["tick"]
+        if kind == "submit":
+            quorum, conviction = event["quorum"], event["conviction"]
+            proposal = Proposal(
+                id=pid,
+                options=event["options"],
+                discussion_window=Window(*event["discussion_window"]),
+                voting_window=Window(*event["voting_window"]),
+                mechanism=event["mechanism"],
+                quorum=QuorumConfig(quorum["basis"], Decimal(quorum["threshold"])) if quorum else None,
+                conviction=ConvictionParams(Decimal(conviction["decay_rate"])) if conviction else None,
+            )
+            engine.submit(proposal, now=tick)
+        elif kind == "phase":
+            engine.advance_to(tick)
+        elif kind == "cast":
+            while k < n and (e := recorded[k])["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
+                k += 1
+            ballots = (
+                (wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"]))
+                for e in recorded[start:k]
+            )
+            engine.cast_batch(pid, ballots, tick)
+        elif kind == "finalize":
+            engine.finalize(pid, now=tick)
+        else:
+            engine.mark_executed(pid, now=tick)
+    if len(engine.ledger) != len(entries):
+        raise GovernanceError(f"replay diverged at event {len(engine.ledger)}: recorded but not re-derived")
     return engine
-

@@ -127,13 +127,13 @@ def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:
 
 def filter_and_collapse(
     votes: Sequence[VoteRecord],
-    registry: IdentityRegistry | None,
+    registry: IdentityRegistry,
     policy: "str | VotePolicy",
 ) -> FilterReport:
     """Apply identity policy to a live vote set.
 
-    Unverified wallets are dropped or admitted per policy (with no registry,
-    every wallet is unverified).  Each identity's votes are grouped: mixed
+    Wallets the registry has not bound are unverified, and are dropped or
+    admitted per policy.  Each identity's votes are grouped: mixed
     options mean equivocation and the identity loses all its votes; in
     collapse mode same-option votes merge into one record with the exact
     token sum.  The operation is idempotent.
@@ -148,7 +148,7 @@ def filter_and_collapse(
         if vote.wallet in seen_wallets:
             raise IdentityError(f"wallet {vote.wallet!r} has more than one live vote")
         seen_wallets.add(vote.wallet)
-        identity = registry.identity_of(vote.wallet) if registry is not None else None
+        identity = registry.identity_of(vote.wallet)
         if identity is None:
             if policy is VotePolicy.ADMIT_UNVERIFIED:
                 placed.append(("vote", vote))

@@ -12,8 +12,9 @@ Per-event cost: each payload is encoded once (by govlab.events, which is the
 only writer of event text) and hashed once.  append hands one entry to the
 ledger's sink; a batch of cast events arrives as a stream of texts that
 _append_canonical hashes and hands over one at a time, never listed.  Neither
-re-checks the text: replay re-derives every event and compares the bytes.  The
-default sink keeps each entry in memory; `govlab run`'s sink writes its
+re-checks the text: replay re-derives every event and its sink compares the
+bytes with the record.  The default sink keeps each entry in memory, to be
+iterated in order (there is no indexing); `govlab run`'s sink writes its
 ndjson_line into the staged ledger file at once and keeps nothing, so the
 ledger's memory does not grow with its events.  ndjson_line only escapes the
 four fields into a line.  load_ndjson decodes each line once and checks its four
@@ -32,7 +33,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable
 
-from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical
+from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical, read_utf8
 
 GENESIS_PREV_HASH = "0" * 64
 _HEX64 = re.compile("[0-9a-f]{64}")
@@ -64,8 +65,8 @@ class Ledger:
 
     Each entry goes to the sink as it is hashed, and the ledger itself keeps only
     its head and its count.  With no sink the entries are kept in a list, which
-    iterating and indexing the ledger read; `govlab run` passes a sink that writes
-    each entry's line to the staged ledger file.
+    iterating the ledger reads; `govlab run` passes a sink that writes each
+    entry's line to the staged ledger file, and replay one that compares it.
     """
 
     def __init__(self, sink: Callable[[LedgerEntry], object] | None = None):
@@ -81,15 +82,9 @@ class Ledger:
         return self._count
 
     def __iter__(self):
-        return iter(self._kept())
-
-    def __getitem__(self, index: int) -> LedgerEntry:
-        return self._kept()[index]
-
-    def _kept(self) -> list[LedgerEntry]:
         if self._entries is None:
             raise LedgerError("this ledger streams its entries to a sink and keeps none")
-        return self._entries
+        return iter(self._entries)
 
     def head_hash(self) -> str:
         """Digest of the newest entry; all zeros for an empty chain."""
@@ -204,8 +199,11 @@ class StagedFiles:
         # os.replace would refuse only at commit, after the outputs before it were replaced.
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        # The count keeps two outputs to one path apart.
-        tmp = f"{path}.{os.getpid()}.{len(self._staged)}.tmp"
+        # The later of two outputs to one file would replace the earlier at commit.
+        real = os.path.realpath(path)
+        if any(os.path.realpath(staged) == real for _, _, staged in self._staged):
+            raise GovlabError(f"{path}: two outputs would be written to this file")
+        tmp = f"{path}.{os.getpid()}.tmp"
         fh = open(tmp, "w", encoding=encoding, newline="")
         self._staged.append((fh, tmp, path))
         return fh
@@ -233,10 +231,4 @@ def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
 
 
 def read_ndjson(path) -> list[LedgerEntry]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise LedgerError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
-    return load_ndjson(text)
+    return load_ndjson(read_utf8(path, LedgerError))

@@ -194,57 +194,48 @@ def tally(
     *,
     supply: TokenAmount,
     wallet_universe_size: int,
+    options: Sequence[str],
+    now: int,
     quorum: QuorumConfig | None = None,
-    now: int | None = None,
     conviction: ConvictionParams | None = None,
-    options: Sequence[str] | None = None,
 ) -> TallyResult:
-    """Aggregate one proposal's live votes, gate on quorum, pick the outcome.
+    """Aggregate one proposal's live votes at tick `now`, gate on quorum, pick the outcome.
 
-    The winner is the unique option with strictly maximal power; equal
-    maximal powers yield a tie.  When `options` is given, every listed
-    option appears in per_option_power (zero-vote options at zero power) and
-    votes must stay inside that list.  A conviction vote accrues from its
-    cast_at to `now`.
+    Every option in `options` appears in per_option_power, in that order
+    (zero-vote options at zero power), and every vote must be for one of
+    them.  The winner is the unique option with strictly maximal power;
+    equal maximal powers yield a tie, so with no votes every option ties.
+    A conviction vote accrues from its cast_at to `now`.
     """
     mechanism = Mechanism.parse(mechanism)
     if not isinstance(wallet_universe_size, int) or wallet_universe_size < 0:
         raise MechanismError("wallet_universe_size must be a non-negative count")
     if mechanism is Mechanism.QUORUM and quorum is None:
         raise MechanismError("quorum mechanism requires a QuorumConfig")
-    if mechanism is Mechanism.CONVICTION:
-        if conviction is None:
-            raise MechanismError("conviction mechanism requires ConvictionParams")
-        if now is None:
-            raise MechanismError("conviction tally requires the current tick")
+    if mechanism is Mechanism.CONVICTION and conviction is None:
+        raise MechanismError("conviction mechanism requires ConvictionParams")
 
-    option_order: list[str] = list(options) if options is not None else []
-    seen_options = set(option_order)
-    if len(seen_options) != len(option_order):
+    per_option_units: dict[str, int] = {o: 0 for o in options}
+    if len(per_option_units) != len(options):
         raise MechanismError("options must be distinct")
 
     wallets: set[WalletId] = set()
     proposal = votes[0].proposal if votes else None
     committed_units = 0
-    per_option_units: dict[str, int] = {o: 0 for o in option_order}
     powers: list[VotingPower] = []
 
     for vote in votes:
         if vote.proposal != proposal:
             raise MechanismError("votes reference more than one proposal")
-        dt = 0 if now is None else now - vote.cast_at
-        power = vote_power(mechanism, vote.committed, dt, conviction)
+        power = vote_power(mechanism, vote.committed, now - vote.cast_at, conviction)
         powers.append(power)
         if vote.wallet in wallets:
             raise MechanismError(f"wallet {vote.wallet!r} appears more than once")
         wallets.add(vote.wallet)
-        if options is not None and vote.option not in seen_options:
+        if vote.option not in per_option_units:
             raise MechanismError(
                 f"vote option {vote.option!r} is not among the tallied options"
             )
-        if vote.option not in per_option_units:
-            option_order.append(vote.option)
-            per_option_units[vote.option] = 0
         committed_units += vote.committed.units
         per_option_units[vote.option] += power.units
 
@@ -262,11 +253,9 @@ def tally(
         quorum, committed_units, len(wallets), supply.units, wallet_universe_size
     ):
         outcome = TallyOutcome.quorum_failed()
-    elif not per_option_units:
-        outcome = TallyOutcome.tie(())
     else:
-        best = max(per_option_units.values())
-        leaders = [o for o in option_order if per_option_units[o] == best]
+        best = max(per_option_units.values(), default=0)
+        leaders = [o for o, u in per_option_units.items() if u == best]
         outcome = TallyOutcome.winner(leaders[0]) if len(leaders) == 1 else TallyOutcome.tie(leaders)
 
     return TallyResult(

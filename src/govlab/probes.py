@@ -36,7 +36,7 @@ def _profile_tally(
         for agent in scenario.agents if agent.votes()
         for wallet in setup.wallets_by_agent[agent.id]
     ]
-    return count_votes(proposal, votes, setup.identity, scenario.supply, setup.wallet_universe_size, window.end)[1]
+    return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1]
 
 
 def _check_bounds(scenario: Scenario) -> tuple[list[AgentSpec], Proposal]:

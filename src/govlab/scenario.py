@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units, read_utf8
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -492,18 +492,29 @@ def _owner(attackers: dict[str, AgentSpec], name: str, suffix: str) -> str | Non
     return owner if attacker is not None and attacker.numbered(k) else None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json keeps the last of two equal keys, so two readers of one file could see two scenarios.
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def loads_scenario(text: str) -> Scenario:
-    """Parse scenario JSON text (number literals become exact decimals)."""
+    """Parse scenario JSON text (number literals become exact decimals; a key twice in one object is refused)."""
     try:
-        obj = json.loads(text, parse_float=Decimal)
+        obj = json.loads(text, parse_float=Decimal, object_pairs_hook=_unique_keys)
     except JSON_FAULTS as exc:
         raise ScenarioValidationError([f"malformed JSON: {exc}"]) from exc
     return parse_scenario(obj)
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+    return loads_scenario(read_utf8(path, lambda message: ScenarioValidationError([message])))
 
 
 def preset_names() -> list[str]:

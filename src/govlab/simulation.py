@@ -89,7 +89,7 @@ class BindingStats(_Record):
 class SimulationSetup(_Record):
     """Wallet layout, funded balances, and the identity layer for one run."""
 
-    __slots__ = ("wallets_by_agent", "balances", "wallet_universe_size", "identity", "binding_stats")
+    __slots__ = ("wallets_by_agent", "balances", "identity", "binding_stats")
 
 
 def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
@@ -135,7 +135,6 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     return SimulationSetup(
         wallets_by_agent=wallets_by_agent,
         balances=balances,
-        wallet_universe_size=len(balances),
         identity=identity,
         binding_stats=stats,
     )
@@ -218,7 +217,6 @@ def run(
     engine = GovernanceEngine(
         balances=setup.balances,
         supply=scenario.supply,
-        wallet_universe_size=setup.wallet_universe_size,
         genesis_context={"scenario": scenario.name, "mechanism": scenario.mechanism.value, "identity": setup.identity},
         ledger_sink=ledger_sink,
     )
@@ -252,7 +250,8 @@ def _proposal_metrics(
         if supply_units > 0
         else Decimal("0.000000000")
     )
-    wallet_fraction = ratio_half_even(len(powers), engine.wallet_universe_size) if engine.wallet_universe_size else Decimal("0.000000000")
+    wallet_universe_size = len(engine.balances)
+    wallet_fraction = ratio_half_even(len(powers), wallet_universe_size) if wallet_universe_size else Decimal("0.000000000")
 
     amplification: dict[str, Any] = {}
     for agent in scenario.agents:
@@ -309,7 +308,7 @@ def _build_report(
         "scenario": scenario.name,
         "mechanism": scenario.mechanism.value,
         "supply": str(scenario.supply),
-        "wallet_universe_size": setup.wallet_universe_size,
+        "wallet_universe_size": len(setup.balances),
         "identity": identity_obj,
         "proposals": [
             _proposal_metrics(scenario, engine, spec, by_agent[spec.id]) for spec in scenario.proposals

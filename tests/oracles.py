@@ -84,18 +84,11 @@ def controlling_set_exhaustive(units: list[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # Canonical JSON from its definition: sorted keys, compact separators, ASCII
-# escapes, decimal quantities as strings with exactly nine fractional digits.
-# Fixed-point values are recognised by their integer `units`, not by class.
+# escapes; no floats.  A decimal quantity is the caller's str(), so none is read here.
 
 
 def canonical_json_ref(value) -> str:
     return json.dumps(_canonical_ref(value), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def _nine_digits(units: int) -> str:
-    if not 0 <= units <= 2**63 - 1:
-        raise ValueError(f"fixed-point units out of range: {units}")
-    return f"{units // NANO}.{units % NANO:09d}"
 
 
 def _canonical_ref(value):
@@ -107,13 +100,6 @@ def _canonical_ref(value):
         return int(value)
     if isinstance(value, str):
         return str(value)
-    if isinstance(value, Decimal):
-        scaled = Fraction(value) * NANO
-        if scaled.denominator != 1:
-            raise ValueError(f"more than nine fractional digits: {value}")
-        return _nine_digits(scaled.numerator)
-    if isinstance(getattr(value, "units", None), int):
-        return _nine_digits(value.units)
     if isinstance(value, (list, tuple)):
         return [_canonical_ref(v) for v in value]
     if isinstance(value, dict):

@@ -221,7 +221,8 @@ class TestRunCommand:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
-        "failure", ["csv", "finalize", "interrupt", "missing-ledger-dir", "out-is-a-directory"]
+        "failure",
+        ["csv", "finalize", "interrupt", "missing-ledger-dir", "out-is-a-directory", "out-is-the-ledger", "csv-is-the-out"],
     )
     def test_failed_run_leaves_existing_outputs_untouched(self, scenario_path, tmp_path, capsys, monkeypatch, failure):
         out, ledger, csv_path = tmp_path / "r.json", tmp_path / "r.jsonl", tmp_path / "agents.csv"
@@ -240,7 +241,7 @@ class TestRunCommand:
         def broken_csv(result):
             raise GovlabError("csv failed")
 
-        argv_out, argv_ledger, message = out, ledger, f"{failure} failed"
+        argv_out, argv_ledger, argv_csv, message = out, ledger, csv_path, f"{failure} failed"
         if failure == "csv":
             monkeypatch.setattr("govlab.cli.report_csv", broken_csv)
         elif failure == "finalize":
@@ -250,13 +251,20 @@ class TestRunCommand:
         elif failure == "missing-ledger-dir":
             # The ledger is the last output; its directory is missing, so none is replaced.
             argv_ledger, message = tmp_path / "nodir" / "l.jsonl", "nodir"
-        else:
+        elif failure == "out-is-a-directory":
             # Refused while staging: os.replace would fail only at commit, after replacing the CSV.
             argv_out, message = tmp_path / "outdir", "Is a directory"
             argv_out.mkdir()
             names.append("outdir")
+        elif failure == "out-is-the-ledger":
+            # Refused while staging: the ledger, replaced last, would overwrite the report.
+            argv_ledger, message = out, f"{out}: two outputs would be written to this file"
+        else:
+            # Another spelling of one file is refused too.
+            monkeypatch.chdir(tmp_path)
+            argv_csv, argv_out, message = os.path.join(".", "r.json"), "r.json", "r.json: two outputs"
         argv = ["run", "--scenario", str(scenario_path), "--out", str(argv_out), "--ledger", str(argv_ledger),
-                "--csv", str(csv_path)]
+                "--csv", str(argv_csv)]
         if failure == "interrupt":
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
@@ -327,6 +335,39 @@ class TestRunCommand:
         second = capsys.readouterr().out
         assert first == second
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestScenarioFileErrors:
+    """A scenario file that cannot be read as one JSON document is one validation error, whichever command reads it."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_utf8_scenario_is_one_validation_error(self, scenario_path, tmp_path, capsys, command):
+        data = scenario_path.read_bytes()
+        offset = data.index(b"sybil")
+        scenario_path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        out = tmp_path / "r.json"
+        argv = [command, "--scenario", str(scenario_path), "--out", str(out)]
+        if command == "compare":
+            argv += ["--mechanisms", "token,quadratic"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"error: {scenario_path}: not UTF-8 at byte offset {offset}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["top-level", "agent"])
+    def test_a_duplicate_key_is_one_validation_error(self, scenario_path, tmp_path, capsys, where):
+        text = scenario_path.read_text()
+        if where == "top-level":
+            text = text.replace('"mechanism": "quadratic"', '"mechanism": "token", "mechanism": "quadratic"', 1)
+            key = "mechanism"
+        else:
+            text = text.replace('"kind": "sybil_attacker"', '"kind": "sybil_attacker", "kind": "honest"', 1)
+            key = "kind"
+        assert text != scenario_path.read_text()
+        scenario_path.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"error: malformed JSON: duplicate key {key!r}"]
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -420,11 +420,12 @@ class TestCastBatch:
 
     def test_batch_checks_run_even_for_an_empty_batch(self):
         engine = self._engines(1)[0]
+        head, count = engine.ledger.head_hash(), len(engine.ledger)
         with pytest.raises(GovernanceError, match="unknown proposal"):
             engine.cast_batch("p9", [], 6)
         with pytest.raises(OutOfWindow):
             engine.cast_batch("p1", [], 20)
-        assert engine.ledger[-1].payload.startswith('{"committed"')  # nothing appended for the empty batches
+        assert (engine.ledger.head_hash(), len(engine.ledger)) == (head, count)  # nothing appended for the empty batches
 
 
 class TestConvictionGovernance:
@@ -517,10 +518,14 @@ class TestEventAccounting:
 
     def test_genesis_snapshots_the_funding_state(self):
         engine = _engine()
-        genesis = loads_canonical(engine.ledger[0].payload)
+        genesis = loads_canonical(next(iter(engine.ledger)).payload)
         assert genesis["supply"] == "1000.000000000"
         assert genesis["balances"]["alice"] == "100.000000000"
         assert genesis["wallet_universe_size"] == 3
+
+    def test_the_wallet_universe_cannot_be_set_apart_from_the_balances(self):
+        with pytest.raises(TypeError):
+            GovernanceEngine(balances={WalletId("a"): TokenAmount.parse(1)}, supply=TokenAmount.parse(1), wallet_universe_size=2)
 
 
 class TestReplay:
@@ -580,19 +585,20 @@ class TestReplay:
         result = engine.finalize("p1", 10)
         assert [v.committed for v in engine.counted_votes[ProposalId("p1")]] == [TokenAmount.parse(144), TokenAmount.parse(25)]
         assert result.per_option_power["approve"] == VotingPower.parse(12)
-        genesis = loads_canonical(engine.ledger[0].payload)
+        recorded = tuple(engine.ledger)
+        genesis = loads_canonical(recorded[0].payload)
         assert genesis["identity"] == {"policy": "drop_unverified", "registry": registry.to_json_obj()}
         assert "scenario" not in genesis and "mechanism" not in genesis
-        assert loads_canonical(engine.ledger[6].payload)["event"] == "finalize"
-        replayed = replay(tuple(engine.ledger))
-        assert [e.payload for e in replayed.ledger] == [e.payload for e in engine.ledger]
+        assert loads_canonical(recorded[6].payload)["event"] == "finalize"
+        replayed = replay(recorded)
+        assert replayed.ledger.head_hash() == engine.ledger.head_hash()
         assert replayed.identity.to_json_obj() == engine.identity.to_json_obj()
 
     def test_genesis_identity_is_absent_null_or_the_filter_record(self):
         balances = {WalletId("alice"): TokenAmount.parse(1)}
         def genesis(**context):
             engine = GovernanceEngine(balances=balances, supply=TokenAmount.parse(1), genesis_context=context or None)
-            return loads_canonical(engine.ledger[0].payload)
+            return loads_canonical(next(iter(engine.ledger)).payload)
         assert "identity" not in genesis()
         assert genesis(identity=None)["identity"] is None
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
@@ -633,8 +639,7 @@ class TestReplay:
         result = run(load_preset(name))
         recorded = tuple(result.ledger)
         replayed = replay(recorded)
-        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded]
-        assert replayed.ledger.head_hash() == result.head_hash
+        assert (replayed.ledger.head_hash(), len(replayed.ledger)) == (result.head_hash, len(recorded))
 
     def test_replay_detects_a_forged_tally(self):
         """A finalize event with a changed per-option power, re-chained, passes
@@ -708,8 +713,7 @@ class TestReplay:
         recorded = tuple(run(scenario).ledger)
         casts = [loads_canonical(e.payload) for e in recorded if '"event":"cast"' in e.payload]
         assert [c["option"] for c in casts] == labels
-        replayed = replay(recorded)
-        assert [e.payload for e in replayed.ledger] == [e.payload for e in recorded]
+        assert replay(recorded).ledger.head_hash() == recorded[-1].hash
 
     def test_replay_reads_back_an_exponent_form_threshold_and_decay_rate(self):
         """Below 10^-6 a submit event holds str() of a Decimal: 0E-9, 5.00E-7."""
@@ -717,7 +721,8 @@ class TestReplay:
         quorum = QuorumConfig(QuorumBasis.TOKEN_SUPPLY_FRACTION, Decimal(0))
         engine.submit(_proposal(mechanism=Mechanism.CONVICTION, conviction=ConvictionParams(Decimal("0.0000005")), quorum=quorum), 0)
         engine.finalize("p1", 10)
-        assert '"decay_rate":"5.00E-7"' in engine.ledger[1].payload and '"threshold":"0E-9"' in engine.ledger[1].payload
+        submit = tuple(engine.ledger)[1].payload
+        assert '"decay_rate":"5.00E-7"' in submit and '"threshold":"0E-9"' in submit
         assert replay(tuple(engine.ledger)).ledger.head_hash() == engine.ledger.head_hash()
 
     @staticmethod
@@ -728,6 +733,44 @@ class TestReplay:
             ledger.append(payload if isinstance(payload, str) else canonical_json(payload))
         assert verify_chain(tuple(ledger)) is None
         return tuple(ledger)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_a_forged_wallet_universe_diverges_at_event_0(self, name):
+        """The engine writes len(balances) as the wallet universe, so replay re-derives it."""
+        payloads = [loads_canonical(e.payload) for e in run(load_preset(name)).ledger]
+        payloads[0]["wallet_universe_size"] += 7
+        with pytest.raises(GovernanceError, match="replay diverged at event 0:"):
+            replay(self._rechained(payloads))
+
+    def test_an_event_derived_past_the_end_of_the_record_diverges(self):
+        """One tick opens two proposals' votes; a record cut after the first phase event
+        still derives the second, at an index the record does not have."""
+        engine = _engine()
+        engine.submit(_proposal("p1"), 0)
+        engine.submit(_proposal("p2"), 0)
+        engine.advance_to(5)
+        recorded = tuple(engine.ledger)[:-1]
+        assert [loads_canonical(e.payload)["event"] for e in recorded] == ["genesis", "submit", "submit", "phase"]
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {len(recorded)}: payload differs"):
+            replay(recorded)
+
+    def test_a_replayed_engine_keeps_no_entries(self):
+        recorded = tuple(self._recorded_run().ledger)
+        replayed = replay(recorded)
+        assert (len(replayed.ledger), replayed.ledger.head_hash()) == (len(recorded), recorded[-1].hash)
+        with pytest.raises(GovlabError, match="keeps none"):
+            list(replayed.ledger)
+
+    def test_replay_stops_at_the_first_divergent_event(self, monkeypatch):
+        """The divergence is raised as the event is derived: the events after it are not applied."""
+        texts = [e.payload for e in self._recorded_run().ledger]
+        k = next(i for i, text in enumerate(texts) if '"event":"cast"' in text)
+        texts[k] = json.dumps(loads_canonical(texts[k]), sort_keys=True)
+        finalized = []
+        monkeypatch.setattr(GovernanceEngine, "finalize", lambda engine, pid, now: finalized.append(pid))
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
+            replay(self._rechained(texts))
+        assert finalized == []
 
     def _one_tick_casts(self):
         engine = _engine()
@@ -836,7 +879,7 @@ class TestReplay:
         texts = [e.payload for e in self._recorded_run().ledger]
         k = next(i for i, text in enumerate(texts) if '"event":"cast"' in text)
         texts[k] = dumps(loads_canonical(texts[k]))
-        assert loads_canonical(texts[k]) == loads_canonical(self._recorded_run().ledger[k].payload)
+        assert loads_canonical(texts[k]) == loads_canonical(tuple(self._recorded_run().ledger)[k].payload)
         with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
             replay(self._rechained(texts))
 

@@ -194,6 +194,7 @@ class TestFilterAndCollapse:
             "conviction",
             supply=TokenAmount.parse(10),
             wallet_universe_size=2,
+            options=("a",),
             now=10,
             conviction=params,
         )
@@ -207,13 +208,6 @@ class TestFilterAndCollapse:
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
         assert [v.wallet for v in report.votes] == [WalletId("w3")]
         assert report.equivocating_identities == (IdentityId("alice"),)
-
-    def test_drop_unverified_without_registry_drops_everything(self):
-        report = filter_and_collapse(
-            [_vote("w1", "a", 1)], None, VotePolicy.DROP_UNVERIFIED
-        )
-        assert report.votes == ()
-        assert report.dropped_unverified == (WalletId("w1"),)
 
     def test_drop_unverified_with_empty_registry_drops_everything(self):
         registry = self._registry()
@@ -282,7 +276,7 @@ class TestCollapseUnderTally:
         votes = [_vote("w1", "a", 10), _vote("ghost", "b", 50)]
         kept = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED).votes
         result = tally(
-            list(kept), "token", supply=TokenAmount.parse(100), wallet_universe_size=2
+            list(kept), "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0
         )
         assert result.participating_tokens == TokenAmount.parse(10)
         assert result.outcome.option == "a"

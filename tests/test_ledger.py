@@ -84,9 +84,9 @@ class TestEntryHash:
 
 class TestAppend:
     def test_genesis_links_to_all_zero_hash(self):
-        ledger = _chain(1)
-        assert ledger[0].index == 0
-        assert ledger[0].prev_hash == GENESIS_PREV_HASH
+        (entry,) = _chain(1)
+        assert entry.index == 0
+        assert entry.prev_hash == GENESIS_PREV_HASH
 
     def test_each_entry_links_to_its_predecessor(self):
         ledger = _chain(4)
@@ -99,14 +99,15 @@ class TestAppend:
 
     def test_head_hash_tracks_the_newest_entry(self):
         ledger = _chain(3)
-        assert ledger.head_hash() == ledger[2].hash
+        assert ledger.head_hash() == list(ledger)[2].hash
 
     def test_append_returns_the_stored_entry(self):
         ledger = _chain(1)
         entry = ledger.append('{"a":2,"b":1}')
-        assert entry is ledger[1]
+        first, second = ledger
+        assert entry is second
         assert entry.payload == '{"a":2,"b":1}'
-        assert entry.prev_hash == ledger[0].hash
+        assert entry.prev_hash == first.hash
 
     def test_template_text_is_stored_as_a_plain_str(self):
         line = cast_template(ProposalId("p1"), "yes", 7)
@@ -139,14 +140,17 @@ class TestAppend:
         assert received == list(_chain(4))
         assert len(ledger) == 4 and ledger.head_hash() == received[-1].hash
         with pytest.raises(LedgerError, match="keeps none"):
-            ledger[0]
-        with pytest.raises(LedgerError, match="keeps none"):
             list(ledger)
 
+    def test_a_ledger_has_no_indexing(self):
+        """Entries are read in order by iterating, or not kept at all (see the sink)."""
+        with pytest.raises(TypeError):
+            _chain(1)[0]
+
     def test_entries_are_immutable(self):
-        ledger = _chain(1)
+        (entry,) = _chain(1)
         with pytest.raises(AttributeError, match="^LedgerEntry is immutable$"):
-            ledger[0].payload = "{}"
+            entry.payload = "{}"
 
 
 class TestVerifyChain:
@@ -264,7 +268,7 @@ class TestNdjsonRoundTrip:
         ledger = Ledger()
         ledger.append(canonical_json({"note": "tie on é"}))
         (loaded,) = load_ndjson(dump_ndjson(tuple(ledger)))
-        assert loaded.payload == ledger[0].payload
+        assert loaded.payload == next(iter(ledger)).payload
         assert verify_chain([loaded]) is None
 
     def test_blank_lines_are_skipped(self):
@@ -289,12 +293,12 @@ class TestNdjsonRoundTrip:
             load_ndjson("not json\n")
 
     def test_extra_fields_rejected(self):
-        ledger = _chain(1)
+        (entry,) = _chain(1)
         obj = {
             "index": 0,
-            "prev_hash": ledger[0].prev_hash,
-            "payload": ledger[0].payload,
-            "hash": ledger[0].hash,
+            "prev_hash": entry.prev_hash,
+            "payload": entry.payload,
+            "hash": entry.hash,
             "note": "sneaky",
         }
         with pytest.raises(LedgerError, match="not a ledger entry"):
@@ -305,33 +309,33 @@ class TestNdjsonRoundTrip:
             load_ndjson('{"index":0}\n')
 
     def test_bad_hash_shape_rejected(self):
-        ledger = _chain(1)
+        (entry,) = _chain(1)
         obj = {
             "index": 0,
             "prev_hash": "xyz",
-            "payload": ledger[0].payload,
-            "hash": ledger[0].hash,
+            "payload": entry.payload,
+            "hash": entry.hash,
         }
         with pytest.raises(LedgerError, match="64 lowercase hex"):
             load_ndjson(canonical_json(obj) + "\n")
 
     def test_negative_or_bool_index_rejected(self):
-        ledger = _chain(1)
+        (entry,) = _chain(1)
         for bad in (-1, True):
             obj = {
                 "index": bad,
-                "prev_hash": ledger[0].prev_hash,
-                "payload": ledger[0].payload,
-                "hash": ledger[0].hash,
+                "prev_hash": entry.prev_hash,
+                "payload": entry.payload,
+                "hash": entry.hash,
             }
             with pytest.raises(LedgerError, match="non-negative int"):
                 load_ndjson(canonical_json(obj) + "\n")
 
     def test_hash_fields_must_be_exactly_64_lowercase_hex(self):
-        ledger = _chain(1)
-        good = ledger[0].hash
+        (entry,) = _chain(1)
+        good = entry.hash
         for bad in (good.upper(), good[:-1], good + "0", good[:-1] + "\n", good[:-1] + "g", 7):
-            obj = {"index": 0, "prev_hash": ledger[0].prev_hash, "payload": ledger[0].payload, "hash": bad}
+            obj = {"index": 0, "prev_hash": entry.prev_hash, "payload": entry.payload, "hash": bad}
             with pytest.raises(LedgerError, match="64 lowercase hex"):
                 load_ndjson(canonical_json(obj) + "\n")
 

@@ -125,6 +125,7 @@ class TestConvictionPower:
                 "conviction",
                 supply=self.hundred,
                 wallet_universe_size=1,
+                options=("a",),
                 now=4,
                 conviction=self.alpha,
             )
@@ -217,6 +218,7 @@ class TestSwitchVote:
             "conviction",
             supply=vote.committed,
             wallet_universe_size=1,
+            options=(vote.option,),
             now=now,
             conviction=self.alpha,
         ).vote_powers
@@ -261,6 +263,8 @@ class TestQuorumGate:
             Mechanism.QUORUM,
             supply=TokenAmount.parse(supply),
             wallet_universe_size=10,
+            options=("approve", "reject"),
+            now=0,
             quorum=quorum,
         )
 
@@ -282,6 +286,8 @@ class TestQuorumGate:
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=5,
+            options=("approve", "reject"),
+            now=0,
             quorum=quorum,
         )
         assert result.outcome.kind == "quorum_failed"
@@ -294,6 +300,8 @@ class TestQuorumGate:
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=10,
+            options=("approve", "reject"),
+            now=0,
             quorum=quorum,
         )
         assert result.outcome.is_winner()  # 5 of 10 wallets meets 0.5 exactly
@@ -302,6 +310,8 @@ class TestQuorumGate:
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=10,
+            options=("approve", "reject"),
+            now=0,
             quorum=quorum,
         )
         assert short.outcome.kind == "quorum_failed"
@@ -313,6 +323,8 @@ class TestQuorumGate:
                 Mechanism.QUORUM,
                 supply=TokenAmount.parse(10),
                 wallet_universe_size=1,
+                options=("a",),
+                now=0,
             )
 
     @given(st.lists(st.integers(min_value=1, max_value=10**12), min_size=0, max_size=8))
@@ -327,6 +339,8 @@ class TestQuorumGate:
             Mechanism.QUORUM,
             supply=TokenAmount.from_units(sum(commitments) + 1),
             wallet_universe_size=len(votes) or 1,
+            options=("approve", "reject"),
+            now=0,
             quorum=quorum,
         )
         assert result.outcome.kind != "quorum_failed"
@@ -335,12 +349,12 @@ class TestQuorumGate:
 class TestTally:
     def test_winner_is_strict_maximum(self):
         votes = [_vote("w1", "a", 10), _vote("w2", "b", 9)]
-        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2)
+        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
         assert result.outcome.is_winner() and result.outcome.option == "a"
 
     def test_equal_power_is_a_tie(self):
         votes = [_vote("w1", "a", 10), _vote("w2", "b", 10)]
-        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2)
+        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
         assert result.outcome.kind == "tie"
         assert set(result.outcome.options) == {"a", "b"}
 
@@ -351,6 +365,7 @@ class TestTally:
             supply=TokenAmount.parse(100),
             wallet_universe_size=2,
             options=["a", "b"],
+            now=0,
         )
         assert result.outcome.kind == "tie"
         assert result.per_option_power == {
@@ -363,7 +378,7 @@ class TestTally:
         votes = [_vote(f"small{i:03d}", "a", 1) for i in range(200)]
         votes.append(_vote("whale", "b", 10000))
         result = tally(
-            votes, "quadratic", supply=TokenAmount.parse(10200), wallet_universe_size=201
+            votes, "quadratic", supply=TokenAmount.parse(10200), wallet_universe_size=201, options=("a", "b"), now=0
         )
         assert result.per_option_power["a"] == VotingPower.parse(200)
         assert result.per_option_power["b"] == VotingPower.parse(100)
@@ -372,7 +387,7 @@ class TestTally:
     def test_duplicate_wallet_rejected(self):
         votes = [_vote("w1", "a", 1), _vote("w1", "b", 1)]
         with pytest.raises(MechanismError, match="more than once"):
-            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2)
+            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2, options=("a", "b"), now=0)
 
     def test_votes_must_share_a_proposal(self):
         votes = [_vote("w1", "a", 1, proposal="p1"), _vote("w2", "a", 1, proposal="p2")]
@@ -383,6 +398,7 @@ class TestTally:
                     mechanism,
                     supply=TokenAmount.parse(10),
                     wallet_universe_size=2,
+                    options=("a",),
                     quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
                     now=5,
                     conviction=ConvictionParams(decay_rate=Decimal("0.1")),
@@ -391,7 +407,7 @@ class TestTally:
     def test_commitments_cannot_exceed_supply(self):
         votes = [_vote("w1", "a", 7), _vote("w2", "a", 7)]
         with pytest.raises(MechanismError, match="exceeds supply"):
-            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2)
+            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2, options=("a", "b"), now=0)
 
     def test_vote_outside_declared_options_rejected(self):
         votes = [_vote("w1", "c", 1)]
@@ -402,11 +418,12 @@ class TestTally:
                 supply=TokenAmount.parse(10),
                 wallet_universe_size=1,
                 options=["a", "b"],
+                now=0,
             )
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(MechanismError, match="unknown mechanism"):
-            tally([], "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1)
+            tally([], "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
 
     def test_vote_power_takes_a_parsed_mechanism(self):
         """A raw string must not fall through to the token map."""
@@ -414,18 +431,18 @@ class TestTally:
         with pytest.raises(MechanismError, match="needs a Mechanism"):
             vote_power("quadratic", TokenAmount.parse(100), 0, None)
 
-    def test_conviction_tally_needs_params_and_clock(self):
+    def test_conviction_tally_needs_params(self):
         state = _vote("w", "a", 5)
         with pytest.raises(MechanismError, match="requires ConvictionParams"):
-            tally([state], "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1)
-        with pytest.raises(MechanismError, match="requires the current tick"):
-            tally(
-                [state],
-                "conviction",
-                supply=TokenAmount.parse(10),
-                wallet_universe_size=1,
-                conviction=ConvictionParams(decay_rate=Decimal("0.1")),
-            )
+            tally([state], "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1, options=("a",), now=0)
+
+    @pytest.mark.parametrize("missing", ["options", "now"])
+    def test_options_and_the_tick_are_required(self, missing):
+        """Finalize always knows both; a tally never discovers options from the votes."""
+        kwargs = {"supply": TokenAmount.parse(10), "wallet_universe_size": 1, "options": ("a",), "now": 0}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            tally([_vote("w", "a", 5)], "token", **kwargs)
 
     def test_conviction_tally_accrues_per_vote(self):
         params = ConvictionParams(decay_rate=Decimal("0.1"))
@@ -436,6 +453,7 @@ class TestTally:
             "conviction",
             supply=TokenAmount.parse(200),
             wallet_universe_size=2,
+            options=("a", "b"),
             now=10,
             conviction=params,
         )
@@ -467,12 +485,13 @@ class TestTally:
             mechanism,
             supply=TokenAmount.from_units(sum(u for _, u, _ in ballots)),
             wallet_universe_size=len(votes),
+            options=("a", "b", "c"),
             quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
             now=now,
             conviction=ConvictionParams(decay_rate=Decimal(alpha)),
         )
         assert len(result.vote_powers) == len(votes)
-        per_option: dict[str, int] = {}
+        per_option = dict.fromkeys(("a", "b", "c"), 0)
         for (option, u, cast_at), power in zip(ballots, result.vote_powers):
             if mechanism is Mechanism.QUADRATIC:
                 assert power.units == sqrt_units(u)
@@ -504,8 +523,8 @@ class TestTally:
         supply = TokenAmount.from_units(sum(u for _, u in ballots))
         shuffled = list(votes)
         rnd.shuffle(shuffled)
-        a = tally(votes, mechanism, supply=supply, wallet_universe_size=len(votes))
-        b = tally(shuffled, mechanism, supply=supply, wallet_universe_size=len(votes))
+        a = tally(votes, mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
+        b = tally(shuffled, mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
         assert a.outcome == b.outcome
         assert a.per_option_power == b.per_option_power
         assert a.participating_tokens == b.participating_tokens

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
-    with StagedFiles() as staged:
+    with StagedFiles([args.scenario]) as staged:
         # Opened in the order they are replaced (CSV, report, ledger); the ledger's lines
         # stream into its file as the run appends them, and the other two follow the run.
         csv_file = staged.open(args.csv, "utf-8") if args.csv is not None else None
@@ -101,9 +101,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    merged, rows = compare_mechanisms(load_scenario(args.scenario), mechanisms, seed_override=args.seed)
-    with StagedFiles() as staged:
-        staged.open(args.out, "ascii").write(canonical_json(merged) + "\n")
+    scenario = load_scenario(args.scenario)
+    with StagedFiles([args.scenario]) as staged:
+        out = staged.open(args.out, "ascii")
+        merged, rows = compare_mechanisms(scenario, mechanisms, seed_override=args.seed)
+        out.write(canonical_json(merged) + "\n")
         staged.commit()
     _info(f"wrote merged report to {args.out}")
     sys.stdout.write(render_table(rows))

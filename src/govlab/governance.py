@@ -4,8 +4,8 @@ The engine owns wallet balances, per-proposal vote books, and token locks;
 committed tokens stay locked for the proposal's voting window, so a wallet
 cannot commit the same tokens to two concurrent proposals.  Every state
 change appends exactly one event, encoded by govlab.events, to the
-hash-chained ledger, and replaying that event log through a fresh engine
-re-derives every event, genesis included, byte for byte.
+hash-chained ledger, and replaying that event log through a fresh engine,
+read once in order, re-derives every event, genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
 once per option; each ballot is checked, recorded and appended before the next
@@ -341,24 +341,27 @@ def count_votes(
     return votes, result, report
 
 
-def replay(entries: Sequence) -> GovernanceEngine:
-    """Rebuild an engine by replaying a recorded event ledger.
+def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
+    """Rebuild an engine by replaying a recorded event ledger, read once, in order.
 
-    Every payload is first decoded and checked by events.decode.  The genesis
-    event then seeds a fresh engine, which re-derives genesis itself: its
-    identity record, when present, is rebuilt into the IdentityFilter that
-    finalize applies, so the ledger alone says which filter counted the votes.
-    Later events are re-applied in order, each run of casts on one proposal at
-    one tick as one cast_batch.  Every event the engine derives is compared
-    with the recorded payload as it is derived, so the first difference raises
-    GovernanceError naming its index before anything after it runs; a recorded
-    event left over at the end raises too.  The returned engine's ledger keeps
-    no entries: compare its head_hash() with the record's.
+    entries may be any iterable.  Replay holds one recorded entry at a time, the
+    lookahead, decoded and checked by events.decode.  Genesis seeds a fresh engine,
+    which re-derives it: its identity record, if any, is rebuilt into the
+    IdentityFilter that finalize applies, so the ledger alone says which filter
+    counted the votes.  Later events are re-applied in order, each run of casts on
+    one proposal at one tick as one cast_batch whose ballots come from the
+    lookahead.  The ledger's sink compares each derived event with the lookahead
+    and only then reads the next entry, so the first difference raises
+    GovernanceError naming its index before anything after it is read; so does a
+    recorded event that derives nothing.  The returned engine's ledger keeps no
+    entries: compare its head_hash() with the record's.
     """
-    if not entries:
+    payloads = (entry.payload for entry in entries)
+    end = object()  # the lookahead past the last entry, unequal to any derived payload
+    payload = next(payloads, end)
+    if payload is end:
         raise GovernanceError("cannot replay an empty ledger")
-    recorded = [events.decode(k, e.payload) for k, e in enumerate(entries)]
-    genesis = recorded[0]
+    genesis = event = events.decode(0, payload)
     if genesis["event"] != "genesis":
         raise GovernanceError("ledger does not start with a genesis event")
 
@@ -372,8 +375,15 @@ def replay(entries: Sequence) -> GovernanceEngine:
         context["identity"] = IdentityFilter(registry, identity["policy"])
 
     def check(entry: LedgerEntry) -> None:
-        if entry.index >= len(entries) or entry.payload != entries[entry.index].payload:
+        nonlocal payload, event
+        if entry.payload != payload:
             raise GovernanceError(f"replay diverged at event {entry.index}: payload differs from the record")
+        payload = next(payloads, end)
+        event = None if payload is end else events.decode(entry.index + 1, payload)
+
+    def ballots(pid: str, tick: int):
+        while (e := event) is not None and e["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
+            yield wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"])
 
     # The wallet universe is re-derived from the balances, so genesis is compared like every other event.
     engine = GovernanceEngine(
@@ -384,39 +394,30 @@ def replay(entries: Sequence) -> GovernanceEngine:
     )
     # A recorded wallet in genesis becomes its WalletId, validated once; any other is checked as it is cast.
     wallets = {w: w for w in engine.balances}
-    k, n = 1, len(recorded)
-    while k < n:
-        event, start = recorded[k], k
-        k += 1
-        if (kind := event["event"]) == "genesis":
-            raise GovernanceError(f"event {start}: a genesis event after the first")
-        pid, tick = event["proposal"], event["tick"]
+    while (recorded := event) is not None:
+        if (kind := recorded["event"]) == "genesis":
+            raise GovernanceError(f"event {len(engine.ledger)}: a genesis event after the first")
+        pid, tick = recorded["proposal"], recorded["tick"]
         if kind == "submit":
-            quorum, conviction = event["quorum"], event["conviction"]
+            quorum, conviction = recorded["quorum"], recorded["conviction"]
             proposal = Proposal(
                 id=pid,
-                options=event["options"],
-                discussion_window=Window(*event["discussion_window"]),
-                voting_window=Window(*event["voting_window"]),
-                mechanism=event["mechanism"],
+                options=recorded["options"],
+                discussion_window=Window(*recorded["discussion_window"]),
+                voting_window=Window(*recorded["voting_window"]),
+                mechanism=recorded["mechanism"],
                 quorum=QuorumConfig(quorum["basis"], Decimal(quorum["threshold"])) if quorum else None,
                 conviction=ConvictionParams(Decimal(conviction["decay_rate"])) if conviction else None,
             )
             engine.submit(proposal, now=tick)
         elif kind == "phase":
-            engine.advance_to(tick)
+            engine.advance_to(tick)  # the one dispatch that can derive nothing
         elif kind == "cast":
-            while k < n and (e := recorded[k])["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
-                k += 1
-            ballots = (
-                (wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"]))
-                for e in recorded[start:k]
-            )
-            engine.cast_batch(pid, ballots, tick)
+            engine.cast_batch(pid, ballots(pid, tick), tick)
         elif kind == "finalize":
             engine.finalize(pid, now=tick)
         else:
             engine.mark_executed(pid, now=tick)
-    if len(engine.ledger) != len(entries):
-        raise GovernanceError(f"replay diverged at event {len(engine.ledger)}: recorded but not re-derived")
+        if event is recorded:
+            raise GovernanceError(f"replay diverged at event {len(engine.ledger)}: recorded but not re-derived")
     return engine

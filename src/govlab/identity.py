@@ -140,8 +140,9 @@ def filter_and_collapse(
     """
     policy = VotePolicy(policy)
     seen_wallets: set[WalletId] = set()
-    groups: dict[IdentityId, list] = {}
-    placed: list[tuple[str, Any]] = []  # ("vote", record) | ("identity", id), first occurrence order
+    # Each identity's votes, in first-occurrence order.  An admitted unverified vote is a
+    # group of its own under (wallet,): a tuple, so it cannot equal an identity's name.
+    groups: dict[IdentityId | tuple[WalletId], list[VoteRecord]] = {}
     dropped: list[WalletId] = []
 
     for vote in votes:
@@ -149,28 +150,20 @@ def filter_and_collapse(
             raise IdentityError(f"wallet {vote.wallet!r} has more than one live vote")
         seen_wallets.add(vote.wallet)
         identity = registry.identity_of(vote.wallet)
-        if identity is None:
-            if policy is VotePolicy.ADMIT_UNVERIFIED:
-                placed.append(("vote", vote))
-            else:
-                dropped.append(vote.wallet)
-            continue
-        if identity not in groups:
-            groups[identity] = []
-            placed.append(("identity", identity))
-        groups[identity].append(vote)
+        if identity is not None:
+            groups.setdefault(identity, []).append(vote)
+        elif policy is VotePolicy.ADMIT_UNVERIFIED:
+            groups[(vote.wallet,)] = [vote]
+        else:
+            dropped.append(vote.wallet)
 
     equivocating: list[IdentityId] = []
-    kept: list = []
-    for kind, value in placed:
-        if kind == "vote":
-            kept.append(value)
-            continue
-        group = groups[value]
+    kept: list[VoteRecord] = []
+    for key, group in groups.items():
         if len({v.option for v in group}) > 1:
-            equivocating.append(value)
-            continue
-        kept.append(_merge_group(group, registry.mode))
+            equivocating.append(key)
+        else:
+            kept.append(_merge_group(group, registry.mode))
 
     return FilterReport(
         votes=tuple(kept),

@@ -185,10 +185,12 @@ class StagedFiles:
     open() checks the path and opens its temporary file; commit() closes every file and
     os.replaces each into place in the order they were opened.  Leaving the block closes
     every file and removes each temporary one, so an error before commit leaves every path
-    as it was and no temporary file behind.
+    as it was and no temporary file behind.  inputs are the paths the outputs are made
+    from, which open() refuses to write.
     """
 
-    def __init__(self):
+    def __init__(self, inputs: Iterable = ()):
+        self._inputs = [os.fspath(path) for path in inputs]
         self._staged: list[tuple[Any, str, str]] = []  # (file, temporary path, path)
 
     def __enter__(self) -> StagedFiles:
@@ -201,6 +203,8 @@ class StagedFiles:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         # The later of two outputs to one file would replace the earlier at commit.
         real = os.path.realpath(path)
+        if any(os.path.realpath(given) == real for given in self._inputs):
+            raise GovlabError(f"{path}: an output would replace an input file")
         if any(os.path.realpath(staged) == real for _, _, staged in self._staged):
             raise GovlabError(f"{path}: two outputs would be written to this file")
         tmp = f"{path}.{os.getpid()}.tmp"

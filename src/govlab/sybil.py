@@ -86,31 +86,22 @@ def best_split(
     if not isinstance(max_wallets, int) or isinstance(max_wallets, bool) or max_wallets < 1:
         raise SplitError(f"max_wallets must be a positive int: {max_wallets!r}")
     mechanism = Mechanism.parse(mechanism)
-    feasible_max = min(max_wallets, total.units)
+    total_units = total.units
+    feasible_max = min(max_wallets, total_units)
     if feasible_max < 1:
         raise SplitError("cannot split a zero balance")
-    best_n = 0
-    best_units = -1
-    total_units = total.units
     if mechanism is Mechanism.QUADRATIC:
-        # Tight integer loop: the generic path allocates two value objects per
-        # n, which matters when the scan covers millions of wallet counts.
-        last_q = rest_units = -1
-        for n in range(1, feasible_max + 1):
-            q, r = divmod(total_units, n)
-            if q != last_q:
-                last_q, rest_units = q, quadratic_units(q)
-            attack_units = quadratic_units(q + r) + (n - 1) * rest_units
-            if attack_units > best_units:
-                best_units = attack_units
-                best_n = n
+        power_units = quadratic_units  # the integer root, with no value objects per n
     else:
-        for n in range(1, feasible_max + 1):
-            q, r = divmod(total_units, n)
-            first = vote_power(mechanism, TokenAmount.from_units(q + r), held_for, conviction)
-            rest = vote_power(mechanism, TokenAmount.from_units(q), held_for, conviction)
-            attack_units = first.units + rest.units * (n - 1)
-            if attack_units > best_units:
-                best_units = attack_units
-                best_n = n
+        def power_units(units: int) -> int:
+            return vote_power(mechanism, TokenAmount.from_units(units), held_for, conviction).units
+    # A uniform split repeats the balance q, whose power changes only when q does.
+    best_n, best_units, last_q, rest_units = 0, -1, -1, 0
+    for n in range(1, feasible_max + 1):
+        q, r = divmod(total_units, n)
+        if q != last_q:
+            last_q, rest_units = q, power_units(q)
+        attack_units = power_units(q + r) + (n - 1) * rest_units
+        if attack_units > best_units:
+            best_units, best_n = attack_units, n
     return best_n, sybil_gain(total, best_n, mechanism, conviction=conviction, held_for=held_for)

@@ -337,6 +337,45 @@ class TestRunCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestOutputIsTheInput:
+    """An output path naming the scenario file is refused before any run, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("run", "--out"), ("run", "--ledger"), ("run", "--csv"), ("run", "--out-symlink"), ("compare", "--out")],
+    )
+    def test_an_output_on_the_scenario_is_refused(self, scenario_path, tmp_path, capsys, monkeypatch, command, option):
+        before = scenario_path.read_bytes()
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("govlab.cli.run", no_run)
+        monkeypatch.setattr("govlab.cli.compare_mechanisms", no_run)
+        target = scenario_path
+        if option == "--out-symlink":
+            option, target = "--out", tmp_path / "link.json"
+            target.symlink_to(scenario_path)
+        argv = [command, "--scenario", str(scenario_path), "--out", str(tmp_path / "r.json"), option, str(target)]
+        if command == "compare":
+            argv += ["--mechanisms", "token,quadratic"]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [f"error: {target}: an output would replace an input file"]
+        assert scenario_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_the_default_ledger_path_on_the_scenario_is_refused(self, scenario_path, tmp_path, capsys):
+        """--ledger defaults to <out>.ledger.jsonl, which is checked like any other output."""
+        ledger = tmp_path / "r.json.ledger.jsonl"
+        ledger.write_bytes(scenario_path.read_bytes())
+        argv = ["run", "--scenario", str(ledger), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [f"error: {ledger}: an output would replace an input file"]
+        assert ledger.read_bytes() == scenario_path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json.ledger.jsonl", "scenario.json"]
+
+
 class TestScenarioFileErrors:
     """A scenario file that cannot be read as one JSON document is one validation error, whichever command reads it."""
 

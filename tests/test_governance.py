@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import events as events_module
 from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, VotingPower, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
@@ -905,6 +906,54 @@ class TestReplay:
         events[3] = ["cast"]
         with pytest.raises(GovernanceError, match="event 3: field 'event'"):
             replay(self._rechained(events))
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_replay_reads_a_one_shot_generator(self, name):
+        result = run(load_preset(name))
+        replayed = replay(entry for entry in result.ledger)
+        assert replayed.ledger.head_hash() == result.head_hash
+
+    @pytest.mark.parametrize("at", ["genesis", "submit", "first-cast", "last-cast", "finalize"])
+    def test_a_divergent_record_is_read_no_further_than_one_entry_past_it(self, at):
+        recorded = tuple(run(load_preset("sybil_attack_quadratic")).ledger)
+        texts = [e.payload for e in recorded]
+        kinds = [loads_canonical(text)["event"] for text in texts]
+        k = {
+            "genesis": 0,
+            "submit": kinds.index("submit"),
+            "first-cast": kinds.index("cast"),
+            "last-cast": len(kinds) - 1 - kinds[::-1].index("cast"),
+            "finalize": kinds.index("finalize"),
+        }[at]
+        texts[k] = json.dumps(loads_canonical(texts[k]), sort_keys=True)
+        drawn = 0
+
+        def counting(entries):
+            nonlocal drawn
+            for entry in entries:
+                drawn += 1
+                yield entry
+
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {k}:"):
+            replay(counting(self._rechained(texts)))
+        assert drawn <= k + 2
+
+    def test_a_divergence_is_raised_before_a_later_entry_is_decoded(self):
+        """Entries are decoded as they are reached: a non-canonical cast at j comes
+        before a mistyped field at k > j, which a decode of every payload first
+        would have raised instead."""
+        texts = [e.payload for e in self._recorded_run().ledger]
+        events = [loads_canonical(text) for text in texts]
+        j = next(i for i, e in enumerate(events) if e["event"] == "cast")
+        k = next(i for i, e in enumerate(events) if e["event"] == "finalize")
+        assert j < k
+        texts[j] = json.dumps(events[j], sort_keys=True)
+        events[k]["tick"] = "10"
+        texts[k] = canonical_json(events[k])
+        with pytest.raises(GovernanceError, match=f"event {k}: field 'tick'"):
+            events_module.decode(k, texts[k])
+        with pytest.raises(GovernanceError, match=f"replay diverged at event {j}:"):
+            replay(self._rechained(texts))
 
 
 class TestPhaseEdgeSet:

@@ -1,5 +1,6 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
+import copy
 import time
 from decimal import Decimal
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab.core import VotingPower, loads_canonical
+from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
 from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
 from govlab.simulation import (
     SimulationError,
@@ -433,6 +434,60 @@ class TestOtherPresets:
         wide["supply"] = "500"
         result = run(parse_scenario(wide))
         assert result.report["arrow_probes"] is None
+
+
+
+@st.composite
+def _token_electorates(draw):
+    """A token-voting scenario with no quorum and no identity layer: 1 to 5 honest
+    agents, each voting its whole balance, and 1 to 3 proposals on one option set in
+    consecutive voting windows (a cast tick is drawn only when there is one window)."""
+    options = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    n_proposals = draw(st.integers(1, 3))
+    agents = [
+        {
+            "id": f"h{k}",
+            "kind": "honest",
+            "balance": fmt_units(draw(st.integers(6, 10**15))),
+            "preference": [draw(st.sampled_from(options))],
+            "cast_at": draw(st.none() | st.integers(1, 3)) if n_proposals == 1 else None,
+        }
+        for k in range(draw(st.integers(1, 5)))
+    ]
+    return {
+        "schema_version": 1,
+        "name": "split-invariance",
+        "ticks": 4 * n_proposals,
+        "supply": fmt_units(sum(parse_units(a["balance"]) for a in agents)),
+        "mechanism": "token",
+        "quorum": None,
+        "identity": None,
+        "proposals": [
+            {"id": f"p{j}", "options": options, "discussion_window": [4 * j, 4 * j + 1], "voting_window": [4 * j + 1, 4 * j + 4]}
+            for j in range(n_proposals)
+        ],
+        "agents": agents,
+    }
+
+
+class TestSplitInvariance:
+    """Token power is the committed tokens, and a uniform split divides a balance
+    exactly, so the split wallets cast the same tokens on the same option."""
+
+    @given(_token_electorates(), st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_splitting_a_holder_changes_no_token_tally(self, scenario, n_wallets, data):
+        k = data.draw(st.integers(0, len(scenario["agents"]) - 1))
+        split = copy.deepcopy(scenario)
+        split["agents"][k].update(kind="sybil_attacker", n_wallets=n_wallets)
+
+        def proposals(raw):
+            return run(parse_scenario(raw)).report["proposals"]
+
+        fields = ("outcome", "per_option_power", "participating_tokens")
+        for before, after in zip(proposals(scenario), proposals(split), strict=True):
+            assert {f: after[f] for f in fields} == {f: before[f] for f in fields}
+            assert after["voters"] == before["voters"] + n_wallets - 1
 
 
 def _horizon_scenario(mechanism, ticks):

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import GovlabError, canonical_json
-from .ledger import StagedFiles, ndjson_line, read_ndjson, verify_chain
+from .ledger import StagedFiles, iter_ndjson, ndjson_line, verify_chain
 from .scenario import ScenarioValidationError, load_scenario
 from .simulation import compare_mechanisms, render_table, report_csv, run
 
@@ -113,8 +113,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    entries = read_ndjson(args.ledger)
+    entries = iter_ndjson(args.ledger)  # one entry held at a time
     broken = verify_chain(entries)
+    # A malformed line after the break is still an error (exit 2), so the rest is read too.
+    for _ in entries:
+        pass
     if broken is None:
         print("ok")
         return EXIT_OK

@@ -341,6 +341,14 @@ def count_votes(
     return votes, result, report
 
 
+class _Amounts(dict):
+    """Recorded amount string -> its TokenAmount, parsed on the string's first lookup."""
+
+    def __missing__(self, text: str) -> TokenAmount:
+        amount = self[text] = TokenAmount.parse(text)
+        return amount
+
+
 def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
     """Rebuild an engine by replaying a recorded event ledger, read once, in order.
 
@@ -355,6 +363,10 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
     GovernanceError naming its index before anything after it is read; so does a
     recorded event that derives nothing.  The returned engine's ledger keeps no
     entries: compare its head_hash() with the record's.
+
+    Each distinct amount string in the record (a genesis balance, the supply, a
+    cast's commitment) is parsed once, and every event that records it shares
+    that one immutable TokenAmount: a ledger holds few distinct amounts.
     """
     payloads = (entry.payload for entry in entries)
     end = object()  # the lookahead past the last entry, unequal to any derived payload
@@ -383,12 +395,13 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
 
     def ballots(pid: str, tick: int):
         while (e := event) is not None and e["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
-            yield wallets.get(e["wallet"], e["wallet"]), e["option"], TokenAmount.parse(e["committed"])
+            yield wallets.get(e["wallet"], e["wallet"]), e["option"], amounts[e["committed"]]
 
+    amounts = _Amounts()
     # The wallet universe is re-derived from the balances, so genesis is compared like every other event.
     engine = GovernanceEngine(
-        balances={WalletId(w): TokenAmount.parse(b) for w, b in genesis["balances"].items()},
-        supply=TokenAmount.parse(genesis["supply"]),
+        balances={WalletId(w): amounts[b] for w, b in genesis["balances"].items()},
+        supply=amounts[genesis["supply"]],
         genesis_context=context,
         ledger_sink=check,
     )

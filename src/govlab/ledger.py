@@ -17,10 +17,15 @@ bytes with the record.  The default sink keeps each entry in memory, to be
 iterated in order (there is no indexing); `govlab run`'s sink writes its
 ndjson_line into the staged ledger file at once and keeps nothing, so the
 ledger's memory does not grow with its events.  ndjson_line only escapes the
-four fields into a line.  load_ndjson decodes each line once and checks its four
-fields by exact type; replay decodes each payload once more.  Both decode by
-loads_canonical, whose one scan of a text that holds just a value is what
-json's decode returns; any other text takes decode, so its errors do not change.
+four fields into a line.  Reading a line back costs two anchored patterns (the
+hash and index before the payload, the prev_hash after it) and one scanstring
+of the payload, the C scanner json's decoder runs on strings; the patterns and
+an ASCII payload leave nothing for the field checks to find.  Any other line
+takes one loads_canonical decode and the checks of each field, so what loads
+and every error stay as they were.  load_ndjson and iter_ndjson, which reads a
+file one line at a time and holds no entry list, share that per-line parser;
+replay decodes each payload once more (events.decode, which reads a cast by
+its own pattern).
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ import errno
 import hashlib
 import os
 import re
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
-from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical, read_utf8
+from .core import CanonicalJsonError, GovlabError, _Record, _set, loads_canonical
 
 GENESIS_PREV_HASH = "0" * 64
 _HEX64 = re.compile("[0-9a-f]{64}")
@@ -146,37 +152,66 @@ def dump_ndjson(entries: Iterable[LedgerEntry]) -> str:
 
 def load_ndjson(text: str) -> list[LedgerEntry]:
     """Parse a persisted ledger; raises LedgerError on malformed lines."""
-    entries: list[LedgerEntry] = []
     # Lines end at "\n" only: str.splitlines() would also break inside a payload
     # at U+2028, U+0085 and other separators.  A "\r" before it is JSON whitespace.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            obj = loads_canonical(line)
-        except CanonicalJsonError as exc:
-            raise LedgerError(f"line {lineno}: {exc}") from exc
-        if type(obj) is not dict or obj.keys() != _ENTRY_KEYS:
-            raise LedgerError(f"line {lineno}: not a ledger entry")
-        index, prev_hash, payload, digest = obj["index"], obj["prev_hash"], obj["payload"], obj["hash"]
-        if type(index) is not int or index < 0:
-            raise LedgerError(f"line {lineno}: index must be a non-negative int")
-        if type(payload) is not str:
-            raise LedgerError(f"line {lineno}: payload must be a string")
-        # A \ud800-style escape decodes to a lone surrogate, which has no UTF-8 bytes to hash.
-        if not payload.isascii():
+    return list(_entries(text.split("\n")))
+
+
+# The exact line ndjson_line writes, up to the payload's text and after it, compiled at
+# the first read (re caches it), not at import.  A longer index takes the decoder, which
+# keeps its error for one past int()'s digit limit.
+_LINE_HEAD = r'\{"hash":"([0-9a-f]{64})","index":(0|[1-9][0-9]{0,17}),"payload":"'
+_LINE_TAIL = r',"prev_hash":"([0-9a-f]{64})"\}'
+
+
+def _entries(lines: Iterable[str]) -> Iterator[LedgerEntry]:
+    """The entry on each line that is not blank, numbered from 1.
+
+    A line as ndjson_line writes it, with an ASCII payload, is read by two patterns
+    and the payload's string by scanstring, the scanner json's decoder runs on
+    strings; its fields then have the types and shapes _decoded_entry checks for.
+    Any other line (whitespace, another key order, a longer index, a non-ASCII
+    payload, a fault) takes _decoded_entry, so its entry or error is unchanged.
+    """
+    head_of, tail_of = re.compile(_LINE_HEAD).match, re.compile(_LINE_TAIL).fullmatch
+    for lineno, line in enumerate(lines, start=1):
+        if head := head_of(line):
             try:
-                payload.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise LedgerError(
-                    f"line {lineno}: payload holds a lone surrogate at offset {exc.start}"
-                ) from exc
-        if type(prev_hash) is not str or not _HEX64.fullmatch(prev_hash):
-            raise LedgerError(f"line {lineno}: prev_hash must be 64 lowercase hex chars: {prev_hash!r}")
-        if type(digest) is not str or not _HEX64.fullmatch(digest):
-            raise LedgerError(f"line {lineno}: hash must be 64 lowercase hex chars: {digest!r}")
-        entries.append(LedgerEntry(index, prev_hash, payload, digest))
-    return entries
+                payload, end = scanstring(line, head.end())
+            except ValueError:  # _decoded_entry names the fault
+                pass
+            else:
+                if payload.isascii() and (tail := tail_of(line, end)):
+                    yield LedgerEntry(int(head[2]), tail[1], payload, head[1])
+                    continue
+        if line and not line.isspace():
+            yield _decoded_entry(lineno, line)
+
+
+def _decoded_entry(lineno: int, line: str) -> LedgerEntry:
+    """Line lineno's entry, through a full JSON decode and a check of each field."""
+    try:
+        obj = loads_canonical(line)
+    except CanonicalJsonError as exc:
+        raise LedgerError(f"line {lineno}: {exc}") from exc
+    if type(obj) is not dict or obj.keys() != _ENTRY_KEYS:
+        raise LedgerError(f"line {lineno}: not a ledger entry")
+    index, prev_hash, payload, digest = obj["index"], obj["prev_hash"], obj["payload"], obj["hash"]
+    if type(index) is not int or index < 0:
+        raise LedgerError(f"line {lineno}: index must be a non-negative int")
+    if type(payload) is not str:
+        raise LedgerError(f"line {lineno}: payload must be a string")
+    # A \ud800-style escape decodes to a lone surrogate, which has no UTF-8 bytes to hash.
+    if not payload.isascii():
+        try:
+            payload.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise LedgerError(f"line {lineno}: payload holds a lone surrogate at offset {exc.start}") from exc
+    if type(prev_hash) is not str or not _HEX64.fullmatch(prev_hash):
+        raise LedgerError(f"line {lineno}: prev_hash must be 64 lowercase hex chars: {prev_hash!r}")
+    if type(digest) is not str or not _HEX64.fullmatch(digest):
+        raise LedgerError(f"line {lineno}: hash must be 64 lowercase hex chars: {digest!r}")
+    return LedgerEntry(index, prev_hash, payload, digest)
 
 
 class StagedFiles:
@@ -234,5 +269,28 @@ def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
         staged.commit()
 
 
+def iter_ndjson(path) -> Iterator[LedgerEntry]:
+    """The entries of the ledger file at path, read and checked one line at a time.
+
+    Errors are load_ndjson's, and a byte sequence that is not UTF-8 raises
+    LedgerError("<path>: not UTF-8 at byte offset K"); the first fault in the file
+    is the one raised.  The file is opened at the first entry drawn.
+    """
+    return _entries(_utf8_lines(path))
+
+
+def _utf8_lines(path) -> Iterator[str]:
+    """Each line of the file at path, decoded and without its "\\n"."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # a binary file's lines end at b"\n" only
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LedgerError(f"{path}: not UTF-8 at byte offset {offset + exc.start}") from exc
+            offset += len(raw)
+            yield line.removesuffix("\n")
+
+
 def read_ndjson(path) -> list[LedgerEntry]:
-    return load_ndjson(read_utf8(path, LedgerError))
+    return list(iter_ndjson(path))

@@ -432,6 +432,29 @@ class TestVerifyCommand:
         assert code == EXIT_LEDGER_BROKEN
         assert captured.out == "3\n"
 
+    def test_a_crlf_ledger_verifies_clean(self, scenario_path, tmp_path, capsys):
+        ledger = self._written_ledger(scenario_path, tmp_path, capsys)
+        ledger.write_bytes(ledger.read_bytes().replace(b"\n", b"\r\n"))
+        code = main(["verify", "--ledger", str(ledger)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_a_malformed_line_after_the_break_is_still_a_runtime_error(self, scenario_path, tmp_path, capsys):
+        """verify streams the entries, and reads on past a break to the end of the file."""
+        ledger = self._written_ledger(scenario_path, tmp_path, capsys)
+        lines = ledger.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["hash"] = "0" * 64
+        lines[1] = json.dumps(entry, separators=(",", ":"))
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        ledger.write_text("\n".join(lines) + "\n")
+        code = main(["verify", "--ledger", str(ledger)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {len(lines)}: malformed JSON")
+        assert len(captured.err.splitlines()) == 1
+
     def test_empty_ledger_verifies_clean(self, tmp_path, capsys):
         empty = tmp_path / "empty.ndjson"
         empty.write_text("")

@@ -1,5 +1,7 @@
 """The event codec: each kind's encoder against canonical_json, and decode of what it wrote."""
 
+import json
+import re
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from govlab import events
 from govlab.core import (
     MAX_UNITS,
     GovernanceError,
+    GovlabError,
     ProposalId,
     TallyOutcome,
     TallyResult,
@@ -168,3 +171,104 @@ class TestCodec:
     def test_decode_names_the_event_and_the_field(self, text, message):
         with pytest.raises(GovernanceError, match=message):
             events.decode(3, text)
+
+
+def _decode_ref(k, text):
+    """decode as it was before the cast pattern: a JSON decode, then the cast checks or the table."""
+    event = loads_canonical(text)
+    kind = event.get("event") if type(event) is dict else None
+    if kind == "cast" and event.keys() == events._CAST_KEYS and type(event["tick"]) is int and (
+        type(event["proposal"]) is type(event["option"]) is type(event["wallet"]) is type(event["committed"]) is str
+    ):
+        return event
+    if type(kind) is not str:
+        raise GovernanceError(f"event {k}: field 'event' is missing or has the wrong JSON type")
+    if kind not in events._KINDS:
+        raise GovernanceError(f"event {k}: unknown event kind {kind!r}")
+    events._check(event, events._KINDS[kind], k, "", events._OPTIONAL.get(kind, ()))
+    return event
+
+
+def _outcome(decoder, text):
+    """The value's repr (so key order, 1 and True differ), or the error's class and message."""
+    try:
+        return repr(decoder(5, text))
+    except GovlabError as exc:
+        return type(exc), str(exc)
+
+
+# Field values that sit at an edge of the cast pattern, and forms JSON or decode refuses.
+_EDGES = {
+    "option": ['"', "\\", "%", "\u00e9", "\x01", "\x7f"],
+    "committed": [
+        "9223372036.854775807", "9223372036.854775808", "9999999999.999999999", "10000000000.000000000",
+        "1.50000000", "1.5000000000", "01.500000000", "1", "",
+    ],
+    "tick": ["007", "00", "9" * 18, "1" + "0" * 18, "-1", "1.0", '"5"', "null"],
+    "wallet": ["w" * 64, "w" * 65, "", "w!"],
+    "proposal": ["p" * 65, "p.1"],
+}
+
+
+@st.composite
+def _cast_mutants(draw):
+    """A cast's text as cast_template writes it, after at most one edit."""
+    printable = st.from_regex(r"[ -~]{1,8}", fullmatch=True)  # the pattern's option alphabet, and '"' and '\\'
+    option = draw(_label_st | printable | st.sampled_from(["approve", "", 'a"b', "a\\b", "100%", "caf\u00e9", "a\x01b", "\x7f"]))
+    tick = draw(_tick_st | st.sampled_from([10**18 - 1, 10**18, 10**19]))
+    units = draw(st.integers(min_value=1, max_value=MAX_UNITS))
+    text = events.cast_template(ProposalId(draw(_id_st)), option, tick)(units, WalletId(draw(_id_st)))
+    edit = draw(st.sampled_from(["none", "raw", "value", "reorder", "space", "key", "trail"]))
+    if edit == "trail":
+        return text + draw(st.sampled_from(["x", "}", ",", '"', "{}", " 1"]))
+    if edit == "raw":  # unescaped, at the start of the option's string
+        return text.replace('"option":"', '"option":"' + draw(st.sampled_from(_EDGES["option"])), 1)
+    if edit == "value":
+        field = draw(st.sampled_from(sorted(_EDGES)))
+        value = draw(st.sampled_from(_EDGES[field]))
+        if field != "tick":
+            value = json.dumps(value)
+        return re.sub(rf'"{field}":("(?:[^"\\\\]|\\\\.)*"|[0-9]+)', lambda _: f'"{field}":{value}', text, count=1)
+    if edit == "reorder":
+        items = draw(st.permutations(list(json.loads(text).items())))
+        return json.dumps(dict(items), separators=(",", ":"))
+    if edit == "space":
+        at = draw(st.sampled_from([0, 1, text.index(":") + 1, text.index(",") + 1, len(text) - 1, len(text)]))
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[at:]
+    if edit == "key":
+        return draw(st.sampled_from([text[:-1] + ',"x":1}', text.replace('"wallet"', '"Wallet"'), re.sub(r',"tick":[0-9]+', "", text)]))
+    return text
+
+
+class TestCastFastPath:
+    """decode matches a cast's exact text first; every text must get the old decode's dict or error."""
+
+    @given(_cast_mutants())
+    @settings(max_examples=500)
+    def test_a_cast_decodes_as_before(self, text):
+        assert _outcome(events.decode, text) == _outcome(_decode_ref, text)
+
+    @pytest.mark.parametrize("field", sorted(_EDGES))
+    def test_each_edge_decodes_as_before(self, field):
+        """One text per edge value, so each stays covered whatever the draws above are."""
+        text = events.cast_template(ProposalId("p1"), "approve", 7)(5 * 10**9, WalletId("w1"))
+        for value in _EDGES[field]:
+            if field == "option":
+                edited = text.replace('"option":"', '"option":"' + value, 1)
+            else:
+                literal = value if field == "tick" else json.dumps(value)
+                edited = re.sub(rf'"{field}":("[^"]*"|[0-9]+)', lambda _: f'"{field}":{literal}', text, count=1)
+            assert edited != text
+            assert _outcome(events.decode, edited) == _outcome(_decode_ref, edited), edited
+
+    @pytest.mark.parametrize("tail", ["x", "}", " ", "\n"])
+    def test_text_after_the_event_decodes_as_before(self, tail):
+        text = events.cast_template(ProposalId("p1"), "approve", 7)(5 * 10**9, WalletId("w1")) + tail
+        assert _outcome(events.decode, text) == _outcome(_decode_ref, text)
+
+    def test_the_template_text_takes_the_pattern(self, monkeypatch):
+        """The cast_template text of an ASCII option without '"' or '\\' is decoded without JSON."""
+        text = events.cast_template(ProposalId("p1"), "yes, 100% (~)", 10**18 - 1)(MAX_UNITS, WalletId("w" * 64))
+        expected = _decode_ref(0, text)
+        monkeypatch.setattr(events, "loads_canonical", None)
+        assert repr(events.decode(0, text)) == repr(expected)

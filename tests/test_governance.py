@@ -1,6 +1,8 @@
 """Proposal lifecycle, token locks, event accounting, and replay."""
 
+import importlib.util
 import json
+from pathlib import Path
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import events as events_module
+from govlab import ledger as ledger_module
 from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, VotingPower, WalletId, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import (
     GovernanceEngine,
@@ -24,7 +27,7 @@ from govlab.governance import (
     replay,
 )
 from govlab.identity import IdentityFilter, IdentityRegistry, RegistryMode, VotePolicy
-from govlab.ledger import Ledger, verify_chain
+from govlab.ledger import Ledger, dump_ndjson, load_ndjson, read_ndjson, verify_chain
 from govlab.mechanisms import (
     ConvictionParams,
     Mechanism,
@@ -34,6 +37,8 @@ from govlab.mechanisms import (
 )
 from govlab.scenario import load_preset, parse_scenario, preset_names
 from govlab.simulation import run
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
 
 def _engine(balances=None, supply=1000):
@@ -954,6 +959,44 @@ class TestReplay:
             events_module.decode(k, texts[k])
         with pytest.raises(GovernanceError, match=f"replay diverged at event {j}:"):
             replay(self._rechained(texts))
+
+
+def _sybil_scenario(source):
+    if source == "preset":
+        return load_preset("sybil_attack_quadratic")
+    spec = importlib.util.spec_from_file_location("govlab_bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_scenario(workloads.sybil_identity(1, 0.05))
+
+
+class TestReadPathFastPaths:
+    """Reading back a ledger govlab wrote takes the fixed-shape paths: each line by two patterns
+    and scanstring, each cast by events' cast pattern, each amount string parsed once."""
+
+    @pytest.mark.parametrize("source", ["preset", "generated"])
+    def test_a_sybil_ledger_is_read_without_the_general_paths(self, source, monkeypatch, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        text = dump_ndjson(run(_sybil_scenario(source)).ledger)
+        path.write_text(text, encoding="ascii")
+        decodes = {"ledger": 0, "events": 0}
+        for name, module in (("ledger", ledger_module), ("events", events_module)):
+            def counted(payload, name=name, original=module.loads_canonical):
+                decodes[name] += 1
+                return original(payload)
+            monkeypatch.setattr(module, "loads_canonical", counted)
+        parsed = []
+        original_parse = TokenAmount.parse.__func__
+        monkeypatch.setattr(TokenAmount, "parse", classmethod(lambda cls, v: parsed.append(v) or original_parse(cls, v)))
+
+        entries = read_ndjson(path)
+        assert load_ndjson(text) == entries
+        assert decodes["ledger"] == 0
+        kinds = [json.loads(entry.payload)["event"] for entry in entries]
+        assert kinds.count("cast") > 100
+        assert replay(entries).ledger.head_hash() == entries[-1].hash
+        assert decodes["events"] == len(kinds) - kinds.count("cast")
+        assert len(parsed) == len(set(parsed)) < kinds.count("cast")
 
 
 class TestPhaseEdgeSet:

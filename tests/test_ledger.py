@@ -7,6 +7,8 @@ hashlib regression or a silent preimage change cannot slip past unnoticed.
 import functools
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from govlab.ledger import (
     LedgerError,
     dump_ndjson,
     entry_hash,
+    iter_ndjson,
     load_ndjson,
     ndjson_line,
     read_ndjson,
@@ -345,6 +348,36 @@ class TestNdjsonRoundTrip:
         with pytest.raises(LedgerError, match=f"byte offset {path.stat().st_size - 2}"):
             read_ndjson(path)
 
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path):
+        """The file is decoded one line at a time: a malformed line before a byte that is not
+        UTF-8 is the error, and the byte is when it comes first."""
+        good = dump_ndjson(tuple(_chain(2))).encode("ascii")
+        path = tmp_path / "ledger.ndjson"
+        path.write_bytes(b"not json\n" + good + b"\xff\n")
+        with pytest.raises(LedgerError, match="^line 1: malformed JSON"):
+            read_ndjson(path)
+        path.write_bytes(good + b"ok\xff\nnot json\n")
+        with pytest.raises(LedgerError, match=f"not UTF-8 at byte offset {len(good) + 2}$"):
+            read_ndjson(path)
+
+    def test_entries_are_read_one_line_at_a_time(self, tmp_path):
+        entries = tuple(_chain(3))
+        path = tmp_path / "ledger.ndjson"
+        path.write_bytes(dump_ndjson(entries[:2]).encode("ascii") + b"not json\n" + dump_ndjson(entries[2:]).encode("ascii"))
+        lines = iter_ndjson(path)
+        assert [next(lines), next(lines)] == list(entries[:2])
+        with pytest.raises(LedgerError, match="^line 3: malformed JSON"):
+            next(lines)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_the_file_reader_reads_what_load_ndjson_reads(self, tmp_path, newline):
+        text = "\n".join(_pinned_lines()).replace("\n", newline)
+        path = tmp_path / "ledger.ndjson"
+        path.write_bytes(text.encode("ascii"))
+        entries = read_ndjson(path)
+        assert entries == load_ndjson(text) == load_ndjson("\n".join(_pinned_lines()))
+        assert verify_chain(entries) is None
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"])
     def test_only_newline_ends_a_line(self, separator):
         """Characters str.splitlines() breaks at stay inside a payload's line."""
@@ -465,8 +498,45 @@ def _mutated(draw, text):
     return text
 
 
+# Put at the start or the end of a line's payload string: JSON escapes that decode to ASCII
+# (\\, \/, \u0041), to non-ASCII (\u00e9) and to a lone surrogate (\ud800); raw non-ASCII and a
+# raw control character; and an escape JSON does not have.
+PAYLOAD_EDGES = ("\\\\", "\\/", "\\u0041", "\\u00e9", "\\ud800", "\u00e9", "\x01", "\\x")
+
+
+@st.composite
+def _line_mutated(draw, line):
+    """line with one edit at an edge of the fixed shape that ndjson_line writes."""
+    kind = draw(st.sampled_from(["index", "upper", "payload", "cr", "space"]))
+    if kind == "index":  # 18 digits, 19, and forms JSON or the loader refuses
+        digits = draw(st.sampled_from(["9" * 18, "1" + "0" * 17, "1" + "0" * 18, "9" * 19, "00", "07", "-0", "-1"]))
+        return re.sub(r'"index":[0-9]+', f'"index":{digits}', line, count=1)
+    if kind == "upper":
+        key = draw(st.sampled_from(["hash", "prev_hash"]))
+        start = line.index(f'"{key}":"') + len(key) + 4
+        end = draw(st.sampled_from([start + 64, start + 1 + line[start:start + 64].find("a")]))
+        return line[:start] + line[start:end].upper() + line[end:]
+    if kind == "payload":
+        edge = draw(st.sampled_from(PAYLOAD_EDGES))
+        at = line.index('"payload":"') + 11 if draw(st.booleans()) else line.index('","prev_hash":"')
+        return line[:at] + edge + line[at:]
+    if kind == "cr":
+        return line + "\r"
+    return line[:-1] + " }"
+
+
+def _read_ndjson_ref(path):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+    return _load_ndjson_ref(text)
+
+
 class TestScanMatchesTheDecoder:
-    """loads_canonical scans for one value first; every text must get the decoder's value or error."""
+    """loads_canonical scans for one value first, and a ledger line as ndjson_line writes it is
+    read by two patterns and scanstring; every text must get the decoder's value or error."""
 
     @given(st.data())
     @settings(max_examples=400)
@@ -476,10 +546,35 @@ class TestScanMatchesTheDecoder:
         payload = json.loads(lines[k])["payload"]
         mutated = data.draw(_mutated(payload))
         assert _outcome(loads_canonical, mutated) == _outcome(_decode_ref, mutated)
-        line = data.draw(_mutated(lines[k]))
-        assert _outcome(loads_canonical, line) == _outcome(_decode_ref, line)
-        text = "\n".join([*lines[:k], line, *lines[k + 1 :]])
-        assert _outcome(load_ndjson, text) == _outcome(_load_ndjson_ref, text)
+        for edit in (_mutated, _line_mutated):
+            line = data.draw(edit(lines[k]))
+            assert _outcome(loads_canonical, line) == _outcome(_decode_ref, line)
+            text = "\n".join([*lines[:k], line, *lines[k + 1 :]])
+            assert _outcome(load_ndjson, text) == _outcome(_load_ndjson_ref, text)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "ledger.jsonl"
+                path.write_bytes(text.encode("utf-8", "surrogatepass"))
+                assert _outcome(read_ndjson, path) == _outcome(_read_ndjson_ref, path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [f"payload:{edge}" for edge in PAYLOAD_EDGES] + ["index:" + "9" * 18, "index:1" + "0" * 18, "index:07", "upper", "cr", "space"],
+    )
+    def test_each_edge_of_the_line_path_reads_as_before(self, edit):
+        """One fixed line per edge, so each stays covered whatever the draws above are."""
+        line = _pinned_lines()[1]
+        kind, _, value = edit.partition(":")
+        if kind == "payload":
+            at = line.index('","prev_hash":"')
+            line = line[:at] + value + line[at:]
+        elif kind == "index":
+            line = re.sub(r'"index":[0-9]+', f'"index":{value}', line)
+        elif kind == "upper":
+            digest = json.loads(line)["hash"]
+            line = line.replace(digest, digest.upper())
+        else:
+            line = line + "\r" if kind == "cr" else line[:-1] + " }"
+        assert _outcome(load_ndjson, line) == _outcome(_load_ndjson_ref, line)
 
 
 any_text = st.text(st.characters(blacklist_categories=()), max_size=12)

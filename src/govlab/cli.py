@@ -2,13 +2,12 @@
 
 Exit codes: 0 success, 1 scenario validation failure, 2 runtime error,
 3 broken ledger chain.  Machine-readable output goes to stdout, diagnostics
-to stderr.  Set GOVLAB_NO_COLOR (or redirect stderr) to disable styling.
+to stderr as plain text, one line each.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .core import GovlabError, canonical_json
@@ -22,18 +21,12 @@ EXIT_RUNTIME = 2
 EXIT_LEDGER_BROKEN = 3
 
 
-def _style(text: str, code: str) -> str:
-    if os.environ.get("GOVLAB_NO_COLOR") or not sys.stderr.isatty():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
 def _info(message: str) -> None:
-    print(_style(message, "36"), file=sys.stderr)
+    print(message, file=sys.stderr)
 
 
 def _error(message: str) -> None:
-    print(_style(f"error: {message}", "31"), file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
 
 
 def _parse_seed(value: str) -> int:

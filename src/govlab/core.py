@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from decimal import MAX_PREC, Context, Decimal, Overflow
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 NANO_DIGITS = 9
 NANO = 10**NANO_DIGITS
@@ -163,9 +163,7 @@ class _Fixed:
 
     @classmethod
     def parse(cls, value: str | int | Decimal):
-        fixed = object.__new__(cls)  # parse_units returns an in-range int, so __init__'s checks are skipped
-        object.__setattr__(fixed, "_units", parse_units(value))
-        return fixed
+        return cls(parse_units(value))
 
     @classmethod
     def zero(cls):
@@ -260,16 +258,6 @@ class ProposalId(_Identifier):
     pass
 
 
-def read_utf8(path, fault: Callable[[str], GovlabError]) -> str:
-    """The text of the file at path; a byte sequence that is not UTF-8 raises fault(message)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise fault(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
-
-
 def _check_option(option: str) -> str:
     if not isinstance(option, str) or not option:
         raise GovlabError(f"option label must be a nonempty string: {option!r}")
@@ -284,8 +272,8 @@ class _Record:
     """A record class whose __slots__ name its constructor's parameters in order.
 
     The constructor binds positional arguments to the slots in order, then
-    keywords by slot name, then the class's _defaults; an argument too many,
-    a duplicate, a missing one or an unknown one is a TypeError naming the
+    keywords by slot name; every field is passed.  An argument too many, a
+    duplicate, a missing one or an unknown one is a TypeError naming the
     class.  A record that checks or converts a field writes its own __init__.
 
     Two records are equal when they are of the same class and their field
@@ -295,7 +283,6 @@ class _Record:
     """
 
     __slots__ = ()
-    _defaults: dict[str, Any] = {}
 
     def __init__(self, *args: Any, **kwargs: Any):
         names = self.__slots__
@@ -305,12 +292,9 @@ class _Record:
             if name in kwargs:
                 raise TypeError(f"{type(self).__name__}() got multiple values for {name!r}")
             _set(self, name, value)
-        defaults = self._defaults
         for name in names[len(args):]:
             if name in kwargs:
                 _set(self, name, kwargs.pop(name))
-            elif name in defaults:
-                _set(self, name, defaults[name])
             else:
                 raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
         if kwargs:
@@ -387,20 +371,19 @@ class TallyOutcome(_Record):
     """Winner(option), Tie(options), or QuorumFailed."""
 
     __slots__ = ("kind", "option", "options")
-    _defaults = {"option": None, "options": ()}
 
     @classmethod
     def winner(cls, option: str) -> "TallyOutcome":
-        return cls(kind=OutcomeKind.WINNER, option=_check_option(option))
+        return cls(OutcomeKind.WINNER, _check_option(option), ())
 
     @classmethod
     def tie(cls, options: Iterable[str]) -> "TallyOutcome":
         # Sorted so the outcome is independent of vote-list order.
-        return cls(kind=OutcomeKind.TIE, options=tuple(sorted(options)))
+        return cls(OutcomeKind.TIE, None, tuple(sorted(options)))
 
     @classmethod
     def quorum_failed(cls) -> "TallyOutcome":
-        return cls(kind=OutcomeKind.QUORUM_FAILED)
+        return cls(OutcomeKind.QUORUM_FAILED, None, ())
 
     def is_winner(self) -> bool:
         return self.kind == OutcomeKind.WINNER
@@ -471,21 +454,12 @@ JSON_FAULTS = (ValueError, RecursionError)
 
 # Built once: json.loads(text, parse_float=...) would build a decoder per call.
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
-_SCAN_MISSES = (StopIteration, *JSON_FAULTS)
 
 
 def loads_canonical(text: str) -> Any:
     """Parse JSON produced by canonical_json; float literals (NaN too) are rejected."""
     if not isinstance(text, str):
         raise CanonicalJsonError(f"canonical JSON is text, not {type(text).__name__}")
-    # A value that starts at offset 0 and ends at the end of the text is what decode
-    # returns, without its whitespace skips; any other text gets decode's answer or error.
-    try:
-        value, end = _DECODER.scan_once(text, 0)
-        if end == len(text):
-            return value
-    except _SCAN_MISSES:
-        pass
     try:
         return _DECODER.decode(text)
     except JSON_FAULTS as exc:

@@ -142,7 +142,6 @@ _KINDS: dict[str, dict] = {
     "executed": {"event": str, "proposal": str, "tick": int},
 }
 _OPTIONAL = {"genesis": GENESIS_CONTEXT, "finalize": frozenset({"dropped_unverified", "equivocating_identities"})}
-_CAST_KEYS = _KINDS["cast"].keys()
 _MISSING = object()
 
 
@@ -164,11 +163,6 @@ def decode(k: int, text: str) -> dict[str, Any]:
         }
     event = loads_canonical(text)
     kind = event.get("event") if type(event) is dict else None
-    # A cast takes one key-set compare and five type checks, no walk of the table.
-    if kind == "cast" and event.keys() == _CAST_KEYS and type(event["tick"]) is int and (
-        type(event["proposal"]) is type(event["option"]) is type(event["wallet"]) is type(event["committed"]) is str
-    ):
-        return event
     if type(kind) is not str:
         raise GovernanceError(f"event {k}: field 'event' is missing or has the wrong JSON type")
     if kind not in _KINDS:

@@ -55,10 +55,9 @@ class RejectionReason(str, Enum):
 
 class VerificationOutcome(_Record):
     __slots__ = ("accepted", "reason")
-    _defaults = {"reason": None}
 
 
-_ACCEPTED = VerificationOutcome(accepted=True)  # immutable, so every accepted bind shares it
+_ACCEPTED = VerificationOutcome(True, None)  # immutable, so every accepted bind shares it
 
 
 class IdentityRegistry:
@@ -107,7 +106,6 @@ class FilterReport(_Record):
     """Votes that survived the identity filter, plus what was excluded and why."""
 
     __slots__ = ("votes", "dropped_unverified", "equivocating_identities")
-    _defaults = {"dropped_unverified": (), "equivocating_identities": ()}
 
 
 def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:

@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units, read_utf8
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
 from .identity import RegistryMode, VotePolicy
@@ -62,12 +62,10 @@ class IdentityStrategy(str, Enum):
 
 class ProviderConfig(_Record):
     __slots__ = ("false_accept_rate", "seed")
-    _defaults = {"false_accept_rate": Decimal("0"), "seed": None}  # a None seed is the scenario seed
 
 
 class IdentityConfig(_Record):
     __slots__ = ("mode", "policy", "provider")
-    _defaults = {"provider": ProviderConfig()}
 
 
 # The suffixes of an attacker's wallet ids and of its fake identities.
@@ -76,7 +74,6 @@ _WALLET, _FAKE = "_w", "_fake"
 
 class AgentSpec(_Record):
     __slots__ = ("id", "kind", "balance", "preference", "cast_at", "n_wallets", "identity_strategy")
-    _defaults = {"cast_at": None, "n_wallets": 1, "identity_strategy": IdentityStrategy.ONE_IDENTITY}
 
     def votes(self) -> bool:
         return self.kind is not AgentKind.ABSTAINER
@@ -117,8 +114,6 @@ class Scenario(_Record):
     __slots__ = (
         "name", "seed", "ticks", "supply", "mechanism", "agents", "proposals", "quorum", "conviction", "identity",
     )
-
-    _defaults = {"quorum": None, "conviction": None, "identity": None}
 
     def with_overrides(self, **changes: Any) -> "Scenario":
         return self._replace(**changes)
@@ -335,8 +330,8 @@ _SCENARIO = {
         "policy": _req(_enum(VotePolicy, "a vote policy")),
         "provider": _null(_Object(ProviderConfig, {
             "false_accept_rate": _opt(_fraction, Decimal(0)),
-            "seed": _null(_U64),
-        }), ProviderConfig()),
+            "seed": _null(_U64),  # a None seed is the scenario seed
+        }), ProviderConfig(Decimal(0), None)),
     })),
     "proposals": _req(_Records(ProposalSpec, _PROPOSAL, "proposal", lambda i: isinstance(i, str) and _ID_RE.fullmatch(i))),
     # An agent is named by any nonempty string id, so the error for a bad id shows it.
@@ -514,7 +509,13 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return loads_scenario(read_utf8(path, lambda message: ScenarioValidationError([message])))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError([f"{path}: not UTF-8 at byte offset {exc.start}"]) from exc
+    return loads_scenario(text)
 
 
 def preset_names() -> list[str]:

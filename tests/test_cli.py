@@ -30,11 +30,6 @@ def scenario_path(tmp_path):
     return path
 
 
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("GOVLAB_NO_COLOR", "1")
-
-
 def _over_cast_budget(text):
     """The preset at the wallet cap, voting in three proposals: 300,000 casts, over their cap."""
     obj = json.loads(text)
@@ -629,7 +624,6 @@ class TestProcessLevel:
             [sys.executable, "-m", "govlab.cli", "run", "--scenario", str(scenario_path), "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**os.environ, "GOVLAB_NO_COLOR": "1"},
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         head = proc.stdout.strip()
@@ -641,7 +635,6 @@ class TestProcessLevel:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "GOVLAB_NO_COLOR": "1"},
         )
         assert proc2.returncode == EXIT_OK
         assert proc2.stdout == "ok\n"
@@ -654,7 +647,36 @@ class TestProcessLevel:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "GOVLAB_NO_COLOR": "1"},
         )
         assert "\x1b[" not in proc.stdout
         assert "\x1b[" not in proc.stderr
+
+    def test_an_error_on_a_terminal_is_one_plain_line(self, tmp_path):
+        """Stderr attached to a terminal gets the same single error line as a pipe, with no escape codes."""
+        try:
+            master, terminal = os.openpty()
+        except (AttributeError, OSError) as exc:
+            pytest.skip(f"no pseudo-terminal here: {exc}")
+        with os.fdopen(master, "rb", buffering=0) as screen:
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "govlab.cli", "verify", "--ledger", str(tmp_path / "missing.jsonl")],
+                    stdout=subprocess.PIPE,
+                    stderr=terminal,
+                )
+            finally:
+                os.close(terminal)
+            shown = b""
+            while True:
+                try:
+                    chunk = screen.read(4096)
+                except OSError:  # Linux raises EIO once every writer of the terminal has closed it
+                    break
+                if not chunk:
+                    break
+                shown += chunk
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == b""
+        assert b"\x1b[" not in shown
+        lines = shown.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -177,7 +177,7 @@ def _decode_ref(k, text):
     """decode as it was before the cast pattern: a JSON decode, then the cast checks or the table."""
     event = loads_canonical(text)
     kind = event.get("event") if type(event) is dict else None
-    if kind == "cast" and event.keys() == events._CAST_KEYS and type(event["tick"]) is int and (
+    if kind == "cast" and event.keys() == events._KINDS["cast"].keys() and type(event["tick"]) is int and (
         type(event["proposal"]) is type(event["option"]) is type(event["wallet"]) is type(event["committed"]) is str
     ):
         return event

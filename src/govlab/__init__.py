@@ -19,7 +19,6 @@ from .core import (
     VotingPower,
     WalletId,
     canonical_json,
-    power_sum,
 )
 from .governance import GovernanceEngine, Phase, Proposal, Window, replay
 from .identity import (

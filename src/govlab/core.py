@@ -219,18 +219,6 @@ class VotingPower(_Fixed):
     """Tallied influence; same fixed-point representation as tokens."""
 
 
-def power_sum(powers: Iterable[VotingPower]) -> VotingPower:
-    """Exact sum of voting powers; overflow of the fixed-point range is an error."""
-    total = 0
-    for p in powers:
-        if not isinstance(p, VotingPower):
-            raise TypeError(f"power_sum expects VotingPower, got {type(p).__name__}")
-        total += p.units
-        if total > MAX_UNITS:
-            raise FixedPointOverflow("power sum exceeds fixed-point range")
-    return VotingPower(total)
-
-
 class _Identifier(str):
     """Nonempty string of at most 64 chars from [A-Za-z0-9_-], compared byte-exact."""
 

@@ -19,6 +19,7 @@ winner.  Ties (including the no-votes case) reject; the status quo wins.
 
 from __future__ import annotations
 
+import functools
 from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
@@ -37,9 +38,9 @@ from .core import (
     _Record,
     _set,
 )
-from .identity import FilterReport, IdentityFilter, IdentityRegistry
+from .identity import FilterReport, IdentityFilter, IdentityRegistry, filter_and_collapse
 from .ledger import Ledger, LedgerEntry
-from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, tally
+from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, config_error, tally
 
 
 class PhaseError(GovernanceError):
@@ -133,12 +134,8 @@ class Proposal(_Record):
             raise WindowError(
                 f"proposal {self.id!r}: discussion window must close before voting opens"
             )
-        if self.mechanism is Mechanism.QUORUM and self.quorum is None:
-            raise GovernanceError(f"proposal {self.id!r}: quorum mechanism needs a QuorumConfig")
-        if self.mechanism is Mechanism.CONVICTION and self.conviction is None:
-            raise GovernanceError(
-                f"proposal {self.id!r}: conviction mechanism needs ConvictionParams"
-            )
+        if error := config_error(self.mechanism, self.quorum, self.conviction):
+            raise GovernanceError(f"proposal {self.id!r}: {error}")
 
     @property
     def approve_option(self) -> str:
@@ -332,21 +329,13 @@ def count_votes(
     votes, the tally and the filter's report."""
     report = None
     if identity is not None:
-        report = identity.apply(votes)
+        report = filter_and_collapse(votes, identity.registry, identity.policy)
         votes = report.votes
     result = tally(
         votes, proposal.mechanism, supply=supply, wallet_universe_size=wallet_universe_size,
         quorum=proposal.quorum, now=now, conviction=proposal.conviction, options=proposal.options,
     )
     return votes, result, report
-
-
-class _Amounts(dict):
-    """Recorded amount string -> its TokenAmount, parsed on the string's first lookup."""
-
-    def __missing__(self, text: str) -> TokenAmount:
-        amount = self[text] = TokenAmount.parse(text)
-        return amount
 
 
 def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
@@ -364,9 +353,10 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
     recorded event that derives nothing.  The returned engine's ledger keeps no
     entries: compare its head_hash() with the record's.
 
-    Each distinct amount string in the record (a genesis balance, the supply, a
-    cast's commitment) is parsed once, and every event that records it shares
-    that one immutable TokenAmount: a ledger holds few distinct amounts.
+    Amount strings (a genesis balance, the supply, a cast's commitment) go through
+    a memo of TokenAmount.parse that lives for this one replay: each distinct
+    string is parsed once, and every event that records it shares that one
+    immutable TokenAmount, since a ledger holds few distinct amounts.
     """
     payloads = (entry.payload for entry in entries)
     end = object()  # the lookahead past the last entry, unequal to any derived payload
@@ -395,13 +385,13 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
 
     def ballots(pid: str, tick: int):
         while (e := event) is not None and e["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
-            yield wallets.get(e["wallet"], e["wallet"]), e["option"], amounts[e["committed"]]
+            yield wallets.get(e["wallet"], e["wallet"]), e["option"], amounts(e["committed"])
 
-    amounts = _Amounts()
+    amounts = functools.cache(TokenAmount.parse)
     # The wallet universe is re-derived from the balances, so genesis is compared like every other event.
     engine = GovernanceEngine(
-        balances={WalletId(w): amounts[b] for w, b in genesis["balances"].items()},
-        supply=amounts[genesis["supply"]],
+        balances={WalletId(w): amounts(b) for w, b in genesis["balances"].items()},
+        supply=amounts(genesis["supply"]),
         genesis_context=context,
         ledger_sink=check,
     )

@@ -108,11 +108,10 @@ class FilterReport(_Record):
     __slots__ = ("votes", "dropped_unverified", "equivocating_identities")
 
 
-def _merge_group(group: list[VoteRecord], mode: RegistryMode) -> VoteRecord:
+def _merge_group(group: list[VoteRecord]) -> VoteRecord:
+    # A strict registry binds one wallet per identity, so only collapse mode has larger groups.
     if len(group) == 1:
         return group[0]
-    if mode is not RegistryMode.COLLAPSE_PER_IDENTITY:
-        raise IdentityError("multiple wallets per identity outside collapse mode")
     return VoteRecord(
         wallet=min(v.wallet for v in group),
         proposal=group[0].proposal,
@@ -161,7 +160,7 @@ def filter_and_collapse(
         if len({v.option for v in group}) > 1:
             equivocating.append(key)
         else:
-            kept.append(_merge_group(group, registry.mode))
+            kept.append(_merge_group(group))
 
     return FilterReport(
         votes=tuple(kept),
@@ -176,9 +175,6 @@ class IdentityFilter:
     def __init__(self, registry: IdentityRegistry, policy: "str | VotePolicy"):
         self.registry = registry
         self.policy = VotePolicy(policy)
-
-    def apply(self, votes: Sequence[VoteRecord]) -> FilterReport:
-        return filter_and_collapse(votes, self.registry, self.policy)
 
     def to_json_obj(self) -> dict[str, Any]:
         """The genesis event's identity record."""

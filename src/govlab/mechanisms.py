@@ -8,6 +8,8 @@ Power functions:
 
 vote_power is the one place that picks a power function by mechanism; the
 tally, the report's Sybil baseline and the Sybil tools all go through it.
+config_error owns the rule that quorum needs a quorum config and conviction
+its params; Proposal, tally, parse_scenario and compare_mechanisms report it.
 
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the
@@ -38,7 +40,6 @@ from .core import (
     _set,
     fmt_units,
     parse_units,
-    power_sum,
     round_half_even_units,
 )
 
@@ -102,6 +103,15 @@ class ConvictionParams(_Record):
 
     def to_json_obj(self) -> dict:
         return {"decay_rate": str(self.decay_rate)}
+
+
+def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: ConvictionParams | None) -> str | None:
+    """The error when the mechanism lacks its config: quorum needs a quorum config, conviction its params."""
+    if mechanism is Mechanism.QUORUM and quorum is None:
+        return "mechanism 'quorum' requires a quorum config"
+    if mechanism is Mechanism.CONVICTION and conviction is None:
+        return "mechanism 'conviction' requires conviction params"
+    return None
 
 
 def power_token(committed: TokenAmount) -> VotingPower:
@@ -210,10 +220,8 @@ def tally(
     mechanism = Mechanism.parse(mechanism)
     if not isinstance(wallet_universe_size, int) or wallet_universe_size < 0:
         raise MechanismError("wallet_universe_size must be a non-negative count")
-    if mechanism is Mechanism.QUORUM and quorum is None:
-        raise MechanismError("quorum mechanism requires a QuorumConfig")
-    if mechanism is Mechanism.CONVICTION and conviction is None:
-        raise MechanismError("conviction mechanism requires ConvictionParams")
+    if error := config_error(mechanism, quorum, conviction):
+        raise MechanismError(error)
 
     per_option_units: dict[str, int] = {o: 0 for o in options}
     if len(per_option_units) != len(options):
@@ -245,8 +253,6 @@ def tally(
         )
 
     per_option_power = {o: VotingPower.from_units(u) for o, u in per_option_units.items()}
-    # power_sum re-checks the fixed-point range across all options.
-    power_sum(per_option_power.values())
     participating = TokenAmount.from_units(committed_units)
 
     if quorum is not None and not _quorum_met(

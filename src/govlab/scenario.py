@@ -20,7 +20,7 @@ from typing import Any
 
 from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
 from .governance import Window
-from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis
+from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, config_error
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
@@ -114,9 +114,6 @@ class Scenario(_Record):
     __slots__ = (
         "name", "seed", "ticks", "supply", "mechanism", "agents", "proposals", "quorum", "conviction", "identity",
     )
-
-    def with_overrides(self, **changes: Any) -> "Scenario":
-        return self._replace(**changes)
 
 
 class _Invalid(Exception):
@@ -455,15 +452,6 @@ def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], erro
             )
         if latest is None or p.voting_window.end > latest.voting_window.end:
             latest = p
-
-
-def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: ConvictionParams | None) -> str | None:
-    """The error when the mechanism lacks its config: quorum needs a quorum config, conviction its params."""
-    if mechanism is Mechanism.QUORUM and quorum is None:
-        return "mechanism 'quorum' requires a quorum config"
-    if mechanism is Mechanism.CONVICTION and conviction is None:
-        return "mechanism 'conviction' requires conviction params"
-    return None
 
 
 def _check_names(agents: list[AgentSpec], identities: bool, errors: list[str]) -> None:

@@ -30,9 +30,9 @@ from .core import (
 from .governance import GovernanceEngine, Proposal
 from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
 from .ledger import Ledger, LedgerEntry
-from .mechanisms import Mechanism, MechanismError, vote_power
+from .mechanisms import Mechanism, MechanismError, config_error, vote_power
 from .rng import MASK64
-from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError, config_error
+from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError
 from .sybil import split_uniform
 
 REPORT_SCHEMA_VERSION = 1
@@ -75,19 +75,8 @@ def min_controlling_set(powers: Sequence[VotingPower]) -> int:
     raise AssertionError("unreachable: the full set always exceeds half")
 
 
-class BindingStats(_Record):
-    __slots__ = ("accepted", "rejected", "by_reason")
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "bindings_accepted": self.accepted,
-            "bindings_rejected": self.rejected,
-            "rejections_by_reason": dict(sorted(self.by_reason.items())),
-        }
-
-
 class SimulationSetup(_Record):
-    """Wallet layout, funded balances, and the identity layer for one run."""
+    """Wallet layout, funded balances, the identity layer and the report's binding counts for one run."""
 
     __slots__ = ("wallets_by_agent", "balances", "identity", "binding_stats")
 
@@ -130,7 +119,8 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
                     reason = outcome.reason
                 by_reason[reason.value] = by_reason.get(reason.value, 0) + 1
         identity = IdentityFilter(registry, cfg.policy)
-        stats = BindingStats(accepted=accepted, rejected=sum(by_reason.values()), by_reason=by_reason)
+        stats = {"bindings_accepted": accepted, "bindings_rejected": sum(by_reason.values()),
+                 "rejections_by_reason": dict(sorted(by_reason.items()))}
 
     return SimulationSetup(
         wallets_by_agent=wallets_by_agent,
@@ -301,7 +291,7 @@ def _build_report(
             "mode": scenario.identity.mode.value,
             "policy": scenario.identity.policy.value,
         }
-        identity_obj.update(setup.binding_stats.to_json_obj())
+        identity_obj.update(setup.binding_stats)
 
     report: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -386,7 +376,8 @@ def compare_mechanisms(
     rows: list[dict[str, str]] = []
     include_conviction = Mechanism.CONVICTION in parsed
     for m in parsed:
-        result = run(scenario.with_overrides(mechanism=m), seed_override=seed_override)
+        # Only the report is read, so each run's ledger entries are dropped as they are appended.
+        result = run(scenario._replace(mechanism=m), seed_override=seed_override, ledger_sink=lambda entry: None)
         runs[m.value] = result.report
         rows.append(_table_row(m, result, include_conviction))
 

@@ -30,7 +30,6 @@ from govlab.core import (
     fmt_units,
     loads_canonical,
     parse_units,
-    power_sum,
     ratio_half_even,
     round_half_even_units,
 )
@@ -224,7 +223,7 @@ class TestHalfEvenRounding:
 
 class TestFixedValues:
     def test_amounts_have_no_arithmetic_operators(self):
-        """Sums are taken on unit counts (see power_sum), never on the values."""
+        """Sums are taken on unit counts, never on the values."""
         with pytest.raises(TypeError):
             TokenAmount.parse(1) + TokenAmount.parse(1)
         with pytest.raises(TypeError):
@@ -250,40 +249,6 @@ class TestFixedValues:
         amount = VotingPower.from_units(units)
         assert VotingPower.parse(str(amount)) == amount
         assert str(VotingPower.parse(str(amount))) == str(amount)
-
-
-class TestPowerSum:
-    def test_empty_sum_is_zero(self):
-        assert power_sum([]) == VotingPower.zero()
-
-    def test_exact_addition(self):
-        assert power_sum([VotingPower.parse(10), VotingPower.parse(100)]) == VotingPower.parse(110)
-
-    def test_thousand_nano_units_accumulate_exactly(self):
-        powers = [VotingPower.parse("0.000000001")] * 1000
-        total = power_sum(powers)
-        assert total.units == 1000
-        assert str(total) == "0.000001000"
-
-    def test_overflow_detected(self):
-        with pytest.raises(FixedPointOverflow):
-            power_sum([VotingPower.from_units(MAX_UNITS), VotingPower.from_units(1)])
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**15), max_size=30), st.randoms())
-    def test_order_independent(self, units, rnd):
-        powers = [VotingPower.from_units(u) for u in units]
-        shuffled = list(powers)
-        rnd.shuffle(shuffled)
-        assert power_sum(powers) == power_sum(shuffled)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=10**13), max_size=15),
-        st.lists(st.integers(min_value=0, max_value=10**13), max_size=15),
-    )
-    def test_associative(self, a, b):
-        pa = [VotingPower.from_units(u) for u in a]
-        pb = [VotingPower.from_units(u) for u in b]
-        assert power_sum([power_sum(pa), power_sum(pb)]) == power_sum(pa + pb)
 
 
 class TestIdentifiers:

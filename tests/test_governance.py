@@ -778,6 +778,14 @@ class TestReplay:
             replay(self._rechained(texts))
         assert finalized == []
 
+    def test_a_quorum_submit_without_its_config_names_the_proposal(self):
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        submit = next(e for e in events if e["event"] == "submit" and e["proposal"] == "p1")
+        submit.update(mechanism="quorum", quorum=None)
+        with pytest.raises(GovernanceError) as excinfo:
+            replay(self._rechained(events))
+        assert str(excinfo.value) == "proposal 'p1': mechanism 'quorum' requires a quorum config"
+
     def _one_tick_casts(self):
         engine = _engine()
         engine.submit(_proposal(), 0)

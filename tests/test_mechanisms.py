@@ -16,19 +16,23 @@ from govlab.core import (
     canonical_json,
     loads_canonical,
 )
-from govlab.governance import GovernanceEngine, Proposal, Window
+from govlab.governance import GovernanceEngine, GovernanceError, Proposal, Window
 from govlab.mechanisms import (
     ConvictionParams,
     Mechanism,
     MechanismError,
     QuorumBasis,
     QuorumConfig,
+    config_error,
     conviction_power,
     power_quadratic,
     power_token,
     tally,
     vote_power,
 )
+
+from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
+from govlab.simulation import compare_mechanisms
 
 from oracles import conviction_units, sqrt_units
 
@@ -317,7 +321,7 @@ class TestQuorumGate:
         assert short.outcome.kind == "quorum_failed"
 
     def test_quorum_mechanism_requires_config(self):
-        with pytest.raises(MechanismError, match="requires a QuorumConfig"):
+        with pytest.raises(MechanismError, match="requires a quorum config"):
             tally(
                 [_vote("w1", "a", 1)],
                 Mechanism.QUORUM,
@@ -433,7 +437,7 @@ class TestTally:
 
     def test_conviction_tally_needs_params(self):
         state = _vote("w", "a", 5)
-        with pytest.raises(MechanismError, match="requires ConvictionParams"):
+        with pytest.raises(MechanismError, match="requires conviction params"):
             tally([state], "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1, options=("a",), now=0)
 
     @pytest.mark.parametrize("missing", ["options", "now"])
@@ -528,3 +532,44 @@ class TestTally:
         assert a.outcome == b.outcome
         assert a.per_option_power == b.per_option_power
         assert a.participating_tokens == b.participating_tokens
+
+
+class TestConfigError:
+    """config_error owns the mechanism-config rule; every layer that checks it reports its text."""
+
+    MISSING = [Mechanism.QUORUM, Mechanism.CONVICTION]
+
+    def test_the_rule_text(self):
+        assert config_error(Mechanism.QUORUM, None, None) == "mechanism 'quorum' requires a quorum config"
+        assert config_error(Mechanism.CONVICTION, None, None) == "mechanism 'conviction' requires conviction params"
+
+    @pytest.mark.parametrize("mechanism", MISSING)
+    def test_proposal_reports_it(self, mechanism):
+        with pytest.raises(GovernanceError) as excinfo:
+            Proposal(ProposalId("p1"), ("a", "b"), Window(0, 5), Window(5, 10), mechanism)
+        assert str(excinfo.value) == f"proposal 'p1': {config_error(mechanism, None, None)}"
+
+    @pytest.mark.parametrize("mechanism", MISSING)
+    def test_tally_reports_it(self, mechanism):
+        with pytest.raises(MechanismError) as excinfo:
+            tally([], mechanism, supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
+        assert str(excinfo.value) == config_error(mechanism, None, None)
+
+    @pytest.mark.parametrize("mechanism", MISSING)
+    def test_parse_scenario_reports_it(self, mechanism):
+        obj = {
+            "schema_version": 1, "name": "s", "seed": 1, "ticks": 20, "supply": "10",
+            "mechanism": mechanism.value, "quorum": None, "conviction": None, "identity": None,
+            "proposals": [{"id": "p1", "options": ["a", "b"], "discussion_window": [0, 5], "voting_window": [5, 15]}],
+            "agents": [{"id": "ann", "kind": "honest", "balance": "10", "preference": ["a"]}],
+        }
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(obj)
+        assert excinfo.value.errors == [config_error(mechanism, None, None)]
+
+    @pytest.mark.parametrize("mechanism", MISSING)
+    def test_compare_mechanisms_reports_it(self, mechanism):
+        scenario = load_preset("plurality_iia_probe")._replace(quorum=None, conviction=None)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            compare_mechanisms(scenario, ["token", mechanism])
+        assert excinfo.value.errors == [config_error(mechanism, None, None)]

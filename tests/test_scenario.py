@@ -115,9 +115,9 @@ class TestParsing:
         with pytest.raises(ScenarioValidationError, match="malformed JSON"):
             loads_scenario("{not json")
 
-    def test_with_overrides_returns_a_new_scenario(self):
+    def test_replace_returns_a_new_scenario(self):
         scenario = parse_scenario(_valid())
-        reseeded = scenario.with_overrides(seed=99)
+        reseeded = scenario._replace(seed=99)
         assert reseeded.seed == 99
         assert scenario.seed == 7
         assert reseeded.agents == scenario.agents

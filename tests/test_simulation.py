@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import simulation as simulation_module
 from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
+from govlab.ledger import LedgerError
 from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
 from govlab.simulation import (
     SimulationError,
@@ -210,7 +212,7 @@ class TestIdentityPresetRun:
         assert metrics["sybil_amplification"] == {"whale": "1.000000000"}
         assert metrics["per_option_power"]["option_b"] == "10.000000000"  # sqrt(100 tokens)
         assert metrics["outcome"] == {"type": "winner", "option": "option_a"}
-        assert result.setup.binding_stats.rejected == 99
+        assert result.setup.binding_stats["bindings_rejected"] == 99
         assert result.report["identity"]["bindings_rejected"] == 99
         assert result.report["identity"]["rejections_by_reason"] == {"DuplicateIdentity": 99}
 
@@ -369,7 +371,7 @@ class TestCompareMechanisms:
             compare_mechanisms(scenario, [])
 
     def test_missing_params_collected_before_any_run(self):
-        scenario = load_preset("sybil_attack_quadratic").with_overrides(
+        scenario = load_preset("sybil_attack_quadratic")._replace(
             quorum=None, conviction=None
         )
         with pytest.raises(Exception) as excinfo:
@@ -384,6 +386,21 @@ class TestCompareMechanisms:
             "mechanism 'quorum' requires a quorum config",
             "mechanism 'conviction' requires conviction params",
         ]
+
+    def test_runs_keep_no_ledger_entries(self, monkeypatch):
+        """compare reads only each run's report, so no run holds its ledger's entries."""
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(simulation_module, "run", spy)
+        compare_mechanisms(load_preset("sybil_attack_quadratic"), ["token", "quadratic"])
+        assert len(results) == 2
+        for result in results:
+            with pytest.raises(LedgerError, match="keeps none"):
+                list(result.ledger)
 
 
 class TestOtherPresets:
@@ -536,7 +553,7 @@ class TestEventSchedule:
     def test_cast_beyond_the_horizon_casts_nothing(self):
         scenario = parse_scenario(_horizon_scenario("token", 20))
         late = scenario.agents[1]._replace(cast_at=25)
-        result = run(scenario.with_overrides(agents=(scenario.agents[0], late)))
+        result = run(scenario._replace(agents=(scenario.agents[0], late)))
         events = [loads_canonical(e.payload) for e in result.ledger]
         assert [e["wallet"] for e in events if e["event"] == "cast"] == ["early"]
         (metrics,) = result.report["proposals"]

@@ -141,9 +141,10 @@ def ratio_half_even(num_units: int, den_units: int) -> Decimal:
 
 
 class _Fixed:
-    """Immutable non-negative fixed-point number in 10^-9 units."""
+    """Immutable non-negative fixed-point number in 10^-9 units: X(units) builds one,
+    X.parse(value) reads a decimal and x.units is the count.  Amounts have no order."""
 
-    __slots__ = ("_units",)
+    __slots__ = ("units",)
 
     def __init__(self, units: int):
         if not isinstance(units, int) or isinstance(units, bool):
@@ -152,60 +153,25 @@ class _Fixed:
             raise FixedPointError(f"negative quantity: {units} units")
         if units > MAX_UNITS:
             raise FixedPointOverflow(f"quantity exceeds fixed-point range: {units} units")
-        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "units", units)
 
-    def __setattr__(self, name: str, value: Any):
+    def __setattr__(self, name: str, value: Any = None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def from_units(cls, units: int):
-        return cls(units)
+    __delattr__ = __setattr__
 
     @classmethod
     def parse(cls, value: str | int | Decimal):
         return cls(parse_units(value))
 
-    @classmethod
-    def zero(cls):
-        return cls(0)
-
-    @property
-    def units(self) -> int:
-        return self._units
-
-    def is_zero(self) -> bool:
-        return self._units == 0
-
-    def as_decimal(self) -> Decimal:
-        return Decimal(str(self))
-
-    def _check_same(self, other: Any) -> int:
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot mix {type(self).__name__} with {type(other).__name__}"
-            )
-        return other._units
-
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._units == self._units
-
-    def __lt__(self, other) -> bool:
-        return self._units < self._check_same(other)
-
-    def __le__(self, other) -> bool:
-        return self._units <= self._check_same(other)
-
-    def __gt__(self, other) -> bool:
-        return self._units > self._check_same(other)
-
-    def __ge__(self, other) -> bool:
-        return self._units >= self._check_same(other)
+        return type(other) is type(self) and other.units == self.units
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._units))
+        return hash((type(self).__name__, self.units))
 
     def __str__(self) -> str:
-        return fmt_units(self._units)
+        return fmt_units(self.units)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}('{self}')"
@@ -330,7 +296,7 @@ class VoteRecord(_Record):
         _set(self, "option", _check_option(option))
         if not isinstance(committed, TokenAmount):
             raise GovlabError("committed must be a TokenAmount")
-        if committed.is_zero():
+        if not committed.units:
             raise GovlabError("committed tokens must be positive")
         if not isinstance(cast_at, int) or isinstance(cast_at, bool) or cast_at < 0:
             raise GovlabError("cast_at must be a non-negative tick")

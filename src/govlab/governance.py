@@ -248,7 +248,7 @@ class GovernanceEngine:
                 wallet = WalletId(wallet)
             if type(committed) is not TokenAmount:
                 raise GovernanceError(f"wallet {wallet!r} committed {committed!r}, not a TokenAmount")
-            if not (units := committed._units):
+            if not (units := committed.units):
                 raise ZeroCommitment(f"wallet {wallet!r} committed zero tokens")
             line = lines.get(option) if type(option) is str else None
             if line is None:
@@ -261,7 +261,7 @@ class GovernanceEngine:
             locks = all_locks.get(wallet)
             if locks is None:
                 locks = all_locks[wallet] = {}
-            available = balance._units - sum(locks.values()) + locks.get(pid, 0)
+            available = balance.units - sum(locks.values()) + locks.get(pid, 0)
             if units > available:
                 raise InsufficientUnlockedTokens(f"wallet {wallet!r} has {available} unlocked units, needs {units}")
             prior = book.get(wallet)

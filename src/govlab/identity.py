@@ -116,7 +116,7 @@ def _merge_group(group: list[VoteRecord]) -> VoteRecord:
         wallet=min(v.wallet for v in group),
         proposal=group[0].proposal,
         option=group[0].option,
-        committed=TokenAmount.from_units(sum(v.committed.units for v in group)),
+        committed=TokenAmount(sum(v.committed.units for v in group)),
         # Latest cast wins: merged conviction cannot accrue from before any member's vote.
         cast_at=max(v.cast_at for v in group),
     )

@@ -116,9 +116,9 @@ def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: 
 
 def power_token(committed: TokenAmount) -> VotingPower:
     """One token, one vote: power equals the committed amount exactly."""
-    if committed.is_zero():
+    if not committed.units:
         raise MechanismError("token voting requires a positive commitment")
-    return VotingPower.from_units(committed.units)
+    return VotingPower(committed.units)
 
 
 def quadratic_units(units: int) -> int:
@@ -136,7 +136,7 @@ def quadratic_units(units: int) -> int:
 
 def power_quadratic(committed: TokenAmount) -> VotingPower:
     """power = sqrt(tokens), rounded half-even at nine fractional digits."""
-    return VotingPower.from_units(quadratic_units(committed.units))
+    return VotingPower(quadratic_units(committed.units))
 
 
 @lru_cache(maxsize=4096)
@@ -154,11 +154,11 @@ def conviction_power(committed: TokenAmount, dt: int, params: ConvictionParams) 
     if dt < 0:
         raise MechanismError(f"dt={dt}: a vote cannot accrue before it is cast")
     if dt == 0:
-        return VotingPower.zero()
+        return VotingPower(0)
     with localcontext() as ctx:
         ctx.prec = 50
-        raw = committed.as_decimal() * _decay_factor(params.decay_rate, dt)
-    return VotingPower.from_units(round_half_even_units(raw))
+        raw = Decimal(str(committed)) * _decay_factor(params.decay_rate, dt)
+    return VotingPower(round_half_even_units(raw))
 
 
 def vote_power(
@@ -252,8 +252,8 @@ def tally(
             f"committed total {fmt_units(committed_units)} exceeds supply {supply}"
         )
 
-    per_option_power = {o: VotingPower.from_units(u) for o, u in per_option_units.items()}
-    participating = TokenAmount.from_units(committed_units)
+    per_option_power = {o: VotingPower(u) for o, u in per_option_units.items()}
+    participating = TokenAmount(committed_units)
 
     if quorum is not None and not _quorum_met(
         quorum, committed_units, len(wallets), supply.units, wallet_universe_size

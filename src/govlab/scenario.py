@@ -417,7 +417,7 @@ def _agent_error(a: AgentSpec) -> str | None:
             return f"balance {a.balance} cannot fund {a.n_wallets} wallets"
     elif a.n_wallets != 1:
         return "only sybil attackers may hold multiple wallets"
-    if a.votes() and a.balance.is_zero():
+    if a.votes() and not a.balance.units:
         return "voting agents need a positive balance"
     if a.votes() and not a.preference:
         return "voting agents need a preference"

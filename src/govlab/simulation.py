@@ -76,7 +76,7 @@ def min_controlling_set(powers: Sequence[VotingPower]) -> int:
 
 
 class SimulationSetup(_Record):
-    """Wallet layout, funded balances, the identity layer and the report's binding counts for one run."""
+    """Wallet layout, funded balances, the identity layer and the report's binding counts for one scenario."""
 
     __slots__ = ("wallets_by_agent", "balances", "identity", "binding_stats")
 
@@ -132,7 +132,7 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
 
 class RunResult(_Record):
     # by_agent maps a proposal id to its _index_votes rows.
-    __slots__ = ("scenario", "setup", "engine", "by_agent", "report", "report_json", "head_hash")
+    __slots__ = ("scenario", "engine", "by_agent", "report", "report_json", "head_hash")
 
     @property
     def ledger(self) -> Ledger:
@@ -203,7 +203,10 @@ def run(
 
     With a ledger_sink, each ledger entry goes to it as it is appended and the result's
     ledger keeps none; without one, the ledger keeps them all."""
-    setup = build_setup(scenario, seed_override=seed_override)
+    return _run(scenario, build_setup(scenario, seed_override=seed_override), ledger_sink)
+
+
+def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[LedgerEntry], object] | None) -> RunResult:
     engine = GovernanceEngine(
         balances=setup.balances,
         supply=scenario.supply,
@@ -218,7 +221,6 @@ def run(
     report_json = canonical_json(report) + "\n"
     return RunResult(
         scenario=scenario,
-        setup=setup,
         engine=engine,
         by_agent=by_agent,
         report=report,
@@ -255,7 +257,7 @@ def _proposal_metrics(
         # Baseline: the counted tokens as one wallet, held over the same ticks.
         honest_units = vote_power(
             scenario.mechanism,
-            TokenAmount.from_units(counted_units),
+            TokenAmount(counted_units),
             spec.voting_window.end - agent.cast_tick(spec),
             scenario.conviction,
         ).units
@@ -274,7 +276,7 @@ def _proposal_metrics(
         "voters": len(powers),
         "power_gini": str(gini(powers)) if total_power_units else None,
         "min_controlling_set": min_controlling_set(powers) if total_power_units else None,
-        "total_power": str(VotingPower.from_units(total_power_units)),
+        "total_power": str(VotingPower(total_power_units)),
         "sybil_amplification": amplification,
     }
 
@@ -337,8 +339,8 @@ def report_csv(result: RunResult) -> str:
                     spec.id,
                     agent.id,
                     wallets,
-                    str(TokenAmount.from_units(tokens)),
-                    str(VotingPower.from_units(realized)),
+                    str(TokenAmount(tokens)),
+                    str(VotingPower(realized)),
                 ]
             )
     return out.getvalue()
@@ -375,9 +377,11 @@ def compare_mechanisms(
     runs: dict[str, Any] = {}
     rows: list[dict[str, str]] = []
     include_conviction = Mechanism.CONVICTION in parsed
+    # Nothing in the setup depends on the mechanism, and the engine only reads it.
+    setup = build_setup(scenario, seed_override=seed_override)
     for m in parsed:
         # Only the report is read, so each run's ledger entries are dropped as they are appended.
-        result = run(scenario._replace(mechanism=m), seed_override=seed_override, ledger_sink=lambda entry: None)
+        result = _run(scenario._replace(mechanism=m), setup, lambda entry: None)
         runs[m.value] = result.report
         rows.append(_table_row(m, result, include_conviction))
 
@@ -437,8 +441,6 @@ def _table_row(mechanism: Mechanism, result: RunResult, include_conviction: bool
 
 def render_table(rows: list[dict[str, str]]) -> str:
     """Fixed-width text table; column order is stable."""
-    if not rows:
-        return ""
     columns = list(rows[0])
     widths = {c: max(len(c), max(len(r[c]) for r in rows)) for c in columns}
     lines = ["  ".join(c.ljust(widths[c]) for c in columns).rstrip()]

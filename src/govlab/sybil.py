@@ -26,7 +26,7 @@ def _uniform_shares(total: TokenAmount, n: int) -> tuple[int, int]:
     """(q, r) in units for a feasible n-way split: q per wallet, and r more to the first."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SplitError(f"wallet count must be a positive int: {n!r}")
-    if total.is_zero():
+    if not total.units:
         raise SplitError("cannot split a zero balance")
     if total.units < n:
         raise SplitError(
@@ -38,8 +38,8 @@ def _uniform_shares(total: TokenAmount, n: int) -> tuple[int, int]:
 def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
     """Split into n balances of floor(total/n) each, remainder to the first wallet."""
     q, r = _uniform_shares(total, n)
-    balances = [TokenAmount.from_units(q) for _ in range(n - 1)]
-    balances.insert(0, TokenAmount.from_units(q + r))
+    balances = [TokenAmount(q) for _ in range(n - 1)]
+    balances.insert(0, TokenAmount(q + r))
     return balances
 
 
@@ -63,10 +63,10 @@ def sybil_gain(
     honest = vote_power(mechanism, total, held_for, conviction)
     # A uniform split has only two distinct balances (q+r once, q repeated),
     # so the exact per-wallet power sum needs just two evaluations.
-    first = vote_power(mechanism, TokenAmount.from_units(q + r), held_for, conviction)
-    rest = vote_power(mechanism, TokenAmount.from_units(q), held_for, conviction)
-    attack = VotingPower.from_units(first.units + rest.units * (n - 1))
-    amplification = None if honest.is_zero() else ratio_half_even(attack.units, honest.units)
+    first = vote_power(mechanism, TokenAmount(q + r), held_for, conviction)
+    rest = vote_power(mechanism, TokenAmount(q), held_for, conviction)
+    attack = VotingPower(first.units + rest.units * (n - 1))
+    amplification = ratio_half_even(attack.units, honest.units) if honest.units else None
     return SybilReport(honest_power=honest, attack_power=attack, amplification=amplification)
 
 
@@ -94,7 +94,7 @@ def best_split(
         power_units = quadratic_units  # the integer root, with no value objects per n
     else:
         def power_units(units: int) -> int:
-            return vote_power(mechanism, TokenAmount.from_units(units), held_for, conviction).units
+            return vote_power(mechanism, TokenAmount(units), held_for, conviction).units
     # A uniform split repeats the balance q, whose power changes only when q does.
     best_n, best_units, last_q, rest_units = 0, -1, -1, 0
     for n in range(1, feasible_max + 1):

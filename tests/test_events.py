@@ -35,7 +35,7 @@ _label_st = st.lists(
     max_size=5,
 ).map("".join).filter(bool)
 _tick_st = st.integers(min_value=0, max_value=10**12)
-_amount_st = st.integers(min_value=0, max_value=MAX_UNITS).map(TokenAmount.from_units)
+_amount_st = st.integers(min_value=0, max_value=MAX_UNITS).map(TokenAmount)
 _fraction_st = st.integers(min_value=0, max_value=10**9).map(lambda u: Decimal(u).scaleb(-9))
 
 

@@ -250,7 +250,7 @@ class TestVoteBook:
         engine = _engine()
         engine.submit(_proposal(), 0)
         with pytest.raises(ZeroCommitment, match="zero tokens"):
-            engine.cast("p1", WalletId("alice"), "approve", TokenAmount.zero(), 5)
+            engine.cast("p1", WalletId("alice"), "approve", TokenAmount(0), 5)
 
     def test_unknown_wallet_rejected(self):
         engine = _engine()
@@ -344,7 +344,7 @@ class TestCastBatch:
 
     @staticmethod
     def _ballot(wallet, option, tokens):
-        return WalletId(wallet), option, TokenAmount.from_units(tokens * 10**9 // 4)
+        return WalletId(wallet), option, TokenAmount(tokens * 10**9 // 4)
 
     def _compare(self, ballots, tick=6):
         """Cast as one batch, as single casts, and as single casts of only the ballots before the first failure."""

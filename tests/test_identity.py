@@ -153,11 +153,11 @@ class TestFilterAndCollapse:
         """Merging reverses splitting with no tolerance: one sqrt of the exact sum."""
         if units < n:
             return
-        total = TokenAmount.from_units(units)
+        total = TokenAmount(units)
         wallets = [f"w{k:03d}" for k in range(n)]
         registry = self._registry(bindings=[("one", w) for w in wallets])
         votes = [
-            _vote(w, "opt", b.as_decimal()) for w, b in zip(wallets, split_uniform(total, n))
+            _vote(w, "opt", str(b)) for w, b in zip(wallets, split_uniform(total, n))
         ]
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
         assert len(report.votes) == 1
@@ -169,7 +169,7 @@ class TestFilterAndCollapse:
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
         assert len(report.votes) == 2
         total = sum(power_quadratic(v.committed).units for v in report.votes)
-        assert VotingPower.from_units(total) == VotingPower.parse(20)
+        assert VotingPower(total) == VotingPower.parse(20)
 
     def test_merged_record_uses_lexmin_wallet_and_latest_cast(self):
         registry = self._registry(bindings=[("alice", "w2"), ("alice", "w1")])

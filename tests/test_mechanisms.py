@@ -56,13 +56,13 @@ class TestPowerToken:
 
     def test_zero_commitment_rejected(self):
         with pytest.raises(MechanismError, match="positive"):
-            power_token(TokenAmount.zero())
+            power_token(TokenAmount(0))
 
     @given(token_units_st, token_units_st)
     def test_additive_exactly(self, a, b):
-        pa = power_token(TokenAmount.from_units(a))
-        pb = power_token(TokenAmount.from_units(b))
-        total = power_token(TokenAmount.from_units(a + b))
+        pa = power_token(TokenAmount(a))
+        pb = power_token(TokenAmount(b))
+        total = power_token(TokenAmount(a + b))
         assert pa.units + pb.units == total.units
 
 
@@ -77,11 +77,11 @@ class TestPowerQuadratic:
         assert str(power_quadratic(TokenAmount.parse(2))) == "1.414213562"
 
     def test_zero_commitment_has_zero_power(self):
-        assert power_quadratic(TokenAmount.zero()) == VotingPower.zero()
+        assert power_quadratic(TokenAmount(0)) == VotingPower(0)
 
     @given(token_units_st)
     def test_matches_high_precision_oracle(self, units):
-        got = power_quadratic(TokenAmount.from_units(units)).units
+        got = power_quadratic(TokenAmount(units)).units
         assert got == sqrt_units(units)
 
     @given(st.integers(min_value=1, max_value=3 * 10**4))
@@ -93,9 +93,9 @@ class TestPowerQuadratic:
     @given(token_units_st, token_units_st)
     def test_subadditive_within_one_ulp(self, a, b):
         """sqrt is strictly subadditive; rounding can eat at most one unit."""
-        pa = power_quadratic(TokenAmount.from_units(a)).units
-        pb = power_quadratic(TokenAmount.from_units(b)).units
-        pab = power_quadratic(TokenAmount.from_units(a + b)).units
+        pa = power_quadratic(TokenAmount(a)).units
+        pb = power_quadratic(TokenAmount(b)).units
+        pab = power_quadratic(TokenAmount(a + b)).units
         assert pa + pb + 1 > pab
 
     @given(
@@ -103,9 +103,9 @@ class TestPowerQuadratic:
         st.integers(min_value=NANO, max_value=10**15),
     )
     def test_strictly_subadditive_above_one_token(self, a, b):
-        pa = power_quadratic(TokenAmount.from_units(a)).units
-        pb = power_quadratic(TokenAmount.from_units(b)).units
-        pab = power_quadratic(TokenAmount.from_units(a + b)).units
+        pa = power_quadratic(TokenAmount(a)).units
+        pb = power_quadratic(TokenAmount(b)).units
+        pab = power_quadratic(TokenAmount(a + b)).units
         assert pa + pb > pab
 
 
@@ -118,7 +118,7 @@ class TestConvictionPower:
         assert str(conviction_power(self.hundred, 10, self.alpha)) == "63.212055883"
 
     def test_zero_elapsed_time_is_zero_power(self):
-        assert conviction_power(self.hundred, 0, self.alpha) == VotingPower.zero()
+        assert conviction_power(self.hundred, 0, self.alpha) == VotingPower(0)
 
     def test_clock_before_vote_rejected(self):
         with pytest.raises(MechanismError, match="before it is cast"):
@@ -152,7 +152,7 @@ class TestConvictionPower:
     @settings(max_examples=150, deadline=None)
     def test_matches_high_precision_oracle(self, units, rate, dt):
         params = ConvictionParams(decay_rate=rate)
-        got = conviction_power(TokenAmount.from_units(units), dt, params).units
+        got = conviction_power(TokenAmount(units), dt, params).units
         want = conviction_units(units, str(rate), dt)
         assert abs(got - want) <= 1
 
@@ -170,7 +170,7 @@ class TestConvictionPower:
         """
         params = ConvictionParams(decay_rate=Decimal("0.1"))
         dt = min(dt_a + dt_b, 200)
-        power = conviction_power(TokenAmount.from_units(units), dt, params)
+        power = conviction_power(TokenAmount(units), dt, params)
         assert power.units < units
 
     @given(
@@ -182,8 +182,8 @@ class TestConvictionPower:
     def test_monotone_nondecreasing_in_elapsed_time(self, units, dt1, dt2):
         lo, hi = sorted((dt1, dt2))
         params = ConvictionParams(decay_rate=Decimal("0.05"))
-        tokens = TokenAmount.from_units(units)
-        assert conviction_power(tokens, lo, params) <= conviction_power(tokens, hi, params)
+        tokens = TokenAmount(units)
+        assert conviction_power(tokens, lo, params).units <= conviction_power(tokens, hi, params).units
 
     def test_saturates_at_stake_for_huge_elapsed_time(self):
         assert str(conviction_power(self.hundred, 10000, self.alpha)) == "100.000000000"
@@ -233,7 +233,7 @@ class TestSwitchVote:
         assert vote.cast_at == 50
         assert vote.option == "b"
         assert vote.committed == TokenAmount.parse(100)
-        assert self._power_at(vote, 50) == VotingPower.zero()
+        assert self._power_at(vote, 50) == VotingPower(0)
 
     def test_conviction_ten_ticks_after_switch(self):
         """Post-switch accrual is indistinguishable from a fresh vote."""
@@ -245,7 +245,7 @@ class TestSwitchVote:
         vote, _ = self._counted([("a", 1), ("b", 50), ("a", 60)], 61)
         assert vote.option == "a"
         assert vote.cast_at == 60
-        assert self._power_at(vote, 60) == VotingPower.zero()
+        assert self._power_at(vote, 60) == VotingPower(0)
 
 
 class TestQuorumConfig:
@@ -335,13 +335,13 @@ class TestQuorumGate:
     def test_zero_threshold_never_fails_quorum(self, commitments):
         quorum = QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0))
         votes = [
-            _vote(f"w{i}", "approve", TokenAmount.from_units(u).as_decimal())
+            _vote(f"w{i}", "approve", str(TokenAmount(u)))
             for i, u in enumerate(commitments)
         ]
         result = tally(
             votes,
             Mechanism.QUORUM,
-            supply=TokenAmount.from_units(sum(commitments) + 1),
+            supply=TokenAmount(sum(commitments) + 1),
             wallet_universe_size=len(votes) or 1,
             options=("approve", "reject"),
             now=0,
@@ -373,8 +373,8 @@ class TestTally:
         )
         assert result.outcome.kind == "tie"
         assert result.per_option_power == {
-            "a": VotingPower.zero(),
-            "b": VotingPower.zero(),
+            "a": VotingPower(0),
+            "b": VotingPower(0),
         }
 
     def test_many_small_wallets_beat_a_quadratic_whale(self):
@@ -481,13 +481,13 @@ class TestTally:
         """Per-vote powers follow the oracles and add up to per_option_power."""
         now, alpha = 40, "0.1"
         votes = [
-            _vote(f"w{i}", option, TokenAmount.from_units(u).as_decimal(), cast_at=cast_at)
+            _vote(f"w{i}", option, str(TokenAmount(u)), cast_at=cast_at)
             for i, (option, u, cast_at) in enumerate(ballots)
         ]
         result = tally(
             votes,
             mechanism,
-            supply=TokenAmount.from_units(sum(u for _, u, _ in ballots)),
+            supply=TokenAmount(sum(u for _, u, _ in ballots)),
             wallet_universe_size=len(votes),
             options=("a", "b", "c"),
             quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
@@ -521,10 +521,10 @@ class TestTally:
     @settings(max_examples=120, deadline=None)
     def test_outcome_invariant_under_permutation(self, ballots, rnd, mechanism):
         votes = [
-            _vote(f"w{i}", option, TokenAmount.from_units(u).as_decimal())
+            _vote(f"w{i}", option, str(TokenAmount(u)))
             for i, (option, u) in enumerate(ballots)
         ]
-        supply = TokenAmount.from_units(sum(u for _, u in ballots))
+        supply = TokenAmount(sum(u for _, u in ballots))
         shuffled = list(votes)
         rnd.shuffle(shuffled)
         a = tally(votes, mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)

@@ -60,7 +60,7 @@ class TestGini:
     @given(unit_lists)
     @settings(max_examples=100)
     def test_matches_pairwise_oracle_within_one_ulp(self, units):
-        powers = [VotingPower.from_units(u) for u in units]
+        powers = [VotingPower(u) for u in units]
         ours = gini(powers)
         oracle = Decimal(gini_pairwise_units(units)).scaleb(-9)
         assert abs(ours - oracle) <= Decimal("0.000000001")
@@ -68,7 +68,7 @@ class TestGini:
     @given(unit_lists)
     @settings(max_examples=60)
     def test_stays_in_the_unit_interval(self, units):
-        value = gini([VotingPower.from_units(u) for u in units])
+        value = gini([VotingPower(u) for u in units])
         assert Decimal(0) <= value < Decimal(1)
 
 
@@ -97,7 +97,7 @@ class TestMinControllingSet:
     @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=10).filter(lambda xs: any(xs)))
     @settings(max_examples=100)
     def test_matches_exhaustive_subset_search(self, units):
-        powers = [VotingPower.from_units(u) for u in units]
+        powers = [VotingPower(u) for u in units]
         assert min_controlling_set(powers) == controlling_set_exhaustive(units)
 
 
@@ -212,7 +212,6 @@ class TestIdentityPresetRun:
         assert metrics["sybil_amplification"] == {"whale": "1.000000000"}
         assert metrics["per_option_power"]["option_b"] == "10.000000000"  # sqrt(100 tokens)
         assert metrics["outcome"] == {"type": "winner", "option": "option_a"}
-        assert result.setup.binding_stats["bindings_rejected"] == 99
         assert result.report["identity"]["bindings_rejected"] == 99
         assert result.report["identity"]["rejections_by_reason"] == {"DuplicateIdentity": 99}
 
@@ -390,17 +389,31 @@ class TestCompareMechanisms:
     def test_runs_keep_no_ledger_entries(self, monkeypatch):
         """compare reads only each run's report, so no run holds its ledger's entries."""
         results = []
+        real_run = simulation_module._run
 
         def spy(*args, **kwargs):
-            results.append(run(*args, **kwargs))
+            results.append(real_run(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(simulation_module, "run", spy)
+        monkeypatch.setattr(simulation_module, "_run", spy)
         compare_mechanisms(load_preset("sybil_attack_quadratic"), ["token", "quadratic"])
         assert len(results) == 2
         for result in results:
             with pytest.raises(LedgerError, match="keeps none"):
                 list(result.ledger)
+
+    def test_setup_is_built_once(self, monkeypatch):
+        """No part of the setup depends on the mechanism, so every run shares one."""
+        calls = []
+        real_build_setup = simulation_module.build_setup
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_build_setup(*args, **kwargs)
+
+        monkeypatch.setattr(simulation_module, "build_setup", spy)
+        compare_mechanisms(load_preset("sybil_attack_quadratic"), ["token", "quadratic", "conviction"])
+        assert len(calls) == 1
 
 
 class TestOtherPresets:

@@ -33,11 +33,11 @@ class TestSplitUniform:
 
     def test_zero_balance_rejected(self):
         with pytest.raises(SplitError, match="zero balance"):
-            split_uniform(TokenAmount.zero(), 2)
+            split_uniform(TokenAmount(0), 2)
 
     def test_sub_unit_split_rejected(self):
         with pytest.raises(SplitError, match="at least one"):
-            split_uniform(TokenAmount.from_units(3), 4)
+            split_uniform(TokenAmount(3), 4)
 
     def test_bad_wallet_count_rejected(self):
         with pytest.raises(SplitError, match="positive int"):
@@ -52,7 +52,7 @@ class TestSplitUniform:
     def test_split_conserves_the_total_exactly(self, units, n):
         if units < n:
             return
-        balances = split_uniform(TokenAmount.from_units(units), n)
+        balances = split_uniform(TokenAmount(units), n)
         assert sum(b.units for b in balances) == units
         assert balances[0].units == max(b.units for b in balances)
         assert len({b.units for b in balances[1:]}) <= 1
@@ -77,7 +77,7 @@ class TestSybilGain:
 
     def test_infeasible_split_rejected(self):
         with pytest.raises(SplitError, match="at least one"):
-            sybil_gain(TokenAmount.from_units(5), 6, "quadratic")
+            sybil_gain(TokenAmount(5), 6, "quadratic")
 
     @given(
         st.integers(min_value=1, max_value=10**12),
@@ -88,7 +88,7 @@ class TestSybilGain:
         """The two-evaluation shortcut must equal brute-force per-wallet summing."""
         if units < n:
             return
-        total = TokenAmount.from_units(units)
+        total = TokenAmount(units)
         report = sybil_gain(total, n, "quadratic")
         brute = sum(power_quadratic(b).units for b in split_uniform(total, n))
         assert report.attack_power.units == brute
@@ -101,7 +101,7 @@ class TestSybilGain:
     def test_token_mechanism_is_split_invariant(self, units, n):
         if units < n:
             return
-        report = sybil_gain(TokenAmount.from_units(units), n, "token")
+        report = sybil_gain(TokenAmount(units), n, "token")
         assert report.attack_power.units == report.honest_power.units
         assert str(report.amplification) == "1.000000000"
 
@@ -127,7 +127,7 @@ class TestSybilGain:
             return
         params = ConvictionParams(decay_rate=Decimal("0.08"))
         report = sybil_gain(
-            TokenAmount.from_units(units), n, "conviction", conviction=params, held_for=held_for
+            TokenAmount(units), n, "conviction", conviction=params, held_for=held_for
         )
         assert abs(report.attack_power.units - report.honest_power.units) <= n
         if report.amplification is not None:
@@ -140,8 +140,8 @@ class TestSybilGain:
         report = sybil_gain(
             TokenAmount.parse(100), 4, "conviction", conviction=params, held_for=0
         )
-        assert report.honest_power == VotingPower.zero()
-        assert report.attack_power == VotingPower.zero()
+        assert report.honest_power == VotingPower(0)
+        assert report.attack_power == VotingPower(0)
         assert report.amplification is None
 
 
@@ -174,7 +174,7 @@ class TestBestSplit:
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_scan(self, units, max_wallets, mechanism):
         params = ConvictionParams(decay_rate=Decimal("0.1")) if mechanism == "conviction" else None
-        total = TokenAmount.from_units(units)
+        total = TokenAmount(units)
         got_n, got = best_split(
             total, mechanism, max_wallets, conviction=params, held_for=7
         )

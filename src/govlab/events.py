@@ -50,7 +50,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .core import NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, loads_canonical
+from .core import NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, fmt_units, loads_canonical
 from .identity import RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
@@ -61,10 +61,11 @@ def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     """The genesis event; its wallet universe is the number of funded wallets."""
     if context and (unknown := context.keys() - GENESIS_CONTEXT):
         raise GovernanceError(f"genesis context has unknown keys {sorted(unknown)}")
+    amount = functools.cache(fmt_units)  # split wallets share few balances, each formatted once
     return canonical_json({
         "event": "genesis",
         "supply": str(supply),
-        "balances": {str(w): str(b) for w, b in sorted(balances.items())},
+        "balances": {str(w): amount(b.units) for w, b in sorted(balances.items())},
         "wallet_universe_size": len(balances),
         **(context or {}),
     })

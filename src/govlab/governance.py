@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import events
 from .core import (
     GovernanceError,
+    IdentityId,
     OutcomeKind,
     ProposalId,
     TallyResult,
@@ -371,9 +372,11 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
     if identity := genesis.get("identity"):
         registry = IdentityRegistry(identity["registry"]["mode"])
         for binding in identity["registry"]["bindings"]:
+            name = binding["identity"]
             for wallet in binding["wallets"]:
-                # A refused binding is left out, so the re-derived genesis differs from the record.
-                registry.bind(binding["identity"], wallet)
+                # A refused binding, or one with no wallet to build its identity at, is left out, so genesis diverges.
+                name = IdentityId(name)
+                registry.bind(name, wallet)
         context["identity"] = IdentityFilter(registry, identity["policy"])
 
     def check(entry: LedgerEntry) -> None:

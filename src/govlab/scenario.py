@@ -33,8 +33,10 @@ MAX_WALLETS = 100_000
 # (2.5 * 10^5 casts peaked at 106-144 MiB RSS and 200-220 MiB), so this cap bounds the casts.
 MAX_CASTS = 250_000
 # One file can hold an error per agent, option and proposal; past this many the rest are
-# counted, not listed, so `govlab run` prints at most about half a megabyte of errors.
+# counted, not listed.  An error quotes at most QUOTED_CHARS characters of any id or value,
+# so a line is at most about 300 characters and `govlab run` prints at most about 1.5 MB.
 MAX_ERRORS = 5_000
+QUOTED_CHARS = 80
 
 
 class ScenarioValidationError(GovlabError):
@@ -97,12 +99,12 @@ class AgentSpec(_Record):
         prefix, width = self.id + _WALLET, self._digits()
         return tuple(WalletId(f"{prefix}{k:0{width}d}") for k in range(self.n_wallets))
 
-    def claimed_identity(self, k: int) -> str:
-        """The identity wallet k claims: the agent's own id, or <id>_fake<k> when it fakes identities."""
-        return f"{self.id}{_FAKE}{k:0{self._digits()}d}" if self.fakes_identities() else self.id
+    def fake_identity(self, k: int) -> str:
+        """The identity wallet k claims when the agent fakes identities, <id>_fake<k>; else each claims its id."""
+        return f"{self.id}{_FAKE}{k:0{self._digits()}d}"
 
     def numbered(self, k: str) -> bool:
-        """Whether k is a wallet number as wallets() and claimed_identity() spell it."""
+        """Whether k is a wallet number as wallets() and fake_identity() spell it."""
         return len(k) == self._digits() and k.isascii() and k.isdigit() and int(k) < self.n_wallets
 
 
@@ -120,8 +122,17 @@ class _Invalid(Exception):
     """A field's value is wrong; the message is the text that follows the field's path."""
 
 
+def _clip(text: str) -> str:
+    return text if len(text) <= QUOTED_CHARS else text[:QUOTED_CHARS] + "..."
+
+
+def _quote(value: Any) -> str:
+    """The value's repr, cut to QUOTED_CHARS characters and "..." when longer."""
+    return _clip(repr(value))
+
+
 def _must(what: str, value: Any) -> _Invalid:
-    return _Invalid(f" must be {what}, got {value!r}")
+    return _Invalid(f" must be {what}, got {_quote(value)}")
 
 
 # Leaf parsers take a field's JSON value and return what its record holds.  They raise
@@ -138,7 +149,7 @@ def _int(what: str, lo: int, hi: int | None = None):
 
 def _units(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, (str, int, Decimal)):
-        raise _Invalid(f": expected a decimal string or integer, got {value!r}")
+        raise _Invalid(f": expected a decimal string or integer, got {_quote(value)}")
     return parse_units(value)
 
 
@@ -178,7 +189,7 @@ def _id(pattern: re.Pattern, what: str, make: type = str):
 def _window(value: Any) -> Window:
     if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
         return Window(*value)
-    raise _Invalid(f": expected [start, end] integer ticks, got {value!r}")
+    raise _Invalid(f": expected [start, end] integer ticks, got {_quote(value)}")
 
 
 def _labels(what: str, least: int):
@@ -228,19 +239,23 @@ class _Records(_Object):
         records, seen = [], set()
         for i, item in enumerate(value):
             if not isinstance(item, dict):
-                errors.append(f"{self.noun} #{i}: expected an object, got {item!r}")
+                errors.append(f"{self.noun} #{i}: expected an object, got {_quote(item)}")
                 continue
-            where = f"{self.noun} {item.get('id')!r}" if self.named(item.get("id")) else f"{self.noun} #{i}"
+            # The walk names the item by its noun alone; an item's label is built only for its errors.
             before = len(errors)
-            fields = _walk(item, self.table, where, ": ", errors)
+            fields = _walk(item, self.table, self.noun, ": ", errors)
             if len(errors) > before:
-                continue
-            if fields["id"] in seen:
-                errors.append(f"{where}: duplicate id")
-                continue
-            seen.add(fields["id"])
-            records.append(self.record(**fields))
+                where = self._label(item, i)
+                errors[before:] = [where + e[len(self.noun):] for e in errors[before:]]
+            elif fields["id"] in seen:
+                errors.append(f"{self._label(item, i)}: duplicate id")
+            else:
+                seen.add(fields["id"])
+                records.append(self.record(**fields))
         return records
+
+    def _label(self, item: dict, i: int) -> str:
+        return f"{self.noun} {_quote(item['id'])}" if self.named(item.get("id")) else f"{self.noun} #{i}"
 
 
 _REQUIRED = object()
@@ -268,7 +283,7 @@ def _walk(obj: dict, table: dict, where: str, sep: str, errors: list[str]) -> di
     """
     if not obj.keys() <= table.keys():
         for key in sorted(obj.keys() - table.keys()):
-            errors.append(f"{where}: unknown field {key!r}" if where else f"unknown top-level field {key!r}")
+            errors.append(f"{where}: unknown field {_quote(key)}" if where else f"unknown top-level field {_quote(key)}")
     fields = {}
     for key, (parse, default, nullable) in table.items():
         value = obj.get(key)
@@ -283,7 +298,7 @@ def _walk(obj: dict, table: dict, where: str, sep: str, errors: list[str]) -> di
         except _Invalid as exc:
             errors.append(f"{where}{sep}{key}{exc}")
         except GovlabError as exc:
-            errors.append(f"{where}{sep}{key}: {exc}")
+            errors.append(f"{where}{sep}{key}: {_clip(str(exc))}")
         else:
             if value is not _FAILED:
                 fields[key] = value
@@ -351,7 +366,8 @@ def parse_scenario(obj: Any) -> Scenario:
             errors.append(f"proposal {p.id!r}: discussion window must close before voting opens")
         elif complete and p.voting_window.end > fields["ticks"]:
             errors.append(
-                f"proposal {p.id!r}: voting window ends at tick {p.voting_window.end} beyond horizon {fields['ticks']}"
+                f"proposal {p.id!r}: voting window ends at tick {_quote(p.voting_window.end)} "
+                f"beyond horizon {_quote(fields['ticks'])}"
             )
         else:
             proposals.append(p)
@@ -414,7 +430,7 @@ def _agent_error(a: AgentSpec) -> str | None:
         if a.n_wallets < 2:
             return "sybil attackers need n_wallets >= 2"
         if a.balance.units < a.n_wallets:
-            return f"balance {a.balance} cannot fund {a.n_wallets} wallets"
+            return f"balance {a.balance} cannot fund {_quote(a.n_wallets)} wallets"
     elif a.n_wallets != 1:
         return "only sybil attackers may hold multiple wallets"
     if a.votes() and not a.balance.units:
@@ -429,11 +445,11 @@ def _check_ballots(a: AgentSpec, proposals: list[ProposalSpec], errors: list[str
     for option in a.preference:
         for p in proposals:
             if option not in p.options:
-                errors.append(f"agent {a.id!r}: preference {option!r} not among options of proposal {p.id!r}")
+                errors.append(f"agent {a.id!r}: preference {_quote(option)} not among options of proposal {p.id!r}")
     for p in proposals:
         tick = a.cast_tick(p)
         if not p.voting_window.contains(tick):
-            errors.append(f"agent {a.id!r}: cast tick {tick} outside voting window of proposal {p.id!r}")
+            errors.append(f"agent {a.id!r}: cast tick {_quote(tick)} outside voting window of proposal {p.id!r}")
 
 
 def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], errors: list[str]) -> None:
@@ -456,7 +472,7 @@ def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], erro
 
 def _check_names(agents: list[AgentSpec], identities: bool, errors: list[str]) -> None:
     # Attacker `a` owns the wallets a_w<k> and, when it fakes identities, claims a_fake<k>
-    # (AgentSpec.wallets and AgentSpec.claimed_identity).  Names built on different attackers' ids
+    # (AgentSpec.wallets and AgentSpec.fake_identity).  Names built on different attackers' ids
     # never collide, so only an agent's own id can shadow one: as a wallet id, unless it is
     # an attacker's, and as a claimed identity when the scenario binds identities.
     attackers = {a.id: a for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
@@ -482,7 +498,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
+                raise ValueError(f"duplicate key {_quote(key)}")
             seen.add(key)
     return obj
 

@@ -11,8 +11,8 @@ scenario leaves the bytes unchanged.
 
 from __future__ import annotations
 
-import csv
 import io
+from collections import defaultdict
 from itertools import groupby
 from operator import itemgetter
 from decimal import Decimal
@@ -20,11 +20,13 @@ from typing import Any, Callable, Sequence
 
 from .core import (
     GovlabError,
+    IdentityId,
     TokenAmount,
     VotingPower,
     WalletId,
     _Record,
     canonical_json,
+    fmt_units,
     ratio_half_even,
 )
 from .governance import GovernanceEngine, Proposal
@@ -108,11 +110,12 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
         by_reason: dict[str, int] = {}
         for agent in scenario.agents:
             fake = agent.fakes_identities()
+            own = None if fake else IdentityId(agent.id)  # one identity, built once, for all its wallets
             for k, wallet in enumerate(wallets_by_agent[agent.id]):
                 if not provider.review(fake):
                     reason = RejectionReason.PROVIDER_REJECTED
                 else:
-                    outcome = registry.bind(agent.claimed_identity(k), wallet)
+                    outcome = registry.bind(own or agent.fake_identity(k), wallet)
                     if outcome.accepted:
                         accepted += 1
                         continue
@@ -122,12 +125,7 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
         stats = {"bindings_accepted": accepted, "bindings_rejected": sum(by_reason.values()),
                  "rejections_by_reason": dict(sorted(by_reason.items()))}
 
-    return SimulationSetup(
-        wallets_by_agent=wallets_by_agent,
-        balances=balances,
-        identity=identity,
-        binding_stats=stats,
-    )
+    return SimulationSetup(wallets_by_agent, balances, identity, stats)
 
 
 class RunResult(_Record):
@@ -160,15 +158,15 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
     are one cast_batch, its ballots generated as the engine draws them.
     """
     balances, wallets_by_agent = setup.balances, setup.wallets_by_agent
-    schedule: dict[int, tuple[list, list, list]] = {}
+    schedule: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
     for spec in scenario.proposals:
-        schedule.setdefault(spec.discussion_window.start, ([], [], []))[0].append(spec)
-        schedule.setdefault(spec.voting_window.start, ([], [], []))
-        schedule.setdefault(spec.voting_window.end, ([], [], []))[2].append(spec)
+        schedule[spec.discussion_window.start][0].append(spec)
+        schedule[spec.voting_window.start]  # an entry, so the phase event keeps its tick
+        schedule[spec.voting_window.end][2].append(spec)
     for agent in scenario.agents:
         if agent.votes():
             for spec in scenario.proposals:
-                schedule.setdefault(agent.cast_tick(spec), ([], [], []))[1].append((agent, spec))
+                schedule[agent.cast_tick(spec)][1].append((agent, spec))
 
     for now in sorted(t for t in schedule if t <= scenario.ticks):
         submits, casts, finalizes = schedule[now]
@@ -326,23 +324,16 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] 
 
 
 def report_csv(result: RunResult) -> str:
-    """Per-agent realized power, one row per (proposal, agent)."""
+    """Per-agent realized power, one row per (proposal, agent), each written as one line:
+    no field ever needs CSV quoting, since a run validates every id as [A-Za-z0-9_-]
+    (a wallet or proposal id) and every amount is digits and a point."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
+    out.write("proposal,agent,wallets_counted,counted_tokens,realized_power\n")
     for spec in result.scenario.proposals:
         by_agent = result.by_agent[spec.id]
         for agent in result.scenario.agents:
             wallets, tokens, realized = by_agent.get(agent.id, (0, 0, 0))
-            writer.writerow(
-                [
-                    spec.id,
-                    agent.id,
-                    wallets,
-                    str(TokenAmount(tokens)),
-                    str(VotingPower(realized)),
-                ]
-            )
+            out.write(f"{spec.id},{agent.id},{wallets},{fmt_units(tokens)},{fmt_units(realized)}\n")
     return out.getvalue()
 
 

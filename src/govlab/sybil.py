@@ -36,11 +36,10 @@ def _uniform_shares(total: TokenAmount, n: int) -> tuple[int, int]:
 
 
 def split_uniform(total: TokenAmount, n: int) -> list[TokenAmount]:
-    """Split into n balances of floor(total/n) each, remainder to the first wallet."""
+    """Split into n balances of floor(total/n) each, remainder to the first wallet; the
+    list's two distinct amounts are two immutable TokenAmounts, shared by the wallets."""
     q, r = _uniform_shares(total, n)
-    balances = [TokenAmount(q) for _ in range(n - 1)]
-    balances.insert(0, TokenAmount(q + r))
-    return balances
+    return [TokenAmount(q + r)] + [TokenAmount(q)] * (n - 1)
 
 
 def sybil_gain(

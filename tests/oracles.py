@@ -8,6 +8,8 @@ agreement between the two is evidence and not tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from decimal import Decimal
@@ -129,6 +131,31 @@ def ndjson_line_ref(index: int, prev_hash: str, payload: str, hash_: str) -> str
     """One persisted ledger line: the canonical JSON of the entry's four fields."""
     entry = {"index": index, "prev_hash": prev_hash, "payload": payload, "hash": hash_}
     return json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+
+
+def report_csv_ref(result) -> str:
+    """The per-agent CSV through the csv module, summed from the engine's counted votes
+    and the powers the tally gave them, each amount written by Decimal formatting."""
+    owner = {wallet: agent.id for agent in result.scenario.agents for wallet in agent.wallets()}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
+    for spec in result.scenario.proposals:
+        rows = {agent.id: [0, 0, 0] for agent in result.scenario.agents}
+        powers = result.engine.results[spec.id].vote_powers
+        for vote, power in zip(result.engine.counted_votes[spec.id], powers, strict=True):
+            row = rows[owner[vote.wallet]]
+            row[0] += 1
+            row[1] += vote.committed.units
+            row[2] += power.units
+        for agent in result.scenario.agents:
+            wallets, tokens, realized = rows[agent.id]
+            writer.writerow([spec.id, agent.id, wallets, _nine_digits(tokens), _nine_digits(realized)])
+    return out.getvalue()
+
+
+def _nine_digits(units: int) -> str:
+    return f"{Decimal(units) / NANO:.9f}"
 
 
 # ---------------------------------------------------------------------------

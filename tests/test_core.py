@@ -366,8 +366,11 @@ class TestRecordConstructor:
             ((1, 2), {"left": 1}, r"^_Pair\(\) got multiple values for 'left'$"),
             ((1,), {"note": 3}, r"^_Pair\(\) missing argument 'right'$"),
             ((1, 2), {"note": None, "nite": 3}, r"^_Pair\(\) got an unexpected argument 'nite'$"),
+            # All keywords, the right count, one misspelt: the slot it misses is named first.
+            ((), {"left": 1, "right": 2, "nite": 3}, r"^_Pair\(\) missing argument 'note'$"),
+            ((), {"left": 1, "right": 2, "note": 3, "nite": 4}, r"^_Pair\(\) got an unexpected argument 'nite'$"),
         ],
-        ids=["too-many", "duplicate", "missing", "unexpected"],
+        ids=["too-many", "duplicate", "missing", "unexpected", "keyword-misspelt", "keyword-extra"],
     )
     def test_bad_arguments_are_a_type_error_naming_class_and_argument(self, args, kwargs, message):
         with pytest.raises(TypeError, match=message):

@@ -870,8 +870,10 @@ class TestReplay:
             lambda g: g.update(balances={w: b.split(".")[0] for w, b in g["balances"].items()}),
             lambda g: g.update(note="an extra key"),
             lambda g: g["identity"]["registry"]["bindings"][1]["wallets"].append("alice"),
+            # No wallet to bind, so replay never reads the identity, not even to refuse its name.
+            lambda g: g["identity"]["registry"]["bindings"].append({"identity": "not an id!", "wallets": []}),
         ],
-        ids=["integer-balances", "extra-key", "refused-binding"],
+        ids=["integer-balances", "extra-key", "refused-binding", "walletless-binding"],
     )
     def test_a_forged_genesis_diverges_at_event_0(self, forge):
         """Replay re-derives genesis: a record the engine would not write diverges."""

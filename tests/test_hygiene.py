@@ -96,7 +96,8 @@ def test_every_defined_name_has_a_caller_outside_the_tests():
 def test_importing_the_cli_loads_no_code_generation_modules():
     """`import govlab.cli` is what every command pays before it starts.  dataclasses
     (about 1 ms per decorated class) and the inspect, ast and dis modules it pulls
-    in would add tens of milliseconds, so the records are plain __slots__ classes."""
+    in would add tens of milliseconds, so the records are plain __slots__ classes.
+    The per-agent CSV is written line by line, so the csv module is not loaded either."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -107,4 +108,5 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
     assert "govlab.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+    forbidden = loaded & {"dataclasses", "inspect", "csv", "_csv"}
+    assert not forbidden, sorted(forbidden)

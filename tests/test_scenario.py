@@ -14,6 +14,7 @@ from govlab.core import ProposalId
 from govlab.scenario import (
     MAX_CASTS,
     MAX_WALLETS,
+    QUOTED_CHARS,
     AgentKind,
     IdentityStrategy,
     Scenario,
@@ -484,6 +485,85 @@ class TestErrorCollection:
     )
     def test_a_misspelt_nested_key_is_one_error_naming_its_path(self, preset, target, key, literal, error):
         assert _errors_with(_preset_json(preset), target, key, literal) == [error]
+
+
+def _past_a_long_horizon(obj):
+    obj["ticks"] = int("9" * 4000)
+    for p in obj["proposals"]:
+        p["voting_window"][1] = 10**4000
+
+
+class TestErrorText:
+    """An item's errors name it by its quoted id when it has a usable one, else by its index,
+    and no error quotes more than QUOTED_CHARS characters of an id or a value."""
+
+    @pytest.mark.parametrize(
+        "change, errors",
+        [
+            (lambda agents: agents[1].update(castAt=3), ["agent 'hal': unknown field 'castAt'"]),
+            (
+                lambda agents: agents[1].update(id=7, castAt=3),
+                ["agent #1: unknown field 'castAt'", "agent #1: id must be <= 48 chars from [A-Za-z0-9_-]"],
+            ),
+            (lambda agents: agents[1].update(balance="4x"), ["agent 'hal': balance: malformed decimal string: '4x'"]),
+            (
+                lambda agents: agents[1].update(id="", balance="4x"),
+                ["agent #1: id must be <= 48 chars from [A-Za-z0-9_-]", "agent #1: balance: malformed decimal string: '4x'"],
+            ),
+            (lambda agents: agents[1].update(id="grace"), ["agent 'grace': duplicate id"]),
+        ],
+        ids=["unknown-named", "unknown-indexed", "bad-named", "bad-indexed", "duplicate"],
+    )
+    def test_the_exact_text_of_agent_errors(self, change, errors):
+        obj = _valid()
+        change(obj["agents"])
+        assert _errors_of(obj) == errors
+
+    def test_a_long_id_with_many_unknown_keys(self):
+        # Before the cut, this 27 KB file gave 501 errors and 10 MB of text.
+        obj = _preset_json("nonprofit_grant_vote")
+        obj["agents"][0]["id"] = "x" * 20_000
+        obj["agents"][0].update({f"k{k}": 1 for k in range(500)})
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            loads_scenario(json.dumps(obj))
+        errors = excinfo.value.errors
+        label = "agent '" + "x" * (QUOTED_CHARS - 1) + "..."
+        assert errors[0] == f"{label}: unknown field 'k0'"
+        assert errors[-1] == f"{label}: id must be <= 48 chars from [A-Za-z0-9_-]"
+        assert len(errors) == 501
+        assert max(len(e.encode()) for e in errors) <= 300
+        assert sum(len(e.encode()) + 1 for e in errors) <= 100_000
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda o: o["agents"][0].update(preference=["approve", "y" * 20_000]),
+            lambda o: o["agents"][0].update(cast_at=int("9" * 4000)),
+            lambda o: o["agents"][0].update({"z" * 20_000: 1}),
+            lambda o: o["agents"][0].update(balance="1" + "0" * 20_000),
+            _past_a_long_horizon,
+            lambda o: o["agents"].append("w" * 20_000),
+        ],
+        ids=["option", "tick", "key", "amount", "horizon", "item"],
+    )
+    def test_no_line_quotes_a_long_value_whole(self, change):
+        obj = _valid()
+        # 50 proposals, so a value that each proposal's error repeats is quoted 50 times.
+        obj["ticks"] = 1000
+        obj["proposals"] = [
+            {"id": f"p{k}", "options": ["approve", "reject"], "discussion_window": [10 * k, 10 * k + 2],
+             "voting_window": [10 * k + 2, 10 * k + 10]}
+            for k in range(50)
+        ]
+        change(obj)
+        errors = _errors_of(obj)
+        assert max(len(e) for e in errors) <= 300
+
+    def test_a_short_value_keeps_its_exact_text(self):
+        obj = _valid()
+        obj["agents"][0]["preference"] = "x" * (QUOTED_CHARS - 2)
+        (error,) = _errors_of(obj)
+        assert error == f"agent 'grace': preference {'x' * (QUOTED_CHARS - 2)!r} not among options of proposal 'p1'"
 
 
 class TestPresets:

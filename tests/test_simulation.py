@@ -1,8 +1,10 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
 import copy
+import importlib.util
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from govlab import simulation as simulation_module
 from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
 from govlab.ledger import LedgerError
-from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
+from govlab.scenario import ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
 from govlab.simulation import (
     SimulationError,
     compare_mechanisms,
@@ -22,7 +24,9 @@ from govlab.simulation import (
     run,
 )
 
-from oracles import controlling_set_exhaustive, gini_pairwise_units
+from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
 
 def _powers(*values):
@@ -198,6 +202,46 @@ class TestSybilPresetRun:
         assert by_agent["whale"][4] == "1000.000000000"
         assert by_agent["grace"][2] == "1"
         assert by_agent["grace"][4] == "110.000000000"
+
+
+class TestReportCsv:
+    """report_csv writes each row as one line; the csv module, over the engine's counted
+    votes, must give the same text."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_match_the_csv_module(self, name):
+        result = run(load_preset(name))
+        assert report_csv(result) == report_csv_ref(result)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload", ["crowd_quadratic", "sybil_identity", "conviction_horizon"])
+    def test_benchmark_workloads_match_the_csv_module(self, workload):
+        spec = importlib.util.spec_from_file_location("govlab_bench_workloads", WORKLOADS_PATH)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # read only: the benchmark's seed-1 scenario text
+        result = run(loads_scenario(module.scenario_text(workload, 1)))
+        assert report_csv(result) == report_csv_ref(result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        proposal=st.text(alphabet="aZ9-_", min_size=1, max_size=12),
+        ids=st.lists(st.text(alphabet="aZ9-_", min_size=1, max_size=12), min_size=2, max_size=5, unique=True),
+        n_wallets=st.integers(min_value=2, max_value=4),
+    )
+    def test_ids_with_dashes_and_underscores_match_the_csv_module(self, proposal, ids, n_wallets):
+        attacker, *honest = ids
+        scenario = parse_scenario({
+            "schema_version": 1, "name": "csv", "ticks": 10, "supply": "100", "mechanism": "quadratic",
+            "proposals": [{"id": proposal, "options": ["yes", "no"], "discussion_window": [0, 2], "voting_window": [2, 10]}],
+            "agents": [
+                {"id": attacker, "kind": "sybil_attacker", "balance": "10", "preference": "no", "n_wallets": n_wallets},
+                *({"id": a, "kind": "honest", "balance": "1.5", "preference": "yes"} for a in honest),
+            ],
+        })
+        result = run(scenario)
+        text = report_csv(result)
+        assert text == report_csv_ref(result)
+        assert len(text.splitlines()) == 1 + len(ids)
 
 
 class TestIdentityPresetRun:

@@ -10,6 +10,7 @@ vote_power is the one place that picks a power function by mechanism; the
 tally, the report's Sybil baseline and the Sybil tools all go through it.
 config_error owns the rule that quorum needs a quorum config and conviction
 its params; Proposal, tally, parse_scenario and compare_mechanisms report it.
+decide owns the outcome rule; tally and the probes pick outcomes through it.
 
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the
@@ -213,9 +214,8 @@ def tally(
 
     Every option in `options` appears in per_option_power, in that order
     (zero-vote options at zero power), and every vote must be for one of
-    them.  The winner is the unique option with strictly maximal power;
-    equal maximal powers yield a tie, so with no votes every option ties.
-    A conviction vote accrues from its cast_at to `now`.
+    them; decide picks the outcome.  A conviction vote accrues from its
+    cast_at to `now`.
     """
     mechanism = Mechanism.parse(mechanism)
     if not isinstance(wallet_universe_size, int) or wallet_universe_size < 0:
@@ -252,21 +252,20 @@ def tally(
             f"committed total {fmt_units(committed_units)} exceeds supply {supply}"
         )
 
-    per_option_power = {o: VotingPower(u) for o, u in per_option_units.items()}
-    participating = TokenAmount(committed_units)
-
-    if quorum is not None and not _quorum_met(
-        quorum, committed_units, len(wallets), supply.units, wallet_universe_size
-    ):
-        outcome = TallyOutcome.quorum_failed()
-    else:
-        best = max(per_option_units.values(), default=0)
-        leaders = [o for o, u in per_option_units.items() if u == best]
-        outcome = TallyOutcome.winner(leaders[0]) if len(leaders) == 1 else TallyOutcome.tie(leaders)
-
+    quorum_met = quorum is None or _quorum_met(quorum, committed_units, len(wallets), supply.units, wallet_universe_size)
     return TallyResult(
-        per_option_power=per_option_power,
-        participating_tokens=participating,
-        outcome=outcome,
+        per_option_power={o: VotingPower(u) for o, u in per_option_units.items()},
+        participating_tokens=TokenAmount(committed_units),
+        outcome=decide(per_option_units, quorum_met),
         vote_powers=tuple(powers),
     )
+
+
+def decide(per_option_units: dict[str, int], quorum_met: bool) -> TallyOutcome:
+    """Quorum failed, else the unique option of strictly maximal power, else a tie of the
+    leaders: equal maximal powers tie, so with no votes every option ties."""
+    if not quorum_met:
+        return TallyOutcome.quorum_failed()
+    best = max(per_option_units.values(), default=0)
+    leaders = [o for o, u in per_option_units.items() if u == best]
+    return TallyOutcome.winner(leaders[0]) if len(leaders) == 1 else TallyOutcome.tie(leaders)

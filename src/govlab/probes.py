@@ -10,12 +10,13 @@ between the remaining options (an independence violation witness).
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Any
+from typing import Any, Callable, Sequence
 
-from .core import GovlabError, TallyResult, VoteRecord, _Record
-from .governance import Proposal, count_votes
+from .core import GovlabError, OutcomeKind, TallyOutcome, VoteRecord, _Record
+from .governance import count_votes
+from .mechanisms import decide
 from .scenario import AgentSpec, Scenario
-from .simulation import SimulationSetup, _engine_proposal, build_setup
+from .simulation import SimulationSetup, _engine_proposal, _index_votes, build_setup
 
 MAX_PROBE_AGENTS = 4
 MAX_PROBE_OPTIONS = 3
@@ -25,29 +26,39 @@ class InstanceTooLarge(GovlabError):
     """Enumeration bound exceeded; probes are exhaustive by design."""
 
 
-def _profile_tally(
-    scenario: Scenario, setup: SimulationSetup, proposal: Proposal, choices: dict[str, str]
-) -> TallyResult:
-    """Count one preference profile as finalize would: every voter commits its full
-    balance at the voting-window start, and the count is at the window's end."""
-    window = proposal.voting_window
-    votes = [
-        VoteRecord(wallet, proposal.id, choices[agent.id], setup.balances[wallet], window.start)
-        for agent in scenario.agents if agent.votes()
-        for wallet in setup.wallets_by_agent[agent.id]
-    ]
-    return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1]
-
-
-def _check_bounds(scenario: Scenario) -> tuple[list[AgentSpec], Proposal]:
-    """The voting agents and the first proposal as the engine runs it, within the enumeration bounds."""
+def _profile_outcomes(
+    scenario: Scenario, setup: SimulationSetup | None, fewest_options: int = 2
+) -> tuple[list[AgentSpec], tuple[str, ...], Callable[[Sequence[str], dict[str, str]], TallyOutcome]] | None:
+    """The voters, the first proposal's options and outcome(options, choices), finalize's outcome when
+    each voter commits its full balance to its choice at the voting-window start (None for fewer than
+    fewest_options options).  Every identity the registry binds holds wallets of exactly one agent, so
+    one count, every wallet on the first option, fixes each voter's power and the quorum test.
+    """
     voters = [a for a in scenario.agents if a.votes()]
     options = scenario.proposals[0].options
     if len(voters) > MAX_PROBE_AGENTS:
         raise InstanceTooLarge(f"{len(voters)} voting agents exceed the enumeration bound of {MAX_PROBE_AGENTS}")
     if len(options) > MAX_PROBE_OPTIONS:
         raise InstanceTooLarge(f"{len(options)} options exceed the enumeration bound of {MAX_PROBE_OPTIONS}")
-    return voters, _engine_proposal(scenario, scenario.proposals[0])
+    if len(options) < fewest_options:
+        return None
+    if setup is None:
+        setup = build_setup(scenario)
+    proposal = _engine_proposal(scenario, scenario.proposals[0])
+    window = proposal.voting_window
+    owner = {wallet: agent.id for agent in voters for wallet in setup.wallets_by_agent[agent.id]}
+    votes = [VoteRecord(wallet, proposal.id, options[0], setup.balances[wallet], window.start) for wallet in owner]
+    votes, result, _ = count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)
+    power = {agent: row[2] for agent, row in _index_votes(owner, votes, result.vote_powers).items()}
+    quorum_met = result.outcome.kind != OutcomeKind.QUORUM_FAILED
+
+    def outcome(options: Sequence[str], choices: dict[str, str]) -> TallyOutcome:
+        per_option_units = dict.fromkeys(options, 0)
+        for agent, units in power.items():
+            per_option_units[choices[agent]] += units
+        return decide(per_option_units, quorum_met)
+
+    return voters, options, outcome
 
 
 def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) -> tuple[str, ...]:
@@ -56,17 +67,14 @@ def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) 
     Enumerates (#options)^(#voters) profiles; a tie or quorum failure in any
     profile clears every agent whose choice failed to win it.
     """
-    voters, proposal = _check_bounds(scenario)
-    if setup is None:
-        setup = build_setup(scenario)
+    voters, options, outcome = _profile_outcomes(scenario, setup)
     candidates = {a.id for a in voters}
-    for profile in product(proposal.options, repeat=len(voters)):
+    for profile in product(options, repeat=len(voters)):
         if not candidates:
             break
         choices = {agent.id: option for agent, option in zip(voters, profile)}
-        outcome = _profile_tally(scenario, setup, proposal, choices).outcome
-        winner = outcome.option if outcome.is_winner() else None
-        candidates = {a for a in candidates if choices[a] == winner}
+        result = outcome(options, choices)
+        candidates = {a for a in candidates if result.is_winner() and choices[a] == result.option}
     return tuple(a.id for a in voters if a.id in candidates)
 
 
@@ -92,36 +100,25 @@ def iia_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) -> Ii
     to the next surviving preference.  A changed (unique) winner is returned
     as the witness.  Two-option instances trivially have none.
     """
-    voters, proposal = _check_bounds(scenario)
-    options = proposal.options
-    if len(options) < 3:
+    counted = _profile_outcomes(scenario, setup, fewest_options=3)
+    if counted is None:
         return None
-    if setup is None:
-        setup = build_setup(scenario)
-    # The proposal with each option deleted.
-    without = {removed: proposal._replace(options=tuple(o for o in options if o != removed)) for removed in options}
-    rankings = list(permutations(options))
-    for profile in product(rankings, repeat=len(voters)):
-        choices = {agent.id: ranking[0] for agent, ranking in zip(voters, profile)}
-        outcome = _profile_tally(scenario, setup, proposal, choices).outcome
-        if not outcome.is_winner():
+    voters, options, outcome = counted
+    for profile in product(permutations(options), repeat=len(voters)):
+        before = outcome(options, {agent.id: ranking[0] for agent, ranking in zip(voters, profile)})
+        if not before.is_winner():
             continue
-        before = outcome.option
         for removed in options:
-            if removed == before:
+            if removed == before.option:
                 continue
-            fallback = {
-                agent.id: next(o for o in ranking if o != removed)
-                for agent, ranking in zip(voters, profile)
-            }
-            after_outcome = _profile_tally(scenario, setup, without[removed], fallback).outcome
-            if after_outcome.is_winner() and after_outcome.option != before:
+            survivors = tuple(o for o in options if o != removed)
+            fallback = {agent.id: next(o for o in ranking if o != removed) for agent, ranking in zip(voters, profile)}
+            after = outcome(survivors, fallback)
+            if after.is_winner() and after.option != before.option:
                 return IiaWitness(
-                    profile=tuple(
-                        (agent.id, tuple(ranking)) for agent, ranking in zip(voters, profile)
-                    ),
+                    profile=tuple((agent.id, tuple(ranking)) for agent, ranking in zip(voters, profile)),
                     removed_option=removed,
-                    winner_before=before,
-                    winner_after=after_outcome.option,
+                    winner_before=before.option,
+                    winner_after=after.option,
                 )
     return None

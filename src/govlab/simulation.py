@@ -22,6 +22,7 @@ from .core import (
     GovlabError,
     IdentityId,
     TokenAmount,
+    VoteRecord,
     VotingPower,
     WalletId,
     _Record,
@@ -181,12 +182,11 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
 
 
 def _index_votes(
-    owner: dict[WalletId, str], engine: GovernanceEngine, spec: ProposalSpec
+    owner: dict[WalletId, str], votes: Sequence[VoteRecord], powers: Sequence[VotingPower]
 ) -> dict[str, list[int]]:
-    """Per agent: [wallets, token units, power units] counted, with the powers the tally computed."""
+    """Per agent: [wallets, token units, power units] of the counted votes, with the powers the tally gave them."""
     by_agent: dict[str, list[int]] = {}
-    powers = engine.results[spec.id].vote_powers
-    for vote, power in zip(engine.counted_votes[spec.id], powers, strict=True):
+    for vote, power in zip(votes, powers, strict=True):
         row = by_agent.setdefault(owner[vote.wallet], [0, 0, 0])
         row[0] += 1
         row[1] += vote.committed.units
@@ -214,7 +214,8 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
 
     _play_schedule(scenario, setup, engine)
     owner = {w: aid for aid, wallets in setup.wallets_by_agent.items() for w in wallets}
-    by_agent = {spec.id: _index_votes(owner, engine, spec) for spec in scenario.proposals}
+    counted, results = engine.counted_votes, engine.results
+    by_agent = {s.id: _index_votes(owner, counted[s.id], results[s.id].vote_powers) for s in scenario.proposals}
     report = _build_report(scenario, setup, engine, by_agent)
     report_json = canonical_json(report) + "\n"
     return RunResult(

@@ -3,7 +3,10 @@
 Everything here is deliberately written from the underlying definitions
 (mpmath for the irrational functions, integer/Fraction arithmetic for the
 rationals, FIPS 180-4 for SHA-256) rather than by calling the package, so
-agreement between the two is evidence and not tautology.
+agreement between the two is evidence and not tautology.  The probe
+references are the one exception: they count every preference profile
+afresh through `governance.count_votes`, so they check the probes' single
+count and per-agent sums against the brute force those sums replace.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import permutations, product
 
 import mpmath
 
@@ -251,3 +255,62 @@ def xoshiro_ref(state: tuple[int, int, int, int], count: int) -> list[int]:
         s[2] ^= t
         s[3] = rotl(s[3], 45)
     return out
+
+
+def _profile_tally_ref(scenario, setup, proposal, choices):
+    """Count one preference profile as finalize would, every wallet on its agent's choice:
+    full balance committed at the voting-window start, counted at the window's end."""
+    from govlab.core import VoteRecord
+    from govlab.governance import count_votes
+
+    window = proposal.voting_window
+    votes = [
+        VoteRecord(wallet, proposal.id, choices[agent.id], setup.balances[wallet], window.start)
+        for agent in scenario.agents if agent.votes()
+        for wallet in setup.wallets_by_agent[agent.id]
+    ]
+    return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1].outcome
+
+
+def _probe_instance_ref(scenario):
+    from govlab.simulation import _engine_proposal, build_setup
+
+    voters = [a for a in scenario.agents if a.votes()]
+    return voters, _engine_proposal(scenario, scenario.proposals[0]), build_setup(scenario)
+
+
+def dictator_probe_ref(scenario) -> tuple[str, ...]:
+    """The dictator probe by brute force: every wallet of every profile counted afresh."""
+    voters, proposal, setup = _probe_instance_ref(scenario)
+    candidates = {a.id for a in voters}
+    for profile in product(proposal.options, repeat=len(voters)):
+        choices = {agent.id: option for agent, option in zip(voters, profile)}
+        outcome = _profile_tally_ref(scenario, setup, proposal, choices)
+        winner = outcome.option if outcome.is_winner() else None
+        candidates = {a for a in candidates if choices[a] == winner}
+    return tuple(a.id for a in voters if a.id in candidates)
+
+
+def iia_probe_ref(scenario):
+    """The IIA probe by brute force, each profile and each deletion counted afresh through a
+    copy of the proposal without the deleted option: the first witness as (profile,
+    removed_option, winner_before, winner_after), or None."""
+    voters, proposal, setup = _probe_instance_ref(scenario)
+    options = proposal.options
+    if len(options) < 3:
+        return None
+    for profile in product(list(permutations(options)), repeat=len(voters)):
+        choices = {agent.id: ranking[0] for agent, ranking in zip(voters, profile)}
+        outcome = _profile_tally_ref(scenario, setup, proposal, choices)
+        if not outcome.is_winner():
+            continue
+        for removed in options:
+            if removed == outcome.option:
+                continue
+            without = proposal._replace(options=tuple(o for o in options if o != removed))
+            fallback = {agent.id: next(o for o in ranking if o != removed) for agent, ranking in zip(voters, profile)}
+            after = _profile_tally_ref(scenario, setup, without, fallback)
+            if after.is_winner() and after.option != outcome.option:
+                witness = tuple((agent.id, tuple(ranking)) for agent, ranking in zip(voters, profile))
+                return witness, removed, outcome.option, after.option
+    return None

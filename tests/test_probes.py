@@ -1,11 +1,17 @@
-"""Exhaustive dictator and independence probes, checked against in-test enumeration."""
+"""Exhaustive dictator and independence probes, checked against in-test enumeration
+and against the brute-force references in tests/oracles.py."""
 
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from govlab import mechanisms, probes
 from govlab.probes import InstanceTooLarge, dictator_probe, iia_probe
-from govlab.scenario import load_preset, parse_scenario
+from govlab.scenario import MAX_WALLETS, load_preset, parse_scenario
+from govlab.simulation import run
+from oracles import dictator_probe_ref, iia_probe_ref
 
 
 def _scenario(balances, options=("a", "b"), mechanism="token"):
@@ -160,8 +166,136 @@ class TestEnumerationBounds:
         with pytest.raises(InstanceTooLarge):
             iia_probe(scenario)
 
+    def test_bounds_are_checked_before_any_setup_or_count(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe set up or counted a refused instance")
+
+        monkeypatch.setattr(probes, "build_setup", refuse)
+        monkeypatch.setattr(probes, "count_votes", refuse)
+        too_many_voters = _scenario({f"v{i}": 10 for i in range(5)})
+        too_many_options = _scenario({"x": 40, "y": 35, "z": 25}, options=("a", "b", "c", "d"))
+        for probe in (dictator_probe, iia_probe):
+            for scenario in (too_many_voters, too_many_options):
+                with pytest.raises(InstanceTooLarge):
+                    probe(scenario)
+        # Two options have no independence witness, so iia_probe returns before it counts.
+        assert iia_probe(_scenario({"x": 40, "y": 35, "z": 25})) is None
+
     def test_four_voters_three_options_allowed(self):
         scenario = _scenario(
             {"a1": 97, "a2": 1, "a3": 1, "a4": 1}, options=("a", "b", "c")
         )
         assert dictator_probe(scenario) == ("a1",)
+
+
+@st.composite
+def probe_scenarios(draw):
+    """Small single-proposal scenarios over every mechanism, quorum gate, identity layer and agent kind.
+
+    Balances are a few whole tokens, so equal powers, and with them ties, are common.
+    """
+    options = ["a", "b", "c"][: draw(st.sampled_from([2, 3]))]
+    mechanism = draw(st.sampled_from(["token", "quorum", "quadratic", "conviction"]))
+    quorum = None
+    if mechanism == "quorum" or draw(st.booleans()):
+        quorum = {
+            "basis": draw(st.sampled_from(["token_supply_fraction", "wallet_count_fraction"])),
+            "threshold": draw(st.sampled_from(["0", "0.3", "0.5", "0.75", "1"])),
+        }
+    identity = None
+    if draw(st.booleans()):
+        identity = {
+            "mode": draw(st.sampled_from(["strict_one_wallet", "collapse_per_identity"])),
+            "policy": draw(st.sampled_from(["drop_unverified", "admit_unverified"])),
+            "provider": {"false_accept_rate": draw(st.sampled_from(["0", "0.3", "1"]))},
+        }
+    agents = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["honest", "whale", "sybil_attacker"]))
+        agent = {"id": f"v{i}", "kind": kind, "balance": str(draw(st.integers(1, 9))),
+                 "preference": list(draw(st.permutations(options)))}
+        if kind == "sybil_attacker":
+            agent["n_wallets"] = draw(st.integers(2, 4))
+            agent["identity_strategy"] = draw(st.sampled_from(["one_identity", "fake_identities"]))
+        if draw(st.booleans()):
+            agent["cast_at"] = draw(st.integers(2, 9))  # the probes count every voter at the window start
+        agents.append(agent)
+    agents += [{"id": f"z{i}", "kind": "abstainer", "balance": "1"} for i in range(draw(st.integers(0, 2)))]
+    held = sum(int(a["balance"]) for a in agents)
+    return parse_scenario({
+        "schema_version": 1,
+        "name": "probe-differential",
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "ticks": 10,
+        "supply": str(held + draw(st.sampled_from([0, 1, 20]))),
+        "mechanism": mechanism,
+        "quorum": quorum,
+        "conviction": {"decay_rate": draw(st.sampled_from(["0.05", "0.5"]))} if mechanism == "conviction" else None,
+        "identity": identity,
+        "proposals": [{"id": "p1", "options": options, "discussion_window": [0, 2], "voting_window": [2, 10]}],
+        "agents": agents,
+    })
+
+
+class TestAgainstBruteForce:
+    """One count per probe, summed per agent, gives what counting every profile afresh gives."""
+
+    @settings(max_examples=120)
+    @given(probe_scenarios())
+    def test_probes_match_the_per_profile_count(self, scenario):
+        assert dictator_probe(scenario) == dictator_probe_ref(scenario)
+        witness = iia_probe(scenario)
+        fields = None if witness is None else (
+            witness.profile, witness.removed_option, witness.winner_before, witness.winner_after
+        )
+        assert fields == iia_probe_ref(scenario)
+
+
+class TestCountOnce:
+    def test_each_probe_counts_the_wallets_once(self, monkeypatch):
+        calls = []
+        count_votes = probes.count_votes
+        monkeypatch.setattr(probes, "count_votes", lambda *args: calls.append(1) or count_votes(*args))
+        report = run(load_preset("participatory_budget")).report["arrow_probes"]  # 3 options, 4 voters
+        assert report["dictator_probe"] == {"flagged": ["late_whale"]}
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("wallets", [1_000, pytest.param(MAX_WALLETS - 3, marks=pytest.mark.slow)])
+    def test_power_calls_grow_with_wallets_not_profiles(self, monkeypatch, wallets):
+        """A run's vote_power calls stay a small multiple of its votes with the probes on."""
+        scenario = _attacked(wallets)
+        votes = (wallets + 3) * len(scenario.proposals)
+        bound = 4 * votes  # finalize's count, one count per probe, and a margin
+        calls = 0
+        vote_power = mechanisms.vote_power
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound, f"more than {bound} vote_power calls for {votes} votes"
+            return vote_power(*args)
+
+        monkeypatch.setattr(mechanisms, "vote_power", counted)
+        report = run(scenario).report
+        assert report["arrow_probes"] is not None
+        assert calls >= votes
+
+
+def _attacked(wallets):
+    """Three honest agents and one attacker splitting its stake over `wallets` wallets, under conviction."""
+    return parse_scenario({
+        "schema_version": 1,
+        "name": "probe-cost",
+        "ticks": 30,
+        "supply": "1000000",
+        "mechanism": "conviction",
+        "conviction": {"decay_rate": "0.1"},
+        "proposals": [{"id": "p1", "options": ["a", "b", "c"], "discussion_window": [0, 5], "voting_window": [5, 30]}],
+        "agents": [
+            {"id": "h0", "kind": "honest", "balance": "300", "preference": ["a", "b", "c"]},
+            {"id": "h1", "kind": "honest", "balance": "200", "preference": ["b", "c", "a"]},
+            {"id": "h2", "kind": "honest", "balance": "100", "preference": ["c", "a", "b"]},
+            {"id": "att", "kind": "sybil_attacker", "balance": "100000", "preference": ["c", "b", "a"],
+             "n_wallets": wallets},
+        ],
+    })

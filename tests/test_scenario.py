@@ -9,6 +9,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from govlab.core import ProposalId
 from govlab.scenario import (
@@ -25,6 +27,7 @@ from govlab.scenario import (
     preset_names,
 )
 from govlab.mechanisms import Mechanism
+from govlab.simulation import build_setup
 
 
 def _valid():
@@ -251,6 +254,36 @@ class TestErrorCollection:
         parse_scenario({**obj, "identity": None})
         obj["agents"][0]["identity_strategy"] = "one_identity"
         parse_scenario(obj)
+
+    @given(
+        st.lists(st.sampled_from(["a", "b", "a_w0", "a_w1", "a_fake0", "a_fake1", "b_w0", "b_fake1"]),
+                 min_size=1, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_every_bound_identity_holds_wallets_of_one_agent(self, ids, data):
+        """The probes' precondition: with identities bound, no identity spans two agents' wallets."""
+        obj = _valid()
+        obj["identity"] = {
+            "mode": data.draw(st.sampled_from(["strict_one_wallet", "collapse_per_identity"])),
+            "policy": data.draw(st.sampled_from(["drop_unverified", "admit_unverified"])),
+            "provider": {"false_accept_rate": data.draw(st.sampled_from(["0", "0.3", "1"]))},
+        }
+        obj["agents"] = []
+        for agent_id in ids:
+            kind = data.draw(st.sampled_from(["honest", "abstainer", "sybil_attacker"]))
+            agent = {"id": agent_id, "kind": kind, "balance": "10", "preference": "approve"}
+            if kind == "sybil_attacker":
+                agent["n_wallets"] = data.draw(st.integers(2, 3))
+                agent["identity_strategy"] = data.draw(st.sampled_from(["one_identity", "fake_identities"]))
+            obj["agents"].append(agent)
+        try:
+            scenario = parse_scenario(obj)
+        except ScenarioValidationError:
+            assume(False)
+        setup = build_setup(scenario)
+        owner = {wallet: agent for agent, wallets in setup.wallets_by_agent.items() for wallet in wallets}
+        for binding in setup.identity.registry.to_json_obj()["bindings"]:
+            assert len({owner[wallet] for wallet in binding["wallets"]}) == 1, binding
 
     def test_agent_id_charset_and_length(self):
         # str.isalnum() accepts non-ASCII letters and digits; a `$` anchor accepts a trailing newline.

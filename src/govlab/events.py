@@ -59,15 +59,20 @@ GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
 
 def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     """The genesis event; its wallet universe is the number of funded wallets."""
-    if context and (unknown := context.keys() - GENESIS_CONTEXT):
+    context = context or {}
+    if unknown := context.keys() - GENESIS_CONTEXT:
         raise GovernanceError(f"genesis context has unknown keys {sorted(unknown)}")
+    # Checked as decode checks them, so no genesis is written that replay refuses; identity is the engine's record.
+    for key in ("scenario", "mechanism"):
+        if key in context:
+            _check(context[key], _KINDS["genesis"][key], 0, key)
     amount = functools.cache(fmt_units)  # split wallets share few balances, each formatted once
     return canonical_json({
         "event": "genesis",
         "supply": str(supply),
         "balances": {str(w): amount(b.units) for w, b in sorted(balances.items())},
         "wallet_universe_size": len(balances),
-        **(context or {}),
+        **context,
     })
 
 

@@ -8,9 +8,10 @@ hash-chained ledger, and replaying that event log through a fresh engine,
 read once in order, re-derives every event, genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
-once per option; each ballot is checked, recorded and appended before the next
-is drawn.  A failing ballot changes nothing, so a batch that stops at ballot k
-leaves the ledger, vote book and locks exactly as k single casts would.
+once per option.  cast_batch is one loop: it checks each ballot, records its
+vote and lock, and appends its text (Ledger.append) before drawing the next.
+A failing ballot changes nothing, so a batch that stops at ballot k leaves the
+ledger, vote book and locks exactly as k single casts would.
 
 Outcome mapping at finalize: the proposal's first option is the designated
 "approve" option; the proposal passes only when that option is the unique
@@ -237,11 +238,7 @@ class GovernanceEngine:
         window = proposal.voting_window
         if not window.contains(now):
             raise OutOfWindow(f"tick {now} is outside voting window [{window.start}, {window.end})")
-        self.ledger._append_canonical(self._cast_events(proposal, ballots, now))
-
-    def _cast_events(self, proposal: Proposal, ballots: Iterable, now: int):
-        """Check and record each ballot, yielding its cast event's text."""
-        pid, balances, all_locks = proposal.id, self.balances, self._locks
+        pid, balances, all_locks, append = proposal.id, self.balances, self._locks, self.ledger.append
         book = self._votes[pid]
         lines: dict[str, Callable] = {}  # option -> events.cast_template, built on its first ballot
         for wallet, option, committed in ballots:
@@ -270,7 +267,7 @@ class GovernanceEngine:
             cast_at = prior.cast_at if prior is not None and prior.option == option else now
             book[wallet] = _checked_vote(wallet, pid, option, committed, cast_at)
             locks[pid] = units
-            yield line(units, wallet)
+            append(line(units, wallet))
 
     def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
         """Tally after the voting window closes; locks release; phase goes terminal."""

@@ -9,23 +9,22 @@ detectable from the file alone; publish the head hash out of band (the CLI
 prints it after every run) to pin the expected length.
 
 Per-event cost: each payload is encoded once (by govlab.events, which is the
-only writer of event text) and hashed once.  append hands one entry to the
-ledger's sink; a batch of cast events arrives as a stream of texts that
-_append_canonical hashes and hands over one at a time, never listed.  Neither
-re-checks the text: replay re-derives every event and its sink compares the
-bytes with the record.  The default sink keeps each entry in memory, to be
-iterated in order (there is no indexing); `govlab run`'s sink writes its
-ndjson_line into the staged ledger file at once and keeps nothing, so the
-ledger's memory does not grow with its events.  ndjson_line only escapes the
-four fields into a line.  Reading a line back costs two anchored patterns (the
-hash and index before the payload, the prev_hash after it) and one scanstring
-of the payload, the C scanner json's decoder runs on strings; the patterns and
-an ASCII payload leave nothing for the field checks to find.  Any other line
-takes one loads_canonical decode and the checks of each field, so what loads
-and every error stay as they were.  load_ndjson and iter_ndjson, which reads a
-file one line at a time and holds no entry list, share that per-line parser;
-replay decodes each payload once more (events.decode, which reads a cast by
-its own pattern).
+only writer of event text) and hashed once.  append is the ledger's one write:
+it hashes one text and hands its entry to the ledger's sink, for every event
+kind alike, a batch's casts included.  It does not re-check the text: replay
+re-derives every event and its sink compares the bytes with the record.  The
+default sink keeps each entry in memory, to be iterated in order (there is no
+indexing); `govlab run`'s sink writes its ndjson_line into the staged ledger
+file at once and keeps nothing, so the ledger's memory does not grow with its
+events.  ndjson_line only escapes the four fields into a line.  Reading a line
+back costs two anchored patterns (the hash and index before the payload, the
+prev_hash after it) and one scanstring of the payload, the C scanner json's
+decoder runs on strings; the patterns and an ASCII payload leave nothing for
+the field checks to find.  Any other line takes one loads_canonical decode and
+the checks of each field, so what loads and every error stay as they were.
+load_ndjson and iter_ndjson, which reads a file one line at a time and holds
+no entry list, share that per-line parser; replay decodes each payload once
+more (events.decode, which reads a cast by its own pattern).
 """
 
 from __future__ import annotations
@@ -67,12 +66,13 @@ class LedgerEntry(_Record):
 
 
 class Ledger:
-    """Append-only hash chain; single writer.
+    """Append-only hash chain; single writer, and append is its one write method.
 
-    Each entry goes to the sink as it is hashed, and the ledger itself keeps only
-    its head and its count.  With no sink the entries are kept in a list, which
-    iterating the ledger reads; `govlab run` passes a sink that writes each
-    entry's line to the staged ledger file, and replay one that compares it.
+    append hands each entry to the sink as it is hashed, and the ledger itself
+    keeps only its head and its count.  With no sink the entries are kept in a
+    list, which iterating the ledger reads; `govlab run` passes a sink that
+    writes each entry's line to the staged ledger file, and replay one that
+    compares it.
     """
 
     def __init__(self, sink: Callable[[LedgerEntry], object] | None = None):
@@ -97,21 +97,12 @@ class Ledger:
         return self._head
 
     def append(self, text: str) -> LedgerEntry:
-        """Append one event's canonical text and return its entry."""
-        return self._append_canonical((text,))
-
-    def _append_canonical(self, texts: Iterable[str]) -> LedgerEntry | None:
-        """Append one entry per canonical JSON text, each handed to the sink before the next
-        is drawn, and return the last.  If drawing a text or the sink raises, the entries
-        before it stay appended and that one is not."""
-        sink, index, prev, entry = self._sink, self._count, self._head, None
-        try:
-            for text in texts:
-                entry = LedgerEntry(index, prev, text, entry_hash(index, prev, text))
-                sink(entry)
-                index, prev = index + 1, entry.hash
-        finally:
-            self._count, self._head = index, prev
+        """Append one event's canonical text and return its entry.  If the sink raises,
+        the entry is not appended: the count and head stay at the entry before it."""
+        index, prev = self._count, self._head
+        entry = LedgerEntry(index, prev, text, entry_hash(index, prev, text))
+        self._sink(entry)
+        self._count, self._head = index + 1, entry.hash
         return entry
 
 

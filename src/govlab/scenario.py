@@ -371,8 +371,15 @@ def parse_scenario(obj: Any) -> Scenario:
             )
         else:
             proposals.append(p)
-    if cast_error := _cast_budget_error(obj.get("agents"), len(proposals)):
-        raise ScenarioValidationError([*errors, cast_error])
+    # Each voting agent casts once per proposal from each of its wallets.  An attacker counts at
+    # most MAX_WALLETS wallets here: more is the wallet cap's error, or its own agent's.
+    voters = sum(
+        min(a.n_wallets, MAX_WALLETS) if a.kind is AgentKind.SYBIL_ATTACKER else 1
+        for a in fields.get("agents", ()) if a.votes()
+    )
+    if (casts := voters * len(proposals)) > MAX_CASTS:
+        error = f"agents ask for {casts} cast events ({voters} voting wallets x {len(proposals)} proposals)"
+        raise ScenarioValidationError([*errors, f"{error}, more than the cap of {MAX_CASTS}"])
 
     agents = []
     for a in fields.get("agents", ()):
@@ -400,28 +407,6 @@ def parse_scenario(obj: Any) -> Scenario:
         raise ScenarioValidationError(errors)
     del fields["schema_version"]
     return Scenario(**{**fields, "agents": tuple(agents), "proposals": tuple(proposals)})
-
-
-def _cast_budget_error(agents: Any, n_proposals: int) -> str | None:
-    """The cast cap's error, counted from the raw agent list before any agent is checked.
-
-    Each voting agent casts once per proposal from each of its wallets.  An
-    attacker counts at most MAX_WALLETS wallets here: more is the wallet cap's
-    error, or its own agent's.
-    """
-    if not isinstance(agents, list):
-        return None
-    wallets = 0
-    for a in agents:
-        if isinstance(a, dict) and a.get("kind") != AgentKind.ABSTAINER.value:
-            n = a.get("n_wallets") if a.get("kind") == AgentKind.SYBIL_ATTACKER.value else 1
-            wallets += min(n, MAX_WALLETS) if type(n) is int and n > 1 else 1
-    if wallets * n_proposals > MAX_CASTS:
-        return (
-            f"agents ask for {wallets * n_proposals} cast events ({wallets} voting wallets x "
-            f"{n_proposals} proposals), more than the cap of {MAX_CASTS}"
-        )
-    return None
 
 
 def _agent_error(a: AgentSpec) -> str | None:

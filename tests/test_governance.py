@@ -38,6 +38,13 @@ from govlab.mechanisms import (
 from govlab.scenario import load_preset, parse_scenario, preset_names
 from govlab.simulation import run
 
+# JSON values that canonical_json writes: null, booleans, integers, strings, arrays and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
 
@@ -613,6 +620,28 @@ class TestReplay:
         # A record alone is not a filter: the engine would apply nothing and replay would diverge.
         with pytest.raises(GovernanceError, match="IdentityFilter"):
             genesis(identity=record)
+
+    def test_a_genesis_label_replay_would_refuse_fails_the_build(self):
+        """A scenario label that is not a JSON string raises the error replay would raise on its genesis."""
+        with pytest.raises(GovernanceError, match="^event 0: field 'scenario' is missing or has the wrong JSON type$"):
+            GovernanceEngine(balances={WalletId("a"): TokenAmount(5)}, supply=TokenAmount(5), genesis_context={"scenario": 5})
+
+    @given(
+        st.fixed_dictionaries({}, optional={
+            "scenario": JSON_VALUES | st.text(), "mechanism": JSON_VALUES | st.text(), "identity": st.none(),
+        })
+    )
+    @settings(max_examples=80)
+    def test_any_genesis_context_the_engine_accepts_replays_to_its_head(self, context):
+        """The engine accepts exactly the string labels, and its persisted genesis replays to its head."""
+        labels = [context[key] for key in ("scenario", "mechanism") if key in context]
+        try:
+            engine = GovernanceEngine(balances={WalletId("a"): TokenAmount(5)}, supply=TokenAmount(5), genesis_context=context)
+        except GovernanceError:
+            assert not all(type(label) is str for label in labels)
+            return
+        assert replay(load_ndjson(dump_ndjson(engine.ledger))).ledger.head_hash() == engine.ledger.head_hash()
+        assert all(type(label) is str for label in labels)
 
     def test_replay_rejects_an_empty_ledger(self):
         with pytest.raises(GovernanceError, match="empty ledger"):

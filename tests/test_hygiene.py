@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every imported name is used,
-every name the package defines has a caller outside the tests, and importing
-the CLI loads no code-generation module."""
+every name the package defines has a caller outside the tests, importing the
+CLI loads no code-generation module, and every source file parses under the
+oldest Python grammar the package supports."""
 
 import ast
 import re
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "govlab"
 # __init__ imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for folder in (SRC, ROOT / "tests", ROOT / "benchmarks") for p in folder.rglob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -110,3 +112,11 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     assert "govlab.cli" in loaded
     forbidden = loaded & {"dataclasses", "inspect", "csv", "_csv"}
     assert not forbidden, sorted(forbidden)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
+def test_every_source_file_parses_as_python_3_10(path):
+    """pyproject.toml asks for Python >= 3.10, so no file may use later grammar, such
+    as 3.11's `except*`.  This checks grammar only, not the standard library API: a
+    call to a function that 3.10 lacks still parses."""
+    ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=(3, 10))

@@ -116,23 +116,39 @@ class TestAppend:
         line = cast_template(ProposalId("p1"), "yes", 7)
         texts = [line(2 * 10**9, WalletId(w)) for w in ("w", "v")]
         ledger = Ledger()
-        ledger._append_canonical(iter(texts))
+        for text in texts:
+            ledger.append(text)
         assert [type(e.payload) for e in ledger] == [str, str]
         assert [e.payload for e in ledger] == texts
         assert verify_chain(tuple(ledger)) is None
 
-    def test_a_stream_appends_like_single_appends_up_to_its_failure(self):
-        def texts():
-            yield from _payloads(3)
-            raise LedgerError("stop")
+    def test_a_failed_append_leaves_the_ledger_at_the_entry_before_it(self):
+        """An append that raises, in the sink or in hashing a text with no UTF-8 bytes,
+        appends nothing: len and head_hash() stay at the previous entry, which the next
+        append follows."""
+        def refuse(entry):
+            if entry.payload == "refused":
+                raise LedgerError("stop")
+            received.append(entry)
 
-        ledger, received = Ledger(), []
-        streaming = Ledger(received.append)
-        for target in (ledger, streaming):
-            with pytest.raises(LedgerError, match="stop"):
-                target._append_canonical(texts())
-        assert tuple(ledger) == tuple(received) == tuple(_chain(3))
-        assert len(streaming) == 3 and streaming.head_hash() == _chain(3).head_hash()
+        received = []
+        listed, streaming = Ledger(), Ledger(refuse)
+        failures = [
+            (listed, "\ud800", UnicodeEncodeError),
+            (streaming, "refused", LedgerError),
+            (streaming, "\ud800", UnicodeEncodeError),
+        ]
+        for ledger in (listed, streaming):
+            for text in _payloads(3):
+                ledger.append(text)
+        for ledger, text, error in failures:
+            with pytest.raises(error):
+                ledger.append(text)
+            assert len(ledger) == 3 and ledger.head_hash() == _chain(3).head_hash()
+        for ledger in (listed, streaming):
+            ledger.append(_payloads(4)[3])
+            assert len(ledger) == 4 and ledger.head_hash() == _chain(4).head_hash()
+        assert list(listed) == received == list(_chain(4))
 
     def test_a_sink_receives_each_entry_and_the_ledger_keeps_none(self):
         received = []

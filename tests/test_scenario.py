@@ -395,8 +395,9 @@ class TestErrorCollection:
         assert time.perf_counter() - start < 0.1
         assert errors == [f"agents hold 10000002 wallets in total, more than the cap of {MAX_WALLETS}"]
 
-    def test_total_casts_are_capped_before_agents_are_checked(self):
-        """Voting wallets x proposals is capped, and a file over it gets that one error."""
+    @staticmethod
+    def _at_cast_cap():
+        """Five proposals and an attacker whose wallets bring the casts to exactly MAX_CASTS."""
         obj = _valid()
         obj["supply"] = "2000"
         obj["proposals"] = [
@@ -405,6 +406,11 @@ class TestErrorCollection:
         ]
         attacker = {"id": "mallory", "kind": "sybil_attacker", "balance": "1000", "preference": ["approve"]}
         obj["agents"].append({**attacker, "n_wallets": MAX_CASTS // 5 - 2})
+        return obj
+
+    def test_total_casts_are_capped_before_agents_are_checked(self):
+        """Voting wallets x proposals is capped, and a file over it gets that one error."""
+        obj = self._at_cast_cap()
         at_cap = parse_scenario(obj)
         assert sum(a.n_wallets for a in at_cap.agents) * len(at_cap.proposals) == MAX_CASTS
         obj["agents"][-1]["n_wallets"] += 1
@@ -413,6 +419,16 @@ class TestErrorCollection:
             f"agents ask for {MAX_CASTS + 5} cast events (50001 voting wallets x 5 proposals), "
             f"more than the cap of {MAX_CASTS}"
         ]
+
+    def test_the_cast_cap_counts_the_voting_agents_that_parsed(self):
+        """An abstainer casts nothing, and an agent whose own fields fail is never checked
+        against a proposal, so neither counts toward the cap: the file at the cap gets only
+        the broken agent's error."""
+        obj = self._at_cast_cap()
+        obj["agents"].append({"id": "quiet", "kind": "abstainer", "balance": "0"})
+        obj["agents"].append({"id": "broken", "kind": "honest", "balance": "lots", "preference": ["approve"]})
+        (error,) = _errors_of(obj)
+        assert error.startswith("agent 'broken': balance")
 
     def test_quorum_mechanism_requires_config(self):
         obj = _valid()

@@ -25,7 +25,9 @@ orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
 Every kind but cast is encoded by canonical_json.  A cast, the one event a
 run has thousands of, fills a template built once per proposal, option and
-tick, whose bytes equal canonical_json of the event's dict.
+tick, whose bytes equal canonical_json of the event's dict.  Genesis, the one
+event with a member per wallet, writes its balances member directly in the
+same way and leaves only its other fields to canonical_json.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -58,7 +60,12 @@ GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
 
 
 def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
-    """The genesis event; its wallet universe is the number of funded wallets."""
+    """The genesis event; its wallet universe is the number of funded wallets.
+
+    balances maps each WalletId to its TokenAmount.  Its member is written here, as a cast's
+    text is: ids are [A-Za-z0-9_-] and amounts digits and a point, so nothing needs escaping,
+    sorted ids are in code-point order, and "balances" sorts before every other field.
+    """
     context = context or {}
     if unknown := context.keys() - GENESIS_CONTEXT:
         raise GovernanceError(f"genesis context has unknown keys {sorted(unknown)}")
@@ -67,13 +74,9 @@ def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
         if key in context:
             _check(context[key], _KINDS["genesis"][key], 0, key)
     amount = functools.cache(fmt_units)  # split wallets share few balances, each formatted once
-    return canonical_json({
-        "event": "genesis",
-        "supply": str(supply),
-        "balances": {str(w): amount(b.units) for w, b in sorted(balances.items())},
-        "wallet_universe_size": len(balances),
-        **context,
-    })
+    members = ",".join([f'"{w}":"{amount(balances[w].units)}"' for w in sorted(balances)])
+    rest = canonical_json({"event": "genesis", "supply": str(supply), "wallet_universe_size": len(balances), **context})
+    return f'{{"balances":{{{members}}},{rest[1:]}'
 
 
 def submit(proposal, tick: int) -> str:

@@ -2,10 +2,14 @@
 
 The engine owns wallet balances, per-proposal vote books, and token locks;
 committed tokens stay locked for the proposal's voting window, so a wallet
-cannot commit the same tokens to two concurrent proposals.  Every state
-change appends exactly one event, encoded by govlab.events, to the
-hash-chained ledger, and replaying that event log through a fresh engine,
-read once in order, re-derives every event, genesis included, byte for byte.
+cannot commit the same tokens to two concurrent proposals.  A wallet's lock is
+one total, its live votes' commitments summed over the proposals not yet
+finalized; a vote's own share is read from its proposal's book.  Finalize
+counts a proposal's votes, releases their locks and drops its book, keeping
+only the counted votes and the tally.  Every state change appends exactly one
+event, encoded by govlab.events, to the hash-chained ledger, and replaying
+that event log through a fresh engine, read once in order, re-derives every
+event, genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
 once per option.  cast_batch is one loop: it checks each ballot, records its
@@ -180,7 +184,7 @@ class GovernanceEngine:
             context["identity"] = self.identity.to_json_obj()
         self.proposals: dict[ProposalId, Proposal] = {}
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
-        self._locks: dict[WalletId, dict[ProposalId, int]] = {}
+        self._locked: dict[WalletId, int] = {}  # units committed to live proposals; no zero totals
         self.results: dict[ProposalId, TallyResult] = {}
         self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
         self._now = 0
@@ -238,7 +242,7 @@ class GovernanceEngine:
         window = proposal.voting_window
         if not window.contains(now):
             raise OutOfWindow(f"tick {now} is outside voting window [{window.start}, {window.end})")
-        pid, balances, all_locks, append = proposal.id, self.balances, self._locks, self.ledger.append
+        pid, balances, locked, append = proposal.id, self.balances, self._locked, self.ledger.append
         book = self._votes[pid]
         lines: dict[str, Callable] = {}  # option -> events.cast_template, built on its first ballot
         for wallet, option, committed in ballots:
@@ -256,17 +260,16 @@ class GovernanceEngine:
             balance = balances.get(wallet)
             if balance is None:
                 raise GovernanceError(f"unknown wallet {wallet!r}")
-            locks = all_locks.get(wallet)
-            if locks is None:
-                locks = all_locks[wallet] = {}
-            available = balance.units - sum(locks.values()) + locks.get(pid, 0)
+            prior = book.get(wallet)
+            # A recast frees the prior vote's lock first.
+            others = locked.get(wallet, 0) - (prior.committed.units if prior is not None else 0)
+            available = balance.units - others
             if units > available:
                 raise InsufficientUnlockedTokens(f"wallet {wallet!r} has {available} unlocked units, needs {units}")
-            prior = book.get(wallet)
             # Same option: the hold (conviction's accrual) continues; a fresh vote or a switch restarts it.
             cast_at = prior.cast_at if prior is not None and prior.option == option else now
             book[wallet] = _checked_vote(wallet, pid, option, committed, cast_at)
-            locks[pid] = units
+            locked[wallet] = others + units
             append(line(units, wallet))
 
     def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
@@ -282,8 +285,10 @@ class GovernanceEngine:
                 f"voting window is open until tick {proposal.voting_window.end}"
             )
 
-        votes = list(self._votes[proposal.id].values())
-        votes, result, report = count_votes(proposal, votes, self.identity, self.supply, len(self.balances), now)
+        book = self._votes[proposal.id]
+        votes, result, report = count_votes(
+            proposal, list(book.values()), self.identity, self.supply, len(self.balances), now
+        )
         outcome = result.outcome
         if outcome.kind == OutcomeKind.QUORUM_FAILED:
             proposal.phase = Phase.QUORUM_FAILED
@@ -292,10 +297,13 @@ class GovernanceEngine:
         else:
             proposal.phase = Phase.REJECTED
 
-        for wallet in self._votes[proposal.id]:
-            locks = self._locks.get(wallet)
-            if locks is not None:
-                locks.pop(proposal.id, None)
+        del self._votes[proposal.id]  # a finalized proposal refuses casts before it reads a book
+        locked = self._locked
+        for wallet, vote in book.items():
+            if left := locked[wallet] - vote.committed.units:
+                locked[wallet] = left
+            else:
+                del locked[wallet]
 
         self.results[proposal.id] = result
         self.counted_votes[proposal.id] = tuple(votes)

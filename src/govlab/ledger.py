@@ -234,7 +234,10 @@ class StagedFiles:
         if any(os.path.realpath(staged) == real for _, _, staged in self._staged):
             raise GovlabError(f"{path}: two outputs would be written to this file")
         tmp = f"{path}.{os.getpid()}.tmp"
-        fh = open(tmp, "w", encoding=encoding, newline="")
+        try:
+            fh = open(tmp, "w", encoding=encoding, newline="")
+        except OSError as exc:  # named by the path given: the temporary file is not the user's
+            raise OSError(exc.errno, exc.strerror, path) from None
         self._staged.append((fh, tmp, path))
         return fh
 

@@ -67,7 +67,10 @@ def dictator_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) 
     Enumerates (#options)^(#voters) profiles; a tie or quorum failure in any
     profile clears every agent whose choice failed to win it.
     """
-    voters, options, outcome = _profile_outcomes(scenario, setup)
+    return _dictator(*_profile_outcomes(scenario, setup))
+
+
+def _dictator(voters: list[AgentSpec], options: tuple[str, ...], outcome: Callable) -> tuple[str, ...]:
     candidates = {a.id for a in voters}
     for profile in product(options, repeat=len(voters)):
         if not candidates:
@@ -101,9 +104,12 @@ def iia_probe(scenario: Scenario, *, setup: SimulationSetup | None = None) -> Ii
     as the witness.  Two-option instances trivially have none.
     """
     counted = _profile_outcomes(scenario, setup, fewest_options=3)
-    if counted is None:
+    return None if counted is None else _iia(*counted)
+
+
+def _iia(voters: list[AgentSpec], options: tuple[str, ...], outcome: Callable) -> IiaWitness | None:
+    if len(options) < 3:
         return None
-    voters, options, outcome = counted
     for profile in product(permutations(options), repeat=len(voters)):
         before = outcome(options, {agent.id: ranking[0] for agent, ranking in zip(voters, profile)})
         if not before.is_winner():

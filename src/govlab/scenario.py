@@ -24,13 +24,13 @@ from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, 
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
-# A run costs about 50 us and 1.2-1.6 KiB per wallet (one attacker with 10^5 wallets took
-# 5 s and 133 MiB peak RSS through `govlab run`, 174 MiB through run(), which keeps the
+# A run costs about 25 us and 1.1-1.5 KiB per wallet (an attacker with 10^5 wallets took
+# 2.5 s and 106 MiB peak RSS through `govlab run`, 145 MiB through run(), which keeps the
 # ledger's entries), so this cap bounds the wallets one scenario file can ask for.
 MAX_WALLETS = 100_000
-# Each voting wallet casts once per proposal, at about 17-21 us per cast, and 0.4-0.5 KiB
-# through `govlab run`, which streams the ledger to its file, or 0.8 KiB through run()
-# (2.5 * 10^5 casts peaked at 106-144 MiB RSS and 200-220 MiB), so this cap bounds the casts.
+# Each voting wallet casts once per proposal, at about 10-17 us per cast, and 0.3-0.5 KiB
+# through `govlab run`, which streams the ledger to its file, or 0.7-0.8 KiB through run()
+# (2.5 * 10^5 casts peaked at 87-134 MiB RSS and 182-210 MiB), so this cap bounds the casts.
 MAX_CASTS = 250_000
 # One file can hold an error per agent, option and proposal; past this many the rest are
 # counted, not listed.  An error quotes at most QUOTED_CHARS characters of any id or value,

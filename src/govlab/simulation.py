@@ -311,13 +311,14 @@ def _build_report(
 
 
 def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] | None:
-    from .probes import InstanceTooLarge, dictator_probe, iia_probe
+    from .probes import InstanceTooLarge, _dictator, _iia, _profile_outcomes
 
     try:
-        flagged = dictator_probe(scenario, setup=setup)
+        counted = _profile_outcomes(scenario, setup)  # one count serves both probes
     except InstanceTooLarge:
         return None
-    witness = iia_probe(scenario, setup=setup)  # None with two options
+    flagged = _dictator(*counted)
+    witness = _iia(*counted)  # None with two options
     return {
         "dictator_probe": {"flagged": list(flagged)},
         "iia_probe": {"witness": witness.to_json_obj() if witness else None},

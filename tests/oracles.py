@@ -163,6 +163,37 @@ def _nine_digits(units: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Token locks as a per-proposal table: each wallet maps each live proposal it
+# voted on to the units its vote there commits.
+
+
+class LockTableRef:
+    """The lock rule from its definition: a cast may commit the wallet's balance less
+    what its votes on other live proposals lock; finalize releases the proposal's locks."""
+
+    def __init__(self, balances: dict[str, int]):
+        self.balances = dict(balances)
+        self.locks: dict[str, dict[str, int]] = {wallet: {} for wallet in balances}
+
+    def cast(self, proposal: str, wallet: str, units: int) -> str | None:
+        """None if the cast is accepted, else the InsufficientUnlockedTokens text."""
+        locks = self.locks[wallet]
+        available = self.balances[wallet] - sum(u for p, u in locks.items() if p != proposal)
+        if units > available:
+            return f"wallet {wallet!r} has {available} unlocked units, needs {units}"
+        locks[proposal] = units
+        return None
+
+    def finalize(self, proposal: str) -> None:
+        for locks in self.locks.values():
+            locks.pop(proposal, None)
+
+    def totals(self) -> dict[str, int]:
+        """Each wallet's locked units, for the wallets that have any."""
+        return {wallet: total for wallet, locks in self.locks.items() if (total := sum(locks.values()))}
+
+
+# ---------------------------------------------------------------------------
 # SHA-256 from the FIPS 180-4 definition, used to cross-check hashlib-based
 # ledger hashes with an implementation sharing no code with the package.
 

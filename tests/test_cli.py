@@ -267,6 +267,9 @@ class TestRunCommand:
             assert main(argv) == EXIT_RUNTIME
             err_lines = capsys.readouterr().err.splitlines()
             assert len(err_lines) == 1 and err_lines[0].startswith("error: ") and message in err_lines[0]
+            if failure == "missing-ledger-dir":
+                # The error names the ledger path as given, not its temporary file.
+                assert f"'{argv_ledger}'" in err_lines[0] and ".tmp" not in err_lines[0]
         if failure in ("finalize", "interrupt"):
             ((streamed, suffixes),) = staged_at_finalize
             assert streamed > 3 and suffixes.count(".tmp") == 3

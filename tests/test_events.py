@@ -26,6 +26,7 @@ from govlab.core import (
 from govlab.governance import Proposal, Window
 from govlab.identity import RegistryMode, VotePolicy
 from govlab.mechanisms import ConvictionParams, Mechanism, QuorumBasis, QuorumConfig
+from oracles import canonical_json_ref
 
 _id_st = st.from_regex(r"[A-Za-z0-9_-]{1,64}", fullmatch=True)
 _label_st = st.lists(
@@ -154,6 +155,31 @@ class TestCodec:
         """The template is %-formatted, so a label's own % signs must survive it."""
         text, fields = _cast("p", "100% %d %s", 0, TokenAmount.parse("0.5"), "w")
         assert text == canonical_json(fields)
+
+    @given(
+        balances=st.dictionaries(_id_st.map(WalletId), _amount_st, max_size=40),
+        scenario=st.none() | _label_st | st.sampled_from(['"', "\\", 'a"b\\c', "caf\u00e9", "\u2603 \U0001f600"]),
+        identity=st.booleans(),
+        supply=_amount_st,
+    )
+    @settings(max_examples=150)
+    def test_genesis_writes_its_balances_as_canonical_json_would(self, balances, scenario, identity, supply):
+        """The balances member is written directly; the whole text equals canonical_json of the event."""
+        context = {"mechanism": "token"}
+        if scenario is not None:
+            context["scenario"] = scenario
+        if identity:
+            context["identity"] = {
+                "policy": "drop_unverified",
+                "registry": {"mode": "collapse_per_identity", "bindings": [{"identity": "i", "wallets": sorted(balances)}]},
+            }
+        fields = {
+            "event": "genesis", "supply": str(supply), "balances": {str(w): str(b) for w, b in balances.items()},
+            "wallet_universe_size": len(balances), **context,
+        }
+        text = events.genesis(supply, balances, context)
+        assert text == canonical_json(fields) == canonical_json_ref(fields)
+        assert events.decode(0, text) == fields
 
     def test_genesis_context_takes_only_its_fixed_keys(self):
         with pytest.raises(GovernanceError, match="unknown keys"):

@@ -37,6 +37,7 @@ from govlab.mechanisms import (
 )
 from govlab.scenario import load_preset, parse_scenario, preset_names
 from govlab.simulation import run
+from oracles import LockTableRef
 
 # JSON values that canonical_json writes: null, booleans, integers, strings, arrays and objects.
 JSON_VALUES = st.recursive(
@@ -58,7 +59,7 @@ def _engine(balances=None, supply=1000):
 
 def _locked_units(engine, wallet):
     """Units of `wallet` locked across live proposals, read from the engine's lock table."""
-    return sum(engine._locks.get(WalletId(wallet), {}).values())
+    return engine._locked.get(WalletId(wallet), 0)
 
 
 def _proposal(pid="p1", options=("approve", "reject"), discussion=(0, 5), voting=(5, 10), **kw):
@@ -306,6 +307,59 @@ class TestTokenLocks:
         engine.finalize("p1", 10)
         assert _locked_units(engine, "alice") == 0
         engine.cast("p2", WalletId("alice"), "approve", TokenAmount.parse(100), 10)
+
+    def test_finalize_keeps_only_the_counted_votes(self):
+        engine = self._two_live_proposals()
+        engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(60), 5)
+        engine.cast("p2", WalletId("alice"), "reject", TokenAmount.parse(40), 5)
+        engine.finalize("p1", 20)
+        assert ProposalId("p1") not in engine._votes and ProposalId("p2") in engine._votes
+        assert [v.committed for v in engine.counted_votes[ProposalId("p1")]] == [TokenAmount.parse(60)]
+        assert engine._locked == {WalletId("alice"): 40 * 10**9}
+        with pytest.raises(PhaseError, match="not in its voting phase"):
+            engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(1), 20)
+        with pytest.raises(PhaseError, match="already finalized"):
+            engine.finalize("p1", 20)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["cast"] * 5 + ["finalize"]),
+                st.sampled_from(["p1", "p2"]),
+                st.sampled_from(["alice", "bob", "carol"]),
+                st.sampled_from(["approve", "reject"]),
+                st.integers(min_value=1, max_value=480),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150)
+    def test_lock_decisions_match_the_per_proposal_table(self, ops):
+        """Casts, recasts, switches and finalizes on two overlapping proposals decide, and word
+        each refusal, as a per-proposal lock table does; the ledger replays to its head."""
+        engine = _engine()
+        ends = {"p1": 10, "p2": 20}
+        for pid, end in ends.items():
+            engine.submit(_proposal(pid=pid, discussion=(0, 5), voting=(5, end)), 0)
+        oracle = LockTableRef({w: b.units for w, b in engine.balances.items()})
+        now = 5
+        for op, pid, wallet, option, quarters in ops:
+            if op == "finalize":
+                if engine.proposals[pid].phase is Phase.VOTING:
+                    now = max(now, ends[pid])
+                    engine.finalize(pid, now)
+                    oracle.finalize(pid)
+            elif now < ends[pid]:
+                units = quarters * 10**9 // 4
+                expected = oracle.cast(pid, wallet, units)
+                try:
+                    engine.cast(pid, WalletId(wallet), option, TokenAmount(units), now)
+                    refused = None
+                except InsufficientUnlockedTokens as exc:
+                    refused = str(exc)
+                assert refused == expected
+            assert engine._locked == oracle.totals()
+        assert replay(tuple(engine.ledger)).ledger.head_hash() == engine.ledger.head_hash()
 
     def test_balances_bound_the_supply(self):
         with pytest.raises(GovernanceError, match="exceed token supply"):

@@ -258,7 +258,7 @@ class TestCountOnce:
         monkeypatch.setattr(probes, "count_votes", lambda *args: calls.append(1) or count_votes(*args))
         report = run(load_preset("participatory_budget")).report["arrow_probes"]  # 3 options, 4 voters
         assert report["dictator_probe"] == {"flagged": ["late_whale"]}
-        assert len(calls) <= 2
+        assert len(calls) == 1  # the two probes share one count
 
     @pytest.mark.parametrize("wallets", [1_000, pytest.param(MAX_WALLETS - 3, marks=pytest.mark.slow)])
     def test_power_calls_grow_with_wallets_not_profiles(self, monkeypatch, wallets):

@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from govlab import simulation as simulation_module
 from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
 from govlab.ledger import LedgerError
-from govlab.scenario import ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
+from govlab.scenario import MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
 from govlab.simulation import (
     SimulationError,
     compare_mechanisms,
@@ -27,6 +28,14 @@ from govlab.simulation import (
 from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+def _bench_workloads():
+    """The benchmark's scenario generators, read only."""
+    spec = importlib.util.spec_from_file_location("govlab_bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _powers(*values):
@@ -216,10 +225,7 @@ class TestReportCsv:
     @pytest.mark.slow
     @pytest.mark.parametrize("workload", ["crowd_quadratic", "sybil_identity", "conviction_horizon"])
     def test_benchmark_workloads_match_the_csv_module(self, workload):
-        spec = importlib.util.spec_from_file_location("govlab_bench_workloads", WORKLOADS_PATH)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # read only: the benchmark's seed-1 scenario text
-        result = run(loads_scenario(module.scenario_text(workload, 1)))
+        result = run(loads_scenario(_bench_workloads().scenario_text(workload, 1)))  # the benchmark's seed-1 text
         assert report_csv(result) == report_csv_ref(result)
 
     @settings(max_examples=40, deadline=None)
@@ -616,3 +622,55 @@ class TestEventSchedule:
         (metrics,) = result.report["proposals"]
         assert metrics["voters"] == 1
         assert "p1,late,0,0.000000000,0.000000000" in report_csv(result).splitlines()
+
+
+def _one_attacker(wallets):
+    """Three honest agents and one attacker splitting its stake over `wallets` wallets on one
+    three-option proposal: few enough voters and options that the probes run."""
+    return parse_scenario({
+        "schema_version": 1, "name": "one-attacker", "ticks": 30, "supply": "1000000", "mechanism": "conviction",
+        "conviction": {"decay_rate": "0.1"},
+        "proposals": [{"id": "p1", "options": ["a", "b", "c"], "discussion_window": [0, 5], "voting_window": [5, 30]}],
+        "agents": [
+            {"id": "h0", "kind": "honest", "balance": "300", "preference": ["a", "b", "c"]},
+            {"id": "h1", "kind": "honest", "balance": "200", "preference": ["b", "c", "a"]},
+            {"id": "h2", "kind": "honest", "balance": "100", "preference": ["c", "a", "b"]},
+            {"id": "att", "kind": "sybil_attacker", "balance": "100000", "preference": ["c", "b", "a"],
+             "n_wallets": wallets - 3},
+        ],
+    })
+
+
+class TestPeakMemoryPerWallet:
+    """A run's traced peak, with the ledger streamed to a sink, per wallet of the scenario.
+
+    Counted by tracemalloc, not timed, so machine load does not move it.  This engine measured
+    575-590 B on the Sybil workload at half scale, and 765 B (4,003 wallets) to 851 B (MAX_WALLETS)
+    for one attacker with the probes on (Python 3.11); each bound is about 1.15 times that.
+    Holding a second lock table, a finalized proposal's vote book or a copy of the genesis
+    balances breaks it.
+    """
+
+    @staticmethod
+    def _peak_per_wallet(scenario):
+        wallets = sum(agent.n_wallets for agent in scenario.agents)
+        tracemalloc.start()
+        try:
+            result = run(scenario, ledger_sink=lambda entry: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak / wallets
+
+    @pytest.mark.parametrize("seed", [1, 41])
+    def test_identity_filtered_attackers_on_two_proposals(self, seed):
+        scenario = parse_scenario(_bench_workloads().sybil_identity(seed, scale=0.5))  # 4,150 wallets
+        result, per_wallet = self._peak_per_wallet(scenario)
+        assert len(result.report["proposals"]) == 2
+        assert per_wallet < 680, f"{per_wallet:.0f} B of traced peak per wallet"
+
+    @pytest.mark.parametrize("wallets, bound", [(4_003, 880), pytest.param(MAX_WALLETS, 980, marks=pytest.mark.slow)])
+    def test_one_attacker_with_the_probes(self, wallets, bound):
+        result, per_wallet = self._peak_per_wallet(_one_attacker(wallets))
+        assert result.report["arrow_probes"] is not None
+        assert per_wallet < bound, f"{per_wallet:.0f} B of traced peak per wallet"

@@ -44,7 +44,6 @@ from .mechanisms import (
     tally,
     vote_power,
 )
-from .probes import IiaWitness, InstanceTooLarge, dictator_probe, iia_probe
 from .scenario import (
     AgentKind,
     AgentSpec,

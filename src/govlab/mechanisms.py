@@ -10,7 +10,8 @@ vote_power is the one place that picks a power function by mechanism; the
 tally, the report's Sybil baseline and the Sybil tools all go through it.
 config_error owns the rule that quorum needs a quorum config and conviction
 its params; Proposal, tally, parse_scenario and compare_mechanisms report it.
-decide owns the outcome rule; tally and the probes pick outcomes through it.
+decide owns the outcome rule; tally and probes.arrow_probes, which enumerates profiles
+over the run's one probe count, pick outcomes through it.
 
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the

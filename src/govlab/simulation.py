@@ -21,6 +21,7 @@ from typing import Any, Callable, Sequence
 from .core import (
     GovlabError,
     IdentityId,
+    OutcomeKind,
     TokenAmount,
     VoteRecord,
     VotingPower,
@@ -30,10 +31,11 @@ from .core import (
     fmt_units,
     ratio_half_even,
 )
-from .governance import GovernanceEngine, Proposal
+from .governance import GovernanceEngine, Proposal, count_votes
 from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
 from .ledger import Ledger, LedgerEntry
 from .mechanisms import Mechanism, MechanismError, config_error, vote_power
+from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, arrow_probes
 from .rng import MASK64
 from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError
 from .sybil import split_uniform
@@ -216,7 +218,7 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
     owner = {w: aid for aid, wallets in setup.wallets_by_agent.items() for w in wallets}
     counted, results = engine.counted_votes, engine.results
     by_agent = {s.id: _index_votes(owner, counted[s.id], results[s.id].vote_powers) for s in scenario.proposals}
-    report = _build_report(scenario, setup, engine, by_agent)
+    report = _build_report(scenario, setup, engine, owner, by_agent)
     report_json = canonical_json(report) + "\n"
     return RunResult(
         scenario=scenario,
@@ -284,6 +286,7 @@ def _build_report(
     scenario: Scenario,
     setup: SimulationSetup,
     engine: GovernanceEngine,
+    owner: dict[WalletId, str],
     by_agent: dict[str, dict[str, list[int]]],
 ) -> dict[str, Any]:
     identity_obj = None
@@ -304,25 +307,33 @@ def _build_report(
         "proposals": [
             _proposal_metrics(scenario, engine, spec, by_agent[spec.id]) for spec in scenario.proposals
         ],
-        "arrow_probes": _probe_report(scenario, setup),
+        "arrow_probes": _probe_report(scenario, setup, engine, owner),
         "ledger_head": engine.ledger.head_hash(),
     }
     return report
 
 
-def _probe_report(scenario: Scenario, setup: SimulationSetup) -> dict[str, Any] | None:
-    from .probes import InstanceTooLarge, _dictator, _iia, _profile_outcomes
-
-    try:
-        counted = _profile_outcomes(scenario, setup)  # one count serves both probes
-    except InstanceTooLarge:
+def _probe_report(
+    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, owner: dict[WalletId, str]
+) -> dict[str, Any] | None:
+    """The Arrow probes on the first proposal, or None past the enumeration bounds.  One count,
+    every voter's wallets committing their full balance to the first option at the window start,
+    fixes each voter's power and the quorum test: each identity the registry binds holds wallets of
+    one agent, so every profile drops and merges the same wallets, and no power depends on an option."""
+    voters = [agent.id for agent in scenario.agents if agent.votes()]
+    options = scenario.proposals[0].options
+    if len(voters) > MAX_PROBE_AGENTS or len(options) > MAX_PROBE_OPTIONS:
         return None
-    flagged = _dictator(*counted)
-    witness = _iia(*counted)  # None with two options
-    return {
-        "dictator_probe": {"flagged": list(flagged)},
-        "iia_probe": {"witness": witness.to_json_obj() if witness else None},
-    }
+    proposal = engine.proposals[scenario.proposals[0].id]
+    window = proposal.voting_window
+    votes = [
+        VoteRecord(wallet, proposal.id, options[0], setup.balances[wallet], window.start)
+        for voter in voters for wallet in setup.wallets_by_agent[voter]
+    ]
+    votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
+    by_agent = _index_votes(owner, votes, result.vote_powers)
+    power = [by_agent.get(voter, (0, 0, 0))[2] for voter in voters]
+    return arrow_probes(voters, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)
 
 
 def report_csv(result: RunResult) -> str:

@@ -34,7 +34,6 @@ from govlab.mechanisms import (
     power_quadratic,
 )
 from govlab.core import VoteRecord
-from govlab.probes import dictator_probe, iia_probe
 from govlab.scenario import load_preset, parse_scenario
 from govlab.simulation import gini, run
 from govlab.sybil import sybil_gain
@@ -298,13 +297,16 @@ def test_criterion_09_arrow_probes_on_reference_instances():
     assert expected_dictators(whale_case) == {"holder_60"}
     assert expected_dictators(split_case) == set()
 
-    assert dictator_probe(_token_scenario(whale_case)) == ("holder_60",)
-    assert dictator_probe(_token_scenario(split_case)) == ()
+    def flagged(balances):
+        return run(_token_scenario(balances)).report["arrow_probes"]["dictator_probe"]["flagged"]
 
-    witness = iia_probe(load_preset("plurality_iia_probe"))
+    assert flagged(whale_case) == ["holder_60"]
+    assert flagged(split_case) == []
+
+    witness = run(load_preset("plurality_iia_probe")).report["arrow_probes"]["iia_probe"]["witness"]
     assert witness is not None
-    assert witness.winner_before != witness.winner_after
-    assert witness.removed_option not in (witness.winner_before, witness.winner_after)
+    assert witness["winner_before"] != witness["winner_after"]
+    assert witness["removed_option"] not in (witness["winner_before"], witness["winner_after"])
     _ok("criterion 9, Arrow probes (dictator x2 vs enumeration, IIA witness found)")
 
 

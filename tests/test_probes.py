@@ -1,5 +1,5 @@
-"""Exhaustive dictator and independence probes, checked against in-test enumeration
-and against the brute-force references in tests/oracles.py."""
+"""Exhaustive dictator and independence probes, read from a run's report and checked
+against in-test enumeration and against the brute-force references in tests/oracles.py."""
 
 from itertools import product
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab import mechanisms, probes
-from govlab.probes import InstanceTooLarge, dictator_probe, iia_probe
+from govlab import governance, mechanisms, simulation
 from govlab.scenario import MAX_WALLETS, load_preset, parse_scenario
 from govlab.simulation import run
 from oracles import dictator_probe_ref, iia_probe_ref
@@ -63,19 +62,31 @@ def _token_dictators(balances):
     return dictators
 
 
+def _probes(scenario):
+    return run(scenario).report["arrow_probes"]
+
+
+def _flagged(scenario):
+    return _probes(scenario)["dictator_probe"]["flagged"]
+
+
+def _witness(scenario):
+    return _probes(scenario)["iia_probe"]["witness"]
+
+
 class TestDictatorProbe:
     def test_majority_whale_is_flagged(self):
         scenario = _scenario({"whale": 60, "mid": 30, "small": 10})
-        assert dictator_probe(scenario) == ("whale",)
+        assert _flagged(scenario) == ["whale"]
 
     def test_no_majority_holder_no_dictator(self):
         scenario = _scenario({"x": 40, "y": 35, "z": 25})
-        assert dictator_probe(scenario) == ()
+        assert _flagged(scenario) == []
 
     def test_exactly_half_is_not_a_dictator(self):
         # 50 can be tied by the other two together; ties have no winner.
         scenario = _scenario({"big": 50, "mid": 30, "small": 20})
-        assert dictator_probe(scenario) == ()
+        assert _flagged(scenario) == []
 
     @pytest.mark.parametrize(
         "balances",
@@ -90,33 +101,31 @@ class TestDictatorProbe:
     )
     def test_matches_independent_enumeration(self, balances):
         scenario = _scenario(balances)
-        assert set(dictator_probe(scenario)) == _token_dictators(balances)
+        assert set(_flagged(scenario)) == _token_dictators(balances)
 
     def test_quadratic_weighting_can_unseat_a_token_dictator(self):
         # 60 of 100 tokens dictates under token weighting, but sqrt(60) < sqrt(30)+sqrt(10).
         balances = {"whale": 60, "mid": 30, "small": 10}
-        assert dictator_probe(_scenario(balances)) == ("whale",)
-        assert dictator_probe(_scenario(balances, mechanism="quadratic")) == ()
+        assert _flagged(_scenario(balances)) == ["whale"]
+        assert _flagged(_scenario(balances, mechanism="quadratic")) == []
 
     def test_three_option_profiles_are_enumerated(self):
         scenario = _scenario({"whale": 60, "mid": 30, "small": 10}, options=("a", "b", "c"))
-        assert dictator_probe(scenario) == ("whale",)
+        assert _flagged(scenario) == ["whale"]
 
 
 class TestIiaProbe:
     def test_two_options_have_no_witness(self):
         scenario = _scenario({"x": 40, "y": 35, "z": 25})
-        assert iia_probe(scenario) is None
+        assert _witness(scenario) is None
 
     def test_plurality_spoiler_witness(self):
-        scenario = load_preset("plurality_iia_probe")
-        witness = iia_probe(scenario)
+        witness = _witness(load_preset("plurality_iia_probe"))
         assert witness is not None
-        obj = witness.to_json_obj()
-        assert obj["removed_option"] == "C"
-        assert obj["winner_before"] == "A"
-        assert obj["winner_after"] == "B"
-        rankings = obj["profile"]
+        assert witness["removed_option"] == "C"
+        assert witness["winner_before"] == "A"
+        assert witness["winner_after"] == "B"
+        rankings = witness["profile"]
         assert set(rankings) == {"bloc_a", "bloc_b", "bloc_c"}
         for ranking in rankings.values():
             assert sorted(ranking) == ["A", "B", "C"]
@@ -124,9 +133,9 @@ class TestIiaProbe:
     def test_witness_profile_is_replayable(self):
         """The returned profile really does flip the winner when the option drops."""
         scenario = load_preset("plurality_iia_probe")
-        witness = iia_probe(scenario)
+        witness = _witness(scenario)
         balances = {a.id: a.balance.units for a in scenario.agents}
-        profile = dict(witness.profile)
+        profile = witness["profile"]
 
         def plurality_winner(choices):
             weight = {}
@@ -138,54 +147,54 @@ class TestIiaProbe:
             return ranked[0][0]
 
         before = plurality_winner({a: r[0] for a, r in profile.items()})
-        assert before == witness.winner_before
+        assert before == witness["winner_before"]
         survivors = {
-            a: next(o for o in r if o != witness.removed_option) for a, r in profile.items()
+            a: next(o for o in r if o != witness["removed_option"]) for a, r in profile.items()
         }
-        assert plurality_winner(survivors) == witness.winner_after
+        assert plurality_winner(survivors) == witness["winner_after"]
 
     def test_dictated_instances_have_no_witness(self):
         """A majority whale's top pick always wins, so removals never flip it."""
         scenario = _scenario({"whale": 60, "mid": 30, "small": 10}, options=("a", "b", "c"))
-        assert iia_probe(scenario) is None
+        assert _witness(scenario) is None
+
+
+def _count_votes_calls(monkeypatch):
+    """Count every count_votes call, finalize's (through governance) and the probes' (through simulation)."""
+    calls = []
+    count_votes = governance.count_votes
+
+    def counted(*args):
+        calls.append(args[0].id)
+        return count_votes(*args)
+
+    monkeypatch.setattr(governance, "count_votes", counted)
+    monkeypatch.setattr(simulation, "count_votes", counted)
+    return calls
 
 
 class TestEnumerationBounds:
-    def test_five_voters_refused(self):
-        scenario = _scenario({f"v{i}": 10 for i in range(5)})
-        with pytest.raises(InstanceTooLarge, match="5 voting agents exceed"):
-            dictator_probe(scenario)
+    def test_five_voters_report_null(self):
+        assert _probes(_scenario({f"v{i}": 10 for i in range(5)})) is None
 
-    def test_four_options_refused(self):
-        scenario = _scenario({"x": 40, "y": 35, "z": 25}, options=("a", "b", "c", "d"))
-        with pytest.raises(InstanceTooLarge, match="4 options exceed"):
-            iia_probe(scenario)
+    def test_four_options_report_null(self):
+        assert _probes(_scenario({"x": 40, "y": 35, "z": 25}, options=("a", "b", "c", "d"))) is None
 
-    def test_bounds_apply_to_both_probes(self):
-        scenario = _scenario({f"v{i}": 10 for i in range(5)})
-        with pytest.raises(InstanceTooLarge):
-            iia_probe(scenario)
-
-    def test_bounds_are_checked_before_any_setup_or_count(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the probe set up or counted a refused instance")
-
-        monkeypatch.setattr(probes, "build_setup", refuse)
-        monkeypatch.setattr(probes, "count_votes", refuse)
+    def test_bounds_are_checked_before_the_probes_count(self, monkeypatch):
+        """Past a bound the run counts each proposal once, at finalize, and never for the probes."""
+        calls = _count_votes_calls(monkeypatch)
         too_many_voters = _scenario({f"v{i}": 10 for i in range(5)})
         too_many_options = _scenario({"x": 40, "y": 35, "z": 25}, options=("a", "b", "c", "d"))
-        for probe in (dictator_probe, iia_probe):
-            for scenario in (too_many_voters, too_many_options):
-                with pytest.raises(InstanceTooLarge):
-                    probe(scenario)
-        # Two options have no independence witness, so iia_probe returns before it counts.
-        assert iia_probe(_scenario({"x": 40, "y": 35, "z": 25})) is None
+        for scenario in (too_many_voters, too_many_options):
+            calls.clear()
+            assert _probes(scenario) is None
+            assert calls == [spec.id for spec in scenario.proposals]
 
     def test_four_voters_three_options_allowed(self):
         scenario = _scenario(
             {"a1": 97, "a2": 1, "a3": 1, "a4": 1}, options=("a", "b", "c")
         )
-        assert dictator_probe(scenario) == ("a1",)
+        assert _flagged(scenario) == ["a1"]
 
 
 @st.composite
@@ -238,34 +247,38 @@ def probe_scenarios(draw):
 
 
 class TestAgainstBruteForce:
-    """One count per probe, summed per agent, gives what counting every profile afresh gives."""
+    """One count, summed per agent, gives what counting every profile afresh gives."""
 
     @settings(max_examples=120)
     @given(probe_scenarios())
     def test_probes_match_the_per_profile_count(self, scenario):
-        assert dictator_probe(scenario) == dictator_probe_ref(scenario)
-        witness = iia_probe(scenario)
-        fields = None if witness is None else (
-            witness.profile, witness.removed_option, witness.winner_before, witness.winner_after
-        )
-        assert fields == iia_probe_ref(scenario)
+        ref = iia_probe_ref(scenario)
+        witness = None if ref is None else {
+            "profile": {agent: list(ranking) for agent, ranking in ref[0]},
+            "removed_option": ref[1],
+            "winner_before": ref[2],
+            "winner_after": ref[3],
+        }
+        assert _probes(scenario) == {
+            "dictator_probe": {"flagged": list(dictator_probe_ref(scenario))},
+            "iia_probe": {"witness": witness},
+        }
 
 
 class TestCountOnce:
-    def test_each_probe_counts_the_wallets_once(self, monkeypatch):
-        calls = []
-        count_votes = probes.count_votes
-        monkeypatch.setattr(probes, "count_votes", lambda *args: calls.append(1) or count_votes(*args))
-        report = run(load_preset("participatory_budget")).report["arrow_probes"]  # 3 options, 4 voters
+    def test_the_probes_count_the_wallets_once(self, monkeypatch):
+        calls = _count_votes_calls(monkeypatch)
+        scenario = load_preset("participatory_budget")  # 3 options, 4 voters
+        report = _probes(scenario)
         assert report["dictator_probe"] == {"flagged": ["late_whale"]}
-        assert len(calls) == 1  # the two probes share one count
+        assert len(calls) == len(scenario.proposals) + 1  # finalize's counts, and one the two probes share
 
     @pytest.mark.parametrize("wallets", [1_000, pytest.param(MAX_WALLETS - 3, marks=pytest.mark.slow)])
     def test_power_calls_grow_with_wallets_not_profiles(self, monkeypatch, wallets):
         """A run's vote_power calls stay a small multiple of its votes with the probes on."""
         scenario = _attacked(wallets)
         votes = (wallets + 3) * len(scenario.proposals)
-        bound = 4 * votes  # finalize's count, one count per probe, and a margin
+        bound = 2 * votes  # finalize's count and the probes' one count
         calls = 0
         vote_power = mechanisms.vote_power
 

@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+from collections import Counter
 import time
 import tracemalloc
 from decimal import Decimal
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from govlab import simulation as simulation_module
 from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
 from govlab.ledger import LedgerError
-from govlab.scenario import MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
+from govlab.mechanisms import Mechanism, config_error
+from govlab.scenario import MAX_CASTS, MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
 from govlab.simulation import (
     SimulationError,
     compare_mechanisms,
@@ -24,6 +26,7 @@ from govlab.simulation import (
     report_csv,
     run,
 )
+from govlab.sybil import sybil_gain
 
 from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref
 
@@ -465,6 +468,16 @@ class TestCompareMechanisms:
         compare_mechanisms(load_preset("sybil_attack_quadratic"), ["token", "quadratic", "conviction"])
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_each_run_equals_a_standalone_run(self, name):
+        """Every report field, the probes included, reads the run's own engine, so a run inside
+        compare equals run() under its mechanism, for every mechanism the preset's config allows."""
+        scenario = load_preset(name)
+        allowed = [m for m in Mechanism if config_error(m, scenario.quorum, scenario.conviction) is None]
+        runs = compare_mechanisms(scenario, allowed)[0]["runs"]
+        for m in allowed:
+            assert runs[m.value] == run(scenario._replace(mechanism=m)).report
+
 
 class TestOtherPresets:
     def test_nonprofit_grant_vote(self):
@@ -568,6 +581,124 @@ class TestSplitInvariance:
         for before, after in zip(proposals(scenario), proposals(split), strict=True):
             assert {f: after[f] for f in fields} == {f: before[f] for f in fields}
             assert after["voters"] == before["voters"] + n_wallets - 1
+
+
+_MECHANISMS = ["token", "quorum", "quadratic", "conviction"]
+
+
+@st.composite
+def _attacked_electorates(draw, identity):
+    """One proposal, one to three Sybil attackers and up to two honest agents, under any
+    mechanism, with balances in 10^-9 units and a cast tick anywhere in the voting window."""
+    mechanism = draw(st.sampled_from(_MECHANISMS))
+    agents = [
+        {"id": f"h{k}", "kind": "honest", "balance": fmt_units(draw(st.integers(1, 10**12))), "preference": ["a"]}
+        for k in range(draw(st.integers(0, 2)))
+    ]
+    for k in range(draw(st.integers(1, 3))):
+        n_wallets = draw(st.integers(2, 40))
+        agents.append({
+            "id": f"att{k}", "kind": "sybil_attacker", "balance": fmt_units(draw(st.integers(n_wallets, 10**12))),
+            "preference": ["b"], "n_wallets": n_wallets, "cast_at": draw(st.none() | st.integers(2, 9)),
+            "identity_strategy": draw(st.sampled_from(["one_identity", "fake_identities"])),
+        })
+    held = sum(parse_units(a["balance"]) for a in agents)
+    return parse_scenario({
+        "schema_version": 1,
+        "name": "sybil-properties",
+        "ticks": 10,
+        "supply": fmt_units(held + draw(st.integers(0, 10**12))),
+        "mechanism": mechanism,
+        "quorum": {"basis": "token_supply_fraction", "threshold": "0.5"} if mechanism == "quorum" else None,
+        "conviction": {"decay_rate": draw(st.sampled_from(["0.05", "0.5", "2"]))} if mechanism == "conviction" else None,
+        "identity": draw(identity),
+        "proposals": [{"id": "p1", "options": ["a", "b"], "discussion_window": [0, 2], "voting_window": [2, 10]}],
+        "agents": agents,
+    })
+
+
+_ZERO_FALSE_ACCEPTS = st.builds(
+    lambda mode: {"mode": mode, "policy": "drop_unverified", "provider": {"false_accept_rate": "0"}},
+    st.sampled_from(["strict_one_wallet", "collapse_per_identity"]),
+)
+
+
+class TestSybilProperties:
+    """The paper's Sybil argument, stated from the README's rules and checked on whole runs."""
+
+    @given(_attacked_electorates(st.none()))
+    @settings(max_examples=60, deadline=None)
+    def test_amplification_is_sybil_gain_without_an_identity_layer(self, scenario):
+        """Every wallet of a uniform split is counted, each commits its whole balance at the
+        agent's cast tick, and the baseline is that balance in one wallet held as long, which
+        is sybil_gain's split held for the ticks from the cast to the window's end."""
+        (spec,) = scenario.proposals
+        (metrics,) = run(scenario).report["proposals"]
+        for agent in scenario.agents:
+            if agent.n_wallets > 1:
+                gain = sybil_gain(
+                    agent.balance, agent.n_wallets, scenario.mechanism,
+                    conviction=scenario.conviction, held_for=spec.voting_window.end - agent.cast_tick(spec),
+                ).amplification
+                assert metrics["sybil_amplification"][agent.id] == (None if gain is None else str(gain))
+
+    @given(_attacked_electorates(_ZERO_FALSE_ACCEPTS))
+    @settings(max_examples=60, deadline=None)
+    def test_an_exact_identity_layer_removes_every_gain(self, scenario):
+        """With no false accepts and unverified wallets dropped, a faked identity counts no
+        wallet, and an attacker's own identity counts as one wallet (strict) or one merged
+        vote (collapse): either way its power is that of its counted tokens in one wallet."""
+        (metrics,) = run(scenario).report["proposals"]
+        for amplification in metrics["sybil_amplification"].values():
+            assert amplification in ("1.000000000", None)
+
+
+def _cast_shape(honest, wallets, proposals):
+    """`honest` honest agents and, with wallets > 0, one attacker over that many wallets, all
+    voting on each of `proposals` two-option proposals in consecutive windows."""
+    agents = [{"id": f"h{k}", "kind": "honest", "balance": "1", "preference": ["a"]} for k in range(honest)]
+    if wallets:
+        agents.append({"id": "att", "kind": "sybil_attacker", "balance": "1000000", "preference": ["b"], "n_wallets": wallets})
+    return parse_scenario({
+        "schema_version": 1,
+        "name": "cast-cap",
+        "ticks": 4 * proposals,
+        "supply": str(honest + 1000000),
+        "mechanism": "token",
+        "proposals": [
+            {"id": f"p{j}", "options": ["a", "b"], "discussion_window": [4 * j, 4 * j + 1], "voting_window": [4 * j + 1, 4 * j + 4]}
+            for j in range(proposals)
+        ],
+        "agents": agents,
+    })
+
+
+class TestCastCapWorstCase:
+    """A run's ledger holds one genesis, then per proposal one submit, one phase and one
+    finalize event, and one cast per voting wallet: the work MAX_CASTS bounds, by counts."""
+
+    @staticmethod
+    def _event_kinds(scenario):
+        kinds = Counter()
+        run(scenario, ledger_sink=lambda entry: kinds.update((loads_canonical(entry.payload)["event"],)))
+        return kinds
+
+    @staticmethod
+    def _expected(voting_wallets, proposals):
+        return {"genesis": 1, "submit": proposals, "phase": proposals, "finalize": proposals, "cast": voting_wallets * proposals}
+
+    @pytest.mark.parametrize("honest, wallets, proposals, events", [(50, 0, 5, 266), (3, 200, 10, 2_061)])
+    def test_events_are_casts_plus_four_per_proposal(self, honest, wallets, proposals, events):
+        kinds = self._event_kinds(_cast_shape(honest, wallets, proposals))
+        assert kinds == self._expected(honest + wallets, proposals)
+        assert sum(kinds.values()) == events
+
+    @pytest.mark.slow
+    def test_a_run_at_the_cast_cap(self):
+        scenario = _cast_shape(3, MAX_CASTS // 10 - 3, 10)
+        kinds = self._event_kinds(scenario)
+        assert kinds["cast"] == MAX_CASTS
+        assert kinds == self._expected(MAX_CASTS // 10, 10)
 
 
 def _horizon_scenario(mechanism, ticks):

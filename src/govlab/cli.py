@@ -13,7 +13,7 @@ import sys
 from .core import GovlabError, canonical_json
 from .ledger import StagedFiles, iter_ndjson, ndjson_line, verify_chain
 from .scenario import ScenarioValidationError, load_scenario
-from .simulation import compare_mechanisms, render_table, report_csv, run
+from .simulation import compare_mechanisms, render_table, report_csv_lines, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,13 +78,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
     with StagedFiles([args.scenario]) as staged:
         # Opened in the order they are replaced (CSV, report, ledger); the ledger's lines
-        # stream into its file as the run appends them, and the other two follow the run.
+        # stream into its file as the run appends them, and the other two follow the run,
+        # the CSV a line at a time, so no output is held whole.
         csv_file = staged.open(args.csv, "utf-8") if args.csv is not None else None
         report_file = staged.open(args.out, "ascii")
         write_line = staged.open(ledger_path, "ascii").write
         result = run(scenario, seed_override=args.seed, ledger_sink=lambda entry: write_line(ndjson_line(entry)))
         if csv_file is not None:
-            csv_file.write(report_csv(result))
+            csv_file.writelines(report_csv_lines(result))
         report_file.write(result.report_json)
         staged.commit()
     _info(f"wrote report to {args.out} and ledger to {ledger_path}")

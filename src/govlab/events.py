@@ -25,9 +25,12 @@ orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
 Every kind but cast is encoded by canonical_json.  A cast, the one event a
 run has thousands of, fills a template built once per proposal, option and
-tick, whose bytes equal canonical_json of the event's dict.  Genesis, the one
-event with a member per wallet, writes its balances member directly in the
-same way and leaves only its other fields to canonical_json.
+tick, whose bytes equal canonical_json of the event's dict.  The members with
+an entry per wallet are written directly in the same way, and only the other
+fields go to canonical_json: genesis's balances and identity record, and
+finalize's dropped_unverified and equivocating_identities.  Every id in them is
+[A-Za-z0-9_-], so nothing needs escaping, and sorted ids are in code-point
+order.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -53,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .core import NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, fmt_units, loads_canonical
-from .identity import RegistryMode, VotePolicy
+from .identity import IdentityFilter, RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
 GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
@@ -62,9 +65,10 @@ GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
 def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     """The genesis event; its wallet universe is the number of funded wallets.
 
-    balances maps each WalletId to its TokenAmount.  Its member is written here, as a cast's
-    text is: ids are [A-Za-z0-9_-] and amounts digits and a point, so nothing needs escaping,
-    sorted ids are in code-point order, and "balances" sorts before every other field.
+    balances maps each WalletId to its TokenAmount, and context's "identity" is an
+    identity.IdentityFilter or None.  Both members are written here, as a cast's text is:
+    amounts are digits and a point, "balances" sorts first, and "identity" sorts between
+    "event" and every other field.
     """
     context = context or {}
     if unknown := context.keys() - GENESIS_CONTEXT:
@@ -75,8 +79,26 @@ def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
             _check(context[key], _KINDS["genesis"][key], 0, key)
     amount = functools.cache(fmt_units)  # split wallets share few balances, each formatted once
     members = ",".join([f'"{w}":"{amount(balances[w].units)}"' for w in sorted(balances)])
-    rest = canonical_json({"event": "genesis", "supply": str(supply), "wallet_universe_size": len(balances), **context})
-    return f'{{"balances":{{{members}}},{rest[1:]}'
+    identity = f',"identity":{_identity(context["identity"])}' if "identity" in context else ""
+    rest = canonical_json({
+        "supply": str(supply), "wallet_universe_size": len(balances),
+        **{key: value for key, value in context.items() if key != "identity"},
+    })
+    return f'{{"balances":{{{members}}},"event":"genesis"{identity},{rest[1:]}'
+
+
+def _identity(identity: IdentityFilter | None) -> str:
+    """The identity record: the filter's policy and its registry's mode and bindings."""
+    if identity is None:
+        return "null"
+    registry = identity.registry
+    bindings = ",".join([f'{{"identity":"{name}","wallets":{_ids(wallets)}}}' for name, wallets in registry.bindings()])
+    return f'{{"policy":"{identity.policy.value}","registry":{{"bindings":[{bindings}],"mode":"{registry.mode.value}"}}}}'
+
+
+def _ids(ids: list[str] | tuple[str, ...]) -> str:
+    """A JSON array of [A-Za-z0-9_-] ids."""
+    return '["' + '","'.join(ids) + '"]' if ids else "[]"
 
 
 def submit(proposal, tick: int) -> str:
@@ -108,13 +130,14 @@ def cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int
 
 
 def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick: int, report=None) -> str:
-    """report is the vote filter's FilterReport, or None when the engine has no filter."""
+    """report is the vote filter's FilterReport, or None when the engine has no filter.  Its two
+    lists are written here, and both keys sort before "event"."""
     tally = result.to_json_obj()
-    event = {"event": "finalize", "proposal": str(proposal), "phase": outcome_phase, "tally": tally, "tick": tick}
-    if report is not None:
-        event["dropped_unverified"] = [str(w) for w in report.dropped_unverified]
-        event["equivocating_identities"] = [str(i) for i in report.equivocating_identities]
-    return canonical_json(event)
+    text = canonical_json({"event": "finalize", "proposal": str(proposal), "phase": outcome_phase, "tally": tally, "tick": tick})
+    if report is None:
+        return text
+    dropped, equivocating = _ids(report.dropped_unverified), _ids(report.equivocating_identities)
+    return f'{{"dropped_unverified":{dropped},"equivocating_identities":{equivocating},{text[1:]}'
 
 
 def executed(proposal: ProposalId, tick: int) -> str:

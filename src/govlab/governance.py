@@ -5,11 +5,13 @@ committed tokens stay locked for the proposal's voting window, so a wallet
 cannot commit the same tokens to two concurrent proposals.  A wallet's lock is
 one total, its live votes' commitments summed over the proposals not yet
 finalized; a vote's own share is read from its proposal's book.  Finalize
-counts a proposal's votes, releases their locks and drops its book, keeping
-only the counted votes and the tally.  Every state change appends exactly one
-event, encoded by govlab.events, to the hash-chained ledger, and replaying
-that event log through a fresh engine, read once in order, re-derives every
-event, genesis included, byte for byte.
+counts a proposal's votes, releases their locks and drops its book.  It hands
+the counted votes and the tally, with each vote's power, to its caller and
+keeps only the tally without the powers, so the engine holds no vote of a
+finalized proposal.  Every state change appends exactly one event, encoded by
+govlab.events, to the hash-chained ledger, and replaying that event log
+through a fresh engine, read once in order, re-derives every event, genesis
+included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
 once per option.  cast_batch is one loop: it checks each ballot, records its
@@ -154,12 +156,13 @@ class GovernanceEngine:
     genesis_context is recorded in the genesis event; its keys must be among
     events.GENESIS_CONTEXT.  Its "identity" is an identity.IdentityFilter or
     None.  The filter is the engine's one identity layer: finalize applies it
-    to the live vote set, and genesis records its to_json_obj(), so a replay
-    rebuilds exactly the filter that was applied.  With no "identity" key (or
-    None) every live vote is tallied.  The wallet universe, which genesis records
-    and a wallet-count quorum divides by, is the number of funded wallets in
-    balances.  ledger_sink, if given, receives each ledger entry as it is
-    appended, and the ledger keeps none (see ledger.Ledger).
+    to the live vote set, and genesis records its policy and bindings
+    (events.genesis), so a replay rebuilds exactly the filter that was
+    applied.  With no "identity" key (or None) every live vote is tallied.  The
+    wallet universe, which genesis records and a wallet-count quorum divides
+    by, is the number of funded wallets in balances.  ledger_sink, if given,
+    receives each ledger entry as it is appended, and the ledger keeps none
+    (see ledger.Ledger).
     """
 
     def __init__(
@@ -176,17 +179,14 @@ class GovernanceEngine:
             raise GovernanceError("wallet balances exceed token supply")
         self.supply = supply
         self.ledger = Ledger(ledger_sink)
-        context = dict(genesis_context or {})
+        context = genesis_context or {}
         self.identity = context.get("identity")
-        if self.identity is not None:
-            if not isinstance(self.identity, IdentityFilter):
-                raise GovernanceError(f"genesis identity must be an IdentityFilter or None, not {self.identity!r}")
-            context["identity"] = self.identity.to_json_obj()
+        if self.identity is not None and not isinstance(self.identity, IdentityFilter):
+            raise GovernanceError(f"genesis identity must be an IdentityFilter or None, not {self.identity!r}")
         self.proposals: dict[ProposalId, Proposal] = {}
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
         self._locked: dict[WalletId, int] = {}  # units committed to live proposals; no zero totals
-        self.results: dict[ProposalId, TallyResult] = {}
-        self.counted_votes: dict[ProposalId, tuple[VoteRecord, ...]] = {}
+        self.results: dict[ProposalId, TallyResult] = {}  # each with vote_powers None
         self._now = 0
         self.ledger.append(events.genesis(self.supply, self.balances, context))
 
@@ -272,8 +272,11 @@ class GovernanceEngine:
             locked[wallet] = others + units
             append(line(units, wallet))
 
-    def finalize(self, proposal_id: ProposalId, now: int) -> TallyResult:
-        """Tally after the voting window closes; locks release; phase goes terminal."""
+    def finalize(self, proposal_id: ProposalId, now: int) -> tuple[Sequence[VoteRecord], TallyResult]:
+        """Tally after the voting window closes; locks release; phase goes terminal.
+
+        Returns the counted votes and the tally, whose vote_powers are theirs, in order.
+        results keeps the tally with vote_powers None, and the engine keeps no vote."""
         self.advance_to(now)
         proposal = self._get(proposal_id)
         if proposal.phase in TERMINAL_PHASES:
@@ -305,10 +308,9 @@ class GovernanceEngine:
             else:
                 del locked[wallet]
 
-        self.results[proposal.id] = result
-        self.counted_votes[proposal.id] = tuple(votes)
+        self.results[proposal.id] = result._replace(vote_powers=None)
         self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, report))
-        return result
+        return votes, result
 
     def mark_executed(self, proposal_id: ProposalId, now: int) -> None:
         """Passed -> Executed; bookkeeping only, no execution payloads."""

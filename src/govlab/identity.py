@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from enum import Enum
-from typing import Any, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     GovlabError,
@@ -92,14 +92,11 @@ class IdentityRegistry:
     def identity_of(self, wallet: WalletId) -> IdentityId | None:
         return self._identity_by_wallet.get(wallet)
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode.value,
-            "bindings": [
-                {"identity": str(i), "wallets": sorted(str(w) for w in ws)}
-                for i, ws in sorted(self._wallets_by_identity.items())
-            ],
-        }
+    def bindings(self) -> Iterator[tuple[IdentityId, list[WalletId]]]:
+        """Each bound identity and its wallets, both sorted: the order genesis records them in."""
+        wallets = self._wallets_by_identity
+        for identity in sorted(wallets):
+            yield identity, sorted(wallets[identity])
 
 
 class FilterReport(_Record):
@@ -175,10 +172,6 @@ class IdentityFilter:
     def __init__(self, registry: IdentityRegistry, policy: "str | VotePolicy"):
         self.registry = registry
         self.policy = VotePolicy(policy)
-
-    def to_json_obj(self) -> dict[str, Any]:
-        """The genesis event's identity record."""
-        return {"policy": self.policy.value, "registry": self.registry.to_json_obj()}
 
 
 class SimulatedProvider:

@@ -24,13 +24,14 @@ from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, 
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
-# A run costs about 25 us and 1.1-1.5 KiB per wallet (an attacker with 10^5 wallets took
-# 2.5 s and 106 MiB peak RSS through `govlab run`, 145 MiB through run(), which keeps the
-# ledger's entries), so this cap bounds the wallets one scenario file can ask for.
+# A run costs about 25-40 us and 0.9-1.3 KiB per wallet (an attacker with 10^5 wallets took
+# 3.5-4.3 s and 84 MiB peak RSS through `govlab run --csv`, 127 MiB through run(), which
+# keeps the ledger's entries), so this cap bounds the wallets one scenario file can ask for.
 MAX_WALLETS = 100_000
-# Each voting wallet casts once per proposal, at about 10-17 us per cast, and 0.3-0.5 KiB
-# through `govlab run`, which streams the ledger to its file, or 0.7-0.8 KiB through run()
-# (2.5 * 10^5 casts peaked at 87-134 MiB RSS and 182-210 MiB), so this cap bounds the casts.
+# Each voting wallet casts once per proposal, at about 10-17 us per cast.  No vote outlives
+# its proposal's finalize, so a cast costs 0.1-0.2 KiB through `govlab run`, which streams
+# the ledger and the CSV to their files, or 0.5-0.6 KiB through run() (2.5 * 10^5 casts
+# peaked at 41-70 MiB RSS and 135-163 MiB), so this cap bounds the casts.
 MAX_CASTS = 250_000
 # One file can hold an error per agent, option and proposal; past this many the rest are
 # counted, not listed.  An error quotes at most QUOTED_CHARS characters of any id or value,

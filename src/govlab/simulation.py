@@ -11,17 +11,17 @@ scenario leaves the bytes unchanged.
 
 from __future__ import annotations
 
-import io
 from collections import defaultdict
 from itertools import groupby
 from operator import itemgetter
 from decimal import Decimal
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .core import (
     GovlabError,
     IdentityId,
     OutcomeKind,
+    TallyResult,
     TokenAmount,
     VoteRecord,
     VotingPower,
@@ -132,7 +132,7 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
 
 
 class RunResult(_Record):
-    # by_agent maps a proposal id to its _index_votes rows.
+    # by_agent maps a proposal id to its _agent_rows.
     __slots__ = ("scenario", "engine", "by_agent", "report", "report_json", "head_hash")
 
     @property
@@ -152,8 +152,11 @@ def _engine_proposal(scenario: Scenario, spec: ProposalSpec) -> Proposal:
     )
 
 
-def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine) -> None:
-    """Apply the scenario's events to the engine in tick order.
+def _play_schedule(
+    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine
+) -> tuple[dict[str, dict[str, Any]], dict[str, dict[str, tuple[int, int, int]]]]:
+    """Apply the scenario's events to the engine in tick order.  Returns, per proposal id, its
+    report entry and its _agent_rows, taken from its counted votes as it finalizes.
 
     The scenario compiles to tick -> (submits, casts, finalizes), casts agent-major,
     and only those ticks are visited.  Every voting-window start has an entry, so
@@ -171,6 +174,7 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
             for spec in scenario.proposals:
                 schedule[agent.cast_tick(spec)][1].append((agent, spec))
 
+    entries, by_agent = {}, {}
     for now in sorted(t for t in schedule if t <= scenario.ticks):
         submits, casts, finalizes = schedule[now]
         for spec in submits:
@@ -180,20 +184,27 @@ def _play_schedule(scenario: Scenario, setup: SimulationSetup, engine: Governanc
             ballots = ((w, a.preference[0], balances[w]) for a, _ in group for w in wallets_by_agent[a.id])
             engine.cast_batch(spec.id, ballots, now)
         for spec in finalizes:
-            engine.finalize(spec.id, now)
+            votes, result = engine.finalize(spec.id, now)
+            rows = by_agent[spec.id] = _agent_rows(wallets_by_agent, votes, result.vote_powers)
+            entries[spec.id] = _proposal_metrics(scenario, engine, spec, result, rows)
+    return entries, by_agent
 
 
-def _index_votes(
-    owner: dict[WalletId, str], votes: Sequence[VoteRecord], powers: Sequence[VotingPower]
-) -> dict[str, list[int]]:
-    """Per agent: [wallets, token units, power units] of the counted votes, with the powers the tally gave them."""
-    by_agent: dict[str, list[int]] = {}
-    for vote, power in zip(votes, powers, strict=True):
-        row = by_agent.setdefault(owner[vote.wallet], [0, 0, 0])
-        row[0] += 1
-        row[1] += vote.committed.units
-        row[2] += power.units
-    return by_agent
+def _agent_rows(
+    wallets_by_agent: dict[str, tuple[WalletId, ...]], votes: Sequence[VoteRecord], powers: Sequence[VotingPower]
+) -> dict[str, tuple[int, int, int]]:
+    """Per agent with a counted vote: (wallets, token units, power units) of its counted votes, with
+    the powers the tally gave them.  A vote merged from several wallets counts for the agent that
+    holds its wallet, the group's least.  An agent with one counted vote gets that vote's tuple."""
+    counted = {vote.wallet: (1, vote.committed.units, power.units) for vote, power in zip(votes, powers, strict=True)}
+    rows = {}
+    for agent, wallets in wallets_by_agent.items():
+        mine = [row for wallet in wallets if (row := counted.get(wallet)) is not None]
+        if len(mine) == 1:
+            rows[agent] = mine[0]
+        elif mine:
+            rows[agent] = (len(mine), sum(row[1] for row in mine), sum(row[2] for row in mine))
+    return rows
 
 
 def run(
@@ -214,11 +225,8 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
         ledger_sink=ledger_sink,
     )
 
-    _play_schedule(scenario, setup, engine)
-    owner = {w: aid for aid, wallets in setup.wallets_by_agent.items() for w in wallets}
-    counted, results = engine.counted_votes, engine.results
-    by_agent = {s.id: _index_votes(owner, counted[s.id], results[s.id].vote_powers) for s in scenario.proposals}
-    report = _build_report(scenario, setup, engine, owner, by_agent)
+    entries, by_agent = _play_schedule(scenario, setup, engine)
+    report = _build_report(scenario, setup, engine, [entries[spec.id] for spec in scenario.proposals])
     report_json = canonical_json(report) + "\n"
     return RunResult(
         scenario=scenario,
@@ -231,9 +239,10 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
 
 
 def _proposal_metrics(
-    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, by_agent: dict[str, list[int]]
+    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, result: TallyResult,
+    by_agent: dict[str, tuple[int, int, int]],
 ) -> dict[str, Any]:
-    result = engine.results[spec.id]
+    """A just-finalized proposal's report entry, from its tally and vote_powers and its per-agent rows."""
     powers = result.vote_powers
     total_power_units = sum(p.units for p in powers)
 
@@ -283,11 +292,7 @@ def _proposal_metrics(
 
 
 def _build_report(
-    scenario: Scenario,
-    setup: SimulationSetup,
-    engine: GovernanceEngine,
-    owner: dict[WalletId, str],
-    by_agent: dict[str, dict[str, list[int]]],
+    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, proposals: list[dict[str, Any]]
 ) -> dict[str, Any]:
     identity_obj = None
     if scenario.identity is not None:
@@ -304,18 +309,14 @@ def _build_report(
         "supply": str(scenario.supply),
         "wallet_universe_size": len(setup.balances),
         "identity": identity_obj,
-        "proposals": [
-            _proposal_metrics(scenario, engine, spec, by_agent[spec.id]) for spec in scenario.proposals
-        ],
-        "arrow_probes": _probe_report(scenario, setup, engine, owner),
+        "proposals": proposals,
+        "arrow_probes": _probe_report(scenario, setup, engine),
         "ledger_head": engine.ledger.head_hash(),
     }
     return report
 
 
-def _probe_report(
-    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, owner: dict[WalletId, str]
-) -> dict[str, Any] | None:
+def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine) -> dict[str, Any] | None:
     """The Arrow probes on the first proposal, or None past the enumeration bounds.  One count,
     every voter's wallets committing their full balance to the first option at the window start,
     fixes each voter's power and the quorum test: each identity the registry binds holds wallets of
@@ -331,23 +332,26 @@ def _probe_report(
         for voter in voters for wallet in setup.wallets_by_agent[voter]
     ]
     votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
-    by_agent = _index_votes(owner, votes, result.vote_powers)
+    by_agent = _agent_rows(setup.wallets_by_agent, votes, result.vote_powers)
     power = [by_agent.get(voter, (0, 0, 0))[2] for voter in voters]
     return arrow_probes(voters, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)
 
 
-def report_csv(result: RunResult) -> str:
-    """Per-agent realized power, one row per (proposal, agent), each written as one line:
+def report_csv_lines(result: RunResult) -> Iterator[str]:
+    """Per-agent realized power, one row per (proposal, agent), each yielded as one line:
     no field ever needs CSV quoting, since a run validates every id as [A-Za-z0-9_-]
     (a wallet or proposal id) and every amount is digits and a point."""
-    out = io.StringIO()
-    out.write("proposal,agent,wallets_counted,counted_tokens,realized_power\n")
+    yield "proposal,agent,wallets_counted,counted_tokens,realized_power\n"
     for spec in result.scenario.proposals:
         by_agent = result.by_agent[spec.id]
         for agent in result.scenario.agents:
             wallets, tokens, realized = by_agent.get(agent.id, (0, 0, 0))
-            out.write(f"{spec.id},{agent.id},{wallets},{fmt_units(tokens)},{fmt_units(realized)}\n")
-    return out.getvalue()
+            yield f"{spec.id},{agent.id},{wallets},{fmt_units(tokens)},{fmt_units(realized)}\n"
+
+
+def report_csv(result: RunResult) -> str:
+    """The whole CSV of report_csv_lines as one string."""
+    return "".join(report_csv_lines(result))
 
 
 def compare_mechanisms(

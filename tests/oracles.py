@@ -137,25 +137,59 @@ def ndjson_line_ref(index: int, prev_hash: str, payload: str, hash_: str) -> str
     return json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
-def report_csv_ref(result) -> str:
-    """The per-agent CSV through the csv module, summed from the engine's counted votes
-    and the powers the tally gave them, each amount written by Decimal formatting."""
-    owner = {wallet: agent.id for agent in result.scenario.agents for wallet in agent.wallets()}
+def run_with_counts(scenario):
+    """run(scenario), and per proposal id the counted votes and their powers as finalize
+    returned them: the run itself keeps neither."""
+    from unittest import mock
+
+    from govlab.governance import GovernanceEngine
+    from govlab.simulation import run
+
+    counted = {}
+    finalize = GovernanceEngine.finalize
+
+    def spy(engine, proposal_id, now):
+        votes, result = finalize(engine, proposal_id, now)
+        counted[proposal_id] = (votes, result.vote_powers)
+        return votes, result
+
+    with mock.patch.object(GovernanceEngine, "finalize", spy):
+        return run(scenario), counted
+
+
+def report_csv_ref(scenario, counted) -> str:
+    """The per-agent CSV through the csv module, summed from each proposal's counted votes
+    and the powers the tally gave them (run_with_counts), each amount written by Decimal
+    formatting."""
+    owner = {wallet: agent.id for agent in scenario.agents for wallet in agent.wallets()}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
-    for spec in result.scenario.proposals:
-        rows = {agent.id: [0, 0, 0] for agent in result.scenario.agents}
-        powers = result.engine.results[spec.id].vote_powers
-        for vote, power in zip(result.engine.counted_votes[spec.id], powers, strict=True):
+    for spec in scenario.proposals:
+        rows = {agent.id: [0, 0, 0] for agent in scenario.agents}
+        votes, powers = counted[spec.id]
+        for vote, power in zip(votes, powers, strict=True):
             row = rows[owner[vote.wallet]]
             row[0] += 1
             row[1] += vote.committed.units
             row[2] += power.units
-        for agent in result.scenario.agents:
+        for agent in scenario.agents:
             wallets, tokens, realized = rows[agent.id]
             writer.writerow([spec.id, agent.id, wallets, _nine_digits(tokens), _nine_digits(realized)])
     return out.getvalue()
+
+
+def identity_record_ref(identity):
+    """The genesis event's identity member as a dict, or None: the filter's policy, its
+    registry's mode and its bindings, sorted by identity, each with its wallets sorted."""
+    if identity is None:
+        return None
+    registry = identity.registry
+    bindings = [
+        {"identity": str(name), "wallets": sorted(str(w) for w in wallets)}
+        for name, wallets in sorted(registry._wallets_by_identity.items())
+    ]
+    return {"policy": identity.policy.value, "registry": {"mode": registry.mode.value, "bindings": bindings}}
 
 
 def _nine_digits(units: int) -> str:

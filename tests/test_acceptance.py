@@ -167,8 +167,7 @@ def test_criterion_05_conviction_curve_oracle_monotonicity_and_reset():
     )
     engine.cast("p1", state.wallet, "a", state.committed, 1)
     engine.cast("p1", state.wallet, "b", state.committed, 30)
-    engine.finalize("p1", 31)
-    (switched,) = engine.counted_votes[ProposalId("p1")]
+    (switched,), _ = engine.finalize("p1", 31)
     assert switched.cast_at == 30
     assert conviction_power(switched.committed, 30 - switched.cast_at, params) == VotingPower(0)
     _ok("criterion 5, conviction curve (oracle, monotonicity, exact reset)")

@@ -14,7 +14,7 @@ from govlab.core import GovlabError, loads_canonical
 from govlab.governance import GovernanceEngine
 from govlab.ledger import read_ndjson, verify_chain
 from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, load_scenario, loads_scenario
-from govlab.simulation import run
+from govlab.simulation import report_csv_lines, run
 
 HEX = set("0123456789abcdef")
 
@@ -224,7 +224,7 @@ class TestRunCommand:
         for path in (out, ledger, csv_path):
             path.write_bytes(b"old bytes\n")
         names = ["agents.csv", "r.json", "r.jsonl", "scenario.json"]
-        staged_at_finalize = []
+        staged_at_finalize, staged_at_csv = [], []
 
         def failing_finalize(exc):
             def finalize(engine, proposal_id, now):
@@ -234,11 +234,16 @@ class TestRunCommand:
             return finalize
 
         def broken_csv(result):
+            # The header and a first row go to the staged CSV, then the line generator fails.
+            lines = report_csv_lines(result)
+            yield next(lines)
+            yield next(lines)
+            staged_at_csv.append(sorted(p.suffix for p in tmp_path.iterdir()))
             raise GovlabError("csv failed")
 
         argv_out, argv_ledger, argv_csv, message = out, ledger, csv_path, f"{failure} failed"
         if failure == "csv":
-            monkeypatch.setattr("govlab.cli.report_csv", broken_csv)
+            monkeypatch.setattr("govlab.cli.report_csv_lines", broken_csv)
         elif failure == "finalize":
             monkeypatch.setattr(GovernanceEngine, "finalize", failing_finalize(GovlabError("finalize failed")))
         elif failure == "interrupt":
@@ -273,6 +278,9 @@ class TestRunCommand:
         if failure in ("finalize", "interrupt"):
             ((streamed, suffixes),) = staged_at_finalize
             assert streamed > 3 and suffixes.count(".tmp") == 3
+        if failure == "csv":
+            (suffixes,) = staged_at_csv
+            assert suffixes.count(".tmp") == 3
         for path in (out, ledger, csv_path):
             assert path.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)

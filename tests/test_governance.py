@@ -37,7 +37,7 @@ from govlab.mechanisms import (
 )
 from govlab.scenario import load_preset, parse_scenario, preset_names
 from govlab.simulation import run
-from oracles import LockTableRef
+from oracles import LockTableRef, identity_record_ref
 
 # JSON values that canonical_json writes: null, booleans, integers, strings, arrays and objects.
 JSON_VALUES = st.recursive(
@@ -138,7 +138,7 @@ class TestLifecycle:
         engine.submit(_proposal(), 0)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("bob"), "reject", TokenAmount.parse(50), 5)
-        result = engine.finalize("p1", 10)
+        _, result = engine.finalize("p1", 10)
         assert result.outcome.option == "approve"
         assert engine.proposals[ProposalId("p1")].phase is Phase.PASSED
 
@@ -227,8 +227,7 @@ class TestVoteBook:
         engine.submit(_proposal(), 0)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(60), 5)
         engine.cast("p1", WalletId("alice"), "reject", TokenAmount.parse(40), 6)
-        engine.finalize("p1", 10)
-        votes = engine.counted_votes[ProposalId("p1")]
+        votes, _ = engine.finalize("p1", 10)
         assert len(votes) == 1
         assert votes[0].option == "reject"
         assert votes[0].committed == TokenAmount.parse(40)
@@ -249,8 +248,7 @@ class TestVoteBook:
             engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(10), 5)
             engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(70), 6)
             engine.cast("p1", WalletId("bob"), "reject", TokenAmount.parse(10), 7)
-            engine.finalize("p1", 10)
-            alice, bob = engine.counted_votes[ProposalId("p1")]
+            (alice, bob), _ = engine.finalize("p1", 10)
             assert (alice.cast_at, alice.committed) == (5, TokenAmount.parse(70)), mechanism
             assert (bob.cast_at, bob.option) == (7, "reject"), mechanism
 
@@ -308,13 +306,15 @@ class TestTokenLocks:
         assert _locked_units(engine, "alice") == 0
         engine.cast("p2", WalletId("alice"), "approve", TokenAmount.parse(100), 10)
 
-    def test_finalize_keeps_only_the_counted_votes(self):
+    def test_finalize_returns_the_counted_votes_and_keeps_none(self):
         engine = self._two_live_proposals()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(60), 5)
         engine.cast("p2", WalletId("alice"), "reject", TokenAmount.parse(40), 5)
-        engine.finalize("p1", 20)
+        votes, result = engine.finalize("p1", 20)
         assert ProposalId("p1") not in engine._votes and ProposalId("p2") in engine._votes
-        assert [v.committed for v in engine.counted_votes[ProposalId("p1")]] == [TokenAmount.parse(60)]
+        assert [v.committed for v in votes] == [TokenAmount.parse(60)]
+        assert len(result.vote_powers) == 1
+        assert engine.results[ProposalId("p1")] == result._replace(vote_powers=None)
         assert engine._locked == {WalletId("alice"): 40 * 10**9}
         with pytest.raises(PhaseError, match="not in its voting phase"):
             engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(1), 20)
@@ -432,9 +432,7 @@ class TestCastBatch:
             assert batched._votes == other._votes
             for wallet in self.BALANCES:
                 assert _locked_units(batched, wallet) == _locked_units(other, wallet)
-        for engine in (batched, single):
-            engine.finalize("p1", 20)
-        assert batched.counted_votes == single.counted_votes
+        assert batched.finalize("p1", 20) == single.finalize("p1", 20)
         assert tuple(batched.ledger) == tuple(single.ledger)
         return errors[0], batched
 
@@ -514,8 +512,8 @@ class TestConvictionGovernance:
         engine = self._engine()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 15)
-        (power,) = engine.finalize("p1", 30).vote_powers
-        (vote,) = engine.counted_votes[ProposalId("p1")]
+        (vote,), result = engine.finalize("p1", 30)
+        (power,) = result.vote_powers
         assert vote.cast_at == 5
         assert power == conviction_power(TokenAmount.parse(100), 25, self.alpha)
 
@@ -523,8 +521,8 @@ class TestConvictionGovernance:
         engine = self._engine()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("alice"), "reject", TokenAmount.parse(100), 15)
-        (power,) = engine.finalize("p1", 30).vote_powers
-        (vote,) = engine.counted_votes[ProposalId("p1")]
+        (vote,), result = engine.finalize("p1", 30)
+        (power,) = result.vote_powers
         assert vote.cast_at == 15
         assert power == conviction_power(TokenAmount.parse(100), 15, self.alpha)
 
@@ -542,8 +540,8 @@ class TestConvictionGovernance:
         )
         engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(50), 5)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 12)
-        (power,) = engine.finalize("p1", 30).vote_powers
-        (merged,) = engine.counted_votes[ProposalId("p1")]
+        (merged,), result = engine.finalize("p1", 30)
+        (power,) = result.vote_powers
         assert merged.wallet == WalletId("alice")
         assert merged.committed == TokenAmount.parse(150)
         assert merged.cast_at == 12
@@ -553,7 +551,7 @@ class TestConvictionGovernance:
         engine = self._engine()
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("bob"), "reject", TokenAmount.parse(50), 5)
-        result = engine.finalize("p1", 30)
+        _, result = engine.finalize("p1", 30)
         assert result.outcome.option == "approve"
         assert engine.proposals[ProposalId("p1")].phase is Phase.PASSED
 
@@ -649,17 +647,20 @@ class TestReplay:
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
         engine.cast("p1", WalletId("bob"), "approve", TokenAmount.parse(44), 5)
         engine.cast("p1", WalletId("carol"), "reject", TokenAmount.parse(25), 5)
-        result = engine.finalize("p1", 10)
-        assert [v.committed for v in engine.counted_votes[ProposalId("p1")]] == [TokenAmount.parse(144), TokenAmount.parse(25)]
+        votes, result = engine.finalize("p1", 10)
+        assert [v.committed for v in votes] == [TokenAmount.parse(144), TokenAmount.parse(25)]
         assert result.per_option_power["approve"] == VotingPower.parse(12)
         recorded = tuple(engine.ledger)
         genesis = loads_canonical(recorded[0].payload)
-        assert genesis["identity"] == {"policy": "drop_unverified", "registry": registry.to_json_obj()}
+        assert genesis["identity"] == identity_record_ref(engine.identity)
+        assert genesis["identity"]["registry"]["bindings"] == [
+            {"identity": "id-a", "wallets": ["alice", "bob"]}, {"identity": "id-c", "wallets": ["carol"]},
+        ]
         assert "scenario" not in genesis and "mechanism" not in genesis
         assert loads_canonical(recorded[6].payload)["event"] == "finalize"
         replayed = replay(recorded)
         assert replayed.ledger.head_hash() == engine.ledger.head_hash()
-        assert replayed.identity.to_json_obj() == engine.identity.to_json_obj()
+        assert identity_record_ref(replayed.identity) == identity_record_ref(engine.identity)
 
     def test_genesis_identity_is_absent_null_or_the_filter_record(self):
         balances = {WalletId("alice"): TokenAmount.parse(1)}
@@ -669,7 +670,7 @@ class TestReplay:
         assert "identity" not in genesis()
         assert genesis(identity=None)["identity"] is None
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
-        record = {"policy": "admit_unverified", "registry": registry.to_json_obj()}
+        record = {"policy": "admit_unverified", "registry": {"mode": "strict_one_wallet", "bindings": []}}
         assert genesis(identity=IdentityFilter(registry, VotePolicy.ADMIT_UNVERIFIED))["identity"] == record
         # A record alone is not a filter: the engine would apply nothing and replay would diverge.
         with pytest.raises(GovernanceError, match="IdentityFilter"):

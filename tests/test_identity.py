@@ -14,11 +14,12 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
-    canonical_json,
     loads_canonical,
 )
+from govlab import events
 from govlab.identity import (
     IdentityError,
+    IdentityFilter,
     IdentityRegistry,
     RegistryMode,
     RejectionReason,
@@ -48,9 +49,8 @@ def _verdicts(claims, rate, seed):
 
 
 def _wallets_of(registry, identity):
-    """The wallets bound to identity, as the registry's JSON form lists them."""
-    bindings = {b["identity"]: b["wallets"] for b in registry.to_json_obj()["bindings"]}
-    return tuple(WalletId(w) for w in bindings.get(identity, ()))
+    """The wallets bound to identity, as the registry's bindings list them."""
+    return tuple(dict(registry.bindings()).get(identity, ()))
 
 
 class TestRegistryBinding:
@@ -89,17 +89,22 @@ class TestRegistryBinding:
             assert outcome.reason is RejectionReason.WALLET_ALREADY_BOUND
 
     def test_json_round_trip(self):
+        """The registry as genesis records it binds a fresh registry to the same record."""
+        def record(registry):
+            text = events.genesis(TokenAmount(0), {}, {"identity": IdentityFilter(registry, "drop_unverified")})
+            return loads_canonical(text)["identity"]["registry"]
+
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
-        registry.bind(IdentityId("alice"), WalletId("w1"))
         registry.bind(IdentityId("alice"), WalletId("w2"))
+        registry.bind(IdentityId("alice"), WalletId("w1"))
         registry.bind(IdentityId("bob"), WalletId("w3"))
-        text = canonical_json(registry.to_json_obj())
-        obj = loads_canonical(text)
+        obj = record(registry)
+        assert obj["bindings"] == [{"identity": "alice", "wallets": ["w1", "w2"]}, {"identity": "bob", "wallets": ["w3"]}]
         restored = IdentityRegistry(obj["mode"])
         for binding in obj["bindings"]:
             for wallet in binding["wallets"]:
                 assert restored.bind(binding["identity"], wallet).accepted
-        assert canonical_json(restored.to_json_obj()) == text
+        assert record(restored) == obj
         assert restored.mode is registry.mode
         assert restored.identity_of(WalletId("w3")) == IdentityId("bob")
 
@@ -118,9 +123,7 @@ class TestRegistryBinding:
         for ident, wallet in ops:
             registry.bind(IdentityId(f"id{ident}"), WalletId(f"w{wallet}"))
         seen_wallets = []
-        for binding in registry.to_json_obj()["bindings"]:
-            identity = IdentityId(binding["identity"])
-            wallets = _wallets_of(registry, identity)
+        for identity, wallets in registry.bindings():
             if mode is RegistryMode.STRICT_ONE_WALLET:
                 assert len(wallets) == 1
             seen_wallets.extend(wallets)

@@ -212,8 +212,8 @@ class TestSwitchVote:
         )
         for option, tick in casts:
             engine.cast("p1", WalletId("w"), option, TokenAmount.parse(100), tick)
-        (power,) = engine.finalize("p1", finalize_at).vote_powers
-        (vote,) = engine.counted_votes[ProposalId("p1")]
+        (vote,), result = engine.finalize("p1", finalize_at)
+        (power,) = result.vote_powers
         return vote, power
 
     def _power_at(self, vote, now):

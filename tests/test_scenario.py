@@ -282,8 +282,8 @@ class TestErrorCollection:
             assume(False)
         setup = build_setup(scenario)
         owner = {wallet: agent for agent, wallets in setup.wallets_by_agent.items() for wallet in wallets}
-        for binding in setup.identity.registry.to_json_obj()["bindings"]:
-            assert len({owner[wallet] for wallet in binding["wallets"]}) == 1, binding
+        for identity, wallets in setup.identity.registry.bindings():
+            assert len({owner[wallet] for wallet in wallets}) == 1, identity
 
     def test_agent_id_charset_and_length(self):
         # str.isalnum() accepts non-ASCII letters and digits; a `$` anchor accepts a trailing newline.

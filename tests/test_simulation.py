@@ -1,6 +1,7 @@
 """Inequality metrics, deterministic scenario runs, and mechanism comparison."""
 
 import copy
+import gc
 import importlib.util
 from collections import Counter
 import time
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import simulation as simulation_module
-from govlab.core import VotingPower, fmt_units, loads_canonical, parse_units
+from govlab.core import VoteRecord, VotingPower, fmt_units, loads_canonical, parse_units
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
 from govlab.scenario import MAX_CASTS, MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
@@ -28,7 +29,7 @@ from govlab.simulation import (
 )
 from govlab.sybil import sybil_gain
 
-from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref
+from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref, run_with_counts
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
@@ -217,19 +218,19 @@ class TestSybilPresetRun:
 
 
 class TestReportCsv:
-    """report_csv writes each row as one line; the csv module, over the engine's counted
-    votes, must give the same text."""
+    """report_csv writes each row as one line; the csv module, over the votes each finalize
+    counted, must give the same text."""
 
     @pytest.mark.parametrize("name", preset_names())
     def test_presets_match_the_csv_module(self, name):
-        result = run(load_preset(name))
-        assert report_csv(result) == report_csv_ref(result)
+        result, counted = run_with_counts(load_preset(name))
+        assert report_csv(result) == report_csv_ref(result.scenario, counted)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workload", ["crowd_quadratic", "sybil_identity", "conviction_horizon"])
     def test_benchmark_workloads_match_the_csv_module(self, workload):
-        result = run(loads_scenario(_bench_workloads().scenario_text(workload, 1)))  # the benchmark's seed-1 text
-        assert report_csv(result) == report_csv_ref(result)
+        result, counted = run_with_counts(loads_scenario(_bench_workloads().scenario_text(workload, 1)))  # seed-1 text
+        assert report_csv(result) == report_csv_ref(result.scenario, counted)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -247,9 +248,9 @@ class TestReportCsv:
                 *({"id": a, "kind": "honest", "balance": "1.5", "preference": "yes"} for a in honest),
             ],
         })
-        result = run(scenario)
+        result, counted = run_with_counts(scenario)
         text = report_csv(result)
-        assert text == report_csv_ref(result)
+        assert text == report_csv_ref(scenario, counted)
         assert len(text.splitlines()) == 1 + len(ids)
 
 
@@ -653,7 +654,7 @@ class TestSybilProperties:
             assert amplification in ("1.000000000", None)
 
 
-def _cast_shape(honest, wallets, proposals):
+def _cast_shape(honest, wallets, proposals, mechanism="token"):
     """`honest` honest agents and, with wallets > 0, one attacker over that many wallets, all
     voting on each of `proposals` two-option proposals in consecutive windows."""
     agents = [{"id": f"h{k}", "kind": "honest", "balance": "1", "preference": ["a"]} for k in range(honest)]
@@ -664,7 +665,7 @@ def _cast_shape(honest, wallets, proposals):
         "name": "cast-cap",
         "ticks": 4 * proposals,
         "supply": str(honest + 1000000),
-        "mechanism": "token",
+        "mechanism": mechanism,
         "proposals": [
             {"id": f"p{j}", "options": ["a", "b"], "discussion_window": [4 * j, 4 * j + 1], "voting_window": [4 * j + 1, 4 * j + 4]}
             for j in range(proposals)
@@ -773,25 +774,29 @@ def _one_attacker(wallets):
 
 
 class TestPeakMemoryPerWallet:
-    """A run's traced peak, with the ledger streamed to a sink, per wallet of the scenario.
+    """A run's traced peak, with the ledger streamed to a sink, per wallet and per cast.
 
     Counted by tracemalloc, not timed, so machine load does not move it.  This engine measured
-    575-590 B on the Sybil workload at half scale, and 765 B (4,003 wallets) to 851 B (MAX_WALLETS)
-    for one attacker with the probes on (Python 3.11); each bound is about 1.15 times that.
-    Holding a second lock table, a finalized proposal's vote book or a copy of the genesis
-    balances breaks it.
+    563-580 B per wallet on the Sybil workload at half scale, 564 B (4,003 wallets) to 631 B
+    (MAX_WALLETS) per wallet for one attacker with the probes on, and 259 B (5,000 casts) and
+    192 B (MAX_CASTS) per cast for honest agents on many quadratic proposals (Python 3.11); each
+    bound is about 1.15 times that.  Holding a second lock table, a finalized proposal's vote book
+    or counted votes, a copy of the genesis balances or a wallet-to-agent map breaks it.
     """
 
     @staticmethod
-    def _peak_per_wallet(scenario):
-        wallets = sum(agent.n_wallets for agent in scenario.agents)
+    def _peak(scenario):
         tracemalloc.start()
         try:
             result = run(scenario, ledger_sink=lambda entry: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return result, peak / wallets
+        return result, peak
+
+    def _peak_per_wallet(self, scenario):
+        result, peak = self._peak(scenario)
+        return result, peak / sum(agent.n_wallets for agent in scenario.agents)
 
     @pytest.mark.parametrize("seed", [1, 41])
     def test_identity_filtered_attackers_on_two_proposals(self, seed):
@@ -800,8 +805,30 @@ class TestPeakMemoryPerWallet:
         assert len(result.report["proposals"]) == 2
         assert per_wallet < 680, f"{per_wallet:.0f} B of traced peak per wallet"
 
-    @pytest.mark.parametrize("wallets, bound", [(4_003, 880), pytest.param(MAX_WALLETS, 980, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("wallets, bound", [(4_003, 650), pytest.param(MAX_WALLETS, 730, marks=pytest.mark.slow)])
     def test_one_attacker_with_the_probes(self, wallets, bound):
         result, per_wallet = self._peak_per_wallet(_one_attacker(wallets))
         assert result.report["arrow_probes"] is not None
         assert per_wallet < bound, f"{per_wallet:.0f} B of traced peak per wallet"
+
+    @pytest.mark.parametrize(
+        "honest, proposals, bound", [(500, 10, 300), pytest.param(MAX_CASTS // 50, 50, 222, marks=pytest.mark.slow)]
+    )
+    def test_honest_casts_on_many_proposals(self, honest, proposals, bound):
+        """Each proposal's counted votes are reduced to its report entry and per-agent rows at
+        its finalize and dropped, so only the rows, three ints per agent and proposal, add up."""
+        result, peak = self._peak(_cast_shape(honest, 0, proposals, mechanism="quadratic"))
+        assert len(result.by_agent) == proposals
+        per_cast = peak / (honest * proposals)
+        assert per_cast < bound, f"{per_cast:.0f} B of traced peak per cast"
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_a_finished_run_holds_no_vote(self, name):
+        def votes_alive():
+            gc.collect()
+            return sum(type(o) is VoteRecord for o in gc.get_objects())
+
+        before = votes_alive()
+        result = run(load_preset(name))
+        assert votes_alive() == before
+        assert all(p["voters"] for p in result.report["proposals"])

@@ -357,8 +357,8 @@ class TallyResult(_Record):
 
     vote_powers is in the order of the tallied votes; it is not part of the
     JSON form, which the ledger's finalize event records.  GovernanceEngine.finalize
-    returns it to its caller, and the engine's results keep the tally with
-    vote_powers None, so no per-vote value outlives a finalize.
+    returns the tally to its caller and keeps no copy, so no per-vote value
+    outlives a finalize.
     """
 
     __slots__ = ("per_option_power", "participating_tokens", "outcome", "vote_powers")

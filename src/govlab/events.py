@@ -25,12 +25,9 @@ orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
 Every kind but cast is encoded by canonical_json.  A cast, the one event a
 run has thousands of, fills a template built once per proposal, option and
-tick, whose bytes equal canonical_json of the event's dict.  The members with
-an entry per wallet are written directly in the same way, and only the other
-fields go to canonical_json: genesis's balances and identity record, and
-finalize's dropped_unverified and equivocating_identities.  Every id in them is
-[A-Za-z0-9_-], so nothing needs escaping, and sorted ids are in code-point
-order.
+tick, whose bytes equal canonical_json of the event's dict.  Genesis, the one
+event with a member per wallet, writes its balances member directly in the
+same way and leaves only its other fields to canonical_json.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -60,15 +57,18 @@ from .identity import IdentityFilter, RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
 GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
+# A high then a low surrogate code point: the text writes them as \uXXXX\uXXXX, which JSON reads back as one
+# character, so a label holding them would not decode back to itself.  Every other string does.
+_SPLIT_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     """The genesis event; its wallet universe is the number of funded wallets.
 
-    balances maps each WalletId to its TokenAmount, and context's "identity" is an
-    identity.IdentityFilter or None.  Both members are written here, as a cast's text is:
-    amounts are digits and a point, "balances" sorts first, and "identity" sorts between
-    "event" and every other field.
+    balances maps each WalletId to its TokenAmount.  Its member is written here, as a cast's
+    text is: ids are [A-Za-z0-9_-] and amounts digits and a point, so nothing needs escaping,
+    sorted ids are in code-point order, and "balances" sorts before every other field.
+    context's "identity" is an identity.IdentityFilter or None, recorded as _identity's dict.
     """
     context = context or {}
     if unknown := context.keys() - GENESIS_CONTEXT:
@@ -77,28 +77,23 @@ def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     for key in ("scenario", "mechanism"):
         if key in context:
             _check(context[key], _KINDS["genesis"][key], 0, key)
+            if _SPLIT_PAIR.search(context[key]):
+                raise GovernanceError(f"genesis {key} label does not read back from its JSON text")
     amount = functools.cache(fmt_units)  # split wallets share few balances, each formatted once
     members = ",".join([f'"{w}":"{amount(balances[w].units)}"' for w in sorted(balances)])
-    identity = f',"identity":{_identity(context["identity"])}' if "identity" in context else ""
-    rest = canonical_json({
-        "supply": str(supply), "wallet_universe_size": len(balances),
-        **{key: value for key, value in context.items() if key != "identity"},
-    })
-    return f'{{"balances":{{{members}}},"event":"genesis"{identity},{rest[1:]}'
+    if "identity" in context:
+        context = {**context, "identity": _identity(context["identity"])}
+    rest = canonical_json({"event": "genesis", "supply": str(supply), "wallet_universe_size": len(balances), **context})
+    return f'{{"balances":{{{members}}},{rest[1:]}'
 
 
-def _identity(identity: IdentityFilter | None) -> str:
+def _identity(identity: IdentityFilter | None) -> dict | None:
     """The identity record: the filter's policy and its registry's mode and bindings."""
     if identity is None:
-        return "null"
+        return None
     registry = identity.registry
-    bindings = ",".join([f'{{"identity":"{name}","wallets":{_ids(wallets)}}}' for name, wallets in registry.bindings()])
-    return f'{{"policy":"{identity.policy.value}","registry":{{"bindings":[{bindings}],"mode":"{registry.mode.value}"}}}}'
-
-
-def _ids(ids: list[str] | tuple[str, ...]) -> str:
-    """A JSON array of [A-Za-z0-9_-] ids."""
-    return '["' + '","'.join(ids) + '"]' if ids else "[]"
+    bindings = [{"identity": name, "wallets": wallets} for name, wallets in registry.bindings()]
+    return {"policy": identity.policy.value, "registry": {"mode": registry.mode.value, "bindings": bindings}}
 
 
 def submit(proposal, tick: int) -> str:
@@ -130,14 +125,13 @@ def cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int
 
 
 def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick: int, report=None) -> str:
-    """report is the vote filter's FilterReport, or None when the engine has no filter.  Its two
-    lists are written here, and both keys sort before "event"."""
+    """report is the vote filter's FilterReport, or None when the engine has no filter."""
     tally = result.to_json_obj()
-    text = canonical_json({"event": "finalize", "proposal": str(proposal), "phase": outcome_phase, "tally": tally, "tick": tick})
-    if report is None:
-        return text
-    dropped, equivocating = _ids(report.dropped_unverified), _ids(report.equivocating_identities)
-    return f'{{"dropped_unverified":{dropped},"equivocating_identities":{equivocating},{text[1:]}'
+    event = {"event": "finalize", "proposal": str(proposal), "phase": outcome_phase, "tally": tally, "tick": tick}
+    if report is not None:
+        event["dropped_unverified"] = [str(w) for w in report.dropped_unverified]
+        event["equivocating_identities"] = [str(i) for i in report.equivocating_identities]
+    return canonical_json(event)
 
 
 def executed(proposal: ProposalId, tick: int) -> str:

@@ -7,11 +7,11 @@ one total, its live votes' commitments summed over the proposals not yet
 finalized; a vote's own share is read from its proposal's book.  Finalize
 counts a proposal's votes, releases their locks and drops its book.  It hands
 the counted votes and the tally, with each vote's power, to its caller and
-keeps only the tally without the powers, so the engine holds no vote of a
-finalized proposal.  Every state change appends exactly one event, encoded by
-govlab.events, to the hash-chained ledger, and replaying that event log
-through a fresh engine, read once in order, re-derives every event, genesis
-included, byte for byte.
+keeps neither (the finalize event records the tally), so the engine holds no
+vote of a finalized proposal.  Every state change appends exactly one event,
+encoded by govlab.events, to the hash-chained ledger, and replaying that event
+log through a fresh engine, read once in order, re-derives every event,
+genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
 once per option.  cast_batch is one loop: it checks each ballot, records its
@@ -186,7 +186,6 @@ class GovernanceEngine:
         self.proposals: dict[ProposalId, Proposal] = {}
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
         self._locked: dict[WalletId, int] = {}  # units committed to live proposals; no zero totals
-        self.results: dict[ProposalId, TallyResult] = {}  # each with vote_powers None
         self._now = 0
         self.ledger.append(events.genesis(self.supply, self.balances, context))
 
@@ -276,7 +275,7 @@ class GovernanceEngine:
         """Tally after the voting window closes; locks release; phase goes terminal.
 
         Returns the counted votes and the tally, whose vote_powers are theirs, in order.
-        results keeps the tally with vote_powers None, and the engine keeps no vote."""
+        The engine keeps neither: the ledger's finalize event records the tally."""
         self.advance_to(now)
         proposal = self._get(proposal_id)
         if proposal.phase in TERMINAL_PHASES:
@@ -308,7 +307,6 @@ class GovernanceEngine:
             else:
                 del locked[wallet]
 
-        self.results[proposal.id] = result._replace(vote_powers=None)
         self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, report))
         return votes, result
 

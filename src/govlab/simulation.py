@@ -169,6 +169,7 @@ def _play_schedule(
         schedule[spec.discussion_window.start][0].append(spec)
         schedule[spec.voting_window.start]  # an entry, so the phase event keeps its tick
         schedule[spec.voting_window.end][2].append(spec)
+    voters = [agent.id for agent in scenario.agents if agent.votes()]  # abstainers have no counted vote
     for agent in scenario.agents:
         if agent.votes():
             for spec in scenario.proposals:
@@ -185,21 +186,22 @@ def _play_schedule(
             engine.cast_batch(spec.id, ballots, now)
         for spec in finalizes:
             votes, result = engine.finalize(spec.id, now)
-            rows = by_agent[spec.id] = _agent_rows(wallets_by_agent, votes, result.vote_powers)
+            rows = by_agent[spec.id] = _agent_rows(wallets_by_agent, voters, votes, result.vote_powers)
             entries[spec.id] = _proposal_metrics(scenario, engine, spec, result, rows)
     return entries, by_agent
 
 
 def _agent_rows(
-    wallets_by_agent: dict[str, tuple[WalletId, ...]], votes: Sequence[VoteRecord], powers: Sequence[VotingPower]
+    wallets_by_agent: dict[str, tuple[WalletId, ...]], voters: Sequence[str],
+    votes: Sequence[VoteRecord], powers: Sequence[VotingPower],
 ) -> dict[str, tuple[int, int, int]]:
-    """Per agent with a counted vote: (wallets, token units, power units) of its counted votes, with
+    """Per voter with a counted vote: (wallets, token units, power units) of its counted votes, with
     the powers the tally gave them.  A vote merged from several wallets counts for the agent that
     holds its wallet, the group's least.  An agent with one counted vote gets that vote's tuple."""
     counted = {vote.wallet: (1, vote.committed.units, power.units) for vote, power in zip(votes, powers, strict=True)}
     rows = {}
-    for agent, wallets in wallets_by_agent.items():
-        mine = [row for wallet in wallets if (row := counted.get(wallet)) is not None]
+    for agent in voters:
+        mine = [row for wallet in wallets_by_agent[agent] if (row := counted.get(wallet)) is not None]
         if len(mine) == 1:
             rows[agent] = mine[0]
         elif mine:
@@ -332,7 +334,7 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: Governance
         for voter in voters for wallet in setup.wallets_by_agent[voter]
     ]
     votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
-    by_agent = _agent_rows(setup.wallets_by_agent, votes, result.vote_powers)
+    by_agent = _agent_rows(setup.wallets_by_agent, voters, votes, result.vote_powers)
     power = [by_agent.get(voter, (0, 0, 0))[2] for voter in voters]
     return arrow_probes(voters, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)
 

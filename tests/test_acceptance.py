@@ -252,7 +252,7 @@ def test_criterion_07_ledger_tamper_suite_on_a_500_event_run():
     replayed = replay(entries)
     assert replayed.proposals[ProposalId("p1")].phase is engine.proposals[ProposalId("p1")].phase
     assert replayed.proposals[ProposalId("p1")].phase in (Phase.PASSED, Phase.REJECTED)
-    assert replayed.results[ProposalId("p1")] == engine.results[ProposalId("p1")]
+    assert replayed.ledger.head_hash() == engine.ledger.head_hash()  # the finalize event records the tally
     _ok(f"criterion 7, tamper suite (500 events, {len(raw)} byte flips at index {k}, replay)")
 
 

@@ -48,6 +48,11 @@ _amount_st = st.integers(min_value=0, max_value=MAX_UNITS).map(TokenAmount)
 _fraction_st = st.integers(min_value=0, max_value=10**9).map(lambda u: Decimal(u).scaleb(-9))
 
 
+def _reads_back(label):
+    """Whether a label decodes back from its JSON text as itself."""
+    return loads_canonical(canonical_json(label)) == label
+
+
 def _genesis_fields(supply, balances, context):
     """genesis's event as a dict, its identity member the reference record."""
     fields = {
@@ -94,7 +99,7 @@ def _genesis(draw):
         | st.fixed_dictionaries(
             {},
             optional={
-                "scenario": _label_st,
+                "scenario": _label_st.filter(_reads_back),  # genesis refuses the others
                 "mechanism": st.sampled_from([m.value for m in Mechanism]),
                 "identity": st.none() | _identity_filters(),
             },
@@ -187,10 +192,15 @@ class TestCodec:
     )
     @settings(max_examples=150)
     def test_genesis_writes_its_balances_as_canonical_json_would(self, balances, scenario, identity, supply):
-        """The balances member is written directly; the whole text equals canonical_json of the event."""
+        """The balances member is written directly; the whole text equals canonical_json of the event,
+        and decodes back to it.  A label that would not decode back is refused."""
         context = {"mechanism": "token"}
         if scenario is not None:
             context["scenario"] = scenario
+            if not _reads_back(scenario):
+                with pytest.raises(GovernanceError, match="genesis scenario label does not read back"):
+                    events.genesis(supply, balances, context)
+                return
         if identity:
             registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
             for wallet in balances:
@@ -199,8 +209,16 @@ class TestCodec:
         fields = _genesis_fields(supply, balances, context)
         text = events.genesis(supply, balances, context)
         assert text == canonical_json(fields) == canonical_json_ref(fields)
-        # The JSON value of the text: a label holding a surrogate pair as two code points reads back as one.
-        assert events.decode(0, text) == loads_canonical(canonical_json(fields))
+        assert events.decode(0, text) == fields
+
+    @pytest.mark.parametrize("key", ["scenario", "mechanism"])
+    def test_genesis_refuses_a_label_that_reads_back_as_another(self, key):
+        """U+D800 then U+DFFF, two code points, is written as a surrogate pair, which JSON reads back
+        as the one character U+103FF: the decoded genesis would name another label."""
+        with pytest.raises(GovernanceError, match=f"genesis {key} label does not read back from its JSON text"):
+            events.genesis(TokenAmount(1), {}, {key: "x\ud800\udfffy"})
+        for label in ("x\U000103ffy", "x\ud800y", "x\udfff\ud800y"):
+            assert events.decode(0, events.genesis(TokenAmount(1), {}, {key: label}))[key] == label
 
     def test_genesis_context_takes_only_its_fixed_keys(self):
         with pytest.raises(GovernanceError, match="unknown keys"):
@@ -229,8 +247,9 @@ def _bench_scenario(workload):
 
 
 class TestIdentityMembers:
-    """genesis writes its identity record, and finalize its two filter lists, without
-    canonical_json: each text must equal canonical_json of the event's reference dict."""
+    """genesis builds its identity record from the engine's IdentityFilter, and finalize its two
+    filter lists from the FilterReport: each text must equal canonical_json of the event's
+    reference dict, whose identity record comes from oracles.identity_record_ref."""
 
     @staticmethod
     def _run_observed(scenario):

@@ -777,7 +777,7 @@ class TestPeakMemoryPerWallet:
     """A run's traced peak, with the ledger streamed to a sink, per wallet and per cast.
 
     Counted by tracemalloc, not timed, so machine load does not move it.  This engine measured
-    563-580 B per wallet on the Sybil workload at half scale, 564 B (4,003 wallets) to 631 B
+    567-582 B per wallet on the Sybil workload at half scale, 564 B (4,003 wallets) to 631 B
     (MAX_WALLETS) per wallet for one attacker with the probes on, and 259 B (5,000 casts) and
     192 B (MAX_CASTS) per cast for honest agents on many quadratic proposals (Python 3.11); each
     bound is about 1.15 times that.  Holding a second lock table, a finalized proposal's vote book

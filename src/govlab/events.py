@@ -58,7 +58,8 @@ from .mechanisms import QuorumBasis
 
 GENESIS_CONTEXT = frozenset({"scenario", "mechanism", "identity"})
 # A high then a low surrogate code point: the text writes them as \uXXXX\uXXXX, which JSON reads back as one
-# character, so a label holding them would not decode back to itself.  Every other string does.
+# character, so a label holding them would not decode back to itself.  Every other string does.  genesis
+# refuses such a scenario or mechanism label, and governance.Proposal such an option.
 _SPLIT_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 

@@ -136,7 +136,8 @@ class Proposal(_Record):
         if len(set(self.options)) != len(self.options):
             raise GovernanceError(f"proposal {self.id!r} has duplicate options")
         for o in self.options:
-            _check_option(o)
+            if events._SPLIT_PAIR.search(_check_option(o)):
+                raise GovernanceError(f"proposal {self.id!r}: option {o!r} does not read back from its JSON text")
         self.mechanism = Mechanism.parse(mechanism)
         if self.discussion_window.end > self.voting_window.start:
             raise WindowError(
@@ -159,10 +160,10 @@ class GovernanceEngine:
     to the live vote set, and genesis records its policy and bindings
     (events.genesis), so a replay rebuilds exactly the filter that was
     applied.  With no "identity" key (or None) every live vote is tallied.  The
-    wallet universe, which genesis records and a wallet-count quorum divides
-    by, is the number of funded wallets in balances.  ledger_sink, if given,
-    receives each ledger entry as it is appended, and the ledger keeps none
-    (see ledger.Ledger).
+    engine keeps balances, keyed by WalletId, as given (no copy) and never writes
+    it.  Its wallet universe, which genesis records and a wallet-count quorum
+    divides by, is the number of funded wallets.  ledger_sink, if given, receives
+    each ledger entry as it is appended, and the ledger keeps none (see ledger.Ledger).
     """
 
     def __init__(
@@ -173,7 +174,9 @@ class GovernanceEngine:
         genesis_context: dict[str, Any] | None = None,
         ledger_sink: Callable[[LedgerEntry], object] | None = None,
     ):
-        self.balances = {WalletId(w): b for w, b in balances.items()}
+        if any(type(wallet) is not WalletId for wallet in balances):
+            raise GovernanceError("balances must be keyed by WalletId")
+        self.balances = balances
         held = sum(b.units for b in self.balances.values())
         if held > supply.units:
             raise GovernanceError("wallet balances exceed token supply")

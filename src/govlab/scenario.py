@@ -24,14 +24,15 @@ from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, 
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
-# A run costs about 25-40 us and 0.9-1.3 KiB per wallet (an attacker with 10^5 wallets took
-# 3.5-4.3 s and 84 MiB peak RSS through `govlab run --csv`, 127 MiB through run(), which
+# A run costs about 25-40 us and 0.8-1.3 KiB per wallet (an attacker with 10^5 wallets took
+# 3.5-4.5 s and 79 MiB peak RSS through `govlab run --csv`, 122 MiB through run(), which
 # keeps the ledger's entries), so this cap bounds the wallets one scenario file can ask for.
 MAX_WALLETS = 100_000
-# Each voting wallet casts once per proposal, at about 10-17 us per cast.  No vote outlives
-# its proposal's finalize, so a cast costs 0.1-0.2 KiB through `govlab run`, which streams
-# the ledger and the CSV to their files, or 0.5-0.6 KiB through run() (2.5 * 10^5 casts
-# peaked at 41-70 MiB RSS and 135-163 MiB), so this cap bounds the casts.
+# Each voting wallet casts once per proposal, at about 10-17 us per cast, and the CSV has a row
+# per agent and proposal, so this cap bounds every agent's wallets x proposals, abstainers'
+# too.  No vote outlives its proposal's finalize, so a cast costs 0.08-0.14 KiB through
+# `govlab run`, which streams the ledger and the CSV to their files, or about 0.5 KiB through
+# run() (2.5 * 10^5 casts peaked at 40-53 MiB RSS and 134-146 MiB).
 MAX_CASTS = 250_000
 # One file can hold an error per agent, option and proposal; past this many the rest are
 # counted, not listed.  An error quotes at most QUOTED_CHARS characters of any id or value,
@@ -372,14 +373,12 @@ def parse_scenario(obj: Any) -> Scenario:
             )
         else:
             proposals.append(p)
-    # Each voting agent casts once per proposal from each of its wallets.  An attacker counts at
-    # most MAX_WALLETS wallets here: more is the wallet cap's error, or its own agent's.
-    voters = sum(
-        min(a.n_wallets, MAX_WALLETS) if a.kind is AgentKind.SYBIL_ATTACKER else 1
-        for a in fields.get("agents", ()) if a.votes()
-    )
-    if (casts := voters * len(proposals)) > MAX_CASTS:
-        error = f"agents ask for {casts} cast events ({voters} voting wallets x {len(proposals)} proposals)"
+    # A voting wallet casts once per proposal, and the CSV has a row per agent and proposal, so every
+    # agent's wallets count, abstainers' too.  An attacker counts at most MAX_WALLETS wallets here:
+    # more is the wallet cap's error, or its own agent's.
+    held = sum(min(a.n_wallets, MAX_WALLETS) if a.kind is AgentKind.SYBIL_ATTACKER else 1 for a in fields.get("agents", ()))
+    if (pairs := held * len(proposals)) > MAX_CASTS:
+        error = f"agents' wallets x proposals is {pairs} ({held} wallets x {len(proposals)} proposals)"
         raise ScenarioValidationError([*errors, f"{error}, more than the cap of {MAX_CASTS}"])
 
     agents = []

@@ -12,8 +12,6 @@ scenario leaves the bytes unchanged.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import groupby
-from operator import itemgetter
 from decimal import Decimal
 from typing import Any, Callable, Iterator, Sequence
 
@@ -37,7 +35,7 @@ from .ledger import Ledger, LedgerEntry
 from .mechanisms import Mechanism, MechanismError, config_error, vote_power
 from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, arrow_probes
 from .rng import MASK64
-from .scenario import AgentKind, ProposalSpec, Scenario, ScenarioValidationError
+from .scenario import AgentKind, AgentSpec, ProposalSpec, Scenario, ScenarioValidationError
 from .sybil import split_uniform
 
 REPORT_SCHEMA_VERSION = 1
@@ -81,9 +79,10 @@ def min_controlling_set(powers: Sequence[VotingPower]) -> int:
 
 
 class SimulationSetup(_Record):
-    """Wallet layout, funded balances, the identity layer and the report's binding counts for one scenario."""
+    """One scenario's voting agents, each with its wallet tuple, in scenario order (the one list of who
+    votes), its funded balances, its identity layer and the report's binding counts."""
 
-    __slots__ = ("wallets_by_agent", "balances", "identity", "binding_stats")
+    __slots__ = ("voters", "balances", "identity", "binding_stats")
 
 
 def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
@@ -91,30 +90,29 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
     if seed_override is not None and (type(seed_override) is not int or not 0 <= seed_override <= MASK64):
         raise SimulationError(f"seed_override must be a u64, got {seed_override!r}")
     effective_seed = scenario.seed if seed_override is None else seed_override
-    wallets_by_agent: dict[str, tuple[WalletId, ...]] = {}
+    voters: list[tuple[AgentSpec, tuple[WalletId, ...]]] = []
     balances: dict[WalletId, TokenAmount] = {}
-    for agent in scenario.agents:
-        wallets = agent.wallets()
-        wallets_by_agent[agent.id] = wallets
-        if agent.kind is AgentKind.SYBIL_ATTACKER:
-            for wallet, amount in zip(wallets, split_uniform(agent.balance, agent.n_wallets)):
-                balances[wallet] = amount
-        else:
-            balances[wallets[0]] = agent.balance
-
     identity = None
     stats = None
-    if scenario.identity is not None:
-        cfg = scenario.identity
+    if (cfg := scenario.identity) is not None:
         provider_seed = cfg.provider.seed if cfg.provider.seed is not None else effective_seed
         provider = SimulatedProvider(cfg.provider.false_accept_rate, provider_seed)
         registry = IdentityRegistry(cfg.mode)
         accepted = 0
         by_reason: dict[str, int] = {}
-        for agent in scenario.agents:
+    for agent in scenario.agents:
+        wallets = agent.wallets()
+        if agent.votes():
+            voters.append((agent, wallets))
+        if agent.kind is AgentKind.SYBIL_ATTACKER:
+            for wallet, amount in zip(wallets, split_uniform(agent.balance, agent.n_wallets)):
+                balances[wallet] = amount
+        else:
+            balances[wallets[0]] = agent.balance
+        if cfg is not None:  # each wallet is reviewed and bound in agent order, as it is funded
             fake = agent.fakes_identities()
             own = None if fake else IdentityId(agent.id)  # one identity, built once, for all its wallets
-            for k, wallet in enumerate(wallets_by_agent[agent.id]):
+            for k, wallet in enumerate(wallets):
                 if not provider.review(fake):
                     reason = RejectionReason.PROVIDER_REJECTED
                 else:
@@ -124,11 +122,12 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
                         continue
                     reason = outcome.reason
                 by_reason[reason.value] = by_reason.get(reason.value, 0) + 1
+    if cfg is not None:
         identity = IdentityFilter(registry, cfg.policy)
         stats = {"bindings_accepted": accepted, "bindings_rejected": sum(by_reason.values()),
                  "rejections_by_reason": dict(sorted(by_reason.items()))}
 
-    return SimulationSetup(wallets_by_agent, balances, identity, stats)
+    return SimulationSetup(tuple(voters), balances, identity, stats)
 
 
 class RunResult(_Record):
@@ -158,54 +157,51 @@ def _play_schedule(
     """Apply the scenario's events to the engine in tick order.  Returns, per proposal id, its
     report entry and its _agent_rows, taken from its counted votes as it finalizes.
 
-    The scenario compiles to tick -> (submits, casts, finalizes), casts agent-major,
-    and only those ticks are visited.  Every voting-window start has an entry, so
-    its phase event keeps its tick.  A tick's consecutive casts on one proposal
-    are one cast_batch, its ballots generated as the engine draws them.
+    The scenario compiles to tick -> (submits, proposal id -> the run of voters casting then,
+    finalizes), one list slot per cast, and only those ticks are visited, each dropped as it is.
+    Every voting-window start has an entry, so its phase event keeps its tick.  A run is one
+    cast_batch, its voters in scenario order and its ballots generated as the engine draws them.
+    parse_scenario keeps voting windows apart, so a tick holds the casts of one proposal.
     """
-    balances, wallets_by_agent = setup.balances, setup.wallets_by_agent
-    schedule: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+    balances = setup.balances
+    schedule: defaultdict[int, tuple[list, defaultdict, list]] = defaultdict(lambda: ([], defaultdict(list), []))
     for spec in scenario.proposals:
         schedule[spec.discussion_window.start][0].append(spec)
         schedule[spec.voting_window.start]  # an entry, so the phase event keeps its tick
         schedule[spec.voting_window.end][2].append(spec)
-    voters = [agent.id for agent in scenario.agents if agent.votes()]  # abstainers have no counted vote
-    for agent in scenario.agents:
-        if agent.votes():
-            for spec in scenario.proposals:
-                schedule[agent.cast_tick(spec)][1].append((agent, spec))
+        for voter in setup.voters:
+            schedule[voter[0].cast_tick(spec)][1][spec.id].append(voter)
 
     entries, by_agent = {}, {}
     for now in sorted(t for t in schedule if t <= scenario.ticks):
-        submits, casts, finalizes = schedule[now]
+        submits, runs, finalizes = schedule.pop(now)
         for spec in submits:
             engine.submit(_engine_proposal(scenario, spec), now)
         engine.advance_to(now)
-        for spec, group in groupby(casts, key=itemgetter(1)):
-            ballots = ((w, a.preference[0], balances[w]) for a, _ in group for w in wallets_by_agent[a.id])
-            engine.cast_batch(spec.id, ballots, now)
+        for pid, voters in runs.items():
+            ballots = ((w, agent.preference[0], balances[w]) for agent, wallets in voters for w in wallets)
+            engine.cast_batch(pid, ballots, now)
         for spec in finalizes:
             votes, result = engine.finalize(spec.id, now)
-            rows = by_agent[spec.id] = _agent_rows(wallets_by_agent, voters, votes, result.vote_powers)
-            entries[spec.id] = _proposal_metrics(scenario, engine, spec, result, rows)
+            rows = by_agent[spec.id] = _agent_rows(setup.voters, votes, result.vote_powers)
+            entries[spec.id] = _proposal_metrics(scenario, setup, engine, spec, result, rows)
     return entries, by_agent
 
 
 def _agent_rows(
-    wallets_by_agent: dict[str, tuple[WalletId, ...]], voters: Sequence[str],
-    votes: Sequence[VoteRecord], powers: Sequence[VotingPower],
+    voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], votes: Sequence[VoteRecord], powers: Sequence[VotingPower],
 ) -> dict[str, tuple[int, int, int]]:
     """Per voter with a counted vote: (wallets, token units, power units) of its counted votes, with
     the powers the tally gave them.  A vote merged from several wallets counts for the agent that
     holds its wallet, the group's least.  An agent with one counted vote gets that vote's tuple."""
     counted = {vote.wallet: (1, vote.committed.units, power.units) for vote, power in zip(votes, powers, strict=True)}
     rows = {}
-    for agent in voters:
-        mine = [row for wallet in wallets_by_agent[agent] if (row := counted.get(wallet)) is not None]
+    for agent, wallets in voters:
+        mine = [row for wallet in wallets if (row := counted.get(wallet)) is not None]
         if len(mine) == 1:
-            rows[agent] = mine[0]
+            rows[agent.id] = mine[0]
         elif mine:
-            rows[agent] = (len(mine), sum(row[1] for row in mine), sum(row[2] for row in mine))
+            rows[agent.id] = (len(mine), sum(row[1] for row in mine), sum(row[2] for row in mine))
     return rows
 
 
@@ -241,7 +237,7 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
 
 
 def _proposal_metrics(
-    scenario: Scenario, engine: GovernanceEngine, spec: ProposalSpec, result: TallyResult,
+    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, spec: ProposalSpec, result: TallyResult,
     by_agent: dict[str, tuple[int, int, int]],
 ) -> dict[str, Any]:
     """A just-finalized proposal's report entry, from its tally and vote_powers and its per-agent rows."""
@@ -258,7 +254,7 @@ def _proposal_metrics(
     wallet_fraction = ratio_half_even(len(powers), wallet_universe_size) if wallet_universe_size else Decimal("0.000000000")
 
     amplification: dict[str, Any] = {}
-    for agent in scenario.agents:
+    for agent, _ in setup.voters:
         if agent.kind is not AgentKind.SYBIL_ATTACKER:
             continue
         mine = by_agent.get(agent.id)
@@ -323,20 +319,20 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: Governance
     every voter's wallets committing their full balance to the first option at the window start,
     fixes each voter's power and the quorum test: each identity the registry binds holds wallets of
     one agent, so every profile drops and merges the same wallets, and no power depends on an option."""
-    voters = [agent.id for agent in scenario.agents if agent.votes()]
     options = scenario.proposals[0].options
-    if len(voters) > MAX_PROBE_AGENTS or len(options) > MAX_PROBE_OPTIONS:
+    if len(setup.voters) > MAX_PROBE_AGENTS or len(options) > MAX_PROBE_OPTIONS:
         return None
     proposal = engine.proposals[scenario.proposals[0].id]
     window = proposal.voting_window
     votes = [
         VoteRecord(wallet, proposal.id, options[0], setup.balances[wallet], window.start)
-        for voter in voters for wallet in setup.wallets_by_agent[voter]
+        for _, wallets in setup.voters for wallet in wallets
     ]
     votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
-    by_agent = _agent_rows(setup.wallets_by_agent, voters, votes, result.vote_powers)
-    power = [by_agent.get(voter, (0, 0, 0))[2] for voter in voters]
-    return arrow_probes(voters, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)
+    by_agent = _agent_rows(setup.voters, votes, result.vote_powers)
+    ids = [agent.id for agent, _ in setup.voters]
+    power = [by_agent.get(voter, (0, 0, 0))[2] for voter in ids]
+    return arrow_probes(ids, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)
 
 
 def report_csv_lines(result: RunResult) -> Iterator[str]:

@@ -332,7 +332,7 @@ def _profile_tally_ref(scenario, setup, proposal, choices):
     votes = [
         VoteRecord(wallet, proposal.id, choices[agent.id], setup.balances[wallet], window.start)
         for agent in scenario.agents if agent.votes()
-        for wallet in setup.wallets_by_agent[agent.id]
+        for wallet in agent.wallets()
     ]
     return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1].outcome
 

@@ -140,7 +140,7 @@ class TestRunCommand:
             (lambda text: "[" * 100_000, "malformed JSON: maximum recursion depth"),
             (lambda text: text.replace('"ticks": 20', '"ticks": ' + "9" * 5000), "malformed JSON: Exceeds the limit"),
             (lambda text: text.replace('"n_wallets": 100', '"n_wallets": 10000000'), "wallets in total"),
-            (lambda text: _over_cast_budget(text), "cast events"),
+            (lambda text: _over_cast_budget(text), "wallets x proposals"),
             (
                 lambda text: text.replace('"quorum": null', '"quorum": {"basis": {"a": 1}, "threshold": "0.5"}'),
                 "quorum.basis must be a participation basis, got {'a': 1}",

@@ -587,6 +587,36 @@ class TestEventAccounting:
         assert genesis["balances"]["alice"] == "100.000000000"
         assert genesis["wallet_universe_size"] == 3
 
+    @staticmethod
+    def _phases_and_replay(engine):
+        """(proposal, tick) of each phase event in ledger order, once replay has re-derived the head."""
+        assert replay(engine.ledger).ledger.head_hash() == engine.ledger.head_hash()
+        recorded = (loads_canonical(entry.payload) for entry in engine.ledger)
+        return [(event["proposal"], event["tick"]) for event in recorded if event["event"] == "phase"]
+
+    def test_proposals_opening_at_one_tick_record_their_phase_in_submit_order(self):
+        engine = _engine()
+        for pid in ("p2", "p1", "p3"):
+            engine.submit(_proposal(pid, discussion=(0, 5), voting=(5, 10)), 0)
+        engine.advance_to(5)
+        assert self._phases_and_replay(engine) == [("p2", 5), ("p1", 5), ("p3", 5)]
+
+    def test_one_advance_past_two_starts_records_their_phase_in_submit_order(self):
+        """The proposal submitted later opens first, but one advance_to crosses both starts."""
+        engine = _engine()
+        engine.submit(_proposal("late", discussion=(0, 7), voting=(7, 12)), 0)
+        engine.submit(_proposal("early", discussion=(1, 4), voting=(4, 12)), 1)
+        engine.advance_to(9)
+        assert self._phases_and_replay(engine) == [("late", 9), ("early", 9)]
+
+    def test_balances_are_kept_as_given_and_keyed_by_wallet_id(self):
+        """The engine writes genesis from its balances unescaped, so a key must be a validated WalletId."""
+        balances = {WalletId("a"): TokenAmount(5)}
+        assert GovernanceEngine(balances=balances, supply=TokenAmount(5)).balances is balances
+        for key in ("a", 'a"b'):
+            with pytest.raises(GovernanceError, match="^balances must be keyed by WalletId$"):
+                GovernanceEngine(balances={key: TokenAmount(5)}, supply=TokenAmount(5))
+
     def test_the_wallet_universe_cannot_be_set_apart_from_the_balances(self):
         with pytest.raises(TypeError):
             GovernanceEngine(balances={WalletId("a"): TokenAmount.parse(1)}, supply=TokenAmount.parse(1), wallet_universe_size=2)

@@ -281,7 +281,7 @@ class TestErrorCollection:
         except ScenarioValidationError:
             assume(False)
         setup = build_setup(scenario)
-        owner = {wallet: agent for agent, wallets in setup.wallets_by_agent.items() for wallet in wallets}
+        owner = {wallet: agent.id for agent in scenario.agents for wallet in agent.wallets()}
         for identity, wallets in setup.identity.registry.bindings():
             assert len({owner[wallet] for wallet in wallets}) == 1, identity
 
@@ -409,23 +409,29 @@ class TestErrorCollection:
         return obj
 
     def test_total_casts_are_capped_before_agents_are_checked(self):
-        """Voting wallets x proposals is capped, and a file over it gets that one error."""
+        """Wallets x proposals is capped, and a file over it gets that one error."""
         obj = self._at_cast_cap()
         at_cap = parse_scenario(obj)
         assert sum(a.n_wallets for a in at_cap.agents) * len(at_cap.proposals) == MAX_CASTS
         obj["agents"][-1]["n_wallets"] += 1
         obj["agents"][0]["preference"] = ["maybe"]  # an agent error, never reached
         assert _errors_of(obj) == [
-            f"agents ask for {MAX_CASTS + 5} cast events (50001 voting wallets x 5 proposals), "
+            f"agents' wallets x proposals is {MAX_CASTS + 5} (50001 wallets x 5 proposals), "
             f"more than the cap of {MAX_CASTS}"
         ]
 
-    def test_the_cast_cap_counts_the_voting_agents_that_parsed(self):
-        """An abstainer casts nothing, and an agent whose own fields fail is never checked
-        against a proposal, so neither counts toward the cap: the file at the cap gets only
-        the broken agent's error."""
+    def test_the_cast_cap_counts_every_agent_that_parsed(self):
+        """An abstainer has a CSV row per proposal, so its wallet counts toward the cap.  An agent
+        whose own fields fail is never checked against a proposal, so it does not count: the file
+        at the cap gets only the broken agent's error."""
         obj = self._at_cast_cap()
         obj["agents"].append({"id": "quiet", "kind": "abstainer", "balance": "0"})
+        assert _errors_of(obj) == [
+            f"agents' wallets x proposals is {MAX_CASTS + 5} (50001 wallets x 5 proposals), "
+            f"more than the cap of {MAX_CASTS}"
+        ]
+        obj["agents"][-2]["n_wallets"] -= 1  # the attacker gives the abstainer's wallet room
+        parse_scenario(obj)
         obj["agents"].append({"id": "broken", "kind": "honest", "balance": "lots", "preference": ["approve"]})
         (error,) = _errors_of(obj)
         assert error.startswith("agent 'broken': balance")

@@ -135,10 +135,6 @@ def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick
     return canonical_json(event)
 
 
-def executed(proposal: ProposalId, tick: int) -> str:
-    return canonical_json({"event": "executed", "proposal": str(proposal), "tick": tick})
-
-
 # A field's spec: a JSON type; a frozenset of the strings allowed; a pattern the
 # string matches; [spec] for an array of any length, [spec, spec] for a pair;
 # {key: spec} for an object with those keys, {str: spec} for any keys; and
@@ -166,7 +162,6 @@ _KINDS: dict[str, dict] = {
         "tally": {"per_option_power": {str: str}, "participating_tokens": str, "outcome": dict},
         "dropped_unverified": [str], "equivocating_identities": [str],
     },
-    "executed": {"event": str, "proposal": str, "tick": int},
 }
 _OPTIONAL = {"genesis": GENESIS_CONTEXT, "finalize": frozenset({"dropped_unverified", "equivocating_identities"})}
 _MISSING = object()

@@ -27,6 +27,7 @@ winner.  Ties (including the no-votes case) reject; the status quo wins.
 from __future__ import annotations
 
 import functools
+import heapq
 from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
@@ -78,10 +79,9 @@ class Phase(str, Enum):
     PASSED = "passed"
     REJECTED = "rejected"
     QUORUM_FAILED = "quorum_failed"
-    EXECUTED = "executed"
 
 
-TERMINAL_PHASES = frozenset({Phase.PASSED, Phase.REJECTED, Phase.QUORUM_FAILED, Phase.EXECUTED})
+TERMINAL_PHASES = frozenset({Phase.PASSED, Phase.REJECTED, Phase.QUORUM_FAILED})
 
 
 class Window(_Record):
@@ -187,6 +187,8 @@ class GovernanceEngine:
         if self.identity is not None and not isinstance(self.identity, IdentityFilter):
             raise GovernanceError(f"genesis identity must be an IdentityFilter or None, not {self.identity!r}")
         self.proposals: dict[ProposalId, Proposal] = {}
+        # (voting start, submit order, proposal) of each proposal in discussion, a heap on its start
+        self._opening: list[tuple[int, int, Proposal]] = []
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
         self._locked: dict[WalletId, int] = {}  # units committed to live proposals; no zero totals
         self._now = 0
@@ -202,12 +204,14 @@ class GovernanceEngine:
         self._now = now
 
     def advance_to(self, now: int) -> None:
-        """Apply window-driven transitions up to `now` (Discussion -> Voting)."""
+        """Apply window-driven transitions up to `now` (Discussion -> Voting), in submit order."""
         self._touch(now)
-        for proposal in self.proposals.values():
-            if proposal.phase is Phase.DISCUSSION and now >= proposal.voting_window.start:
-                proposal.phase = Phase.VOTING
-                self.ledger.append(events.phase(proposal.id, now))
+        opening, due = self._opening, []
+        while opening and opening[0][0] <= now:
+            due.append(heapq.heappop(opening)[1:])
+        for _, proposal in sorted(due):  # submit orders are distinct, so proposals are never compared
+            proposal.phase = Phase.VOTING
+            self.ledger.append(events.phase(proposal.id, now))
 
     # -- operations -------------------------------------------------------
 
@@ -226,6 +230,7 @@ class GovernanceEngine:
         proposal.phase = Phase.DISCUSSION
         self.proposals[proposal.id] = proposal
         self._votes[proposal.id] = {}
+        heapq.heappush(self._opening, (proposal.voting_window.start, len(self.proposals), proposal))
         self.ledger.append(events.submit(proposal, now))
         self.advance_to(now)
 
@@ -312,15 +317,6 @@ class GovernanceEngine:
 
         self.ledger.append(events.finalize(proposal.id, proposal.phase.value, result, now, report))
         return votes, result
-
-    def mark_executed(self, proposal_id: ProposalId, now: int) -> None:
-        """Passed -> Executed; bookkeeping only, no execution payloads."""
-        self._touch(now)
-        proposal = self._get(proposal_id)
-        if proposal.phase is not Phase.PASSED:
-            raise PhaseError(f"proposal {proposal.id!r} has not passed")
-        proposal.phase = Phase.EXECUTED
-        self.ledger.append(events.executed(proposal.id, now))
 
     def _get(self, proposal_id: ProposalId) -> Proposal:
         proposal = self.proposals.get(ProposalId(proposal_id))
@@ -428,10 +424,8 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
             engine.advance_to(tick)  # the one dispatch that can derive nothing
         elif kind == "cast":
             engine.cast_batch(pid, ballots(pid, tick), tick)
-        elif kind == "finalize":
-            engine.finalize(pid, now=tick)
         else:
-            engine.mark_executed(pid, now=tick)
+            engine.finalize(pid, now=tick)
         if event is recorded:
             raise GovernanceError(f"replay diverged at event {len(engine.ledger)}: recorded but not re-derived")
     return engine

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from decimal import Decimal
 from enum import Enum
 from importlib import resources
+from itertools import islice
 from typing import Any
 
 from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
@@ -43,12 +45,13 @@ QUOTED_CHARS = 80
 
 class ScenarioValidationError(GovlabError):
     """Carries the violations found in a scenario: the first MAX_ERRORS of
-    them, then one line counting the rest."""
+    them, then one line counting the rest.  unlisted counts the violations
+    found past MAX_ERRORS that were never formatted."""
 
-    def __init__(self, errors: list[str]):
+    def __init__(self, errors: list[str], unlisted: int = 0):
         self.errors = errors[:MAX_ERRORS]
-        if len(errors) > MAX_ERRORS:
-            self.errors.append(f"... and {len(errors) - MAX_ERRORS} more")
+        if (more := len(errors) - MAX_ERRORS + unlisted) > 0:
+            self.errors.append(f"... and {more} more")
         super().__init__("; ".join(self.errors))
 
 
@@ -390,9 +393,7 @@ def parse_scenario(obj: Any) -> Scenario:
     wallets = sum(a.n_wallets for a in agents)
     if wallets > MAX_WALLETS:
         errors.append(f"agents hold {wallets} wallets in total, more than the cap of {MAX_WALLETS}")
-    for a in agents:
-        if a.votes():
-            _check_ballots(a, proposals, errors)
+    unlisted = _check_ballots(agents, proposals, errors)
 
     if complete:
         if error := config_error(fields["mechanism"], fields["quorum"], fields["conviction"]):
@@ -404,7 +405,7 @@ def parse_scenario(obj: Any) -> Scenario:
     _check_names(agents, fields.get("identity") is not None, errors)
 
     if errors:
-        raise ScenarioValidationError(errors)
+        raise ScenarioValidationError(errors, unlisted)
     del fields["schema_version"]
     return Scenario(**{**fields, "agents": tuple(agents), "proposals": tuple(proposals)})
 
@@ -425,16 +426,33 @@ def _agent_error(a: AgentSpec) -> str | None:
     return None
 
 
-def _check_ballots(a: AgentSpec, proposals: list[ProposalSpec], errors: list[str]) -> None:
+def _check_ballots(agents: list[AgentSpec], proposals: list[ProposalSpec], errors: list[str]) -> int:
+    """Append each voting agent's ballot errors while fewer than MAX_ERRORS are held, and return
+    how many more there are, counted without being formatted."""
     # A voting agent ranks options that every proposal offers, and casts inside every voting window.
-    for option in a.preference:
+    offered = Counter(option for p in proposals for option in p.options)
+    offers = None  # each proposal's options as a set, built for the first label that some proposal lacks
+    unlisted = 0
+    for a in filter(AgentSpec.votes, agents):
+        for option in a.preference:
+            if not (lacking := len(proposals) - offered[option]):
+                continue
+            if listed := min(lacking, max(MAX_ERRORS - len(errors), 0)):
+                offers = offers or [frozenset(p.options) for p in proposals]
+                missing = (p for p, options in zip(proposals, offers) if option not in options)
+                errors += [
+                    f"agent {a.id!r}: preference {_quote(option)} not among options of proposal {p.id!r}"
+                    for p in islice(missing, listed)
+                ]
+            unlisted += lacking - listed
         for p in proposals:
-            if option not in p.options:
-                errors.append(f"agent {a.id!r}: preference {_quote(option)} not among options of proposal {p.id!r}")
-    for p in proposals:
-        tick = a.cast_tick(p)
-        if not p.voting_window.contains(tick):
-            errors.append(f"agent {a.id!r}: cast tick {_quote(tick)} outside voting window of proposal {p.id!r}")
+            if p.voting_window.contains(tick := a.cast_tick(p)):
+                continue
+            if len(errors) < MAX_ERRORS:
+                errors.append(f"agent {a.id!r}: cast tick {_quote(tick)} outside voting window of proposal {p.id!r}")
+            else:
+                unlisted += 1
+    return unlisted
 
 
 def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], errors: list[str]) -> None:

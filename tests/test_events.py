@@ -165,10 +165,6 @@ _KINDS = {
     ),
     "cast": st.builds(_cast, _id_st, _option_st, _tick_st, _amount_st.filter(lambda a: a.units), _id_st),
     "finalize": _finalize(),
-    "executed": st.builds(
-        lambda p, t: (events.executed(ProposalId(p), t), {"event": "executed", "proposal": p, "tick": t}),
-        _id_st, _tick_st,
-    ),
 }
 
 
@@ -242,13 +238,22 @@ class TestCodec:
         [
             ('{"event":"vote","tick":1}', "event 3: unknown event kind 'vote'"),
             ('["cast"]', "event 3: field 'event' is missing"),
-            ('{"event":"executed","proposal":"p","tick":1,"x":0}', "event 3: field 'x' is not an event field"),
+            ('{"event":"phase","from":"discussion","proposal":"p","tick":1,"to":"voting","x":0}', "event 3: field 'x' is not an event field"),
             ('{"event":"phase","from":"a","proposal":"p","tick":1,"to":2}', "event 3: field 'to' is missing"),
         ],
     )
     def test_decode_names_the_event_and_the_field(self, text, message):
         with pytest.raises(GovernanceError, match=message):
             events.decode(3, text)
+
+    def test_every_kind_is_written_by_a_run(self):
+        """The decoder knows the kinds the presets and the benchmark workloads write, and no other."""
+        scenarios = [load_preset(name) for name in preset_names()]
+        scenarios += [_bench_scenario(w) for w in ("crowd_quadratic", "sybil_identity", "conviction_horizon")]
+        written = set()
+        for scenario in scenarios:
+            run(scenario, ledger_sink=lambda entry: written.add(json.loads(entry.payload)["event"]))
+        assert written == set(events._KINDS)
 
 
 def _bench_scenario(workload):

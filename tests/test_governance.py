@@ -192,23 +192,6 @@ class TestLifecycle:
         with pytest.raises(PhaseError, match="never reached its voting phase"):
             engine.finalize("p2", 10)
 
-    def test_mark_executed_only_from_passed(self):
-        engine = _engine()
-        engine.submit(_proposal(), 0)
-        engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 5)
-        engine.finalize("p1", 10)
-        engine.mark_executed("p1", 11)
-        assert engine.proposals[ProposalId("p1")].phase is Phase.EXECUTED
-        with pytest.raises(PhaseError, match="not passed"):
-            engine.mark_executed("p1", 12)
-
-    def test_mark_executed_from_rejected_fails(self):
-        engine = _engine()
-        engine.submit(_proposal(), 0)
-        engine.finalize("p1", 10)
-        with pytest.raises(PhaseError, match="not passed"):
-            engine.mark_executed("p1", 11)
-
     def test_clock_never_moves_backwards(self):
         engine = _engine()
         engine.advance_to(7)
@@ -576,9 +559,8 @@ class TestEventAccounting:
         engine.submit(_proposal(), 0)
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(10), 5)
         engine.finalize("p1", 10)
-        engine.mark_executed("p1", 11)
         kinds = [loads_canonical(e.payload)["event"] for e in engine.ledger]
-        assert kinds == ["genesis", "submit", "phase", "cast", "finalize", "executed"]
+        assert kinds == ["genesis", "submit", "phase", "cast", "finalize"]
 
     def test_genesis_snapshots_the_funding_state(self):
         engine = _engine()
@@ -652,7 +634,6 @@ class TestReplay:
         engine.finalize("p1", 10)
         engine.cast("p2", WalletId("bob"), "reject", TokenAmount.parse(50), 12)
         engine.finalize("p2", 20)
-        engine.mark_executed("p1", 21)
         return engine
 
     def test_replay_reproduces_terminal_phases(self):
@@ -746,8 +727,6 @@ class TestReplay:
                 forged = entry.payload.replace('"phase":"passed"', '"phase":"rejected"')
                 assert forged != entry.payload
                 entries.append(SimpleNamespace(payload=forged))
-            elif payload.get("event") == "executed":
-                continue  # executed no longer applies to the forged history
             else:
                 entries.append(SimpleNamespace(payload=entry.payload))
         with pytest.raises(GovernanceError, match="replay diverged"):
@@ -759,6 +738,19 @@ class TestReplay:
         recorded = tuple(result.ledger)
         replayed = replay(recorded)
         assert (replayed.ledger.head_hash(), len(replayed.ledger)) == (result.head_hash, len(recorded))
+
+    def test_an_executed_event_verifies_but_does_not_replay(self):
+        """The lifecycle ends at finalize: an executed event, re-chained after a preset's
+        last finalize, keeps a clean hash chain, and replay refuses its unknown kind."""
+        ledger = Ledger()
+        for entry in run(load_preset("nonprofit_grant_vote")).ledger:
+            ledger.append(entry.payload)
+            last = loads_canonical(entry.payload)
+        k = len(ledger)
+        ledger.append(canonical_json({"event": "executed", "proposal": last["proposal"], "tick": last["tick"] + 1}))
+        assert verify_chain(tuple(ledger)) is None
+        with pytest.raises(GovernanceError, match=f"^event {k}: unknown event kind 'executed'$"):
+            replay(tuple(ledger))
 
     def test_replay_detects_a_forged_tally(self):
         """A finalize event with a changed per-option power, re-chained, passes
@@ -950,7 +942,7 @@ class TestReplay:
             ("submit", "quorum", []),
             ("phase", "tick", "5"),
             ("finalize", "proposal", None),
-            ("executed", "tick", None),
+            ("finalize", "tick", None),
             ("genesis", "balances", []),
             ("genesis", "wallet_universe_size", None),
             ("submit", "event", None),
@@ -1131,12 +1123,11 @@ class TestPhaseEdgeSet:
         (Phase.VOTING, Phase.PASSED),
         (Phase.VOTING, Phase.REJECTED),
         (Phase.VOTING, Phase.QUORUM_FAILED),
-        (Phase.PASSED, Phase.EXECUTED),
     }
 
     @given(
         st.lists(
-            st.sampled_from(["submit", "advance", "cast", "finalize", "execute"]),
+            st.sampled_from(["submit", "advance", "cast", "finalize"]),
             max_size=14,
         ),
         st.integers(min_value=0, max_value=3),
@@ -1163,8 +1154,6 @@ class TestPhaseEdgeSet:
                     engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(1), now)
                 elif op == "finalize":
                     engine.finalize("p1", now)
-                elif op == "execute":
-                    engine.mark_executed("p1", now)
             except GovernanceError:
                 pass
             observe()

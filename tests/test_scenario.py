@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import time
+import tracemalloc
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -435,6 +436,29 @@ class TestErrorCollection:
         obj["agents"].append({"id": "broken", "kind": "honest", "balance": "lots", "preference": ["approve"]})
         (error,) = _errors_of(obj)
         assert error.startswith("agent 'broken': balance")
+
+    def test_a_long_ranking_of_missing_labels_is_counted_not_formatted(self):
+        """One agent ranks 1,000 labels that none of 2,000 proposals offers: 2,000,000 errors, of
+        which only the first MAX_ERRORS are formatted and the rest counted, in a bounded peak."""
+        obj = _valid()
+        obj["ticks"] = 4_000
+        obj["proposals"] = [
+            {"id": f"p{k}", "options": ["yes", "no"], "discussion_window": [2 * k, 2 * k + 1], "voting_window": [2 * k + 1, 2 * k + 2]}
+            for k in range(2_000)
+        ]
+        obj["agents"] = [{"id": "a", "kind": "honest", "balance": "1", "preference": [f"x{k}" for k in range(1_000)]}]
+        text = json.dumps(obj)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                loads_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        errors = excinfo.value.errors
+        assert errors[0] == "agent 'a': preference 'x0' not among options of proposal 'p0'"
+        assert errors[-1] == "... and 1995000 more"
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB traced peak"
 
     def test_quorum_mechanism_requires_config(self):
         obj = _valid()

@@ -3,6 +3,7 @@
 import copy
 import gc
 import importlib.util
+import sys
 from collections import Counter
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from govlab import simulation as simulation_module
 from govlab.core import VoteRecord, VotingPower, fmt_units, loads_canonical, parse_units
+from govlab.governance import GovernanceEngine
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
 from govlab.scenario import MAX_CASTS, MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
@@ -654,12 +656,14 @@ class TestSybilProperties:
             assert amplification in ("1.000000000", None)
 
 
-def _cast_shape(honest, wallets, proposals, mechanism="token"):
+def _cast_shape(honest, wallets, proposals, mechanism="token", abstainers=0):
     """`honest` honest agents and, with wallets > 0, one attacker over that many wallets, all
-    voting on each of `proposals` two-option proposals in consecutive windows."""
+    voting on each of `proposals` two-option proposals in consecutive windows, and `abstainers`
+    agents who never vote."""
     agents = [{"id": f"h{k}", "kind": "honest", "balance": "1", "preference": ["a"]} for k in range(honest)]
     if wallets:
         agents.append({"id": "att", "kind": "sybil_attacker", "balance": "1000000", "preference": ["b"], "n_wallets": wallets})
+    agents += [{"id": f"x{k}", "kind": "abstainer", "balance": "1"} for k in range(abstainers)]
     return parse_scenario({
         "schema_version": 1,
         "name": "cast-cap",
@@ -700,6 +704,36 @@ class TestCastCapWorstCase:
         kinds = self._event_kinds(scenario)
         assert kinds["cast"] == MAX_CASTS
         assert kinds == self._expected(MAX_CASTS // 10, 10)
+
+    @pytest.mark.parametrize("proposals", [2_000, pytest.param(20_000, marks=pytest.mark.slow)])
+    def test_one_abstainer_on_many_proposals(self, proposals):
+        """The most proposals per wallet: every event but a cast, and each proposal opens once."""
+        kinds = self._event_kinds(_cast_shape(0, 0, proposals, abstainers=1))
+        assert kinds == {"genesis": 1, "submit": proposals, "phase": proposals, "finalize": proposals}
+
+    def test_advance_to_work_grows_linearly_with_proposals(self):
+        """advance_to runs on every submit, cast batch, finalize and tick, so a scan of every
+        proposal in it makes a run quadratic in proposals.  Counted in line events, not timed."""
+        code = GovernanceEngine.advance_to.__code__
+
+        def lines_in_advance_to(proposals):
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return local
+
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+            try:
+                run(_cast_shape(0, 0, proposals, abstainers=1), ledger_sink=lambda entry: None)
+            finally:
+                sys.settrace(previous)
+            return count
+
+        ratio = lines_in_advance_to(1_000) / lines_in_advance_to(500)
+        assert ratio <= 2.5, f"advance_to ran {ratio:.2f} times the lines at twice the proposals"
 
 
 def _horizon_scenario(mechanism, ticks):

@@ -309,12 +309,18 @@ class VoteRecord(_Record):
 def _checked_vote(wallet, proposal, option, committed, cast_at) -> VoteRecord:
     """A VoteRecord built without __init__'s checks, from fields of the right types the caller has checked."""
     vote = object.__new__(VoteRecord)
-    _set(vote, "wallet", wallet)
-    _set(vote, "proposal", proposal)
-    _set(vote, "option", option)
-    _set(vote, "committed", committed)
-    _set(vote, "cast_at", cast_at)
+    _set_wallet(vote, wallet)
+    _set_proposal(vote, proposal)
+    _set_option(vote, option)
+    _set_committed(vote, committed)
+    _set_cast_at(vote, cast_at)
     return vote
+
+
+# Each slot's own setter, which skips object.__setattr__'s lookup of the name.
+_set_wallet, _set_proposal, _set_option, _set_committed, _set_cast_at = (
+    getattr(VoteRecord, n).__set__ for n in VoteRecord.__slots__
+)
 
 
 class OutcomeKind:

@@ -19,6 +19,9 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +33,8 @@ from govlab.ledger import dump_ndjson, read_ndjson
 from govlab.scenario import loads_scenario, preset_names
 from govlab.simulation import report_csv, run
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PATH = ROOT / "benchmarks" / "workloads.py"
 
 # name -> (ledger head, report sha256, csv sha256, ndjson dump sha256)
 PRESETS = {
@@ -131,3 +135,24 @@ def test_preset_bytes_are_pinned(name, via, tmp_path):
 def test_benchmark_scenario_bytes_are_pinned(name, via, tmp_path):
     text = _workloads_module().scenario_text(name, 1)
     assert _fingerprint(text, via, tmp_path) == WORKLOADS[name]
+
+
+def test_hashlib_fallback_reproduces_the_preset_bytes():
+    """With the interpreter's own SHA-256 modules blocked, govlab.ledger takes hashlib's,
+    which loads _hashlib, and every preset still gives its pinned head and report."""
+    probe = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import govlab\n"
+        "from govlab.scenario import load_preset, preset_names\n"
+        "from govlab.simulation import run\n"
+        "results = {name: run(load_preset(name)) for name in preset_names()}\n"
+        "print(json.dumps({'_hashlib': '_hashlib' in sys.modules,\n"
+        "                  'runs': {name: [r.head_hash, r.report_json] for name, r in results.items()}}))\n"
+    )
+    out = json.loads(subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout)
+    assert out["_hashlib"]
+    assert {name: (head, _sha256(report)) for name, (head, report) in out["runs"].items()} == {
+        name: pins[:2] for name, pins in PRESETS.items()
+    }

@@ -4,6 +4,7 @@ CLI loads no code-generation module, and every source file parses under the
 oldest Python grammar the package supports."""
 
 import ast
+import importlib.util
 import re
 import subprocess
 import sys
@@ -112,6 +113,30 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     assert "govlab.cli" in loaded
     forbidden = loaded & {"dataclasses", "inspect", "csv", "_csv"}
     assert not forbidden, sorted(forbidden)
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no built-in SHA-256, so the ledger takes hashlib's",
+)
+def test_commands_load_no_openssl(tmp_path):
+    """hashlib loads OpenSSL's libcrypto through _hashlib, about 3.6 MiB resident in
+    every command, so the ledger hashes with the interpreter's own SHA-256.  Importing
+    the CLI, then `govlab run` and `govlab verify` on a preset, loads none of them."""
+    report = tmp_path / "report.json"
+    preset = ROOT / "src" / "govlab" / "presets" / "nonprofit_grant_vote.json"
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import govlab.cli\n"
+        f"assert govlab.cli.main(['run', '--scenario', {str(preset)!r}, '--out', {str(report)!r}]) == 0\n"
+        f"assert govlab.cli.main(['verify', '--ledger', {str(report) + '.ledger.jsonl'!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "govlab.ledger" in loaded
+    assert not loaded & {"_hashlib", "hashlib", "_ssl"}, sorted(loaded & {"_hashlib", "hashlib", "_ssl"})
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])

@@ -1,10 +1,12 @@
 """Hash chain integrity, tamper localization, and NDJSON persistence.
 
-The digest oracle here is the from-scratch SHA-256 in tests/oracles.py, so a
-hashlib regression or a silent preimage change cannot slip past unnoticed.
+The digest oracles here are the from-scratch SHA-256 in tests/oracles.py and
+hashlib's, so a fault in the interpreter's built-in SHA-256, which the ledger
+uses, or a silent preimage change cannot slip past unnoticed.
 """
 
 import functools
+import hashlib
 import json
 import re
 import tempfile
@@ -64,6 +66,13 @@ payload_text = st.dictionaries(
 ).map(canonical_json)
 
 
+def _check_against_both_oracles(index, prev, payload):
+    preimage = str(index).encode("ascii") + prev.encode("ascii") + payload.encode("utf-8")
+    digest = entry_hash(index, prev, payload)
+    assert digest == sha256_pure(preimage)
+    assert digest == hashlib.sha256(preimage).hexdigest()
+
+
 class TestEntryHash:
     def test_preimage_is_index_prev_payload_concatenation(self):
         """The digest is SHA-256 over the decimal index, the hex prev, then the payload bytes."""
@@ -71,12 +80,39 @@ class TestEntryHash:
         preimage = b"0" + GENESIS_PREV_HASH.encode() + payload.encode()
         assert entry_hash(0, GENESIS_PREV_HASH, payload) == sha256_pure(preimage)
 
-    @given(st.integers(min_value=0, max_value=10**9), payload_text)
-    @settings(max_examples=50)
-    def test_matches_independent_sha256(self, index, payload):
-        prev = sha256_pure(str(index).encode())
-        expected = sha256_pure(str(index).encode("ascii") + prev.encode() + payload.encode())
-        assert entry_hash(index, prev, payload) == expected
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.text("0123456789abcdef", max_size=64),
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=80) | payload_text,
+    )
+    @settings(max_examples=200)
+    def test_matches_independent_sha256(self, index, prev, payload):
+        _check_against_both_oracles(index, prev, payload)
+
+    # Either side of SHA-256's padding and block boundaries, in ASCII and in 2-, 3- and 4-byte UTF-8.
+    @pytest.mark.parametrize(
+        "index, prev, payload, length",
+        [
+            (0, "", "a" * 54, 55),
+            (0, "", "a" * 55, 56),
+            (0, "", "a" * 62, 63),
+            (0, "", "a" * 63, 64),
+            (0, GENESIS_PREV_HASH, "a" * 54, 119),
+            (0, "", "\u00e9" * 27, 55),
+            (7, "", "\u20ac" * 18 + "x", 56),
+            (1234, "", "\U0001f600" * 15, 64),
+            (0, GENESIS_PREV_HASH, "\U0001f600" * 13 + "ab", 119),
+        ],
+    )
+    def test_matches_at_block_boundaries(self, index, prev, payload, length):
+        assert len(f"{index}{prev}{payload}".encode()) == length
+        _check_against_both_oracles(index, prev, payload)
+
+    def test_a_megabyte_payload_matches_hashlib(self):
+        payload = canonical_json({"event": "genesis", "blob": "\u00e9x" * 350_000})
+        preimage = ("3" + GENESIS_PREV_HASH + payload).encode("utf-8")
+        assert len(preimage) >= 10**6
+        assert entry_hash(3, GENESIS_PREV_HASH, payload) == hashlib.sha256(preimage).hexdigest()
 
     def test_index_width_cannot_be_confused_with_prev_bytes(self):
         """Index 1 with prev '1...' and index 11 with prev '...' must not collide."""

@@ -80,9 +80,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Opened in the order they are replaced (CSV, report, ledger); the ledger's lines
         # stream into its file as the run appends them, and the other two follow the run,
         # the CSV a line at a time, so no output is held whole.
-        csv_file = staged.open(args.csv, "utf-8") if args.csv is not None else None
-        report_file = staged.open(args.out, "ascii")
-        write_line = staged.open(ledger_path, "ascii").write
+        csv_file = staged.open(args.csv) if args.csv is not None else None
+        report_file = staged.open(args.out)
+        write_line = staged.open(ledger_path).write
         result = run(scenario, seed_override=args.seed, ledger_sink=lambda entry: write_line(ndjson_line(entry)))
         if csv_file is not None:
             csv_file.writelines(report_csv_lines(result))
@@ -97,7 +97,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     scenario = load_scenario(args.scenario)
     with StagedFiles([args.scenario]) as staged:
-        out = staged.open(args.out, "ascii")
+        out = staged.open(args.out)
         merged, rows = compare_mechanisms(scenario, mechanisms, seed_override=args.seed)
         out.write(canonical_json(merged) + "\n")
         staged.commit()

@@ -5,8 +5,11 @@ nine fractional digits, stored internally as integer counts of 10^-9 units.
 Arithmetic works on those unit counts, so sums are exact; rounding
 (half-even) happens only where an irrational function (square root,
 exponential) enters, never in plain arithmetic.  Serialization is canonical
-JSON: sorted keys, compact separators, ASCII only; a decimal quantity is
-written as its str(), with exactly nine fractional digits.
+JSON: sorted keys, compact separators, ASCII only.  An amount (a TokenAmount
+or VotingPower) is written as its str(), with exactly nine fractional digits.
+A report ratio (participation, Gini, amplification) is written as the str()
+of its nine-digit Decimal, which takes exponent form below 10^-6: 1E-9, and
+0E-9 for zero.  Report schema 1 keeps that form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ NANO = 10**NANO_DIGITS
 MAX_UNITS = 2**63 - 1
 
 _ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
-_DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$")
+_DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,9}))?")
 # The form fmt_units writes; every amount in a ledger has it.
 _NINE_DIGITS = re.compile(r"(0|[1-9][0-9]{0,9})\.([0-9]{9})")
 
@@ -73,7 +76,7 @@ def parse_units(value: str | int | Decimal) -> int:
     elif isinstance(value, Decimal):
         return _units_from_decimal(value)
     elif isinstance(value, str):
-        match = _DECIMAL_RE.match(value)
+        match = _DECIMAL_RE.fullmatch(value)
         if not match:
             raise FixedPointError(f"malformed decimal string: {value!r}")
         whole, frac = match.groups()
@@ -283,18 +286,16 @@ class _Record:
 
 
 class VoteRecord(_Record):
-    """One wallet's live vote on one proposal.
+    """One wallet's live vote on one proposal, as its proposal's book holds it under the wallet.
 
     cast_at is the tick since which the wallet has held this option: a
     same-option recast keeps it and a switch resets it.  Only conviction
     power reads it, as the start of accrual.
     """
 
-    __slots__ = ("wallet", "proposal", "option", "committed", "cast_at")
+    __slots__ = ("option", "committed", "cast_at")
 
-    def __init__(self, wallet: WalletId, proposal: ProposalId, option: str, committed: TokenAmount, cast_at: int):
-        _set(self, "wallet", WalletId(wallet))
-        _set(self, "proposal", ProposalId(proposal))
+    def __init__(self, option: str, committed: TokenAmount, cast_at: int):
         _set(self, "option", _check_option(option))
         if not isinstance(committed, TokenAmount):
             raise GovlabError("committed must be a TokenAmount")
@@ -306,11 +307,9 @@ class VoteRecord(_Record):
         _set(self, "cast_at", cast_at)
 
 
-def _checked_vote(wallet, proposal, option, committed, cast_at) -> VoteRecord:
+def _checked_vote(option, committed, cast_at) -> VoteRecord:
     """A VoteRecord built without __init__'s checks, from fields of the right types the caller has checked."""
     vote = object.__new__(VoteRecord)
-    _set_wallet(vote, wallet)
-    _set_proposal(vote, proposal)
     _set_option(vote, option)
     _set_committed(vote, committed)
     _set_cast_at(vote, cast_at)
@@ -318,9 +317,7 @@ def _checked_vote(wallet, proposal, option, committed, cast_at) -> VoteRecord:
 
 
 # Each slot's own setter, which skips object.__setattr__'s lookup of the name.
-_set_wallet, _set_proposal, _set_option, _set_committed, _set_cast_at = (
-    getattr(VoteRecord, n).__set__ for n in VoteRecord.__slots__
-)
+_set_option, _set_committed, _set_cast_at = (getattr(VoteRecord, n).__set__ for n in VoteRecord.__slots__)
 
 
 class OutcomeKind:

@@ -1,12 +1,14 @@
 """Proposal lifecycle: Draft -> Discussion -> Voting -> terminal.
 
-The engine owns wallet balances, per-proposal vote books, and token locks;
+The engine owns wallet balances, per-proposal vote books (each wallet's live
+vote, keyed by the wallet), and token locks;
 committed tokens stay locked for the proposal's voting window, so a wallet
 cannot commit the same tokens to two concurrent proposals.  A wallet's lock is
 one total, its live votes' commitments summed over the proposals not yet
 finalized; a vote's own share is read from its proposal's book.  Finalize
-counts a proposal's votes, releases their locks and drops its book.  It hands
-the counted votes and the tally, with each vote's power, to its caller and
+counts a proposal's book, releases its locks and drops it.  It hands the
+counted votes (the book itself, or the identity filter's wallet-keyed dict)
+and the tally, with each vote's power, to its caller and
 keeps neither (the finalize event records the tally), so the engine holds no
 vote of a finalized proposal.  Every state change appends exactly one event,
 encoded by govlab.events, to the hash-chained ledger, and replaying that event
@@ -30,7 +32,7 @@ import functools
 import heapq
 from decimal import Decimal
 from enum import Enum
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from . import events
 from .core import (
@@ -275,15 +277,16 @@ class GovernanceEngine:
                 raise InsufficientUnlockedTokens(f"wallet {wallet!r} has {available} unlocked units, needs {units}")
             # Same option: the hold (conviction's accrual) continues; a fresh vote or a switch restarts it.
             cast_at = prior.cast_at if prior is not None and prior.option == option else now
-            book[wallet] = _checked_vote(wallet, pid, option, committed, cast_at)
+            book[wallet] = _checked_vote(option, committed, cast_at)
             locked[wallet] = others + units
             append(line(units, wallet))
 
-    def finalize(self, proposal_id: ProposalId, now: int) -> tuple[Sequence[VoteRecord], TallyResult]:
+    def finalize(self, proposal_id: ProposalId, now: int) -> tuple[Mapping[WalletId, VoteRecord], TallyResult]:
         """Tally after the voting window closes; locks release; phase goes terminal.
 
-        Returns the counted votes and the tally, whose vote_powers are theirs, in order.
-        The engine keeps neither: the ledger's finalize event records the tally."""
+        Returns the counted votes, keyed by wallet, and the tally, whose vote_powers are
+        theirs, in order: with no identity filter, the proposal's book itself.  The engine
+        keeps neither: the ledger's finalize event records the tally."""
         self.advance_to(now)
         proposal = self._get(proposal_id)
         if proposal.phase in TERMINAL_PHASES:
@@ -296,9 +299,7 @@ class GovernanceEngine:
             )
 
         book = self._votes[proposal.id]
-        votes, result, report = count_votes(
-            proposal, list(book.values()), self.identity, self.supply, len(self.balances), now
-        )
+        votes, result, report = count_votes(proposal, book, self.identity, self.supply, len(self.balances), now)
         outcome = result.outcome
         if outcome.kind == OutcomeKind.QUORUM_FAILED:
             proposal.phase = Phase.QUORUM_FAILED
@@ -326,12 +327,12 @@ class GovernanceEngine:
 
 
 def count_votes(
-    proposal: Proposal, votes: Sequence[VoteRecord], identity: IdentityFilter | None,
+    proposal: Proposal, votes: Mapping[WalletId, VoteRecord], identity: IdentityFilter | None,
     supply: TokenAmount, wallet_universe_size: int, now: int,
-) -> tuple[Sequence[VoteRecord], TallyResult, FilterReport | None]:
-    """Count a proposal's live votes at tick now: the identity filter, if any, then the tally
-    under the proposal's mechanism, quorum, conviction and options.  Returns the counted
-    votes, the tally and the filter's report."""
+) -> tuple[Mapping[WalletId, VoteRecord], TallyResult, FilterReport | None]:
+    """Count a proposal's live votes, keyed by wallet, at tick now: the identity filter, if any,
+    then the tally under the proposal's mechanism, quorum, conviction and options.  Returns the
+    counted votes (votes itself when there is no filter), the tally and the filter's report."""
     report = None
     if identity is not None:
         report = filter_and_collapse(votes, identity.registry, identity.policy)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from decimal import Decimal
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping
 
 from .core import (
-    GovlabError,
     IdentityId,
     TokenAmount,
     VoteRecord,
@@ -31,10 +30,6 @@ from .core import (
     _Record,
 )
 from .rng import Xoshiro256StarStar
-
-
-class IdentityError(GovlabError):
-    """Violated registry or filter precondition."""
 
 
 class RegistryMode(str, Enum):
@@ -100,18 +95,18 @@ class IdentityRegistry:
 
 
 class FilterReport(_Record):
-    """Votes that survived the identity filter, plus what was excluded and why."""
+    """Votes that survived the identity filter, keyed by wallet, plus what was excluded and why."""
 
     __slots__ = ("votes", "dropped_unverified", "equivocating_identities")
 
 
-def _merge_group(group: list[VoteRecord]) -> VoteRecord:
+def _merge_group(wallets: list[WalletId], votes: Mapping[WalletId, VoteRecord]) -> tuple[WalletId, VoteRecord]:
+    """One group's (wallet, vote) pair: its one vote, or the votes merged under the least wallet."""
     # A strict registry binds one wallet per identity, so only collapse mode has larger groups.
-    if len(group) == 1:
-        return group[0]
-    return VoteRecord(
-        wallet=min(v.wallet for v in group),
-        proposal=group[0].proposal,
+    if len(wallets) == 1:
+        return wallets[0], votes[wallets[0]]
+    group = [votes[wallet] for wallet in wallets]
+    return min(wallets), VoteRecord(
         option=group[0].option,
         committed=TokenAmount(sum(v.committed.units for v in group)),
         # Latest cast wins: merged conviction cannot accrue from before any member's vote.
@@ -120,47 +115,45 @@ def _merge_group(group: list[VoteRecord]) -> VoteRecord:
 
 
 def filter_and_collapse(
-    votes: Sequence[VoteRecord],
+    votes: Mapping[WalletId, VoteRecord],
     registry: IdentityRegistry,
     policy: "str | VotePolicy",
 ) -> FilterReport:
-    """Apply identity policy to a live vote set.
+    """Apply identity policy to one proposal's live votes, keyed by wallet.
 
     Wallets the registry has not bound are unverified, and are dropped or
     admitted per policy.  Each identity's votes are grouped: mixed
     options mean equivocation and the identity loses all its votes; in
     collapse mode same-option votes merge into one record with the exact
-    token sum.  The operation is idempotent.
+    token sum, kept under the group's least wallet.  The kept votes are a
+    dict in the order of each group's first vote.  The operation is idempotent.
     """
     policy = VotePolicy(policy)
-    seen_wallets: set[WalletId] = set()
-    # Each identity's votes, in first-occurrence order.  An admitted unverified vote is a
+    # Each identity's wallets, in first-occurrence order.  An admitted unverified wallet is a
     # group of its own under (wallet,): a tuple, so it cannot equal an identity's name.
-    groups: dict[IdentityId | tuple[WalletId], list[VoteRecord]] = {}
+    groups: dict[IdentityId | tuple[WalletId], list[WalletId]] = {}
     dropped: list[WalletId] = []
 
-    for vote in votes:
-        if vote.wallet in seen_wallets:
-            raise IdentityError(f"wallet {vote.wallet!r} has more than one live vote")
-        seen_wallets.add(vote.wallet)
-        identity = registry.identity_of(vote.wallet)
+    for wallet in votes:
+        identity = registry.identity_of(wallet)
         if identity is not None:
-            groups.setdefault(identity, []).append(vote)
+            groups.setdefault(identity, []).append(wallet)
         elif policy is VotePolicy.ADMIT_UNVERIFIED:
-            groups[(vote.wallet,)] = [vote]
+            groups[(wallet,)] = [wallet]
         else:
-            dropped.append(vote.wallet)
+            dropped.append(wallet)
 
     equivocating: list[IdentityId] = []
-    kept: list[VoteRecord] = []
-    for key, group in groups.items():
-        if len({v.option for v in group}) > 1:
+    kept: dict[WalletId, VoteRecord] = {}
+    for key, wallets in groups.items():
+        if len({votes[wallet].option for wallet in wallets}) > 1:
             equivocating.append(key)
         else:
-            kept.append(_merge_group(group))
+            wallet, vote = _merge_group(wallets, votes)
+            kept[wallet] = vote
 
     return FilterReport(
-        votes=tuple(kept),
+        votes=kept,
         dropped_unverified=tuple(dropped),
         equivocating_identities=tuple(equivocating),
     )

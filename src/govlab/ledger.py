@@ -225,7 +225,8 @@ def _decoded_entry(lineno: int, line: str) -> LedgerEntry:
 class StagedFiles:
     """Outputs written to temporary files beside their paths and moved into place together.
 
-    open() checks the path and opens its temporary file; commit() closes every file and
+    open() checks the path and opens its temporary file, as ASCII text: every output (report,
+    ledger, CSV) is canonical JSON or validated ids and digits; commit() closes every file and
     os.replaces each into place in the order they were opened.  Leaving the block closes
     every file and removes each temporary one, so an error before commit leaves every path
     as it was and no temporary file behind.  inputs are the paths the outputs are made
@@ -239,7 +240,7 @@ class StagedFiles:
     def __enter__(self) -> StagedFiles:
         return self
 
-    def open(self, path, encoding: str):
+    def open(self, path):
         path = os.fspath(path)
         # os.replace would refuse only at commit, after the outputs before it were replaced.
         if os.path.isdir(path):
@@ -252,7 +253,7 @@ class StagedFiles:
             raise GovlabError(f"{path}: two outputs would be written to this file")
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            fh = open(tmp, "w", encoding=encoding, newline="")
+            fh = open(tmp, "w", encoding="ascii", newline="")
         except OSError as exc:  # named by the path given: the temporary file is not the user's
             raise OSError(exc.errno, exc.strerror, path) from None
         self._staged.append((fh, tmp, path))
@@ -276,7 +277,7 @@ class StagedFiles:
 def write_ndjson(entries: Iterable[LedgerEntry], path) -> None:
     """Write entries to path line by line, through a temporary file moved into place."""
     with StagedFiles() as staged:
-        staged.open(path, "ascii").writelines(map(ndjson_line, entries))
+        staged.open(path).writelines(map(ndjson_line, entries))
         staged.commit()
 
 

@@ -27,7 +27,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     GovlabError,
@@ -201,7 +201,7 @@ def _quorum_met(
 
 
 def tally(
-    votes: Sequence[VoteRecord],
+    votes: Mapping[WalletId, VoteRecord],
     mechanism: "str | Mechanism",
     *,
     supply: TokenAmount,
@@ -213,7 +213,9 @@ def tally(
 ) -> TallyResult:
     """Aggregate one proposal's live votes at tick `now`, gate on quorum, pick the outcome.
 
-    Every option in `options` appears in per_option_power, in that order
+    votes maps each voting wallet to its vote, so a wallet counts once and
+    the voting wallets are len(votes); vote_powers follow its order.  Every
+    option in `options` appears in per_option_power, in that order
     (zero-vote options at zero power), and every vote must be for one of
     them; decide picks the outcome.  A conviction vote accrues from its
     cast_at to `now`.
@@ -228,19 +230,12 @@ def tally(
     if len(per_option_units) != len(options):
         raise MechanismError("options must be distinct")
 
-    wallets: set[WalletId] = set()
-    proposal = votes[0].proposal if votes else None
     committed_units = 0
     powers: list[VotingPower] = []
 
-    for vote in votes:
-        if vote.proposal != proposal:
-            raise MechanismError("votes reference more than one proposal")
+    for vote in votes.values():
         power = vote_power(mechanism, vote.committed, now - vote.cast_at, conviction)
         powers.append(power)
-        if vote.wallet in wallets:
-            raise MechanismError(f"wallet {vote.wallet!r} appears more than once")
-        wallets.add(vote.wallet)
         if vote.option not in per_option_units:
             raise MechanismError(
                 f"vote option {vote.option!r} is not among the tallied options"
@@ -253,7 +248,7 @@ def tally(
             f"committed total {fmt_units(committed_units)} exceeds supply {supply}"
         )
 
-    quorum_met = quorum is None or _quorum_met(quorum, committed_units, len(wallets), supply.units, wallet_universe_size)
+    quorum_met = quorum is None or _quorum_met(quorum, committed_units, len(votes), supply.units, wallet_universe_size)
     return TallyResult(
         per_option_power={o: VotingPower(u) for o, u in per_option_units.items()},
         participating_tokens=TokenAmount(committed_units),

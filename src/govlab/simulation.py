@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from decimal import Decimal
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .core import (
     GovlabError,
@@ -189,19 +189,21 @@ def _play_schedule(
 
 
 def _agent_rows(
-    voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], votes: Sequence[VoteRecord], powers: Sequence[VotingPower],
+    voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], votes: Mapping[WalletId, VoteRecord],
+    powers: Sequence[VotingPower],
 ) -> dict[str, tuple[int, int, int]]:
     """Per voter with a counted vote: (wallets, token units, power units) of its counted votes, with
-    the powers the tally gave them.  A vote merged from several wallets counts for the agent that
-    holds its wallet, the group's least.  An agent with one counted vote gets that vote's tuple."""
-    counted = {vote.wallet: (1, vote.committed.units, power.units) for vote, power in zip(votes, powers, strict=True)}
+    the powers the tally gave them, in the order of votes.  A vote merged from several wallets counts
+    for the agent that holds its wallet, the group's least.  An agent with one counted vote shares
+    its vote's and its power's unit ints."""
+    power_of = dict(zip(votes, powers, strict=True))
     rows = {}
     for agent, wallets in voters:
-        mine = [row for wallet in wallets if (row := counted.get(wallet)) is not None]
+        mine = [wallet for wallet in wallets if wallet in power_of]
         if len(mine) == 1:
-            rows[agent.id] = mine[0]
+            rows[agent.id] = (1, votes[mine[0]].committed.units, power_of[mine[0]].units)
         elif mine:
-            rows[agent.id] = (len(mine), sum(row[1] for row in mine), sum(row[2] for row in mine))
+            rows[agent.id] = (len(mine), sum(votes[w].committed.units for w in mine), sum(power_of[w].units for w in mine))
     return rows
 
 
@@ -324,10 +326,10 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: Governance
         return None
     proposal = engine.proposals[scenario.proposals[0].id]
     window = proposal.voting_window
-    votes = [
-        VoteRecord(wallet, proposal.id, options[0], setup.balances[wallet], window.start)
+    votes = {
+        wallet: VoteRecord(options[0], setup.balances[wallet], window.start)
         for _, wallets in setup.voters for wallet in wallets
-    ]
+    }
     votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
     by_agent = _agent_rows(setup.voters, votes, result.vote_powers)
     ids = [agent.id for agent, _ in setup.voters]

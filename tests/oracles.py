@@ -115,7 +115,7 @@ def _canonical_ref(value):
     raise ValueError(f"unsupported type {type(value).__name__}")
 
 
-_DECIMAL_TEXT = re.compile(r"^\d+(\.\d{1,9})?$")
+_DECIMAL_TEXT = re.compile(r"[0-9]+(\.[0-9]{1,9})?")  # ASCII digits only, matched whole
 
 
 def parse_units_ref(text: str) -> int | None:
@@ -124,7 +124,7 @@ def parse_units_ref(text: str) -> int | None:
     Exact Decimal/Fraction arithmetic, no range check: the caller compares
     the result with the fixed-point maximum itself.
     """
-    if not _DECIMAL_TEXT.match(text):
+    if not _DECIMAL_TEXT.fullmatch(text):
         return None
     scaled = Fraction(Decimal(text)) * NANO
     assert scaled.denominator == 1
@@ -168,8 +168,8 @@ def report_csv_ref(scenario, counted) -> str:
     for spec in scenario.proposals:
         rows = {agent.id: [0, 0, 0] for agent in scenario.agents}
         votes, powers = counted[spec.id]
-        for vote, power in zip(votes, powers, strict=True):
-            row = rows[owner[vote.wallet]]
+        for (wallet, vote), power in zip(votes.items(), powers, strict=True):
+            row = rows[owner[wallet]]
             row[0] += 1
             row[1] += vote.committed.units
             row[2] += power.units
@@ -329,11 +329,11 @@ def _profile_tally_ref(scenario, setup, proposal, choices):
     from govlab.governance import count_votes
 
     window = proposal.voting_window
-    votes = [
-        VoteRecord(wallet, proposal.id, choices[agent.id], setup.balances[wallet], window.start)
+    votes = {
+        wallet: VoteRecord(choices[agent.id], setup.balances[wallet], window.start)
         for agent in scenario.agents if agent.votes()
         for wallet in agent.wallets()
-    ]
+    }
     return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1].outcome
 
 

@@ -72,14 +72,10 @@ def test_criterion_03_identity_mitigation_neutralizes_the_attack():
     collapse = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
     for w in wallets:
         assert collapse.bind(IdentityId("whale"), w).accepted
-    votes = [
-        VoteRecord(wallet=w, proposal=ProposalId("p1"), option="b",
-                   committed=TokenAmount.parse(100), cast_at=5)
-        for w in wallets
-    ]
+    votes = {w: VoteRecord(option="b", committed=TokenAmount.parse(100), cast_at=5) for w in wallets}
     merged = filter_and_collapse(votes, collapse, VotePolicy.DROP_UNVERIFIED).votes
-    assert len(merged) == 1
-    assert str(power_quadratic(merged[0].committed)) == "100.000000000"
+    assert list(merged) == [wallets[0]]
+    assert str(power_quadratic(merged[wallets[0]].committed)) == "100.000000000"
 
     strict = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
     outcomes = [strict.bind(IdentityId("whale"), w) for w in wallets]
@@ -134,16 +130,12 @@ def test_criterion_05_conviction_curve_oracle_monotonicity_and_reset():
         tokens = TokenAmount(rng.randint(1, 10**14))
         alpha = Decimal(rng.randint(1, 5000)).scaleb(-3)
         dt = rng.randint(0, 50)
-        state = VoteRecord(
-            wallet=WalletId("w1"), proposal="p1", option="a", committed=tokens, cast_at=0
-        )
+        state = VoteRecord(option="a", committed=tokens, cast_at=0)
         ours = conviction_power(state.committed, dt, ConvictionParams(decay_rate=alpha))
         expected = conviction_units(tokens.units, str(alpha), dt)
         assert abs(ours.units - expected) <= 1  # 1e-9 after rounding
 
-    state = VoteRecord(
-        wallet=WalletId("w1"), proposal="p1", option="a", committed=TokenAmount.parse(100), cast_at=0
-    )
+    wallet, state = WalletId("w1"), VoteRecord(option="a", committed=TokenAmount.parse(100), cast_at=0)
     params = ConvictionParams(decay_rate=Decimal("0.05"))
     for _ in range(1000):
         dt1, dt2 = sorted((rng.randint(0, 400), rng.randint(0, 400)))
@@ -153,7 +145,7 @@ def test_criterion_05_conviction_curve_oracle_monotonicity_and_reset():
 
     accrued = conviction_power(state.committed, 30, params)
     assert accrued.units > 0
-    engine = GovernanceEngine(balances={state.wallet: state.committed}, supply=state.committed)
+    engine = GovernanceEngine(balances={wallet: state.committed}, supply=state.committed)
     engine.submit(
         Proposal(
             id=ProposalId("p1"),
@@ -165,9 +157,10 @@ def test_criterion_05_conviction_curve_oracle_monotonicity_and_reset():
         ),
         0,
     )
-    engine.cast("p1", state.wallet, "a", state.committed, 1)
-    engine.cast("p1", state.wallet, "b", state.committed, 30)
-    (switched,), _ = engine.finalize("p1", 31)
+    engine.cast("p1", wallet, "a", state.committed, 1)
+    engine.cast("p1", wallet, "b", state.committed, 30)
+    votes, _ = engine.finalize("p1", 31)
+    switched = votes[wallet]
     assert switched.cast_at == 30
     assert conviction_power(switched.committed, 30 - switched.cast_at, params) == VotingPower(0)
     _ok("criterion 5, conviction curve (oracle, monotonicity, exact reset)")

@@ -179,6 +179,20 @@ class TestRunCommand:
         assert len(err_lines) == 1 and message in err_lines[0]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "supply", ["\uff11\uff10\uff10\uff10\u0660\n", "\uff12\uff12\uff11\uff10\uff10", "\u0662\u0662100", "22100\n", "22100.5\n"],
+        ids=["fullwidth-arabic-indic-newline", "fullwidth", "arabic-indic", "trailing-newline", "fraction-trailing-newline"],
+    )
+    def test_a_supply_not_in_ascii_digits_is_one_validation_error(self, scenario_path, tmp_path, capsys, supply):
+        """A decimal string is ASCII digits, an optional point and fraction, and nothing after."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(scenario_path.read_text().replace('"22100.000000000"', json.dumps(supply)), encoding="utf-8")
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")])
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == EXIT_VALIDATION == 1
+        assert len(err_lines) == 1 and "supply: malformed decimal string" in err_lines[0], err_lines
+        assert not (tmp_path / "r.json").exists()
+
     def test_error_list_is_capped_with_an_exact_count_of_the_rest(self, tmp_path, capsys):
         """2,500 honest agents rank an option that none of 100 proposals offers: 250,000 errors."""
         proposals = [

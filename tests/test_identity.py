@@ -18,7 +18,6 @@ from govlab.core import (
 )
 from govlab import events
 from govlab.identity import (
-    IdentityError,
     IdentityFilter,
     IdentityRegistry,
     RegistryMode,
@@ -33,13 +32,8 @@ from govlab.sybil import split_uniform
 
 
 def _vote(wallet, option, committed, cast_at=0):
-    return VoteRecord(
-        wallet=WalletId(wallet),
-        proposal="p1",
-        option=option,
-        committed=TokenAmount.parse(committed),
-        cast_at=cast_at,
-    )
+    """A (wallet, vote) item of a proposal's book; the filter takes a dict of them."""
+    return WalletId(wallet), VoteRecord(option=option, committed=TokenAmount.parse(committed), cast_at=cast_at)
 
 
 def _verdicts(claims, rate, seed):
@@ -143,10 +137,10 @@ class TestFilterAndCollapse:
         """100 bound wallets of 100 tokens merge to one 10,000-token vote: power 100."""
         wallets = [f"sybil_{k:02d}" for k in range(100)]
         registry = self._registry(bindings=[("whale", w) for w in wallets])
-        votes = [_vote(w, "b", 100) for w in wallets]
+        votes = dict(_vote(w, "b", 100) for w in wallets)
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        assert len(report.votes) == 1
-        merged = report.votes[0]
+        assert list(report.votes) == ["sybil_00"]
+        merged = report.votes[WalletId("sybil_00")]
         assert merged.committed == TokenAmount.parse(10000)
         assert str(power_quadratic(merged.committed)) == "100.000000000"
 
@@ -159,36 +153,34 @@ class TestFilterAndCollapse:
         total = TokenAmount(units)
         wallets = [f"w{k:03d}" for k in range(n)]
         registry = self._registry(bindings=[("one", w) for w in wallets])
-        votes = [
-            _vote(w, "opt", str(b)) for w, b in zip(wallets, split_uniform(total, n))
-        ]
+        votes = dict(_vote(w, "opt", str(b)) for w, b in zip(wallets, split_uniform(total, n)))
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        assert len(report.votes) == 1
-        assert power_quadratic(report.votes[0].committed) == power_quadratic(total)
+        (merged,) = report.votes.values()
+        assert power_quadratic(merged.committed) == power_quadratic(total)
 
     def test_distinct_identities_stay_separate(self):
         registry = self._registry(bindings=[("alice", "w1"), ("bob", "w2")])
-        votes = [_vote("w1", "a", 100), _vote("w2", "a", 100)]
+        votes = dict([_vote("w1", "a", 100), _vote("w2", "a", 100)])
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        assert len(report.votes) == 2
-        total = sum(power_quadratic(v.committed).units for v in report.votes)
+        assert report.votes == votes
+        total = sum(power_quadratic(v.committed).units for v in report.votes.values())
         assert VotingPower(total) == VotingPower.parse(20)
 
     def test_merged_record_uses_lexmin_wallet_and_latest_cast(self):
         registry = self._registry(bindings=[("alice", "w2"), ("alice", "w1")])
-        votes = [_vote("w2", "a", 5, cast_at=3), _vote("w1", "a", 7, cast_at=9)]
+        votes = dict([_vote("w2", "a", 5, cast_at=3), _vote("w1", "a", 7, cast_at=9)])
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        merged = report.votes[0]
-        assert merged.wallet == WalletId("w1")
+        ((wallet, merged),) = report.votes.items()
+        assert wallet == WalletId("w1") and type(wallet) is WalletId
         assert merged.cast_at == 9
         assert merged.committed == TokenAmount.parse(12)
 
     def test_merged_conviction_uses_latest_held_since(self):
         """Merged conviction must not accrue from before every member's vote."""
         registry = self._registry(bindings=[("alice", "w1"), ("alice", "w2")])
-        votes = [_vote("w1", "a", 5, cast_at=2), _vote("w2", "a", 5, cast_at=8)]
+        votes = dict([_vote("w1", "a", 5, cast_at=2), _vote("w2", "a", 5, cast_at=8)])
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        (merged,) = report.votes
+        (merged,) = report.votes.values()
         assert merged.committed == TokenAmount.parse(10)
         assert merged.cast_at == 8
         params = ConvictionParams(decay_rate=Decimal("0.1"))
@@ -207,32 +199,25 @@ class TestFilterAndCollapse:
         registry = self._registry(
             bindings=[("alice", "w1"), ("alice", "w2"), ("bob", "w3")]
         )
-        votes = [_vote("w1", "a", 5), _vote("w2", "b", 5), _vote("w3", "a", 1)]
+        votes = dict([_vote("w1", "a", 5), _vote("w2", "b", 5), _vote("w3", "a", 1)])
         report = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED)
-        assert [v.wallet for v in report.votes] == [WalletId("w3")]
+        assert list(report.votes) == [WalletId("w3")]
         assert report.equivocating_identities == (IdentityId("alice"),)
 
     def test_drop_unverified_with_empty_registry_drops_everything(self):
         registry = self._registry()
         report = filter_and_collapse(
-            [_vote("w1", "a", 1), _vote("w2", "b", 2)], registry, VotePolicy.DROP_UNVERIFIED
+            dict([_vote("w1", "a", 1), _vote("w2", "b", 2)]), registry, VotePolicy.DROP_UNVERIFIED
         )
-        assert report.votes == ()
+        assert report.votes == {}
         assert set(report.dropped_unverified) == {WalletId("w1"), WalletId("w2")}
 
     def test_admit_unverified_keeps_unbound_wallets(self):
         registry = self._registry(bindings=[("alice", "w1")])
-        votes = [_vote("w1", "a", 1), _vote("w9", "b", 2)]
+        votes = dict([_vote("w1", "a", 1), _vote("w9", "b", 2)])
         report = filter_and_collapse(votes, registry, VotePolicy.ADMIT_UNVERIFIED)
-        assert {v.wallet for v in report.votes} == {WalletId("w1"), WalletId("w9")}
+        assert report.votes == votes
         assert report.dropped_unverified == ()
-
-    def test_duplicate_wallet_votes_rejected(self):
-        registry = self._registry(bindings=[("alice", "w1")])
-        with pytest.raises(IdentityError, match="more than one live vote"):
-            filter_and_collapse(
-                [_vote("w1", "a", 1), _vote("w1", "a", 2)], registry, VotePolicy.DROP_UNVERIFIED
-            )
 
     @given(
         st.lists(
@@ -248,15 +233,15 @@ class TestFilterAndCollapse:
     )
     def test_filter_is_idempotent(self, ballots, policy, bind_all):
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
-        votes = []
+        votes = {}
         for k, (ident, option, tokens) in enumerate(ballots):
             wallet = WalletId(f"w{k:02d}")
             if bind_all or ident % 2 == 0:
                 registry.bind(IdentityId(f"id{ident}"), wallet)
-            votes.append(_vote(wallet, option, tokens, cast_at=k))
+            votes.update([_vote(wallet, option, tokens, cast_at=k)])
         once = filter_and_collapse(votes, registry, policy)
         twice = filter_and_collapse(once.votes, registry, policy)
-        assert twice.votes == once.votes
+        assert list(twice.votes.items()) == list(once.votes.items())
         assert twice.equivocating_identities == ()
 
     def test_strict_mode_cannot_reach_merging(self):
@@ -265,10 +250,10 @@ class TestFilterAndCollapse:
         strict = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
         strict.bind(IdentityId("alice"), WalletId("w1"))
         report = filter_and_collapse(
-            [_vote("w1", "a", 5)], strict, VotePolicy.DROP_UNVERIFIED
+            dict([_vote("w1", "a", 5)]), strict, VotePolicy.DROP_UNVERIFIED
         )
         assert len(report.votes) == 1
-        assert report.votes[0].committed == TokenAmount.parse(5)
+        assert report.votes[WalletId("w1")].committed == TokenAmount.parse(5)
 
 
 class TestCollapseUnderTally:
@@ -276,10 +261,10 @@ class TestCollapseUnderTally:
         """Dropped wallets do not count toward participation either."""
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
         registry.bind(IdentityId("alice"), WalletId("w1"))
-        votes = [_vote("w1", "a", 10), _vote("ghost", "b", 50)]
+        votes = dict([_vote("w1", "a", 10), _vote("ghost", "b", 50)])
         kept = filter_and_collapse(votes, registry, VotePolicy.DROP_UNVERIFIED).votes
         result = tally(
-            list(kept), "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0
+            kept, "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0
         )
         assert result.participating_tokens == TokenAmount.parse(10)
         assert result.outcome.option == "a"

@@ -39,14 +39,9 @@ from oracles import conviction_units, sqrt_units
 token_units_st = st.integers(min_value=1, max_value=10**15)
 
 
-def _vote(wallet, option, committed, cast_at=0, proposal="p1"):
-    return VoteRecord(
-        wallet=WalletId(wallet),
-        proposal=proposal,
-        option=option,
-        committed=TokenAmount.parse(committed),
-        cast_at=cast_at,
-    )
+def _vote(wallet, option, committed, cast_at=0):
+    """A (wallet, vote) item of a proposal's book; tally takes a dict of them."""
+    return WalletId(wallet), VoteRecord(option=option, committed=TokenAmount.parse(committed), cast_at=cast_at)
 
 
 class TestPowerToken:
@@ -125,7 +120,7 @@ class TestConvictionPower:
             conviction_power(self.hundred, -1, self.alpha)
         with pytest.raises(MechanismError, match="before it is cast"):
             tally(
-                [_vote("w1", "a", 100, cast_at=5)],
+                dict([_vote("w1", "a", 100, cast_at=5)]),
                 "conviction",
                 supply=self.hundred,
                 wallet_universe_size=1,
@@ -212,13 +207,14 @@ class TestSwitchVote:
         )
         for option, tick in casts:
             engine.cast("p1", WalletId("w"), option, TokenAmount.parse(100), tick)
-        (vote,), result = engine.finalize("p1", finalize_at)
+        votes, result = engine.finalize("p1", finalize_at)
+        (vote,) = votes.values()
         (power,) = result.vote_powers
         return vote, power
 
     def _power_at(self, vote, now):
         (power,) = tally(
-            [vote],
+            {WalletId("w"): vote},
             "conviction",
             supply=vote.committed,
             wallet_universe_size=1,
@@ -263,7 +259,7 @@ class TestQuorumGate:
         quorum = QuorumConfig(basis=basis, threshold=Decimal(threshold))
         votes = [_vote("w1", "approve", committed)]
         return tally(
-            votes,
+            dict(votes),
             Mechanism.QUORUM,
             supply=TokenAmount.parse(supply),
             wallet_universe_size=10,
@@ -286,7 +282,7 @@ class TestQuorumGate:
         quorum = QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal("0.5"))
         votes = [_vote("w1", "approve", 30), _vote("w2", "reject", "0.000000001")]
         result = tally(
-            votes,
+            dict(votes),
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=5,
@@ -300,7 +296,7 @@ class TestQuorumGate:
         quorum = QuorumConfig(basis=QuorumBasis.WALLET_COUNT_FRACTION, threshold=Decimal("0.5"))
         votes = [_vote(f"w{i}", "approve", 1) for i in range(5)]
         result = tally(
-            votes,
+            dict(votes),
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=10,
@@ -310,7 +306,7 @@ class TestQuorumGate:
         )
         assert result.outcome.is_winner()  # 5 of 10 wallets meets 0.5 exactly
         short = tally(
-            votes[:4],
+            dict(votes[:4]),
             Mechanism.QUORUM,
             supply=TokenAmount.parse(100),
             wallet_universe_size=10,
@@ -323,7 +319,7 @@ class TestQuorumGate:
     def test_quorum_mechanism_requires_config(self):
         with pytest.raises(MechanismError, match="requires a quorum config"):
             tally(
-                [_vote("w1", "a", 1)],
+                dict([_vote("w1", "a", 1)]),
                 Mechanism.QUORUM,
                 supply=TokenAmount.parse(10),
                 wallet_universe_size=1,
@@ -339,7 +335,7 @@ class TestQuorumGate:
             for i, u in enumerate(commitments)
         ]
         result = tally(
-            votes,
+            dict(votes),
             Mechanism.QUORUM,
             supply=TokenAmount(sum(commitments) + 1),
             wallet_universe_size=len(votes) or 1,
@@ -353,18 +349,18 @@ class TestQuorumGate:
 class TestTally:
     def test_winner_is_strict_maximum(self):
         votes = [_vote("w1", "a", 10), _vote("w2", "b", 9)]
-        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
+        result = tally(dict(votes), "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
         assert result.outcome.is_winner() and result.outcome.option == "a"
 
     def test_equal_power_is_a_tie(self):
         votes = [_vote("w1", "a", 10), _vote("w2", "b", 10)]
-        result = tally(votes, "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
+        result = tally(dict(votes), "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)
         assert result.outcome.kind == "tie"
         assert set(result.outcome.options) == {"a", "b"}
 
     def test_no_votes_with_options_is_a_tie_of_all(self):
         result = tally(
-            [],
+            {},
             "token",
             supply=TokenAmount.parse(100),
             wallet_universe_size=2,
@@ -382,42 +378,22 @@ class TestTally:
         votes = [_vote(f"small{i:03d}", "a", 1) for i in range(200)]
         votes.append(_vote("whale", "b", 10000))
         result = tally(
-            votes, "quadratic", supply=TokenAmount.parse(10200), wallet_universe_size=201, options=("a", "b"), now=0
+            dict(votes), "quadratic", supply=TokenAmount.parse(10200), wallet_universe_size=201, options=("a", "b"), now=0
         )
         assert result.per_option_power["a"] == VotingPower.parse(200)
         assert result.per_option_power["b"] == VotingPower.parse(100)
         assert result.outcome.option == "a"
 
-    def test_duplicate_wallet_rejected(self):
-        votes = [_vote("w1", "a", 1), _vote("w1", "b", 1)]
-        with pytest.raises(MechanismError, match="more than once"):
-            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2, options=("a", "b"), now=0)
-
-    def test_votes_must_share_a_proposal(self):
-        votes = [_vote("w1", "a", 1, proposal="p1"), _vote("w2", "a", 1, proposal="p2")]
-        for mechanism in Mechanism:
-            with pytest.raises(MechanismError, match="more than one proposal"):
-                tally(
-                    votes,
-                    mechanism,
-                    supply=TokenAmount.parse(10),
-                    wallet_universe_size=2,
-                    options=("a",),
-                    quorum=QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal(0)),
-                    now=5,
-                    conviction=ConvictionParams(decay_rate=Decimal("0.1")),
-                )
-
     def test_commitments_cannot_exceed_supply(self):
         votes = [_vote("w1", "a", 7), _vote("w2", "a", 7)]
         with pytest.raises(MechanismError, match="exceeds supply"):
-            tally(votes, "token", supply=TokenAmount.parse(10), wallet_universe_size=2, options=("a", "b"), now=0)
+            tally(dict(votes), "token", supply=TokenAmount.parse(10), wallet_universe_size=2, options=("a", "b"), now=0)
 
     def test_vote_outside_declared_options_rejected(self):
         votes = [_vote("w1", "c", 1)]
         with pytest.raises(MechanismError, match="not among the tallied options"):
             tally(
-                votes,
+                dict(votes),
                 "token",
                 supply=TokenAmount.parse(10),
                 wallet_universe_size=1,
@@ -427,7 +403,7 @@ class TestTally:
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(MechanismError, match="unknown mechanism"):
-            tally([], "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
+            tally({}, "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
 
     def test_vote_power_takes_a_parsed_mechanism(self):
         """A raw string must not fall through to the token map."""
@@ -438,7 +414,7 @@ class TestTally:
     def test_conviction_tally_needs_params(self):
         state = _vote("w", "a", 5)
         with pytest.raises(MechanismError, match="requires conviction params"):
-            tally([state], "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1, options=("a",), now=0)
+            tally(dict([state]), "conviction", supply=TokenAmount.parse(10), wallet_universe_size=1, options=("a",), now=0)
 
     @pytest.mark.parametrize("missing", ["options", "now"])
     def test_options_and_the_tick_are_required(self, missing):
@@ -446,14 +422,14 @@ class TestTally:
         kwargs = {"supply": TokenAmount.parse(10), "wallet_universe_size": 1, "options": ("a",), "now": 0}
         del kwargs[missing]
         with pytest.raises(TypeError, match=missing):
-            tally([_vote("w", "a", 5)], "token", **kwargs)
+            tally(dict([_vote("w", "a", 5)]), "token", **kwargs)
 
     def test_conviction_tally_accrues_per_vote(self):
         params = ConvictionParams(decay_rate=Decimal("0.1"))
         early = _vote("early", "a", 100, cast_at=0)
         late = _vote("late", "b", 100, cast_at=9)
         result = tally(
-            [early, late],
+            dict([early, late]),
             "conviction",
             supply=TokenAmount.parse(200),
             wallet_universe_size=2,
@@ -485,7 +461,7 @@ class TestTally:
             for i, (option, u, cast_at) in enumerate(ballots)
         ]
         result = tally(
-            votes,
+            dict(votes),
             mechanism,
             supply=TokenAmount(sum(u for _, u, _ in ballots)),
             wallet_universe_size=len(votes),
@@ -527,8 +503,8 @@ class TestTally:
         supply = TokenAmount(sum(u for _, u in ballots))
         shuffled = list(votes)
         rnd.shuffle(shuffled)
-        a = tally(votes, mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
-        b = tally(shuffled, mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
+        a = tally(dict(votes), mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
+        b = tally(dict(shuffled), mechanism, supply=supply, wallet_universe_size=len(votes), options=("a", "b", "c"), now=0)
         assert a.outcome == b.outcome
         assert a.per_option_power == b.per_option_power
         assert a.participating_tokens == b.participating_tokens
@@ -552,7 +528,7 @@ class TestConfigError:
     @pytest.mark.parametrize("mechanism", MISSING)
     def test_tally_reports_it(self, mechanism):
         with pytest.raises(MechanismError) as excinfo:
-            tally([], mechanism, supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
+            tally({}, mechanism, supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
         assert str(excinfo.value) == config_error(mechanism, None, None)
 
     @pytest.mark.parametrize("mechanism", MISSING)

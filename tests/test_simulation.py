@@ -811,12 +811,13 @@ class TestPeakMemoryPerWallet:
     """A run's traced peak, with the ledger streamed to a sink, per wallet and per cast.
 
     Counted by tracemalloc, not timed, so machine load does not move it.  Measured on a second run
-    in the process, this engine took 528-530 B per wallet on the Sybil workload at half scale,
-    527 B (4,003 wallets) to 579 B (MAX_WALLETS) per wallet for one attacker with the probes on,
-    and 156 B (5,000 casts) and 127 B (MAX_CASTS) per cast for honest agents on many quadratic
-    proposals (Python 3.11); each bound is about 1.15 times that.  Holding a second lock table, a
-    finalized proposal's vote book or counted votes, a tuple per scheduled cast or a wallet-to-agent
-    map breaks it.
+    in the process, this engine took 499-500 B per wallet on the Sybil workload at half scale,
+    481 B (4,003 wallets) to 551 B (MAX_WALLETS) per wallet for one attacker with the probes on,
+    and 148 B (5,000 casts) and 124 B (MAX_CASTS) per cast for honest agents on many quadratic
+    proposals (Python 3.11).  Each bound is about 1.15 times what the engine took while every vote
+    named its wallet and proposal and finalize counted a list copy of the book (528-530, 527, 579,
+    156 and 127 B).  Holding a second lock table, a finalized proposal's vote book or counted votes,
+    a tuple per scheduled cast or a wallet-to-agent map breaks it.
     """
 
     @staticmethod

@@ -115,12 +115,6 @@ def _units_from_decimal(d: Decimal) -> int:
     return int(scaled)
 
 
-def round_half_even_units(d: Decimal) -> int:
-    """Round a high-precision Decimal to integer 10^-9 units, ties to even."""
-    q = d.quantize(Decimal(1).scaleb(-NANO_DIGITS), rounding="ROUND_HALF_EVEN")
-    return int(q.scaleb(NANO_DIGITS))
-
-
 def div_units_half_even(num_units: int, den_units: int) -> int:
     """Exact half-even division of two unit counts into ratio units.
 
@@ -358,13 +352,14 @@ class TallyOutcome(_Record):
 class TallyResult(_Record):
     """Per-option powers, tokens that participated, the outcome, and each vote's power.
 
-    vote_powers is in the order of the tallied votes; it is not part of the
-    JSON form, which the ledger's finalize event records.  GovernanceEngine.finalize
-    returns the tally to its caller and keeps no copy, so no per-vote value
-    outlives a finalize.
+    vote_power_units holds each vote's power as an int count of 10^-9 units, in
+    the order of the tallied votes; it is not part of the JSON form, which the
+    ledger's finalize event records.  GovernanceEngine.finalize returns the
+    tally to its caller and keeps no copy, so no per-vote value outlives a
+    finalize.
     """
 
-    __slots__ = ("per_option_power", "participating_tokens", "outcome", "vote_powers")
+    __slots__ = ("per_option_power", "participating_tokens", "outcome", "vote_power_units")
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

@@ -284,8 +284,8 @@ class GovernanceEngine:
     def finalize(self, proposal_id: ProposalId, now: int) -> tuple[Mapping[WalletId, VoteRecord], TallyResult]:
         """Tally after the voting window closes; locks release; phase goes terminal.
 
-        Returns the counted votes, keyed by wallet, and the tally, whose vote_powers are
-        theirs, in order: with no identity filter, the proposal's book itself.  The engine
+        Returns the counted votes, keyed by wallet, and the tally, whose vote_power_units
+        are theirs, in order: with no identity filter, the proposal's book itself.  The engine
         keeps neither: the ledger's finalize event records the tally."""
         self.advance_to(now)
         proposal = self._get(proposal_id)

@@ -6,8 +6,9 @@ Power functions:
   conviction      power = tokens * (1 - e^(-decay_rate * (now - cast_at))),
                   half-even at 9 fractional digits
 
-vote_power is the one place that picks a power function by mechanism; the
-tally, the report's Sybil baseline and the Sybil tools all go through it.
+power_rule is the one place that picks a power function by mechanism, as a
+rule from committed units and ticks held to power units; the tally, the
+report's Sybil baseline and the Sybil tools all count through it, in ints.
 config_error owns the rule that quorum needs a quorum config and conviction
 its params; Proposal, tally, parse_scenario and compare_mechanisms report it.
 decide owns the outcome rule; tally and probes.arrow_probes, which enumerates profiles
@@ -15,19 +16,20 @@ over the run's one probe count, pick outcomes through it.
 
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the
-exponential is evaluated in 50-digit decimal context before the single
-rounding.  A quorum gate may be attached to any mechanism: participation is
-measured against total token supply or against the wallet universe, and a
-tally meeting the threshold exactly passes.
+exponential and its product with the committed units are evaluated in
+50-digit decimal context before the single rounding.  A quorum gate may be
+attached to any mechanism: participation is measured against total token
+supply or against the wallet universe, and a tally meeting the threshold
+exactly passes.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     GovlabError,
@@ -42,7 +44,6 @@ from .core import (
     _set,
     fmt_units,
     parse_units,
-    round_half_even_units,
 )
 
 
@@ -116,15 +117,13 @@ def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: 
     return None
 
 
-def power_token(committed: TokenAmount) -> VotingPower:
-    """One token, one vote: power equals the committed amount exactly."""
-    if not committed.units:
-        raise MechanismError("token voting requires a positive commitment")
-    return VotingPower(committed.units)
+def _token_units(units: int, dt: int) -> int:
+    """Token and quorum power: the committed units themselves, however long they are held."""
+    return units
 
 
-def quadratic_units(units: int) -> int:
-    """Quadratic power in 10^-9 units of a commitment of `units` 10^-9 tokens.
+def quadratic_units(units: int, dt: int) -> int:
+    """Quadratic power in 10^-9 units of a commitment of `units` 10^-9 tokens, held for any dt.
 
     The result is the half-even rounding of sqrt(units * 10^9).  With
     s = isqrt(n), the root exceeds the midpoint s + 1/2 exactly when
@@ -136,11 +135,6 @@ def quadratic_units(units: int) -> int:
     return s + 1 if n - s * s > s else s
 
 
-def power_quadratic(committed: TokenAmount) -> VotingPower:
-    """power = sqrt(tokens), rounded half-even at nine fractional digits."""
-    return VotingPower(quadratic_units(committed.units))
-
-
 @lru_cache(maxsize=4096)
 def _decay_factor(decay_rate: Decimal, dt: int) -> Decimal:
     """1 - e^(-decay_rate * dt) to 50 significant digits."""
@@ -149,18 +143,66 @@ def _decay_factor(decay_rate: Decimal, dt: int) -> Decimal:
         return 1 - (-decay_rate * dt).exp()
 
 
-def conviction_power(committed: TokenAmount, dt: int, params: ConvictionParams) -> VotingPower:
-    """Conviction accrued after holding for dt ticks: tokens * (1 - e^(-decay_rate * dt))."""
+def _conviction_rule(decay_rate: Decimal) -> Callable[[int, int], int]:
+    multiply = Context(prec=50, rounding=ROUND_HALF_EVEN).multiply  # one context for all the rule's votes
+
+    def conviction_units(units: int, dt: int) -> int:
+        """units * (1 - e^(-decay_rate * dt)) to 50 digits, then half-even to an integer.
+
+        The 10^-9 token amount of `units` has the same 50 significant digits times
+        the factor, so this equals rounding the token product at nine fractional digits.
+        """
+        if dt > 0:
+            return int(multiply(units, _decay_factor(decay_rate, dt)).to_integral_value(ROUND_HALF_EVEN))
+        if dt == 0:
+            return 0
+        raise MechanismError(f"dt={dt}: a vote cannot accrue before it is cast")
+
+    return conviction_units
+
+
+def power_rule(mechanism: Mechanism, conviction: ConvictionParams | None) -> Callable[[int, int], int]:
+    """The mechanism's power rule: (committed units, ticks held) -> power units.
+
+    Token and quorum voting map units to themselves, quadratic takes the
+    square root, and conviction (which alone reads dt) the accrual curve.
+    Picked once, it is the one power function of the tally, the report's
+    Sybil baseline and the Sybil tools.  `mechanism` must already be a
+    Mechanism (see Mechanism.parse), not its string value.
+    """
+    if mechanism is Mechanism.QUADRATIC:
+        return quadratic_units
+    if mechanism is Mechanism.CONVICTION:
+        if conviction is None:
+            raise MechanismError("conviction mechanism requires ConvictionParams")
+        return _conviction_rule(conviction.decay_rate)
+    if mechanism is Mechanism.TOKEN or mechanism is Mechanism.QUORUM:
+        return _token_units
+    raise MechanismError(f"power_rule needs a Mechanism, not {mechanism!r}")
+
+
+def _check_dt(dt: int) -> int:
+    """dt, once it is checked to be an int tick count; only conviction reads it."""
     if not isinstance(dt, int) or isinstance(dt, bool):
         raise MechanismError("dt must be an integer tick count")
-    if dt < 0:
-        raise MechanismError(f"dt={dt}: a vote cannot accrue before it is cast")
-    if dt == 0:
-        return VotingPower(0)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        raw = Decimal(str(committed)) * _decay_factor(params.decay_rate, dt)
-    return VotingPower(round_half_even_units(raw))
+    return dt
+
+
+def power_token(committed: TokenAmount) -> VotingPower:
+    """One token, one vote: power equals the committed amount exactly."""
+    if not committed.units:
+        raise MechanismError("token voting requires a positive commitment")
+    return VotingPower(committed.units)
+
+
+def power_quadratic(committed: TokenAmount) -> VotingPower:
+    """power = sqrt(tokens), rounded half-even at nine fractional digits."""
+    return VotingPower(quadratic_units(committed.units, 0))
+
+
+def conviction_power(committed: TokenAmount, dt: int, params: ConvictionParams) -> VotingPower:
+    """Conviction accrued after holding for dt ticks: tokens * (1 - e^(-decay_rate * dt))."""
+    return VotingPower(_conviction_rule(params.decay_rate)(committed.units, _check_dt(dt)))
 
 
 def vote_power(
@@ -169,21 +211,8 @@ def vote_power(
     dt: int,
     conviction: ConvictionParams | None,
 ) -> VotingPower:
-    """Power of one vote committing `committed`, held for dt ticks.
-
-    Token and quorum voting use the token map, quadratic the square root,
-    and conviction (which alone reads dt) the accrual curve.  `mechanism`
-    must already be a Mechanism (see Mechanism.parse), not its string value.
-    """
-    if mechanism is Mechanism.QUADRATIC:
-        return power_quadratic(committed)
-    if mechanism is Mechanism.CONVICTION:
-        if conviction is None:
-            raise MechanismError("conviction mechanism requires ConvictionParams")
-        return conviction_power(committed, dt, conviction)
-    if mechanism is Mechanism.TOKEN or mechanism is Mechanism.QUORUM:
-        return power_token(committed)
-    raise MechanismError(f"vote_power needs a Mechanism, not {mechanism!r}")
+    """Power of one vote committing `committed`, held for dt ticks, by power_rule."""
+    return VotingPower(power_rule(mechanism, conviction)(committed.units, _check_dt(dt)))
 
 
 def _quorum_met(
@@ -214,11 +243,12 @@ def tally(
     """Aggregate one proposal's live votes at tick `now`, gate on quorum, pick the outcome.
 
     votes maps each voting wallet to its vote, so a wallet counts once and
-    the voting wallets are len(votes); vote_powers follow its order.  Every
-    option in `options` appears in per_option_power, in that order
-    (zero-vote options at zero power), and every vote must be for one of
-    them; decide picks the outcome.  A conviction vote accrues from its
-    cast_at to `now`.
+    the voting wallets are len(votes); vote_power_units, each vote's power in
+    10^-9 units, follow its order.  The mechanism's power_rule is picked once
+    and counts every vote in ints.  Every option in `options` appears in
+    per_option_power, in that order (zero-vote options at zero power), and
+    every vote must be for one of them; decide picks the outcome.  A
+    conviction vote accrues from its cast_at to `now`.
     """
     mechanism = Mechanism.parse(mechanism)
     if not isinstance(wallet_universe_size, int) or wallet_universe_size < 0:
@@ -230,18 +260,22 @@ def tally(
     if len(per_option_units) != len(options):
         raise MechanismError("options must be distinct")
 
+    if mechanism is Mechanism.CONVICTION:
+        _check_dt(now)
+    rule = power_rule(mechanism, conviction)
     committed_units = 0
-    powers: list[VotingPower] = []
+    powers: list[int] = []
 
     for vote in votes.values():
-        power = vote_power(mechanism, vote.committed, now - vote.cast_at, conviction)
+        units = vote.committed.units
+        power = rule(units, now - vote.cast_at)
         powers.append(power)
         if vote.option not in per_option_units:
             raise MechanismError(
                 f"vote option {vote.option!r} is not among the tallied options"
             )
-        committed_units += vote.committed.units
-        per_option_units[vote.option] += power.units
+        committed_units += units
+        per_option_units[vote.option] += power
 
     if committed_units > supply.units:
         raise MechanismError(
@@ -253,7 +287,7 @@ def tally(
         per_option_power={o: VotingPower(u) for o, u in per_option_units.items()},
         participating_tokens=TokenAmount(committed_units),
         outcome=decide(per_option_units, quorum_met),
-        vote_powers=tuple(powers),
+        vote_power_units=tuple(powers),
     )
 
 

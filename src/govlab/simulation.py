@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from decimal import Decimal
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     GovlabError,
@@ -32,7 +32,7 @@ from .core import (
 from .governance import GovernanceEngine, Proposal, count_votes
 from .identity import IdentityFilter, IdentityRegistry, RejectionReason, SimulatedProvider
 from .ledger import Ledger, LedgerEntry
-from .mechanisms import Mechanism, MechanismError, config_error, vote_power
+from .mechanisms import Mechanism, MechanismError, config_error, power_rule
 from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, arrow_probes
 from .rng import MASK64
 from .scenario import AgentKind, AgentSpec, ProposalSpec, Scenario, ScenarioValidationError
@@ -45,33 +45,34 @@ class SimulationError(GovlabError):
     """Metric preconditions and runner failures."""
 
 
-def gini(powers: Sequence[VotingPower]) -> Decimal:
-    """Gini coefficient sum_i sum_j |x_i - x_j| / (2 n sum(x)), half-even at 9 digits.
+def gini(powers: Iterable[int]) -> Decimal:
+    """Gini coefficient sum_i sum_j |x_i - x_j| / (2 n sum(x)) of power unit ints, half-even at 9 digits."""
+    return _gini(sorted(powers))
 
-    Computed with the sorted prefix form, which is exact in integer units and
-    equal to the pairwise double sum.
-    """
-    units = sorted(p.units for p in powers)
-    if not units or units[-1] == 0:
+
+def _gini(ranked: list[int]) -> Decimal:
+    """gini of ascending unit ints, by the sorted prefix form, which is exact in
+    integer units and equal to the pairwise double sum."""
+    if not ranked or ranked[-1] == 0:
         raise SimulationError("gini is undefined for empty or all-zero power vectors")
-    n = len(units)
-    total = sum(units)
-    num = sum((2 * i - n + 1) * x for i, x in enumerate(units))
-    return ratio_half_even(num, n * total)
+    n = len(ranked)
+    num = sum((2 * i - n + 1) * x for i, x in enumerate(ranked))
+    return ratio_half_even(num, n * sum(ranked))
 
 
-def min_controlling_set(powers: Sequence[VotingPower]) -> int:
-    """Smallest number of voters whose combined power strictly exceeds half the total.
+def min_controlling_set(powers: Iterable[int]) -> int:
+    """Smallest number of voters whose combined power, in unit ints, strictly exceeds half the total."""
+    return _min_controlling_set(sorted(powers))
 
-    Greedy over descending powers is exact here: the top-k prefix maximizes
-    every k-subset sum.
-    """
-    units = sorted((p.units for p in powers), reverse=True)
-    total = sum(units)
-    if not units or total == 0:
+
+def _min_controlling_set(ranked: list[int]) -> int:
+    """min_controlling_set of ascending unit ints.  Greedy from the largest is exact
+    here: the top-k prefix maximizes every k-subset sum."""
+    total = sum(ranked)
+    if total == 0:
         raise SimulationError("no controlling set exists for empty or all-zero powers")
     acc = 0
-    for count, u in enumerate(units, start=1):
+    for count, u in enumerate(reversed(ranked), start=1):
         acc += u
         if 2 * acc > total:
             return count
@@ -183,17 +184,17 @@ def _play_schedule(
             engine.cast_batch(pid, ballots, now)
         for spec in finalizes:
             votes, result = engine.finalize(spec.id, now)
-            rows = by_agent[spec.id] = _agent_rows(setup.voters, votes, result.vote_powers)
+            rows = by_agent[spec.id] = _agent_rows(setup.voters, votes, result.vote_power_units)
             entries[spec.id] = _proposal_metrics(scenario, setup, engine, spec, result, rows)
     return entries, by_agent
 
 
 def _agent_rows(
     voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], votes: Mapping[WalletId, VoteRecord],
-    powers: Sequence[VotingPower],
+    powers: Sequence[int],
 ) -> dict[str, tuple[int, int, int]]:
     """Per voter with a counted vote: (wallets, token units, power units) of its counted votes, with
-    the powers the tally gave them, in the order of votes.  A vote merged from several wallets counts
+    the power unit ints the tally gave them, in the order of votes.  A vote merged from several wallets counts
     for the agent that holds its wallet, the group's least.  An agent with one counted vote shares
     its vote's and its power's unit ints."""
     power_of = dict(zip(votes, powers, strict=True))
@@ -201,9 +202,9 @@ def _agent_rows(
     for agent, wallets in voters:
         mine = [wallet for wallet in wallets if wallet in power_of]
         if len(mine) == 1:
-            rows[agent.id] = (1, votes[mine[0]].committed.units, power_of[mine[0]].units)
+            rows[agent.id] = (1, votes[mine[0]].committed.units, power_of[mine[0]])
         elif mine:
-            rows[agent.id] = (len(mine), sum(votes[w].committed.units for w in mine), sum(power_of[w].units for w in mine))
+            rows[agent.id] = (len(mine), sum(votes[w].committed.units for w in mine), sum(power_of[w] for w in mine))
     return rows
 
 
@@ -242,9 +243,9 @@ def _proposal_metrics(
     scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, spec: ProposalSpec, result: TallyResult,
     by_agent: dict[str, tuple[int, int, int]],
 ) -> dict[str, Any]:
-    """A just-finalized proposal's report entry, from its tally and vote_powers and its per-agent rows."""
-    powers = result.vote_powers
-    total_power_units = sum(p.units for p in powers)
+    """A just-finalized proposal's report entry, from its tally and vote_power_units and its per-agent rows."""
+    powers = result.vote_power_units
+    total_power_units = sum(powers)
 
     supply_units = scenario.supply.units
     token_fraction = (
@@ -256,6 +257,7 @@ def _proposal_metrics(
     wallet_fraction = ratio_half_even(len(powers), wallet_universe_size) if wallet_universe_size else Decimal("0.000000000")
 
     amplification: dict[str, Any] = {}
+    rule = power_rule(scenario.mechanism, scenario.conviction)
     for agent, _ in setup.voters:
         if agent.kind is not AgentKind.SYBIL_ATTACKER:
             continue
@@ -265,16 +267,12 @@ def _proposal_metrics(
             continue
         _, counted_units, realized_units = mine
         # Baseline: the counted tokens as one wallet, held over the same ticks.
-        honest_units = vote_power(
-            scenario.mechanism,
-            TokenAmount(counted_units),
-            spec.voting_window.end - agent.cast_tick(spec),
-            scenario.conviction,
-        ).units
+        honest_units = rule(counted_units, spec.voting_window.end - agent.cast_tick(spec))
         amplification[agent.id] = (
             str(ratio_half_even(realized_units, honest_units)) if honest_units else None
         )
 
+    ranked = sorted(powers)  # the one sort of both concentration metrics
     return {
         "id": spec.id,
         "phase": engine.proposals[spec.id].phase.value,
@@ -284,8 +282,8 @@ def _proposal_metrics(
             "wallet_count_fraction": str(wallet_fraction),
         },
         "voters": len(powers),
-        "power_gini": str(gini(powers)) if total_power_units else None,
-        "min_controlling_set": min_controlling_set(powers) if total_power_units else None,
+        "power_gini": str(_gini(ranked)) if total_power_units else None,
+        "min_controlling_set": _min_controlling_set(ranked) if total_power_units else None,
         "total_power": str(VotingPower(total_power_units)),
         "sybil_amplification": amplification,
     }
@@ -331,7 +329,7 @@ def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: Governance
         for _, wallets in setup.voters for wallet in wallets
     }
     votes, result, _ = count_votes(proposal, votes, engine.identity, engine.supply, len(engine.balances), window.end)
-    by_agent = _agent_rows(setup.voters, votes, result.vote_powers)
+    by_agent = _agent_rows(setup.voters, votes, result.vote_power_units)
     ids = [agent.id for agent, _ in setup.voters]
     power = [by_agent.get(voter, (0, 0, 0))[2] for voter in ids]
     return arrow_probes(ids, options, power, result.outcome.kind != OutcomeKind.QUORUM_FAILED)

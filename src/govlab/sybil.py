@@ -11,7 +11,7 @@ the honest power is zero.
 from __future__ import annotations
 
 from .core import GovlabError, TokenAmount, VotingPower, _Record, ratio_half_even
-from .mechanisms import ConvictionParams, Mechanism, quadratic_units, vote_power
+from .mechanisms import ConvictionParams, Mechanism, _check_dt, power_rule
 
 
 class SplitError(GovlabError):
@@ -56,17 +56,16 @@ def sybil_gain(
     conviction every balance accrues for the same held_for ticks.
     """
     mechanism = Mechanism.parse(mechanism)
-    if mechanism is Mechanism.CONVICTION and held_for < 0:
+    if mechanism is Mechanism.CONVICTION and _check_dt(held_for) < 0:
         raise SplitError("held_for must be a non-negative tick span")
     q, r = _uniform_shares(total, n)
-    honest = vote_power(mechanism, total, held_for, conviction)
+    rule = power_rule(mechanism, conviction)
+    honest = rule(total.units, held_for)
     # A uniform split has only two distinct balances (q+r once, q repeated),
     # so the exact per-wallet power sum needs just two evaluations.
-    first = vote_power(mechanism, TokenAmount(q + r), held_for, conviction)
-    rest = vote_power(mechanism, TokenAmount(q), held_for, conviction)
-    attack = VotingPower(first.units + rest.units * (n - 1))
-    amplification = ratio_half_even(attack.units, honest.units) if honest.units else None
-    return SybilReport(honest_power=honest, attack_power=attack, amplification=amplification)
+    attack = rule(q + r, held_for) + rule(q, held_for) * (n - 1)
+    amplification = ratio_half_even(attack, honest) if honest else None
+    return SybilReport(honest_power=VotingPower(honest), attack_power=VotingPower(attack), amplification=amplification)
 
 
 def best_split(
@@ -89,18 +88,16 @@ def best_split(
     feasible_max = min(max_wallets, total_units)
     if feasible_max < 1:
         raise SplitError("cannot split a zero balance")
-    if mechanism is Mechanism.QUADRATIC:
-        power_units = quadratic_units  # the integer root, with no value objects per n
-    else:
-        def power_units(units: int) -> int:
-            return vote_power(mechanism, TokenAmount(units), held_for, conviction).units
+    if mechanism is Mechanism.CONVICTION:
+        _check_dt(held_for)
+    rule = power_rule(mechanism, conviction)
     # A uniform split repeats the balance q, whose power changes only when q does.
     best_n, best_units, last_q, rest_units = 0, -1, -1, 0
     for n in range(1, feasible_max + 1):
         q, r = divmod(total_units, n)
         if q != last_q:
-            last_q, rest_units = q, power_units(q)
-        attack_units = power_units(q + r) + (n - 1) * rest_units
+            last_q, rest_units = q, rule(q, held_for)
+        attack_units = rule(q + r, held_for) + (n - 1) * rest_units
         if attack_units > best_units:
             best_units, best_n = attack_units, n
     return best_n, sybil_gain(total, best_n, mechanism, conviction=conviction, held_for=held_for)

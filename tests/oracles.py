@@ -3,8 +3,10 @@
 Everything here is deliberately written from the underlying definitions
 (mpmath for the irrational functions, integer/Fraction arithmetic for the
 rationals, FIPS 180-4 for SHA-256) rather than by calling the package, so
-agreement between the two is evidence and not tautology.  The probe
-references are the one exception: they count every preference profile
+agreement between the two is evidence and not tautology.  conviction_units_decimal
+is one exception: it is the Decimal arithmetic the integer conviction rule
+replaced, so agreeing with it to the unit shows the rule changes no byte.  The probe
+references are the other: they count every preference profile
 afresh through `governance.count_votes`, so they check the probes' single
 count and per-agent sums against the brute force those sums replace.
 """
@@ -15,7 +17,7 @@ import csv
 import io
 import json
 import re
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -57,6 +59,18 @@ def conviction_units(token_units: int, alpha: str, dt: int) -> int:
         return 0
     factor = 1 - mpmath.e ** (-mpmath.mpf(alpha) * dt)
     return half_even_units(mpmath.mpf(token_units) / NANO * factor)
+
+
+def conviction_units_decimal(token_units: int, decay_rate: Decimal, dt: int) -> int:
+    """Conviction power by the Decimal token route: the token amount's own text as a
+    Decimal, times 1 - e^(-decay_rate * dt) in a 50-digit context, then quantized at
+    10^-9 half-even.  The integer power rule must equal it exactly, not within an ulp."""
+    from govlab.core import TokenAmount
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        raw = Decimal(str(TokenAmount(token_units))) * (1 - (-decay_rate * dt).exp())
+    return int(raw.quantize(Decimal(1).scaleb(-9), rounding=ROUND_HALF_EVEN).scaleb(9))
 
 
 def ratio_units(num: int, den: int) -> int:
@@ -138,8 +152,8 @@ def ndjson_line_ref(index: int, prev_hash: str, payload: str, hash_: str) -> str
 
 
 def run_with_counts(scenario):
-    """run(scenario), and per proposal id the counted votes and their powers as finalize
-    returned them: the run itself keeps neither."""
+    """run(scenario), and per proposal id the counted votes and their power unit ints as
+    finalize returned them: the run itself keeps neither."""
     from unittest import mock
 
     from govlab.governance import GovernanceEngine
@@ -150,7 +164,7 @@ def run_with_counts(scenario):
 
     def spy(engine, proposal_id, now):
         votes, result = finalize(engine, proposal_id, now)
-        counted[proposal_id] = (votes, result.vote_powers)
+        counted[proposal_id] = (votes, result.vote_power_units)
         return votes, result
 
     with mock.patch.object(GovernanceEngine, "finalize", spy):
@@ -172,7 +186,7 @@ def report_csv_ref(scenario, counted) -> str:
             row = rows[owner[wallet]]
             row[0] += 1
             row[1] += vote.committed.units
-            row[2] += power.units
+            row[2] += power
         for agent in scenario.agents:
             wallets, tokens, realized = rows[agent.id]
             writer.writerow([spec.id, agent.id, wallets, _nine_digits(tokens), _nine_digits(realized)])

@@ -309,12 +309,12 @@ def test_criterion_10_gini_against_the_pairwise_oracle():
         n = rng.randint(1, 1000)
         units = [rng.randint(0, 10**12) for _ in range(n)]
         units[rng.randrange(n)] = rng.randint(1, 10**12)  # keep the mean positive
-        ours = gini([VotingPower(u) for u in units])
+        ours = gini(units)
         oracle = Decimal(gini_pairwise_units(units)).scaleb(-9)
         assert abs(ours - oracle) <= ULP
 
     for count in (1, 2, 7, 100):
-        assert gini([VotingPower.parse(13)] * count) == Decimal(0)
+        assert gini([13 * NANO] * count) == Decimal(0)
     _ok("criterion 10, Gini vs pairwise oracle (100 vectors) and exact-zero equality")
 
 

@@ -31,7 +31,6 @@ from govlab.core import (
     loads_canonical,
     parse_units,
     ratio_half_even,
-    round_half_even_units,
 )
 
 from govlab.events import cast_template
@@ -186,15 +185,6 @@ class TestParseUnits:
 
 
 class TestHalfEvenRounding:
-    def test_ties_go_to_even(self):
-        assert round_half_even_units(Decimal("0.0000000005")) == 0
-        assert round_half_even_units(Decimal("0.0000000015")) == 2
-        assert round_half_even_units(Decimal("0.0000000025")) == 2
-
-    def test_plain_cases(self):
-        assert round_half_even_units(Decimal("1.0000000004")) == NANO
-        assert round_half_even_units(Decimal("1.0000000006")) == NANO + 1
-
     def test_division_rejects_bad_denominator(self):
         with pytest.raises(FixedPointError, match="non-positive"):
             div_units_half_even(1, 0)
@@ -334,7 +324,7 @@ class TestOutcomes:
             per_option_power={"a": VotingPower.parse(3), "b": VotingPower.parse(1)},
             participating_tokens=TokenAmount.parse(10),
             outcome=TallyOutcome.winner("a"),
-            vote_powers=(VotingPower.parse(2), VotingPower.parse(1), VotingPower.parse(1)),
+            vote_power_units=(2 * NANO, NANO, NANO),
         )
         assert loads_canonical(canonical_json(result.to_json_obj())) == {
             "per_option_power": {"a": "3.000000000", "b": "1.000000000"},

@@ -282,7 +282,7 @@ class TestFinalizeCountsTheBook:
         votes, result = engine.finalize("p1", 10)
         assert seen == [(book, None)] and seen[0][0] is book
         assert votes is book and list(votes) == ["alice", "bob"]
-        assert [p.units for p in result.vote_powers] == [60 * 10**9, 10 * 10**9]
+        assert result.vote_power_units == (60 * 10**9, 10 * 10**9)
 
     def test_finalize_transient_per_vote_under_a_dropping_filter(self):
         """The traced peak of one finalize over 20,000 quadratic votes, half of them unverified and
@@ -310,7 +310,7 @@ class TestFinalizeCountsTheBook:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(votes) == len(result.vote_powers) == n // 2
+        assert len(votes) == len(result.vote_power_units) == n // 2
         per_vote = (peak - before) / n
         assert per_vote < 180, f"{per_vote:.0f} B of traced finalize peak per vote"
 
@@ -351,7 +351,7 @@ class TestTokenLocks:
         votes, result = engine.finalize("p1", 20)
         assert ProposalId("p1") not in engine._votes and ProposalId("p2") in engine._votes
         assert [(w, v.committed) for w, v in votes.items()] == [(WalletId("alice"), TokenAmount.parse(60))]
-        assert len(result.vote_powers) == 1
+        assert len(result.vote_power_units) == 1
         assert engine._locked == {WalletId("alice"): 40 * 10**9}
         with pytest.raises(PhaseError, match="not in its voting phase"):
             engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(1), 20)
@@ -551,9 +551,9 @@ class TestConvictionGovernance:
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 15)
         votes, result = engine.finalize("p1", 30)
         (vote,) = votes.values()
-        (power,) = result.vote_powers
+        (power,) = result.vote_power_units
         assert vote.cast_at == 5
-        assert power == conviction_power(TokenAmount.parse(100), 25, self.alpha)
+        assert power == conviction_power(TokenAmount.parse(100), 25, self.alpha).units
 
     def test_switching_options_resets_accrual(self):
         engine = self._engine()
@@ -561,9 +561,9 @@ class TestConvictionGovernance:
         engine.cast("p1", WalletId("alice"), "reject", TokenAmount.parse(100), 15)
         votes, result = engine.finalize("p1", 30)
         (vote,) = votes.values()
-        (power,) = result.vote_powers
+        (power,) = result.vote_power_units
         assert vote.cast_at == 15
-        assert power == conviction_power(TokenAmount.parse(100), 15, self.alpha)
+        assert power == conviction_power(TokenAmount.parse(100), 15, self.alpha).units
 
     def test_collapse_merge_takes_the_latest_cast_at(self):
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
@@ -581,11 +581,11 @@ class TestConvictionGovernance:
         engine.cast("p1", WalletId("alice"), "approve", TokenAmount.parse(100), 12)
         votes, result = engine.finalize("p1", 30)
         ((wallet, merged),) = votes.items()
-        (power,) = result.vote_powers
+        (power,) = result.vote_power_units
         assert wallet == WalletId("alice")
         assert merged.committed == TokenAmount.parse(150)
         assert merged.cast_at == 12
-        assert power == conviction_power(TokenAmount.parse(150), 18, self.alpha)
+        assert power == conviction_power(TokenAmount.parse(150), 18, self.alpha).units
 
     def test_finalize_tallies_conviction_at_window_end(self):
         engine = self._engine()

@@ -193,7 +193,7 @@ class TestFilterAndCollapse:
             now=10,
             conviction=params,
         )
-        assert result.vote_powers == (conviction_power(TokenAmount.parse(10), 2, params),)
+        assert result.vote_power_units == (conviction_power(TokenAmount.parse(10), 2, params).units,)
 
     def test_equivocating_identity_loses_every_vote(self):
         registry = self._registry(

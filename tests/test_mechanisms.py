@@ -1,5 +1,6 @@
 """Power functions, the quorum gate, and the tally itself."""
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab.core import (
+    MAX_UNITS,
     NANO,
     ProposalId,
     TokenAmount,
@@ -14,6 +16,7 @@ from govlab.core import (
     VotingPower,
     WalletId,
     canonical_json,
+    fmt_units,
     loads_canonical,
 )
 from govlab.governance import GovernanceEngine, GovernanceError, Proposal, Window
@@ -26,6 +29,7 @@ from govlab.mechanisms import (
     config_error,
     conviction_power,
     power_quadratic,
+    power_rule,
     power_token,
     tally,
     vote_power,
@@ -34,7 +38,7 @@ from govlab.mechanisms import (
 from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
 from govlab.simulation import compare_mechanisms
 
-from oracles import conviction_units, sqrt_units
+from oracles import conviction_units, conviction_units_decimal, sqrt_units
 
 token_units_st = st.integers(min_value=1, max_value=10**15)
 
@@ -184,6 +188,44 @@ class TestConvictionPower:
         assert str(conviction_power(self.hundred, 10000, self.alpha)) == "100.000000000"
 
 
+nine_digit_rates = st.one_of(st.integers(1, 10**10), st.integers(1, MAX_UNITS)).map(lambda u: Decimal(u).scaleb(-9))
+
+
+class TestPowerRule:
+    """power_rule's (units, dt) -> power units, the one power function the tally counts with."""
+
+    @given(st.one_of(st.integers(1, MAX_UNITS), st.integers(MAX_UNITS // 100, MAX_UNITS)), st.integers(0, 10**6), nine_digit_rates)
+    @settings(max_examples=300, deadline=None)
+    def test_conviction_equals_the_decimal_token_route(self, units, dt, rate):
+        """Exact for every unit count: the largest have the fewest fractional digits to spare."""
+        rule = power_rule(Mechanism.CONVICTION, ConvictionParams(decay_rate=rate))
+        assert rule(units, dt) == conviction_units_decimal(units, rate, dt)
+
+    def test_conviction_is_exact_on_a_sweep_of_large_stakes(self):
+        """2,000 seeded draws of the top two decades of unit counts with unsaturated factors,
+        where a product rounded to fewer than 50 digits would round some units differently."""
+        rng = random.Random(31)
+        for _ in range(2_000):
+            units, rate, dt = rng.randint(MAX_UNITS // 100, MAX_UNITS), Decimal(rng.randint(1, NANO)).scaleb(-9), rng.randint(1, 100)
+            rule = power_rule(Mechanism.CONVICTION, ConvictionParams(decay_rate=rate))
+            assert rule(units, dt) == conviction_units_decimal(units, rate, dt)
+
+    def test_conviction_pins(self):
+        rule = power_rule(Mechanism.CONVICTION, ConvictionParams(decay_rate=Decimal("0.1")))
+        assert rule(100 * NANO, 0) == 0
+        with pytest.raises(MechanismError, match="before it is cast"):
+            rule(100 * NANO, -1)
+        assert fmt_units(rule(100 * NANO, 10_000)) == "100.000000000"
+
+    @given(st.integers(0, MAX_UNITS), st.integers(0, 10**6))
+    def test_quadratic_is_the_integer_root(self, units, dt):
+        assert power_rule(Mechanism.QUADRATIC, None)(units, dt) == sqrt_units(units)
+
+    @given(st.integers(1, MAX_UNITS), st.integers(0, 10**6), st.sampled_from([Mechanism.TOKEN, Mechanism.QUORUM]))
+    def test_token_and_quorum_are_the_identity(self, units, dt, mechanism):
+        assert power_rule(mechanism, None)(units, dt) == units
+
+
 class TestSwitchVote:
     """A wallet switches options by casting again on its proposal's engine."""
 
@@ -209,7 +251,7 @@ class TestSwitchVote:
             engine.cast("p1", WalletId("w"), option, TokenAmount.parse(100), tick)
         votes, result = engine.finalize("p1", finalize_at)
         (vote,) = votes.values()
-        (power,) = result.vote_powers
+        (power,) = result.vote_power_units
         return vote, power
 
     def _power_at(self, vote, now):
@@ -221,7 +263,7 @@ class TestSwitchVote:
             options=(vote.option,),
             now=now,
             conviction=self.alpha,
-        ).vote_powers
+        ).vote_power_units
         return power
 
     def test_switch_resets_accrual_to_zero(self):
@@ -229,19 +271,19 @@ class TestSwitchVote:
         assert vote.cast_at == 50
         assert vote.option == "b"
         assert vote.committed == TokenAmount.parse(100)
-        assert self._power_at(vote, 50) == VotingPower(0)
+        assert self._power_at(vote, 50) == 0
 
     def test_conviction_ten_ticks_after_switch(self):
         """Post-switch accrual is indistinguishable from a fresh vote."""
         _, power = self._counted([("a", 1), ("b", 50)], 60)
-        assert str(power) == "63.212055883"
+        assert power == 63_212_055_883
 
     def test_reset_is_memoryless(self):
         """Switching back to the original option does not restore its history."""
         vote, _ = self._counted([("a", 1), ("b", 50), ("a", 60)], 61)
         assert vote.option == "a"
         assert vote.cast_at == 60
-        assert self._power_at(vote, 60) == VotingPower(0)
+        assert self._power_at(vote, 60) == 0
 
 
 class TestQuorumConfig:
@@ -453,7 +495,7 @@ class TestTally:
         st.sampled_from(list(Mechanism)),
     )
     @settings(max_examples=120, deadline=None)
-    def test_vote_powers_match_the_oracles(self, ballots, mechanism):
+    def test_vote_power_units_match_the_oracles(self, ballots, mechanism):
         """Per-vote powers follow the oracles and add up to per_option_power."""
         now, alpha = 40, "0.1"
         votes = [
@@ -470,16 +512,16 @@ class TestTally:
             now=now,
             conviction=ConvictionParams(decay_rate=Decimal(alpha)),
         )
-        assert len(result.vote_powers) == len(votes)
+        assert len(result.vote_power_units) == len(votes)
         per_option = dict.fromkeys(("a", "b", "c"), 0)
-        for (option, u, cast_at), power in zip(ballots, result.vote_powers):
+        for (option, u, cast_at), power in zip(ballots, result.vote_power_units):
             if mechanism is Mechanism.QUADRATIC:
-                assert power.units == sqrt_units(u)
+                assert power == sqrt_units(u)
             elif mechanism is Mechanism.CONVICTION:
-                assert abs(power.units - conviction_units(u, alpha, now - cast_at)) <= 1
+                assert abs(power - conviction_units(u, alpha, now - cast_at)) <= 1
             else:
-                assert power.units == u
-            per_option[option] = per_option.get(option, 0) + power.units
+                assert power == u
+            per_option[option] = per_option.get(option, 0) + power
         assert per_option == {o: p.units for o, p in result.per_option_power.items()}
 
     @given(

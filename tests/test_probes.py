@@ -275,20 +275,25 @@ class TestCountOnce:
 
     @pytest.mark.parametrize("wallets", [1_000, pytest.param(MAX_WALLETS - 3, marks=pytest.mark.slow)])
     def test_power_calls_grow_with_wallets_not_profiles(self, monkeypatch, wallets):
-        """A run's vote_power calls stay a small multiple of its votes with the probes on."""
+        """The tallies' calls of the power rule stay a small multiple of a run's votes with the probes on."""
         scenario = _attacked(wallets)
         votes = (wallets + 3) * len(scenario.proposals)
         bound = 2 * votes  # finalize's count and the probes' one count
         calls = 0
-        vote_power = mechanisms.vote_power
+        power_rule = mechanisms.power_rule
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            assert calls <= bound, f"more than {bound} vote_power calls for {votes} votes"
-            return vote_power(*args)
+        def counted_rule(*args):
+            rule = power_rule(*args)
 
-        monkeypatch.setattr(mechanisms, "vote_power", counted)
+            def counted(units, dt):
+                nonlocal calls
+                calls += 1
+                assert calls <= bound, f"more than {bound} power rule calls for {votes} votes"
+                return rule(units, dt)
+
+            return counted
+
+        monkeypatch.setattr(mechanisms, "power_rule", counted_rule)
         report = run(scenario).report
         assert report["arrow_probes"] is not None
         assert calls >= votes

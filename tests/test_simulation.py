@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import simulation as simulation_module
-from govlab.core import VoteRecord, VotingPower, fmt_units, loads_canonical, parse_units
+from govlab.core import NANO, VoteRecord, fmt_units, loads_canonical, parse_units
 from govlab.governance import GovernanceEngine
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
@@ -45,7 +45,7 @@ def _bench_workloads():
 
 
 def _powers(*values):
-    return [VotingPower.parse(v) for v in values]
+    return [v * NANO for v in values]
 
 
 unit_lists = st.lists(st.integers(min_value=0, max_value=10**15), min_size=1, max_size=40).filter(
@@ -79,15 +79,14 @@ class TestGini:
     @given(unit_lists)
     @settings(max_examples=100)
     def test_matches_pairwise_oracle_within_one_ulp(self, units):
-        powers = [VotingPower(u) for u in units]
-        ours = gini(powers)
+        ours = gini(units)
         oracle = Decimal(gini_pairwise_units(units)).scaleb(-9)
         assert abs(ours - oracle) <= Decimal("0.000000001")
 
     @given(unit_lists)
     @settings(max_examples=60)
     def test_stays_in_the_unit_interval(self, units):
-        value = gini([VotingPower(u) for u in units])
+        value = gini(units)
         assert Decimal(0) <= value < Decimal(1)
 
 
@@ -116,8 +115,7 @@ class TestMinControllingSet:
     @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=10).filter(lambda xs: any(xs)))
     @settings(max_examples=100)
     def test_matches_exhaustive_subset_search(self, units):
-        powers = [VotingPower(u) for u in units]
-        assert min_controlling_set(powers) == controlling_set_exhaustive(units)
+        assert min_controlling_set(units) == controlling_set_exhaustive(units)
 
 
 class TestRunDeterminism:

@@ -42,7 +42,6 @@ from .mechanisms import (
     power_quadratic,
     power_token,
     tally,
-    vote_power,
 )
 from .scenario import (
     AgentKind,

@@ -98,6 +98,7 @@ def _identity(identity: IdentityFilter | None) -> dict | None:
 
 
 def submit(proposal, tick: int) -> str:
+    quorum, conviction = proposal.quorum, proposal.conviction
     return canonical_json({
         "event": "submit",
         "proposal": str(proposal.id),
@@ -105,8 +106,8 @@ def submit(proposal, tick: int) -> str:
         "discussion_window": [proposal.discussion_window.start, proposal.discussion_window.end],
         "voting_window": [proposal.voting_window.start, proposal.voting_window.end],
         "mechanism": proposal.mechanism.value,
-        "quorum": proposal.quorum.to_json_obj() if proposal.quorum else None,
-        "conviction": proposal.conviction.to_json_obj() if proposal.conviction else None,
+        "quorum": {"basis": quorum.basis.value, "threshold": str(quorum.threshold)} if quorum else None,
+        "conviction": {"decay_rate": str(conviction.decay_rate)} if conviction else None,
         "tick": tick,
     })
 

@@ -124,7 +124,6 @@ class Proposal(_Record):
         mechanism: Mechanism,
         quorum: QuorumConfig | None = None,
         conviction: ConvictionParams | None = None,
-        phase: Phase = Phase.DRAFT,
     ):
         self.id = ProposalId(id)
         self.options = tuple(options)
@@ -132,7 +131,7 @@ class Proposal(_Record):
         self.voting_window = voting_window
         self.quorum = quorum
         self.conviction = conviction
-        self.phase = phase
+        self.phase = Phase.DRAFT
         if len(self.options) < 2:
             raise GovernanceError(f"proposal {self.id!r} needs at least two options")
         if len(set(self.options)) != len(self.options):
@@ -157,8 +156,9 @@ class GovernanceEngine:
     """Drives proposals through their lifecycle and writes the event ledger.
 
     genesis_context is recorded in the genesis event; its keys must be among
-    events.GENESIS_CONTEXT.  Its "identity" is an identity.IdentityFilter or
-    None.  The filter is the engine's one identity layer: finalize applies it
+    events.GENESIS_CONTEXT.  Its "scenario" and "mechanism" labels are kept as
+    the engine's scenario and mechanism (None when absent).  Its "identity" is
+    an identity.IdentityFilter or None.  The filter is the engine's one identity layer: finalize applies it
     to the live vote set, and genesis records its policy and bindings
     (events.genesis), so a replay rebuilds exactly the filter that was
     applied.  With no "identity" key (or None) every live vote is tallied.  The
@@ -185,6 +185,7 @@ class GovernanceEngine:
         self.supply = supply
         self.ledger = Ledger(ledger_sink)
         context = genesis_context or {}
+        self.scenario, self.mechanism = context.get("scenario"), context.get("mechanism")
         self.identity = context.get("identity")
         if self.identity is not None and not isinstance(self.identity, IdentityFilter):
             raise GovernanceError(f"genesis identity must be an IdentityFilter or None, not {self.identity!r}")

@@ -89,9 +89,6 @@ class QuorumConfig(_Record):
     def threshold_units(self) -> int:
         return int(self.threshold.scaleb(9))
 
-    def to_json_obj(self) -> dict:
-        return {"basis": self.basis.value, "threshold": str(self.threshold)}
-
 
 class ConvictionParams(_Record):
     """decay_rate is the alpha in 1 - e^(-alpha * dt); must be positive."""
@@ -103,9 +100,6 @@ class ConvictionParams(_Record):
         if units == 0:
             raise MechanismError("decay_rate must be positive")
         _set(self, "decay_rate", Decimal(fmt_units(units)))
-
-    def to_json_obj(self) -> dict:
-        return {"decay_rate": str(self.decay_rate)}
 
 
 def config_error(mechanism: Mechanism, quorum: QuorumConfig | None, conviction: ConvictionParams | None) -> str | None:
@@ -203,16 +197,6 @@ def power_quadratic(committed: TokenAmount) -> VotingPower:
 def conviction_power(committed: TokenAmount, dt: int, params: ConvictionParams) -> VotingPower:
     """Conviction accrued after holding for dt ticks: tokens * (1 - e^(-decay_rate * dt))."""
     return VotingPower(_conviction_rule(params.decay_rate)(committed.units, _check_dt(dt)))
-
-
-def vote_power(
-    mechanism: Mechanism,
-    committed: TokenAmount,
-    dt: int,
-    conviction: ConvictionParams | None,
-) -> VotingPower:
-    """Power of one vote committing `committed`, held for dt ticks, by power_rule."""
-    return VotingPower(power_rule(mechanism, conviction)(committed.units, _check_dt(dt)))
 
 
 def _quorum_met(

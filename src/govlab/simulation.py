@@ -164,7 +164,7 @@ def _play_schedule(
     cast_batch, its voters in scenario order and its ballots generated as the engine draws them.
     parse_scenario keeps voting windows apart, so a tick holds the casts of one proposal.
     """
-    balances = setup.balances
+    balances, rule = setup.balances, power_rule(scenario.mechanism, scenario.conviction)
     schedule: defaultdict[int, tuple[list, defaultdict, list]] = defaultdict(lambda: ([], defaultdict(list), []))
     for spec in scenario.proposals:
         schedule[spec.discussion_window.start][0].append(spec)
@@ -185,7 +185,8 @@ def _play_schedule(
         for spec in finalizes:
             votes, result = engine.finalize(spec.id, now)
             rows = by_agent[spec.id] = _agent_rows(setup.voters, votes, result.vote_power_units)
-            entries[spec.id] = _proposal_metrics(scenario, setup, engine, spec, result, rows)
+            entry = entries[spec.id] = proposal_entry(engine, spec.id, result)
+            entry["sybil_amplification"] = _amplification(setup.voters, spec, rule, rows)
     return entries, by_agent
 
 
@@ -239,79 +240,63 @@ def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[Ledg
     )
 
 
-def _proposal_metrics(
-    scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, spec: ProposalSpec, result: TallyResult,
-    by_agent: dict[str, tuple[int, int, int]],
-) -> dict[str, Any]:
-    """A just-finalized proposal's report entry, from its tally and vote_power_units and its per-agent rows."""
-    powers = result.vote_power_units
-    total_power_units = sum(powers)
-
-    supply_units = scenario.supply.units
-    token_fraction = (
-        ratio_half_even(result.participating_tokens.units, supply_units)
-        if supply_units > 0
-        else Decimal("0.000000000")
-    )
-    wallet_universe_size = len(engine.balances)
-    wallet_fraction = ratio_half_even(len(powers), wallet_universe_size) if wallet_universe_size else Decimal("0.000000000")
-
-    amplification: dict[str, Any] = {}
-    rule = power_rule(scenario.mechanism, scenario.conviction)
-    for agent, _ in setup.voters:
-        if agent.kind is not AgentKind.SYBIL_ATTACKER:
-            continue
-        mine = by_agent.get(agent.id)
-        if mine is None:
-            amplification[agent.id] = None
-            continue
-        _, counted_units, realized_units = mine
-        # Baseline: the counted tokens as one wallet, held over the same ticks.
-        honest_units = rule(counted_units, spec.voting_window.end - agent.cast_tick(spec))
-        amplification[agent.id] = (
-            str(ratio_half_even(realized_units, honest_units)) if honest_units else None
-        )
-
+def proposal_entry(engine: GovernanceEngine, proposal_id: str, result: TallyResult) -> dict[str, Any]:
+    """The report entry of a proposal the engine has just finalized to result, every field but
+    sybil_amplification.  Each is determined by the engine, so replaying its ledger gives the same."""
+    powers, tokens = result.vote_power_units, result.participating_tokens.units
+    supply_units, universe = engine.supply.units, len(engine.balances)
     ranked = sorted(powers)  # the one sort of both concentration metrics
+    total = sum(ranked)
     return {
-        "id": spec.id,
-        "phase": engine.proposals[spec.id].phase.value,
+        "id": proposal_id,
+        "phase": engine.proposals[proposal_id].phase.value,
         **result.to_json_obj(),  # outcome, per_option_power and participating_tokens, as finalize records them
-        "participation": {
-            "token_supply_fraction": str(token_fraction),
-            "wallet_count_fraction": str(wallet_fraction),
+        "participation": {  # "0E-9" is str() of a zero nine-digit Decimal
+            "token_supply_fraction": str(ratio_half_even(tokens, supply_units)) if supply_units else "0E-9",
+            "wallet_count_fraction": str(ratio_half_even(len(powers), universe)) if universe else "0E-9",
         },
         "voters": len(powers),
-        "power_gini": str(_gini(ranked)) if total_power_units else None,
-        "min_controlling_set": _min_controlling_set(ranked) if total_power_units else None,
-        "total_power": str(VotingPower(total_power_units)),
-        "sybil_amplification": amplification,
+        "power_gini": str(_gini(ranked)) if total else None,
+        "min_controlling_set": _min_controlling_set(ranked) if total else None,
+        "total_power": str(VotingPower(total)),
     }
+
+
+def _amplification(
+    voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], spec: ProposalSpec, rule: Callable[[int, int], int],
+    rows: Mapping[str, tuple[int, int, int]],
+) -> dict[str, str | None]:
+    """sybil_amplification, the one entry field that needs the agent-to-wallet map: per attacker among
+    the voters, its realized power over the power of its counted tokens as one wallet held over the
+    same ticks, or None when it has no counted vote or that baseline is zero."""
+    amplification = {}
+    for agent, _ in voters:
+        if agent.kind is AgentKind.SYBIL_ATTACKER:
+            mine = rows.get(agent.id)
+            honest = mine and rule(mine[1], spec.voting_window.end - agent.cast_tick(spec))
+            amplification[agent.id] = str(ratio_half_even(mine[2], honest)) if honest else None
+    return amplification
 
 
 def _build_report(
     scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine, proposals: list[dict[str, Any]]
 ) -> dict[str, Any]:
-    identity_obj = None
-    if scenario.identity is not None:
-        identity_obj = {
-            "mode": scenario.identity.mode.value,
-            "policy": scenario.identity.policy.value,
-        }
-        identity_obj.update(setup.binding_stats)
-
-    report: dict[str, Any] = {
+    """The report.  Its top-level fields come from the engine, save the identity block's binding
+    counts and arrow_probes, which need the scenario."""
+    identity = engine.identity
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scenario.name,
-        "mechanism": scenario.mechanism.value,
-        "supply": str(scenario.supply),
-        "wallet_universe_size": len(setup.balances),
-        "identity": identity_obj,
+        "scenario": engine.scenario,
+        "mechanism": engine.mechanism,
+        "supply": str(engine.supply),
+        "wallet_universe_size": len(engine.balances),
+        "identity": identity and {
+            "mode": identity.registry.mode.value, "policy": identity.policy.value, **setup.binding_stats,
+        },
         "proposals": proposals,
         "arrow_probes": _probe_report(scenario, setup, engine),
         "ledger_head": engine.ledger.head_hash(),
     }
-    return report
 
 
 def _probe_report(scenario: Scenario, setup: SimulationSetup, engine: GovernanceEngine) -> dict[str, Any] | None:

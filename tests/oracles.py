@@ -374,6 +374,8 @@ def iia_probe_ref(scenario):
     """The IIA probe by brute force, each profile and each deletion counted afresh through a
     copy of the proposal without the deleted option: the first witness as (profile,
     removed_option, winner_before, winner_after), or None."""
+    from govlab.simulation import _engine_proposal
+
     voters, proposal, setup = _probe_instance_ref(scenario)
     options = proposal.options
     if len(options) < 3:
@@ -386,7 +388,8 @@ def iia_probe_ref(scenario):
         for removed in options:
             if removed == outcome.option:
                 continue
-            without = proposal._replace(options=tuple(o for o in options if o != removed))
+            spec = scenario.proposals[0]._replace(options=tuple(o for o in options if o != removed))
+            without = _engine_proposal(scenario, spec)
             fallback = {agent.id: next(o for o in ranking if o != removed) for agent, ranking in zip(voters, profile)}
             after = _profile_tally_ref(scenario, setup, without, fallback)
             if after.is_winner() and after.option != outcome.option:

@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, stdout/stderr separation, and file outputs."""
 
 import gc
+import importlib.resources as resources
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,12 @@ from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, lo
 from govlab.simulation import report_csv_lines, run
 
 HEX = set("0123456789abcdef")
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
 
 @pytest.fixture()
 def scenario_path(tmp_path):
     """The shipped wallet-splitting scenario copied to a plain file."""
-    import importlib.resources as resources
-
     text = resources.files("govlab.presets").joinpath("sybil_attack_quadratic.json").read_text()
     path = tmp_path / "scenario.json"
     path.write_text(text)
@@ -215,6 +217,21 @@ class TestRunCommand:
         bad.write_text(text)
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+
+    def test_a_long_agent_id_with_500_unknown_keys_is_501_bounded_error_lines(self, tmp_path, capsys):
+        """An error quotes a value cut to QUOTED_CHARS characters, so a 20,000-character agent id with
+        500 unknown keys is 501 error lines (the id's and one per key) in under 100 kB."""
+        obj = json.loads(resources.files("govlab.presets").joinpath("nonprofit_grant_vote.json").read_text())
+        obj["agents"][0]["id"] = "x" * 20_000
+        obj["agents"][0].update({f"k{k}": 1 for k in range(500)})
+        bad = tmp_path / "long-id.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION == 1
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 501
+        assert len(err.encode()) < 100_000
+        assert not (tmp_path / "r.json").exists()
 
     def test_ids_the_engine_would_reject_are_validation_errors(self, scenario_path, tmp_path, capsys):
         obj = json.loads(scenario_path.read_text())
@@ -600,8 +617,6 @@ class TestCompareCommand:
         assert captured.out == ""
 
     def test_mechanisms_missing_their_config_are_validation_errors(self, tmp_path, capsys):
-        import importlib.resources as resources
-
         path = tmp_path / "scenario.json"
         path.write_text(resources.files("govlab.presets").joinpath("plurality_iia_probe.json").read_text())
         out = tmp_path / "m.json"
@@ -626,6 +641,20 @@ class TestCompareCommand:
         assert errors[:2] == ["error: seed must be a u64, got -1", "error: ticks must be a non-negative integer horizon, got -2"]
         assert all(line.startswith("error: ") for line in errors)
         assert not out.exists()
+
+    def test_sybil_identity_workload_quadratic_run_equals_a_standalone_run(self, tmp_path, capsys):
+        """compare on the seed-1 sybil_identity benchmark workload prints a header and two rows, and its
+        quadratic run is the report `run` writes for the scenario, whose mechanism is quadratic."""
+        spec = importlib.util.spec_from_file_location("govlab_bench_workloads", WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        scenario = tmp_path / "sybil.json"
+        scenario.write_text(workloads.scenario_text("sybil_identity", 1))
+        merged, report = tmp_path / "compare.json", tmp_path / "report.json"
+        assert main(["compare", "--scenario", str(scenario), "--mechanisms", "token,quadratic", "--out", str(merged)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert main(["run", "--scenario", str(scenario), "--out", str(report)]) == EXIT_OK
+        assert json.loads(merged.read_text())["runs"]["quadratic"] == json.loads(report.read_text())
 
     def test_columns_align(self, scenario_path, tmp_path, capsys):
         main(

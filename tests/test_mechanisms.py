@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import events
 from govlab.core import (
     MAX_UNITS,
     NANO,
@@ -15,7 +16,6 @@ from govlab.core import (
     VoteRecord,
     VotingPower,
     WalletId,
-    canonical_json,
     fmt_units,
     loads_canonical,
 )
@@ -32,7 +32,6 @@ from govlab.mechanisms import (
     power_rule,
     power_token,
     tally,
-    vote_power,
 )
 
 from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
@@ -292,8 +291,10 @@ class TestQuorumConfig:
             QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal("1.1"))
 
     def test_json_round_trip(self):
+        """The quorum member of a submit event reads back to the same config."""
         config = QuorumConfig(basis="wallet_count_fraction", threshold=Decimal("0.25"))
-        assert QuorumConfig(**loads_canonical(canonical_json(config.to_json_obj()))) == config
+        proposal = Proposal("p1", ("a", "b"), Window(0, 1), Window(1, 2), Mechanism.QUORUM, quorum=config)
+        assert QuorumConfig(**loads_canonical(events.submit(proposal, 0))["quorum"]) == config
 
 
 class TestQuorumGate:
@@ -447,11 +448,11 @@ class TestTally:
         with pytest.raises(MechanismError, match="unknown mechanism"):
             tally({}, "futarchy", supply=TokenAmount.parse(1), wallet_universe_size=1, options=("a", "b"), now=0)
 
-    def test_vote_power_takes_a_parsed_mechanism(self):
+    def test_power_rule_takes_a_parsed_mechanism(self):
         """A raw string must not fall through to the token map."""
-        assert vote_power(Mechanism.QUADRATIC, TokenAmount.parse(100), 0, None) == VotingPower.parse(10)
+        assert power_rule(Mechanism.QUADRATIC, None)(100 * NANO, 0) == 10 * NANO
         with pytest.raises(MechanismError, match="needs a Mechanism"):
-            vote_power("quadratic", TokenAmount.parse(100), 0, None)
+            power_rule("quadratic", None)
 
     def test_conviction_tally_needs_params(self):
         state = _vote("w", "a", 5)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import simulation as simulation_module
-from govlab.core import NANO, VoteRecord, fmt_units, loads_canonical, parse_units
-from govlab.governance import GovernanceEngine
+from govlab.core import NANO, TokenAmount, VoteRecord, fmt_units, loads_canonical, parse_units
+from govlab.governance import GovernanceEngine, Proposal, Window, replay
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
 from govlab.scenario import MAX_CASTS, MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
@@ -25,6 +25,7 @@ from govlab.simulation import (
     compare_mechanisms,
     gini,
     min_controlling_set,
+    proposal_entry,
     render_table,
     report_csv,
     run,
@@ -145,6 +146,63 @@ class TestRunDeterminism:
         result = run(load_preset("sybil_attack_quadratic"))
         assert result.head_hash == result.ledger.head_hash()
         assert result.report["ledger_head"] == result.head_hash
+
+
+class TestProposalEntry:
+    """proposal_entry gives every report field that a replay of the ledger determines."""
+
+    @pytest.mark.parametrize("name", [*preset_names(), "crowd_quadratic", "sybil_identity", "conviction_horizon"])
+    def test_a_replayed_ledger_gives_the_engine_fields_of_the_report(self, name, monkeypatch):
+        """The presets and the benchmark workloads at seed 1: every field but sybil_amplification,
+        and the top level but the binding counts and arrow_probes, from the replayed engine alone."""
+        if name in preset_names():
+            scenario = load_preset(name)
+        else:
+            scenario = loads_scenario(_bench_workloads().scenario_text(name, 1))
+        result = run(scenario)
+        replayed = {}
+        finalize = GovernanceEngine.finalize
+
+        def spy(engine, proposal_id, now):
+            votes, tally = finalize(engine, proposal_id, now)
+            replayed[proposal_id] = proposal_entry(engine, proposal_id, tally)
+            return votes, tally
+
+        monkeypatch.setattr(GovernanceEngine, "finalize", spy)
+        engine = replay(tuple(result.ledger))
+        report = result.report
+        assert replayed == {
+            p["id"]: {k: v for k, v in p.items() if k != "sybil_amplification"} for p in report["proposals"]
+        }
+        assert report["scenario"] == engine.scenario
+        assert report["mechanism"] == engine.mechanism
+        assert report["supply"] == str(engine.supply)
+        assert report["wallet_universe_size"] == len(engine.balances)
+        assert report["ledger_head"] == engine.ledger.head_hash()
+        if engine.identity is None:
+            assert report["identity"] is None
+        else:
+            assert report["identity"]["mode"] == engine.identity.registry.mode.value
+            assert report["identity"]["policy"] == engine.identity.policy.value
+
+    def test_zero_supply_gives_zero_fractions(self):
+        """A supply of 0 held by one zero-balance abstainer: nothing to divide by on the token basis."""
+        scenario = parse_scenario({
+            "schema_version": 1, "name": "empty", "ticks": 5, "supply": "0", "mechanism": "token",
+            "proposals": [{"id": "p1", "options": ["yes", "no"], "discussion_window": [0, 1], "voting_window": [1, 3]}],
+            "agents": [{"id": "a", "kind": "abstainer", "balance": "0"}],
+        })
+        [entry] = run(scenario).report["proposals"]
+        assert entry["participation"] == {"token_supply_fraction": "0E-9", "wallet_count_fraction": "0E-9"}
+
+    def test_an_empty_wallet_universe_gives_a_zero_wallet_fraction(self):
+        """No run funds zero wallets, but a replayed ledger can hold such a genesis."""
+        engine = GovernanceEngine(balances={}, supply=TokenAmount(0))
+        engine.submit(Proposal("p1", ("yes", "no"), Window(0, 1), Window(1, 3), Mechanism.TOKEN), 0)
+        _, result = engine.finalize("p1", 3)
+        entry = proposal_entry(engine, "p1", result)
+        assert entry["participation"] == {"token_supply_fraction": "0E-9", "wallet_count_fraction": "0E-9"}
+        assert (entry["voters"], entry["power_gini"], entry["min_controlling_set"]) == (0, None, None)
 
 
 @pytest.fixture(scope="module")

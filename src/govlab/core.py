@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import re
 from decimal import MAX_PREC, Context, Decimal, Overflow
-from typing import Any, Iterable
+from itertools import repeat
+from typing import Any, Iterable, Iterator
 
 NANO_DIGITS = 9
 NANO = 10**NANO_DIGITS
@@ -195,6 +196,19 @@ class _Identifier(str):
                 f"{cls.__name__} must match [A-Za-z0-9_-]{{1,64}}: {value!r}"
             )
         return super().__new__(cls, value)
+
+    @classmethod
+    def numbered(cls, form: str, n: int) -> Iterator:
+        """The n ids form % k for k = 0..n-1, where form's one conversion is %0<width>d, each
+        built as it is drawn.
+
+        The ids differ only in their digits, the first is the shortest and the last the
+        longest, so matching those two, before any is drawn, proves every one, and each is
+        built unchecked."""
+        if n > 0:
+            cls(form % 0)
+            cls(form % (n - 1))
+        return map(str.__new__, repeat(cls, n), map(form.__mod__, range(n)))
 
 
 class WalletId(_Identifier):

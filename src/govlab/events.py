@@ -23,11 +23,16 @@ RFC 8785 (the JSON Canonicalization Scheme) differs in three places: it writes
 non-ASCII and DEL (0x7f) raw in UTF-8, it sorts keys by UTF-16 code unit, which
 orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
-Every kind but cast is encoded by canonical_json.  A cast, the one event a
-run has thousands of, fills a template built once per proposal, option and
-tick, whose bytes equal canonical_json of the event's dict.  Genesis, the one
-event with a member per wallet, writes its balances member directly in the
-same way and leaves only its other fields to canonical_json.
+Submit, phase and finalize are encoded by canonical_json.  A cast, the one
+event a run has thousands of, fills a template built once per proposal,
+option and tick, whose bytes equal canonical_json of the event's dict.
+Genesis, the one event with a member per wallet, writes its balances member
+directly in the same way.  Its other fields, the identity record among them,
+go to core's JSON encoder as one dict without canonical_json's walk: genesis
+builds them from typed values (the registry's validated ids, the policy's and
+mode's strings) and checks the two labels, so the walk would find nothing to
+refuse.  canonical_json stays the reference that the tests compare each
+encoder's text with.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -52,7 +57,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .core import NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, fmt_units, loads_canonical
+from .core import _ENCODER, NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, fmt_units, loads_canonical
 from .identity import IdentityFilter, RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
@@ -84,7 +89,9 @@ def genesis(supply: TokenAmount, balances: dict, context: dict | None) -> str:
     members = ",".join([f'"{w}":"{amount(balances[w].units)}"' for w in sorted(balances)])
     if "identity" in context:
         context = {**context, "identity": _identity(context["identity"])}
-    rest = canonical_json({"event": "genesis", "supply": str(supply), "wallet_universe_size": len(balances), **context})
+    # Every field is a str, an int, None or the identity record's lists and dicts of ids, as checked
+    # above, so the encoder takes the dict as it is, without canonical_json's walk.
+    rest = _ENCODER.encode({"event": "genesis", "supply": str(supply), "wallet_universe_size": len(balances), **context})
     return f'{{"balances":{{{members}}},{rest[1:]}'
 
 
@@ -141,9 +148,10 @@ def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick
 # {key: spec} for an object with those keys, {str: spec} for any keys; and
 # (None, spec) for null or spec.
 _FRACTION = re.compile(r"[0-9]+\.[0-9]{9}|[0-9](\.[0-9]{1,2})?E-[789]")  # a str(Decimal) that Decimal() reads
+_BINDING = {"identity": str, "wallets": [str]}
 _IDENTITY = {
     "policy": frozenset(p.value for p in VotePolicy),
-    "registry": {"mode": frozenset(m.value for m in RegistryMode), "bindings": [{"identity": str, "wallets": [str]}]},
+    "registry": {"mode": frozenset(m.value for m in RegistryMode), "bindings": [_BINDING]},
 }
 _KINDS: dict[str, dict] = {
     "genesis": {
@@ -211,9 +219,16 @@ def _check(value: Any, spec: Any, k: int, path: str, optional=()) -> None:
         ok = type(value) is kind and (kind is dict or len(spec) in (1, len(value)))
     if not ok:
         raise GovernanceError(f"event {k}: field {path!r} is missing or has the wrong JSON type")
-    # Genesis has a balance and a bound wallet per wallet: plain items are scanned without a call each.
+    # Genesis has a balance and a bound wallet per wallet: plain items, and bindings whose fields are
+    # plain, are scanned without a call each.  A mismatch falls through to the walk, which names it.
     if kind is list:
         if len(spec) == 1 and type(spec[0]) is type and all(type(item) is spec[0] for item in value):
+            return
+        if spec[0] is _BINDING and all(
+            type(b) is dict and len(b) == 2 and type(b.get("identity")) is str and type(ws := b.get("wallets")) is list
+            and all(type(w) is str for w in ws)
+            for b in value
+        ):
             return
         for i, item in enumerate(value):
             _check(item, spec[min(i, len(spec) - 1)], k, f"{path}.{i}")

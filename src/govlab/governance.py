@@ -151,6 +151,13 @@ class Proposal(_Record):
     def approve_option(self) -> str:
         return self.options[0]
 
+    def _replace(self, **changes: Any) -> "Proposal":
+        """A draft built through the constructor from this proposal's fields with changes applied;
+        phase is the engine's, not a constructor parameter, so it is not copied."""
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "phase"}
+        fields.update(changes)
+        return Proposal(**fields)
+
 
 class GovernanceEngine:
     """Drives proposals through their lifecycle and writes the event ledger.
@@ -374,15 +381,19 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
     if genesis["event"] != "genesis":
         raise GovernanceError("ledger does not start with a genesis event")
 
+    amounts = functools.cache(TokenAmount.parse)
+    balances = {WalletId(w): amounts(b) for w, b in genesis["balances"].items()}
+    # A recorded wallet in genesis becomes its WalletId, validated once; any other is checked where it is used.
+    wallets = {w: w for w in balances}
     context = {key: genesis[key] for key in events.GENESIS_CONTEXT if key in genesis}
     if identity := genesis.get("identity"):
         registry = IdentityRegistry(identity["registry"]["mode"])
         for binding in identity["registry"]["bindings"]:
-            name = binding["identity"]
-            for wallet in binding["wallets"]:
-                # A refused binding, or one with no wallet to build its identity at, is left out, so genesis diverges.
-                name = IdentityId(name)
-                registry.bind(name, wallet)
+            # A refused binding, or one with no wallet to build its identity at, is left out, so genesis diverges.
+            if bound := binding["wallets"]:
+                name = IdentityId(binding["identity"])
+            for wallet in bound:
+                registry.bind(name, wallets.get(wallet, wallet))
         context["identity"] = IdentityFilter(registry, identity["policy"])
 
     def check(entry: LedgerEntry) -> None:
@@ -396,16 +407,10 @@ def replay(entries: Iterable[LedgerEntry]) -> GovernanceEngine:
         while (e := event) is not None and e["event"] == "cast" and e["proposal"] == pid and e["tick"] == tick:
             yield wallets.get(e["wallet"], e["wallet"]), e["option"], amounts(e["committed"])
 
-    amounts = functools.cache(TokenAmount.parse)
     # The wallet universe is re-derived from the balances, so genesis is compared like every other event.
     engine = GovernanceEngine(
-        balances={WalletId(w): amounts(b) for w, b in genesis["balances"].items()},
-        supply=amounts(genesis["supply"]),
-        genesis_context=context,
-        ledger_sink=check,
+        balances=balances, supply=amounts(genesis["supply"]), genesis_context=context, ledger_sink=check,
     )
-    # A recorded wallet in genesis becomes its WalletId, validated once; any other is checked as it is cast.
-    wallets = {w: w for w in engine.balances}
     while (recorded := event) is not None:
         if (kind := recorded["event"]) == "genesis":
             raise GovernanceError(f"event {len(engine.ledger)}: a genesis event after the first")

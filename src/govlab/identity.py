@@ -70,17 +70,22 @@ class IdentityRegistry:
         A wallet bound to a different identity is rejected WalletAlreadyBound;
         a second wallet under StrictOneWallet is rejected DuplicateIdentity.
         """
-        identity = IdentityId(identity)
-        wallet = WalletId(wallet)
+        if type(identity) is not IdentityId:
+            identity = IdentityId(identity)
+        if type(wallet) is not WalletId:
+            wallet = WalletId(wallet)
         bound_to = self._identity_by_wallet.get(wallet)
         if bound_to is not None:
             if bound_to == identity:
                 return _ACCEPTED
             return VerificationOutcome(False, RejectionReason.WALLET_ALREADY_BOUND)
-        existing = self._wallets_by_identity.get(identity, [])
-        if self.mode is RegistryMode.STRICT_ONE_WALLET and existing:
+        existing = self._wallets_by_identity.get(identity)
+        if existing is None:
+            self._wallets_by_identity[identity] = [wallet]
+        elif self.mode is RegistryMode.STRICT_ONE_WALLET:
             return VerificationOutcome(False, RejectionReason.DUPLICATE_IDENTITY)
-        self._wallets_by_identity.setdefault(identity, []).append(wallet)
+        else:
+            existing.append(wallet)
         self._identity_by_wallet[wallet] = identity
         return _ACCEPTED
 

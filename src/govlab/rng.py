@@ -11,10 +11,6 @@ from __future__ import annotations
 MASK64 = 2**64 - 1
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 def splitmix64_stream(seed: int):
     """Yield the splitmix64 sequence for a u64 seed."""
     state = seed & MASK64
@@ -45,15 +41,15 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        x = (s1 * 5) & MASK64
+        result = (((x << 7) | (x >> 57)) * 9) & MASK64  # rotl(x, 7) * 9: the high bits shifted out are masked off
         t = (s1 << 17) & MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        self._s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK64]  # s3 = rotl(s3, 45)
         return result
 
     def next_float(self) -> float:

@@ -18,17 +18,19 @@ from decimal import Decimal
 from enum import Enum
 from importlib import resources
 from itertools import islice
-from typing import Any
+from typing import Any, Iterator
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
+from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, config_error
 from .identity import RegistryMode, VotePolicy
 
 SCHEMA_VERSION = 1
-# A run costs about 25-40 us and 0.8-1.3 KiB per wallet (an attacker with 10^5 wallets took
-# 3.5-4.5 s and 79 MiB peak RSS through `govlab run --csv`, 122 MiB through run(), which
-# keeps the ledger's entries), so this cap bounds the wallets one scenario file can ask for.
+# A run costs about 12-22 us and 0.7-0.8 KiB per wallet through `govlab run --csv`: one attacker
+# with 10^5 wallets on a conviction proposal, probes on, took 1.2-1.4 s and 69 MiB peak RSS, and
+# the Sybil workload scaled to 99,600 wallets under identity filtering 1.9-2.1 s and 76 MiB.
+# run(), which keeps the ledger's entries, peaked at 108 and 165 MiB (1.1-1.7 KiB per wallet).
+# So this cap bounds the wallets one scenario file can ask for.
 MAX_WALLETS = 100_000
 # Each voting wallet casts once per proposal, at about 10-17 us per cast, and the CSV has a row
 # per agent and proposal, so this cap bounds every agent's wallets x proposals, abstainers'
@@ -97,19 +99,23 @@ class AgentSpec(_Record):
         # An attacker numbers its n wallets k = 0..n-1, zero-padded to the digits of n - 1.
         return len(str(self.n_wallets - 1))
 
+    def _form(self, suffix: str) -> str:
+        """The %-form of the agent's numbered names, <id><suffix><k>; a '%' in a bad id stays literal."""
+        return f"{self.id.replace('%', '%%')}{suffix}%0{self._digits()}d"
+
     def wallets(self) -> tuple[WalletId, ...]:
         """The agent's wallet ids: its own id, or an attacker's <id>_w<k>."""
         if self.kind is not AgentKind.SYBIL_ATTACKER:
             return (WalletId(self.id),)
-        prefix, width = self.id + _WALLET, self._digits()
-        return tuple(WalletId(f"{prefix}{k:0{width}d}") for k in range(self.n_wallets))
+        return tuple(WalletId.numbered(self._form(_WALLET), self.n_wallets))
 
-    def fake_identity(self, k: int) -> str:
-        """The identity wallet k claims when the agent fakes identities, <id>_fake<k>; else each claims its id."""
-        return f"{self.id}{_FAKE}{k:0{self._digits()}d}"
+    def fake_ids(self) -> Iterator[IdentityId]:
+        """The identities an attacker's wallets claim when it fakes them, wallet k's <id>_fake<k>, in
+        wallet order.  Each is built as it is drawn, so one whose claim the provider rejects is not kept."""
+        return IdentityId.numbered(self._form(_FAKE), self.n_wallets)
 
-    def numbered(self, k: str) -> bool:
-        """Whether k is a wallet number as wallets() and fake_identity() spell it."""
+    def has_number(self, k: str) -> bool:
+        """Whether k is a wallet number as wallets() and fake_ids() spell it."""
         return len(k) == self._digits() and k.isascii() and k.isdigit() and int(k) < self.n_wallets
 
 
@@ -475,7 +481,7 @@ def _check_schedule(agents: list[AgentSpec], proposals: list[ProposalSpec], erro
 
 def _check_names(agents: list[AgentSpec], identities: bool, errors: list[str]) -> None:
     # Attacker `a` owns the wallets a_w<k> and, when it fakes identities, claims a_fake<k>
-    # (AgentSpec.wallets and AgentSpec.fake_identity).  Names built on different attackers' ids
+    # (AgentSpec.wallets and AgentSpec.fake_ids).  Names built on different attackers' ids
     # never collide, so only an agent's own id can shadow one: as a wallet id, unless it is
     # an attacker's, and as a claimed identity when the scenario binds identities.
     attackers = {a.id: a for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
@@ -491,7 +497,7 @@ def _owner(attackers: dict[str, AgentSpec], name: str, suffix: str) -> str | Non
     """The attacker whose <id><suffix><k> name is name, or None."""
     owner, _, k = name.rpartition(suffix)
     attacker = attackers.get(owner)
-    return owner if attacker is not None and attacker.numbered(k) else None
+    return owner if attacker is not None and attacker.has_number(k) else None
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

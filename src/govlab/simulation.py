@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from decimal import Decimal
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -100,7 +101,7 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
         provider = SimulatedProvider(cfg.provider.false_accept_rate, provider_seed)
         registry = IdentityRegistry(cfg.mode)
         accepted = 0
-        by_reason: dict[str, int] = {}
+        by_reason: dict[RejectionReason, int] = {}
     for agent in scenario.agents:
         wallets = agent.wallets()
         if agent.votes():
@@ -112,21 +113,22 @@ def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> Simu
             balances[wallets[0]] = agent.balance
         if cfg is not None:  # each wallet is reviewed and bound in agent order, as it is funded
             fake = agent.fakes_identities()
-            own = None if fake else IdentityId(agent.id)  # one identity, built once, for all its wallets
-            for k, wallet in enumerate(wallets):
+            # Each wallet's claim: its own fake identity, or the agent's one identity, built once.
+            claims = agent.fake_ids() if fake else repeat(IdentityId(agent.id))
+            for wallet, claim in zip(wallets, claims):
                 if not provider.review(fake):
                     reason = RejectionReason.PROVIDER_REJECTED
                 else:
-                    outcome = registry.bind(own or agent.fake_identity(k), wallet)
+                    outcome = registry.bind(claim, wallet)
                     if outcome.accepted:
                         accepted += 1
                         continue
                     reason = outcome.reason
-                by_reason[reason.value] = by_reason.get(reason.value, 0) + 1
+                by_reason[reason] = by_reason.get(reason, 0) + 1
     if cfg is not None:
         identity = IdentityFilter(registry, cfg.policy)
         stats = {"bindings_accepted": accepted, "bindings_rejected": sum(by_reason.values()),
-                 "rejections_by_reason": dict(sorted(by_reason.items()))}
+                 "rejections_by_reason": dict(sorted((reason.value, n) for reason, n in by_reason.items()))}
 
     return SimulationSetup(tuple(voters), balances, identity, stats)
 

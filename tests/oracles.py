@@ -151,6 +151,29 @@ def ndjson_line_ref(index: int, prev_hash: str, payload: str, hash_: str) -> str
     return json.dumps(entry, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
+# The id rule in README.md: 1 to 64 characters, each an ASCII letter, digit, '_' or '-'.
+ID_RULE = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+
+def _numbered_ref(prefix: str, n: int) -> list[str]:
+    """prefix followed by k for k from 0 to n - 1, zero-padded to the digits of n - 1 (README.md)."""
+    width = len(str(n - 1))
+    return [prefix + str(k).rjust(width, "0") for k in range(n)]
+
+
+def wallets_ref(agent) -> list[str]:
+    """An agent's wallet ids by the README's naming rule: attacker a with n wallets owns a_w<k>,
+    every other agent the one wallet named by its id."""
+    if agent.kind.value != "sybil_attacker":
+        return [agent.id]
+    return _numbered_ref(agent.id + "_w", agent.n_wallets)
+
+
+def fake_identities_ref(agent) -> list[str]:
+    """The identities an attacker's wallets claim under fake_identities: wallet a_w<k> claims a_fake<k>."""
+    return _numbered_ref(agent.id + "_fake", agent.n_wallets)
+
+
 def run_with_counts(scenario):
     """run(scenario), and per proposal id the counted votes and their power unit ints as
     finalize returned them: the run itself keeps neither."""
@@ -175,7 +198,7 @@ def report_csv_ref(scenario, counted) -> str:
     """The per-agent CSV through the csv module, summed from each proposal's counted votes
     and the powers the tally gave them (run_with_counts), each amount written by Decimal
     formatting."""
-    owner = {wallet: agent.id for agent in scenario.agents for wallet in agent.wallets()}
+    owner = {wallet: agent.id for agent in scenario.agents for wallet in wallets_ref(agent)}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["proposal", "agent", "wallets_counted", "counted_tokens", "realized_power"])
@@ -346,7 +369,7 @@ def _profile_tally_ref(scenario, setup, proposal, choices):
     votes = {
         wallet: VoteRecord(choices[agent.id], setup.balances[wallet], window.start)
         for agent in scenario.agents if agent.votes()
-        for wallet in agent.wallets()
+        for wallet in wallets_ref(agent)
     }
     return count_votes(proposal, votes, setup.identity, scenario.supply, len(setup.balances), window.end)[1].outcome
 

@@ -31,7 +31,7 @@ from govlab.governance import Proposal, Window
 from govlab.identity import IdentityFilter, IdentityRegistry, RegistryMode, VotePolicy
 from govlab.mechanisms import ConvictionParams, Mechanism, QuorumBasis, QuorumConfig
 from govlab.scenario import load_preset, loads_scenario, preset_names
-from govlab.simulation import run
+from govlab.simulation import build_setup, run
 from oracles import canonical_json_ref, identity_record_ref
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -316,6 +316,17 @@ class TestIdentityMembers:
     def test_drawn_bindings(self, identity, supply):
         context = {"identity": identity}
         assert events.genesis(supply, {}, context) == canonical_json(_genesis_fields(supply, {}, context))
+
+    def test_genesis_encodes_without_the_canonical_walk(self):
+        """Its fields are typed values genesis built or checked, so they skip canonical_json; the
+        differentials above compare the text with canonical_json of the reference dict."""
+        scenario = _bench_scenario("sybil_identity")
+        setup = build_setup(scenario)
+        context = {"scenario": scenario.name, "identity": setup.identity}
+        with mock.patch.object(events, "canonical_json", side_effect=AssertionError("walked")) as walk:
+            text = events.genesis(scenario.supply, setup.balances, context)
+        assert not walk.called
+        assert text == canonical_json(_genesis_fields(scenario.supply, setup.balances, context))
 
     def test_an_empty_registry_and_a_null_identity(self):
         empty = IdentityFilter(IdentityRegistry(RegistryMode.STRICT_ONE_WALLET), VotePolicy.ADMIT_UNVERIFIED)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 from decimal import Decimal
 from types import SimpleNamespace
@@ -109,6 +110,19 @@ class TestLifecycle:
         assert proposal.phase is Phase.DISCUSSION
         engine.advance_to(5)
         assert proposal.phase is Phase.VOTING
+
+    def test_replace_builds_a_checked_draft_from_the_constructor_fields(self):
+        engine = _engine()
+        proposal = _proposal(options=("approve", "reject", "defer"))
+        engine.submit(proposal, 0)
+        changed = proposal._replace(options=("approve", "defer"))
+        assert changed.phase is Phase.DRAFT and proposal.phase is Phase.DISCUSSION
+        assert changed == _proposal(options=("approve", "defer"))
+        assert proposal._replace() == _proposal(options=("approve", "reject", "defer"))
+        with pytest.raises(GovernanceError, match="at least two options"):
+            proposal._replace(options=("approve",))
+        with pytest.raises(TypeError, match="phase"):
+            proposal._replace(phase=Phase.VOTING)
 
     def test_duplicate_submission_rejected(self):
         engine = _engine()
@@ -1079,6 +1093,14 @@ class TestReplay:
             replay(self._rechained(events))
         assert type(raised.value) is error and str(raised.value) == message
 
+    def test_a_bound_wallet_outside_genesis_balances_is_checked_as_it_is_bound(self):
+        """Replay binds a funded wallet's WalletId from the balances; any other is checked by bind."""
+        events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
+        events[0]["identity"]["registry"]["bindings"][0]["wallets"].append("bad id!")
+        with pytest.raises(GovlabError) as raised:
+            replay(self._rechained(events))
+        assert str(raised.value) == "WalletId must match [A-Za-z0-9_-]{1,64}: 'bad id!'"
+
     def test_a_non_object_event_names_its_index(self):
         events = [loads_canonical(e.payload) for e in self._recorded_run().ledger]
         events[3] = ["cast"]
@@ -1170,6 +1192,17 @@ class TestReadPathFastPaths:
         assert replay(entries).ledger.head_hash() == entries[-1].hash
         assert decodes["events"] == len(kinds) - kinds.count("cast")
         assert len(parsed) == len(set(parsed)) < kinds.count("cast")
+
+
+    def test_each_genesis_wallet_is_matched_once(self, id_matches):
+        """Its balance builds its WalletId, and its binding and its casts reuse it.  An honest agent's
+        id is also its identity's name, matched once more for its binding."""
+        entries = tuple(run(_sybil_scenario("generated")).ledger)
+        genesis = json.loads(entries[0].payload)
+        names = Counter(binding["identity"] for binding in genesis["identity"]["registry"]["bindings"])
+        id_matches.clear()
+        assert replay(entries).ledger.head_hash() == entries[-1].hash
+        assert {id_matches[wallet] - names[wallet] for wallet in genesis["balances"]} == {1}
 
 
 class TestPhaseEdgeSet:

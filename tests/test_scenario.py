@@ -13,12 +13,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from govlab.core import ProposalId
+from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, WalletId
 from govlab.scenario import (
     MAX_CASTS,
     MAX_WALLETS,
     QUOTED_CHARS,
     AgentKind,
+    AgentSpec,
     IdentityStrategy,
     Scenario,
     ScenarioValidationError,
@@ -29,6 +30,7 @@ from govlab.scenario import (
 )
 from govlab.mechanisms import Mechanism
 from govlab.simulation import build_setup
+from oracles import ID_RULE, fake_identities_ref, wallets_ref
 
 
 def _valid():
@@ -698,3 +700,74 @@ class TestPresets:
         assert isinstance(scenario.supply.units, int)
         if scenario.conviction is not None:
             assert isinstance(scenario.conviction.decay_rate, Decimal)
+
+
+def _hand_built(agent_id, n_wallets, kind=AgentKind.SYBIL_ATTACKER):
+    """An AgentSpec built without the parser, so none of its rules has run."""
+    return AgentSpec(
+        agent_id, kind, TokenAmount(max(n_wallets, 1)), ("approve",), None, n_wallets, IdentityStrategy.FAKE_IDENTITIES,
+    )
+
+
+class TestNumberedIds:
+    """An agent's wallets and fake identities against the README's naming rule (tests/oracles.py),
+    which builds each name on its own, without the package's once-per-agent check."""
+
+    @pytest.mark.parametrize("agent_id", ["a", "x" * 48])
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 1000, MAX_WALLETS])
+    def test_names_follow_the_naming_rule(self, agent_id, n):
+        agent = _hand_built(agent_id, n)
+        wallets, fakes = agent.wallets(), tuple(agent.fake_ids())
+        assert list(wallets) == wallets_ref(agent)
+        assert list(fakes) == fake_identities_ref(agent)
+        assert {type(w) for w in wallets} == {WalletId} and {type(i) for i in fakes} == {IdentityId}
+        assert all(ID_RULE.fullmatch(name) for name in (*wallets, *fakes))
+
+    def test_a_form_narrower_than_its_numbers_is_checked_at_its_longest_id(self):
+        assert list(WalletId.numbered("x" * 62 + "%01d", 11))[-1] == "x" * 62 + "10"
+        with pytest.raises(GovlabError, match="must match"):
+            WalletId.numbered("x" * 63 + "%01d", 11)  # x63_0 is 64 characters, x63_10 65
+        assert list(WalletId.numbered("bad id%d", 0)) == []
+
+    def test_an_agent_with_one_wallet_owns_its_id(self):
+        assert _hand_built("grace", 1, AgentKind.HONEST).wallets() == (WalletId("grace"),)
+
+    @pytest.mark.parametrize(
+        "agent_id, n",
+        [
+            ("a b", 2),  # a space
+            ("a b", 1000),
+            (" ab", 10),
+            ("ab%d", 10),  # a '%', which the %-form must keep literal
+            ("ab%", 3),
+            ("é", 2),
+            ("x" * 59, 11),  # x59_w00 is 63 characters, x59_fake00 66
+            ("x" * 61, 10),  # x61_w9 is 64 characters, x61_fake9 67
+            ("x" * 61, 11),  # x61_w00 is 65 characters
+            ("x" * 62, 100),
+        ],
+    )
+    def test_a_bad_hand_built_id_raises_as_the_rule_says(self, agent_id, n):
+        agent = _hand_built(agent_id, n)
+        for build, reference in ((agent.wallets, wallets_ref), (agent.fake_ids, fake_identities_ref)):
+            if all(ID_RULE.fullmatch(name) for name in reference(agent)):
+                assert list(build()) == reference(agent)
+            else:
+                with pytest.raises(GovlabError, match="must match"):
+                    build()
+
+    @pytest.mark.parametrize("agent_id", ["a b", "x" * 49, "x" * 65, ""])
+    def test_a_bad_id_of_an_agent_with_one_wallet_raises(self, agent_id):
+        agent = _hand_built(agent_id, 1, AgentKind.HONEST)
+        if ID_RULE.fullmatch(agent_id):  # 49 characters is a valid wallet id: the 48 cap is the parser's
+            assert agent.wallets() == (WalletId(agent_id),)
+        else:
+            with pytest.raises(GovlabError, match="must match"):
+                agent.wallets()
+
+    @pytest.mark.parametrize("agent_id", ["x" * 49, "a b"])
+    def test_the_parser_refuses_an_agent_id_that_is_49_characters_or_has_a_space(self, agent_id):
+        obj = _valid()
+        obj["agents"][0]["id"] = agent_id
+        with pytest.raises(GovlabError, match="48 chars"):
+            parse_scenario(obj)

@@ -19,13 +19,14 @@ from govlab.core import NANO, TokenAmount, VoteRecord, fmt_units, loads_canonica
 from govlab.governance import GovernanceEngine, Proposal, Window, replay
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
-from govlab.scenario import MAX_CASTS, MAX_WALLETS, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
+from govlab.scenario import MAX_CASTS, MAX_WALLETS, AgentKind, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
 from govlab.simulation import (
     SimulationError,
     compare_mechanisms,
     gini,
     min_controlling_set,
     proposal_entry,
+    build_setup,
     render_table,
     report_csv,
     run,
@@ -844,6 +845,35 @@ class TestEventSchedule:
         (metrics,) = result.report["proposals"]
         assert metrics["voters"] == 1
         assert "p1,late,0,0.000000000,0.000000000" in report_csv(result).splitlines()
+
+
+class TestSetupIdChecks:
+    """Setup checks ids once per agent, not once per wallet or claimed identity: an attacker's
+    numbered names differ only in their digits, so one match proves them all.  Counted, not timed."""
+
+    @staticmethod
+    def _attackers_doubled(scenario):
+        agents = tuple(
+            a._replace(n_wallets=2 * a.n_wallets) if a.kind is AgentKind.SYBIL_ATTACKER else a for a in scenario.agents
+        )
+        return scenario._replace(agents=agents)
+
+    def _matches(self, scenario, id_matches):
+        id_matches.clear()
+        setup = build_setup(scenario)
+        return sum(id_matches.values()), setup
+
+    def test_doubling_every_attackers_wallets_adds_no_id_match(self, id_matches):
+        scenario = parse_scenario(_bench_workloads().sybil_identity(1, scale=0.25))
+        doubled = self._attackers_doubled(scenario)
+        matches, setup = self._matches(scenario, id_matches)
+        doubled_matches, doubled_setup = self._matches(doubled, id_matches)
+        attackers = [a for a in scenario.agents if a.kind is AgentKind.SYBIL_ATTACKER]
+        assert len(doubled_setup.balances) - len(setup.balances) == sum(a.n_wallets for a in attackers)
+        assert doubled_setup.binding_stats["bindings_accepted"] > setup.binding_stats["bindings_accepted"]
+        assert doubled_matches == matches
+        # Own id as wallet and as identity for every agent, two per numbered run (first and last).
+        assert matches <= 2 * len(scenario.agents) + 4 * len(attackers)
 
 
 def _one_attacker(wallets):

@@ -30,10 +30,12 @@ def _error(message: str) -> None:
 
 
 def _parse_seed(value: str) -> int:
-    # Any other error type would make argparse name this function in its message.
+    # ASCII decimal digits only, as a scenario's seed is a JSON integer: int() also takes other
+    # scripts' digits, "_", a sign and surrounding whitespace.  Any other error type would make
+    # argparse name this function in its message.
     try:
         seed = int(value)
-        if 0 <= seed < 2**64:
+        if value.isascii() and value.isdigit() and seed < 2**64:
             return seed
     except ValueError:
         pass

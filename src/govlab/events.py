@@ -23,16 +23,16 @@ RFC 8785 (the JSON Canonicalization Scheme) differs in three places: it writes
 non-ASCII and DEL (0x7f) raw in UTF-8, it sorts keys by UTF-16 code unit, which
 orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
-Submit, phase and finalize are encoded by canonical_json.  A cast, the one
-event a run has thousands of, fills a template built once per proposal,
-option and tick, whose bytes equal canonical_json of the event's dict.
-Genesis, the one event with a member per wallet, writes its balances member
-directly in the same way.  Its other fields, the identity record among them,
-go to core's JSON encoder as one dict without canonical_json's walk: genesis
-builds them from typed values (the registry's validated ids, the policy's and
-mode's strings) and checks the two labels, so the walk would find nothing to
-refuse.  canonical_json stays the reference that the tests compare each
-encoder's text with.
+A cast, the one event a run has thousands of, fills a template built once per
+proposal, option and tick, whose bytes equal canonical_json of the event's
+dict.  Genesis, the one event with a member per wallet, writes its balances
+member directly in the same way.  Every other field of every event, genesis's
+identity record among them, goes to core's JSON encoder as one dict without
+canonical_json's walk: each is a str, an int, None, or a list or dict of them
+that the engine built from typed values (validated ids, checked option
+labels, enum values, str() of amounts and decimals) or that genesis checks,
+so the walk would find nothing to refuse.  canonical_json stays the
+reference that the tests compare each encoder's text with.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -57,7 +57,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .core import _ENCODER, NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, canonical_json, fmt_units, loads_canonical
+from .core import _ENCODER, NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, fmt_units, loads_canonical
 from .identity import IdentityFilter, RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
@@ -106,7 +106,7 @@ def _identity(identity: IdentityFilter | None) -> dict | None:
 
 def submit(proposal, tick: int) -> str:
     quorum, conviction = proposal.quorum, proposal.conviction
-    return canonical_json({
+    return _ENCODER.encode({
         "event": "submit",
         "proposal": str(proposal.id),
         "options": list(proposal.options),
@@ -121,8 +121,7 @@ def submit(proposal, tick: int) -> str:
 
 def phase(proposal: ProposalId, tick: int) -> str:
     """The one phase change the engine records: discussion to voting."""
-    event = {"event": "phase", "proposal": str(proposal), "from": "discussion", "to": "voting", "tick": tick}
-    return canonical_json(event)
+    return _ENCODER.encode({"event": "phase", "proposal": str(proposal), "from": "discussion", "to": "voting", "tick": tick})
 
 
 def cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int, str], str]:
@@ -140,7 +139,7 @@ def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick
     if report is not None:
         event["dropped_unverified"] = [str(w) for w in report.dropped_unverified]
         event["equivocating_identities"] = [str(i) for i in report.equivocating_identities]
-    return canonical_json(event)
+    return _ENCODER.encode(event)
 
 
 # A field's spec: a JSON type; a frozenset of the strings allowed; a pattern the

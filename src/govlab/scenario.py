@@ -1,10 +1,14 @@
 """Scenario files: the JSON schema driving a simulation run (schema_version 1).
 
 One table per JSON object lists its fields, each with its parser and, when
-the field is optional, its default.  _walk checks an object's keys against its
-table, so an unknown key at any depth is an error that names its path, and
-parses each field, reporting every bad one.  The rules that relate fields run
-after the walk, on the objects whose fields all parsed.  Decimal quantities may
+the field is optional, its default.  _walk iterates over the keys an object
+holds, not over its table: each is looked up in the table, so an unknown key at
+any depth is an error that names its path, and each known one is parsed, every
+bad one reported.  An absent optional field keeps the default the walk starts
+from, and an absent required one is parsed as null, which is its error.  The
+errors come out in the table's order all the same.  A list of agents or
+proposals builds each record through its slots.  The rules that relate fields
+run after the walk, on the objects whose fields all parsed.  Decimal quantities may
 be written as strings ("10.500000000") or JSON numbers; number literals are
 parsed as exact decimals, never binary floats.
 """
@@ -20,7 +24,7 @@ from importlib import resources
 from itertools import islice
 from typing import Any, Iterator
 
-from .core import _ID_RE, JSON_FAULTS, NANO, GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
+from .core import _ID_RE, _NINE_DIGITS, JSON_FAULTS, MAX_UNITS, NANO, GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
 from .governance import Window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, config_error
 from .identity import RegistryMode, VotePolicy
@@ -164,7 +168,15 @@ def _units(value: Any) -> int:
     return parse_units(value)
 
 
+# An amount in parse_units' own fast form is built here without TokenAmount's checks, which it passes.
+_set_units = TokenAmount.units.__set__
+
+
 def _tokens(value: Any) -> TokenAmount:
+    if type(value) is str and _NINE_DIGITS.fullmatch(value) and (units := int(value.replace(".", ""))) <= MAX_UNITS:
+        amount = object.__new__(TokenAmount)
+        _set_units(amount, units)
+        return amount
     return TokenAmount(_units(value))
 
 
@@ -206,70 +218,19 @@ def _window(value: Any) -> Window:
 def _labels(what: str, least: int):
     def parse(value: Any) -> tuple[str, ...]:
         labels = [value] if isinstance(value, str) else value  # a bare label is a list of one
-        if (
-            type(labels) is list
-            and len(labels) >= least
-            and all(isinstance(label, str) and label for label in labels)
-            and len(set(labels)) == len(labels)
-        ):
-            return tuple(labels)
+        if type(labels) is list and len(labels) >= least:
+            try:
+                nonempty = all(map(str.__len__, labels))  # every label a str, none of them empty
+            except TypeError:  # a label that is not a str
+                nonempty = False
+            if nonempty and len(set(labels)) == len(labels):
+                return tuple(labels)
         raise _must(what, value)
     return parse
 
 
-_FAILED = object()  # what a nested object whose errors are already reported parses to
-
-
-class _Object:
-    """A field holding a JSON object: the table of its fields and the record they build."""
-
-    def __init__(self, record: type, table: dict):
-        self.record = record
-        self.table = table
-
-    def read(self, value: Any, path: str, errors: list[str]) -> Any:
-        if not isinstance(value, dict):
-            raise _must("an object", value)
-        before = len(errors)
-        fields = _walk(value, self.table, path, ".", errors)
-        return self.record(**fields) if len(errors) == before else _FAILED
-
-
-class _Records(_Object):
-    """A field holding a nonempty list of objects with distinct ids.  Errors name
-    an item by its id when named(id) holds, else by its index."""
-
-    def __init__(self, record: type, table: dict, noun: str, named):
-        super().__init__(record, table)
-        self.noun = noun
-        self.named = named
-
-    def read(self, value: Any, path: str, errors: list[str]) -> list:
-        if type(value) is not list or not value:
-            raise _Invalid(" must be a nonempty list")
-        records, seen = [], set()
-        for i, item in enumerate(value):
-            if not isinstance(item, dict):
-                errors.append(f"{self.noun} #{i}: expected an object, got {_quote(item)}")
-                continue
-            # The walk names the item by its noun alone; an item's label is built only for its errors.
-            before = len(errors)
-            fields = _walk(item, self.table, self.noun, ": ", errors)
-            if len(errors) > before:
-                where = self._label(item, i)
-                errors[before:] = [where + e[len(self.noun):] for e in errors[before:]]
-            elif fields["id"] in seen:
-                errors.append(f"{self._label(item, i)}: duplicate id")
-            else:
-                seen.add(fields["id"])
-                records.append(self.record(**fields))
-        return records
-
-    def _label(self, item: dict, i: int) -> str:
-        return f"{self.noun} {_quote(item['id'])}" if self.named(item.get("id")) else f"{self.noun} #{i}"
-
-
 _REQUIRED = object()
+_FAILED = object()  # a field's value when it did not parse, or a required field's before it is read
 
 
 def _req(parse) -> tuple:
@@ -286,34 +247,121 @@ def _null(parse, default: Any = None) -> tuple:
     return parse, default, True
 
 
-def _walk(obj: dict, table: dict, where: str, sep: str, errors: list[str]) -> dict:
+class _Table:
+    """An object's fields in order, each built by _req, _opt or _null, laid out once for _walk."""
+
+    def __init__(self, fields: dict):
+        self.keys = tuple(fields)
+        # By key: the field's position, its parser, whether null sets its default, and whether it is an object.
+        self.fields = {
+            key: (pos, parse, nullable, isinstance(parse, _Object))
+            for pos, (key, (parse, _, nullable)) in enumerate(fields.items())
+        }
+        self.defaults = [_FAILED if default is _REQUIRED else default for _, default, _ in fields.values()]
+        self.required = frozenset(key for key, (_, default, _) in fields.items() if default is _REQUIRED)
+
+
+class _Object:
+    """A field holding a JSON object: the table of its fields and the record they build, in the
+    order of its constructor's parameters."""
+
+    def __init__(self, record: type, fields: dict):
+        assert tuple(fields) == record.__slots__, record
+        self.record = record
+        self.table = _Table(fields)
+
+    def read(self, value: Any, path: str, errors: list[str]) -> Any:
+        if not isinstance(value, dict):
+            raise _must("an object", value)
+        before = len(errors)
+        values = _walk(value, self.table, path, ".", errors)
+        return self.record(*values) if len(errors) == before else _FAILED
+
+
+class _Records(_Object):
+    """A field holding a nonempty list of objects with distinct ids.  Errors name
+    an item by its id when named(id) holds, else by its index.  A record is built
+    through its slots, which its table lists in order, id first."""
+
+    def __init__(self, record: type, fields: dict, noun: str, named):
+        super().__init__(record, fields)
+        assert self.table.keys[0] == "id"
+        self.noun = noun
+        self.named = named
+        self.setters = tuple(getattr(record, name).__set__ for name in record.__slots__)
+
+    def read(self, value: Any, path: str, errors: list[str]) -> list:
+        if type(value) is not list or not value:
+            raise _Invalid(" must be a nonempty list")
+        records, seen = [], set()
+        cls, table, noun, setters = self.record, self.table, self.noun, self.setters
+        for i, item in enumerate(value):
+            if not isinstance(item, dict):
+                errors.append(f"{noun} #{i}: expected an object, got {_quote(item)}")
+                continue
+            # The walk names the item by its noun alone; an item's label is built only for its errors.
+            before = len(errors)
+            values = _walk(item, table, noun, ": ", errors)
+            if len(errors) > before:
+                where = self._label(item, i)
+                errors[before:] = [where + e[len(noun):] for e in errors[before:]]
+            elif values[0] in seen:
+                errors.append(f"{self._label(item, i)}: duplicate id")
+            else:
+                seen.add(values[0])
+                record = object.__new__(cls)
+                for set_slot, field in zip(setters, values):
+                    set_slot(record, field)
+                records.append(record)
+        return records
+
+    def _label(self, item: dict, i: int) -> str:
+        return f"{self.noun} {_quote(item['id'])}" if self.named(item.get("id")) else f"{self.noun} #{i}"
+
+
+def _walk(obj: dict, table: _Table, where: str, sep: str, errors: list[str]) -> list:
     """Parse obj's fields by table, appending one error per unknown key or bad field.
 
     where names obj in errors ("" at the top level), and a field's path is
-    where + sep + key.  Returns the fields that parsed, by name.
+    where + sep + key.  Only the keys obj holds are visited: an absent optional
+    field keeps its default, and an absent required one is read as null, which
+    its parser refuses.  The errors come out in the table's order, after the
+    unknown keys, sorted.  Returns the field values in table order, _FAILED
+    for each field that did not parse.
     """
-    if not obj.keys() <= table.keys():
-        for key in sorted(obj.keys() - table.keys()):
-            errors.append(f"{where}: unknown field {_quote(key)}" if where else f"unknown top-level field {_quote(key)}")
-    fields = {}
-    for key, (parse, default, nullable) in table.items():
-        value = obj.get(key)
-        if (value is None and nullable) or (default is not _REQUIRED and key not in obj):
-            fields[key] = default
+    values = table.defaults.copy()
+    fields = table.fields
+    unknown, faults = [], {}  # the unknown keys, and by field position the field's errors
+    pairs = obj.items()
+    if not obj.keys() >= table.required:
+        pairs = [*pairs, *[(key, None) for key in table.keys if key in table.required and key not in obj]]
+    for key, value in pairs:
+        if (field := fields.get(key)) is None:
+            unknown.append(key)
+            continue
+        pos, parse, nullable, nested = field
+        if value is None and nullable:
             continue
         try:
-            if isinstance(parse, _Object):
-                value = parse.read(value, f"{where}{sep}{key}", errors)
+            if nested:
+                value = parse.read(value, f"{where}{sep}{key}", inner := [])
+                if inner:
+                    faults[pos] = inner
             else:
                 value = parse(value)
         except _Invalid as exc:
-            errors.append(f"{where}{sep}{key}{exc}")
+            faults[pos] = [f"{where}{sep}{key}{exc}"]
+            value = _FAILED
         except GovlabError as exc:
-            errors.append(f"{where}{sep}{key}: {_clip(str(exc))}")
-        else:
-            if value is not _FAILED:
-                fields[key] = value
-    return fields
+            faults[pos] = [f"{where}{sep}{key}: {_clip(str(exc))}"]
+            value = _FAILED
+        values[pos] = value
+    if unknown or faults:
+        for key in sorted(unknown):
+            errors.append(f"{where}: unknown field {_quote(key)}" if where else f"unknown top-level field {_quote(key)}")
+        for pos in sorted(faults):
+            errors += faults[pos]
+    return values
 
 
 _U64 = _int("a u64", 0, 2**64 - 1)
@@ -336,7 +384,7 @@ _AGENT = {
     "n_wallets": _opt(_int("a positive integer", 1), 1),
     "identity_strategy": _opt(_enum(IdentityStrategy, "an identity strategy"), IdentityStrategy.ONE_IDENTITY),
 }
-_SCENARIO = {
+_SCENARIO = _Table({
     "schema_version": _req(_int(str(SCHEMA_VERSION), SCHEMA_VERSION, SCHEMA_VERSION)),
     "name": _req(_id(re.compile(".+", re.DOTALL), "a nonempty string")),
     "seed": _opt(_U64, 0),
@@ -359,7 +407,7 @@ _SCENARIO = {
     "proposals": _req(_Records(ProposalSpec, _PROPOSAL, "proposal", lambda i: isinstance(i, str) and _ID_RE.fullmatch(i))),
     # An agent is named by any nonempty string id, so the error for a bad id shows it.
     "agents": _req(_Records(AgentSpec, _AGENT, "agent", lambda i: isinstance(i, str) and i != "")),
-}
+})
 
 
 def parse_scenario(obj: Any) -> Scenario:
@@ -367,9 +415,10 @@ def parse_scenario(obj: Any) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioValidationError(["scenario must be a JSON object"])
     errors: list[str] = []
-    fields = _walk(obj, _SCENARIO, "", "", errors)
+    values = _walk(obj, _SCENARIO, "", "", errors)
+    fields = {key: value for key, value in zip(_SCENARIO.keys, values) if value is not _FAILED}
     # The rules on top-level fields run only when all of them parsed.
-    complete = len(fields) == len(_SCENARIO)
+    complete = len(fields) == len(_SCENARIO.keys)
 
     proposals = []
     for p in fields.get("proposals", ()):
@@ -451,11 +500,14 @@ def _check_ballots(agents: list[AgentSpec], proposals: list[ProposalSpec], error
                     for p in islice(missing, listed)
                 ]
             unlisted += lacking - listed
+        # An agent without cast_at casts at each window's start, which a window holds: Window refuses an empty one.
+        if a.cast_at is None:
+            continue
         for p in proposals:
-            if p.voting_window.contains(tick := a.cast_tick(p)):
+            if p.voting_window.contains(a.cast_at):
                 continue
             if len(errors) < MAX_ERRORS:
-                errors.append(f"agent {a.id!r}: cast tick {_quote(tick)} outside voting window of proposal {p.id!r}")
+                errors.append(f"agent {a.id!r}: cast tick {_quote(a.cast_at)} outside voting window of proposal {p.id!r}")
             else:
                 unlisted += 1
     return unlisted
@@ -485,6 +537,8 @@ def _check_names(agents: list[AgentSpec], identities: bool, errors: list[str]) -
     # never collide, so only an agent's own id can shadow one: as a wallet id, unless it is
     # an attacker's, and as a claimed identity when the scenario binds identities.
     attackers = {a.id: a for a in agents if a.kind is AgentKind.SYBIL_ATTACKER}
+    if not attackers:  # no name is built on any agent's id
+        return
     fakers = {a.id: a for a in attackers.values() if a.fakes_identities()} if identities else {}
     for agent in agents:
         if agent.kind is not AgentKind.SYBIL_ATTACKER and (owner := _owner(attackers, agent.id, _WALLET)):

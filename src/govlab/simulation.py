@@ -327,11 +327,20 @@ def report_csv_lines(result: RunResult) -> Iterator[str]:
     no field ever needs CSV quoting, since a run validates every id as [A-Za-z0-9_-]
     (a wallet or proposal id) and every amount is digits and a point."""
     yield "proposal,agent,wallets_counted,counted_tokens,realized_power\n"
+    # A token or quadratic agent commits the same tokens and gets the same power on every proposal,
+    # and every agent without a counted vote has the zero row, so each distinct row's tail is formatted
+    # once.  The memo holds at most one tail more than there are agents: past that it starts over.
+    agents, tails = result.scenario.agents, {}
     for spec in result.scenario.proposals:
         by_agent = result.by_agent[spec.id]
-        for agent in result.scenario.agents:
-            wallets, tokens, realized = by_agent.get(agent.id, (0, 0, 0))
-            yield f"{spec.id},{agent.id},{wallets},{fmt_units(tokens)},{fmt_units(realized)}\n"
+        for agent in agents:
+            row = by_agent.get(agent.id, (0, 0, 0))
+            if (tail := tails.get(row)) is None:
+                if len(tails) > len(agents):
+                    tails.clear()
+                wallets, tokens, realized = row
+                tail = tails[row] = f"{wallets},{fmt_units(tokens)},{fmt_units(realized)}\n"
+            yield f"{spec.id},{agent.id},{tail}"
 
 
 def report_csv(result: RunResult) -> str:

@@ -355,7 +355,7 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_seed_override_accepts_u64_only(self, scenario_path, tmp_path, capsys):
-        for seed in ("-1", "abc", "1.5", "", str(2**64)):
+        for seed in ("-1", "abc", "1.5", "", str(2**64), "\u0665", "\uff10", "1_0", " 7", "7 ", "+7"):
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "r.json"), "--seed", seed])
             err = capsys.readouterr().err

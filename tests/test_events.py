@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab import events
+from govlab import core, events
 from govlab.core import (
     MAX_UNITS,
     GovernanceError,
@@ -323,7 +323,7 @@ class TestIdentityMembers:
         scenario = _bench_scenario("sybil_identity")
         setup = build_setup(scenario)
         context = {"scenario": scenario.name, "identity": setup.identity}
-        with mock.patch.object(events, "canonical_json", side_effect=AssertionError("walked")) as walk:
+        with mock.patch.object(core, "_canonical_value", side_effect=AssertionError("walked")) as walk:
             text = events.genesis(scenario.supply, setup.balances, context)
         assert not walk.called
         assert text == canonical_json(_genesis_fields(scenario.supply, setup.balances, context))
@@ -348,6 +348,46 @@ class TestIdentityMembers:
         assert text == canonical_json(_finalize_fields(*args))
         if not dropped and not equivocating:
             assert text.startswith('{"dropped_unverified":[],"equivocating_identities":[],"event":"finalize",')
+
+
+class TestEncodersSkipTheWalk:
+    """Submit, phase and finalize, like genesis, hand their dict to the encoder without
+    canonical_json's walk; canonical_json of the same fields is the oracle of their text."""
+
+    @staticmethod
+    def _unwalked(encode, *args):
+        with mock.patch.object(core, "_canonical_value", side_effect=AssertionError("walked")) as walk:
+            text = encode(*args)
+        assert not walk.called
+        return text
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_submit_encodes_without_the_canonical_walk(self, gated):
+        proposal = Proposal(
+            id=ProposalId("p-1"), options=("fund", 'say "no"', "\u00e9t\u00e9"), discussion_window=Window(0, 3),
+            voting_window=Window(3, 9), mechanism=Mechanism.CONVICTION if gated else Mechanism.TOKEN,
+            quorum=QuorumConfig(QuorumBasis.WALLET_COUNT_FRACTION, Decimal("0.0000005")) if gated else None,
+            conviction=ConvictionParams(Decimal("0.3")) if gated else None,
+        )
+        text = self._unwalked(events.submit, proposal, 2)
+        assert text == canonical_json({
+            "event": "submit", "proposal": "p-1", "options": list(proposal.options), "discussion_window": [0, 3],
+            "voting_window": [3, 9], "mechanism": proposal.mechanism.value,
+            "quorum": {"basis": "wallet_count_fraction", "threshold": "5.00E-7"} if gated else None,
+            "conviction": {"decay_rate": "0.300000000"} if gated else None, "tick": 2,
+        })
+
+    def test_phase_encodes_without_the_canonical_walk(self):
+        text = self._unwalked(events.phase, ProposalId("p-1"), 3)
+        assert text == canonical_json({"event": "phase", "proposal": "p-1", "from": "discussion", "to": "voting", "tick": 3})
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_finalize_encodes_without_the_canonical_walk(self, filtered):
+        powers = {"fund": VotingPower(7), 'say "no"': VotingPower(7)}
+        result = TallyResult(powers, TokenAmount(14), TallyOutcome.tie(powers), (VotingPower(7), VotingPower(7)))
+        report = SimpleNamespace(dropped_unverified=(WalletId("w1"),), equivocating_identities=(IdentityId("i2"),))
+        args = (ProposalId("p-1"), "rejected", result, 9, report if filtered else None)
+        assert self._unwalked(events.finalize, *args) == canonical_json(_finalize_fields(*args))
 
 
 def _decode_ref(k, text):

@@ -49,26 +49,31 @@ def _paths(value, path=()):
             yield from _paths(child, (*path, key))
 
 
-@st.composite
-def scenario_mutants(draw):
-    """A preset's JSON text after one to three deletions or value replacements."""
-    obj = json.loads(json.dumps(PRESETS[draw(st.sampled_from(sorted(PRESETS)))]))
+def mutant(pick) -> str:
+    """A preset's JSON text after one to three deletions or value replacements, each choice made by
+    pick(options), which returns one item of a sequence."""
+    obj = json.loads(json.dumps(PRESETS[pick(sorted(PRESETS))]))
     literals = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(pick(range(1, 4))):
         paths = list(_paths(obj))
         if not paths:
             break
-        path, key = draw(st.sampled_from(paths))
+        path, key = pick(paths)
         parent = functools.reduce(lambda node, k: node[k], path, obj)
-        if draw(st.booleans()):
+        if pick((False, True)):
             del parent[key]
         else:
             parent[key] = f"<hostile {len(literals)}>"
-            literals.append(draw(st.sampled_from(HOSTILE)))
+            literals.append(pick(HOSTILE))
     text = json.dumps(obj)
     for k, literal in enumerate(literals):
         text = text.replace(f'"<hostile {k}>"', literal)
     return text
+
+
+@st.composite
+def scenario_mutants(draw):
+    return mutant(lambda options: draw(st.sampled_from(options)))
 
 
 @given(scenario_mutants())

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "govlab"
 # __init__ imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SOURCES = sorted(p for folder in (SRC, ROOT / "tests", ROOT / "benchmarks") for p in folder.rglob("*.py"))
+SOURCES = sorted(p for folder in (SRC, ROOT / "tests", ROOT / "benchmarks", ROOT / "tools") for p in folder.rglob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set[str]:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govlab import core
 from govlab import simulation as simulation_module
-from govlab.core import NANO, TokenAmount, VoteRecord, fmt_units, loads_canonical, parse_units
+from govlab.core import NANO, TokenAmount, VoteRecord, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import GovernanceEngine, Proposal, Window, replay
 from govlab.ledger import LedgerError
 from govlab.mechanisms import Mechanism, config_error
@@ -311,6 +312,29 @@ class TestReportCsv:
         text = report_csv(result)
         assert text == report_csv_ref(scenario, counted)
         assert len(text.splitlines()) == 1 + len(ids)
+
+
+    def test_rows_that_differ_on_every_proposal_match_the_csv_module(self):
+        """Conviction power grows with the ticks a vote is held, so windows of three lengths give
+        each agent three rows: more distinct rows than the row memo keeps, so it starts over."""
+        scenario = parse_scenario({
+            "schema_version": 1, "name": "csv", "ticks": 40, "supply": "100", "mechanism": "conviction",
+            "conviction": {"decay_rate": "0.5"},
+            "proposals": [
+                {"id": f"p{k}", "options": ["yes", "no"], "discussion_window": [start, start + 1], "voting_window": [start + 1, end]}
+                for k, (start, end) in enumerate([(0, 4), (4, 15), (15, 40)])
+            ],
+            "agents": [
+                {"id": "a", "kind": "honest", "balance": "10", "preference": "yes"},
+                {"id": "b", "kind": "whale", "balance": "30", "preference": "no"},
+                {"id": "c", "kind": "honest", "balance": "2.5", "preference": "yes"},
+                {"id": "d", "kind": "abstainer", "balance": "1"},
+            ],
+        })
+        result, counted = run_with_counts(scenario)
+        rows = report_csv(result).splitlines()[1:]
+        assert len({row.split(",", 2)[2] for row in rows}) == 10  # 3 x 3 voting rows and the zero row
+        assert report_csv(result) == report_csv_ref(scenario, counted)
 
 
 class TestIdentityPresetRun:
@@ -767,6 +791,21 @@ class TestCastCapWorstCase:
         """The most proposals per wallet: every event but a cast, and each proposal opens once."""
         kinds = self._event_kinds(_cast_shape(0, 0, proposals, abstainers=1))
         assert kinds == {"genesis": 1, "submit": proposals, "phase": proposals, "finalize": proposals}
+
+    def test_one_abstainer_on_many_proposals_walks_only_the_report(self, monkeypatch):
+        """No event of a run goes through canonical_json's walk: it is entered as often in the
+        whole run as in encoding its report alone."""
+        walk, entered = core._canonical_value, Counter()
+
+        def counting(value):
+            entered["calls"] += 1
+            return walk(value)
+
+        monkeypatch.setattr(core, "_canonical_value", counting)
+        result = run(_cast_shape(0, 0, 2_000, abstainers=1), ledger_sink=lambda entry: None)
+        in_run, entered["calls"] = entered["calls"], 0
+        canonical_json(result.report)
+        assert in_run == entered["calls"] > 2_000
 
     def test_advance_to_work_grows_linearly_with_proposals(self):
         """advance_to runs on every submit, cast batch, finalize and tick, so a scan of every

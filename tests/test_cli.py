@@ -1,18 +1,23 @@
 """CLI behavior: exit codes, stdout/stderr separation, and file outputs."""
 
+import ast
 import gc
 import importlib.resources as resources
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from govlab.cli import EXIT_LEDGER_BROKEN, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from govlab.cli import COMMANDS, EXIT_LEDGER_BROKEN, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _parse_plain, build_parser, main
 from govlab.core import GovlabError, loads_canonical
 from govlab.governance import GovernanceEngine
 from govlab.ledger import read_ndjson, verify_chain
@@ -20,7 +25,8 @@ from govlab.scenario import MAX_ERRORS, ScenarioValidationError, load_preset, lo
 from govlab.simulation import report_csv_lines, run
 
 HEX = set("0123456789abcdef")
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PATH = ROOT / "benchmarks" / "workloads.py"
 
 
 @pytest.fixture()
@@ -734,3 +740,87 @@ class TestProcessLevel:
         assert b"\x1b[" not in shown
         lines = shown.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+VALUES = ["P", "", "-", "-1", "--x", "\u0663", "7", "18446744073709551616"]
+STRAYS = ["-h", "--help", "--", *VALUES, *sorted({flag for _, flags in COMMANDS.values() for flag in flags})]
+
+
+@st.composite
+def edited_argvs(draw):
+    """A command (or "bogus") with some of its flags, each exact and followed by a value, then up
+    to two edits: a token abbreviated, a flag attached to its value (--flag=v), a flag and value
+    repeated, a token dropped or a stray token inserted."""
+    command = draw(st.sampled_from(["run", "compare", "verify", "bogus"]))
+    flags = COMMANDS.get(command, COMMANDS["run"])[1]
+    argv = [command]
+    for flag in draw(st.permutations(list(flags))):
+        if flags[flag][0] or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(["P", "7"] * 4 + VALUES))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(argv) - 1))
+        edit = draw(st.sampled_from(["abbreviate", "attach", "repeat", "drop", "insert"]))
+        if edit == "abbreviate":
+            argv[at] = argv[at][:5]
+        elif edit == "attach":
+            argv[at:at + 2] = ["=".join(argv[at:at + 2])]
+        elif edit == "repeat":
+            argv += argv[at:at + 2]
+        elif edit == "drop":
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(STRAYS)))
+    return argv
+
+
+def _benchmark_argvs():
+    """Each argv that benchmarks/cold_start.py and benchmarks/run.py pass to main, a non-literal element read as "P"."""
+    for name in ("cold_start.py", "run.py"):
+        for node in ast.walk(ast.parse((ROOT / "benchmarks" / name).read_text("utf-8"))):
+            if isinstance(node, ast.List) and node.elts and getattr(node.elts[0], "value", None) in COMMANDS:
+                yield [element.value if isinstance(element, ast.Constant) else "P" for element in node.elts]
+
+
+def _console_step_argvs():
+    """The arguments of each govlab call in CI's console-script step, shell variables left as written."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    step = workflow[workflow.index("- name: Console script"):]
+    script = step[step.index("run: |"):step.index("\n      - name:")]
+    for call in re.findall(r"(?:^\s*|\$\()govlab (.*?)(?:\)|\s+2?>|\s*\|\||$)", script, re.MULTILINE):
+        yield shlex.split(call)
+
+
+class TestArgvParsing:
+    """main parses the argv every caller uses against COMMANDS; argparse parses the rest."""
+
+    @settings(max_examples=500)
+    @given(edited_argvs())
+    def test_the_table_parses_as_argparse_does(self, argv):
+        args = _parse_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_the_benchmark_argvs_take_the_table_path(self):
+        argvs = list(_benchmark_argvs())
+        assert [argv[0] for argv in argvs] == ["run", "run", "verify"]
+        assert all(_parse_plain(argv) is not None for argv in argvs), argvs
+
+    def test_the_console_step_argvs_take_the_table_path_but_two(self):
+        """CI's `govlab --help` and `govlab verify --led` are there to exercise argparse through the entry point."""
+        argvs = list(_console_step_argvs())
+        via_argparse = [argv for argv in argvs if _parse_plain(argv) is None]
+        assert len(argvs) > 15
+        assert via_argparse == [["--help"], ["verify", "--led", "$ledger"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--scen", "S", "--out", "R"], ["run", "--scenario=S", "--out", "R"], ["verify", "--ledger", "K", "--ledger", "L"]],
+    )
+    def test_argparse_values_reach_the_command(self, argv, monkeypatch):
+        """An abbreviated, attached or repeated flag gives the command the values argparse parsed."""
+        seen = []
+        monkeypatch.setattr("govlab.cli.cmd_run", lambda args: seen.append(vars(args)) or EXIT_OK)
+        monkeypatch.setattr("govlab.cli.cmd_verify", lambda args: seen.append(vars(args)) or EXIT_OK)
+        assert _parse_plain(argv) is None
+        assert main(argv) == EXIT_OK
+        assert seen == [vars(build_parser().parse_args(argv))]

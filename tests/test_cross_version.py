@@ -3,7 +3,8 @@
 tests/cross_version.py runs the scenarios and compares each output with the
 pins in tests/test_golden.py.  Each interpreter of INTERPRETERS found on PATH
 that starts and reports its own version runs it; an absent one is skipped.
-The presets run by default, and the seed-1 benchmark workloads under `slow`.
+The presets and the CLI's argv corpus run by default, and the seed-1
+benchmark workloads under `slow`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def _check(name: str, suite: str, hash_seed: str) -> None:
 @pytest.mark.parametrize("name", INTERPRETERS)
 def test_presets_give_their_pinned_bytes(name, hash_seed):
     _check(name, "presets", hash_seed)
+
+
+@pytest.mark.parametrize("name", INTERPRETERS)
+def test_the_cli_table_parses_as_argparse_does(name):
+    _check(name, "cli", HASH_SEEDS[0])
 
 
 @pytest.mark.slow

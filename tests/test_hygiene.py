@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every imported name is used,
 every name the package defines has a caller outside the tests, importing the
-CLI loads no code-generation module, and every source file parses under the
-oldest Python grammar the package supports."""
+CLI loads no code-generation module, a command loads neither OpenSSL nor
+argparse, and every source file parses under the oldest Python grammar the
+package supports."""
 
 import ast
 import importlib.util
@@ -137,6 +138,42 @@ def test_commands_load_no_openssl(tmp_path):
     loaded = set(out.split())
     assert "govlab.ledger" in loaded
     assert not loaded & {"_hashlib", "hashlib", "_ssl"}, sorted(loaded & {"_hashlib", "hashlib", "_ssl"})
+
+
+def test_commands_load_no_argparse(tmp_path):
+    """argparse, with the gettext and locale modules it loads, and its first parser cost every
+    command several milliseconds of start-up, so main parses the argv every caller uses from
+    cli.COMMANDS.  Importing the CLI, then `govlab run --csv` and `govlab verify` on a preset,
+    loads none of them.  An abbreviated flag still runs, through argparse, and --help exits 0
+    with argparse's help."""
+    report = tmp_path / "report.json"
+    preset = ROOT / "src" / "govlab" / "presets" / "nonprofit_grant_vote.json"
+    run = ["run", "--scenario", str(preset), "--out", str(report), "--csv", str(tmp_path / "a.csv")]
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import govlab.cli\n"
+        f"assert govlab.cli.main({run!r}) == 0\n"
+        f"assert govlab.cli.main(['verify', '--ledger', {str(report) + '.ledger.jsonl'!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "govlab.ledger" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}, sorted(loaded & {"argparse", "gettext", "locale"})
+    abbreviated = ["run", "--scen", str(preset), "--out", str(report)]
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import govlab.cli\n"
+        f"assert govlab.cli.main({abbreviated!r}) == 0\n"
+        "assert 'argparse' in sys.modules\n"
+        "govlab.cli.main(['--help'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    head, usage = proc.stdout.splitlines()[:2]  # the run's head hash, then the help
+    assert len(head) == 64 and usage.startswith("usage: govlab [-h] {run,compare,verify}"), proc.stdout
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])

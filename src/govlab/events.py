@@ -23,16 +23,20 @@ RFC 8785 (the JSON Canonicalization Scheme) differs in three places: it writes
 non-ASCII and DEL (0x7f) raw in UTF-8, it sorts keys by UTF-16 code unit, which
 orders characters past U+FFFF differently, and its numbers are IEEE doubles.
 
-A cast, the one event a run has thousands of, fills a template built once per
-proposal, option and tick, whose bytes equal canonical_json of the event's
-dict.  Genesis, the one event with a member per wallet, writes its balances
-member directly in the same way.  Every other field of every event, genesis's
-identity record among them, goes to core's JSON encoder as one dict without
-canonical_json's walk: each is a str, an int, None, or a list or dict of them
-that the engine built from typed values (validated ids, checked option
-labels, enum values, str() of amounts and decimals) or that genesis checks,
-so the walk would find nothing to refuse.  canonical_json stays the
-reference that the tests compare each encoder's text with.
+A cast, the one event a run has thousands of, fills a template whose bytes
+equal canonical_json of the event's dict.  The engine builds a proposal's
+template for an option at the first ballot for it and keeps it as long as the
+proposal's vote book, dropping it at finalize; each tick with casts for the
+option makes its line from it with one f-string, so a cast on a tick of its
+own does not escape the option again.  Genesis, the one event with a member
+per wallet, writes its balances member directly in the same way.  Every other
+field of every event, genesis's identity record among them, goes to core's
+JSON encoder as one dict without canonical_json's walk: each is a str, an int,
+None, or a list or dict of them that the engine built from typed values
+(validated ids, checked option labels, enum values, str() of amounts and
+decimals) or that genesis checks, so the walk would find nothing to refuse.
+canonical_json stays the reference that the tests compare each encoder's text
+with.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -124,12 +128,16 @@ def phase(proposal: ProposalId, tick: int) -> str:
     return _ENCODER.encode({"event": "phase", "proposal": str(proposal), "from": "discussion", "to": "voting", "tick": tick})
 
 
-def cast_template(proposal: ProposalId, option: str, tick: int) -> Callable[[int, str], str]:
-    """line(units, wallet) is a cast's text; only the option needs escaping, never ids or digits."""
+def cast_template(proposal: ProposalId, option: str) -> Callable[[int], Callable[[int, str], str]]:
+    """at(tick) is line(units, wallet), a cast's text at tick; only the option needs escaping, never ids or digits."""
     option = _quote(option).replace("%", "%%")
-    fixed = f'"event":"cast","option":{option},"proposal":"{proposal}","tick":{tick}'
-    template = f'{{"committed":"%d.%09d",{fixed},"wallet":"%s"}}'
-    return lambda units, wallet: template % (units // NANO, units % NANO, wallet)
+    head = f'{{"committed":"%d.%09d","event":"cast","option":{option},"proposal":"{proposal}","tick":'
+
+    def at(tick: int) -> Callable[[int, str], str]:
+        template = f'{head}{tick},"wallet":"%s"}}'
+        return lambda units, wallet: template % (units // NANO, units % NANO, wallet)
+
+    return at
 
 
 def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick: int, report=None) -> str:

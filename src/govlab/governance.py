@@ -16,10 +16,12 @@ log through a fresh engine, read once in order, re-derives every event,
 genesis included, byte for byte.
 
 Casts come in batches on one proposal at one tick, checked once per batch and
-once per option.  cast_batch is one loop: it checks each ballot, records its
-vote and lock, and appends its text (Ledger.append) before drawing the next.
-A failing ballot changes nothing, so a batch that stops at ballot k leaves the
-ledger, vote book and locks exactly as k single casts would.
+once per option.  A proposal's events.cast_template for an option is built at
+its first ballot and dropped with its book at finalize; a batch makes each
+option's line for its tick from it.  cast_batch is one loop: it checks each
+ballot, records its vote and lock, and appends its text (Ledger.append) before
+drawing the next.  A failing ballot changes nothing, so a batch that stops at
+ballot k leaves the ledger, vote book and locks exactly as k single casts would.
 
 Outcome mapping at finalize: the proposal's first option is the designated
 "approve" option; the proposal passes only when that option is the unique
@@ -102,6 +104,18 @@ class Window(_Record):
 
     def contains(self, tick: int) -> bool:
         return self.start <= tick < self.end
+
+
+def _checked_window(start: int, end: int) -> Window:
+    """A Window built without __init__'s checks, from int ticks 0 <= start < end the caller has checked."""
+    window = object.__new__(Window)
+    _set_start(window, start)
+    _set_end(window, end)
+    return window
+
+
+# Each slot's own setter, which skips object.__setattr__'s lookup of the name.
+_set_start, _set_end = (getattr(Window, n).__set__ for n in Window.__slots__)
 
 
 class Proposal(_Record):
@@ -200,6 +214,8 @@ class GovernanceEngine:
         # (voting start, submit order, proposal) of each proposal in discussion, a heap on its start
         self._opening: list[tuple[int, int, Proposal]] = []
         self._votes: dict[ProposalId, dict[WalletId, VoteRecord]] = {}
+        # Each live proposal's events.cast_template per option, built at its first ballot and dropped at finalize.
+        self._templates: dict[ProposalId, dict[str, Callable]] = {}
         self._locked: dict[WalletId, int] = {}  # units committed to live proposals; no zero totals
         self._now = 0
         self.ledger.append(events.genesis(self.supply, self.balances, context))
@@ -216,7 +232,10 @@ class GovernanceEngine:
     def advance_to(self, now: int) -> None:
         """Apply window-driven transitions up to `now` (Discussion -> Voting), in submit order."""
         self._touch(now)
-        opening, due = self._opening, []
+        opening = self._opening
+        if not opening or opening[0][0] > now:
+            return
+        due = []
         while opening and opening[0][0] <= now:
             due.append(heapq.heappop(opening)[1:])
         for _, proposal in sorted(due):  # submit orders are distinct, so proposals are never compared
@@ -261,7 +280,9 @@ class GovernanceEngine:
             raise OutOfWindow(f"tick {now} is outside voting window [{window.start}, {window.end})")
         pid, balances, locked, append = proposal.id, self.balances, self._locked, self.ledger.append
         book = self._votes[pid]
-        lines: dict[str, Callable] = {}  # option -> events.cast_template, built on its first ballot
+        if (templates := self._templates.get(pid)) is None:
+            templates = self._templates[pid] = {}
+        lines: dict[str, Callable] = {}  # option -> its template's line at this tick, made on its first ballot
         for wallet, option, committed in ballots:
             if type(wallet) is not WalletId:
                 wallet = WalletId(wallet)
@@ -273,7 +294,9 @@ class GovernanceEngine:
             if line is None:
                 if option not in proposal.options:
                     raise GovernanceError(f"option {option!r} is not on proposal {pid!r}")
-                line = lines[option] = events.cast_template(pid, option, now)
+                if (template := templates.get(option)) is None:
+                    template = templates[option] = events.cast_template(pid, option)
+                line = lines[option] = template(now)
             balance = balances.get(wallet)
             if balance is None:
                 raise GovernanceError(f"unknown wallet {wallet!r}")
@@ -317,6 +340,7 @@ class GovernanceEngine:
             proposal.phase = Phase.REJECTED
 
         del self._votes[proposal.id]  # a finalized proposal refuses casts before it reads a book
+        self._templates.pop(proposal.id, None)
         locked = self._locked
         for wallet, vote in book.items():
             if left := locked[wallet] - vote.committed.units:
@@ -328,7 +352,7 @@ class GovernanceEngine:
         return votes, result
 
     def _get(self, proposal_id: ProposalId) -> Proposal:
-        proposal = self.proposals.get(ProposalId(proposal_id))
+        proposal = self.proposals.get(proposal_id if type(proposal_id) is ProposalId else ProposalId(proposal_id))
         if proposal is None:
             raise GovernanceError(f"unknown proposal {proposal_id!r}")
         return proposal

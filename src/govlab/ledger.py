@@ -230,11 +230,13 @@ class StagedFiles:
     os.replaces each into place in the order they were opened.  Leaving the block closes
     every file and removes each temporary one, so an error before commit leaves every path
     as it was and no temporary file behind.  inputs are the paths the outputs are made
-    from, which open() refuses to write.
+    from, which open() refuses to write.  Each path is resolved once: the inputs here,
+    each output when it is opened.
     """
 
     def __init__(self, inputs: Iterable = ()):
-        self._inputs = [os.fspath(path) for path in inputs]
+        self._inputs = {os.path.realpath(path) for path in inputs}
+        self._outputs: set[str] = set()  # the resolved paths of the outputs opened
         self._staged: list[tuple[Any, str, str]] = []  # (file, temporary path, path)
 
     def __enter__(self) -> StagedFiles:
@@ -247,9 +249,9 @@ class StagedFiles:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         # The later of two outputs to one file would replace the earlier at commit.
         real = os.path.realpath(path)
-        if any(os.path.realpath(given) == real for given in self._inputs):
+        if real in self._inputs:
             raise GovlabError(f"{path}: an output would replace an input file")
-        if any(os.path.realpath(staged) == real for _, _, staged in self._staged):
+        if real in self._outputs:
             raise GovlabError(f"{path}: two outputs would be written to this file")
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -257,6 +259,7 @@ class StagedFiles:
         except OSError as exc:  # named by the path given: the temporary file is not the user's
             raise OSError(exc.errno, exc.strerror, path) from None
         self._staged.append((fh, tmp, path))
+        self._outputs.add(real)
         return fh
 
     def commit(self) -> None:
@@ -264,7 +267,7 @@ class StagedFiles:
             fh.close()
         for _, tmp, path in self._staged:
             os.replace(tmp, path)
-        self._staged = []
+        self._staged, self._outputs = [], set()
 
     def __exit__(self, *exc_info) -> None:
         for fh, tmp, _ in self._staged:

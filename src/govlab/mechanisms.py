@@ -254,12 +254,12 @@ def tally(
         units = vote.committed.units
         power = rule(units, now - vote.cast_at)
         powers.append(power)
-        if vote.option not in per_option_units:
-            raise MechanismError(
-                f"vote option {vote.option!r} is not among the tallied options"
-            )
         committed_units += units
-        per_option_units[vote.option] += power
+        option = vote.option
+        try:
+            per_option_units[option] += power
+        except KeyError:
+            raise MechanismError(f"vote option {option!r} is not among the tallied options") from None
 
     if committed_units > supply.units:
         raise MechanismError(

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Any, Iterator
 
 from .core import _ID_RE, _NINE_DIGITS, JSON_FAULTS, MAX_UNITS, NANO, GovlabError, IdentityId, ProposalId, TokenAmount, WalletId, _Record, fmt_units, parse_units
-from .governance import Window
+from .governance import Window, _checked_window
 from .mechanisms import ConvictionParams, Mechanism, QuorumConfig, QuorumBasis, config_error
 from .identity import RegistryMode, VotePolicy
 
@@ -211,7 +211,9 @@ def _id(pattern: re.Pattern, what: str, make: type = str):
 
 def _window(value: Any) -> Window:
     if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
-        return Window(*value)
+        start, end = value
+        # Window's own checks, made here: the constructor runs only to raise its error for a bad window.
+        return _checked_window(start, end) if 0 <= start < end else Window(start, end)
     raise _Invalid(f": expected [start, end] integer ticks, got {_quote(value)}")
 
 

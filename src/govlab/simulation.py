@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from decimal import Decimal
 from itertools import repeat
+from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -57,7 +58,7 @@ def _gini(ranked: list[int]) -> Decimal:
     if not ranked or ranked[-1] == 0:
         raise SimulationError("gini is undefined for empty or all-zero power vectors")
     n = len(ranked)
-    num = sum((2 * i - n + 1) * x for i, x in enumerate(ranked))
+    num = sum(map(mul, range(1 - n, n, 2), ranked))  # the weights 2i - n + 1, i = 0..n-1
     return ratio_half_even(num, n * sum(ranked))
 
 
@@ -160,35 +161,45 @@ def _play_schedule(
     """Apply the scenario's events to the engine in tick order.  Returns, per proposal id, its
     report entry and its _agent_rows, taken from its counted votes as it finalizes.
 
-    The scenario compiles to tick -> (submits, proposal id -> the run of voters casting then,
-    finalizes), one list slot per cast, and only those ticks are visited, each dropped as it is.
-    Every voting-window start has an entry, so its phase event keeps its tick.  A run is one
-    cast_batch, its voters in scenario order and its ballots generated as the engine draws them.
-    parse_scenario keeps voting windows apart, so a tick holds the casts of one proposal.
+    The scenario compiles to tick -> (submits, finalizes), with an entry at every voting-window
+    start so its phase event keeps its tick, and tick -> proposal id -> the run of voters casting
+    then, one list slot per cast: a cast on a tick of its own costs a dict and a list.  Only those
+    ticks are visited, each dropped as it is.  A run is one cast_batch, its voters in scenario
+    order and its ballots generated as the engine draws them.  cast_batch and finalize advance
+    the clock themselves, so a tick with neither advances it alone.  parse_scenario keeps voting
+    windows apart, so a tick holds the casts of one proposal.
     """
     balances, rule = setup.balances, power_rule(scenario.mechanism, scenario.conviction)
-    schedule: defaultdict[int, tuple[list, defaultdict, list]] = defaultdict(lambda: ([], defaultdict(list), []))
+    steps: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    casts: dict[int, dict[str, list]] = {}
     for spec in scenario.proposals:
-        schedule[spec.discussion_window.start][0].append(spec)
-        schedule[spec.voting_window.start]  # an entry, so the phase event keeps its tick
-        schedule[spec.voting_window.end][2].append(spec)
+        steps[spec.discussion_window.start][0].append(spec)
+        steps[spec.voting_window.start]  # an entry, so the phase event keeps its tick
+        steps[spec.voting_window.end][1].append(spec)
         for voter in setup.voters:
-            schedule[voter[0].cast_tick(spec)][1][spec.id].append(voter)
+            if (runs := casts.get(tick := voter[0].cast_tick(spec))) is None:
+                runs = casts[tick] = {}
+            if (run := runs.get(spec.id)) is None:
+                run = runs[spec.id] = []
+            run.append(voter)
 
-    entries, by_agent = {}, {}
-    for now in sorted(t for t in schedule if t <= scenario.ticks):
-        submits, runs, finalizes = schedule.pop(now)
+    attackers = [agent for agent, _ in setup.voters if agent.kind is AgentKind.SYBIL_ATTACKER]
+    entries, by_agent, idle = {}, {}, ((), ())
+    for now in sorted(t for t in steps.keys() | casts.keys() if t <= scenario.ticks):
+        submits, finalizes = steps.pop(now, idle)
         for spec in submits:
             engine.submit(_engine_proposal(scenario, spec), now)
-        engine.advance_to(now)
-        for pid, voters in runs.items():
-            ballots = ((w, agent.preference[0], balances[w]) for agent, wallets in voters for w in wallets)
-            engine.cast_batch(pid, ballots, now)
+        if runs := casts.pop(now, None):
+            for pid, voters in runs.items():
+                ballots = ((w, agent.preference[0], balances[w]) for agent, wallets in voters for w in wallets)
+                engine.cast_batch(pid, ballots, now)
+        elif not finalizes:
+            engine.advance_to(now)
         for spec in finalizes:
             votes, result = engine.finalize(spec.id, now)
             rows = by_agent[spec.id] = _agent_rows(setup.voters, votes, result.vote_power_units)
             entry = entries[spec.id] = proposal_entry(engine, spec.id, result)
-            entry["sybil_amplification"] = _amplification(setup.voters, spec, rule, rows)
+            entry["sybil_amplification"] = _amplification(attackers, spec, rule, rows)
     return entries, by_agent
 
 
@@ -203,7 +214,10 @@ def _agent_rows(
     power_of = dict(zip(votes, powers, strict=True))
     rows = {}
     for agent, wallets in voters:
-        mine = [wallet for wallet in wallets if wallet in power_of]
+        if len(wallets) == 1:  # a one-wallet voter is read without building a list
+            mine = wallets if wallets[0] in power_of else ()
+        else:
+            mine = [wallet for wallet in wallets if wallet in power_of]
         if len(mine) == 1:
             rows[agent.id] = (1, votes[mine[0]].committed.units, power_of[mine[0]])
         elif mine:
@@ -265,18 +279,17 @@ def proposal_entry(engine: GovernanceEngine, proposal_id: str, result: TallyResu
 
 
 def _amplification(
-    voters: Sequence[tuple[AgentSpec, tuple[WalletId, ...]]], spec: ProposalSpec, rule: Callable[[int, int], int],
+    attackers: Sequence[AgentSpec], spec: ProposalSpec, rule: Callable[[int, int], int],
     rows: Mapping[str, tuple[int, int, int]],
 ) -> dict[str, str | None]:
     """sybil_amplification, the one entry field that needs the agent-to-wallet map: per attacker among
-    the voters, its realized power over the power of its counted tokens as one wallet held over the
-    same ticks, or None when it has no counted vote or that baseline is zero."""
+    the voters, in scenario order, its realized power over the power of its counted tokens as one
+    wallet held over the same ticks, or None when it has no counted vote or that baseline is zero."""
     amplification = {}
-    for agent, _ in voters:
-        if agent.kind is AgentKind.SYBIL_ATTACKER:
-            mine = rows.get(agent.id)
-            honest = mine and rule(mine[1], spec.voting_window.end - agent.cast_tick(spec))
-            amplification[agent.id] = str(ratio_half_even(mine[2], honest)) if honest else None
+    for agent in attackers:
+        mine = rows.get(agent.id)
+        honest = mine and rule(mine[1], spec.voting_window.end - agent.cast_tick(spec))
+        amplification[agent.id] = str(ratio_half_even(mine[2], honest)) if honest else None
     return amplification
 
 

@@ -419,6 +419,43 @@ class TestOutputIsTheInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json.ledger.jsonl", "scenario.json"]
 
 
+class TestStagedPaths:
+    """Staging resolves each path once: the scenario when staging starts, each output as it is opened."""
+
+    def test_run_with_a_csv_resolves_each_path_once(self, scenario_path, tmp_path, capsys, monkeypatch):
+        resolved, realpath = [], os.path.realpath
+
+        def counted(path, *args, **kwargs):
+            resolved.append(os.fspath(path))
+            return realpath(path, *args, **kwargs)
+
+        monkeypatch.setattr(os.path, "realpath", counted)
+        outputs = [str(tmp_path / name) for name in ("agents.csv", "r.json", "r.jsonl")]
+        argv = ["run", "--scenario", str(scenario_path), "--csv", outputs[0], "--out", outputs[1], "--ledger", outputs[2]]
+        assert main(argv) == EXIT_OK
+        assert resolved == [str(scenario_path), *outputs]
+
+    @pytest.mark.parametrize("refusal", ["input", "output"])
+    def test_each_refusal_sees_through_a_symlink(self, scenario_path, tmp_path, capsys, refusal):
+        """A symlinked scenario whose file is an output, and an output symlinked to another, are
+        refused with the text a plain path gets, and nothing is written."""
+        link = tmp_path / "link.json"
+        out, ledger, csv_path = tmp_path / "r.json", tmp_path / "r.jsonl", tmp_path / "agents.csv"
+        if refusal == "input":
+            link.symlink_to(scenario_path)
+            scenario, out, named = link, scenario_path, scenario_path
+            message = f"{named}: an output would replace an input file"
+        else:
+            link.symlink_to(out)
+            scenario, csv_path, named = scenario_path, link, out
+            message = f"{named}: two outputs would be written to this file"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["run", "--scenario", str(scenario), "--csv", str(csv_path), "--out", str(out), "--ledger", str(ledger)]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 class TestScenarioFileErrors:
     """A scenario file that cannot be read as one JSON document is one validation error, whichever command reads it."""
 

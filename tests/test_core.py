@@ -469,7 +469,7 @@ class TestCastTemplate:
     """The cast event is written from a template (tests/test_events.py checks it against canonical_json)."""
 
     def test_hostile_label_is_escaped(self):
-        text = cast_template(ProposalId("p"), 'a"\\\x01\u2028\ud800é', 3)(TokenAmount.parse(1).units, WalletId("w"))
+        text = cast_template(ProposalId("p"), 'a"\\\x01\u2028\ud800é')(3)(TokenAmount.parse(1).units, WalletId("w"))
         assert text == (
             '{"committed":"1.000000000","event":"cast","option":"a\\"\\\\\\u0001\\u2028\\ud800\\u00e9",'
             '"proposal":"p","tick":3,"wallet":"w"}'

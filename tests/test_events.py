@@ -77,7 +77,7 @@ def _finalize_fields(proposal, outcome_phase, result, tick, report=None):
 
 
 def _cast(proposal, option, tick, committed, wallet):
-    text = events.cast_template(ProposalId(proposal), option, tick)(committed.units, WalletId(wallet))
+    text = events.cast_template(ProposalId(proposal), option)(tick)(committed.units, WalletId(wallet))
     fields = {"event": "cast", "proposal": proposal, "option": option, "tick": tick, "committed": str(committed), "wallet": wallet}
     return text, fields
 
@@ -434,7 +434,7 @@ def _cast_mutants(draw):
     option = draw(_label_st | printable | st.sampled_from(["approve", "", 'a"b', "a\\b", "100%", "caf\u00e9", "a\x01b", "\x7f"]))
     tick = draw(_tick_st | st.sampled_from([10**18 - 1, 10**18, 10**19]))
     units = draw(st.integers(min_value=1, max_value=MAX_UNITS))
-    text = events.cast_template(ProposalId(draw(_id_st)), option, tick)(units, WalletId(draw(_id_st)))
+    text = events.cast_template(ProposalId(draw(_id_st)), option)(tick)(units, WalletId(draw(_id_st)))
     edit = draw(st.sampled_from(["none", "raw", "value", "reorder", "space", "key", "trail"]))
     if edit == "trail":
         return text + draw(st.sampled_from(["x", "}", ",", '"', "{}", " 1"]))
@@ -468,7 +468,7 @@ class TestCastFastPath:
     @pytest.mark.parametrize("field", sorted(_EDGES))
     def test_each_edge_decodes_as_before(self, field):
         """One text per edge value, so each stays covered whatever the draws above are."""
-        text = events.cast_template(ProposalId("p1"), "approve", 7)(5 * 10**9, WalletId("w1"))
+        text = events.cast_template(ProposalId("p1"), "approve")(7)(5 * 10**9, WalletId("w1"))
         for value in _EDGES[field]:
             if field == "option":
                 edited = text.replace('"option":"', '"option":"' + value, 1)
@@ -480,12 +480,12 @@ class TestCastFastPath:
 
     @pytest.mark.parametrize("tail", ["x", "}", " ", "\n"])
     def test_text_after_the_event_decodes_as_before(self, tail):
-        text = events.cast_template(ProposalId("p1"), "approve", 7)(5 * 10**9, WalletId("w1")) + tail
+        text = events.cast_template(ProposalId("p1"), "approve")(7)(5 * 10**9, WalletId("w1")) + tail
         assert _outcome(events.decode, text) == _outcome(_decode_ref, text)
 
     def test_the_template_text_takes_the_pattern(self, monkeypatch):
         """The cast_template text of an ASCII option without '"' or '\\' is decoded without JSON."""
-        text = events.cast_template(ProposalId("p1"), "yes, 100% (~)", 10**18 - 1)(MAX_UNITS, WalletId("w" * 64))
+        text = events.cast_template(ProposalId("p1"), "yes, 100% (~)")(10**18 - 1)(MAX_UNITS, WalletId("w" * 64))
         expected = _decode_ref(0, text)
         monkeypatch.setattr(events, "loads_canonical", None)
         assert repr(events.decode(0, text)) == repr(expected)

@@ -149,7 +149,7 @@ class TestAppend:
         assert entry.prev_hash == first.hash
 
     def test_template_text_is_stored_as_a_plain_str(self):
-        line = cast_template(ProposalId("p1"), "yes", 7)
+        line = cast_template(ProposalId("p1"), "yes")(7)
         texts = [line(2 * 10**9, WalletId(w)) for w in ("w", "v")]
         ledger = Ledger()
         for text in texts:

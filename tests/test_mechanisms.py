@@ -136,6 +136,18 @@ class TestConvictionPower:
         with pytest.raises(MechanismError, match="positive"):
             ConvictionParams(decay_rate=Decimal("0"))
 
+    @pytest.mark.parametrize("tick", [2.0, True])
+    def test_a_tick_that_is_not_an_int_is_refused(self, tick):
+        """A float or a bool tick is refused by name, by the power function and by the tally, before
+        any accrual is computed from it."""
+        with pytest.raises(MechanismError, match="dt must be an integer tick count"):
+            conviction_power(self.hundred, tick, self.alpha)
+        with pytest.raises(MechanismError, match="dt must be an integer tick count"):
+            tally(
+                dict([_vote("w1", "a", 100, cast_at=0)]), "conviction", supply=self.hundred, wallet_universe_size=1,
+                options=("a",), now=tick, conviction=self.alpha,
+            )
+
     @given(
         st.integers(min_value=1, max_value=10**13),
         st.decimals(
@@ -390,6 +402,15 @@ class TestQuorumGate:
 
 
 class TestTally:
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    def test_a_negative_wallet_universe_is_refused(self, mechanism):
+        quorum = QuorumConfig(QuorumBasis.WALLET_COUNT_FRACTION, Decimal("0.5"))
+        with pytest.raises(MechanismError, match="wallet_universe_size must be a non-negative count"):
+            tally(
+                dict([_vote("w1", "a", 10)]), mechanism, supply=TokenAmount.parse(100), wallet_universe_size=-1,
+                options=("a", "b"), now=1, quorum=quorum, conviction=ConvictionParams(Decimal("0.1")),
+            )
+
     def test_winner_is_strict_maximum(self):
         votes = [_vote("w1", "a", 10), _vote("w2", "b", 9)]
         result = tally(dict(votes), "token", supply=TokenAmount.parse(100), wallet_universe_size=2, options=("a", "b"), now=0)

@@ -14,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from govlab.core import GovlabError, IdentityId, ProposalId, TokenAmount, WalletId
+from govlab.governance import Window
 from govlab.scenario import (
     MAX_CASTS,
     MAX_WALLETS,
@@ -92,6 +93,30 @@ class TestParsing:
         assert _agent(scenario, "grace").kind is AgentKind.HONEST
         assert scenario.proposals[0].voting_window.end == 15
         assert type(scenario.proposals[0].id) is ProposalId  # validated once, here
+
+    def test_a_parsed_window_is_built_without_the_constructors_checks(self, monkeypatch):
+        """_window makes the int, sign and order checks itself, so one abstainer × 2,000 proposals
+        parses without entering Window.__init__, to windows equal to the constructor's."""
+        obj = _valid()
+        obj["ticks"] = 4_000
+        obj["proposals"] = [
+            {"id": f"p{k}", "options": ["yes", "no"], "discussion_window": [2 * k, 2 * k + 1], "voting_window": [2 * k + 1, 2 * k + 2]}
+            for k in range(2_000)
+        ]
+        obj["agents"] = [{"id": "idle", "kind": "abstainer", "balance": "1"}]
+        entered, init = [], Window.__init__
+
+        def counted(self, start, end):
+            entered.append((start, end))
+            init(self, start, end)
+
+        monkeypatch.setattr(Window, "__init__", counted)
+        scenario = parse_scenario(obj)
+        assert entered == []
+        monkeypatch.undo()
+        assert [(p.discussion_window, p.voting_window) for p in scenario.proposals] == [
+            (Window(2 * k, 2 * k + 1), Window(2 * k + 1, 2 * k + 2)) for k in range(2_000)
+        ]
 
     def test_number_literals_never_become_floats(self):
         """JSON number balances must arrive as exact decimals, not binary floats."""

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govlab import core
+from govlab import events as events_module
 from govlab import simulation as simulation_module
 from govlab.core import NANO, TokenAmount, VoteRecord, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import GovernanceEngine, Proposal, Window, replay
@@ -884,6 +885,42 @@ class TestEventSchedule:
         (metrics,) = result.report["proposals"]
         assert metrics["voters"] == 1
         assert "p1,late,0,0.000000000,0.000000000" in report_csv(result).splitlines()
+
+
+class TestCastTemplates:
+    """A proposal's cast template for an option is built at its first ballot and kept with the
+    vote book until finalize, so a cast on a tick of its own does not build one."""
+
+    @staticmethod
+    def _traced_run(scenario, monkeypatch):
+        """The run, the (proposal, option) of each template built, and a check after each finalize
+        that the engine holds no template of the proposal it finalized."""
+        built, build, finalize = [], events_module.cast_template, GovernanceEngine.finalize
+
+        def counted(proposal, option):
+            built.append((proposal, option))
+            return build(proposal, option)
+
+        def checked(engine, proposal_id, now):
+            done = finalize(engine, proposal_id, now)
+            assert proposal_id not in engine._templates
+            return done
+
+        monkeypatch.setattr(events_module, "cast_template", counted)
+        monkeypatch.setattr(GovernanceEngine, "finalize", checked)
+        return run(scenario), built
+
+    def test_voters_on_ticks_of_their_own_build_one_template_per_option(self, monkeypatch):
+        result, built = self._traced_run(parse_scenario(_bench_workloads().conviction_horizon(1)), monkeypatch)
+        casts = [e for e in map(loads_canonical, (entry.payload for entry in result.ledger)) if e["event"] == "cast"]
+        assert len(casts) == 150 and len({e["tick"] for e in casts}) > 100
+        assert sorted(built) == sorted({(e["proposal"], e["option"]) for e in casts})
+        assert result.engine._templates == {}
+
+    def test_proposals_without_casts_build_none(self, monkeypatch):
+        result, built = self._traced_run(_cast_shape(0, 0, 2_000, abstainers=1), monkeypatch)
+        assert len(result.report["proposals"]) == 2_000
+        assert built == [] and result.engine._templates == {}
 
 
 class TestSetupIdChecks:

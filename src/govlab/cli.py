@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from .core import GovlabError, canonical_json
 from .ledger import StagedFiles, iter_ndjson, ndjson_line, verify_chain
-from .scenario import ScenarioValidationError, load_scenario
+from .scenario import Scenario, ScenarioValidationError, load_scenario
 from .simulation import compare_mechanisms, render_table, report_csv_lines, run
 
 EXIT_OK = 0
@@ -115,8 +115,14 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, **{flag[2:]: values.get(flag) for flag in flags})
 
 
-def cmd_run(args: SimpleNamespace) -> int:
+def _scenario(args: SimpleNamespace) -> Scenario:
+    """The scenario file, with --seed, which _u64 has checked, in place of its seed."""
     scenario = load_scenario(args.scenario)
+    return scenario if args.seed is None else scenario._replace(seed=args.seed)
+
+
+def cmd_run(args: SimpleNamespace) -> int:
+    scenario = _scenario(args)
     ledger_path = args.ledger if args.ledger is not None else f"{args.out}.ledger.jsonl"
     with StagedFiles([args.scenario]) as staged:
         # Opened in the order they are replaced (CSV, report, ledger); the ledger's lines
@@ -125,7 +131,7 @@ def cmd_run(args: SimpleNamespace) -> int:
         csv_file = staged.open(args.csv) if args.csv is not None else None
         report_file = staged.open(args.out)
         write_line = staged.open(ledger_path).write
-        result = run(scenario, seed_override=args.seed, ledger_sink=lambda entry: write_line(ndjson_line(entry)))
+        result = run(scenario, ledger_sink=lambda entry: write_line(ndjson_line(entry)))
         if csv_file is not None:
             csv_file.writelines(report_csv_lines(result))
         report_file.write(result.report_json)
@@ -137,10 +143,10 @@ def cmd_run(args: SimpleNamespace) -> int:
 
 def cmd_compare(args: SimpleNamespace) -> int:
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    scenario = load_scenario(args.scenario)
+    scenario = _scenario(args)
     with StagedFiles([args.scenario]) as staged:
         out = staged.open(args.out)
-        merged, rows = compare_mechanisms(scenario, mechanisms, seed_override=args.seed)
+        merged, rows = compare_mechanisms(scenario, mechanisms)
         out.write(canonical_json(merged) + "\n")
         staged.commit()
     _info(f"wrote merged report to {args.out}")

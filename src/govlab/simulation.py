@@ -5,8 +5,8 @@ Runs are strictly deterministic: identical scenario and seed produce
 byte-identical reports, and the only consumer of randomness is the simulated
 identity provider's false-accept draw, so scenarios without fraudulent
 claims are seed-invariant.  The report is canonical JSON and deliberately
-omits the effective seed so that a seed override on a randomness-free
-scenario leaves the bytes unchanged.
+omits the seed so that another seed on a randomness-free scenario leaves
+the bytes unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .identity import IdentityFilter, IdentityRegistry, RejectionReason, Simulat
 from .ledger import Ledger, LedgerEntry
 from .mechanisms import Mechanism, MechanismError, config_error, power_rule
 from .probes import MAX_PROBE_AGENTS, MAX_PROBE_OPTIONS, arrow_probes
-from .rng import MASK64
 from .scenario import AgentKind, AgentSpec, ProposalSpec, Scenario, ScenarioValidationError
 from .sybil import split_uniform
 
@@ -88,17 +87,14 @@ class SimulationSetup(_Record):
     __slots__ = ("voters", "balances", "identity", "binding_stats")
 
 
-def build_setup(scenario: Scenario, *, seed_override: int | None = None) -> SimulationSetup:
+def build_setup(scenario: Scenario) -> SimulationSetup:
     """Fund wallets and, when configured, run identity verification."""
-    if seed_override is not None and (type(seed_override) is not int or not 0 <= seed_override <= MASK64):
-        raise SimulationError(f"seed_override must be a u64, got {seed_override!r}")
-    effective_seed = scenario.seed if seed_override is None else seed_override
     voters: list[tuple[AgentSpec, tuple[WalletId, ...]]] = []
     balances: dict[WalletId, TokenAmount] = {}
     identity = None
     stats = None
     if (cfg := scenario.identity) is not None:
-        provider_seed = cfg.provider.seed if cfg.provider.seed is not None else effective_seed
+        provider_seed = cfg.provider.seed if cfg.provider.seed is not None else scenario.seed
         provider = SimulatedProvider(cfg.provider.false_accept_rate, provider_seed)
         registry = IdentityRegistry(cfg.mode)
         accepted = 0
@@ -225,14 +221,12 @@ def _agent_rows(
     return rows
 
 
-def run(
-    scenario: Scenario, *, seed_override: int | None = None, ledger_sink: Callable[[LedgerEntry], object] | None = None
-) -> RunResult:
+def run(scenario: Scenario, *, ledger_sink: Callable[[LedgerEntry], object] | None = None) -> RunResult:
     """Execute a scenario's events in tick order (idle ticks cost nothing) and report.
 
     With a ledger_sink, each ledger entry goes to it as it is appended and the result's
     ledger keeps none; without one, the ledger keeps them all."""
-    return _run(scenario, build_setup(scenario, seed_override=seed_override), ledger_sink)
+    return _run(scenario, build_setup(scenario), ledger_sink)
 
 
 def _run(scenario: Scenario, setup: SimulationSetup, ledger_sink: Callable[[LedgerEntry], object] | None) -> RunResult:
@@ -361,12 +355,7 @@ def report_csv(result: RunResult) -> str:
     return "".join(report_csv_lines(result))
 
 
-def compare_mechanisms(
-    scenario: Scenario,
-    mechanisms: Sequence[str | Mechanism],
-    *,
-    seed_override: int | None = None,
-) -> tuple[dict[str, Any], list[dict[str, str]]]:
+def compare_mechanisms(scenario: Scenario, mechanisms: Sequence[str | Mechanism]) -> tuple[dict[str, Any], list[dict[str, str]]]:
     """Run one scenario under several mechanisms with the same seed.
 
     Returns (merged report, table rows).  The scenario must be valid under
@@ -393,7 +382,7 @@ def compare_mechanisms(
     rows: list[dict[str, str]] = []
     include_conviction = Mechanism.CONVICTION in parsed
     # Nothing in the setup depends on the mechanism, and the engine only reads it.
-    setup = build_setup(scenario, seed_override=seed_override)
+    setup = build_setup(scenario)
     for m in parsed:
         # Only the report is read, so each run's ledger entries are dropped as they are appended.
         result = _run(scenario._replace(mechanism=m), setup, lambda entry: None)

@@ -257,7 +257,7 @@ def test_criterion_08_deterministic_reports_and_head_hashes():
     assert first.report_json == second.report_json
     assert first.head_hash == second.head_hash
 
-    reseeded = run(scenario, seed_override=987654321)
+    reseeded = run(scenario._replace(seed=987654321))
     assert reseeded.report_json == first.report_json
     assert reseeded.head_hash == first.head_hash
     _ok("criterion 8, byte-identical determinism (rerun and seed change)")

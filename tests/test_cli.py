@@ -51,6 +51,13 @@ def _over_cast_budget(text):
     return json.dumps(obj)
 
 
+def test_the_exit_codes_are_the_documented_numbers():
+    """The installed `govlab` is main, whose return its wrapper passes to sys.exit, so each test of
+    main's code is a test of the exit code."""
+    assert 'govlab = "govlab.cli:main"' in (ROOT / "pyproject.toml").read_text("utf-8").splitlines()
+    assert (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_LEDGER_BROKEN) == (0, 1, 2, 3)
+
+
 class TestRunCommand:
     def test_success_prints_only_the_head_hash(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -239,6 +246,18 @@ class TestRunCommand:
         assert len(err.encode()) < 100_000
         assert not (tmp_path / "r.json").exists()
 
+    def test_a_misspelt_agent_key_is_one_validation_error(self, tmp_path, capsys):
+        obj = json.loads(resources.files("govlab.presets").joinpath("nonprofit_grant_vote.json").read_text())
+        obj["agents"][0]["castAt"] = 3
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.err.splitlines() == ["error: agent 'board_chair': unknown field 'castAt'"]
+        assert captured.out == ""
+        assert not (tmp_path / "r.json").exists()
+
     def test_ids_the_engine_would_reject_are_validation_errors(self, scenario_path, tmp_path, capsys):
         obj = json.loads(scenario_path.read_text())
         obj["proposals"][0]["id"] = "bad id!"
@@ -369,6 +388,23 @@ class TestRunCommand:
             assert err.startswith("usage: govlab run"), seed
             assert err.endswith("govlab run: error: argument --seed: seed must be a u64\n"), seed
             assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_the_seed_option_replaces_the_scenario_seed(self, scenario_path, tmp_path, capsys, command):
+        """With a provider that draws, --seed 5 gives the report of the scenario with seed 5, not 42."""
+        identity = '{"mode": "collapse_per_identity", "policy": "drop_unverified", "provider": {"false_accept_rate": "0.5"}}'
+        text = scenario_path.read_text().replace('"one_identity"', '"fake_identities"').replace('"identity": null', f'"identity": {identity}')
+        scenario_path.write_text(text)
+        scenario = loads_scenario(text)
+        out = tmp_path / "r.json"
+        argv = [command, "--scenario", str(scenario_path), "--out", str(out), "--seed", "5"]
+        if command == "compare":
+            argv += ["--mechanisms", "quadratic"]
+        assert main(argv) == EXIT_OK
+        report = json.loads(out.read_text())
+        if command == "compare":
+            report = report["runs"]["quadratic"]
+        assert report == run(scenario._replace(seed=5)).report != run(scenario).report
 
     def test_rerun_is_byte_identical(self, scenario_path, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -519,13 +555,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "ok\n"
 
-    def test_a_malformed_line_after_the_break_is_still_a_runtime_error(self, scenario_path, tmp_path, capsys):
-        """verify streams the entries, and reads on past a break to the end of the file."""
+    @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["compact", "spaced"])
+    def test_a_malformed_line_after_the_break_is_still_a_runtime_error(self, scenario_path, tmp_path, capsys, separators):
+        """verify streams the entries, and reads on past a break (an edited hash, written compact as
+        ndjson_line writes a line or spaced as json.dumps does) to the end of the file."""
         ledger = self._written_ledger(scenario_path, tmp_path, capsys)
         lines = ledger.read_text().splitlines()
         entry = json.loads(lines[1])
         entry["hash"] = "0" * 64
-        lines[1] = json.dumps(entry, separators=(",", ":"))
+        lines[1] = json.dumps(entry, separators=separators)
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         ledger.write_text("\n".join(lines) + "\n")
         code = main(["verify", "--ledger", str(ledger)])
@@ -645,19 +683,17 @@ class TestCompareCommand:
         assert "conviction_at_finalize" not in captured.out
         assert len(captured.out.splitlines()) == 2
 
-    def test_unknown_mechanism_is_a_validation_error(self, scenario_path, tmp_path, capsys):
-        code = main(
-            [
-                "compare",
-                "--scenario", str(scenario_path),
-                "--mechanisms", "token,approval",
-                "--out", str(tmp_path / "m.json"),
-            ]
-        )
+    @pytest.mark.parametrize("unknown", ["approval", "bogus"])
+    def test_unknown_mechanism_is_a_validation_error(self, scenario_path, tmp_path, capsys, unknown):
+        out = tmp_path / "m.json"
+        code = main(["compare", "--scenario", str(scenario_path), "--mechanisms", f"token,{unknown}", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == EXIT_VALIDATION
-        assert "unknown mechanism" in captured.err
+        assert captured.err.splitlines() == [
+            f"error: unknown mechanism {unknown!r}; expected one of token, quorum, quadratic, conviction"
+        ]
         assert captured.out == ""
+        assert not out.exists()
 
     def test_mechanisms_missing_their_config_are_validation_errors(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -823,7 +859,7 @@ def _console_step_argvs():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
     step = workflow[workflow.index("- name: Console script"):]
     script = step[step.index("run: |"):step.index("\n      - name:")]
-    for call in re.findall(r"(?:^\s*|\$\()govlab (.*?)(?:\)|\s+2?>|\s*\|\||$)", script, re.MULTILINE):
+    for call in re.findall(r"(?:^\s*|\$\()govlab (.*?)(?:\)|\s+>|$)", script, re.MULTILINE):
         yield shlex.split(call)
 
 
@@ -843,10 +879,16 @@ class TestArgvParsing:
         assert all(_parse_plain(argv) is not None for argv in argvs), argvs
 
     def test_the_console_step_argvs_take_the_table_path_but_two(self):
-        """CI's `govlab --help` and `govlab verify --led` are there to exercise argparse through the entry point."""
+        """CI's smoke step runs a preset and verifies its ledger through the installed entry point;
+        its `govlab --help` and `govlab verify --led` are there to exercise argparse through it."""
         argvs = list(_console_step_argvs())
+        assert argvs == [
+            ["run", "--scenario", "src/govlab/presets/nonprofit_grant_vote.json", "--out", "$RUNNER_TEMP/report.json"],
+            ["verify", "--ledger", "$ledger"],
+            ["--help"],
+            ["verify", "--led", "$ledger"],
+        ]
         via_argparse = [argv for argv in argvs if _parse_plain(argv) is None]
-        assert len(argvs) > 15
         assert via_argparse == [["--help"], ["verify", "--led", "$ledger"]]
 
     @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Source hygiene that no installed linter checks: every imported name is used,
 every name the package defines has a caller outside the tests, importing the
 CLI loads no code-generation module, a command loads neither OpenSSL nor
-argparse, and every source file parses under the oldest Python grammar the
-package supports."""
+argparse, every source file parses under the oldest Python grammar the
+package supports, and the README gives each command CI runs."""
 
 import ast
 import importlib.util
@@ -182,3 +182,27 @@ def test_every_source_file_parses_as_python_3_10(path):
     as 3.11's `except*`.  This checks grammar only, not the standard library API: a
     call to a function that 3.10 lacks still parses."""
     ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _ci_lines():
+    """Each shell line that a step of CI's workflow runs, the install step's aside."""
+    step, in_block = None, False
+    for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8").splitlines():
+        if line.startswith("      - name: "):
+            step, in_block = line.split(": ", 1)[1], False
+        elif line.startswith("        run: "):
+            command = line.split(": ", 1)[1]
+            in_block = command == "|"
+            if not in_block and step != "Install":
+                yield command
+        elif in_block and line.startswith("          ") and step != "Install":
+            yield line.strip()
+
+
+def test_the_readme_gives_each_command_ci_runs():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    start = readme.index("## Running the tests")
+    section = readme[start:readme.index("\n## ", start)].splitlines()
+    ci = list(_ci_lines())
+    assert len(ci) == 14
+    assert [line for line in ci if line not in section] == []

@@ -1,6 +1,8 @@
 """Identity registry, vote collapsing, and the simulated verification provider."""
 
 import json
+import math
+import statistics
 from decimal import Decimal
 from importlib import resources
 
@@ -28,6 +30,7 @@ from govlab.identity import (
 )
 from govlab.scenario import ScenarioValidationError, parse_scenario
 from govlab.mechanisms import ConvictionParams, conviction_power, power_quadratic, tally
+from govlab.rng import Xoshiro256StarStar
 from govlab.sybil import split_uniform
 
 
@@ -302,6 +305,27 @@ class TestSimulatedProvider:
         accepted = sum(_verdicts([True] * 10000, "0.1", 20260825))
         assert 910 <= accepted <= 1090  # 1000 +/- 3 * 30
         assert accepted == 967
+
+    def test_accepted_fakes_are_binomial_over_seeds(self):
+        """2,000 fraudulent claims at rate 0.25 under each of seeds 1-200: each accepted count K is
+        Binomial(2000, 0.25), mean 500 and sigma sqrt(375), so each lies within 500 +/- 5 sigma and
+        the mean of the 200 counts within 500 +/- 3 sigma / sqrt(200).  The seeds are fixed, so the
+        test is deterministic."""
+        n, rate, seeds = 2000, 0.25, range(1, 201)
+        mean, sigma = n * rate, math.sqrt(n * rate * (1 - rate))
+        counts = [sum(_verdicts([True] * n, str(rate), seed)) for seed in seeds]
+        assert all(abs(k - mean) <= 5 * sigma for k in counts), (min(counts), max(counts))
+        assert abs(statistics.fmean(counts) - mean) <= 3 * sigma / math.sqrt(len(seeds))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_a_draw_equal_to_the_rate_is_rejected(self, seed):
+        """A fraudulent claim is accepted when its draw is strictly below the rate: a rate equal to
+        the seed's first draw rejects it, and the next float above the draw accepts it."""
+        draw = Xoshiro256StarStar.from_seed(seed).next_float()
+        rate = Decimal(draw)
+        assert float(rate) == draw
+        assert _verdicts([True], rate, seed) == [False]
+        assert _verdicts([True], Decimal(math.nextafter(draw, 1)), seed) == [True]
 
     def test_same_seed_same_verdicts(self):
         assert _verdicts([True] * 200, "0.3", 7) == _verdicts([True] * 200, "0.3", 7)

@@ -134,7 +134,7 @@ class TestRunDeterminism:
         """Without a fraud provider no randomness is drawn, so the seed is inert."""
         scenario = load_preset("sybil_attack_quadratic")
         baseline = run(scenario)
-        reseeded = run(scenario, seed_override=999)
+        reseeded = run(scenario._replace(seed=999))
         assert baseline.report_json == reseeded.report_json
         assert baseline.head_hash == reseeded.head_hash
 
@@ -214,29 +214,13 @@ def sybil_result():
 
 
 class TestSeedOverride:
-    """seed_override is checked once, in build_setup, whether or not the scenario draws randomness."""
-
-    @staticmethod
-    def _scenario(identity):
-        scenario = load_preset("sybil_attack_quadratic")
-        if not identity:
-            return scenario
-        return parse_scenario(
-            {**_raw(scenario), "identity": {"mode": "strict_one_wallet", "policy": "drop_unverified"}}
-        )
-
-    @pytest.mark.parametrize("identity", [False, True], ids=["no-identity", "identity"])
-    @pytest.mark.parametrize("seed", [2**64, -1, True, "7"], ids=["2**64", "-1", "bool", "str"])
-    def test_a_seed_that_is_not_a_u64_is_a_simulation_error(self, identity, seed):
-        scenario = self._scenario(identity)
-        with pytest.raises(SimulationError, match="seed_override must be a u64"):
-            run(scenario, seed_override=seed)
-        with pytest.raises(SimulationError, match="seed_override must be a u64"):
-            compare_mechanisms(scenario, ["token", "quadratic"], seed_override=seed)
+    """A scenario with an identity layer runs at either end of the u64 seed range."""
 
     def test_the_u64_bounds_are_accepted(self):
-        scenario = self._scenario(identity=True)
-        assert run(scenario, seed_override=0).head_hash == run(scenario, seed_override=2**64 - 1).head_hash
+        scenario = parse_scenario(
+            {**_raw(load_preset("sybil_attack_quadratic")), "identity": {"mode": "strict_one_wallet", "policy": "drop_unverified"}}
+        )
+        assert run(scenario._replace(seed=0)).head_hash == run(scenario._replace(seed=2**64 - 1)).head_hash
 
 
 class TestSybilPresetRun:
@@ -556,12 +540,15 @@ class TestCompareMechanisms:
     @pytest.mark.parametrize("name", preset_names())
     def test_each_run_equals_a_standalone_run(self, name):
         """Every report field, the probes included, reads the run's own engine, so a run inside
-        compare equals run() under its mechanism, for every mechanism the preset's config allows."""
+        compare equals run() under its mechanism, for every mechanism the preset's config allows.
+        participatory_budget's probes are on, so its runs compare probe reports too."""
         scenario = load_preset(name)
         allowed = [m for m in Mechanism if config_error(m, scenario.quorum, scenario.conviction) is None]
         runs = compare_mechanisms(scenario, allowed)[0]["runs"]
         for m in allowed:
             assert runs[m.value] == run(scenario._replace(mechanism=m)).report
+            if name == "participatory_budget":
+                assert runs[m.value]["arrow_probes"] is not None
 
 
 class TestOtherPresets:
@@ -736,6 +723,29 @@ class TestSybilProperties:
         (metrics,) = run(scenario).report["proposals"]
         for amplification in metrics["sybil_amplification"].values():
             assert amplification in ("1.000000000", None)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_the_identity_layer_leaves_a_gain_of_sqrt_k(self, seed):
+        """Under quadratic voting with collapse_per_identity and drop_unverified, an attacker whose
+        provider accepts K of its fake identities keeps K wallets, each its own identity, so its
+        amplification over its counted tokens in one wallet is sqrt(K) (to 1e-8: each wallet's power
+        has nine digits); an attacker with one identity collapses to one vote and reads exactly 1.
+        K is read from genesis's identity record, on the sybil_identity workload's scenario."""
+        scenario = loads_scenario(_bench_workloads().scenario_text("sybil_identity", seed))
+        result = run(scenario)
+        bindings = loads_canonical(next(iter(result.ledger)).payload)["identity"]["registry"]["bindings"]
+        bound = {binding["identity"] for binding in bindings}
+        for metrics in result.report["proposals"]:
+            for agent in scenario.agents:
+                if agent.kind is not AgentKind.SYBIL_ATTACKER:
+                    continue
+                amplification = metrics["sybil_amplification"][agent.id]
+                if agent.fakes_identities():
+                    k = len(bound.intersection(agent.fake_ids()))
+                    assert k >= 2
+                    assert abs(Decimal(amplification) - Decimal(k).sqrt()) <= Decimal("1e-8"), (agent.id, k)
+                else:
+                    assert amplification == "1.000000000"
 
 
 def _cast_shape(honest, wallets, proposals, mechanism="token", abstainers=0):

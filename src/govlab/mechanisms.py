@@ -17,7 +17,10 @@ over the run's one probe count, pick outcomes through it.
 The square root is computed on integers (exact decision against the true
 midpoint, so the half-even rule is honored without floating point); the
 exponential and its product with the committed units are evaluated in
-50-digit decimal context before the single rounding.  A quorum gate may be
+50-digit decimal context before the single rounding.  The exponential is a
+power of one e^(-decay_rate) per rate wherever an error bound certifies its
+50 digits, and exp() itself elsewhere; every context is explicit, so no
+caller's decimal context changes a power.  A quorum gate may be
 attached to any mechanism: participation is measured against total token
 supply or against the wallet universe, and a tally meeting the threshold
 exactly passes.
@@ -25,7 +28,16 @@ exactly passes.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -40,6 +52,7 @@ from .core import (
     VoteRecord,
     VotingPower,
     WalletId,
+    _EXACT,
     _Record,
     _set,
     fmt_units,
@@ -87,7 +100,7 @@ class QuorumConfig(_Record):
 
     @property
     def threshold_units(self) -> int:
-        return int(self.threshold.scaleb(9))
+        return int(self.threshold.scaleb(9, _EXACT))  # exact, whatever the caller's context
 
 
 class ConvictionParams(_Record):
@@ -129,16 +142,63 @@ def quadratic_units(units: int, dt: int) -> int:
     return s + 1 if n - s * s > s else s
 
 
+def _context(prec: int, emin: int = -999999, emax: int = 999999) -> Context:
+    """A half-even context with every field given: Context() copies a missing one
+    from the mutable DefaultContext, and a factor must not depend on it."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=emin, Emax=emax, capitals=1, clamp=0,
+                   flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
+_FACTOR = _context(50)  # the factor's 50 digits, and the conviction rule's product
+# The power route: e^(-rate) at 70 digits, raised to dt at 60 + digits(dt) digits, for
+# 1 <= dt <= 10^9 and a rate of at most 40 digits, so that -rate * dt is exact in 50.
+# The wide exponent range keeps the power and its error bound clear of underflow.
+_DT_MAX = 10**9
+_BASE = _context(70, MIN_EMIN, MAX_EMAX)
+_POWER = tuple(_context(60 + digits, MIN_EMIN, MAX_EMAX) for digits in range(len(str(_DT_MAX)) + 1))
+
+
+def _exp_factor(decay_rate: Decimal, dt: int) -> Decimal:
+    """The exp route: 1 - e^(-decay_rate * dt), each step rounded to 50 digits half-even."""
+    return _FACTOR.subtract(1, _FACTOR.exp(_FACTOR.multiply(_FACTOR.minus(decay_rate), dt)))
+
+
+@lru_cache(maxsize=256)
+def _decay_base(decay_rate: Decimal) -> Decimal | None:
+    """e^(-decay_rate) to 70 digits, or None for a rate the power route is not stated for."""
+    if decay_rate <= 0 or len(decay_rate.as_tuple().digits) > 40:
+        return None
+    return _BASE.exp(_BASE.minus(decay_rate))
+
+
 @lru_cache(maxsize=4096)
 def _decay_factor(decay_rate: Decimal, dt: int) -> Decimal:
-    """1 - e^(-decay_rate * dt) to 50 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return 1 - (-decay_rate * dt).exp()
+    """1 - e^(-decay_rate * dt) to 50 significant digits: the exp route's value, always.
+
+    The power route raises the rate's base b = e^(-decay_rate), good to one
+    ulp at 70 digits, to dt at W = 60 + digits(dt) digits.  Each of the
+    base's dt factors, the power's rounding at W and its working products at
+    W + digits(dt) + 2 digits keep the power P within (dt + 2) * 10^(1-W) of
+    e^(-decay_rate * dt), relative.  When P less and P plus that bound round
+    to the same 50 digits, so does the exact power, which is then the value
+    exp() rounds correctly; 1 minus it is the exp route's factor.  Any other
+    case (a P near a 50-digit midpoint, below 10^Emin, or a dt or rate
+    outside the route's range) takes the exp route.
+    """
+    base = _decay_base(decay_rate) if 0 < dt <= _DT_MAX else None
+    if base is not None:
+        power_context = _POWER[len(str(dt))]
+        power = power_context.power(base, dt)
+        if power.adjusted() > _FACTOR.Emin:
+            bound = power_context.scaleb(power_context.multiply(power, dt + 2), 1 - power_context.prec)
+            low = _FACTOR.subtract(power, bound)
+            if low == _FACTOR.add(power, bound):
+                return _FACTOR.subtract(1, low)
+    return _exp_factor(decay_rate, dt)
 
 
 def _conviction_rule(decay_rate: Decimal) -> Callable[[int, int], int]:
-    multiply = Context(prec=50, rounding=ROUND_HALF_EVEN).multiply  # one context for all the rule's votes
+    multiply = _FACTOR.multiply  # one context for all the rule's votes
 
     def conviction_units(units: int, dt: int) -> int:
         """units * (1 - e^(-decay_rate * dt)) to 50 digits, then half-even to an integer.

@@ -3,6 +3,7 @@
     python3.12 tests/cross_version.py presets
     PYTHONHASHSEED=1 python3.13 tests/cross_version.py workloads
     python3.10 tests/cross_version.py cli
+    python3.13 tests/cross_version.py decay
 
 For each preset (`presets`) or each benchmark workload's seed-1 scenario
 (`workloads`) it runs the scenario twice, through `govlab.simulation.run` and
@@ -17,6 +18,13 @@ and with argparse, whose parsing differs between Python versions.  Each argv
 the table parses must be one the corpus marks so, and argparse must parse it
 to the same values; each other argv must be left to argparse.  It prints one
 line per argv, with the path taken and argparse's outcome.
+
+The `decay` suite computes the conviction decay factor of each (rate, dt) of
+DECAY_CORPUS from a cold cache and compares its text with the pinned 50 digits,
+which the exp route gave.  The power route's error bound rests on the
+interpreter's decimal `power`, so each interpreter checks it.  The corpus takes
+the power route, the exp route past its hold-time range and below 10^Emin, and
+factors that round to 1.  It prints one line per pair.
 
 It needs only the standard library and the package under src/, so it runs
 under an interpreter that has no pytest.  tests/test_cross_version.py runs it
@@ -83,6 +91,33 @@ CLI_CORPUS = (
     (["run", "--scenario", "P", "--out", "R", "extra"], False),
     (["verify", "--ledger", "L", "--csv", "C"], False),
     *((["run", "--scenario", "P", "--out", "R", "--seed", seed], False) for seed in _BAD_SEEDS),
+)
+
+# (decay rate, dt, 1 - e^(-rate * dt) to 50 digits by the exp route).
+DECAY_CORPUS = (
+    ("0.000300000", 1, "0.00029995500449966252024898754339122996495372995509"),
+    ("0.000300000", 1466, "0.35583475875105483336769261414835145945142591318076"),
+    ("0.000300000", 19999, "0.99752050408612563849801773450270024488470446273530"),
+    ("0.000300000", 20000, "0.99752124782333364157695483256918333210849352041447"),
+    ("0.050000000", 7, "0.29531191028128656564517930096912153181558659391496"),
+    ("0.25", 3, "0.52763344725898529286195344905673208702979642086352"),
+    ("0.1", 24, "0.90928204671058749662482777992030853313821997151346"),
+    ("0.1", 199, "0.99999999772207295879463227076127108472559791659767"),
+    ("0.1", 10000, "1.0000000000000000000000000000000000000000000000000"),
+    ("0.5", 1, "0.39346934028736657639620046500881954655808186451281"),
+    ("0.5", 10000000, "1.0000000000000000000000000000000000000000000000000"),
+    ("0.000000001", 1, "9.9999999950000000016666666662500000000833E-10"),
+    ("0.000000001", 1000000000, "0.63212055882855767840447622983853913255418886896823"),
+    ("0.000000001", 1000000001, "0.63212055919643711939197883090965498209779992822016"),
+    ("0.000000001", 123456789012, "1.0000000000000000000000000000000000000000000000000"),
+    ("0.000000001", 1000000000000000000, "1.0000000000000000000000000000000000000000000000000"),
+    ("0.000000007", 123456789, "0.57861042757746505022101063546934257759818336420786"),
+    ("0.999999999", 100, "0.99999999999999999999999999999999999999999996279924"),
+    ("1", 1, "0.63212055882855767840447622983853913255418886896823"),
+    ("2", 30, "0.99999999999999999999999999124348923730347966151127"),
+    ("3.7", 12, "0.99999999999999999994784151077913796315358439057825"),
+    ("123.456789012", 17, "1.0000000000000000000000000000000000000000000000000"),
+    ("9223372036.854775807", 1, "1.0000000000000000000000000000000000000000000000000"),
 )
 
 
@@ -168,15 +203,36 @@ def check_cli() -> int:
     return 1 if failed else 0
 
 
+def check_decay() -> int:
+    """The decay suite: 0 when each factor of DECAY_CORPUS, computed cold, has its pinned text, else 1."""
+    from decimal import Decimal
+
+    from govlab.mechanisms import _decay_base, _decay_factor
+
+    failed = False
+    for rate, dt, want in DECAY_CORPUS:
+        _decay_factor.cache_clear()
+        _decay_base.cache_clear()
+        got = str(_decay_factor(Decimal(rate), dt))
+        if got != want:
+            print(f"FAIL rate {rate} dt {dt}: {got}, pinned {want}")
+            failed = True
+        else:
+            print(f"ok rate {rate} dt {dt} {got[:16]}")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or argv[0] not in ("presets", "workloads", "cli"):
-        print("usage: cross_version.py presets|workloads|cli", file=sys.stderr)
+    if len(argv) != 1 or argv[0] not in ("presets", "workloads", "cli", "decay"):
+        print("usage: cross_version.py presets|workloads|cli|decay", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))  # the package in this checkout, never an installed copy
     suite = argv[0]
     print(f"# python {platform.python_version()} PYTHONHASHSEED={os.environ.get('PYTHONHASHSEED', 'unset')} {suite}")
     if suite == "cli":
         return check_cli()
+    if suite == "decay":
+        return check_decay()
     pinned = pins()[suite]
     texts = scenario_texts(suite)
     failed = sorted(set(pinned) ^ set(texts))

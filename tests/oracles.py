@@ -5,7 +5,9 @@ Everything here is deliberately written from the underlying definitions
 rationals, FIPS 180-4 for SHA-256) rather than by calling the package, so
 agreement between the two is evidence and not tautology.  conviction_units_decimal
 is one exception: it is the Decimal arithmetic the integer conviction rule
-replaced, so agreeing with it to the unit shows the rule changes no byte.  The probe
+replaced, so agreeing with it to the unit shows the rule changes no byte.
+decay_factor_ref is another: the exp route that the decay factor's power route
+must equal digit for digit.  The probe
 references are the other: they count every preference profile
 afresh through `governance.count_votes`, so they check the probes' single
 count and per-agent sums against the brute force those sums replace.
@@ -17,7 +19,7 @@ import csv
 import io
 import json
 import re
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -71,6 +73,15 @@ def conviction_units_decimal(token_units: int, decay_rate: Decimal, dt: int) -> 
         ctx.prec = 50
         raw = Decimal(str(TokenAmount(token_units))) * (1 - (-decay_rate * dt).exp())
     return int(raw.quantize(Decimal(1).scaleb(-9), rounding=ROUND_HALF_EVEN).scaleb(9))
+
+
+def decay_factor_ref(decay_rate: Decimal, dt: int, rounding: str = ROUND_HALF_EVEN) -> Decimal:
+    """1 - e^(-decay_rate * dt) by the exp route: negate, multiply, exp() and subtract, each
+    rounded to 50 digits in one explicit context whose fields are the interpreter's defaults
+    but for `rounding` (exp() itself always rounds half-even)."""
+    ctx = Context(prec=50, rounding=rounding, Emin=-999999, Emax=999999, capitals=1, clamp=0, flags=[],
+                  traps=[InvalidOperation, DivisionByZero, Overflow])
+    return ctx.subtract(1, ctx.exp(ctx.multiply(ctx.minus(decay_rate), dt)))
 
 
 def ratio_units(num: int, den: int) -> int:

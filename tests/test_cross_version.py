@@ -3,8 +3,8 @@
 tests/cross_version.py runs the scenarios and compares each output with the
 pins in tests/test_golden.py.  Each interpreter of INTERPRETERS found on PATH
 that starts and reports its own version runs it; an absent one is skipped.
-The presets and the CLI's argv corpus run by default, and the seed-1
-benchmark workloads under `slow`.
+The presets, the CLI's argv corpus and the decay factor corpus run by
+default, and the seed-1 benchmark workloads under `slow`.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def test_presets_give_their_pinned_bytes(name, hash_seed):
 @pytest.mark.parametrize("name", INTERPRETERS)
 def test_the_cli_table_parses_as_argparse_does(name):
     _check(name, "cli", HASH_SEEDS[0])
+
+
+@pytest.mark.parametrize("name", INTERPRETERS)
+def test_the_decay_factors_give_their_pinned_digits(name):
+    _check(name, "decay", HASH_SEEDS[0])
 
 
 @pytest.mark.slow

@@ -1,13 +1,15 @@
 """Power functions, the quorum gate, and the tally itself."""
 
+import decimal
 import random
-from decimal import Decimal
+import threading
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, Inexact, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govlab import events
+from govlab import events, mechanisms
 from govlab.core import (
     MAX_UNITS,
     NANO,
@@ -21,6 +23,7 @@ from govlab.core import (
 )
 from govlab.governance import GovernanceEngine, GovernanceError, Proposal, Window
 from govlab.mechanisms import (
+    _decay_factor,
     ConvictionParams,
     Mechanism,
     MechanismError,
@@ -35,9 +38,9 @@ from govlab.mechanisms import (
 )
 
 from govlab.scenario import ScenarioValidationError, load_preset, parse_scenario
-from govlab.simulation import compare_mechanisms
+from govlab.simulation import compare_mechanisms, run
 
-from oracles import conviction_units, conviction_units_decimal, sqrt_units
+from oracles import conviction_units, conviction_units_decimal, decay_factor_ref, sqrt_units
 
 token_units_st = st.integers(min_value=1, max_value=10**15)
 
@@ -237,6 +240,136 @@ class TestPowerRule:
         assert power_rule(mechanism, None)(units, dt) == units
 
 
+def _in_a_new_thread(fn):
+    """fn's result in a fresh thread, whose decimal context is a copy of DefaultContext as it is now."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and out, "the thread raised or did not finish"
+    return out[0]
+
+
+@pytest.fixture
+def edited_default_context():
+    """DefaultContext at 12 digits, rounding toward floor and trapping Inexact, restored afterwards."""
+    default = decimal.DefaultContext
+    saved = default.prec, default.rounding, default.traps[Inexact]
+    default.prec, default.rounding, default.traps[Inexact] = 12, ROUND_FLOOR, True
+    try:
+        yield
+    finally:
+        default.prec, default.rounding, default.traps[Inexact] = saved
+
+
+def _random_rate(rng):
+    """A nine-digit rate, log-uniform from 10^-9 to 100."""
+    return Decimal(rng.randint(1, 10 ** rng.randint(1, 11))).scaleb(-9)
+
+
+def _random_dt(rng):
+    """A hold time, log-uniform from 1 to 10^18."""
+    return rng.randint(1, 10 ** rng.randint(1, 18))
+
+
+class TestDecayFactor:
+    """_decay_factor's power route gives the exp route's 50 digits, whatever the caller's context."""
+
+    RATE = Decimal("0.1")
+    # The hold times whose factor at RATE differs when the exp route's steps round toward floor.
+    FLOOR_SENSITIVE = [dt for dt in range(1, 200) if decay_factor_ref(Decimal("0.1"), dt, ROUND_FLOOR) != decay_factor_ref(Decimal("0.1"), dt)]
+
+    @staticmethod
+    def _same(got, want):
+        return got == want and str(got) == str(want)
+
+    def _cold(self, dt):
+        _decay_factor.cache_clear()
+        return _decay_factor(self.RATE, dt)
+
+    def test_ninety_two_hold_times_are_floor_sensitive(self):
+        assert len(self.FLOOR_SENSITIVE) == 92
+
+    @pytest.mark.parametrize("caller", [dict(rounding=ROUND_FLOOR), dict(prec=12)], ids=["floor", "prec12"])
+    def test_the_caller_context_does_not_reach_a_factor(self, caller):
+        for dt in self.FLOOR_SENSITIVE:
+            with localcontext(**caller):
+                got = self._cold(dt)
+            assert self._same(got, decay_factor_ref(self.RATE, dt)), dt
+
+    def test_an_edited_default_context_does_not_reach_a_factor(self, edited_default_context):
+        got = _in_a_new_thread(lambda: [self._cold(dt) for dt in self.FLOOR_SENSITIVE])
+        for dt, factor in zip(self.FLOOR_SENSITIVE, got):
+            assert self._same(factor, decay_factor_ref(self.RATE, dt)), dt
+
+    def test_an_edited_default_context_does_not_reach_the_conviction_rule(self, edited_default_context):
+        """The rule's product context spells out every field, traps included, so an Inexact
+        trap set on DefaultContext neither raises nor changes a power."""
+        cases = [(units, dt) for units in (1, 10**9 + 7, 123_456_789_012_345) for dt in self.FLOOR_SENSITIVE[:10]]
+        want = [conviction_units_decimal(units, self.RATE, dt) for units, dt in cases]
+        params = ConvictionParams(decay_rate=self.RATE)
+
+        def count():
+            _decay_factor.cache_clear()
+            rule = power_rule(Mechanism.CONVICTION, params)
+            return [rule(units, dt) for units, dt in cases]
+
+        assert _in_a_new_thread(count) == want
+
+    def test_equals_the_exp_route_on_a_seeded_sweep(self):
+        rng = random.Random(38)
+        for _ in range(5_000):
+            rate, dt = _random_rate(rng), _random_dt(rng)
+            assert self._same(_decay_factor(rate, dt), decay_factor_ref(rate, dt)), (rate, dt)
+
+    @pytest.mark.slow
+    def test_equals_the_exp_route_on_every_short_hold_of_27_rates(self):
+        """dt 1 to 3,000 and 300 log-uniform hold times up to 10^18, for each of 27 rates."""
+        rng = random.Random(3800)
+        rates = [Decimal(text) for text in ("0.000000001", "0.000300000", "0.05", "0.1", "0.5", "1", "2", "9223372036.854775807")]
+        rates += [_random_rate(rng) for _ in range(27 - len(rates))]
+        for rate in rates:
+            _decay_factor.cache_clear()
+            for dt in [*range(1, 3_001), *(_random_dt(rng) for _ in range(300))]:
+                assert self._same(_decay_factor(rate, dt), decay_factor_ref(rate, dt)), (rate, dt)
+
+    @pytest.mark.parametrize(
+        "rate, dt, exp_route",
+        [
+            ("0.1", 1_000, False),
+            ("0.000300000", 19_999, False),
+            ("0.000000001", 10**9, False),  # the route's largest hold time
+            ("0.000000001", 10**9 + 1, True),  # beyond it
+            ("0.5", 10**7, True),  # e^(-5,000,000) is below 10^Emin
+            ("100000000000.000000000000000000000000000001", 1, True),  # a rate of 42 digits
+        ],
+    )
+    def test_the_exp_route_is_taken_only_outside_the_power_route(self, rate, dt, exp_route, monkeypatch):
+        calls = []
+        exp_factor = mechanisms._exp_factor
+        monkeypatch.setattr(mechanisms, "_exp_factor", lambda *args: calls.append(args) or exp_factor(*args))
+        _decay_factor.cache_clear()
+        assert self._same(_decay_factor(Decimal(rate), dt), decay_factor_ref(Decimal(rate), dt))
+        assert len(calls) == exp_route
+
+    def test_a_power_at_a_half_ulp_takes_the_exp_route(self, monkeypatch):
+        """e^(-0.5) to 50 digits ends in an odd digit, so the midpoint above it rounds half-even
+        to its upper neighbour: a power placed there that were accepted would give 1 minus that
+        neighbour.  The bound straddles the midpoint, so the exp route gives the right factor."""
+        rate = Decimal("0.5")
+        nearest = Context(prec=50, rounding=ROUND_HALF_EVEN).exp(-rate)
+        assert nearest.as_tuple().digits[-1] % 2 == 1
+        midpoint = Context(prec=51).add(nearest, Decimal((0, (5,), nearest.as_tuple().exponent - 1)))
+        assert Context(prec=50, rounding=ROUND_HALF_EVEN).plus(midpoint) != nearest
+        calls = []
+        exp_factor = mechanisms._exp_factor
+        monkeypatch.setattr(mechanisms, "_decay_base", lambda decay_rate: midpoint)
+        monkeypatch.setattr(mechanisms, "_exp_factor", lambda *args: calls.append(args) or exp_factor(*args))
+        _decay_factor.cache_clear()
+        assert self._same(_decay_factor(rate, 1), decay_factor_ref(rate, 1))
+        assert calls == [(rate, 1)]
+
+
 class TestSwitchVote:
     """A wallet switches options by casting again on its proposal's engine."""
 
@@ -308,6 +441,11 @@ class TestQuorumConfig:
         proposal = Proposal("p1", ("a", "b"), Window(0, 1), Window(1, 2), Mechanism.QUORUM, quorum=config)
         assert QuorumConfig(**loads_canonical(events.submit(proposal, 0))["quorum"]) == config
 
+
+    def test_threshold_units_are_exact_under_a_five_digit_caller_context(self):
+        config = QuorumConfig(basis=QuorumBasis.TOKEN_SUPPLY_FRACTION, threshold=Decimal("0.123456789"))
+        with localcontext(prec=5):
+            assert config.threshold_units == 123_456_789
 
 class TestQuorumGate:
     def _run(self, committed, threshold, supply=100, basis=QuorumBasis.TOKEN_SUPPLY_FRACTION):
@@ -400,6 +538,23 @@ class TestQuorumGate:
         )
         assert result.outcome.kind != "quorum_failed"
 
+
+    def test_a_run_finalizes_alike_under_a_five_digit_caller_context(self):
+        """Participation of 0.123457 meets the 0.123456789 threshold but not its five-digit
+        rounding 0.12346, so a threshold rounded in the caller's context would fail quorum."""
+        scenario = parse_scenario({
+            "schema_version": 1, "name": "tight-quorum", "ticks": 10, "supply": "1", "mechanism": "token",
+            "quorum": {"basis": "token_supply_fraction", "threshold": "0.123456789"},
+            "proposals": [{"id": "p1", "options": ["yes", "no"], "discussion_window": [0, 2], "voting_window": [2, 10]}],
+            "agents": [
+                {"id": "voter", "kind": "honest", "balance": "0.123457", "preference": ["yes", "no"]},
+                {"id": "idle", "kind": "abstainer", "balance": "0.876543"},
+            ],
+        })
+        default = run(scenario).report_json
+        assert loads_canonical(default)["proposals"][0]["outcome"] == {"option": "yes", "type": "winner"}
+        with localcontext(prec=5):
+            assert run(scenario).report_json == default
 
 class TestTally:
     @pytest.mark.parametrize("mechanism", list(Mechanism))

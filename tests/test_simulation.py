@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from govlab import core
 from govlab import events as events_module
+from govlab import mechanisms
 from govlab import simulation as simulation_module
 from govlab.core import NANO, TokenAmount, VoteRecord, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import GovernanceEngine, Proposal, Window, replay
@@ -1057,3 +1058,18 @@ class TestPeakMemoryPerWallet:
         result = run(load_preset(name))
         assert votes_alive() == before
         assert all(p["voters"] for p in result.report["proposals"])
+
+
+def test_a_cold_conviction_horizon_run_takes_one_exp_per_rate(monkeypatch):
+    """The seed-1 workload's 150 voters hold for 150 distinct times: 150 factors are computed,
+    each a power of the one rate's base, and none by the exp route."""
+    scenario = loads_scenario(_bench_workloads().scenario_text("conviction_horizon", 1))
+    exp_route = []
+    exp_factor = mechanisms._exp_factor
+    monkeypatch.setattr(mechanisms, "_exp_factor", lambda *args: exp_route.append(args) or exp_factor(*args))
+    mechanisms._decay_factor.cache_clear()
+    mechanisms._decay_base.cache_clear()
+    run(scenario)
+    assert mechanisms._decay_factor.cache_info().misses == 150
+    assert mechanisms._decay_base.cache_info().misses == 1
+    assert exp_route == []

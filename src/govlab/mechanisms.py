@@ -150,12 +150,11 @@ def _context(prec: int, emin: int = -999999, emax: int = 999999) -> Context:
 
 
 _FACTOR = _context(50)  # the factor's 50 digits, and the conviction rule's product
-# The power route: e^(-rate) at 70 digits, raised to dt at 60 + digits(dt) digits, for
-# 1 <= dt <= 10^9 and a rate of at most 40 digits, so that -rate * dt is exact in 50.
+# The power route: e^(-rate) to 70 digits, raised to dt at 70 digits, for dt <= 10^9.  A rate
+# from ConvictionParams is positive with at most 19 digits, so -rate * dt is exact in 50.
 # The wide exponent range keeps the power and its error bound clear of underflow.
 _DT_MAX = 10**9
 _BASE = _context(70, MIN_EMIN, MAX_EMAX)
-_POWER = tuple(_context(60 + digits, MIN_EMIN, MAX_EMAX) for digits in range(len(str(_DT_MAX)) + 1))
 
 
 def _exp_factor(decay_rate: Decimal, dt: int) -> Decimal:
@@ -164,10 +163,8 @@ def _exp_factor(decay_rate: Decimal, dt: int) -> Decimal:
 
 
 @lru_cache(maxsize=256)
-def _decay_base(decay_rate: Decimal) -> Decimal | None:
-    """e^(-decay_rate) to 70 digits, or None for a rate the power route is not stated for."""
-    if decay_rate <= 0 or len(decay_rate.as_tuple().digits) > 40:
-        return None
+def _decay_base(decay_rate: Decimal) -> Decimal:
+    """e^(-decay_rate) to 70 digits."""
     return _BASE.exp(_BASE.minus(decay_rate))
 
 
@@ -175,22 +172,20 @@ def _decay_base(decay_rate: Decimal) -> Decimal | None:
 def _decay_factor(decay_rate: Decimal, dt: int) -> Decimal:
     """1 - e^(-decay_rate * dt) to 50 significant digits: the exp route's value, always.
 
-    The power route raises the rate's base b = e^(-decay_rate), good to one
-    ulp at 70 digits, to dt at W = 60 + digits(dt) digits.  Each of the
-    base's dt factors, the power's rounding at W and its working products at
-    W + digits(dt) + 2 digits keep the power P within (dt + 2) * 10^(1-W) of
-    e^(-decay_rate * dt), relative.  When P less and P plus that bound round
-    to the same 50 digits, so does the exact power, which is then the value
-    exp() rounds correctly; 1 minus it is the exp route's factor.  Any other
-    case (a P near a 50-digit midpoint, below 10^Emin, or a dt or rate
-    outside the route's range) takes the exp route.
+    decay_rate is a ConvictionParams rate and dt a positive tick count.  The
+    power route raises the rate's base b = e^(-decay_rate), good to one ulp
+    at W = 70 digits, to dt at W digits.  The base's dt factors, the power's
+    rounding at W and its working products at W + digits(dt) + 2 digits keep
+    the power P within (dt + 2) * 10^(1-W) of e^(-decay_rate * dt), relative.
+    When P less and P plus that bound round to the same 50 digits, so does
+    the exact power, which is then the value exp() rounds correctly; 1 minus
+    it is the exp route's factor.  Any other case (a P near a 50-digit
+    midpoint or below 10^Emin, or a dt above 10^9) takes the exp route.
     """
-    base = _decay_base(decay_rate) if 0 < dt <= _DT_MAX else None
-    if base is not None:
-        power_context = _POWER[len(str(dt))]
-        power = power_context.power(base, dt)
+    if dt <= _DT_MAX:
+        power = _BASE.power(_decay_base(decay_rate), dt)
         if power.adjusted() > _FACTOR.Emin:
-            bound = power_context.scaleb(power_context.multiply(power, dt + 2), 1 - power_context.prec)
+            bound = _BASE.scaleb(_BASE.multiply(power, dt + 2), 1 - _BASE.prec)
             low = _FACTOR.subtract(power, bound)
             if low == _FACTOR.add(power, bound):
                 return _FACTOR.subtract(1, low)

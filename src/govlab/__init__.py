@@ -28,7 +28,6 @@ from .identity import (
     RegistryMode,
     RejectionReason,
     SimulatedProvider,
-    VerificationOutcome,
     VotePolicy,
     filter_and_collapse,
 )

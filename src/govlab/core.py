@@ -7,16 +7,17 @@ Arithmetic works on those unit counts, so sums are exact; rounding
 exponential) enters, never in plain arithmetic.  Serialization is canonical
 JSON: sorted keys, compact separators, ASCII only.  An amount (a TokenAmount
 or VotingPower) is written as its str(), with exactly nine fractional digits.
-A report ratio (participation, Gini, amplification) is written as the str()
-of its nine-digit Decimal, which takes exponent form below 10^-6: 1E-9, and
-0E-9 for zero.  Report schema 1 keeps that form.
+A report ratio (participation, Gini, amplification) is written by fmt_decimal,
+in the package context's scientific form of its nine-digit Decimal, which
+takes exponent form below 10^-6: 1E-9, and 0E-9 for zero.  Report schema 1
+keeps that form.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from decimal import MAX_PREC, Context, Decimal, Overflow
+from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from itertools import repeat
 from typing import Any, Iterable, Iterator
 
@@ -94,9 +95,22 @@ def parse_units(value: str | int | Decimal) -> int:
     return units
 
 
+def _context(prec: int, emin: int = -999999, emax: int = 999999) -> Context:
+    """A half-even context with every field given: Context() copies a missing one
+    from the mutable DefaultContext, and no value the package reads or writes may depend on it."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=emin, Emax=emax, capitals=1, clamp=0,
+                   flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
 # scaleb rounds to its context's precision (28 digits by default), which would
 # drop a 29th significant digit; this context keeps every digit.
-_EXACT = Context(prec=MAX_PREC)
+_EXACT = _context(MAX_PREC)
+
+
+def fmt_decimal(value: Decimal) -> str:
+    """The text of a Decimal in every byte the package writes: its scientific form in the
+    package's context, so the caller's capitals setting never reaches it."""
+    return _EXACT.to_sci_string(value)
 
 
 def _units_from_decimal(d: Decimal) -> int:
@@ -136,51 +150,6 @@ def div_units_half_even(num_units: int, den_units: int) -> int:
 def ratio_half_even(num_units: int, den_units: int) -> Decimal:
     """num/den as a Decimal rounded half-even at nine fractional digits."""
     return Decimal(fmt_units(div_units_half_even(num_units, den_units)))
-
-
-class _Fixed:
-    """Immutable non-negative fixed-point number in 10^-9 units: X(units) builds one,
-    X.parse(value) reads a decimal and x.units is the count.  Amounts have no order."""
-
-    __slots__ = ("units",)
-
-    def __init__(self, units: int):
-        if not isinstance(units, int) or isinstance(units, bool):
-            raise FixedPointError("unit count must be an int")
-        if units < 0:
-            raise FixedPointError(f"negative quantity: {units} units")
-        if units > MAX_UNITS:
-            raise FixedPointOverflow(f"quantity exceeds fixed-point range: {units} units")
-        object.__setattr__(self, "units", units)
-
-    def __setattr__(self, name: str, value: Any = None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    @classmethod
-    def parse(cls, value: str | int | Decimal):
-        return cls(parse_units(value))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.units == self.units
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.units))
-
-    def __str__(self) -> str:
-        return fmt_units(self.units)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}('{self}')"
-
-
-class TokenAmount(_Fixed):
-    """A quantity of governance tokens."""
-
-
-class VotingPower(_Fixed):
-    """Tallied influence; same fixed-point representation as tokens."""
 
 
 class _Identifier(str):
@@ -291,6 +260,40 @@ class _Record:
         fields = {name: getattr(self, name) for name in self.__slots__}
         fields.update(changes)
         return type(self)(**fields)
+
+
+class _Fixed(_Record):
+    """Immutable non-negative fixed-point number in 10^-9 units: X(units) builds one,
+    X.parse(value) reads a decimal and x.units is the count.  Amounts have no order."""
+
+    __slots__ = ("units",)
+
+    def __init__(self, units: int):
+        if not isinstance(units, int) or isinstance(units, bool):
+            raise FixedPointError("unit count must be an int")
+        if units < 0:
+            raise FixedPointError(f"negative quantity: {units} units")
+        if units > MAX_UNITS:
+            raise FixedPointOverflow(f"quantity exceeds fixed-point range: {units} units")
+        _set(self, "units", units)
+
+    @classmethod
+    def parse(cls, value: str | int | Decimal):
+        return cls(parse_units(value))
+
+    def __str__(self) -> str:
+        return fmt_units(self.units)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class TokenAmount(_Fixed):
+    """A quantity of governance tokens."""
+
+
+class VotingPower(_Fixed):
+    """Tallied influence; same fixed-point representation as tokens."""
 
 
 class VoteRecord(_Record):

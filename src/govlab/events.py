@@ -16,8 +16,8 @@ Canonical form.  A payload, the bytes the ledger hashes, is written as:
   - integers in decimal, "-" for a negative sign, no leading zeros;
   - amounts and powers as strings: the whole part in decimal without leading
     zeros, ".", then exactly nine fractional digits.  A submit event's quorum
-    threshold and decay rate are str() of a Decimal with nine fractional
-    digits, which is that form except below 10^-6 ("5.00E-7", "0E-9");
+    threshold and decay rate are core.fmt_decimal of a Decimal with nine
+    fractional digits, which is that form except below 10^-6 ("5.00E-7", "0E-9");
   - true, false and null as literals; no floats, NaN or Infinity.
 RFC 8785 (the JSON Canonicalization Scheme) differs in three places: it writes
 non-ASCII and DEL (0x7f) raw in UTF-8, it sorts keys by UTF-16 code unit, which
@@ -34,9 +34,9 @@ field of every event, genesis's identity record among them, goes to core's
 JSON encoder as one dict without canonical_json's walk: each is a str, an int,
 None, or a list or dict of them that the engine built from typed values
 (validated ids, checked option labels, enum values, str() of amounts and
-decimals) or that genesis checks, so the walk would find nothing to refuse.
-canonical_json stays the reference that the tests compare each encoder's text
-with.
+fmt_decimal of decimals) or that genesis checks, so the walk would find
+nothing to refuse.  canonical_json stays the reference that the tests
+compare each encoder's text with.
 
 decode checks the key set and the JSON type of every field, nested ones
 included.  A missing or mistyped field raises GovernanceError("event k:
@@ -61,7 +61,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
-from .core import _ENCODER, NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, fmt_units, loads_canonical
+from .core import _ENCODER, NANO, GovernanceError, ProposalId, TallyResult, TokenAmount, fmt_decimal, fmt_units, loads_canonical
 from .identity import IdentityFilter, RegistryMode, VotePolicy
 from .mechanisms import QuorumBasis
 
@@ -117,8 +117,8 @@ def submit(proposal, tick: int) -> str:
         "discussion_window": [proposal.discussion_window.start, proposal.discussion_window.end],
         "voting_window": [proposal.voting_window.start, proposal.voting_window.end],
         "mechanism": proposal.mechanism.value,
-        "quorum": {"basis": quorum.basis.value, "threshold": str(quorum.threshold)} if quorum else None,
-        "conviction": {"decay_rate": str(conviction.decay_rate)} if conviction else None,
+        "quorum": {"basis": quorum.basis.value, "threshold": fmt_decimal(quorum.threshold)} if quorum else None,
+        "conviction": {"decay_rate": fmt_decimal(conviction.decay_rate)} if conviction else None,
         "tick": tick,
     })
 
@@ -154,7 +154,7 @@ def finalize(proposal: ProposalId, outcome_phase: str, result: TallyResult, tick
 # string matches; [spec] for an array of any length, [spec, spec] for a pair;
 # {key: spec} for an object with those keys, {str: spec} for any keys; and
 # (None, spec) for null or spec.
-_FRACTION = re.compile(r"[0-9]+\.[0-9]{9}|[0-9](\.[0-9]{1,2})?E-[789]")  # a str(Decimal) that Decimal() reads
+_FRACTION = re.compile(r"[0-9]+\.[0-9]{9}|[0-9](\.[0-9]{1,2})?E-[789]")  # a fmt_decimal text that Decimal() reads
 _BINDING = {"identity": str, "wallets": [str]}
 _IDENTITY = {
     "policy": frozenset(p.value for p in VotePolicy),

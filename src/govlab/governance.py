@@ -118,16 +118,11 @@ def _checked_window(start: int, end: int) -> Window:
 _set_start, _set_end = (getattr(Window, n).__set__ for n in Window.__slots__)
 
 
-class Proposal(_Record):
-    """Governance proposal; phase is managed by the engine after submission.
-
-    Unlike the other records it is mutable, and so not hashable.
-    """
+class Proposal:
+    """Governance proposal; phase is managed by the engine after submission, so unlike
+    a record it is mutable, and compared and hashed by identity."""
 
     __slots__ = ("id", "options", "discussion_window", "voting_window", "mechanism", "quorum", "conviction", "phase")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -164,13 +159,6 @@ class Proposal(_Record):
     @property
     def approve_option(self) -> str:
         return self.options[0]
-
-    def _replace(self, **changes: Any) -> "Proposal":
-        """A draft built through the constructor from this proposal's fields with changes applied;
-        phase is the engine's, not a constructor parameter, so it is not copied."""
-        fields = {name: getattr(self, name) for name in self.__slots__ if name != "phase"}
-        fields.update(changes)
-        return Proposal(**fields)
 
 
 class GovernanceEngine:

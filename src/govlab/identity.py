@@ -48,13 +48,6 @@ class RejectionReason(str, Enum):
     PROVIDER_REJECTED = "ProviderRejected"
 
 
-class VerificationOutcome(_Record):
-    __slots__ = ("accepted", "reason")
-
-
-_ACCEPTED = VerificationOutcome(True, None)  # immutable, so every accepted bind shares it
-
-
 class IdentityRegistry:
     """Mutable wallet-to-identity binding table; single writer."""
 
@@ -63,8 +56,9 @@ class IdentityRegistry:
         self._wallets_by_identity: dict[IdentityId, list[WalletId]] = {}
         self._identity_by_wallet: dict[WalletId, IdentityId] = {}
 
-    def bind(self, identity: IdentityId, wallet: WalletId) -> VerificationOutcome:
-        """Attempt to bind a wallet to an identity under the registry's mode.
+    def bind(self, identity: IdentityId, wallet: WalletId) -> RejectionReason | None:
+        """Attempt to bind a wallet to an identity under the registry's mode: None when it
+        is bound, else the reason it is refused.
 
         Rebinding an existing (identity, wallet) pair is an accepted no-op.
         A wallet bound to a different identity is rejected WalletAlreadyBound;
@@ -77,17 +71,17 @@ class IdentityRegistry:
         bound_to = self._identity_by_wallet.get(wallet)
         if bound_to is not None:
             if bound_to == identity:
-                return _ACCEPTED
-            return VerificationOutcome(False, RejectionReason.WALLET_ALREADY_BOUND)
+                return None
+            return RejectionReason.WALLET_ALREADY_BOUND
         existing = self._wallets_by_identity.get(identity)
         if existing is None:
             self._wallets_by_identity[identity] = [wallet]
         elif self.mode is RegistryMode.STRICT_ONE_WALLET:
-            return VerificationOutcome(False, RejectionReason.DUPLICATE_IDENTITY)
+            return RejectionReason.DUPLICATE_IDENTITY
         else:
             existing.append(wallet)
         self._identity_by_wallet[wallet] = identity
-        return _ACCEPTED
+        return None
 
     def identity_of(self, wallet: WalletId) -> IdentityId | None:
         return self._identity_by_wallet.get(wallet)

@@ -28,16 +28,7 @@ exactly passes.
 
 from __future__ import annotations
 
-from decimal import (
-    MAX_EMAX,
-    MIN_EMIN,
-    ROUND_HALF_EVEN,
-    Context,
-    Decimal,
-    DivisionByZero,
-    InvalidOperation,
-    Overflow,
-)
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -54,6 +45,7 @@ from .core import (
     WalletId,
     _EXACT,
     _Record,
+    _context,
     _set,
     fmt_units,
     parse_units,
@@ -140,13 +132,6 @@ def quadratic_units(units: int, dt: int) -> int:
     n = units * NANO
     s = isqrt(n)
     return s + 1 if n - s * s > s else s
-
-
-def _context(prec: int, emin: int = -999999, emax: int = 999999) -> Context:
-    """A half-even context with every field given: Context() copies a missing one
-    from the mutable DefaultContext, and a factor must not depend on it."""
-    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=emin, Emax=emax, capitals=1, clamp=0,
-                   flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 _FACTOR = _context(50)  # the factor's 50 digits, and the conviction rule's product

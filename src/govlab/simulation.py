@@ -28,6 +28,7 @@ from .core import (
     WalletId,
     _Record,
     canonical_json,
+    fmt_decimal,
     fmt_units,
     ratio_half_even,
 )
@@ -113,15 +114,11 @@ def build_setup(scenario: Scenario) -> SimulationSetup:
             # Each wallet's claim: its own fake identity, or the agent's one identity, built once.
             claims = agent.fake_ids() if fake else repeat(IdentityId(agent.id))
             for wallet, claim in zip(wallets, claims):
-                if not provider.review(fake):
-                    reason = RejectionReason.PROVIDER_REJECTED
+                reason = registry.bind(claim, wallet) if provider.review(fake) else RejectionReason.PROVIDER_REJECTED
+                if reason is None:
+                    accepted += 1
                 else:
-                    outcome = registry.bind(claim, wallet)
-                    if outcome.accepted:
-                        accepted += 1
-                        continue
-                    reason = outcome.reason
-                by_reason[reason] = by_reason.get(reason, 0) + 1
+                    by_reason[reason] = by_reason.get(reason, 0) + 1
     if cfg is not None:
         identity = IdentityFilter(registry, cfg.policy)
         stats = {"bindings_accepted": accepted, "bindings_rejected": sum(by_reason.values()),
@@ -261,12 +258,12 @@ def proposal_entry(engine: GovernanceEngine, proposal_id: str, result: TallyResu
         "id": proposal_id,
         "phase": engine.proposals[proposal_id].phase.value,
         **result.to_json_obj(),  # outcome, per_option_power and participating_tokens, as finalize records them
-        "participation": {  # "0E-9" is str() of a zero nine-digit Decimal
-            "token_supply_fraction": str(ratio_half_even(tokens, supply_units)) if supply_units else "0E-9",
-            "wallet_count_fraction": str(ratio_half_even(len(powers), universe)) if universe else "0E-9",
+        "participation": {  # "0E-9" is fmt_decimal() of a zero nine-digit Decimal
+            "token_supply_fraction": fmt_decimal(ratio_half_even(tokens, supply_units)) if supply_units else "0E-9",
+            "wallet_count_fraction": fmt_decimal(ratio_half_even(len(powers), universe)) if universe else "0E-9",
         },
         "voters": len(powers),
-        "power_gini": str(_gini(ranked)) if total else None,
+        "power_gini": fmt_decimal(_gini(ranked)) if total else None,
         "min_controlling_set": _min_controlling_set(ranked) if total else None,
         "total_power": str(VotingPower(total)),
     }
@@ -283,7 +280,7 @@ def _amplification(
     for agent in attackers:
         mine = rows.get(agent.id)
         honest = mine and rule(mine[1], spec.voting_window.end - agent.cast_tick(spec))
-        amplification[agent.id] = str(ratio_half_even(mine[2], honest)) if honest else None
+        amplification[agent.id] = fmt_decimal(ratio_half_even(mine[2], honest)) if honest else None
     return amplification
 
 

@@ -4,6 +4,7 @@
     PYTHONHASHSEED=1 python3.13 tests/cross_version.py workloads
     python3.10 tests/cross_version.py cli
     python3.13 tests/cross_version.py decay
+    python3.11 -I tests/cross_version.py context
 
 For each preset (`presets`) or each benchmark workload's seed-1 scenario
 (`workloads`) it runs the scenario twice, through `govlab.simulation.run` and
@@ -26,6 +27,14 @@ interpreter's decimal `power`, so each interpreter checks it.  The corpus takes
 the power route, the exp route past its hold-time range and below 10^Emin, and
 factors that round to 1.  It prints one line per pair.
 
+The `context` suite edits decimal.DefaultContext before the package is
+imported (HOSTILE_CONTEXT: five digits, exponents within -5 to 5, a
+lowercase exponent mark and Inexact trapped) and makes the main thread's
+context a copy of it, then checks the presets as `presets` does, and the two
+scenarios of CONTEXT_SCENARIOS against CONTEXT_PINS: a zero quorum threshold
+and a nine-digit decay rate, both written in exponent form.  DefaultContext
+is process-wide, so the suite runs in a process of its own.
+
 It needs only the standard library and the package under src/, so it runs
 under an interpreter that has no pytest.  tests/test_cross_version.py runs it
 under each of python3.10 to python3.13 that is installed.
@@ -35,9 +44,11 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import decimal
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import platform
 import shlex
@@ -121,6 +132,51 @@ DECAY_CORPUS = (
 )
 
 
+# The decimal context fields the context suite sets on DefaultContext, besides trapping Inexact.
+HOSTILE_CONTEXT = {"prec": 5, "Emin": -5, "Emax": 5, "capitals": 0}
+
+# Two scenarios whose submit event and report write decimals in exponent form: "0E-9", "1E-9", "3.07E-7".
+CONTEXT_SCENARIOS = {
+    "zero_threshold_quorum": {
+        "schema_version": 1, "name": "zero_threshold_quorum", "ticks": 10, "supply": "1", "mechanism": "quorum",
+        "quorum": {"basis": "token_supply_fraction", "threshold": "0"},
+        "proposals": [{"id": "p1", "options": ["yes", "no"], "discussion_window": [0, 2], "voting_window": [2, 10]}],
+        "agents": [{"id": "voter", "kind": "honest", "balance": "1", "preference": ["yes", "no"]}],
+    },
+    "nano_decay_conviction": {
+        "schema_version": 1, "name": "nano_decay_conviction", "ticks": 40, "supply": "1000000000",
+        "mechanism": "conviction", "conviction": {"decay_rate": "0.000000001"},
+        "proposals": [{"id": "p1", "options": ["yes", "no"], "discussion_window": [0, 2], "voting_window": [2, 40]}],
+        "agents": [
+            {"id": "ann", "kind": "honest", "balance": "300", "preference": ["yes", "no"]},
+            {"id": "bob", "kind": "honest", "balance": "7", "preference": ["no", "yes"], "cast_at": 30},
+        ],
+    },
+}
+# The head, report, CSV and NDJSON SHA-256 values of each, as ARTIFACTS orders them.
+CONTEXT_PINS = {
+    "zero_threshold_quorum": (
+        "073eafb878f0e71d24ba9d401a67b33eb52fbe1fd8ea73efc7ff9cc48a2f8492",
+        "2dc03ab7baa9da0997ee9b28d717388398f50257a9aface46e538f52c325dc64",
+        "63e44f5c7725dc439114d5ba4dec95bbab30c39cafa412dc3c391544cc6a2c4a",
+        "0d0f9760b4db3b68301ba35c72fa190bc2cbaf841d712aa8443407246d433d67",
+    ),
+    "nano_decay_conviction": (
+        "06679ee0882f26e50ec23271beb919869784f3b581b9eff603720bdb86b39e94",
+        "a5a2e7c965bb9761b058cf51095df107243eace580308382c51f10dc901ca46f",
+        "21ac1a19b131ea8508a1fe74b3145139ec9f9034a46ebc983c298ace6227da6d",
+        "414f1589f63e4c79adc3eece0395b6cb4299e4b5e0c9e9defbba577fc6a484f0",
+    ),
+}
+
+
+def set_hostile(context) -> None:
+    """Give a decimal context HOSTILE_CONTEXT's fields and trap Inexact."""
+    for name, value in HOSTILE_CONTEXT.items():
+        setattr(context, name, value)
+    context.traps[decimal.Inexact] = True
+
+
 def pins() -> dict[str, dict[str, tuple[str, str, str, str]]]:
     """The PRESETS and WORKLOADS tables of tests/test_golden.py, read as literals without importing it."""
     tables = {}
@@ -136,6 +192,8 @@ def _sha256(data: str | bytes) -> str:
 
 
 def scenario_texts(suite: str) -> dict[str, str]:
+    if suite == "context":
+        return {**scenario_texts("presets"), **{name: json.dumps(obj) for name, obj in CONTEXT_SCENARIOS.items()}}
     if suite == "presets":
         presets = ROOT / "src" / "govlab" / "presets"
         return {path.stem: path.read_text("utf-8") for path in sorted(presets.glob("*.json"))}
@@ -223,8 +281,8 @@ def check_decay() -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or argv[0] not in ("presets", "workloads", "cli", "decay"):
-        print("usage: cross_version.py presets|workloads|cli|decay", file=sys.stderr)
+    if len(argv) != 1 or argv[0] not in ("presets", "workloads", "cli", "decay", "context"):
+        print("usage: cross_version.py presets|workloads|cli|decay|context", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))  # the package in this checkout, never an installed copy
     suite = argv[0]
@@ -233,7 +291,12 @@ def main(argv: list[str]) -> int:
         return check_cli()
     if suite == "decay":
         return check_decay()
-    pinned = pins()[suite]
+    if suite == "context":  # before govlab is imported, which no suite has done yet
+        set_hostile(decimal.DefaultContext)
+        decimal.setcontext(decimal.DefaultContext)  # this thread's context becomes a copy of it
+        pinned = {**pins()["presets"], **CONTEXT_PINS}
+    else:
+        pinned = pins()[suite]
     texts = scenario_texts(suite)
     failed = sorted(set(pinned) ^ set(texts))
     for name in failed:

@@ -21,6 +21,7 @@ from govlab.governance import GovernanceEngine, Phase, Proposal, Window, replay
 from govlab.identity import (
     IdentityRegistry,
     RegistryMode,
+    RejectionReason,
     VotePolicy,
     filter_and_collapse,
 )
@@ -71,16 +72,15 @@ def test_criterion_03_identity_mitigation_neutralizes_the_attack():
 
     collapse = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
     for w in wallets:
-        assert collapse.bind(IdentityId("whale"), w).accepted
+        assert collapse.bind(IdentityId("whale"), w) is None
     votes = {w: VoteRecord(option="b", committed=TokenAmount.parse(100), cast_at=5) for w in wallets}
     merged = filter_and_collapse(votes, collapse, VotePolicy.DROP_UNVERIFIED).votes
     assert list(merged) == [wallets[0]]
     assert str(power_quadratic(merged[wallets[0]].committed)) == "100.000000000"
 
     strict = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
-    outcomes = [strict.bind(IdentityId("whale"), w) for w in wallets]
-    assert sum(1 for o in outcomes if o.accepted) == 1
-    assert sum(1 for o in outcomes if not o.accepted) == 99
+    refusals = [strict.bind(IdentityId("whale"), w) for w in wallets]
+    assert refusals == [None] + [RejectionReason.DUPLICATE_IDENTITY] * 99
 
     raw = _sybil_preset_raw()
     raw["identity"] = {"mode": "collapse_per_identity", "policy": "drop_unverified"}

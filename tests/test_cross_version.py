@@ -3,8 +3,9 @@
 tests/cross_version.py runs the scenarios and compares each output with the
 pins in tests/test_golden.py.  Each interpreter of INTERPRETERS found on PATH
 that starts and reports its own version runs it; an absent one is skipped.
-The presets, the CLI's argv corpus and the decay factor corpus run by
-default, and the seed-1 benchmark workloads under `slow`.
+The presets, the CLI's argv corpus, the decay factor corpus and the presets
+under an edited decimal.DefaultContext run by default, and the seed-1
+benchmark workloads under `slow`.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def _interpreter(name: str) -> str | None:
     return path if probe.returncode == 0 and probe.stdout.strip() == name else None
 
 
-def _check(name: str, suite: str, hash_seed: str) -> None:
+def _check(name: str, suite: str, hash_seed: str, *flags: str) -> None:
     if (path := _interpreter(name)) is None:
         pytest.skip(f"{name} is not installed")
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-    result = subprocess.run([path, str(SCRIPT), suite], capture_output=True, text=True, env=env, timeout=600)
+    result = subprocess.run([path, *flags, str(SCRIPT), suite], capture_output=True, text=True, env=env, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert lines[0].startswith(f"# python {name[len('python'):]}.") and f"PYTHONHASHSEED={hash_seed} " in lines[0]
@@ -64,6 +65,12 @@ def test_the_cli_table_parses_as_argparse_does(name):
 @pytest.mark.parametrize("name", INTERPRETERS)
 def test_the_decay_factors_give_their_pinned_digits(name):
     _check(name, "decay", HASH_SEEDS[0])
+
+
+@pytest.mark.parametrize("name", INTERPRETERS)
+def test_an_edited_default_context_changes_no_byte(name):
+    """DefaultContext is process-wide, so the suite runs isolated (-I) in a process of its own."""
+    _check(name, "context", HASH_SEEDS[0], "-I")
 
 
 @pytest.mark.slow

@@ -111,19 +111,6 @@ class TestLifecycle:
         engine.advance_to(5)
         assert proposal.phase is Phase.VOTING
 
-    def test_replace_builds_a_checked_draft_from_the_constructor_fields(self):
-        engine = _engine()
-        proposal = _proposal(options=("approve", "reject", "defer"))
-        engine.submit(proposal, 0)
-        changed = proposal._replace(options=("approve", "defer"))
-        assert changed.phase is Phase.DRAFT and proposal.phase is Phase.DISCUSSION
-        assert changed == _proposal(options=("approve", "defer"))
-        assert proposal._replace() == _proposal(options=("approve", "reject", "defer"))
-        with pytest.raises(GovernanceError, match="at least two options"):
-            proposal._replace(options=("approve",))
-        with pytest.raises(TypeError, match="phase"):
-            proposal._replace(phase=Phase.VOTING)
-
     def test_duplicate_submission_rejected(self):
         engine = _engine()
         engine.submit(_proposal(), 0)
@@ -309,7 +296,7 @@ class TestFinalizeCountsTheBook:
         wallets = [WalletId(f"w{k:06d}") for k in range(n)]
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
         for wallet in wallets[::2]:
-            assert registry.bind(IdentityId(f"id-{wallet}"), wallet).accepted
+            assert registry.bind(IdentityId(f"id-{wallet}"), wallet) is None
         balances = dict.fromkeys(wallets, TokenAmount.parse(10))
         engine = GovernanceEngine(
             balances=balances, supply=TokenAmount.parse(10 * n), ledger_sink=lambda entry: None,
@@ -719,7 +706,7 @@ class TestReplay:
         """An IdentityFilter and no scenario or mechanism labels: the collapsing finalize replays clean."""
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
         for identity, wallet in (("id-a", "alice"), ("id-a", "bob"), ("id-c", "carol")):
-            assert registry.bind(identity, WalletId(wallet)).accepted
+            assert registry.bind(identity, WalletId(wallet)) is None
         engine = GovernanceEngine(
             balances={WalletId(w): TokenAmount.parse(b) for w, b in {"alice": 100, "bob": 44, "carol": 25}.items()},
             supply=TokenAmount.parse(1000),

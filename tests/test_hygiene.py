@@ -2,7 +2,8 @@
 every name the package defines has a caller outside the tests, importing the
 CLI loads no code-generation module, a command loads neither OpenSSL nor
 argparse, every source file parses under the oldest Python grammar the
-package supports, and the README gives each command CI runs."""
+package supports, the package builds each decimal context in one place, and
+the README gives each command CI runs."""
 
 import ast
 import importlib.util
@@ -182,6 +183,48 @@ def test_every_source_file_parses_as_python_3_10(path):
     as 3.11's `except*`.  This checks grammar only, not the standard library API: a
     call to a function that 3.10 lacks still parses."""
     ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _context_calls(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """The enclosing function's name (None at module or class scope) and the line of each call of
+    decimal.Context under tree, called by its module attribute or by any name it is imported as."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "decimal":
+            names |= {a.asname or a.name for a in node.names if a.name == "Context"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "decimal"}
+
+    def builds(call: ast.Call) -> bool:
+        f = call.func
+        if isinstance(f, ast.Attribute):
+            return f.attr == "Context" and isinstance(f.value, ast.Name) and f.value.id in modules
+        return isinstance(f, ast.Name) and f.id in names
+
+    calls = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and builds(child):
+                calls.append((function, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return calls
+
+
+def test_a_decimal_context_is_built_only_by_core_context():
+    """Context() copies each field it is not given from the mutable decimal.DefaultContext, so
+    every context the package uses comes from core._context, which gives them all."""
+    builder, stray = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for function, line in _context_calls(ast.parse(path.read_text("utf-8"))):
+            if (path.name, function) == ("core.py", "_context"):
+                builder += 1
+            else:
+                stray.append(f"{path.name}:{line} in {function or 'module scope'}")
+    assert not stray, f"decimal.Context built outside core._context: {', '.join(stray)}"
+    assert builder == 1
 
 
 def _ci_lines():

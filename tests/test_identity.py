@@ -53,37 +53,31 @@ def _wallets_of(registry, identity):
 class TestRegistryBinding:
     def test_first_binding_accepted(self):
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
-        outcome = registry.bind(IdentityId("alice"), WalletId("w1"))
-        assert outcome.accepted
+        assert registry.bind(IdentityId("alice"), WalletId("w1")) is None
         assert registry.identity_of(WalletId("w1")) == IdentityId("alice")
 
     def test_rebinding_the_same_pair_is_an_accepted_noop(self):
         registry = IdentityRegistry("strict_one_wallet")
         registry.bind(IdentityId("alice"), WalletId("w1"))
-        again = registry.bind(IdentityId("alice"), WalletId("w1"))
-        assert again.accepted
+        assert registry.bind(IdentityId("alice"), WalletId("w1")) is None
         assert _wallets_of(registry, "alice") == (WalletId("w1"),)
 
     def test_strict_mode_rejects_a_second_wallet(self):
         registry = IdentityRegistry(RegistryMode.STRICT_ONE_WALLET)
         registry.bind(IdentityId("alice"), WalletId("w1"))
-        outcome = registry.bind(IdentityId("alice"), WalletId("w2"))
-        assert not outcome.accepted
-        assert outcome.reason is RejectionReason.DUPLICATE_IDENTITY
+        assert registry.bind(IdentityId("alice"), WalletId("w2")) is RejectionReason.DUPLICATE_IDENTITY
 
     def test_collapse_mode_accepts_many_wallets(self):
         registry = IdentityRegistry(RegistryMode.COLLAPSE_PER_IDENTITY)
         for k in range(5):
-            assert registry.bind(IdentityId("alice"), WalletId(f"w{k}")).accepted
+            assert registry.bind(IdentityId("alice"), WalletId(f"w{k}")) is None
         assert len(_wallets_of(registry, "alice")) == 5
 
     def test_a_wallet_cannot_serve_two_identities(self):
         for mode in RegistryMode:
             registry = IdentityRegistry(mode)
             registry.bind(IdentityId("alice"), WalletId("w1"))
-            outcome = registry.bind(IdentityId("bob"), WalletId("w1"))
-            assert not outcome.accepted
-            assert outcome.reason is RejectionReason.WALLET_ALREADY_BOUND
+            assert registry.bind(IdentityId("bob"), WalletId("w1")) is RejectionReason.WALLET_ALREADY_BOUND
 
     def test_json_round_trip(self):
         """The registry as genesis records it binds a fresh registry to the same record."""
@@ -100,7 +94,7 @@ class TestRegistryBinding:
         restored = IdentityRegistry(obj["mode"])
         for binding in obj["bindings"]:
             for wallet in binding["wallets"]:
-                assert restored.bind(binding["identity"], wallet).accepted
+                assert restored.bind(binding["identity"], wallet) is None
         assert record(restored) == obj
         assert restored.mode is registry.mode
         assert restored.identity_of(WalletId("w3")) == IdentityId("bob")
@@ -133,7 +127,7 @@ class TestFilterAndCollapse:
     def _registry(self, mode=RegistryMode.COLLAPSE_PER_IDENTITY, bindings=()):
         registry = IdentityRegistry(mode)
         for identity, wallet in bindings:
-            assert registry.bind(IdentityId(identity), WalletId(wallet)).accepted
+            assert registry.bind(IdentityId(identity), WalletId(wallet)) is None
         return registry
 
     def test_collapse_neutralizes_the_split_attack_exactly(self):

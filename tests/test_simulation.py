@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from govlab import mechanisms
 from govlab import simulation as simulation_module
 from govlab.core import NANO, TokenAmount, VoteRecord, canonical_json, fmt_units, loads_canonical, parse_units
 from govlab.governance import GovernanceEngine, Proposal, Window, replay
-from govlab.ledger import LedgerError
+from govlab.ledger import LedgerError, dump_ndjson, load_ndjson
 from govlab.mechanisms import Mechanism, config_error
 from govlab.scenario import MAX_CASTS, MAX_WALLETS, AgentKind, ScenarioValidationError, load_preset, loads_scenario, parse_scenario, preset_names
 from govlab.simulation import (
@@ -36,6 +36,7 @@ from govlab.simulation import (
 )
 from govlab.sybil import sybil_gain
 
+from cross_version import CONTEXT_SCENARIOS, set_hostile
 from oracles import controlling_set_exhaustive, gini_pairwise_units, report_csv_ref, run_with_counts
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -150,6 +151,24 @@ class TestRunDeterminism:
         result = run(load_preset("sybil_attack_quadratic"))
         assert result.head_hash == result.ledger.head_hash()
         assert result.report["ledger_head"] == result.head_hash
+
+
+class TestCallerDecimalContext:
+    @pytest.mark.parametrize("name", sorted(CONTEXT_SCENARIOS))
+    def test_a_hostile_thread_context_changes_no_byte(self, name):
+        """Five digits, exponents within -5 to 5, a lowercase exponent mark and an Inexact trap
+        in the caller's context: the report, head, CSV and ledger equal a plain run's, and the
+        ledger, which writes "0E-9" or "1E-9" in its submit event, replays under that context."""
+        scenario = parse_scenario(CONTEXT_SCENARIOS[name])
+        plain = run(scenario)
+        with localcontext() as context:
+            set_hostile(context)
+            hostile = run(scenario)
+            csv, ndjson = report_csv(hostile), dump_ndjson(hostile.ledger)
+            replayed = replay(load_ndjson(ndjson))
+        assert (hostile.report_json, hostile.head_hash) == (plain.report_json, plain.head_hash)
+        assert (csv, ndjson) == (report_csv(plain), dump_ndjson(plain.ledger))
+        assert replayed.ledger.head_hash() == plain.head_hash
 
 
 class TestProposalEntry:
